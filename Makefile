@@ -13,8 +13,10 @@ BENCH_AP_BASELINE ?= BENCH_ap.json
 # nodes, plus blocker-heavy variants that gate region-scoped blockage
 # invalidation against its stale-everything fallback) runs each size
 # once — an iteration is a whole churning Run, seconds long, so
-# -benchtime=1x keeps the gate affordable.
-BENCH_NET_PATTERN  ?= NetworkScale
+# -benchtime=1x keeps the gate affordable. RunTraffic times Run alone on
+# a frame-dispatch-bound fleet (the scale rungs are three quarters Join)
+# and pins the event engine at zero allocations per frame.
+BENCH_NET_PATTERN  ?= NetworkScale|RunTraffic
 BENCH_NET_BASELINE ?= BENCH_net.json
 # The control-plane hot path (batched ingest, pooled frames, append
 # encoders): the memnet case gates 0 allocs/op on the pure software
@@ -23,13 +25,17 @@ BENCH_CTL_PATTERN  ?= ControlPlane
 BENCH_CTL_BASELINE ?= BENCH_ctl.json
 BENCH_OUT      ?= bench.out
 
-.PHONY: build test bench bench-baseline bench-check load-smoke profile clean
+.PHONY: build test fmt-check bench bench-baseline bench-check bench-smoke load-smoke profile clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails when gofmt would change any file.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # bench runs the gated PHY benchmarks and refreshes $(BENCH_BASELINE) with
 # the measured numbers. Commit the refreshed file only from the CI runner
@@ -66,6 +72,13 @@ bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_CTL_PATTERN)' -benchmem . > $(BENCH_OUT)
 	$(GO) run ./cmd/mmx-benchstat -check -baseline $(BENCH_CTL_BASELINE) -threshold 0.50 < $(BENCH_OUT)
 	@rm -f $(BENCH_OUT)
+
+# bench-smoke runs the smoke test of the benchmark driver (benchmark/ is
+# a module of its own, so `go test ./...` never descends into it): every
+# workload at 2% scale, its output checks, and BENCHMARK.json against
+# spec.go. About 8 s.
+bench-smoke:
+	$(GO) -C benchmark test ./...
 
 # load-smoke soaks the socket-backed control plane on loopback: a live
 # mmx-apd daemon, a fixed-seed fault-injected mmx-load storm, a daemon

@@ -477,19 +477,8 @@ func benchNetworkScaleAPs(b *testing.B, size, naps int) {
 // region=false pins the stale-everything baseline (every tick
 // re-evaluates the whole fleet) the win is measured against.
 func benchNetworkBlockers(b *testing.B, size int, region bool) {
-	side := 6000 * math.Sqrt(float64(size)/1000)
-	env := NewEnvironment(side, side, 11)
-	nw := env.NewNetwork(Pose{X: side / 2, Y: side / 2}, 13)
-	nw.SetCouplingMode(CouplingSparse)
+	env, nw, side := benchTelemetryFleet(b, size, 5)
 	nw.SetRegionInvalidation(region)
-	nw.SetLeaseTTL(0, 0)
-	rng := stats.NewRNG(99)
-	for i := 0; i < size; i++ {
-		pose := Facing(rng.Uniform(1, side-1), rng.Uniform(1, side-1), side/2, side/2)
-		if _, err := nw.Join(uint32(i+1), pose, 1e6, TelemetryTraffic(5)); err != nil {
-			b.Fatal(err)
-		}
-	}
 	for k := 0; k < 8; k++ {
 		ang := 2 * math.Pi * float64(k) / 8
 		r := 50 + 150*float64(k)/7
@@ -501,6 +490,47 @@ func benchNetworkBlockers(b *testing.B, size int, region bool) {
 	for i := 0; i < b.N; i++ {
 		nw.Run(2, 0.05, 0)
 	}
+}
+
+// BenchmarkRunTraffic times Run and nothing else on a frame-dispatch-
+// bound fleet: 12 000 telemetry nodes at a frame per 0.1 s on the
+// BenchmarkNetworkScale field, admitted before the timer starts. The
+// field is too wide for any ladder step to close, so an iteration is
+// ≈240 k outage frames through the event engine — the scale rungs above
+// spend three quarters of their time in Join and cannot see it. The
+// allocs/op gate pins the engine's per-frame allocation count at zero:
+// what remains is Run's fixed start.
+func BenchmarkRunTraffic(b *testing.B) {
+	_, nw, _ := benchTelemetryFleet(b, 12000, 0.1)
+	nw.Reports() // settle the post-join picture untimed
+	// The two env ticks run serially, so allocs/op is Run's own count:
+	// starting worker goroutines mallocs or not depending on the
+	// runtime's free list.
+	nw.SetWorkers(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw.Run(2, 1, 0)
+	}
+}
+
+// benchTelemetryFleet joins size telemetry nodes (one frame per
+// meanIntervalS) on the constant-density BenchmarkNetworkScale field —
+// single AP at the centre, sparse coupling, no keepalive cycle.
+func benchTelemetryFleet(b *testing.B, size int, meanIntervalS float64) (*Environment, *Network, float64) {
+	side := 6000 * math.Sqrt(float64(size)/1000)
+	env := NewEnvironment(side, side, 11)
+	nw := env.NewNetwork(Pose{X: side / 2, Y: side / 2}, 13)
+	nw.SetCouplingMode(CouplingSparse)
+	nw.SetLeaseTTL(0, 0)
+	rng := stats.NewRNG(99)
+	for i := 0; i < size; i++ {
+		pose := Facing(rng.Uniform(1, side-1), rng.Uniform(1, side-1), side/2, side/2)
+		if _, err := nw.Join(uint32(i+1), pose, 1e6, TelemetryTraffic(meanIntervalS)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return env, nw, side
 }
 
 func BenchmarkExtScale(b *testing.B) {

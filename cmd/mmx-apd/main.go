@@ -65,7 +65,7 @@ func startProfiles(cpu, mem string) func() {
 				return
 			}
 			defer mf.Close() //nolint:errcheck // best-effort teardown
-			runtime.GC() // settle the heap so the profile shows retained memory
+			runtime.GC()     // settle the heap so the profile shows retained memory
 			if err := pprof.WriteHeapProfile(mf); err != nil {
 				fmt.Fprintf(os.Stderr, "mmx-apd: write heap profile: %v\n", err)
 			}

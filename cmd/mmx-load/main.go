@@ -59,7 +59,7 @@ func startProfiles(cpu, mem string) func() {
 				return
 			}
 			defer mf.Close() //nolint:errcheck // best-effort teardown
-			runtime.GC() // settle the heap so the profile shows retained memory
+			runtime.GC()     // settle the heap so the profile shows retained memory
 			if err := pprof.WriteHeapProfile(mf); err != nil {
 				fmt.Fprintf(os.Stderr, "mmx-load: write heap profile: %v\n", err)
 			}

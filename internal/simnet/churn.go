@@ -11,11 +11,11 @@ import (
 // churnEvent is one planned membership change: a join carries the full
 // admission parameters, a leave only the ID.
 type churnEvent struct {
-	at     float64
-	join   bool
-	id     uint32
-	pose   channel.Pose
-	demand float64
+	at      float64
+	join    bool
+	id      uint32
+	pose    channel.Pose
+	demand  float64
 	traffic TrafficModel
 }
 
@@ -93,7 +93,10 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		rs.joins++
 		rs.apStats[ap.idx].Joins++
 		rs.apOpen(id, ap.idx, rs.sim.Now())
-		h := rs.handle(id)
+		h := rs.left[id]
+		if h == nil {
+			h = rs.newHandle(new(nodeHandle), id)
+		}
 		h.present = true
 		h.joinedAt = rs.sim.Now()
 		rs.hcache = append(rs.hcache, h) // registerNode put n at the tail
@@ -123,6 +126,8 @@ func (rs *runState) leaveNow(id uint32) {
 	ap := nw.hostAP(leaver)
 	removedAt := leaver.idx
 	nw.unregisterNodeAt(removedAt)
+	h := rs.hcache[removedAt]
+	rs.left[id] = h
 	rs.hcache = append(rs.hcache[:removedAt], rs.hcache[removedAt+1:]...)
 	nw.couplingRemoveNode(leaver, removedAt)
 	if !leaver.Down {
@@ -138,7 +143,6 @@ func (rs *runState) leaveNow(id uint32) {
 	rs.apStats[ap.idx].Leaves++
 	now := rs.sim.Now()
 	rs.apClose(id, now)
-	h := rs.handle(id)
 	if h.present {
 		h.activeS += now - h.joinedAt
 		h.st.LeftAtS = now

@@ -31,10 +31,10 @@ type ControlConfig struct {
 // backoff at ±25% jitter, 1 s leases renewed every 300 ms.
 func DefaultControlConfig() ControlConfig {
 	return ControlConfig{
-		TimeoutS:    0.02,
-		MaxAttempts: 8,
-		Backoff:     faults.Backoff{BaseS: 0.02, MaxS: 0.5, Factor: 2, Jitter: 0.25},
-		LeaseTTLS:   1.0,
+		TimeoutS:       0.02,
+		MaxAttempts:    8,
+		Backoff:        faults.Backoff{BaseS: 0.02, MaxS: 0.5, Factor: 2, Jitter: 0.25},
+		LeaseTTLS:      1.0,
 		RenewIntervalS: 0.3,
 	}
 }

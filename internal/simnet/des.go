@@ -1,45 +1,41 @@
 package simnet
 
 import (
-	"container/heap"
 	"math"
 
 	"mmx/internal/core"
 	"mmx/internal/faults"
 )
 
-// event is one scheduled simulation action.
+// event is one scheduled simulation action, stored by value in the
+// queue. A generic event carries fn; a frame event (fn == nil) carries
+// its data instead — the node's stable handle, the generation of the
+// traffic chain it belongs to and the payload drawn when it was
+// scheduled — so dispatching a frame allocates nothing.
 type event struct {
 	at  float64
 	seq int // tie-break so ordering is deterministic
 	fn  func()
+
+	h       *nodeHandle
+	gen     int
+	payload int
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// before is the dispatch order: time, then scheduling order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// Sim is a minimal deterministic discrete-event engine.
+// Sim is a minimal deterministic discrete-event engine. Events run in
+// (at, seq) order, seq being the order At/After were called in; a time
+// in the past (or NaN) is clamped to now, and an event at exactly the
+// horizon runs.
 type Sim struct {
 	now float64
 	seq int
-	q   eventQueue
+	q   []event   // binary min-heap on (at, seq)
+	run *runState // receiver of frame events; nil outside Network.Run
 }
 
 // NewSim returns an engine at time zero.
@@ -49,28 +45,78 @@ func NewSim() *Sim { return &Sim{} }
 func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn at an absolute time (clamped to now for past times).
-func (s *Sim) At(t float64, fn func()) {
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	heap.Push(&s.q, &event{at: t, seq: s.seq, fn: fn})
-}
+func (s *Sim) At(t float64, fn func()) { s.schedule(event{at: t, fn: fn}) }
 
 // After schedules fn delay seconds from now.
 func (s *Sim) After(delay float64, fn func()) { s.At(s.now+delay, fn) }
 
+// schedule stamps e with its clamped time and the next sequence number
+// and sifts it up into the heap. The clamp is written so that NaN fails
+// it: a NaN time would otherwise order inconsistently against every
+// other event and then poison the clock.
+func (s *Sim) schedule(e event) {
+	if !(e.at >= s.now) {
+		e.at = s.now
+	}
+	s.seq++
+	e.seq = s.seq
+	q := append(s.q, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	s.q = q
+}
+
+// pop removes and returns the earliest event: the last leaf sifts down
+// from the root into the hole the minimum left.
+func (s *Sim) pop() event {
+	q := s.q
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the slot's fn and handle references
+	q = q[:n]
+	s.q = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}
+
 // RunUntil executes events in time order until the queue drains or the
 // horizon is reached, and leaves the clock at the horizon.
 func (s *Sim) RunUntil(horizon float64) {
-	for s.q.Len() > 0 {
-		e := s.q[0]
-		if e.at > horizon {
-			break
-		}
-		heap.Pop(&s.q)
+	for len(s.q) > 0 && !(s.q[0].at > horizon) {
+		e := s.pop()
 		s.now = e.at
-		e.fn()
+		if e.fn != nil {
+			e.fn()
+		} else {
+			s.run.fireFrame(e.h, e.gen, e.payload)
+		}
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -230,11 +276,12 @@ func (r RunStats) TotalGoodputBps() float64 {
 // cycles of the same ID.
 type nodeHandle struct {
 	st        NodeStats
+	node      *Node // the member the live frame chain transmits for
 	present   bool
 	joinedAt  float64 // start of the current presence interval
 	activeS   float64 // sum of closed presence intervals
 	busyUntil float64 // transmitter occupancy horizon
-	gen       int     // bumped on leave and rejoin: cancels stale frame chains
+	gen       int     // bumped on leave: cancels stale frame chains
 }
 
 // runState is the live engine state while Run executes. Network.run
@@ -261,12 +308,15 @@ type runState struct {
 	apStats []APStats
 	apHist  map[uint32][]APInterval
 
-	handles map[uint32]*nodeHandle
-	order   []uint32 // IDs in first-seen order: RunStats.PerNode layout
-	// hcache mirrors nw.Nodes: hcache[n.idx] is n's handle, maintained on
-	// every membership change, so the per-tick observation loop is O(1)
-	// pointer chases instead of a map lookup per node.
+	// hcache mirrors nw.Nodes: hcache[n.idx] is member n's handle,
+	// maintained on every membership change, so neither the per-tick
+	// observation loop nor a frame looks anything up by ID. left keeps
+	// the handles of IDs that departed during this run — a rejoin under
+	// the same ID goes on accumulating into its one entry. order is
+	// every handle in first-seen order: the RunStats.PerNode layout.
 	hcache []*nodeHandle
+	left   map[uint32]*nodeHandle
+	order  []*nodeHandle
 
 	reports []Report        // cached EvaluateSINR output, parallel to nw.Nodes
 	pending map[uint32]bool // IDs with a handshake done, activation queued
@@ -296,14 +346,12 @@ func (rs *runState) apClose(id uint32, at float64) {
 	}
 }
 
-// handle returns (creating if needed) the stable accounting slot for id.
-func (rs *runState) handle(id uint32) *nodeHandle {
-	h := rs.handles[id]
-	if h == nil {
-		h = &nodeHandle{st: NodeStats{ID: id, MinSINRdB: math.Inf(1), JoinedAtS: rs.sim.Now()}}
-		rs.handles[id] = h
-		rs.order = append(rs.order, id)
-	}
+// newHandle makes h the stable accounting slot of an ID first seen now.
+// The starting membership's slots are one slab Run allocates; a mid-run
+// joiner brings its own.
+func (rs *runState) newHandle(h *nodeHandle, id uint32) *nodeHandle {
+	h.st = NodeStats{ID: id, MinSINRdB: math.Inf(1), JoinedAtS: rs.sim.Now()}
+	rs.order = append(rs.order, h)
 	return h
 }
 
@@ -423,58 +471,67 @@ const maxBacklogS = 0.05
 // of a departed node expires silently instead of transmitting for a
 // non-member.
 func (rs *runState) scheduleFrames(n *Node) {
-	h := rs.handle(n.ID)
-	gen := h.gen
-	var scheduleFrame func()
-	scheduleFrame = func() {
-		delay, payload := n.Traffic.Next(rs.nw.rng)
-		rs.sim.After(delay, func() {
-			if h.gen != gen {
-				return // the node left: its frame chain ends here
+	h := rs.hcache[n.idx]
+	h.node = n
+	rs.nextFrame(h, h.gen)
+}
+
+// nextFrame draws the chain's next gap and payload and puts the frame
+// event on the queue. gen is the chain's own generation, not h.gen
+// re-read: a traffic model that leaves its node from inside Next must
+// still end the chain it was called from.
+func (rs *runState) nextFrame(h *nodeHandle, gen int) {
+	delay, payload := h.node.Traffic.Next(rs.nw.rng)
+	s := rs.sim
+	s.schedule(event{at: s.now + delay, h: h, gen: gen, payload: payload})
+}
+
+// fireFrame is the body of a frame event: account the frame at the
+// node's adapted rate, then schedule the chain's next one.
+func (rs *runState) fireFrame(h *nodeHandle, gen, payload int) {
+	if h.gen != gen {
+		return // the node left: its frame chain ends here
+	}
+	n := h.node
+	if payload > 0 && !n.Down {
+		bits := float64(8 * payload)
+		rate := n.RateBps
+		st := &h.st
+		st.FramesSent++
+		if rate <= 0 {
+			// Outage: no ladder step closes the link, so the frame is
+			// discarded instead of transmitted at a hopeless rate.
+			st.FramesOutage++
+		} else {
+			airtime := bits / rate
+			now := rs.sim.Now()
+			if h.busyUntil < now {
+				h.busyUntil = now
 			}
-			if payload > 0 && !n.Down {
-				bits := float64(8 * payload)
-				rate := n.RateBps
-				st := &h.st
-				st.FramesSent++
-				if rate <= 0 {
-					// Outage: no ladder step closes the link, so the
-					// frame is discarded instead of transmitted at a
-					// hopeless rate.
-					st.FramesOutage++
+			queue := h.busyUntil - now
+			if queue > maxBacklogS {
+				// The adapted rate cannot drain the offered load.
+				st.FramesDropped++
+			} else {
+				h.busyUntil += airtime
+				st.airtime += airtime
+				st.delayAccum += queue + airtime
+				st.delayed++
+				// reportOf is O(1) either way: node-cached report in
+				// sparse mode, the idx-maintained slot of the parallel
+				// slice in dense mode — no ID→index map rebuild per
+				// churn event.
+				ber := rs.reportOf(n).BER
+				pSuccess := math.Pow(1-ber, bits)
+				if rs.nw.rng.Float64() < pSuccess {
+					st.BitsDelivered += bits
 				} else {
-					airtime := bits / rate
-					now := rs.sim.Now()
-					if h.busyUntil < now {
-						h.busyUntil = now
-					}
-					queue := h.busyUntil - now
-					if queue > maxBacklogS {
-						// The adapted rate cannot drain the offered load.
-						st.FramesDropped++
-					} else {
-						h.busyUntil += airtime
-						st.airtime += airtime
-						st.delayAccum += queue + airtime
-						st.delayed++
-						// reportOf is O(1) either way: node-cached report
-						// in sparse mode, the idx-maintained slot of the
-						// parallel slice in dense mode — no ID→index map
-						// rebuild per churn event.
-						ber := rs.reportOf(n).BER
-						pSuccess := math.Pow(1-ber, bits)
-						if rs.nw.rng.Float64() < pSuccess {
-							st.BitsDelivered += bits
-						} else {
-							st.FramesLost++
-						}
-					}
+					st.FramesLost++
 				}
 			}
-			scheduleFrame()
-		})
+		}
 	}
-	scheduleFrame()
+	rs.nextFrame(h, gen)
 }
 
 // Run drives the network for duration seconds: blockers walk (re-evaluated
@@ -507,6 +564,9 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		panic("simnet: Run is not reentrant")
 	}
 	sim := NewSim()
+	// Every member keeps one frame event pending; the ticks and the churn
+	// plan add a handful more.
+	sim.q = make([]event, 0, len(nw.Nodes)+len(nw.pendingChurn)+4)
 	bases := make([]float64, len(nw.APs))
 	for i, ap := range nw.APs {
 		bases[i] = ap.Controller.NowS()
@@ -520,18 +580,21 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		bases:        bases,
 		ctl:          &ctl,
 		apStats:      make([]APStats, len(nw.APs)),
-		handles:      make(map[uint32]*nodeHandle, len(nw.Nodes)),
+		hcache:       make([]*nodeHandle, len(nw.Nodes)),
+		left:         map[uint32]*nodeHandle{},
+		order:        make([]*nodeHandle, 0, len(nw.Nodes)),
 		pending:      map[uint32]bool{},
 	}
+	sim.run = rs
 	if len(nw.APs) > 1 {
 		rs.apHist = make(map[uint32][]APInterval, len(nw.Nodes))
 	}
 	nw.run = rs
 	defer func() { nw.run = nil }()
 
-	rs.hcache = make([]*nodeHandle, len(nw.Nodes))
+	slab := make([]nodeHandle, len(nw.Nodes))
 	for i, n := range nw.Nodes {
-		h := rs.handle(n.ID)
+		h := rs.newHandle(&slab[i], n.ID)
 		h.present = true
 		rs.hcache[i] = h
 		rs.apOpen(n.ID, n.apIndex(), 0)
@@ -695,8 +758,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	}
 
 	perNode := make([]NodeStats, 0, len(rs.order))
-	for _, id := range rs.order {
-		h := rs.handles[id]
+	for _, h := range rs.order {
 		if h.present {
 			h.activeS += duration - h.joinedAt
 			h.st.LeftAtS = duration

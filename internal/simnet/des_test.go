@@ -1,0 +1,358 @@
+package simnet
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"mmx/internal/channel"
+	"mmx/internal/stats"
+)
+
+// TestSimNaNTimeClampsToNow regression-tests the NaN clamp: `t < now` is
+// false for NaN, so a NaN time used to enter the heap unclamped, compare
+// false against everything (1 fired before 0.5) and end as the clock.
+func TestSimNaNTimeClampsToNow(t *testing.T) {
+	s := NewSim()
+	var order []float64
+	for _, at := range []float64{1, math.NaN(), 2, 0.5} {
+		at := at
+		s.At(at, func() { order = append(order, at) })
+	}
+	s.After(math.NaN(), func() { order = append(order, -1) })
+	s.RunUntil(3)
+	// Both NaN events clamp to now = 0 and run first, in call order.
+	want := []float64{math.NaN(), -1, 0.5, 1, 2}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want 5 events", order)
+	}
+	for i := range want {
+		if order[i] != want[i] && !(math.IsNaN(order[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if s.Now() != 3 {
+		t.Errorf("clock = %g, want 3", s.Now())
+	}
+}
+
+// TestScheduleLeaveNaNKeepsStatsFinite drives the same bug from the
+// public surface: a NaN churn time and a traffic model returning a NaN
+// gap must both act as "now" and leave every sim-time-stamped statistic
+// finite.
+func TestScheduleLeaveNaNKeepsStatsFinite(t *testing.T) {
+	nw := newTestNetwork(61)
+	placeNodes(t, nw, 3, 10e6)
+	nanOnce := true
+	nw.Nodes[2].Traffic = trafficFunc(func() (float64, int) {
+		if nanOnce {
+			nanOnce = false
+			return math.NaN(), 100
+		}
+		return 0.01, 100
+	})
+	nw.ScheduleLeave(math.NaN(), 1)
+	nw.ScheduleJoin(0.2, 9, churnPose(nw, 9), 10e6, HDCamera(8))
+	st := nw.Run(1, 0.1, 10)
+	if st.Leaves != 1 || st.Joins != 1 {
+		t.Fatalf("leaves = %d, joins = %d, want 1 and 1", st.Leaves, st.Joins)
+	}
+	finite := func(what string, id uint32, v float64) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("node %d %s = %g", id, what, v)
+		}
+	}
+	for _, pn := range st.PerNode {
+		finite("JoinedAtS", pn.ID, pn.JoinedAtS)
+		finite("LeftAtS", pn.ID, pn.LeftAtS)
+		finite("ActiveS", pn.ID, pn.ActiveS)
+		finite("AirtimeFraction", pn.ID, pn.AirtimeFraction)
+		finite("MeanDelayS", pn.ID, pn.MeanDelayS)
+	}
+	if pn := st.PerNode[0]; pn.ID != 1 || pn.LeftAtS != 0 || pn.ActiveS != 0 || pn.FramesSent != 0 {
+		t.Errorf("NaN leave should act at t=0: %+v", pn)
+	}
+	if pn := st.PerNode[2]; pn.FramesSent < 90 {
+		t.Errorf("node 3 sent %d frames after its NaN gap, want ≈100", pn.FramesSent)
+	}
+}
+
+// TestSimDispatchOrderMatchesReference is the engine's order contract as
+// a property: a few thousand generic and frame events — duplicate times,
+// past times, times equal to the horizon, events scheduled from inside
+// handlers, frame chains cancelled by a generation bump — must dispatch
+// exactly as a stable sort of the scheduling log by (at, seq), seq being
+// call order and past times clamped to now.
+func TestSimDispatchOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		checkDispatchOrder(t, seed)
+	}
+}
+
+// scheduled is one entry of the reference's scheduling log; seq doubles
+// as the event's name in the dispatch log.
+type scheduled struct {
+	at        float64
+	seq       int
+	cancelled bool
+}
+
+func checkDispatchOrder(t *testing.T, seed uint64) {
+	t.Helper()
+	const (
+		horizon   = 16.0
+		budget    = 6000 // generic events; frame chains add theirs
+		numChains = 12
+	)
+	rng := stats.NewRNG(seed)
+	s := NewSim()
+	rs := &runState{nw: &Network{}, sim: s, hcache: make([]*nodeHandle, numChains)}
+	for i := range rs.hcache {
+		rs.hcache[i] = new(nodeHandle)
+	}
+	s.run = rs
+
+	var (
+		log     []*scheduled // every event scheduled, in call order
+		fired   []int        // seqs in dispatch order
+		pending = map[uint32]*scheduled{}
+		generic int
+	)
+	// record mirrors the contract on the reference's side: seq in call
+	// order, a past time clamped to now.
+	record := func(at float64) *scheduled {
+		if at < s.Now() {
+			at = s.Now()
+		}
+		e := &scheduled{at: at, seq: len(log)}
+		log = append(log, e)
+		return e
+	}
+	// Times sit on a quarter-second grid so duplicates, past times and
+	// hits on the horizons (all grid points) are common.
+	someTime := func() float64 { return float64(rng.Intn(4*horizon+9)-4) / 4 }
+
+	var spawn func()
+	handler := func(e *scheduled) func() {
+		return func() {
+			if s.Now() != e.at {
+				t.Fatalf("seed %d: event %d fired at %g, scheduled for %g", seed, e.seq, s.Now(), e.at)
+			}
+			fired = append(fired, e.seq)
+			for k := rng.Intn(3); k > 0; k-- {
+				spawn()
+			}
+		}
+	}
+	spawn = func() {
+		if generic >= budget {
+			return
+		}
+		generic++
+		switch rng.Intn(4) {
+		case 0: // relative, possibly zero or negative
+			d := float64(rng.Intn(12)-2) / 4
+			s.After(d, handler(record(s.Now()+d)))
+		case 1: // cancel a live frame chain, as a leave does
+			id := uint32(rng.Intn(numChains))
+			at := someTime()
+			e := record(at)
+			s.At(at, func() {
+				fired = append(fired, e.seq)
+				if p := pending[id]; p != nil {
+					rs.hcache[id].gen++
+					p.cancelled = true
+					delete(pending, id)
+				}
+			})
+		default:
+			at := someTime()
+			s.At(at, handler(record(at)))
+		}
+	}
+
+	// Frame chains: Next is called once to start the chain and then from
+	// fireFrame, so every call after the first is the previous frame's
+	// dispatch; payload 0 makes the frame body a no-op.
+	for id := uint32(0); id < numChains; id++ {
+		id := id
+		n := &Node{ID: id, idx: int(id)}
+		n.Traffic = trafficFunc(func() (float64, int) {
+			if p := pending[id]; p != nil {
+				if s.Now() != p.at {
+					t.Fatalf("seed %d: frame %d fired at %g, scheduled for %g", seed, p.seq, s.Now(), p.at)
+				}
+				fired = append(fired, p.seq)
+			}
+			if rng.Intn(8) == 0 {
+				spawn() // a traffic model may schedule from inside Next
+			}
+			d := float64(rng.Intn(10)-1) / 4
+			pending[id] = record(s.Now() + d)
+			return d, 0
+		})
+		if id%2 == 0 {
+			rs.scheduleFrames(n)
+		} else {
+			// Half the chains start mid-run, like an activated joiner.
+			at := someTime()
+			e := record(at)
+			s.At(at, func() {
+				fired = append(fired, e.seq)
+				rs.scheduleFrames(n)
+			})
+		}
+	}
+	for generic < budget/4 {
+		spawn()
+	}
+
+	for _, h := range []float64{0, 3.25, 3.25, 9, horizon} {
+		s.RunUntil(h)
+		var want []int
+		ref := append([]*scheduled(nil), log...)
+		sort.SliceStable(ref, func(i, j int) bool {
+			if ref[i].at != ref[j].at {
+				return ref[i].at < ref[j].at
+			}
+			return ref[i].seq < ref[j].seq
+		})
+		for _, e := range ref {
+			if e.at <= h && !e.cancelled {
+				want = append(want, e.seq)
+			}
+		}
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d, horizon %g: %d events fired, reference has %d", seed, h, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("seed %d, horizon %g: dispatch %d was event %d, reference says %d", seed, h, i, fired[i], want[i])
+			}
+		}
+		if s.Now() != h {
+			t.Fatalf("seed %d: clock = %g after RunUntil(%g)", seed, s.Now(), h)
+		}
+	}
+	if len(fired) < 3000 {
+		t.Errorf("seed %d: only %d events dispatched; the plan is too thin to mean much", seed, len(fired))
+	}
+}
+
+// frameBranchNetwork is four close-in cameras that between them take
+// every exit of the frame body: node 1 fits its 10 Mb/s PHY, node 2
+// offers twice what its 6 Mb/s PHY drains (queue drops), node 3 is held
+// at rate 0 (outage; envStep 0 never re-adapts it), and node 4 is turned
+// 1.8 rad off the AP, so only a side lobe closes its link and a few
+// frames in a hundred die in the channel.
+func frameBranchNetwork(t *testing.T) *Network {
+	t.Helper()
+	nw := newTestNetwork(71)
+	nw.Control.RenewIntervalS = 0 // no keepalive cycle: frames are the only events
+	for i, c := range []struct {
+		x, y, turn, demand, mbps float64
+	}{
+		{2.0, 1.2, 0, 10e6, 8},
+		{2.6, 1.9, 0, 6e6, 12},
+		{3.2, 2.6, 0, 10e6, 8},
+		{5.5, 3.5, 1.8, 10e6, 2},
+	} {
+		pos := channel.Vec2{X: c.x, Y: c.y}
+		pose := channel.Pose{Pos: pos, Orientation: nw.AP.Pos.Sub(pos).Angle() + c.turn}
+		if _, err := nw.Join(uint32(i+1), pose, c.demand, HDCamera(c.mbps)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nw.Nodes[2].RateBps = 0
+	return nw
+}
+
+// TestFrameAccountingIdentity drives the delivered-frame branch — the
+// one the outage-only sim-traffic benchmark never executes — and checks
+// that every frame sent is accounted exactly once.
+func TestFrameAccountingIdentity(t *testing.T) {
+	nw := frameBranchNetwork(t)
+	st := nw.Run(2, 0, 10)
+	const frameBits = 8 * 1500
+	var delivered, lost, dropped, outage int
+	for _, pn := range st.PerNode {
+		d := pn.BitsDelivered / frameBits
+		if d != math.Trunc(d) {
+			t.Fatalf("node %d delivered %g bits: not whole frames", pn.ID, pn.BitsDelivered)
+		}
+		if got := int(d) + pn.FramesLost + pn.FramesDropped + pn.FramesOutage; got != pn.FramesSent {
+			t.Errorf("node %d: delivered %d + lost %d + dropped %d + outage %d = %d, sent %d",
+				pn.ID, int(d), pn.FramesLost, pn.FramesDropped, pn.FramesOutage, got, pn.FramesSent)
+		}
+		if pn.FramesSent == 0 {
+			t.Errorf("node %d sent nothing", pn.ID)
+		}
+		delivered += int(d)
+		lost += pn.FramesLost
+		dropped += pn.FramesDropped
+		outage += pn.FramesOutage
+	}
+	if delivered == 0 || lost == 0 || dropped == 0 || outage == 0 {
+		t.Errorf("delivered %d, lost %d, dropped %d, outage %d: every branch should have run", delivered, lost, dropped, outage)
+	}
+}
+
+// TestFrameDispatchAllocatesNothing pins the engine's steady state: a
+// Run ten times as long dispatches ten times the frames — through the
+// delivered, lost, dropped and outage branches — for the mallocs of the
+// short one, which are Run's fixed start (the handle slab, the queue,
+// the stats it returns).
+func TestFrameDispatchAllocatesNothing(t *testing.T) {
+	nw := frameBranchNetwork(t)
+	frames := func(d float64) (n int) {
+		for _, pn := range nw.Run(d, 0, 10).PerNode {
+			n += pn.FramesSent
+		}
+		return n
+	}
+	short, long := frames(0.5), frames(5)
+	if long-short < 10000 {
+		t.Fatalf("long run sent %d frames, short %d: too few to measure", long, short)
+	}
+	base := testing.AllocsPerRun(5, func() { nw.Run(0.5, 0, 10) })
+	full := testing.AllocsPerRun(5, func() { nw.Run(5, 0, 10) })
+	// One malloc per thousand frames would be 13 here; the runtime's own
+	// strays (a thread starting, the race detector) are a handful.
+	if perFrame := (full - base) / float64(long-short); perFrame > 0.001 {
+		t.Errorf("Run(5) = %.0f allocs, Run(0.5) = %.0f: %.4f allocs per frame, want 0", full, base, perFrame)
+	}
+}
+
+// TestRejoinSameIDKeepsOneHandle: a node that leaves and comes back
+// under its ID — twice — keeps one PerNode entry that accumulates across
+// the three presence intervals, and each leave ends the frame chain of
+// the interval it closes: the frame count is that of the time present,
+// not of three chains running on.
+func TestRejoinSameIDKeepsOneHandle(t *testing.T) {
+	nw := newTestNetwork(81)
+	placeNodes(t, nw, 3, 10e6)
+	pose := nw.Nodes[0].Pose
+	nw.ScheduleLeave(0.2, 1)
+	nw.ScheduleJoin(0.5, 1, pose, 10e6, HDCamera(8))
+	nw.ScheduleLeave(0.7, 1)
+	nw.ScheduleJoin(0.8, 1, pose, 10e6, HDCamera(8))
+	st := nw.Run(1, 0, 10)
+	if st.Leaves != 2 || st.Joins != 2 || len(st.PerNode) != 3 {
+		t.Fatalf("leaves %d, joins %d, %d PerNode entries; want 2, 2, 3", st.Leaves, st.Joins, len(st.PerNode))
+	}
+	pn := st.PerNode[0]
+	if pn.ID != 1 || pn.JoinedAtS != 0 || pn.LeftAtS != 1 {
+		t.Fatalf("entry 0 = node %d over [%g, %g], want node 1 over [0, 1]", pn.ID, pn.JoinedAtS, pn.LeftAtS)
+	}
+	// Present for 0.2 + 0.2 + 0.2 s less the two handshakes' virtual time.
+	if pn.ActiveS < 0.55 || pn.ActiveS > 0.6 {
+		t.Errorf("ActiveS = %g, want just under 0.6", pn.ActiveS)
+	}
+	// 8 Mb/s in 1500-byte frames is 667 frames/s while present.
+	if want := 667 * pn.ActiveS; math.Abs(float64(pn.FramesSent)-want) > 5 {
+		t.Errorf("sent %d frames in %g s present, want ≈%.0f", pn.FramesSent, pn.ActiveS, want)
+	}
+	if nw.nodeByID(1) == nil {
+		t.Error("node 1 should be a member at the end")
+	}
+}

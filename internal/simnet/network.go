@@ -810,7 +810,7 @@ func (nw *Network) EvaluateSINRInto(out []Report) []Report {
 		if cap(nw.xpowerScratch) < nAPs*n {
 			nw.xpowerScratch = make([]float64, nAPs*n)
 		}
-		xp = nw.xpowerScratch[: nAPs*n]
+		xp = nw.xpowerScratch[:nAPs*n]
 	}
 	nw.forEachNode(n, func(i int) {
 		node := nw.Nodes[i]

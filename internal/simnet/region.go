@@ -48,16 +48,15 @@ import (
 // any physical blocker radius.
 const sweptSlack = 1e-6
 
-
 // corridor is one unfolded propagation geometry (direct, or via one or
 // two reflection walls): the mirrored-AP apex, the capsule variant to
 // test each leg against, and each variant's angular sector from the apex
 // (the cheap prune the quadtree descent tries before exact segment
 // arithmetic).
 type corridor struct {
-	apex  channel.Vec2
-	caps  [3]channel.SweptRegion
-	secs  [3]sector
+	apex channel.Vec2
+	caps [3]channel.SweptRegion
+	secs [3]sector
 	// gates are the unfolded reflecting walls (w1, then M1(w2)) that
 	// segment(node, apex) must actually cross for this corridor's path
 	// to exist. Path existence is pure geometry — blockers only add
