@@ -2,18 +2,18 @@ GO ?= go
 
 # Benchmarks gated by the perf-regression harness: the end-to-end frame
 # roundtrip, the network SINR engine, and the Fig. 11 BER CDF (the
-# Monte Carlo fan-out hot path). The AP wideband demux (polyphase
-# filterbank vs legacy per-channel loop) is gated separately so its
-# baseline can be refreshed without touching the PHY numbers.
+# Monte Carlo fan-out hot path). The AP wideband demux (the one-pass
+# polyphase filterbank) is gated separately so its baseline can be
+# refreshed without touching the PHY numbers.
 BENCH_PATTERN  ?= OTAMFrameRoundtrip|NetworkSINREvaluation|Fig11BERCDF
 BENCH_BASELINE ?= BENCH_phy.json
 BENCH_AP_PATTERN  ?= APWidebandDemux
 BENCH_AP_BASELINE ?= BENCH_ap.json
 # The network scaling curve (sparse coupling core at 1k/10k/100k/1M
-# nodes, plus blocker-heavy variants that gate region-scoped blockage
-# invalidation against its stale-everything fallback) runs each size
-# once — an iteration is a whole churning Run, seconds long, so
-# -benchtime=1x keeps the gate affordable. RunTraffic times Run alone on
+# nodes, plus blocker-heavy variants that gate the cost of a
+# region-invalidated environment tick) runs each size once — an
+# iteration is a whole churning Run, seconds long, so -benchtime=1x
+# keeps the gate affordable. RunTraffic times Run alone on
 # a frame-dispatch-bound fleet (the scale rungs are three quarters Join)
 # and pins the event engine at zero allocations per frame.
 BENCH_NET_PATTERN  ?= NetworkScale|RunTraffic
@@ -55,7 +55,8 @@ bench-baseline:
 	@echo "wrote $(BENCH_BASELINE) $(BENCH_AP_BASELINE) $(BENCH_NET_BASELINE) $(BENCH_CTL_BASELINE)"
 
 # bench-check reruns the gated benchmarks and fails on >15% ns/op
-# regression or any allocs/op increase against the committed baselines.
+# regression or any allocs/op increase against the committed baselines,
+# and on a baseline entry that no benchmark line matches any more.
 # The network scaling curve gets a +50% ns/op limit instead: each size
 # runs a single multi-second iteration, so wall-clock noise is larger —
 # a genuine complexity regression still trips it by an order of

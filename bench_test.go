@@ -199,13 +199,12 @@ func BenchmarkNetworkSINREvaluation(b *testing.B) {
 
 // BenchmarkAPWidebandDemux measures the AP's channel-demultiplexing front
 // end at growing channel counts: the one-pass polyphase filterbank
-// (ExtractAllInto — every channel from a single sweep) against the legacy
-// per-channel loop (mix, FIR, decimate once per channel). Both share the
-// same prototype design; the bank's advantage grows with the channel
-// count because its per-output cost is taps/bins MACs plus an FFT bin
-// instead of a full mix+filter pass per channel. Bins is a power of two,
-// so the bank's steady-state path is pool-free and must report 0
-// allocs/op — the gate in BENCH_ap.json pins that.
+// (ExtractAllInto — every channel from a single sweep). Per output
+// sample the branch MACs and the FFT are shared by every channel and only
+// a twiddled readout is per channel, so cost barely moves with the
+// channel count. Bins is a power of two, so the bank's steady-state path
+// is pool-free and must report 0 allocs/op — the gate in BENCH_ap.json
+// pins that.
 func BenchmarkAPWidebandDemux(b *testing.B) {
 	const (
 		rate    = 250e6
@@ -241,24 +240,6 @@ func BenchmarkAPWidebandDemux(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := bank.ExtractAllInto(dsts, x); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("channels=%d/legacy", n), func(b *testing.B) {
-			chz := apdsp.NewChannelizer(rate, center)
-			dsts := make([][]complex128, n)
-			var err error
-			for i, c := range channels {
-				if dsts[i], err = chz.ExtractInto(nil, x, c, width, outRate); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, c := range channels {
-					if dsts[j], err = chz.ExtractInto(dsts[j], x, c, width, outRate); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})
@@ -333,8 +314,7 @@ func BenchmarkAblationFilter(b *testing.B) {
 // crosses over below the 1k rung) is what keeps the whole run
 // near-linear. The blockers=8 variants isolate the environment-tick cost
 // under walking people — region-scoped invalidation re-evaluates only
-// the nodes the walkers' swept corridors can reach, and the /stale
-// variant pins the stale-everything baseline it is measured against.
+// the nodes the walkers' swept corridors can reach.
 // Committed baseline: BENCH_net.json, gated in CI by mmx-benchstat like
 // the PHY and AP numbers.
 func BenchmarkNetworkScale(b *testing.B) {
@@ -352,12 +332,9 @@ func BenchmarkNetworkScale(b *testing.B) {
 	})
 	for _, size := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("nodes=%d/blockers=8", size), func(b *testing.B) {
-			benchNetworkBlockers(b, size, true)
+			benchNetworkBlockers(b, size)
 		})
 	}
-	b.Run("nodes=100000/blockers=8/stale", func(b *testing.B) {
-		benchNetworkBlockers(b, 100000, false)
-	})
 }
 
 func benchNetworkScale(b *testing.B, size int) {
@@ -472,13 +449,10 @@ func benchNetworkScaleAPs(b *testing.B, size, naps int) {
 // joins untimed, eight people walk in orbits 50–200 m from the AP —
 // right across the sight lines, where every node→AP path converges — and
 // the timed section is a traffic-serving Run whose 40 env ticks each
-// move the crowd. With region invalidation each tick re-evaluates only
-// the nodes whose propagation corridors a swept capsule crosses;
-// region=false pins the stale-everything baseline (every tick
-// re-evaluates the whole fleet) the win is measured against.
-func benchNetworkBlockers(b *testing.B, size int, region bool) {
+// move the crowd. Each tick re-evaluates only the nodes whose
+// propagation corridors a swept capsule crosses.
+func benchNetworkBlockers(b *testing.B, size int) {
 	env, nw, side := benchTelemetryFleet(b, size, 5)
-	nw.SetRegionInvalidation(region)
 	for k := 0; k < 8; k++ {
 		ang := 2 * math.Pi * float64(k) / 8
 		r := 50 + 150*float64(k)/7

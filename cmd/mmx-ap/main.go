@@ -8,16 +8,13 @@
 //
 // The -fdm N mode scales the same pipeline sideways: N simultaneous FDM
 // nodes on a 1 MHz grid across the whole digitized band, demultiplexed in
-// one pass. -legacy runs the per-channel reference path (full-band shift,
-// mix, FIR, decimate for every node) for output parity and timing
-// comparison.
+// one pass.
 //
 // Usage:
 //
 //	mmx-ap
-//	mmx-ap -seed 7 -legacy
+//	mmx-ap -seed 7
 //	mmx-ap -fdm 200
-//	mmx-ap -fdm 200 -legacy
 package main
 
 import (
@@ -47,15 +44,14 @@ const (
 
 func main() {
 	seed := flag.Uint64("seed", 1, "noise seed")
-	legacy := flag.Bool("legacy", false, "use the per-channel reference path instead of the one-pass filterbank")
 	fdm := flag.Int("fdm", 0, "run the N-channel wideband FDM demo (e.g. 200) instead of the SDM scene")
 	workers := flag.Int("workers", 0, "demodulation workers (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *fdm > 0 {
-		fdmDemo(*fdm, *seed, *legacy, *workers)
+		fdmDemo(*fdm, *seed, *workers)
 		return
 	}
-	sdmDemo(*seed, *legacy, *workers)
+	sdmDemo(*seed, *workers)
 }
 
 type txNode struct {
@@ -68,7 +64,7 @@ type txNode struct {
 	pad      int
 }
 
-func sdmDemo(seed uint64, legacy bool, workers int) {
+func sdmDemo(seed uint64, workers int) {
 	center := units.ISM24GHzCenter
 	// The TMA shifts every node by its angle's harmonic (±25 MHz per
 	// step), so the AP plans channels such that the post-TMA frequencies
@@ -118,35 +114,8 @@ func sdmDemo(seed uint64, legacy bool, workers int) {
 		len(wide), wideRate/1e6, float64(len(wide))/wideRate*1e3)
 
 	cfg := apdsp.ChannelConfig(chanRate, symRate, fskSplit)
-	if legacy {
-		// Reference path: per (channel, harmonic) slot, shift the whole
-		// band, mix, filter, decimate.
-		start := time.Now()
-		chz := apdsp.NewChannelizer(wideRate, center)
-		for _, n := range nodes {
-			shifted := sep.Shift(wide, n.harmonic)
-			bb, err := chz.Extract(shifted, n.channel, 25e6, chanRate)
-			if err != nil {
-				fmt.Printf("%-9s extract failed: %v\n", n.name, err)
-				continue
-			}
-			d := modem.NewDemodulator(cfg)
-			payload, res, err := d.Receive(bb, len(n.payload))
-			if err != nil {
-				fmt.Printf("%-9s (%.4f GHz, m=%+d): decode failed: %v\n",
-					n.name, n.channel/1e9, n.harmonic, err)
-				continue
-			}
-			fmt.Printf("%-9s (%.4f GHz, m=%+d, %s): %q\n",
-				n.name, n.channel/1e9, n.harmonic, res.Mode, payload)
-		}
-		fmt.Printf("\nlegacy per-channel receive: %v\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	// One-pass path: every slot is a filterbank channel; the TMA
-	// harmonics are composed into the channel map, so no full-band shift
-	// pass remains.
+	// Every slot is a filterbank channel; the TMA harmonics are composed
+	// into the channel map.
 	start := time.Now()
 	bank := apdsp.NewFilterBank(wideRate, center, sdmBins)
 	bank.SwitchRateHz = fpHz
@@ -180,7 +149,7 @@ func sdmDemo(seed uint64, legacy bool, workers int) {
 // 1 MHz grid and demultiplexes them in one filterbank pass — the
 // "billions of things" shape: AP receive cost per node amortized to the
 // branch MACs plus an FFT bin.
-func fdmDemo(n int, seed uint64, legacy bool, workers int) {
+func fdmDemo(n int, seed uint64, workers int) {
 	const (
 		bins    = 250 // 1 MHz grid across the 250 MHz band
 		outRate = 2e6
@@ -190,7 +159,7 @@ func fdmDemo(n int, seed uint64, legacy bool, workers int) {
 		// A 1 MHz channel at 250 MS/s needs a sharp prototype: the
 		// windowed-sinc transition is ~3.3·fs/taps, so 2751 taps gives
 		// ~300 kHz of skirt. The bank pays taps/bins ≈ 11 MACs per branch
-		// sample; the legacy path leans on overlap-save to survive it.
+		// sample.
 		taps = 2751
 	)
 	if n < 1 || n > 240 {
@@ -253,55 +222,28 @@ func fdmDemo(n int, seed uint64, legacy bool, workers int) {
 		lens[i] = 4
 	}
 
+	bank := apdsp.NewFilterBank(wideRate, center, bins)
+	bank.Taps = taps
+	plan := make([]apdsp.BankChannel, n)
+	for i := range plan {
+		plan[i] = apdsp.BankChannel{ChannelHz: center + offsets[i]}
+	}
+	if err := bank.Configure(width, outRate, plan); err != nil {
+		panic(err)
+	}
+	t0 := time.Now()
+	frames, err := bank.ReceiveAll(wide, cfg, lens, workers)
+	if err != nil {
+		panic(err)
+	}
+	bankTime := time.Since(t0)
 	decoded := 0
-	var bankTime time.Duration
-	{
-		bank := apdsp.NewFilterBank(wideRate, center, bins)
-		bank.Taps = taps
-		plan := make([]apdsp.BankChannel, n)
-		for i := range plan {
-			plan[i] = apdsp.BankChannel{ChannelHz: center + offsets[i]}
+	for i, fs := range frames {
+		if len(fs) > 0 && string(fs[0].Payload) == string(payload(i)) {
+			decoded++
 		}
-		if err := bank.Configure(width, outRate, plan); err != nil {
-			panic(err)
-		}
-		t0 := time.Now()
-		frames, err := bank.ReceiveAll(wide, cfg, lens, workers)
-		if err != nil {
-			panic(err)
-		}
-		bankTime = time.Since(t0)
-		for i, fs := range frames {
-			if len(fs) > 0 && string(fs[0].Payload) == string(payload(i)) {
-				decoded++
-			}
-		}
-		fmt.Printf("one-pass filterbank (%d bins): decoded %d/%d frames in %v (%.2f ms/channel)\n",
-			bins, decoded, n, bankTime.Round(time.Millisecond),
-			float64(bankTime.Microseconds())/1e3/float64(n))
 	}
-
-	if legacy {
-		chz := apdsp.NewChannelizer(wideRate, center)
-		chz.Taps = taps
-		t0 := time.Now()
-		legacyDecoded := 0
-		var bb []complex128
-		for i := range offsets {
-			var err error
-			bb, err = chz.ExtractInto(bb, wide, center+offsets[i], width, outRate)
-			if err != nil {
-				panic(err)
-			}
-			r := modem.NewStreamReceiver(cfg)
-			fs := r.ReceiveAll(bb, 4)
-			if len(fs) > 0 && string(fs[0].Payload) == string(payload(i)) {
-				legacyDecoded++
-			}
-		}
-		legacyTime := time.Since(t0)
-		fmt.Printf("legacy per-channel loop:   decoded %d/%d frames in %v — %.1fx the filterbank's time\n",
-			legacyDecoded, n, legacyTime.Round(time.Millisecond),
-			float64(legacyTime)/float64(bankTime))
-	}
+	fmt.Printf("one-pass filterbank (%d bins): decoded %d/%d frames in %v (%.2f ms/channel)\n",
+		bins, decoded, n, bankTime.Round(time.Millisecond),
+		float64(bankTime.Microseconds())/1e3/float64(n))
 }

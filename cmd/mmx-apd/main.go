@@ -28,50 +28,12 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 
 	"mmx/internal/mac"
 	"mmx/internal/netctl"
+	"mmx/internal/profile"
 )
-
-// startProfiles mirrors cmd/mmx-sim's -cpuprofile/-memprofile wiring.
-// This daemon leaves through os.Exit, which skips defers, so the
-// returned stop function must be called explicitly on every exit path
-// once profiling has started.
-func startProfiles(cpu, mem string) func() {
-	var f *os.File
-	if cpu != "" {
-		var err error
-		if f, err = os.Create(cpu); err != nil {
-			fmt.Fprintf(os.Stderr, "mmx-apd: create -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mmx-apd: start CPU profile: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	return func() {
-		if f != nil {
-			pprof.StopCPUProfile()
-			f.Close() //nolint:errcheck // profile already flushed
-		}
-		if mem != "" {
-			mf, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mmx-apd: create -memprofile: %v\n", err)
-				return
-			}
-			defer mf.Close() //nolint:errcheck // best-effort teardown
-			runtime.GC()     // settle the heap so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintf(os.Stderr, "mmx-apd: write heap profile: %v\n", err)
-			}
-		}
-	}
-}
 
 func main() {
 	var (
@@ -87,7 +49,11 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (at shutdown) to this file")
 	)
 	flag.Parse()
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profile.Start("mmx-apd: ", *cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mmx-apd: %v\n", err)
+		os.Exit(2)
+	}
 
 	var b mac.Band
 	switch *band {

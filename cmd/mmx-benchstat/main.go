@@ -8,7 +8,7 @@
 //	go test -bench 'Roundtrip|SINR' -benchmem -run '^$' . | mmx-benchstat -emit -o BENCH_phy.json
 //	go test -bench 'Roundtrip|SINR' -benchmem -run '^$' . | mmx-benchstat -check -baseline BENCH_phy.json
 //
-// Check policy (per benchmark present in both runs):
+// Check policy (per baseline benchmark):
 //
 //   - allocs/op may not increase at all — allocation counts are
 //     deterministic and machine-independent, so any increase is a real
@@ -20,8 +20,10 @@
 //     shifts noisy).
 //
 // Benchmarks can be restricted with -match (regexp on the benchmark name,
-// default all). Benchmarks present only on one side are reported and
-// skipped.
+// default all). A baseline benchmark that passes -match but is missing
+// from the run fails the check — a renamed or deleted rung must take its
+// baseline entry with it, or its gate would vanish unnoticed. Benchmarks
+// only in the run are not gated.
 package main
 
 import (
@@ -151,7 +153,8 @@ func check(results map[string]Metrics, baselinePath string, threshold float64, m
 		b := base.Benchmarks[name]
 		cur, ok := results[name]
 		if !ok {
-			fmt.Printf("SKIP  %-40s not in current run\n", name)
+			failures++
+			fmt.Printf("FAIL  %-40s not in current run (renamed or deleted? drop its baseline entry)\n", name)
 			continue
 		}
 		compared++
@@ -175,13 +178,13 @@ func check(results map[string]Metrics, baselinePath string, threshold float64, m
 			status, name, b.NsPerOp, cur.NsPerOp, 100*nsDelta, 100*threshold,
 			b.AllocsPerOp, cur.AllocsPerOp)
 	}
+	if failures > 0 {
+		fmt.Fprintf(os.Stderr, "mmx-benchstat: %d benchmark(s) regressed or missing\n", failures)
+		return 1
+	}
 	if compared == 0 {
 		fmt.Fprintln(os.Stderr, "mmx-benchstat: no benchmarks compared (bad -match or empty input?)")
 		return 2
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "mmx-benchstat: %d benchmark regression(s)\n", failures)
-		return 1
 	}
 	fmt.Printf("all %d benchmark(s) within limits\n", compared)
 	return 0

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -57,5 +59,29 @@ func TestParseBenchIgnoresNoise(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("parsed %v from noise", got)
+	}
+}
+
+// TestCheckFailsOnBaselineEntryMissingFromRun: a baseline key with no
+// benchmark line behind it (a renamed or deleted rung) must fail the
+// check, not drop out of the gate — unless -match excludes it.
+func TestCheckFailsOnBaselineEntryMissingFromRun(t *testing.T) {
+	results, err := parseBench(strings.NewReader(sampleBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "base.json")
+	if err := emit(results, base); err != nil {
+		t.Fatal(err)
+	}
+	if got := check(results, base, 0.15, nil); got != 0 {
+		t.Fatalf("run covering every baseline entry: exit %d, want 0", got)
+	}
+	delete(results, "BenchmarkFig11BERCDF")
+	if got := check(results, base, 0.15, nil); got != 1 {
+		t.Errorf("baseline entry absent from the run: exit %d, want 1", got)
+	}
+	if got := check(results, base, 0.15, regexp.MustCompile("Roundtrip|SINR")); got != 0 {
+		t.Errorf("absent entry excluded by -match: exit %d, want 0", got)
 	}
 }

@@ -23,49 +23,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"mmx/internal/faults"
 	"mmx/internal/netctl"
+	"mmx/internal/profile"
 )
-
-// startProfiles mirrors cmd/mmx-sim's -cpuprofile/-memprofile wiring.
-// The non-convergence path leaves through os.Exit, which skips defers,
-// so the returned stop function must be called explicitly on every exit
-// path once profiling has started.
-func startProfiles(cpu, mem string) func() {
-	var f *os.File
-	if cpu != "" {
-		var err error
-		if f, err = os.Create(cpu); err != nil {
-			fmt.Fprintf(os.Stderr, "mmx-load: create -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "mmx-load: start CPU profile: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	return func() {
-		if f != nil {
-			pprof.StopCPUProfile()
-			f.Close() //nolint:errcheck // profile already flushed
-		}
-		if mem != "" {
-			mf, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mmx-load: create -memprofile: %v\n", err)
-				return
-			}
-			defer mf.Close() //nolint:errcheck // best-effort teardown
-			runtime.GC()     // settle the heap so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintf(os.Stderr, "mmx-load: write heap profile: %v\n", err)
-			}
-		}
-	}
-}
 
 func main() {
 	var (
@@ -91,7 +53,11 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (after the storm) to this file")
 	)
 	flag.Parse()
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profile.Start("mmx-load: ", *cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mmx-load: %v\n", err)
+		os.Exit(2)
+	}
 
 	muxes := make([]*netctl.Mux, *sockets)
 	for i := range muxes {

@@ -17,11 +17,10 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"mmx"
+	"mmx/internal/profile"
 )
 
 func main() {
@@ -45,38 +44,16 @@ func main() {
 	reboot := flag.String("reboot", "", "comma-separated node reboot events, each ID@seconds")
 	apRestart := flag.String("ap-restart", "", "AP restart as start@downFor seconds")
 	coupling := flag.String("coupling", "auto", "interference bookkeeping: auto (dense below the crossover size, sparse above), dense, or sparse")
-	regionInval := flag.Bool("region-invalidation", true, "region-scoped blockage invalidation in the sparse core (false restores stale-everything env ticks)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "create -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "start CPU profile: %v\n", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profile.Start("", *cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "create -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "write heap profile: %v\n", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	var w, h float64
 	if _, err := fmt.Sscanf(strings.ToLower(*roomSpec), "%fx%f", &w, &h); err != nil || w <= 0 || h <= 0 {
@@ -132,7 +109,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -coupling %q (want auto, dense or sparse)\n", *coupling)
 		os.Exit(2)
 	}
-	nw.SetRegionInvalidation(*regionInval)
 	nw.SetLeaseTTL(*leaseTTL, *leaseTTL*0.3)
 	if *drop > 0 || *dup > 0 || *trunc > 0 {
 		nw.SetLossyControl(*seed+2, *drop, *dup, *trunc)

@@ -1,18 +1,22 @@
 // Package apdsp implements the access point's wideband receive signal
 // processing: the AP digitizes the whole 250 MHz ISM band at once (§5.2's
-// baseband processor) and must split it back into per-node links. Two
-// mechanisms compose:
+// baseband processor) and must split it back into per-node links. One
+// mechanism does both halves of that split:
 //
-//   - Channelizer — FDM: mix each node's allocated channel down to
-//     baseband, low-pass to the channel width, and decimate to the
-//     per-channel processing rate, then hand the stream to the modem.
-//   - SDMSeparator — spatial reuse: co-channel nodes arrive from
-//     different angles; the time-modulated array has hashed them onto
-//     different switching harmonics, so extracting a harmonic and
-//     decimating yields one node's stream.
+//   - FilterBank — a uniform polyphase filterbank extracts every node's
+//     baseband from the capture in a single pass. FDM: each node's
+//     allocated channel is a bin of the bank's grid. SDM: co-channel
+//     nodes arrive from different angles and the time-modulated array
+//     has hashed them onto different switching harmonics (±k·f_p), so a
+//     node's slot is its channel plus its harmonic's shift — still a bin.
+//   - SDMSeparator — the TMA seen from the capture side: it checks that
+//     the harmonic spacing clears the channel width and synthesizes the
+//     single-chain capture of several co-channel nodes.
 //
 // Together with modem.StreamReceiver this is the full software AP: one
-// wideband capture in, every node's frames out.
+// wideband capture in, every node's frames out (FilterBank.ReceiveAll).
+// The bank is pinned ≤1e-9 against a per-channel mix → FIR → decimate
+// receiver, the oracle in channelizer_test.go.
 //
 // Channel-planning constraint: the TMA translates every arriving signal
 // by its angle's harmonic (±k·f_p), so the AP must assign FDM channels
@@ -22,52 +26,10 @@ package apdsp
 
 import (
 	"errors"
-	"math"
 
-	"mmx/internal/dsp"
-	"mmx/internal/dsp/pool"
 	"mmx/internal/modem"
 	"mmx/internal/tma"
 )
-
-// Channelizer splits a wideband capture into per-channel basebands, one
-// channel per ExtractInto call. For the one-pass many-channel front end
-// see FilterBank; the Channelizer remains the reference implementation
-// the bank is pinned against.
-//
-// Concurrency contract: a Channelizer is NOT safe for concurrent use —
-// the filter-design cache below is unsynchronized by design (the hot path
-// must not pay for locks). Give each worker goroutine its own Channelizer;
-// they share nothing. TestChannelizerPerWorkerIsRaceFree pins this usage
-// under the race detector.
-type Channelizer struct {
-	// WidebandRate is the capture's complex sample rate (Hz).
-	WidebandRate float64
-	// CenterHz is the RF frequency at the capture's baseband zero (the
-	// LO chain's net down-conversion target, e.g. the ISM band center).
-	CenterHz float64
-	// TransitionFraction widens the anti-alias filter's cutoff beyond
-	// half the channel width (default 0.25 when zero).
-	TransitionFraction float64
-	// Taps sets the anti-alias FIR length (default 129 when zero).
-	Taps int
-
-	// Cached anti-alias design, keyed by the effective (cutoff, taps,
-	// rate) triple of the last ExtractInto call — all three enter the
-	// windowed-sinc design, so a change to any of them (including
-	// retargeting the Channelizer to a different capture rate) must
-	// invalidate the cache.
-	lp       *dsp.FIR
-	lpCutoff float64
-	lpTaps   int
-	lpRate   float64
-}
-
-// NewChannelizer returns a channelizer for a capture of the given rate
-// centered at centerHz.
-func NewChannelizer(widebandRate, centerHz float64) *Channelizer {
-	return &Channelizer{WidebandRate: widebandRate, CenterHz: centerHz}
-}
 
 // Errors from channel extraction.
 var (
@@ -75,57 +37,6 @@ var (
 	ErrBadRate    = errors.New("apdsp: output rate must integer-divide the wideband rate")
 	ErrAliased    = errors.New("apdsp: dst must not alias the capture")
 )
-
-// Extract returns the baseband stream of one FDM channel: the capture
-// mixed down by (channelHz − CenterHz), low-passed to the channel, and
-// decimated to outRate.
-func (c *Channelizer) Extract(x []complex128, channelHz, widthHz, outRate float64) ([]complex128, error) {
-	return c.ExtractInto(nil, x, channelHz, widthHz, outRate)
-}
-
-// ExtractInto is Extract with append-style buffer reuse: the decimated
-// channel stream is written into dst's storage when its capacity
-// suffices, and the full-rate mix/filter intermediates live in pooled
-// scratch buffers — the per-frame channelization path allocates nothing
-// once dst is warm. dst must not alias x. The anti-alias filter design
-// (tap computation) is cached per (width, rate, taps) in the Channelizer.
-func (c *Channelizer) ExtractInto(dst, x []complex128, channelHz, widthHz, outRate float64) ([]complex128, error) {
-	if dsp.Aliases(dst, x) {
-		return nil, ErrAliased
-	}
-	offset := channelHz - c.CenterHz
-	if math.Abs(offset)+widthHz/2 > c.WidebandRate/2 {
-		return nil, ErrBadChannel
-	}
-	if outRate <= 0 || outRate > c.WidebandRate {
-		return nil, ErrBadRate
-	}
-	factor := c.WidebandRate / outRate
-	if math.Abs(factor-math.Round(factor)) > 1e-9 {
-		return nil, ErrBadRate
-	}
-	tf := c.TransitionFraction
-	if tf <= 0 {
-		tf = 0.25
-	}
-	taps := c.Taps
-	if taps <= 0 {
-		taps = 129
-	}
-	cutoff := widthHz / 2 * (1 + tf)
-	if c.lp == nil || c.lpCutoff != cutoff || c.lpTaps != taps || c.lpRate != c.WidebandRate {
-		c.lp = dsp.LowPass(cutoff, c.WidebandRate, taps)
-		c.lpCutoff, c.lpTaps, c.lpRate = cutoff, taps, c.WidebandRate
-	}
-	mixed := pool.Complex(len(x))
-	mixed = dsp.MixDownInto(mixed, x, offset, c.WidebandRate)
-	filtered := pool.Complex(len(x))
-	filtered = c.lp.FilterInto(filtered, mixed)
-	out := dsp.DecimateInto(dst, filtered, int(math.Round(factor)))
-	pool.PutComplex(filtered)
-	pool.PutComplex(mixed)
-	return out, nil
-}
 
 // ChannelConfig returns the modem numerology for a channel extracted at
 // outRate: symbol rate unchanged, FSK tones at ±fskOffset/2.
@@ -138,8 +49,9 @@ func ChannelConfig(outRate, symbolRate, fskOffsetHz float64) modem.Config {
 	}
 }
 
-// SDMSeparator recovers co-channel nodes from the TMA's single-chain
-// output.
+// SDMSeparator is the AP's time-modulated array as the capture sees it:
+// the harmonic spacing co-channel nodes are hashed onto, and the
+// single-chain output they sum into.
 type SDMSeparator struct {
 	// Array is the AP's time-modulated array (its switching rate sets
 	// the harmonic spacing, which must exceed the channel bandwidth).
@@ -148,7 +60,7 @@ type SDMSeparator struct {
 	WidebandRate float64
 }
 
-// NewSDMSeparator wraps a TMA for waveform-level separation.
+// NewSDMSeparator wraps a TMA sampled at widebandRate.
 func NewSDMSeparator(a *tma.Array, widebandRate float64) *SDMSeparator {
 	return &SDMSeparator{Array: a, WidebandRate: widebandRate}
 }
@@ -164,31 +76,6 @@ func (s *SDMSeparator) CheckChannel(channelWidthHz float64) error {
 		return ErrHarmonicOverlap
 	}
 	return nil
-}
-
-// Shift translates the capture so that the given TMA harmonic moves to
-// the harmonic-0 position: after the shift, the node parked on that
-// harmonic sits on its ordinary FDM channel and the Channelizer's
-// band-selection filter rejects the other co-channel nodes (their
-// strongest copies now sit ±k·f_p away). Filtering and decimation are
-// deliberately left to the Channelizer so channels anywhere in the band
-// survive (a post-mix boxcar would null channels at harmonic multiples).
-func (s *SDMSeparator) Shift(y []complex128, harmonic int) []complex128 {
-	return s.ShiftInto(nil, y, harmonic)
-}
-
-// ShiftInto is Shift with append-style buffer reuse. dst == y is allowed
-// (the mix is elementwise), so ShiftInto(y, y, k) shifts in place.
-func (s *SDMSeparator) ShiftInto(dst, y []complex128, harmonic int) []complex128 {
-	if harmonic == 0 {
-		if cap(dst) < len(y) {
-			dst = make([]complex128, len(y))
-		}
-		dst = dst[:len(y)]
-		copy(dst, y)
-		return dst
-	}
-	return dsp.MixDownInto(dst, y, float64(harmonic)*s.Array.SwitchRateHz, s.WidebandRate)
 }
 
 // NodeCapture describes one co-channel transmission for SDM synthesis in

@@ -1,15 +1,15 @@
 package apdsp
 
-// One-pass wideband channelization. The Channelizer re-scans the full-rate
-// capture once per node (mix → FIR → decimate), so AP receive cost grows as
-// O(nodes × samples × taps) — the wrong shape for a band shared by
-// hundreds of nodes. The FilterBank is the classic uniform polyphase
-// filterbank restructuring of exactly the same arithmetic: decompose one
-// anti-alias prototype h into M polyphase branches, and for every output
-// instant evaluate all M channel frequencies at once with a length-M FFT.
+// One-pass wideband channelization. A channel at offset f = B·fs/M (bin B
+// of an M-bin grid) decimated by D is, by definition, the capture mixed
+// down by f, low-passed by an anti-alias prototype h, and kept every D-th
+// sample. Done per node that is O(nodes × samples × taps) — the wrong
+// shape for a band shared by hundreds of nodes. The FilterBank is the
+// classic uniform polyphase restructuring of exactly that arithmetic:
+// decompose h into M polyphase branches, and for every output instant
+// evaluate all M channel frequencies at once with a length-M FFT.
 //
-// Derivation (matching Channelizer.ExtractInto term for term): the legacy
-// path computes, for a channel at offset f = B·fs/M (bin B) decimated by D,
+// Derivation:
 //
 //	y[j] = Σ_k h[k]·x[jD−k]·e^{−j2πf(jD−k)/fs}
 //	     = e^{−j2πBDj/M} · Σ_r e^{+j2πBr/M} · Σ_p h[r+pM]·x[jD−r−pM]
@@ -19,14 +19,15 @@ package apdsp
 // is an M-point DFT evaluated at −B (one FFT, shared by every channel);
 // the leading phasor is a per-channel twiddle with period M/gcd(M, BD mod M)
 // (a precomputed table). Per output sample the bank costs
-// O(taps + M·log M) for all channels together instead of the legacy
-// O(channels × D × taps) — and the outputs agree to floating-point
-// rounding, which the golden tests pin below 1e-9.
+// O(taps + M·log M) for all channels together instead of
+// O(channels × D × taps). The first line, computed literally, is the oracle
+// in channelizer_test.go; the two agree to floating-point rounding, which
+// the golden tests pin below 1e-9.
 //
 // The TMA's spatial harmonics compose into the same grid: a node parked on
 // switching harmonic m arrives translated by m·f_p, so its effective
 // offset is (channel − center) + m·f_p and the bank only needs that sum to
-// land on a bin. No per-node full-band shift pass remains.
+// land on a bin. No per-node full-band shift pass exists.
 
 import (
 	"errors"
@@ -53,15 +54,12 @@ type BankChannel struct {
 
 // FilterBank extracts every configured channel's baseband from a wideband
 // capture in a single pass. Channels must sit on the uniform bin grid
-// WidebandRate/Bins (after composing their TMA harmonic shift); the
-// prototype anti-alias design is identical to the Channelizer's, so bank
-// output matches the legacy per-channel path within floating-point
-// rounding.
+// WidebandRate/Bins (after composing their TMA harmonic shift).
 //
-// Like the Channelizer, a FilterBank is NOT safe for concurrent use: the
-// per-block branch/FFT scratch is owned by the bank. Give each worker its
-// own bank, or let one goroutine run ExtractAllInto and fan out the
-// per-channel demodulation (ReceiveAll does exactly that).
+// A FilterBank is NOT safe for concurrent use: the per-block branch/FFT
+// scratch is owned by the bank. Give each worker its own bank, or let one
+// goroutine run ExtractAllInto and fan out the per-channel demodulation
+// (ReceiveAll does exactly that).
 type FilterBank struct {
 	// WidebandRate is the capture's complex sample rate (Hz).
 	WidebandRate float64
@@ -75,8 +73,9 @@ type FilterBank struct {
 	// SwitchRateHz is the TMA schedule rate f_p, required when any
 	// configured channel has a nonzero Harmonic.
 	SwitchRateHz float64
-	// TransitionFraction and Taps mirror the Channelizer's anti-alias
-	// design knobs (defaults 0.25 and 129 when zero).
+	// TransitionFraction widens the anti-alias prototype's cutoff beyond
+	// half the channel width (default 0.25 when zero); Taps is its length
+	// (default 129 when zero).
 	TransitionFraction float64
 	Taps               int
 	// MinSyncScore overrides the StreamReceiver preamble floor used by
@@ -126,8 +125,8 @@ func NewFilterBank(widebandRate, centerHz float64, bins int) *FilterBank {
 
 // Configure (re)builds the bank for a channel plan: every channel widthHz
 // wide, delivered at outRate. It may be called again as the plan churns;
-// all derived state is rebuilt. The prototype filter is the Channelizer's
-// anti-alias design evaluated once for the whole bank.
+// all derived state is rebuilt. The anti-alias prototype is designed once
+// for the whole bank.
 func (b *FilterBank) Configure(widthHz, outRate float64, channels []BankChannel) error {
 	if b.Bins < 1 {
 		return ErrOffGrid
@@ -222,12 +221,6 @@ func (b *FilterBank) OutRate() float64 { return b.outRate }
 // baseband stream per configured channel, in Configure order.
 func (b *FilterBank) ExtractAll(x []complex128) ([][]complex128, error) {
 	return b.ExtractAllInto(nil, x)
-}
-
-// BankExtract is the package-level spelling of FilterBank.ExtractAll: the
-// one-pass counterpart of calling Channelizer.Extract per node.
-func BankExtract(b *FilterBank, x []complex128) ([][]complex128, error) {
-	return b.ExtractAll(x)
 }
 
 // ExtractAllInto is ExtractAll with append-style buffer reuse: dst's

@@ -78,7 +78,7 @@ func TestBankMatchesLegacyAcrossRandomPlans(t *testing.T) {
 		if err := bank.Configure(bWidthHz, bOutRate, plan); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got, err := BankExtract(bank, y)
+		got, err := bank.ExtractAll(y)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

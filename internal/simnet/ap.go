@@ -13,11 +13,9 @@ import (
 // AccessPoint is one AP of the deployment: its pose, antenna pattern,
 // time-modulated array, and the mac.Controller that owns its (possibly
 // reuse-partitioned) spectrum slice. A network always has at least one —
-// the construction-time AP at index 0, which the legacy Network.AP /
-// Controller / SDM / APPattern fields keep mirroring so the single-AP
-// path is unchanged. Additional APs are installed with AddAP before any
-// node joins; the registry is static for the life of the network (APs
-// restart via faults.Plan, they never move or leave).
+// the construction-time AP at index 0. Additional APs are installed with
+// AddAP before any node joins; the registry is static for the life of
+// the network (APs restart via faults.Plan, they never move or leave).
 type AccessPoint struct {
 	Pose    channel.Pose
 	Pattern antenna.Pattern
@@ -50,6 +48,18 @@ func (nw *Network) AddAP(pose channel.Pose) (*AccessPoint, error) {
 	if len(nw.Nodes) > 0 || nw.run != nil {
 		return nil, fmt.Errorf("simnet: AddAP must run before nodes join")
 	}
+	ap := nw.installAP(pose)
+	if nw.sparse != nil {
+		// The sparse core sizes its channel shards per AP; rebuild it
+		// for the grown registry (membership is empty, so this is free).
+		nw.enterSparse()
+	}
+	return ap, nil
+}
+
+// installAP appends a fresh AP at pose, on the full network band, to the
+// registry — the construction-time AP and every AddAP alike.
+func (nw *Network) installAP(pose channel.Pose) *AccessPoint {
 	ap := &AccessPoint{
 		Pose:       pose,
 		Pattern:    antenna.NewAPAntenna(),
@@ -60,12 +70,7 @@ func (nw *Network) AddAP(pose channel.Pose) (*AccessPoint, error) {
 	}
 	ap.Controller.LeaseTTL = nw.Control.LeaseTTLS
 	nw.APs = append(nw.APs, ap)
-	if nw.sparse != nil {
-		// The sparse core sizes its channel shards per AP; rebuild it
-		// for the grown registry (membership is empty, so this is free).
-		nw.enterSparse()
-	}
-	return ap, nil
+	return ap
 }
 
 // selectAP associates a joining node with its nearest AP; ties break to
@@ -86,8 +91,7 @@ func (nw *Network) selectAP(pos channel.Vec2) *AccessPoint {
 }
 
 // hostAP returns the AP serving node n. Hand-built nodes that never went
-// through Join (test fixtures) count as served by the first AP, which is
-// the pre-refactor behavior.
+// through Join (test fixtures) count as served by the first AP.
 func (nw *Network) hostAP(n *Node) *AccessPoint {
 	if n.AP == nil {
 		return nw.APs[0]
@@ -131,7 +135,6 @@ func (nw *Network) PlanReuse(factor int) error {
 		c.LeaseTTL = nw.Control.LeaseTTLS
 		ap.Controller, ap.Band = c, b
 	}
-	nw.Controller = nw.APs[0].Controller
 	return nil
 }
 

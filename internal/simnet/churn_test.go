@@ -21,7 +21,7 @@ func (f trafficFunc) Next(*stats.RNG) (float64, int) { return f() }
 // churnPose places a churn-test node deterministically by ID.
 func churnPose(nw *Network, id uint32) channel.Pose {
 	pos := channel.Vec2{X: 1.5 + 0.45*float64(id%9), Y: 0.8 + 0.35*float64(id%7)}
-	return channel.Pose{Pos: pos, Orientation: nw.AP.Pos.Sub(pos).Angle()}
+	return channel.Pose{Pos: pos, Orientation: nw.APs[0].Pose.Pos.Sub(pos).Angle()}
 }
 
 // TestJoinDuplicateIDRejected regression-tests the duplicate-ID bug: a

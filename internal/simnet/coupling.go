@@ -7,7 +7,7 @@ import (
 )
 
 // This file owns the cached pairwise coupling matrix: linear power
-// factors (flat n×n; coupling[i*n+j] = FromDB(-couplingDB(i,j)), so the
+// factors (flat n×n; coupling[i*n+j] = pairCouplingLinear(i, j), so the
 // interference sum is pure multiply-add with no per-pair dB conversion).
 // The cache depends only on assignments, harmonics and poses — NOT on
 // blocker motion — so EvaluateSINR reuses it across environment steps.
@@ -29,19 +29,14 @@ func (nw *Network) gainTableFor(n *Node) []complex128 {
 	return ap.SDM.GainTable(ap.Pose.AngleTo(n.Pose.Pos))
 }
 
-// invalidateCoupling marks the cached coupling matrix stale, forcing a
-// full rebuild on the next evaluation. MoveNode calls it (a pose change
-// stales the node's harmonic gain table); blocker motion (Env.Step) does
-// not, because coupling depends only on assignments, harmonics and
-// poses.
-func (nw *Network) invalidateCoupling() { nw.couplingDirty = true }
-
-// pairCouplingLinear returns the linearized coupling factor
-// FromDB(−couplingDB(node, other)) — how much of other's power lands in
-// node's receiver — using other's precomputed harmonic gain table. It is
-// the single pair kernel shared by the full rebuild and every
-// incremental update, so the two paths are bit-identical by
-// construction.
+// pairCouplingLinear returns the linear coupling factor — the share of
+// other's power that lands in node's receiver: frequency separation for
+// FDM, TMA harmonic leakage (read from other's precomputed gain table)
+// for co-channel SDM pairs, and 1, a full collision, for overlapping
+// channels with no SDM party. It is the single pair kernel shared by the
+// full rebuild and every incremental update, so the two paths are
+// bit-identical by construction; couplingDB in legacy_bench_test.go is
+// its dB-domain oracle.
 func (nw *Network) pairCouplingLinear(node, other *Node, tblOther []complex128) float64 {
 	if c, ok := nw.freqCouplingDB(node, other); ok {
 		return units.FromDB(-c)
@@ -55,7 +50,7 @@ func (nw *Network) pairCouplingLinear(node, other *Node, tblOther []complex128) 
 	if !node.SDMShared && !other.SDMShared {
 		return 1 // full collision, 0 dB
 	}
-	maxM := nw.SDM.MaxHarmonic()
+	maxM := nw.APs[0].SDM.MaxHarmonic()
 	own := cmplx.Abs(tblOther[other.SDMHarmonic+maxM])
 	leak := cmplx.Abs(tblOther[node.SDMHarmonic+maxM])
 	return units.FromDB(-tmaSuppressionDB(own, leak))
@@ -230,9 +225,8 @@ func (nw *Network) couplingUpdateNode(target *Node) {
 // couplingMoveNode refreshes the cache after target's pose (and possibly
 // harmonic slot) changed: its gain table is recomputed at the new angle
 // of arrival, then its row and column are recomputed in place — O(n)
-// pair kernels instead of the full O(n²) rebuild MoveNode used to force
-// through invalidateCoupling. With an untrusted cache it degrades to the
-// dirty flag.
+// pair kernels instead of a full O(n²) rebuild. With an untrusted cache
+// it degrades to the dirty flag.
 func (nw *Network) couplingMoveNode(target *Node) {
 	if nw.sparse != nil {
 		nw.sparse.moveNode(nw, target)

@@ -163,7 +163,7 @@ type sparseState struct {
 	cells        [][]*Node
 	// bbMin/bbMax bound every node position ever inserted, unioned with
 	// the room rectangle. cellIndex clamps out-of-room positions into
-	// edge cells, so the region-invalidation descent (region.go) extends
+	// edge cells, so the swept-region descent (region.go) extends
 	// the boundary cells' rectangles to this box — tight when everyone
 	// is inside the room, and never shrunk, so it stays sound for nodes
 	// that have left.
@@ -217,7 +217,7 @@ func newSparseState(nw *Network) *sparseState {
 		cut:      units.FromDB(nw.CouplingCutoffDB),
 		pC:       nw.sparsePowerBoundConst(),
 		minNoise: math.Inf(1),
-		maxM:     nw.SDM.MaxHarmonic(),
+		maxM:     nw.APs[0].SDM.MaxHarmonic(),
 		nx:       nx,
 		ny:       ny,
 		cellW:    room.Width / float64(nx),
@@ -773,12 +773,12 @@ func (s *sparseState) powerChanged(nw *Network, n *Node) {
 // --- evaluation ---
 
 // syncEnv folds environment changes since the last settle into the
-// dirty set. With region invalidation on (the default) each blocker
-// change's swept capsule is mapped through the grid corridors
-// (region.go) and only the nodes whose paths it can reach go stale —
-// everyone else keeps their cached evaluation bit-identically. The
-// stale-everything fallback covers the toggle-off baseline and a
-// consumer that outlived the environment's bounded swept log.
+// dirty set: each blocker change's swept capsule is mapped through the
+// grid corridors (region.go) and only the nodes whose paths it can reach
+// go stale — everyone else keeps their cached evaluation bit-identically.
+// A consumer that outlived the environment's bounded swept log cannot
+// know where changes happened and stales everything, which is always
+// sound.
 func (s *sparseState) syncEnv(nw *Network) {
 	ep := nw.Env.Epoch()
 	if ep == s.envEpoch {
@@ -786,7 +786,7 @@ func (s *sparseState) syncEnv(nw *Network) {
 	}
 	from := s.envEpoch
 	s.envEpoch = ep
-	if !nw.DisableRegionInvalidation {
+	if !nw.staleEveryTick {
 		regions, ok := nw.Env.SweptSince(from, s.sweptScratch[:0])
 		s.sweptScratch = regions[:0]
 		if ok {

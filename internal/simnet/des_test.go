@@ -258,7 +258,7 @@ func frameBranchNetwork(t *testing.T) *Network {
 		{5.5, 3.5, 1.8, 10e6, 2},
 	} {
 		pos := channel.Vec2{X: c.x, Y: c.y}
-		pose := channel.Pose{Pos: pos, Orientation: nw.AP.Pos.Sub(pos).Angle() + c.turn}
+		pose := channel.Pose{Pos: pos, Orientation: nw.APs[0].Pose.Pos.Sub(pos).Angle() + c.turn}
 		if _, err := nw.Join(uint32(i+1), pose, c.demand, HDCamera(c.mbps)); err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func TestJoinOverLossyChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range nodes {
-		if !nw.Controller.HoldsLease(n.ID) {
+		if !nw.APs[0].Controller.HoldsLease(n.ID) {
 			t.Errorf("node %d holds no lease after join", n.ID)
 		}
 	}
@@ -80,12 +80,12 @@ func TestChurnLeaseReclaim(t *testing.T) {
 	}
 	for _, n := range nodes {
 		if n.Down {
-			if nw.Controller.HoldsLease(n.ID) {
+			if nw.APs[0].Controller.HoldsLease(n.ID) {
 				t.Errorf("crashed node %d still holds a lease", n.ID)
 			}
 			continue
 		}
-		if !nw.Controller.HoldsLease(n.ID) {
+		if !nw.APs[0].Controller.HoldsLease(n.ID) {
 			t.Errorf("surviving node %d lost its lease", n.ID)
 		}
 	}
@@ -146,7 +146,7 @@ func TestRunUnderFaultPlanConverges(t *testing.T) {
 			t.Errorf("node %d should be back up", n.ID)
 			continue
 		}
-		if !nw.Controller.HoldsLease(n.ID) {
+		if !nw.APs[0].Controller.HoldsLease(n.ID) {
 			t.Errorf("surviving node %d holds no lease after convergence", n.ID)
 		}
 	}
@@ -238,7 +238,7 @@ func TestInRunRateAdaptation(t *testing.T) {
 	ap := channel.Pose{Pos: channel.Vec2{X: 0.3, Y: 2}}
 	nw := New(env, ap, 1037)
 	pos := channel.Vec2{X: 5.2, Y: 2}
-	n, err := nw.Join(1, channel.Pose{Pos: pos, Orientation: nw.AP.Pos.Sub(pos).Angle()}, 100e6, HDCamera(8))
+	n, err := nw.Join(1, channel.Pose{Pos: pos, Orientation: nw.APs[0].Pose.Pos.Sub(pos).Angle()}, 100e6, HDCamera(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestLeaveBestEffortUnderLoss(t *testing.T) {
 		t.Fatal("leaver not removed locally")
 	}
 	// The AP never heard the release; the lease must still be live.
-	if !nw.Controller.HoldsLease(1) {
+	if !nw.APs[0].Controller.HoldsLease(1) {
 		t.Fatal("release cannot have been delivered over a dead channel")
 	}
 	nw.Side = nil
@@ -274,7 +274,7 @@ func TestLeaveBestEffortUnderLoss(t *testing.T) {
 	if st.Control.LeaseExpiries != 1 {
 		t.Errorf("lease expiries = %d, want 1 (the silent leaver)", st.Control.LeaseExpiries)
 	}
-	if nw.Controller.HoldsLease(1) {
+	if nw.APs[0].Controller.HoldsLease(1) {
 		t.Error("leaked lease never reclaimed")
 	}
 	if err := nw.ValidateSpectrum(); err != nil {

@@ -11,12 +11,47 @@ import (
 	"mmx/internal/units"
 )
 
+// couplingDB returns how many dB below its carrier node j's power lands in
+// node i's receiver: frequency separation for FDM, TMA harmonic leakage
+// for co-channel SDM pairs, and nothing at all — 0 dB, full collision —
+// for overlapping channels with no SDM party (the post-churn bug state;
+// earlier revisions granted such pairs phantom TMA suppression). This is
+// the reference the production pair kernel is tested against: the cached
+// matrix built by ensureCoupling stores FromDB(−couplingDB) per pair,
+// bit-identical to linearizing this value, via precomputed harmonic gain
+// tables (pairCouplingLinear).
+func (nw *Network) couplingDB(i, j *Node) float64 {
+	if c, ok := nw.freqCouplingDB(i, j); ok {
+		return c
+	}
+	if i.apIndex() != j.apIndex() {
+		// Cross-AP co-channel: the interferer is not part of the victim
+		// AP's TMA schedule, so the array buys no separation — a full
+		// collision, mitigated only by distance (the power term).
+		return 0
+	}
+	if !i.SDMShared && !j.SDMShared {
+		return 0
+	}
+	// Co-channel at the same AP: separated spatially by that AP's TMA.
+	// Leakage is j's energy appearing at i's harmonic relative to j's
+	// own harmonic.
+	ap := nw.hostAP(j)
+	thJ := ap.Pose.AngleTo(j.Pose.Pos)
+	own := cmplx.Abs(ap.SDM.HarmonicGain(j.SDMHarmonic, thJ))
+	leak := cmplx.Abs(ap.SDM.HarmonicGain(i.SDMHarmonic, thJ))
+	return tmaSuppressionDB(own, leak)
+}
+
+// invalidateCoupling marks the cached coupling matrix stale, forcing a
+// full rebuild on the next evaluation.
+func (nw *Network) invalidateCoupling() { nw.couplingDirty = true }
+
 // legacyEvaluateSINR replicates the pre-cache evaluation engine exactly:
 // serial link evaluations and a fresh couplingDB call for every ordered
-// node pair on every invocation. It exists only to benchmark the old cost
-// model against the cached engine (BenchmarkSINREngine below); couplingDB
-// itself stays the live reference implementation the cache is tested
-// against.
+// node pair on every invocation. It is the oracle of
+// TestCachedEngineMatchesLegacy and the old cost model that
+// BenchmarkSINREngine measures the cached engine against.
 func legacyEvaluateSINR(nw *Network) []Report {
 	evals := make([]core.Evaluation, len(nw.Nodes))
 	powers := make([]float64, len(nw.Nodes))
@@ -40,7 +75,7 @@ func legacyEvaluateSINR(nw *Network) []Report {
 		ev.SNRWithOTAM = sinr
 		out[i] = Report{
 			ID: node.ID, SNRdB: units.DB(powers[i] / noise), SINRdB: sinr,
-			BER: ev.BERWithOTAM(), PathClass: nw.Env.BestPathClass(node.Pose.Pos, nw.AP.Pos),
+			BER: ev.BERWithOTAM(), PathClass: nw.Env.BestPathClass(node.Pose.Pos, nw.APs[0].Pose.Pos),
 			SDM: node.SDMShared,
 		}
 	}

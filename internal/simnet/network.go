@@ -16,7 +16,6 @@ import (
 	"mmx/internal/faults"
 	"mmx/internal/mac"
 	"mmx/internal/stats"
-	"mmx/internal/tma"
 	"mmx/internal/units"
 )
 
@@ -76,17 +75,9 @@ type Node struct {
 // Network is the full mmX deployment.
 type Network struct {
 	Env *channel.Environment
-	// AP, APPattern, Controller and SDM mirror the first AP (APs[0]) so
-	// the single-AP API is unchanged: AP is its pose, Controller its
-	// spectrum books, SDM its time-modulated array. Multi-AP code reads
-	// the registry instead.
-	AP         channel.Pose
-	APPattern  antenna.Pattern
-	Controller *mac.Controller
-	// SDM is the first AP's time-modulated array used when FDM runs out.
-	SDM *tma.Array
 	// APs is the AP registry: the construction-time AP at index 0 plus
-	// every AddAP. Static once nodes join.
+	// every AddAP. Static once nodes join. A single-AP network is a
+	// registry of one.
 	APs []*AccessPoint
 	// band is the full network band APs allocate from until PlanReuse
 	// partitions it.
@@ -155,13 +146,11 @@ type Network struct {
 	// coupled power is provably below noise·10^(CouplingCutoffDB/10) is
 	// never stored. 0 (the default) cuts exactly at the noise floor.
 	CouplingCutoffDB float64
-	// DisableRegionInvalidation turns off the sparse core's region-scoped
-	// blockage invalidation: every environment epoch change falls back to
-	// the stale-everything protocol (the whole membership re-evaluated per
-	// tick). The results are identical either way — the toggle exists so
-	// benchmarks and equivalence tests can measure the region path against
-	// its own baseline.
-	DisableRegionInvalidation bool
+	// staleEveryTick is a test hook: the sparse core ignores the swept
+	// log and re-evaluates the whole membership on every environment
+	// epoch change — the oracle region invalidation is pinned
+	// byte-identical to (TestRegionRunMatchesStaleEverything).
+	staleEveryTick bool
 	// sparse is the live sparse coupling state, nil while dense.
 	sparse *sparseState
 	// evalScratch and powerScratch are the dense evaluation path's
@@ -192,10 +181,6 @@ func New(env *channel.Environment, apPose channel.Pose, seed uint64) *Network {
 func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, band mac.Band) *Network {
 	nw := &Network{
 		Env:            env,
-		AP:             apPose,
-		APPattern:      antenna.NewAPAntenna(),
-		Controller:     mac.NewController(band),
-		SDM:            tma.NewSDMArray(16, 1e6),
 		band:           band,
 		LinkCfg:        core.DefaultLinkConfig(),
 		NodeBeams:      antenna.NewNodeBeams(),
@@ -207,16 +192,7 @@ func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, ban
 		nodeIdx:        make(map[uint32]*Node),
 		strays:         make(map[uint32]*AccessPoint),
 	}
-	nw.Controller.LeaseTTL = nw.Control.LeaseTTLS
-	// The registry's first entry aliases the legacy single-AP fields, so
-	// AP-0 state reads identically through either view.
-	nw.APs = []*AccessPoint{{
-		Pose:       apPose,
-		Pattern:    nw.APPattern,
-		Controller: nw.Controller,
-		SDM:        nw.SDM,
-		Band:       band,
-	}}
+	nw.installAP(apPose)
 	return nw
 }
 
@@ -675,37 +651,6 @@ func tmaSuppressionDB(own, leak float64) float64 {
 		supp = 150
 	}
 	return supp
-}
-
-// couplingDB returns how many dB below its carrier node j's power lands in
-// node i's receiver: frequency separation for FDM, TMA harmonic leakage
-// for co-channel SDM pairs, and nothing at all — 0 dB, full collision —
-// for overlapping channels with no SDM party (the post-churn bug state;
-// earlier revisions granted such pairs phantom TMA suppression). This is
-// the reference implementation; the cached matrix built by ensureCoupling
-// stores FromDB(−couplingDB) per pair, bit-identical to linearizing this
-// value, via precomputed harmonic gain tables.
-func (nw *Network) couplingDB(i, j *Node) float64 {
-	if c, ok := nw.freqCouplingDB(i, j); ok {
-		return c
-	}
-	if i.apIndex() != j.apIndex() {
-		// Cross-AP co-channel: the interferer is not part of the victim
-		// AP's TMA schedule, so the array buys no separation — a full
-		// collision, mitigated only by distance (the power term).
-		return 0
-	}
-	if !i.SDMShared && !j.SDMShared {
-		return 0
-	}
-	// Co-channel at the same AP: separated spatially by that AP's TMA.
-	// Leakage is j's energy appearing at i's harmonic relative to j's
-	// own harmonic.
-	ap := nw.hostAP(j)
-	thJ := ap.Pose.AngleTo(j.Pose.Pos)
-	own := cmplx.Abs(ap.SDM.HarmonicGain(j.SDMHarmonic, thJ))
-	leak := cmplx.Abs(ap.SDM.HarmonicGain(i.SDMHarmonic, thJ))
-	return tmaSuppressionDB(own, leak)
 }
 
 // crossLink returns node n's cached link toward the AP at index a,

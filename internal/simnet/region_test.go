@@ -99,7 +99,7 @@ func TestRegionRunMatchesStaleEverything(t *testing.T) {
 	region.SetCouplingMode(CouplingSparse)
 	stale := newTestNetwork(77)
 	stale.CouplingCutoffDB = exactCutoffDB
-	stale.DisableRegionInvalidation = true
+	stale.staleEveryTick = true
 	stale.SetCouplingMode(CouplingSparse)
 	dense := newTestNetwork(77)
 	dense.SetCouplingMode(CouplingDense)
@@ -150,6 +150,73 @@ func TestRegionRunMatchesStaleEverything(t *testing.T) {
 	}
 	assertReportsClose(t, dense, region, 1e-12, "region vs dense")
 	assertReportsClose(t, dense, stale, 1e-12, "stale vs dense")
+}
+
+// TestSweptLogOverrunStalesEverything reaches syncEnv's other branch: a
+// consumer that settles, then sleeps through more blocker motion than the
+// environment's bounded swept log retains, cannot learn where the changes
+// happened and must stale the whole membership. Its reports afterwards
+// must be byte-identical to a twin that settled after every step (region
+// invalidation all the way) and to the stale-everything hook.
+func TestSweptLogOverrunStalesEverything(t *testing.T) {
+	const (
+		crowd = 64
+		steps = 66 // × 64 moving blockers > the log's 4096 entries
+	)
+	build := func() *Network {
+		nw := newTestNetwork(77)
+		// Line of sight only: the every-step twin maps each of the >4096
+		// capsules through every corridor, and a room's 16 reflection
+		// corridors would make that take half a minute. Which branch
+		// syncEnv takes does not depend on the path set.
+		nw.Env.MaxReflections = 0
+		nw.CouplingCutoffDB = exactCutoffDB
+		nw.SetCouplingMode(CouplingSparse)
+		for i := 1; i <= 12; i++ {
+			if _, err := nw.Join(uint32(i), churnPose(nw, uint32(i)), 40e6, Telemetry(0.05)); err != nil {
+				t.Fatalf("join %d: %v", i, err)
+			}
+		}
+		// A crowd, so the log overruns within a few dozen steps.
+		prng := stats.NewRNG(5)
+		for k := 0; k < crowd; k++ {
+			nw.Env.AddBlocker(&channel.Blocker{
+				Pos:    channel.Vec2{X: prng.Uniform(0.5, 5.5), Y: prng.Uniform(0.5, 3.5)},
+				Radius: 0.1, LossDB: 12,
+				Vel: channel.Vec2{X: prng.Uniform(-1, 1), Y: prng.Uniform(-1, 1)},
+			})
+		}
+		nw.EvaluateSINR() // first settle: caches fresh, envEpoch current
+		return nw
+	}
+	lazy, eager, stale := build(), build(), build()
+	stale.staleEveryTick = true
+	settled := lazy.sparse.envEpoch
+	for i := 0; i < steps; i++ {
+		for _, nw := range []*Network{lazy, eager, stale} {
+			nw.Env.Step(0.02)
+		}
+		eager.EvaluateSINR()
+	}
+	if _, ok := lazy.Env.SweptSince(settled, nil); ok {
+		t.Fatal("swept log still covers the lazy consumer's span — the fallback branch was not reached")
+	}
+	if _, ok := eager.Env.SweptSince(eager.sparse.envEpoch, nil); !ok {
+		t.Fatal("the every-step consumer fell off the swept log too")
+	}
+	want := eager.EvaluateSINR()
+	for name, nw := range map[string]*Network{"lazy": lazy, "stale-everything": stale} {
+		got := nw.EvaluateSINR()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d reports, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: node %d report not byte-identical to the every-step twin\ngot  %+v\nwant %+v",
+					name, want[i].ID, got[i], want[i])
+			}
+		}
+	}
 }
 
 // TestFusedTickDeterminismAcrossWorkers pins the fused environment tick

@@ -27,7 +27,7 @@ func placeNodes(t *testing.T, nw *Network, n int, demand float64) []*Node {
 			X: rng.Uniform(1.5, 5.5),
 			Y: rng.Uniform(0.5, 3.5),
 		}
-		orient := nw.AP.Pos.Sub(pos).Angle() + rng.Uniform(-math.Pi/3, math.Pi/3)
+		orient := nw.APs[0].Pose.Pos.Sub(pos).Angle() + rng.Uniform(-math.Pi/3, math.Pi/3)
 		node, err := nw.Join(uint32(i+1), channel.Pose{Pos: pos, Orientation: orient}, demand, HDCamera(8))
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
@@ -103,14 +103,14 @@ func TestJoinBadDemand(t *testing.T) {
 func TestLeaveReleasesSpectrum(t *testing.T) {
 	nw := newTestNetwork(3)
 	placeNodes(t, nw, 2, 100e6) // fills the band
-	if nw.Controller.Alloc.FreeHz() > 1 {
+	if nw.APs[0].Controller.Alloc.FreeHz() > 1 {
 		t.Fatal("band should be full")
 	}
 	nw.Leave(1)
 	if len(nw.Nodes) != 1 {
 		t.Errorf("nodes = %d", len(nw.Nodes))
 	}
-	if nw.Controller.Alloc.FreeHz() < 100e6 {
+	if nw.APs[0].Controller.Alloc.FreeHz() < 100e6 {
 		t.Error("spectrum not released")
 	}
 }
@@ -338,7 +338,7 @@ func TestAllocatorStaysValidThroughNetworkChurn(t *testing.T) {
 				break
 			}
 		}
-		if err := nw.Controller.Alloc.Validate(); err != nil {
+		if err := nw.APs[0].Controller.Alloc.Validate(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
 		if len(nw.Nodes) != len(live) {
@@ -394,7 +394,7 @@ func TestNetworkCarriesVBRVideo(t *testing.T) {
 	nw := newTestNetwork(44)
 	for i := 0; i < 3; i++ {
 		pos := channel.Vec2{X: 2 + float64(i), Y: 1.5 + 0.5*float64(i)}
-		orient := nw.AP.Pos.Sub(pos).Angle()
+		orient := nw.APs[0].Pose.Pos.Sub(pos).Angle()
 		if _, err := nw.Join(uint32(i+1), channel.Pose{Pos: pos, Orientation: orient}, 10e6, NewVBRCamera(8)); err != nil {
 			t.Fatal(err)
 		}
@@ -436,7 +436,7 @@ func TestOverloadedNodeDropsFrames(t *testing.T) {
 	// Demand declared at 6 Mbps (7.5 MHz channel → 6 Mbps PHY cap) but
 	// the camera actually offers 12 Mbps: the queue must shed load.
 	pos := channel.Vec2{X: 2, Y: 2}
-	orient := nw.AP.Pos.Sub(pos).Angle()
+	orient := nw.APs[0].Pose.Pos.Sub(pos).Angle()
 	if _, err := nw.Join(1, channel.Pose{Pos: pos, Orientation: orient}, 6e6, HDCamera(12)); err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestOverloadedNodeDropsFrames(t *testing.T) {
 func joinOne(t *testing.T, nw *Network, id uint32, demand float64) *Node {
 	t.Helper()
 	pos := channel.Vec2{X: 1.5 + 0.7*float64(id%6), Y: 1 + 0.3*float64(id%4)}
-	orient := nw.AP.Pos.Sub(pos).Angle()
+	orient := nw.APs[0].Pose.Pos.Sub(pos).Angle()
 	n, err := nw.Join(id, channel.Pose{Pos: pos, Orientation: orient}, demand, HDCamera(8))
 	if err != nil {
 		t.Fatalf("join %d: %v", id, err)
@@ -497,7 +497,7 @@ func TestChurnOwnerLeavePromotesSharer(t *testing.T) {
 	if n3.SDMShared {
 		t.Fatal("sharer not promoted after its host left")
 	}
-	if _, ok := nw.Controller.Alloc.Lookup(3); !ok {
+	if _, ok := nw.APs[0].Controller.Alloc.Lookup(3); !ok {
 		t.Fatal("promoted sharer missing from the allocator")
 	}
 	// A fresh joiner must land clear of the promoted ex-sharer.
@@ -505,7 +505,7 @@ func TestChurnOwnerLeavePromotesSharer(t *testing.T) {
 	if !n4.SDMShared && assignmentsOverlap(n4.Assignment, n3.Assignment) {
 		t.Fatalf("exclusive re-grant %v over live ex-sharer %v", n4.Assignment, n3.Assignment)
 	}
-	if err := nw.Controller.Alloc.Validate(); err != nil {
+	if err := nw.APs[0].Controller.Alloc.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.ValidateSpectrum(); err != nil {

@@ -194,19 +194,6 @@ const (
 // state; forcing sparse builds it for the current membership.
 func (n *Network) SetCouplingMode(m CouplingMode) { n.nw.SetCouplingMode(m) }
 
-// SetRegionInvalidation toggles the sparse core's region-scoped blockage
-// invalidation (on by default). When on, each environment step marks for
-// re-evaluation only the nodes whose propagation paths a blocker's swept
-// footprint can reach — everyone else keeps their cached link evaluation
-// bit-identically, so a walking person costs O(affected nodes), not
-// O(network). Passing false restores the stale-everything protocol
-// (every step re-evaluates the whole fleet); results are identical
-// either way, so the switch exists for baseline benchmarking and
-// equivalence testing.
-func (n *Network) SetRegionInvalidation(enabled bool) {
-	n.nw.DisableRegionInvalidation = !enabled
-}
-
 // SetCouplingCutoff sets the sparse core's edge-admission threshold,
 // in dB relative to each victim's noise floor: a pair whose worst-case
 // coupled power is provably below noise·10^(cutoffDB/10) is never
