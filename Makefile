@@ -25,7 +25,7 @@ BENCH_CTL_PATTERN  ?= ControlPlane
 BENCH_CTL_BASELINE ?= BENCH_ctl.json
 BENCH_OUT      ?= bench.out
 
-.PHONY: build test fmt-check bench bench-baseline bench-check bench-smoke load-smoke profile clean
+.PHONY: build test fmt-check loc bench bench-baseline bench-check bench-smoke load-smoke profile clean
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,11 @@ test:
 # fmt-check fails when gofmt would change any file.
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# loc prints the non-test Go line count outside benchmark/ — the figure
+# simplicity PRs quote before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 # bench runs the gated PHY benchmarks and refreshes $(BENCH_BASELINE) with
 # the measured numbers. Commit the refreshed file only from the CI runner

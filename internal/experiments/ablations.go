@@ -225,7 +225,7 @@ func AblationSDM(seed uint64, offered int, demandBps float64) AblationSDMResult 
 			continue
 		}
 		res.AdmittedHybrid++
-		if !node.SDMShared {
+		if !node.Shared {
 			res.AdmittedFDM++
 		}
 	}

@@ -278,7 +278,7 @@ func ExtScale(seed uint64, nodes int) ExtScaleResult {
 			if err != nil {
 				continue
 			}
-			if n.SDMShared {
+			if n.Shared {
 				sdm++
 			}
 		}

@@ -144,6 +144,58 @@ func TestControllerLeaseExpiry(t *testing.T) {
 	}
 }
 
+// TestControllerReleaseForgetsDedup: a released node's duplicate-
+// suppression entry dies with its lease — no lease is left for
+// ExpireLeases to find it by, so nothing else would ever drop it. A
+// remembered entry answers the ID's next first request (seq 1 again on a
+// fresh device) with the stale grant and allocates nothing, and the
+// cache grows by one entry per ID ever seen.
+func TestControllerReleaseForgetsDedup(t *testing.T) {
+	c := NewController(ISM24GHz())
+	join := JoinRequest{NodeID: 7, Seq: 1, DemandBps: 10e6}
+	handleAt(t, c, join, 0)
+	handleAt(t, c, ReleaseMsg{NodeID: 7}, 0.1) // seq 0: a crashed node struck off the books
+	if _, ok := handleAt(t, c, join, 0.2).(AssignmentMsg); !ok {
+		t.Fatal("rejoin after release did not draw an assignment")
+	}
+	if _, ok := c.Alloc.Lookup(7); !ok || !c.HoldsLease(7) {
+		t.Error("rejoin after release was answered from the dedup cache: nothing allocated")
+	}
+
+	// A retransmitted release re-executes instead of replaying: the same
+	// ack bytes, and no second promote for the sharer left behind.
+	c = NewController(ISM24GHz())
+	owner := handleAt(t, c, JoinRequest{NodeID: 1, Seq: 1, DemandBps: 200e6}, 0.3).(AssignmentMsg)
+	handleAt(t, c, JoinRequest{NodeID: 2, Seq: 1, DemandBps: 80e6}, 0.3)
+	handleAt(t, c, ShareConfirmMsg{NodeID: 2, Seq: 2, ShareHz: owner.CenterHz, WidthHz: 100e6, Harmonic: 2}, 0.3)
+	rel, _ := Marshal(ReleaseMsg{NodeID: 1, Seq: 2})
+	first, err := c.HandleAt(rel, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := c.HandleAt(rel, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Errorf("retransmitted release drew a different ack:\n%v\n%v", first, again)
+	}
+	if notes := c.TakeNotifications(); len(notes) != 1 {
+		t.Errorf("release sent twice queued %d promotes, want 1", len(notes))
+	}
+
+	for id := uint32(1000); id < 2000; id++ {
+		handleAt(t, c, JoinRequest{NodeID: id, Seq: 1, DemandBps: 1e6}, 0.6)
+		handleAt(t, c, ReleaseMsg{NodeID: id, Seq: 2}, 0.6)
+	}
+	if len(c.lastSeq) != c.LeaseCount() || len(c.lastReply) != c.LeaseCount() {
+		t.Errorf("dedup cache holds %d/%d entries for %d leases", len(c.lastSeq), len(c.lastReply), c.LeaseCount())
+	}
+	if err := c.AuditBooks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestControllerRenew covers the keepalive ack for owners and sharers —
 // whose ack carries the AP's current books so a node can re-sync — and
 // the nack for unknown nodes.

@@ -528,7 +528,8 @@ type Sharer struct {
 //     are harmless.
 //   - Exact duplicates (same node and sequence number) short-circuit to
 //     a cached copy of the original reply, so even non-idempotent future
-//     request types stay retry-safe.
+//     request types stay retry-safe. A node's cached entry goes with
+//     its lease: release and expiry both drop it.
 //   - Assignments are leases. When LeaseTTL > 0, a node that has not
 //     renewed within the TTL is expired by ExpireLeases and its spectrum
 //     reclaimed through the same churn-safe release path a voluntary
@@ -901,15 +902,10 @@ func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		if out, hit := c.replay(dst, m.NodeID, m.Seq); hit {
-			return out, nil
-		}
-		out, err := c.handleRelease(dst, m)
-		if err != nil {
-			return nil, err
-		}
-		c.remember(m.NodeID, m.Seq, out[mark:])
-		return out, nil
+		// Never replayed or remembered: a release is idempotent (the
+		// retransmission finds nothing to free, queues no second promote
+		// and draws the same ack), and handleRelease forgets the node.
+		return c.handleRelease(dst, m)
 	case MsgRenew:
 		m, err := decodeRenew(raw)
 		if err != nil {
@@ -1027,7 +1023,12 @@ func (c *Controller) handleRelease(dst []byte, m ReleaseMsg) ([]byte, error) {
 	if len(note) > 0 {
 		c.pending = append(c.pending, note)
 	}
+	// The lease goes, and the duplicate-suppression entry with it: no
+	// lease is left for ExpireLeases to find the node by, and a kept
+	// entry would answer the ID's next first request with a stale reply.
 	delete(c.renewedAt, m.NodeID)
+	delete(c.lastSeq, m.NodeID)
+	delete(c.lastReply, m.NodeID)
 	return AckMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
 }
 

@@ -1,8 +1,6 @@
 package netctl
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"mmx/internal/faults"
@@ -11,46 +9,31 @@ import (
 )
 
 // Client is the node-side control-plane endpoint over a real transport:
-// the retry state machine the simulator validated under seeded fault
-// injection (timeout, capped exponential backoff with jitter, reply
-// matching by (node, seq), renew keepalives, resync-from-RenewAck,
-// rejoin-on-nack), ported onto sockets. One difference from the
-// simulated node is deliberate: a real node has no network-layer view
-// of the other sharers' angles, so on an SDM reject it confirms the
-// AP's nominal host channel instead of re-placing itself via TMA
-// suppression — the AP's books and the node agree either way, which is
-// all the protocol requires.
+// a Session — the protocol state and verbs the simulator also runs —
+// plus the socket exchange that carries its requests. It hands the verbs
+// no Placement: a real node has no network-layer view of the other
+// sharers' angles, so on an SDM reject it confirms the AP's nominal host
+// channel — the AP's books and the node agree either way, which is all
+// the protocol requires.
 //
-// A Client is not safe for concurrent use; the load generator runs one
-// goroutine per client.
+// Build one with NewClient, which binds the exchange. A Client is not
+// safe for concurrent use; the load generator runs one goroutine per
+// client.
 type Client struct {
-	NodeID    uint32
-	DemandBps float64
-	T         Transport
+	Session
+	T Transport
 	// Retry paces the per-exchange attempts. The zero value is replaced
 	// by DefaultRetrier at first use.
 	Retry Retrier
-
-	// Assignment mirrors the AP's grant; Shared and Harmonic describe
-	// SDM placement. Joined is false before the first successful
-	// handshake and after a Release (or a rejoin that died).
-	Assignment mac.Assignment
-	Shared     bool
-	Harmonic   int8
-	Joined     bool
 
 	// Counters for the storm report.
 	Sheds, Rejoins, Resyncs, Promotes int
 
 	rng *stats.RNG
-	seq uint32
+	// exch is the exchange method bound once at NewClient, so the verbs
+	// allocate no method value per op.
+	exch Exchange
 }
-
-// ErrJoinFailed reports a handshake whose every attempt died.
-var ErrJoinFailed = errors.New("netctl: join failed")
-
-// errNoReply tags exchanges that decoded nothing useful.
-var errUnexpectedReply = errors.New("netctl: unexpected reply type")
 
 // DefaultRetrier is the socket-side timing: 100 ms reply timeout, 8
 // attempts with 50 ms → 2 s doubling backoff at ±25% jitter, sleeping
@@ -67,13 +50,14 @@ func DefaultRetrier() Retrier {
 // NewClient builds a client for one node over t. seed feeds the backoff
 // jitter, so a fleet of clients desynchronizes deterministically.
 func NewClient(nodeID uint32, demandBps float64, t Transport, seed uint64) *Client {
-	return &Client{
-		NodeID:    nodeID,
-		DemandBps: demandBps,
-		T:         t,
-		Retry:     DefaultRetrier(),
-		rng:       stats.NewRNG(seed ^ uint64(nodeID)*0x9E3779B97F4A7C15),
+	c := &Client{
+		Session: Session{ID: nodeID, Demand: demandBps},
+		T:       t,
+		Retry:   DefaultRetrier(),
+		rng:     stats.NewRNG(seed ^ uint64(nodeID)*0x9E3779B97F4A7C15),
 	}
+	c.exch = c.exchange
+	return c
 }
 
 // IsShedReply reports whether a RejectMsg is the daemon's overload shed
@@ -90,17 +74,13 @@ func ShedReply(node, seq uint32) mac.RejectMsg {
 	return mac.RejectMsg{NodeID: node, Seq: seq}
 }
 
-// exchange runs one request through the retry machine: send, collect
-// frames until one is the matching reply, back off and resend on
-// timeout or shed. Unsolicited PromoteMsg pushes that arrive while
-// waiting are applied on the spot; garbled frames and stale replies are
-// discarded, mirroring the simulator's exchange.
-func (c *Client) exchange(req any) (any, float64, error) {
-	raw, err := mac.Marshal(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	node, seq, _ := mac.RequestIdent(req)
+// exchange is the Client's Exchange: one request frame through the retry
+// machine on real time — send, collect frames until one is the matching
+// reply, back off and resend on timeout or shed. Unsolicited PromoteMsg
+// pushes that arrive while waiting are applied on the spot; garbled
+// frames and stale replies are discarded, as in the simulator's attempt.
+func (c *Client) exchange(raw []byte) (any, float64, error) {
+	_, node, seq, _ := mac.PeekHeader(raw)
 	r := c.Retry
 	if r.MaxAttempts == 0 {
 		r = DefaultRetrier()
@@ -125,8 +105,9 @@ func (c *Client) exchange(req any) (any, float64, error) {
 				continue // garbled on the air
 			}
 			if p, ok := msg.(mac.PromoteMsg); ok {
-				if p.NodeID == c.NodeID {
-					c.applyPromote(p)
+				if p.NodeID == c.ID {
+					c.ApplyPromote(p)
+					c.Promotes++
 				}
 				continue
 			}
@@ -143,143 +124,26 @@ func (c *Client) exchange(req any) (any, float64, error) {
 	})
 }
 
-// applyPromote adopts an unsolicited promotion: the node now exclusively
-// owns (part of) the channel it was sharing.
-func (c *Client) applyPromote(p mac.PromoteMsg) {
-	c.Shared = false
-	c.Harmonic = 0
-	c.Assignment = mac.Assignment{
-		NodeID: p.NodeID, CenterHz: p.CenterHz,
-		WidthHz: p.WidthHz, FSKOffsetHz: p.FSKOffsetHz,
-	}
-	c.Promotes++
-}
+// Join runs the Session's handshake over the transport and returns the
+// real time it took.
+func (c *Client) Join() (float64, error) { return c.Session.Join(c.exch, nil) }
 
-// Join runs the full handshake: JoinRequest with retries, and — when
-// rejected into SDM — a ShareConfirm reporting the settled placement.
-// It returns the real time the handshake took.
-func (c *Client) Join() (float64, error) {
-	c.seq++
-	reply, took, err := c.exchange(mac.JoinRequest{NodeID: c.NodeID, Seq: c.seq, DemandBps: c.DemandBps})
-	if err != nil {
-		return took, fmt.Errorf("%w: %v", ErrJoinFailed, err)
-	}
-	switch m := reply.(type) {
-	case mac.AssignmentMsg:
-		c.Shared = false
-		c.Harmonic = 0
-		c.Assignment = mac.Assignment{
-			NodeID: c.NodeID, CenterHz: m.CenterHz, WidthHz: m.WidthHz, FSKOffsetHz: m.FSKOffsetHz,
-		}
-	case mac.RejectMsg:
-		width := mac.BandwidthForRate(c.DemandBps)
-		c.Shared = true
-		c.Harmonic = m.Harmonic
-		c.Assignment = mac.Assignment{
-			NodeID: c.NodeID, CenterHz: m.ShareHz, WidthHz: width, FSKOffsetHz: width * 0.05,
-		}
-		c.seq++
-		confirm := mac.ShareConfirmMsg{
-			NodeID:   c.NodeID,
-			Seq:      c.seq,
-			ShareHz:  c.Assignment.CenterHz,
-			WidthHz:  c.Assignment.WidthHz,
-			Harmonic: c.Harmonic,
-		}
-		reply2, t2, err := c.exchange(confirm)
-		took += t2
-		if err != nil {
-			// The AP never heard the confirm; operate on the placement
-			// anyway and let the next renew heal the books.
-			return took, fmt.Errorf("%w: share confirm: %v", ErrJoinFailed, err)
-		}
-		if _, ok := reply2.(mac.AckMsg); !ok {
-			return took, fmt.Errorf("%w: share confirm answered by %T", ErrJoinFailed, reply2)
-		}
-	default:
-		return took, fmt.Errorf("%w: join answered by %T: %v", ErrJoinFailed, reply, errUnexpectedReply)
-	}
-	c.Joined = true
-	return took, nil
-}
-
-// RenewOutcome tags what a keepalive cycle did.
-type RenewOutcome uint8
-
-// Keepalive outcomes, mirroring the simulator's renew cycle.
-const (
-	// RenewOK: the lease is live and the books agree.
-	RenewOK RenewOutcome = iota
-	// RenewResynced: the lease is live but the AP's books differed (a
-	// lost promote, or a post-restart reallocation); the node adopted
-	// the AP's view.
-	RenewResynced
-	// RenewRejoined: the lease was gone (expired, or the AP restarted);
-	// the node rejoined through the full handshake.
-	RenewRejoined
-	// RenewLost: the lease was gone and the rejoin also failed; the
-	// node is off the books.
-	RenewLost
-	// RenewFailed: no reply at all; the node keeps transmitting on its
-	// last-known assignment until the next keepalive (graceful
-	// degradation).
-	RenewFailed
-)
-
-// Renew runs one lease keepalive and returns the outcome and the real
-// time the exchange took (including a rejoin handshake if one ran).
+// Renew runs one lease keepalive over the transport and returns the
+// outcome and the real time the exchange took (including a rejoin
+// handshake if one ran).
 func (c *Client) Renew() (RenewOutcome, float64, error) {
-	c.seq++
-	reply, took, err := c.exchange(mac.RenewMsg{NodeID: c.NodeID, Seq: c.seq})
-	if err != nil {
-		return RenewFailed, took, err
-	}
-	switch m := reply.(type) {
-	case mac.RenewAckMsg:
-		if m.Shared == c.Shared &&
-			m.CenterHz == c.Assignment.CenterHz &&
-			m.WidthHz == c.Assignment.WidthHz {
-			return RenewOK, took, nil
-		}
-		c.Shared = m.Shared
-		c.Harmonic = m.Harmonic
-		c.Assignment = mac.Assignment{
-			NodeID: c.NodeID, CenterHz: m.CenterHz, WidthHz: m.WidthHz, FSKOffsetHz: m.FSKOffsetHz,
-		}
+	outcome, took, err := c.Session.Renew(c.exch, nil)
+	switch outcome {
+	case RenewResynced:
 		c.Resyncs++
-		return RenewResynced, took, nil
-	case mac.RenewNackMsg:
-		c.Joined = false
-		t2, err := c.Join()
-		took += t2
-		if err != nil {
-			return RenewLost, took, err
-		}
+	case RenewRejoined:
 		c.Rejoins++
-		return RenewRejoined, took, nil
-	default:
-		return RenewFailed, took, fmt.Errorf("renew answered by %T: %w", reply, errUnexpectedReply)
 	}
+	return outcome, took, err
 }
 
-// Release returns the node's spectrum and clears its local books. The
-// AP acks a release even for a node it no longer knows, so a release
-// only fails when the daemon is unreachable for the whole retry budget
-// — the lease TTL then reclaims the spectrum server-side.
-func (c *Client) Release() (float64, error) {
-	c.seq++
-	reply, took, err := c.exchange(mac.ReleaseMsg{NodeID: c.NodeID, Seq: c.seq})
-	if err != nil {
-		return took, err
-	}
-	if _, ok := reply.(mac.AckMsg); !ok {
-		return took, fmt.Errorf("release answered by %T: %w", reply, errUnexpectedReply)
-	}
-	c.Joined = false
-	c.Shared = false
-	c.Assignment = mac.Assignment{}
-	return took, nil
-}
+// Release returns the node's spectrum over the transport.
+func (c *Client) Release() (float64, error) { return c.Session.Release(c.exch) }
 
 // Close releases the client's transport endpoint.
 func (c *Client) Close() error { return c.T.Close() }

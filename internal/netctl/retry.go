@@ -1,12 +1,16 @@
-// Package netctl carries the control plane onto real transports: the
-// node-side retry state machine shared with the simulator, a client
-// that speaks the MAC wire format over a Transport, and the AP-side
-// Server that serves a mac.Controller from a datagram socket. The
-// packets/client split follows the binary-protocol client architecture
-// referenced in the roadmap: the wire codec lives in internal/mac, the
-// transport and session state machines live here, and nothing in this
-// package knows whether frames cross a real socket or an in-memory
-// fault-injected link.
+// Package netctl owns the node side of the control protocol and carries
+// the control plane onto real transports. Session is the protocol — a
+// node's state and the Join / Renew / Release / ApplyPromote verbs, the
+// only code that decides how a node reacts to an AP reply — written
+// against an Exchange it is handed; Retrier is the retry machine every
+// exchange runs. Client is a Session plus the exchange over a Transport
+// (real time); the simulator embeds a Session in each node and hands the
+// same verbs a virtual-time exchange against the controller. The seam is
+// the exchange rather than Transport because a virtual-time Transport
+// cannot be byte-exact (DESIGN.md §8). Server is the AP side: a
+// mac.Controller served from a datagram socket. The wire codec lives in
+// internal/mac, and nothing here knows whether frames cross a real
+// socket or an in-memory fault-injected link.
 package netctl
 
 import (

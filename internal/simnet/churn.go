@@ -73,11 +73,9 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		rs.joinsFailed++
 		return nil, fmt.Errorf("%w: duplicate node ID %d", ErrJoinFailed, id)
 	}
-	n := &Node{ID: id, Pose: pose, Demand: demandBps, Traffic: traffic}
-	n.AP = nw.selectAP(pose.Pos)
+	n := nw.newNode(id, pose, demandBps, traffic)
 	ap := n.AP
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(pose.Pos))
-	took, err := nw.handshake(n, rs.nowAt(ap))
+	took, err := nw.join(n, rs.nowAt(ap))
 	if err != nil {
 		rs.joinsFailed++
 		return nil, err
@@ -131,8 +129,7 @@ func (rs *runState) leaveNow(id uint32) {
 	rs.hcache = append(rs.hcache[:removedAt], rs.hcache[removedAt+1:]...)
 	nw.couplingRemoveNode(leaver, removedAt)
 	if !leaver.Down {
-		leaver.seq++
-		nw.transact(ap, mac.ReleaseMsg{NodeID: id, Seq: leaver.seq}, rs.nowAt(ap)) //nolint:errcheck
+		leaver.Release(nw.exchangeAt(ap, rs.nowAt(ap))) //nolint:errcheck // a lost release rides the lease TTL
 	} else {
 		raw, _ := mac.Marshal(mac.ReleaseMsg{NodeID: id})
 		ap.Controller.Handle(raw) //nolint:errcheck // release of a crashed node's books entry

@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"fmt"
-
 	"mmx/internal/faults"
 	"mmx/internal/mac"
 	"mmx/internal/netctl"
@@ -11,12 +9,11 @@ import (
 // ControlConfig sets the timing of the fault-tolerant control plane: the
 // node-side retry state machine and the lease/renew keepalive cycle.
 type ControlConfig struct {
-	// TimeoutS is how long a node waits for a reply before retrying.
-	TimeoutS float64
-	// MaxAttempts bounds the retry state machine per exchange.
-	MaxAttempts int
-	// Backoff paces the retries (capped exponential + seeded jitter).
-	Backoff faults.Backoff
+	// Retrier is the retry machine the socket client also runs. Sleep
+	// stays nil: the simulator runs on virtual time, so the machine's
+	// elapsed accounting (one TimeoutS plus one jittered backoff draw per
+	// failed attempt) is the time that passes.
+	netctl.Retrier
 	// LeaseTTLS is the spectrum lease lifetime: a node silent for longer
 	// is expired and its spectrum reclaimed. 0 disables expiry.
 	LeaseTTLS float64
@@ -31,28 +28,69 @@ type ControlConfig struct {
 // backoff at ±25% jitter, 1 s leases renewed every 300 ms.
 func DefaultControlConfig() ControlConfig {
 	return ControlConfig{
-		TimeoutS:       0.02,
-		MaxAttempts:    8,
-		Backoff:        faults.Backoff{BaseS: 0.02, MaxS: 0.5, Factor: 2, Jitter: 0.25},
+		Retrier: netctl.Retrier{
+			TimeoutS:    0.02,
+			MaxAttempts: 8,
+			Backoff:     faults.Backoff{BaseS: 0.02, MaxS: 0.5, Factor: 2, Jitter: 0.25},
+		},
 		LeaseTTLS:      1.0,
 		RenewIntervalS: 0.3,
 	}
 }
 
-// retrier adapts the control timing onto the shared netctl retry state
-// machine. Sleep stays nil: the simulator runs on virtual time, so the
-// machine's elapsed accounting (one TimeoutS plus one jittered backoff
-// draw per failed attempt) is the time that passes.
-func (cc ControlConfig) retrier() netctl.Retrier {
-	return netctl.Retrier{
-		TimeoutS:    cc.TimeoutS,
-		MaxAttempts: cc.MaxAttempts,
-		Backoff:     cc.Backoff,
+// exchangeAt is the simulator's netctl.Exchange: requests go to ap over
+// the (possibly lossy) side channel on a virtual clock that starts at
+// time at and advances by what each exchange consumed, so a verb's
+// follow-up request (the share confirm, the rejoin after a nack) is
+// anchored where the previous one ended.
+func (nw *Network) exchangeAt(ap *AccessPoint, at float64) netctl.Exchange {
+	return func(req []byte) (any, float64, error) {
+		reply, took, err := nw.transact(ap, req, at)
+		at += took
+		return reply, took, err
 	}
 }
 
+// placement is the simulator's netctl.Placement for node n at ap. The
+// reject carries a nominal host channel, but the AP knows every
+// occupant's harmonic slot: place the newcomer on the channel whose
+// occupants are farthest from its own slot — the one its angle of
+// arrival maps onto — so the TMA can actually separate them.
+func (nw *Network) placement(ap *AccessPoint, n *Node) netctl.Placement {
+	return func(shareHz float64, _ int8) (float64, int8) {
+		if c, ok := nw.bestHostChannel(ap, n.SDMHarmonic, ap.Pose.AngleTo(n.Pose.Pos), n.ID); ok {
+			shareHz = c
+		}
+		return shareHz, int8(n.SDMHarmonic)
+	}
+}
+
+// join runs the netctl handshake for node n at its serving AP starting
+// at virtual time at — the one entry every admission path (join, reboot,
+// roam and roam fallback) takes; the rejoin after a renew nack reaches
+// the same code from inside Renew. It returns the virtual time the
+// handshake consumed.
+func (nw *Network) join(n *Node, at float64) (float64, error) {
+	ap := nw.hostAP(n)
+	return n.Join(nw.exchangeAt(ap, at), nw.placement(ap, n))
+}
+
+// renew runs the netctl keepalive for node n at virtual time at. A resync
+// or a rejoin moved the node's grant, so its link configuration and
+// coupling are re-derived; a timeout leaves it transmitting on its
+// last-known assignment (graceful degradation) until the next keepalive.
+func (nw *Network) renew(n *Node, at float64) netctl.RenewOutcome {
+	ap := nw.hostAP(n)
+	outcome, _, _ := n.Renew(nw.exchangeAt(ap, at), nw.placement(ap, n))
+	if outcome == netctl.RenewResynced || outcome == netctl.RenewRejoined {
+		nw.applyAssignment(n)
+		nw.couplingUpdateNode(n)
+	}
+	return outcome
+}
+
 // transact runs one request/reply exchange over the (possibly lossy)
-// control side channel: marshal, transmit, collect the reply, and on
+// control side channel: transmit the frame, collect the reply, and on
 // loss retry through netctl.Retrier — the same state machine the socket
 // client runs on real time, here fed virtual-time attempts. It returns
 // the decoded reply, the virtual time the exchange consumed, and an
@@ -61,24 +99,20 @@ func (cc ControlConfig) retrier() netctl.Retrier {
 // that is what exercises its idempotent handling — and duplicate or
 // stale replies (wrong sequence number) are discarded by the
 // caller-side match.
-func (nw *Network) transact(ap *AccessPoint, req any, at float64) (any, float64, error) {
-	raw, err := mac.Marshal(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	node, seq, _ := mac.RequestIdent(req)
-	return nw.Control.retrier().Do(nw.ctrlRNG, func(_ int, elapsed float64) (any, float64, bool) {
-		return nw.exchange(ap, raw, node, seq, at+elapsed)
+func (nw *Network) transact(ap *AccessPoint, raw []byte, at float64) (any, float64, error) {
+	_, node, seq, _ := mac.PeekHeader(raw)
+	return nw.Control.Do(nw.ctrlRNG, func(_ int, elapsed float64) (any, float64, bool) {
+		return nw.attempt(ap, raw, node, seq, at+elapsed)
 	})
 }
 
-// exchange is one attempt: the request goes through the side channel
-// (drop/duplicate/truncate/delay), every arriving copy is handled by the
-// controller (truncated copies fail to parse and die there), and each
-// reply goes back through the side channel. The first reply copy whose
-// identity matches (node, seq) and whose round trip fits the timeout
-// wins.
-func (nw *Network) exchange(ap *AccessPoint, raw []byte, node, seq uint32, at float64) (any, float64, bool) {
+// attempt is one try of an exchange: the request goes through the side
+// channel (drop/duplicate/truncate/delay), every arriving copy is handled
+// by the controller (truncated copies fail to parse and die there), and
+// each reply goes back through the side channel. The first reply copy
+// whose identity matches (node, seq) and whose round trip fits the
+// timeout wins.
+func (nw *Network) attempt(ap *AccessPoint, raw []byte, node, seq uint32, at float64) (any, float64, bool) {
 	requests := nw.Side.Transmit(raw)
 	if ap.down {
 		// The AP is rebooting: frames fall on deaf ears.
@@ -110,114 +144,6 @@ func (nw *Network) exchange(ap *AccessPoint, raw []byte, node, seq uint32, at fl
 		}
 	}
 	return reply, rtt, got
-}
-
-// handshake drives the full join exchange for node n at its serving AP
-// starting at virtual time at: a JoinRequest with retries, then — when
-// rejected into SDM — TMA-aware host-channel placement and a
-// ShareConfirm with retries. On success n.Assignment and n.SDMShared
-// reflect the grant. It returns the virtual time the handshake consumed.
-func (nw *Network) handshake(n *Node, at float64) (float64, error) {
-	ap := nw.hostAP(n)
-	n.seq++
-	reply, took, err := nw.transact(ap, mac.JoinRequest{NodeID: n.ID, Seq: n.seq, DemandBps: n.Demand}, at)
-	if err != nil {
-		return took, fmt.Errorf("%w: %v", ErrJoinFailed, err)
-	}
-	switch m := reply.(type) {
-	case mac.AssignmentMsg:
-		n.SDMShared = false
-		n.Assignment = mac.Assignment{
-			NodeID: n.ID, CenterHz: m.CenterHz, WidthHz: m.WidthHz, FSKOffsetHz: m.FSKOffsetHz,
-		}
-	case mac.RejectMsg:
-		n.SDMShared = true
-		width := mac.BandwidthForRate(n.Demand)
-		n.Assignment = mac.Assignment{
-			NodeID: n.ID, CenterHz: m.ShareHz, WidthHz: width, FSKOffsetHz: width * 0.05,
-		}
-		// The reject carries a nominal host channel, but the AP knows
-		// every occupant's harmonic slot: place the newcomer on the
-		// channel whose occupants are farthest from its slot so the
-		// TMA can actually separate them.
-		if c, ok := nw.bestHostChannel(ap, n.SDMHarmonic, ap.Pose.AngleTo(n.Pose.Pos), n.ID); ok {
-			n.Assignment.CenterHz = c
-		}
-		// Report the final placement back so the AP's spectrum books
-		// track where the sharer really landed — this is what lets the
-		// controller promote (rather than re-grant) the channel when
-		// its FDM owner later leaves.
-		n.seq++
-		confirm := mac.ShareConfirmMsg{
-			NodeID:   n.ID,
-			Seq:      n.seq,
-			ShareHz:  n.Assignment.CenterHz,
-			WidthHz:  n.Assignment.WidthHz,
-			Harmonic: int8(n.SDMHarmonic),
-		}
-		_, t2, err := nw.transact(ap, confirm, at+took)
-		took += t2
-		if err != nil {
-			// The placement is chosen but the AP never heard the
-			// confirm: the node operates on it anyway and the books
-			// heal at the next renew (nack → rejoin).
-			return took, fmt.Errorf("%w: %v", ErrJoinFailed, err)
-		}
-	default:
-		return took, ErrJoinFailed
-	}
-	return took, nil
-}
-
-// renewResult tags what a keepalive cycle did for one node.
-type renewResult uint8
-
-const (
-	renewOK renewResult = iota
-	renewResynced
-	renewRejoined
-	renewLost
-	renewFailed
-)
-
-// renewOnce runs one lease keepalive for node n at virtual time at. The
-// ack doubles as a state sync: if the AP's books disagree with the
-// node's local assignment (a PromoteMsg was lost, or the node was moved
-// by a post-restart reallocation), the node adopts the AP's view. A nack
-// means the lease is gone — expired or wiped by an AP restart — and the
-// node rejoins through the full handshake. A timeout leaves the node
-// transmitting on its last-known assignment (graceful degradation) until
-// the next keepalive.
-func (nw *Network) renewOnce(n *Node, at float64) renewResult {
-	n.seq++
-	reply, took, err := nw.transact(nw.hostAP(n), mac.RenewMsg{NodeID: n.ID, Seq: n.seq}, at)
-	if err != nil {
-		return renewFailed
-	}
-	switch m := reply.(type) {
-	case mac.RenewAckMsg:
-		if m.Shared == n.SDMShared &&
-			m.CenterHz == n.Assignment.CenterHz &&
-			m.WidthHz == n.Assignment.WidthHz {
-			return renewOK
-		}
-		n.SDMShared = m.Shared
-		n.Assignment = mac.Assignment{
-			NodeID: n.ID, CenterHz: m.CenterHz, WidthHz: m.WidthHz, FSKOffsetHz: m.FSKOffsetHz,
-		}
-		nw.applyAssignment(n)
-		nw.couplingUpdateNode(n)
-		return renewResynced
-	case mac.RenewNackMsg:
-		if _, err := nw.handshake(n, at+took); err != nil {
-			return renewLost
-		}
-		nw.applyAssignment(n)
-		nw.couplingUpdateNode(n)
-		return renewRejoined
-	default:
-		return renewFailed
-	}
 }
 
 // pushNotifications delivers one AP controller's queued PromoteMsg pushes

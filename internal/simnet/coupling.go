@@ -47,7 +47,7 @@ func (nw *Network) pairCouplingLinear(node, other *Node, tblOther []complex128) 
 		// collision, mitigated only by distance (the power term).
 		return 1
 	}
-	if !node.SDMShared && !other.SDMShared {
+	if !node.Shared && !other.Shared {
 		return 1 // full collision, 0 dB
 	}
 	maxM := nw.APs[0].SDM.MaxHarmonic()

@@ -913,7 +913,7 @@ func (s *sparseState) finishNode(n *Node) {
 		n.sp.interf = 0
 		n.sp.rep = Report{
 			ID: n.ID, SNRdB: math.Inf(-1), SINRdB: math.Inf(-1),
-			BER: 1, PathClass: "down", SDM: n.SDMShared,
+			BER: 1, PathClass: "down", SDM: n.Shared,
 		}
 		return
 	}
@@ -945,7 +945,7 @@ func (s *sparseState) finishNode(n *Node) {
 		SINRdB:    sinr,
 		BER:       ev.BERWithOTAM(),
 		PathClass: ev.PathClass,
-		SDM:       n.SDMShared,
+		SDM:       n.Shared,
 	}
 }
 

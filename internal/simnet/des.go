@@ -5,6 +5,7 @@ import (
 
 	"mmx/internal/core"
 	"mmx/internal/faults"
+	"mmx/internal/netctl"
 )
 
 // event is one scheduled simulation action, stored by value in the
@@ -639,7 +640,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 					// old lease survived, the AP idempotently re-grants
 					// the same spectrum. A handshake that dies entirely
 					// leaves the node down until the plan retries.
-					if _, err := nw.handshake(n, rs.nowAt(nw.hostAP(n))); err != nil {
+					if _, err := nw.join(n, rs.nowAt(nw.hostAP(n))); err != nil {
 						return
 					}
 					n.Down = false
@@ -687,14 +688,14 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 				continue
 			}
 			ctl.RenewsSent++
-			switch nw.renewOnce(n, rs.nowAt(nw.hostAP(n))) {
-			case renewResynced:
+			switch nw.renew(n, rs.nowAt(nw.hostAP(n))) {
+			case netctl.RenewResynced:
 				ctl.Resyncs++
 				changed = true
-			case renewRejoined:
+			case netctl.RenewRejoined:
 				ctl.Rejoins++
 				changed = true
-			case renewLost, renewFailed:
+			case netctl.RenewLost, netctl.RenewFailed:
 				ctl.RenewsFailed++
 			}
 		}

@@ -176,7 +176,8 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 	// dispatch; payload 0 makes the frame body a no-op.
 	for id := uint32(0); id < numChains; id++ {
 		id := id
-		n := &Node{ID: id, idx: int(id)}
+		n := &Node{idx: int(id)}
+		n.ID = id
 		n.Traffic = trafficFunc(func() (float64, int) {
 			if p := pending[id]; p != nil {
 				if s.Now() != p.at {

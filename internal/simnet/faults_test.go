@@ -97,7 +97,7 @@ func TestChurnLeaseReclaim(t *testing.T) {
 	// count of exclusive survivors is back to the original 3 owners.
 	exclusive := 0
 	for _, n := range nodes {
-		if !n.Down && !n.SDMShared {
+		if !n.Down && !n.Shared {
 			exclusive++
 		}
 	}
@@ -200,6 +200,28 @@ func TestCrashedNodeStopsTransmitting(t *testing.T) {
 	}
 	if math.IsInf(reports[1].SINRdB, -1) {
 		t.Error("survivor report corrupted")
+	}
+}
+
+// TestRejoinAfterRemovalWhileCrashed: node 7's only request was its join
+// (seq 1); it crashes, is removed while down, and the same ID joins
+// again — a fresh device whose first request is seq 1 once more. A
+// controller that still remembers the released node's (7, seq 1) answers
+// with the stale grant and allocates nothing.
+func TestRejoinAfterRemovalWhileCrashed(t *testing.T) {
+	nw := newTestNetwork(31)
+	joinOne(t, nw, 7, 10e6)
+	nw.Faults = faults.NewPlan().Crash(0.05, 7)
+	nw.ScheduleLeave(0.10, 7)
+	nw.ScheduleJoin(0.15, 7, churnPose(nw, 7), 10e6, Telemetry(0.1))
+	nw.OnMembership = func(event string, id uint32) {
+		if err := nw.ValidateSpectrum(); err != nil {
+			t.Errorf("%s of node %d: %v", event, id, err)
+		}
+	}
+	st := nw.Run(0.25, 0.1, 10)
+	if st.Leaves != 1 || st.Joins != 1 {
+		t.Fatalf("Leaves=%d Joins=%d, want 1/1", st.Leaves, st.Joins)
 	}
 }
 

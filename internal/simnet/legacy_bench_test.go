@@ -30,7 +30,7 @@ func (nw *Network) couplingDB(i, j *Node) float64 {
 		// collision, mitigated only by distance (the power term).
 		return 0
 	}
-	if !i.SDMShared && !j.SDMShared {
+	if !i.Shared && !j.Shared {
 		return 0
 	}
 	// Co-channel at the same AP: separated spatially by that AP's TMA.
@@ -76,7 +76,7 @@ func legacyEvaluateSINR(nw *Network) []Report {
 		out[i] = Report{
 			ID: node.ID, SNRdB: units.DB(powers[i] / noise), SINRdB: sinr,
 			BER: ev.BERWithOTAM(), PathClass: nw.Env.BestPathClass(node.Pose.Pos, nw.APs[0].Pose.Pos),
-			SDM: node.SDMShared,
+			SDM: node.Shared,
 		}
 	}
 	return out

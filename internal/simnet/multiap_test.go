@@ -373,6 +373,40 @@ func TestRoamStrandedLeaseReclaimed(t *testing.T) {
 	}
 }
 
+// TestRoamKeepsLastGrantWhenEveryJoinDies pins the far end of roamTo's
+// degradation ladder: the release at the old AP is acked, the join at
+// the new AP dies, and so does the fallback — here because both
+// controllers refuse the node's (corrupted, non-finite) demand. The node
+// then holds no lease anywhere but keeps transmitting on its last-known
+// assignment, at its old AP, until a renew heals it.
+func TestRoamKeepsLastGrantWhenEveryJoinDies(t *testing.T) {
+	nw := newTestNetwork(56)
+	if _, err := nw.AddAP(channel.Pose{Pos: channel.Vec2{X: 5.7, Y: 2}, Orientation: math.Pi}); err != nil {
+		t.Fatalf("AddAP: %v", err)
+	}
+	// Same geometry as TestRoamStrandedLeaseReclaimed: nearer AP 0,
+	// blocked towards it, facing AP 1.
+	nw.Env.AddBlocker(&channel.Blocker{Pos: channel.Vec2{X: 0.9, Y: 2}, Radius: 0.3, LossDB: 15})
+	n, err := nw.Join(1, channel.Pose{Pos: channel.Vec2{X: 1.5, Y: 2}}, 2e6, Telemetry(0.05))
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, CheckIntervalS: 0.1, MinDwellS: 1})
+	held, rate := n.Assignment, n.RateBps
+	n.Demand = math.NaN()
+	st := nw.Run(0.25, 0.05, 10) // one roam check, no renew yet
+	if st.Roams != 0 || st.RoamsFailed != 1 {
+		t.Fatalf("roams=%d failed=%d, want one failed roam", st.Roams, st.RoamsFailed)
+	}
+	if nw.APs[0].Controller.HoldsLease(1) || nw.APs[1].Controller.HoldsLease(1) {
+		t.Fatal("scenario is vacuous: the node still holds a lease")
+	}
+	if n.apIndex() != 0 || n.Assignment != held || n.RateBps != rate || rate == 0 {
+		t.Errorf("after the failed roam: AP %d, assignment %+v, rate %g; want AP 0, %+v, %g",
+			n.apIndex(), n.Assignment, n.RateBps, held, rate)
+	}
+}
+
 // TestMultiAPChurnSpectrumInvariants is the multi-AP acceptance run in
 // miniature (the 100k-node, 16-AP version lives behind -short in the
 // root package): a reuse-planned 4-AP network under churn and roaming,

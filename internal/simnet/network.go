@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -15,26 +14,25 @@ import (
 	"mmx/internal/core"
 	"mmx/internal/faults"
 	"mmx/internal/mac"
+	"mmx/internal/netctl"
 	"mmx/internal/stats"
 	"mmx/internal/units"
 )
 
 // Node is one IoT device attached to the network.
 type Node struct {
-	ID      uint32
+	// Session is the node's control-protocol state — ID, Demand, the
+	// Assignment it transmits on (for SDM-sharing nodes, the shared
+	// channel), Shared — and the netctl verbs that move it: the same
+	// code the socket client runs.
+	netctl.Session
 	Pose    channel.Pose
-	Demand  float64
 	Traffic TrafficModel
-	// Assignment is the node's FDM channel; for SDM-sharing nodes it
-	// mirrors the shared channel.
-	Assignment mac.Assignment
 	// SDMHarmonic is the TMA harmonic the node's angle-of-arrival maps
 	// onto (the AP learns it during initialization). It is what
-	// separates co-channel nodes.
+	// separates co-channel nodes. The Session's Harmonic is the copy
+	// the AP's books last confirmed; this one follows the node's pose.
 	SDMHarmonic int
-	// SDMShared reports the node shares its channel spatially rather
-	// than owning it via FDM.
-	SDMShared bool
 	// RateBps is the node's adapted PHY rate: the fastest ladder step
 	// its SNR sustains at BER ≤ 1e-6, capped by what its channel width
 	// carries. Frames occupy airtime at this rate. 0 means the link
@@ -60,9 +58,6 @@ type Node struct {
 	// roamHoldUntil is the sim time before which the roaming policy will
 	// not move this node again (MinDwellS after the last attempt).
 	roamHoldUntil float64
-	// seq numbers the node's control-plane requests so the AP can
-	// detect retransmissions and the node can discard stale replies.
-	seq uint32
 	// idx is the node's current position in Network.Nodes, maintained on
 	// every membership change so lookups and the incremental coupling
 	// paths never scan the slice. Stale the instant the node leaves.
@@ -196,8 +191,9 @@ func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, ban
 	return nw
 }
 
-// ErrJoinFailed reports a node the AP could not admit.
-var ErrJoinFailed = errors.New("simnet: join failed")
+// ErrJoinFailed reports a node the AP could not admit: the handshake's
+// own sentinel, which the duplicate-ID refusals here also wrap.
+var ErrJoinFailed = netctl.ErrJoinFailed
 
 // SetCouplingMode selects the interference bookkeeping strategy.
 // CouplingAuto (the default) runs the dense matrix and switches to the
@@ -270,13 +266,9 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 	if nw.nodeByID(id) != nil {
 		return nil, fmt.Errorf("%w: duplicate node ID %d", ErrJoinFailed, id)
 	}
-	n := &Node{ID: id, Pose: pose, Demand: demandBps, Traffic: traffic}
-	n.AP = nw.selectAP(pose.Pos)
+	n := nw.newNode(id, pose, demandBps, traffic)
 	ap := n.AP
-	// The TMA hashes each node's angle-of-arrival into a harmonic slot;
-	// the AP learns the slot when the node joins.
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(pose.Pos))
-	if _, err := nw.handshake(n, ap.Controller.NowS()); err != nil {
+	if _, err := nw.join(n, ap.Controller.NowS()); err != nil {
 		return nil, err
 	}
 	n.Link = core.NewLink(nw.Env, pose, ap.Pose)
@@ -285,6 +277,17 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 	nw.registerNode(n)
 	nw.couplingAddNode()
 	return n, nil
+}
+
+// newNode builds the not-yet-admitted node both join paths hand to the
+// handshake: homed on the AP selectAP picks for its position, with the
+// harmonic slot the TMA hashes its angle-of-arrival into (the AP learns
+// the slot when the node joins).
+func (nw *Network) newNode(id uint32, pose channel.Pose, demandBps float64, traffic TrafficModel) *Node {
+	n := &Node{Session: netctl.Session{ID: id, Demand: demandBps}, Pose: pose, Traffic: traffic}
+	n.AP = nw.selectAP(pose.Pos)
+	n.SDMHarmonic = n.AP.SDM.BestHarmonic(n.AP.Pose.AngleTo(pose.Pos))
+	return n
 }
 
 // applyAssignment (re)derives a node's link configuration and adapted PHY
@@ -413,8 +416,7 @@ func (nw *Network) Leave(id uint32) {
 		nw.couplingRemoveNode(leaver, removedAt)
 		// Best-effort release through the retry machine: if every attempt
 		// dies on the side channel the lease TTL reclaims the spectrum.
-		leaver.seq++
-		nw.transact(ap, mac.ReleaseMsg{NodeID: id, Seq: leaver.seq}, ap.Controller.NowS()) //nolint:errcheck
+		leaver.Release(nw.exchangeAt(ap, ap.Controller.NowS())) //nolint:errcheck
 		delete(nw.strays, id)
 		// The leaver is gone from the membership list, so the promote
 		// push (if any) is delivered reliably to whichever sharer it
@@ -453,11 +455,7 @@ func (nw *Network) applyPromotion(ap *AccessPoint, reply []byte) bool {
 	if n == nil || nw.hostAP(n) != ap {
 		return false
 	}
-	n.SDMShared = false
-	n.Assignment = mac.Assignment{
-		NodeID: p.NodeID, CenterHz: p.CenterHz,
-		WidthHz: p.WidthHz, FSKOffsetHz: p.FSKOffsetHz,
-	}
+	n.ApplyPromote(p)
 	nw.applyAssignment(n)
 	nw.couplingUpdateNode(n)
 	return true
@@ -519,7 +517,7 @@ func (nw *Network) ValidateSpectrum() error {
 			continue
 		}
 		ap := nw.hostAP(n)
-		if n.SDMShared {
+		if n.Shared {
 			c, ok := ap.Controller.SharerChannel(n.ID)
 			if !ok {
 				return fmt.Errorf("simnet: SDM node %d not registered with the controller", n.ID)
@@ -580,7 +578,7 @@ func (nw *Network) ValidateSpectrum() error {
 func (nw *Network) checkExclusiveOverlap(nodes []*Node) error {
 	excl := make([]*Node, 0, len(nodes))
 	for _, n := range nodes {
-		if n.SDMShared || n.Down {
+		if n.Shared || n.Down {
 			continue
 		}
 		excl = append(excl, n)
@@ -793,7 +791,7 @@ func (nw *Network) EvaluateSINRInto(out []Report) []Report {
 		if node.Down {
 			out[i] = Report{
 				ID: node.ID, SNRdB: math.Inf(-1), SINRdB: math.Inf(-1),
-				BER: 1, PathClass: "down", SDM: node.SDMShared,
+				BER: 1, PathClass: "down", SDM: node.Shared,
 			}
 			return
 		}
@@ -827,7 +825,7 @@ func (nw *Network) EvaluateSINRInto(out []Report) []Report {
 			SINRdB:    sinr,
 			BER:       ev.BERWithOTAM(),
 			PathClass: ev.PathClass,
-			SDM:       node.SDMShared,
+			SDM:       node.Shared,
 		}
 	})
 	return out

@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 
 	"mmx/internal/core"
-	"mmx/internal/mac"
 	"mmx/internal/units"
 )
 
@@ -116,20 +115,24 @@ func (rs *runState) rehome(n *Node, ap *AccessPoint) {
 func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 	nw := rs.nw
 	from := nw.hostAP(n)
-	n.seq++
-	if _, _, err := nw.transact(from, mac.ReleaseMsg{NodeID: n.ID, Seq: n.seq}, rs.nowAt(from)); err != nil {
+	// The release voids the grant, but the radio stays tuned to it until
+	// a join lands a new one — what the node transmits on if every
+	// handshake below dies.
+	last := n.Grant
+	if _, err := n.Release(nw.exchangeAt(from, rs.nowAt(from))); err != nil {
 		nw.strays[n.ID] = from
 	}
+	n.Grant = last
 	rs.ctl.Promotions += nw.pushNotifications(from, false)
 	nw.roamDetach(n)
 	rs.rehome(n, to)
-	if _, err := nw.handshake(n, rs.nowAt(to)); err != nil {
+	if _, err := nw.join(n, rs.nowAt(to)); err != nil {
 		// The new AP never admitted the node: fall back to the one it
 		// came from. If the release above was lost its old lease may
 		// even still be live, and the books idempotently re-grant.
 		rs.roamsFailed++
 		rs.rehome(n, from)
-		if _, err := nw.handshake(n, rs.nowAt(from)); err == nil {
+		if _, err := nw.join(n, rs.nowAt(from)); err == nil {
 			delete(nw.strays, n.ID) // re-admitted: the old entry is current again
 		}
 		nw.applyAssignment(n)

@@ -73,7 +73,7 @@ func TestJoinFDMThenSDM(t *testing.T) {
 	nodes := placeNodes(t, nw, 5, 60e6) // 75 MHz each: 3 fit in 250 MHz
 	fdm, sdm := 0, 0
 	for _, n := range nodes {
-		if n.SDMShared {
+		if n.Shared {
 			sdm++
 		} else {
 			fdm++
@@ -169,7 +169,7 @@ func TestSDMCouplingWeakerThanCoChannelChaos(t *testing.T) {
 	placeNodes(t, nw, 4, 100e6) // 2 FDM + 2 SDM
 	var sdmNodes []*Node
 	for _, n := range nw.Nodes {
-		if n.SDMShared {
+		if n.Shared {
 			sdmNodes = append(sdmNodes, n)
 		}
 	}
@@ -480,7 +480,7 @@ func TestChurnOwnerLeavePromotesSharer(t *testing.T) {
 	n1 := joinOne(t, nw, 1, 100e6) // 125 MHz
 	n2 := joinOne(t, nw, 2, 100e6) // 125 MHz: band full
 	n3 := joinOne(t, nw, 3, 10e6)  // SDM fallback
-	if !n3.SDMShared {
+	if !n3.Shared {
 		t.Fatal("third join should fall back to SDM")
 	}
 	host := n1
@@ -494,7 +494,7 @@ func TestChurnOwnerLeavePromotesSharer(t *testing.T) {
 	}
 
 	nw.Leave(host.ID)
-	if n3.SDMShared {
+	if n3.Shared {
 		t.Fatal("sharer not promoted after its host left")
 	}
 	if _, ok := nw.APs[0].Controller.Alloc.Lookup(3); !ok {
@@ -502,7 +502,7 @@ func TestChurnOwnerLeavePromotesSharer(t *testing.T) {
 	}
 	// A fresh joiner must land clear of the promoted ex-sharer.
 	n4 := joinOne(t, nw, 4, 80e6)
-	if !n4.SDMShared && assignmentsOverlap(n4.Assignment, n3.Assignment) {
+	if !n4.Shared && assignmentsOverlap(n4.Assignment, n3.Assignment) {
 		t.Fatalf("exclusive re-grant %v over live ex-sharer %v", n4.Assignment, n3.Assignment)
 	}
 	if err := nw.APs[0].Controller.Alloc.Validate(); err != nil {
@@ -521,14 +521,14 @@ func TestPromotionCoversRemainingSharers(t *testing.T) {
 	n1 := joinOne(t, nw, 1, 200e6) // 250 MHz: whole band
 	n2 := joinOne(t, nw, 2, 80e6)  // SDM, 100 MHz
 	n3 := joinOne(t, nw, 3, 8e6)   // SDM, 10 MHz
-	if n1.SDMShared || !n2.SDMShared || !n3.SDMShared {
+	if n1.Shared || !n2.Shared || !n3.Shared {
 		t.Fatal("expected one owner plus two sharers")
 	}
 	nw.Leave(1)
-	if n2.SDMShared {
+	if n2.Shared {
 		t.Fatal("widest sharer should be promoted")
 	}
-	if !n3.SDMShared {
+	if !n3.Shared {
 		t.Fatal("narrow sharer should stay SDM")
 	}
 	if n3.Assignment.CenterHz != n2.Assignment.CenterHz {
@@ -543,13 +543,13 @@ func TestPromotionCoversRemainingSharers(t *testing.T) {
 	}
 	// Cascade: the promoted owner leaves too; the last sharer is promoted.
 	nw.Leave(2)
-	if n3.SDMShared {
+	if n3.Shared {
 		t.Fatal("last sharer should be promoted after cascade")
 	}
 	// With only a 10 MHz channel live, a 100 MHz joiner must get clear
 	// exclusive spectrum.
 	n5 := joinOne(t, nw, 5, 80e6)
-	if n5.SDMShared {
+	if n5.Shared {
 		t.Fatal("ample free spectrum: join should be exclusive")
 	}
 	if assignmentsOverlap(n5.Assignment, n3.Assignment) {

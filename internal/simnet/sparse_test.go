@@ -147,10 +147,10 @@ func TestSparseAssignmentsMatchDense(t *testing.T) {
 	for i, dn := range dense.Nodes {
 		sn := sparse.Nodes[i]
 		if dn.ID != sn.ID || dn.Assignment != sn.Assignment ||
-			dn.SDMHarmonic != sn.SDMHarmonic || dn.SDMShared != sn.SDMShared {
+			dn.SDMHarmonic != sn.SDMHarmonic || dn.Shared != sn.Shared {
 			t.Errorf("node %d: dense {%v h=%d shared=%v} sparse {%v h=%d shared=%v}",
-				dn.ID, dn.Assignment, dn.SDMHarmonic, dn.SDMShared,
-				sn.Assignment, sn.SDMHarmonic, sn.SDMShared)
+				dn.ID, dn.Assignment, dn.SDMHarmonic, dn.Shared,
+				sn.Assignment, sn.SDMHarmonic, sn.Shared)
 		}
 	}
 }
@@ -410,12 +410,10 @@ func TestSparseDeterminism(t *testing.T) {
 func TestCheckExclusiveOverlapCatchesInjected(t *testing.T) {
 	nw := newTestNetwork(88)
 	mk := func(id uint32, low, width float64, shared, down bool) *Node {
-		return &Node{
-			ID:         id,
-			SDMShared:  shared,
-			Down:       down,
-			Assignment: mac.Assignment{NodeID: id, CenterHz: low + width/2, WidthHz: width},
-		}
+		n := &Node{Down: down}
+		n.ID, n.Shared = id, shared
+		n.Assignment = mac.Assignment{NodeID: id, CenterHz: low + width/2, WidthHz: width}
+		return n
 	}
 	clean := []*Node{
 		mk(1, 100e6, 25e6, false, false),

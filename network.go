@@ -115,7 +115,7 @@ func (n *Network) Join(id uint32, pose Pose, demandBps float64, traffic Traffic)
 		ID:           node.ID,
 		ChannelHz:    node.Assignment.CenterHz,
 		WidthHz:      node.Assignment.WidthHz,
-		SharedViaSDM: node.SDMShared,
+		SharedViaSDM: node.Shared,
 	}
 	if node.AP != nil {
 		info.AP = node.AP.Index()
