@@ -181,6 +181,12 @@ type sparseState struct {
 	// victim propagation, every victim is already queued.
 	allStale bool
 
+	// listen holds the per-rectangle AP bitmasks, listenWords words each,
+	// that scope the swept-region descent to the nodes caching a link
+	// towards the corridor's AP (region.go).
+	listen      []uint64
+	listenWords int
+
 	// scratch, reused across calls
 	evalScratch     []*Node
 	bvec            []float64
@@ -790,9 +796,7 @@ func (s *sparseState) syncEnv(nw *Network) {
 		regions, ok := nw.Env.SweptSince(from, s.sweptScratch[:0])
 		s.sweptScratch = regions[:0]
 		if ok {
-			for _, r := range regions {
-				s.regionStale(nw, r)
-			}
+			s.mapRegions(nw, regions)
 			return
 		}
 	}

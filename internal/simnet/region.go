@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"math/bits"
 
 	"mmx/internal/channel"
 )
@@ -38,7 +39,11 @@ import (
 // entirely inside the fan (capsule start inside the hull). Both tests
 // are exact segment arithmetic, so a quadtree-style descent over the
 // grid prunes whole subrectangles the corridor provably cannot touch
-// and visits O(affected cells) instead of all 16384 per corridor.
+// and visits O(affected cells) instead of all 16384 per corridor. A
+// corridor leads to one AP, so the descent also leaves every rectangle
+// that holds no node caching a link towards that AP (the listen masks
+// below): mapping costs what the APs a region's neighbourhood listens to
+// cost, not what the AP count does.
 
 // sweptSlack pads the corridor admission radius. The blockage indicator
 // and the corridor tests run different (individually exact) float
@@ -52,11 +57,17 @@ const sweptSlack = 1e-6
 // two reflection walls): the mirrored-AP apex, the capsule variant to
 // test each leg against, and each variant's angular sector from the apex
 // (the cheap prune the quadtree descent tries before exact segment
-// arithmetic).
+// arithmetic). Everything but apex, ap and secs is a property of the
+// capsule and the walls alone: buildCorridors fills that part once per
+// capsule and aim points it at one AP after another.
 type corridor struct {
 	apex channel.Vec2
+	ap   int // index of the AP the corridor leads to
 	caps [3]channel.SweptRegion
 	secs [3]sector
+	// walls are the reflecting walls themselves, node side first; the
+	// apex is the AP mirrored through them, last wall first.
+	walls [2]channel.Segment
 	// gates are the unfolded reflecting walls (w1, then M1(w2)) that
 	// segment(node, apex) must actually cross for this corridor's path
 	// to exist. Path existence is pure geometry — blockers only add
@@ -137,13 +148,25 @@ func (sc *sector) admitsPoint(apex, p channel.Vec2) bool {
 	return rx*sc.n1.X+ry*sc.n1.Y >= 0 && rx*sc.n2.X+ry*sc.n2.Y >= 0
 }
 
-func newCorridor(apex channel.Vec2, caps [3]channel.SweptRegion, n int, gates ...channel.Segment) corridor {
-	co := corridor{apex: apex, caps: caps, nCaps: n, nGates: len(gates)}
-	for c := 0; c < n; c++ {
-		co.secs[c] = makeSector(apex, caps[c])
+// newCorridor assembles the AP-independent part of a corridor: n capsule
+// variants and the reflecting walls (node side first) with their
+// unfolded images, the gates.
+func newCorridor(caps [3]channel.SweptRegion, n int, walls, gates [2]channel.Segment) corridor {
+	return corridor{caps: caps, nCaps: n, walls: walls, gates: gates, nGates: n - 1}
+}
+
+// aim points the corridor at one AP: the apex is the AP unfolded through
+// the corridor's walls, and the sectors are the capsule variants seen
+// from there.
+func (co *corridor) aim(ap *AccessPoint) {
+	apex := ap.Pose.Pos
+	for g := co.nGates - 1; g >= 0; g-- {
+		apex = co.walls[g].MirrorAcross(apex)
 	}
-	copy(co.gates[:], gates)
-	return co
+	co.apex, co.ap = apex, ap.idx
+	for c := 0; c < co.nCaps; c++ {
+		co.secs[c] = makeSector(apex, co.caps[c])
+	}
 }
 
 func mirrorSeg(w, s channel.Segment) channel.Segment {
@@ -156,107 +179,222 @@ func mirrorRegion(w channel.Segment, k channel.SweptRegion) channel.SweptRegion 
 
 // buildCorridors enumerates the unfolded corridors for swept region k,
 // mirroring appendPaths' path set: the direct segment, one bounce off
-// every wall, and every ordered wall pair up to MaxReflections — once
-// per AP apex, because a node's cached evaluations include its serving
-// link and any cross-AP interference links, and a blocker crossing a
-// path toward ANY AP can change one of them. Paths the enumeration
-// would reject (reflection point off the wall, wrong side) only shrink
-// the true affected set, so including their corridors unconditionally
-// is conservative.
+// every wall, and every ordered wall pair up to MaxReflections. The
+// mirrored capsules and gates depend on the walls alone, so the list is
+// built once per capsule and mapRegions aims it at each AP in turn.
+// Paths the enumeration would reject (reflection point off the wall,
+// wrong side) only shrink the true affected set, so including their
+// corridors unconditionally is conservative.
 func (s *sparseState) buildCorridors(nw *Network, k channel.SweptRegion) []corridor {
 	out := s.corridorScratch[:0]
-	room := nw.Env.Room
-	walls := s.wallScratch[:0]
-	walls = append(walls, room.Walls...)
-	walls = append(walls, room.Interior...)
-	s.wallScratch = walls
-	for _, a := range nw.APs {
-		ap := a.Pose.Pos
-		out = append(out, newCorridor(ap, [3]channel.SweptRegion{k}, 1))
-		if nw.Env.MaxReflections < 1 {
+	none := [2]channel.Segment{}
+	out = append(out, newCorridor([3]channel.SweptRegion{k}, 1, none, none))
+	walls := s.wallScratch
+	if nw.Env.MaxReflections < 1 {
+		walls = nil
+	}
+	for i := range walls {
+		w1 := walls[i].Seg
+		// Single bounce off w1: legs node→rp and rp→AP unfold onto
+		// node→M₁(AP); the second leg's image needs the mirrored capsule.
+		k1 := mirrorRegion(w1, k)
+		out = append(out, newCorridor([3]channel.SweptRegion{k, k1}, 2,
+			[2]channel.Segment{w1}, [2]channel.Segment{w1}))
+		if nw.Env.MaxReflections < 2 {
 			continue
 		}
-		for i := range walls {
-			w1 := walls[i].Seg
-			// Single bounce off w1: legs node→rp and rp→AP unfold onto
-			// node→M₁(AP); the second leg's image needs the mirrored capsule.
-			k1 := mirrorRegion(w1, k)
-			out = append(out, newCorridor(w1.MirrorAcross(ap), [3]channel.SweptRegion{k, k1}, 2, w1))
-			if nw.Env.MaxReflections < 2 {
+		for j := range walls {
+			if j == i {
 				continue
 			}
-			for j := range walls {
-				if j == i {
-					continue
-				}
-				w2 := walls[j].Seg
-				// Double bounce w1 then w2 (node side first, matching
-				// reflectionPoints2): apex M₁(M₂(AP)), legs test against
-				// K, M₁(K), M₁(M₂(K)).
-				out = append(out, newCorridor(
-					w1.MirrorAcross(w2.MirrorAcross(ap)),
-					[3]channel.SweptRegion{k, k1, mirrorRegion(w1, mirrorRegion(w2, k))}, 3,
-					w1, mirrorSeg(w1, w2)))
-			}
+			w2 := walls[j].Seg
+			// Double bounce w1 then w2 (node side first, matching
+			// reflectionPoints2): apex M₁(M₂(AP)), legs test against
+			// K, M₁(K), M₁(M₂(K)).
+			out = append(out, newCorridor(
+				[3]channel.SweptRegion{k, k1, mirrorRegion(w1, mirrorRegion(w2, k))}, 3,
+				[2]channel.Segment{w1, w2}, [2]channel.Segment{w1, mirrorSeg(w1, w2)}))
 		}
 	}
 	s.corridorScratch = out
 	return out
 }
 
-// regionStale marks evalStale every node some propagation path of which
-// can cross the swept region — the region-scoped replacement for the
-// stale-everything epoch response.
-func (s *sparseState) regionStale(nw *Network, k channel.SweptRegion) {
-	for i := range s.buildCorridors(nw, k) {
-		co := &s.corridorScratch[i]
-		s.descend(co, 0, 0, s.nx, s.ny)
+// mapRegions marks evalStale every node whose cached evaluations one of
+// the swept regions can have changed — the region-scoped replacement for
+// the stale-everything epoch response. A node caches exactly the links
+// it listens on: the one towards its serving AP (sp.eval, sp.power) and,
+// while it has victims served at AP j (outPerAP[j] > 0), its power there
+// (sp.xpower[j]). A corridor towards AP j therefore only needs to reach
+// the nodes listening to j; an xpower[j] left to go stale while
+// unreferenced is recomputed before anyone reads it, because addEdge
+// forces an evaluation on the 0→1 transition of outPerAP[j].
+func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
+	room := nw.Env.Room
+	s.wallScratch = append(append(s.wallScratch[:0], room.Walls...), room.Interior...)
+	s.buildListenMasks()
+	for _, k := range regions {
+		corridors := s.buildCorridors(nw, k)
+		for _, ap := range nw.APs {
+			if !s.rectListens(0, ap.idx) {
+				continue // nobody listens to this AP: skip the sector trigonometry too
+			}
+			for i := range corridors {
+				co := &corridors[i]
+				co.aim(ap)
+				s.descend(co, 0, cellRect{0, 0, s.nx, s.ny})
+			}
+		}
 	}
 }
 
-// descend walks the grid quadtree-style over the cell-index rectangle
-// [ix0, ix0+w) × [iy0, iy0+h), pruning subrectangles the corridor
-// cannot reach and testing each node in surviving leaf cells exactly.
-func (s *sparseState) descend(co *corridor, ix0, iy0, w, h int) {
-	x0 := float64(ix0) * s.cellW
-	y0 := float64(iy0) * s.cellH
-	x1 := float64(ix0+w) * s.cellW
-	y1 := float64(iy0+h) * s.cellH
+// The listen masks are one AP bitmask (listenWords words) per rectangle
+// of descend's binary split, laid out as an implicit tree: slot 0 is the
+// whole grid and the halves of slot i are slots 2i+1 and 2i+2. A
+// rectangle's mask is the union of its nodes' listen sets, so a corridor
+// towards AP j leaves a rectangle whose mask lacks bit j without a
+// single geometric test — with one AP that is the empty-rectangle prune.
+// Listen sets change with every membership, roam and edge event, so the
+// tree is not maintained: mapRegions rebuilds it from the cells, one
+// O(cells + nodes) pass per environment tick that has regions to map,
+// and nothing can change a listen set between that pass and the descents
+// that read it.
+
+// listens reports whether node n caches a link towards AP j.
+func (n *Node) listens(j int) bool {
+	return n.apIndex() == j || (n.sp.outPerAP != nil && n.sp.outPerAP[j] > 0)
+}
+
+func (s *sparseState) rectListens(slot, ap int) bool {
+	return s.listen[slot*s.listenWords+ap>>6]&(1<<(ap&63)) != 0
+}
+
+// cellRect is the cell-index rectangle [x, x+w) × [y, y+h).
+type cellRect struct{ x, y, w, h int }
+
+func (r cellRect) leaf() bool { return r.w == 1 && r.h == 1 }
+
+// halves splits the rectangle across its longer side, the first half
+// rounded down — the one binary split descend and the listen masks share.
+func (r cellRect) halves() (a, b cellRect) {
+	if r.w >= r.h {
+		return cellRect{r.x, r.y, r.w / 2, r.h}, cellRect{r.x + r.w/2, r.y, r.w - r.w/2, r.h}
+	}
+	return cellRect{r.x, r.y, r.w, r.h / 2}, cellRect{r.x, r.y + r.h/2, r.w, r.h - r.h/2}
+}
+
+func (s *sparseState) buildListenMasks() {
+	if s.listen == nil {
+		// Allocated at the first region mapping, so a network no blocker
+		// ever moves in does not carry the tree. Halving a side of n cells
+		// reaches 1 after ⌈log₂ n⌉ splits, which bounds the tree's depth.
+		depth := bits.Len(uint(s.nx-1)) + bits.Len(uint(s.ny-1))
+		s.listenWords = (s.nAPs + 63) / 64
+		s.listen = make([]uint64, (2<<depth-1)*s.listenWords)
+	}
+	s.maskRect(0, cellRect{0, 0, s.nx, s.ny})
+}
+
+// maskRect fills the mask of tree slot `slot`, which covers r, after
+// filling everything below it.
+func (s *sparseState) maskRect(slot int, r cellRect) {
+	m := s.listen[slot*s.listenWords : (slot+1)*s.listenWords]
+	clear(m)
+	if r.leaf() {
+		for _, n := range s.cells[r.y*s.nx+r.x] {
+			a := n.apIndex()
+			m[a>>6] |= 1 << (a & 63)
+			for j, cnt := range n.sp.outPerAP {
+				if cnt > 0 {
+					m[j>>6] |= 1 << (j & 63)
+				}
+			}
+		}
+		return
+	}
+	a, b := r.halves()
+	s.maskRect(2*slot+1, a)
+	s.maskRect(2*slot+2, b)
+	for i := range m {
+		m[i] = s.listen[(2*slot+1)*s.listenWords+i] | s.listen[(2*slot+2)*s.listenWords+i]
+	}
+}
+
+// descend walks the grid quadtree-style over the cell rectangle r — tree
+// slot `slot` of the listen masks — leaving rectangles nobody listens to
+// the corridor's AP from, pruning subrectangles the corridor cannot
+// reach, and testing each listening node in surviving leaf cells exactly.
+func (s *sparseState) descend(co *corridor, slot int, r cellRect) {
+	if !s.rectListens(slot, co.ap) {
+		return
+	}
+	x0 := float64(r.x) * s.cellW
+	y0 := float64(r.y) * s.cellH
+	x1 := float64(r.x+r.w) * s.cellW
+	y1 := float64(r.y+r.h) * s.cellH
 	// Boundary cells also hold any node cellIndex clamped in from
 	// outside the room, so their rectangles extend to the all-time node
 	// bounding box. (Extending to ±∞ would be sound too, but then every
 	// far apex's fan contains every capsule through the giant boundary
 	// rects and the descent degenerates into a full boundary-ring walk.)
-	if ix0 == 0 {
+	if r.x == 0 {
 		x0 = math.Min(x0, s.bbMin.X)
 	}
-	if ix0+w == s.nx {
+	if r.x+r.w == s.nx {
 		x1 = math.Max(x1, s.bbMax.X)
 	}
-	if iy0 == 0 {
+	if r.y == 0 {
 		y0 = math.Min(y0, s.bbMin.Y)
 	}
-	if iy0+h == s.ny {
+	if r.y+r.h == s.ny {
 		y1 = math.Max(y1, s.bbMax.Y)
 	}
 	if !co.nearRect(x0, y0, x1, y1) {
 		return
 	}
-	if w == 1 && h == 1 {
-		for _, n := range s.cells[iy0*s.nx+ix0] {
-			if !n.sp.evalStale && co.nearNode(n.Pose.Pos) {
+	if r.leaf() {
+		for _, n := range s.cells[r.y*s.nx+r.x] {
+			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) {
 				s.markEvalStale(n)
 			}
 		}
 		return
 	}
-	if w >= h {
-		s.descend(co, ix0, iy0, w/2, h)
-		s.descend(co, ix0+w/2, iy0, w-w/2, h)
-	} else {
-		s.descend(co, ix0, iy0, w, h/2)
-		s.descend(co, ix0, iy0+h/2, w, h-h/2)
+	a, b := r.halves()
+	s.descend(co, 2*slot+1, a)
+	s.descend(co, 2*slot+2, b)
+}
+
+// segsWithin reports whether segments s and o come within √r2 of each
+// other — Segment.DistanceToSegment(o) ≤ r on squared distances, so the
+// descent's innermost test pays no square root. The two agree except
+// within a few ulps of the boundary, which sweptSlack covers a million
+// times over.
+func segsWithin(s, o channel.Segment, r2 float64) bool {
+	if t, u, ok := s.Intersect(o); ok && t >= 0 && t <= 1 && u >= 0 && u <= 1 {
+		return true
 	}
+	return pointSegDist2(s, o.A) <= r2 || pointSegDist2(s, o.B) <= r2 ||
+		pointSegDist2(o, s.A) <= r2 || pointSegDist2(o, s.B) <= r2
+}
+
+// pointSegDist2 is the squared distance from p to segment s, following
+// Segment.DistanceTo's arithmetic up to the final square root.
+func pointSegDist2(s channel.Segment, p channel.Vec2) float64 {
+	d := s.B.Sub(s.A)
+	q := s.A
+	if l2 := d.Dot(d); l2 != 0 {
+		t := p.Sub(s.A).Dot(d) / l2
+		if t < 0 {
+			t = 0
+		}
+		if t > 1 {
+			t = 1
+		}
+		q = s.PointAt(t)
+	}
+	e := q.Sub(p)
+	return e.Dot(e)
 }
 
 // nearNode is the exact per-node corridor test applied inside surviving
@@ -310,7 +448,8 @@ func (co *corridor) nearNode(p channel.Vec2) bool {
 			}
 		}
 		k := &co.caps[c]
-		if k.Seg.DistanceToSegment(leg) <= k.Radius+sweptSlack {
+		reach := k.Radius + sweptSlack
+		if segsWithin(k.Seg, leg, reach*reach) {
 			return true
 		}
 	}
@@ -331,13 +470,14 @@ func (co *corridor) nearRect(x0, y0, x1, y1 float64) bool {
 		}
 		k := &co.caps[c]
 		reach := k.Radius + sweptSlack
+		r2 := reach * reach
 		for i := 0; i < 4; i++ {
 			edge := channel.Segment{A: corners[i], B: corners[(i+1)%4]}
-			if k.Seg.DistanceToSegment(edge) <= reach {
+			if segsWithin(k.Seg, edge, r2) {
 				return true
 			}
 			spoke := channel.Segment{A: co.apex, B: corners[i]}
-			if k.Seg.DistanceToSegment(spoke) <= reach {
+			if segsWithin(k.Seg, spoke, r2) {
 				return true
 			}
 		}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 	s := nw.sparse
 
 	const steps = 150
-	changed, staled, population := 0, 0, 0
+	var tally regionTally
 	for step := 0; step < steps; step++ {
 		if step%25 == 24 { // re-aim the walkers so they roam the whole room
 			for _, b := range env.Blockers {
@@ -62,30 +63,173 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 		}
 		env.Step(prng.Uniform(0.02, 0.1))
 		s.syncEnv(nw) // marks the dirty set without settling it
-		for _, n := range nw.Nodes {
-			population++
-			fresh := n.Link.EvaluateWithClass()
-			if fresh != n.sp.eval {
-				changed++
-				if !n.sp.evalStale {
-					t.Fatalf("step %d: node %d's evaluation changed but was not invalidated\ncached %+v\nfresh  %+v",
-						step, n.ID, n.sp.eval, fresh)
-				}
-			}
-			if n.sp.evalStale {
-				staled++
-			}
-		}
+		checkRegionStep(t, nw, step, &tally)
 		nw.EvaluateSINR() // settle so the caches are fresh for the next step
 	}
-	if changed == 0 {
+	if tally.servingChanged == 0 {
 		t.Fatal("walk never changed any node's evaluation — the property was vacuous")
 	}
-	if staled >= population {
+	if tally.staled >= tally.population {
 		t.Fatal("every node was staled on every step — region invalidation degenerated to stale-everything")
 	}
 	t.Logf("%d steps: %d node-evals changed, %d staled of %d node-steps (%.1f%%)",
-		steps, changed, staled, population, 100*float64(staled)/float64(population))
+		steps, tally.servingChanged, tally.staled, tally.population, 100*float64(tally.staled)/float64(tally.population))
+}
+
+// regionTally accumulates what checkRegionStep saw over a walk.
+type regionTally struct {
+	population, staled int // node-steps checked, and how many were evalStale
+	servingChanged     int // serving-link evaluations a fresh trace read differently
+	crossLive          int // live xpower entries checked: (node, foreign AP) listeners
+	crossChanged       int // of those, the ones a fresh trace read differently
+}
+
+// checkRegionStep is the soundness property after one syncEnv, before the
+// settle: every value a node caches about the environment — the
+// evaluation of its serving link, and its power at every foreign AP it
+// has victims at — either still equals a fresh trace or belongs to a node
+// marked evalStale.
+func checkRegionStep(t *testing.T, nw *Network, step int, tally *regionTally) {
+	t.Helper()
+	for _, n := range nw.Nodes {
+		tally.population++
+		if n.sp.evalStale {
+			tally.staled++
+		}
+		if fresh := n.Link.EvaluateWithClass(); fresh != n.sp.eval {
+			tally.servingChanged++
+			if !n.sp.evalStale {
+				t.Fatalf("step %d: node %d's evaluation changed but was not invalidated\ncached %+v\nfresh  %+v",
+					step, n.ID, n.sp.eval, fresh)
+			}
+		}
+		for a, cnt := range n.sp.outPerAP {
+			if cnt <= 0 || a == n.apIndex() {
+				continue
+			}
+			tally.crossLive++
+			if fresh := nw.crossPower(n, a); fresh != n.sp.xpower[a] {
+				tally.crossChanged++
+				if !n.sp.evalStale {
+					t.Fatalf("step %d: node %d: xpower[%d] changed, not staled (cached %g, fresh %g)",
+						step, n.ID, a, n.sp.xpower[a], fresh)
+				}
+			}
+		}
+	}
+}
+
+// apNetwork builds a network over env with one AP at each position,
+// facing the middle of the room, a factor-reuse plan and the sparse core
+// at the default cutoff.
+func apNetwork(t testing.TB, env *channel.Environment, seed uint64, aps []channel.Vec2, reuse int) *Network {
+	t.Helper()
+	mid := channel.Vec2{X: env.Room.Width / 2, Y: env.Room.Height / 2}
+	var nw *Network
+	for k, pos := range aps {
+		pose := channel.Pose{Pos: pos, Orientation: mid.Sub(pos).Angle()}
+		if k == 0 {
+			nw = New(env, pose, seed+1000)
+		} else if _, err := nw.AddAP(pose); err != nil {
+			t.Fatalf("AddAP %d: %v", k, err)
+		}
+	}
+	if err := nw.PlanReuse(reuse); err != nil {
+		t.Fatalf("PlanReuse(%d): %v", reuse, err)
+	}
+	nw.SetCouplingMode(CouplingSparse)
+	return nw
+}
+
+// gridAPNetwork is apNetwork on a side×side m hall with a g×g grid of
+// APs: on a large enough field a node is heard at some foreign APs and
+// not at others.
+func gridAPNetwork(t testing.TB, seed uint64, side float64, g, reuse int) *Network {
+	t.Helper()
+	room := channel.NewRoom(side, side, stats.NewRNG(seed))
+	aps := make([]channel.Vec2, g*g)
+	for k := range aps {
+		aps[k] = channel.Vec2{X: (float64(k%g) + 0.5) * side / float64(g), Y: (float64(k/g) + 0.5) * side / float64(g)}
+	}
+	return apNetwork(t, channel.NewEnvironment(room, units.ISM24GHzCenter), seed, aps, reuse)
+}
+
+// joinUniform joins nodes 1..n at poses drawn uniformly over the room,
+// each facing its nearest AP.
+func joinUniform(t testing.TB, nw *Network, prng *stats.RNG, n int) {
+	t.Helper()
+	w, h := nw.Env.Room.Width, nw.Env.Room.Height
+	for i := 1; i <= n; i++ {
+		pos := channel.Vec2{X: prng.Uniform(1, w-1), Y: prng.Uniform(1, h-1)}
+		pose := channel.Pose{Pos: pos, Orientation: nw.selectAP(pos).Pose.Pos.Sub(pos).Angle()}
+		if _, err := nw.Join(uint32(i), pose, 1e6, Telemetry(5)); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+}
+
+// TestRegionInvalidationSoundnessMultiAP is the same property where the
+// per-AP scoping of the descent matters: 16 APs on a field large enough
+// that a node is heard at some foreign APs and not at others, so a
+// corridor towards AP j must reach j's shard and its cross listeners and
+// may skip everyone else. Besides the serving evaluations it checks every
+// live xpower entry, which no Run-level fingerprint protects while the
+// cross listeners happen to sit inside the shard's own corridors.
+func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
+	const (
+		side  = 200.0
+		nodes = 600
+		steps = 60
+	)
+	nw := gridAPNetwork(t, 41, side, 4, 4)
+	env := nw.Env
+	env.Room.AddInteriorWall(channel.Segment{
+		A: channel.Vec2{X: 90, Y: 40}, B: channel.Vec2{X: 90, Y: 150},
+	}, 8, 7)
+	prng := stats.NewRNG(43)
+	joinUniform(t, nw, prng, nodes)
+	aim := func(b *channel.Blocker) {
+		b.Vel = channel.Vec2{X: prng.Uniform(-2, 2), Y: prng.Uniform(-2, 2)}
+	}
+	for k := 0; k < 4; k++ {
+		b := &channel.Blocker{
+			Pos:    channel.Vec2{X: prng.Uniform(20, side-20), Y: prng.Uniform(20, side-20)},
+			Radius: 0.4 + 0.1*float64(k),
+			LossDB: 12,
+		}
+		aim(b)
+		env.AddBlocker(b)
+	}
+	nw.EvaluateSINR() // settle the baseline caches
+
+	var tally regionTally
+	for step := 0; step < steps; step++ {
+		if step%15 == 14 {
+			for _, b := range env.Blockers {
+				aim(b)
+			}
+		}
+		env.Step(prng.Uniform(0.02, 0.1))
+		nw.sparse.syncEnv(nw)
+		checkRegionStep(t, nw, step, &tally)
+		nw.EvaluateSINR()
+	}
+	if all := tally.population * (len(nw.APs) - 1); tally.crossLive == 0 || tally.crossLive >= all {
+		t.Fatalf("%d of %d possible cross listeners — per-AP scoping has nothing to decide", tally.crossLive, all)
+	}
+	if tally.servingChanged == 0 || tally.crossChanged == 0 {
+		t.Fatalf("walk changed %d serving evaluations and %d xpower entries — the property was vacuous",
+			tally.servingChanged, tally.crossChanged)
+	}
+	// Unfolding every capsule towards every AP for every node stales 99.6%
+	// of the node-steps of this walk; scoped to listeners it is 73%.
+	if 10*tally.staled >= 8*tally.population {
+		t.Fatalf("%d of %d node-steps staled — the descent is not scoped to the APs a node listens to",
+			tally.staled, tally.population)
+	}
+	t.Logf("%d cross listeners per step; %d steps: %d serving and %d xpower changes, %d staled of %d node-steps (%.1f%%)",
+		tally.crossLive/steps, steps, tally.servingChanged, tally.crossChanged, tally.staled, tally.population,
+		100*float64(tally.staled)/float64(tally.population))
 }
 
 // TestRegionRunMatchesStaleEverything requires the region-invalidated
@@ -273,5 +417,196 @@ func TestFusedTickDeterminismAcrossWorkers(t *testing.T) {
 					w, s.PerNode[i].ID, baseS.PerNode[i], s.PerNode[i])
 			}
 		}
+	}
+}
+
+// TestMultiAPRegionRunMatchesStaleEverything is the Run-level form of the
+// per-AP scoping contract, on the scenario where listen sets do not hold
+// still: lossy control, Poisson churn, a crash and reboot, hysteresis
+// roaming and a sweeping blocker move nodes between shards and make and
+// break cross-shard edges while the blocker's regions are being mapped.
+// The region-scoped run must be byte-identical to the stale-everything
+// hook — statistics, association histories and final reports — and to
+// itself at eight workers.
+func TestMultiAPRegionRunMatchesStaleEverything(t *testing.T) {
+	type outcome struct {
+		fp       string
+		reports  []Report
+		st       RunStats
+		relisten int // nodes whose cross-listen set changed between two membership events
+	}
+	run := func(staleEverything bool, workers int) outcome {
+		nw := multiAPNetwork(t, 58, 4)
+		nw.staleEveryTick = staleEverything
+		nw.SetCouplingMode(CouplingSparse)
+		nw.Workers = workers
+		multiAPChurnPlan(t, nw, 58, 16, 8, 6)
+		nw.Faults = faults.NewPlan().Crash(0.3, 5).Reboot(0.7, 5)
+		var o outcome
+		last := map[uint32]uint64{}
+		snapshot := func() {
+			for _, n := range nw.Nodes {
+				var set uint64
+				for a, cnt := range n.sp.outPerAP {
+					if cnt > 0 {
+						set |= 1 << a
+					}
+				}
+				if was, seen := last[n.ID]; seen && was != set {
+					o.relisten++
+				}
+				last[n.ID] = set
+			}
+		}
+		snapshot()
+		nw.OnMembership = func(string, uint32) { snapshot() }
+		o.st = nw.Run(1.2, 0.05, 10)
+		o.fp = fingerprintMultiAP(o.st)
+		o.reports = nw.EvaluateSINR()
+		return o
+	}
+	region, stale, wide := run(false, 1), run(true, 1), run(false, 8)
+	for name, other := range map[string]outcome{"stale-everything": stale, "Workers=8": wide} {
+		if region.fp != other.fp {
+			t.Errorf("region run diverges from %s:\n--- region ---\n%s--- %s ---\n%s", name, region.fp, name, other.fp)
+		}
+		if len(region.reports) != len(other.reports) {
+			t.Fatalf("%s: %d reports, region run has %d", name, len(other.reports), len(region.reports))
+		}
+		for i := range region.reports {
+			if region.reports[i] != other.reports[i] {
+				t.Errorf("node %d: report not byte-identical to %s\nregion %+v\nother  %+v",
+					region.reports[i].ID, name, region.reports[i], other.reports[i])
+			}
+		}
+	}
+	if region.st.Roams == 0 {
+		t.Error("no node roamed — serving shards never changed under the mapping")
+	}
+	if region.relisten == 0 {
+		t.Error("no node gained or lost a cross-shard edge mid-run — the listen sets held still")
+	}
+	t.Logf("roams=%d, cross-listen sets changed %d times", region.st.Roams, region.relisten)
+}
+
+// FuzzRegionSoundness runs checkRegionStep on one blocker move in a
+// generated deployment: room size, AP count and placement, reuse factor,
+// reflection order, an optional interior wall, node count, poses outside
+// the room (clamped into boundary cells) and the capsule itself are all
+// inputs. More than 64 APs puts the listen masks on two words.
+func FuzzRegionSoundness(f *testing.F) {
+	// The two property tests' shapes, and a 70-AP deployment.
+	f.Add(uint64(31), 20.0, uint8(0), uint8(0), uint8(2), uint16(35), uint8(0), 0.3, 0.4, 0.32, 0.43, 0.25)
+	f.Add(uint64(41), 200.0, uint8(15), uint8(3), uint8(2), uint16(399), uint8(0), 0.45, 0.5, 0.46, 0.49, 0.5)
+	f.Add(uint64(7), 300.0, uint8(69), uint8(3), uint8(1), uint16(299), uint8(5), 0.2, 0.7, 0.21, 0.72, 0.4)
+	f.Add(uint64(12), 60.0, uint8(3), uint8(1), uint8(0), uint16(80), uint8(7), 0.0, 0.0, 1.0, 1.0, 1.5)
+	f.Fuzz(func(t *testing.T, seed uint64, side float64, aps, reuse, refl uint8, nodes uint16, outside uint8,
+		fromX, fromY, toX, toY, radius float64) {
+		for _, v := range []float64{side, fromX, fromY, toX, toY, radius} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite input")
+			}
+		}
+		side = math.Min(math.Max(side, 5), 500)
+		radius = math.Min(math.Max(radius, 0.05), 2)
+		frac := func(v float64) float64 { return side * math.Min(math.Max(v, 0), 1) }
+		rng := stats.NewRNG(seed)
+		room := channel.NewRoom(side, side, rng)
+		if seed&1 == 1 {
+			room.AddInteriorWall(channel.Segment{
+				A: channel.Vec2{X: 0.45 * side, Y: 0.2 * side}, B: channel.Vec2{X: 0.45 * side, Y: 0.75 * side},
+			}, 8, 7)
+		}
+		env := channel.NewEnvironment(room, units.ISM24GHzCenter)
+		env.MaxReflections = int(refl) % 3
+		at := make([]channel.Vec2, 1+int(aps)%80)
+		for k := range at {
+			at[k] = channel.Vec2{X: rng.Uniform(0, side), Y: rng.Uniform(0, side)}
+		}
+		nw := apNetwork(t, env, seed, at, 1+int(reuse)%min(len(at), 8))
+		for i := 0; i < 1+int(nodes)%400; i++ {
+			pos := channel.Vec2{X: rng.Uniform(0, side), Y: rng.Uniform(0, side)}
+			if i < int(outside)%8 {
+				pos.X += side * float64(2*(i%2)-1) // left or right of the room
+			}
+			pose := channel.Pose{Pos: pos, Orientation: nw.selectAP(pos).Pose.Pos.Sub(pos).Angle()}
+			// A join the spectrum cannot admit just leaves a smaller fleet.
+			_, _ = nw.Join(uint32(i+1), pose, 1e6, Telemetry(5))
+		}
+		from := channel.Vec2{X: frac(fromX), Y: frac(fromY)}
+		b := &channel.Blocker{Pos: from, Radius: radius, LossDB: 12}
+		env.AddBlocker(b)
+		nw.EvaluateSINR()
+		b.Vel = channel.Vec2{X: frac(toX), Y: frac(toY)}.Sub(from)
+		env.Step(1)
+		nw.sparse.syncEnv(nw)
+		checkRegionStep(t, nw, 0, &regionTally{})
+	})
+}
+
+// TestRegionMappingAllocatesNothing pins the whole mapping — swept log
+// read, wall list, listen-mask rebuild, corridors, descent, dirty marks —
+// at zero allocations per environment tick once warm, with one AP and
+// with sixteen.
+func TestRegionMappingAllocatesNothing(t *testing.T) {
+	for _, g := range []int{1, 4} {
+		nw := gridAPNetwork(t, 47, 200, g, g)
+		prng := stats.NewRNG(48)
+		joinUniform(t, nw, prng, 600)
+		for k := 0; k < 4; k++ {
+			nw.Env.AddBlocker(&channel.Blocker{
+				Pos:    channel.Vec2{X: prng.Uniform(20, 180), Y: prng.Uniform(20, 180)},
+				Radius: 0.4, LossDB: 12,
+				Vel: channel.Vec2{X: prng.Uniform(-2, 2), Y: prng.Uniform(-2, 2)},
+			})
+		}
+		// Warm: the first settle sizes the dirty list to the membership,
+		// the first mapping allocates the mask tree and the scratch lists,
+		// and forty steps grow the swept log (and the scratch copy of it)
+		// past what the measured ones add.
+		for i := 0; i < 40; i++ {
+			nw.Env.Step(0.05)
+		}
+		nw.EvaluateSINR()
+		allocs := testing.AllocsPerRun(20, func() {
+			nw.Env.Step(0.05)
+			nw.sparse.syncEnv(nw)
+		})
+		if allocs != 0 {
+			t.Errorf("%d APs: a warm walker step + syncEnv allocates %.0f times, want 0", g*g, allocs)
+		}
+	}
+}
+
+// BenchmarkRegionMap is the region-mapping phase on its own rung: the
+// benchmark driver's 12 000-node field (constant density, four walkers
+// on a ring around AP 0 crossing its sight lines), one iteration = one
+// 0.25 s environment tick mapped and settled, single worker.
+func BenchmarkRegionMap(b *testing.B) {
+	for _, g := range []int{1, 4} {
+		b.Run(fmt.Sprintf("aps=%d", g*g), func(b *testing.B) {
+			const nodes, walkers = 12000, 4
+			side := 6000 * math.Sqrt(nodes/1000.0)
+			nw := gridAPNetwork(b, 61, side, g, min(g*g, 4))
+			nw.Workers = 1
+			joinUniform(b, nw, stats.NewRNG(62), nodes)
+			ap := nw.APs[0].Pose.Pos
+			for k := 0; k < walkers; k++ {
+				sin, cos := math.Sincos(2 * math.Pi * float64(k) / walkers)
+				r := 50 + 150*float64(k)/(walkers-1)
+				nw.Env.AddBlocker(&channel.Blocker{
+					Pos:    channel.Vec2{X: ap.X + r*cos, Y: ap.Y + r*sin},
+					Radius: 0.3, LossDB: 15,
+					Vel: channel.Vec2{X: -1.5 * sin, Y: 1.5 * cos},
+				})
+			}
+			nw.EvaluateSINR()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				nw.Env.Step(0.25)
+				nw.sparse.settle(nw) // syncEnv, then the eval and finish passes
+			}
+		})
 	}
 }
