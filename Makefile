@@ -14,7 +14,7 @@ BENCH_AP_BASELINE ?= BENCH_ap.json
 # region-invalidated environment tick) runs each size once — an
 # iteration is a whole churning Run, seconds long, so -benchtime=1x
 # keeps the gate affordable. RunTraffic times Run alone on
-# a frame-dispatch-bound fleet (the scale rungs are three quarters Join)
+# a frame-dispatch-bound fleet (the scale rungs are two thirds Join)
 # and pins the event engine at zero allocations per frame.
 BENCH_NET_PATTERN  ?= NetworkScale|RunTraffic
 BENCH_NET_BASELINE ?= BENCH_net.json

@@ -471,7 +471,7 @@ func benchNetworkBlockers(b *testing.B, size int) {
 // BenchmarkNetworkScale field, admitted before the timer starts. The
 // field is too wide for any ladder step to close, so an iteration is
 // ≈240 k outage frames through the event engine — the scale rungs above
-// spend three quarters of their time in Join and cannot see it. The
+// spend two thirds of their time in Join and cannot see it. The
 // allocs/op gate pins the engine's per-frame allocation count at zero:
 // what remains is Run's fixed start.
 func BenchmarkRunTraffic(b *testing.B) {

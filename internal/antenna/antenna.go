@@ -171,11 +171,26 @@ type FixedBeam struct {
 	}
 	// PeakDBi is the power gain at the pattern maximum.
 	PeakDBi float64
+	// amp is the field amplitude 10^(ampDBi/20) NewFixedBeam computed, so
+	// FieldGain does not raise the same power on every call. A literal
+	// FixedBeam has none, and one whose PeakDBi was edited since no longer
+	// matches ampDBi; both compute the amplitude per call.
+	amp, ampDBi float64
+}
+
+// NewFixedBeam returns the FixedBeam of source (an element, an array, any
+// normalized Field) at peakDBi with its field amplitude computed once. It
+// behaves exactly like the struct literal.
+func NewFixedBeam(source Element, peakDBi float64) FixedBeam {
+	return FixedBeam{Source: source, PeakDBi: peakDBi, amp: math.Pow(10, peakDBi/20), ampDBi: peakDBi}
 }
 
 // FieldGain implements Pattern.
 func (b FixedBeam) FieldGain(theta float64) complex128 {
-	amp := math.Pow(10, b.PeakDBi/20)
+	amp := b.amp
+	if amp == 0 || b.ampDBi != b.PeakDBi {
+		amp = math.Pow(10, b.PeakDBi/20)
+	}
 	return b.Source.Field(theta) * complex(amp, 0)
 }
 

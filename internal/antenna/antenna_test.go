@@ -234,3 +234,40 @@ func TestHalfPowerBeamwidthDegenerate(t *testing.T) {
 type zeroSource struct{}
 
 func (zeroSource) Field(theta float64) complex128 { return 0 }
+
+// TestNewFixedBeamMatchesLiteral pins the constructor's stored amplitude
+// to the per-call computation of a struct literal, bit for bit, for every
+// builder's sources and gains — and checks that editing PeakDBi on a
+// constructed beam is honoured, not answered from the stored amplitude.
+func TestNewFixedBeamMatchesLiteral(t *testing.T) {
+	literal := func(p Pattern) FixedBeam {
+		fb := p.(FixedBeam)
+		return FixedBeam{Source: fb.Source, PeakDBi: fb.PeakDBi}
+	}
+	built := map[string]Pattern{"ap": NewAPAntenna()}
+	for name, nb := range map[string]NodeBeams{
+		"node": NewNodeBeams(), "non-orthogonal": NewNonOrthogonalBeams(),
+		"extended": NewExtendedNodeBeams(), "narrow8": NewNarrowNodeBeams(8),
+	} {
+		built[name+"/beam0"], built[name+"/beam1"] = nb.Beam0, nb.Beam1
+	}
+	const samples = 4096
+	for name, p := range built {
+		if p.(FixedBeam).amp == 0 {
+			t.Errorf("%s: built without NewFixedBeam", name)
+		}
+		lit := literal(p)
+		edited := p.(FixedBeam)
+		edited.PeakDBi += 3
+		editedLit := literal(edited)
+		for k := 0; k < samples; k++ {
+			th := -math.Pi + 2*math.Pi*float64(k)/samples
+			if got, want := p.FieldGain(th), lit.FieldGain(th); got != want {
+				t.Fatalf("%s at %g: constructed %v, literal %v", name, th, got, want)
+			}
+			if got, want := edited.FieldGain(th), editedLit.FieldGain(th); got != want {
+				t.Fatalf("%s at %g after a PeakDBi edit: %v, literal %v", name, th, got, want)
+			}
+		}
+	}
+}

@@ -41,8 +41,8 @@ func magSq(c complex128) float64 { return real(c)*real(c) + imag(c)*imag(c) }
 // (a node can be mounted in any orientation).
 func NewExtendedNodeBeams() NodeBeams {
 	return NodeBeams{
-		Beam0: FixedBeam{Source: MirroredSource{Front: NewNodeBeam0()}, PeakDBi: NodePeakGainDBi},
-		Beam1: FixedBeam{Source: MirroredSource{Front: NewNodeBeam1()}, PeakDBi: NodePeakGainDBi},
+		Beam0: NewFixedBeam(MirroredSource{Front: NewNodeBeam0()}, NodePeakGainDBi),
+		Beam1: NewFixedBeam(MirroredSource{Front: NewNodeBeam1()}, NodePeakGainDBi),
 	}
 }
 
@@ -73,8 +73,8 @@ func NewNarrowNodeBeams(elems int) NodeBeams {
 		}
 	}
 	return NodeBeams{
-		Beam0: FixedBeam{Source: b0, PeakDBi: gain},
-		Beam1: FixedBeam{Source: b1, PeakDBi: gain},
+		Beam0: NewFixedBeam(b0, gain),
+		Beam1: NewFixedBeam(b1, gain),
 	}
 }
 

@@ -49,8 +49,8 @@ type NodeBeams struct {
 // NewNodeBeams builds the orthogonal pair used by every mmX node.
 func NewNodeBeams() NodeBeams {
 	return NodeBeams{
-		Beam0: FixedBeam{Source: NewNodeBeam0(), PeakDBi: NodePeakGainDBi},
-		Beam1: FixedBeam{Source: NewNodeBeam1(), PeakDBi: NodePeakGainDBi},
+		Beam0: NewFixedBeam(NewNodeBeam0(), NodePeakGainDBi),
+		Beam1: NewFixedBeam(NewNodeBeam1(), NodePeakGainDBi),
 	}
 }
 
@@ -72,8 +72,8 @@ func NewNonOrthogonalBeams() NodeBeams {
 	right := NewULA(DefaultPatch(), 2, 0.5)
 	right.SteerTo(20 * math.Pi / 180)
 	return NodeBeams{
-		Beam0: FixedBeam{Source: left, PeakDBi: NodePeakGainDBi},
-		Beam1: FixedBeam{Source: right, PeakDBi: NodePeakGainDBi},
+		Beam0: NewFixedBeam(left, NodePeakGainDBi),
+		Beam1: NewFixedBeam(right, NodePeakGainDBi),
 	}
 }
 
@@ -86,10 +86,7 @@ const (
 
 // NewAPAntenna returns the access point's receive antenna pattern.
 func NewAPAntenna() Pattern {
-	return FixedBeam{
-		Source:  NewCosPower(APAntennaHPBWDeg * math.Pi / 180),
-		PeakDBi: APAntennaGainDBi,
-	}
+	return NewFixedBeam(NewCosPower(APAntennaHPBWDeg*math.Pi/180), APAntennaGainDBi)
 }
 
 // PatternCut samples a pattern's power gain (dB) over [-π, π) at n evenly

@@ -478,3 +478,82 @@ func TestElevationGainShape(t *testing.T) {
 		t.Error("hpbw=0 should disable the factor")
 	}
 }
+
+// TestBeamGainsMatchPerBeamGain pins the shared two-beam kernel to the
+// single-pattern API it replaces as the evaluation path: for every scene
+// below, BeamGains and BeamGainsWithClass must return exactly the complex
+// numbers Gain returns for each beam on its own (==, not within ε — the
+// simulator's fingerprints hash these bits) and the class BestPathClass
+// returns. Gain sums PathGain, which the kernel does not call, so a
+// re-associated product or a dropped factor shows here.
+func TestBeamGainsMatchPerBeamGain(t *testing.T) {
+	literal := func(nb antenna.NodeBeams) antenna.NodeBeams {
+		strip := func(p antenna.Pattern) antenna.Pattern {
+			fb := p.(antenna.FixedBeam)
+			return antenna.FixedBeam{Source: fb.Source, PeakDBi: fb.PeakDBi}
+		}
+		return antenna.NodeBeams{Beam0: strip(nb.Beam0), Beam1: strip(nb.Beam1)}
+	}
+	beamSets := map[string]antenna.NodeBeams{
+		"node":           antenna.NewNodeBeams(),
+		"non-orthogonal": antenna.NewNonOrthogonalBeams(),
+		"extended":       antenna.NewExtendedNodeBeams(),
+		"narrow":         antenna.NewNarrowNodeBeams(6),
+		"literal":        literal(antenna.NewNodeBeams()),
+	}
+	apPats := map[string]antenna.Pattern{"ap": antenna.NewAPAntenna(), "iso": isoPat()}
+
+	rng := stats.NewRNG(23)
+	scenes := 0
+	classes := map[string]int{}
+	for room := 0; room < 6; room++ {
+		for maxR := 0; maxR <= 2; maxR++ {
+			e := NewEnvironment(NewRoom(8, 5, stats.NewRNG(uint64(100+room))), units.ISM24GHzCenter)
+			e.MaxReflections = maxR
+			e.Room.AddInteriorWall(Segment{Vec2{3, 1}, Vec2{3, 3.5}}, 8, 7)
+			ap := Pose{Pos: Vec2{7.5, 2.5}, Orientation: math.Pi}
+			if room%2 == 1 {
+				// A height difference with both elevation patterns on.
+				ap.Height = 1.2
+				e.TxElevationHPBW = 65 * math.Pi / 180
+				e.RxElevationHPBW = 62 * math.Pi / 180
+			}
+			nodes := []Pose{{Pos: ap.Pos, Orientation: 0.4}} // a node placed on the AP
+			for k := 0; k < 8; k++ {
+				nodes = append(nodes, Pose{
+					Pos:         Vec2{rng.Uniform(0.2, 7.8), rng.Uniform(0.2, 4.8)},
+					Orientation: rng.Uniform(-math.Pi, math.Pi),
+					Height:      rng.Uniform(0, 0.3) * float64(room%2),
+				})
+			}
+			for i, node := range nodes {
+				e.Blockers = e.Blockers[:0]
+				switch i % 3 {
+				case 1: // on the sight line
+					mid := node.Pos.Add(ap.Pos.Sub(node.Pos).Scale(0.5))
+					e.AddBlocker(&Blocker{Pos: mid, Radius: 0.3, LossDB: 12.5})
+				case 2: // off it (it may still sit on a reflection)
+					e.AddBlocker(&Blocker{Pos: Vec2{rng.Uniform(0.5, 7.5), rng.Uniform(0.5, 4.5)}, Radius: 0.25, LossDB: 11})
+				}
+				class := e.BestPathClass(node.Pos, ap.Pos)
+				classes[class]++
+				for bname, nb := range beamSets {
+					for pname, pat := range apPats {
+						scenes++
+						w0 := e.Gain(node, nb.Beam0, ap, pat)
+						w1 := e.Gain(node, nb.Beam1, ap, pat)
+						h0, h1, c := e.BeamGainsWithClass(node, nb, ap, pat)
+						g0, g1 := e.BeamGains(node, nb, ap, pat)
+						if h0 != w0 || h1 != w1 || g0 != w0 || g1 != w1 || c != class {
+							t.Fatalf("room %d refl %d node %d %s/%s: kernel (%v, %v, %q), BeamGains (%v, %v), per-beam Gain (%v, %v, %q)",
+								room, maxR, i, bname, pname, h0, h1, c, g0, g1, w0, w1, class)
+						}
+					}
+				}
+			}
+		}
+	}
+	if scenes < 1000 || classes["los"] == 0 || classes["nlos"] == 0 || classes["blocked"] == 0 {
+		t.Fatalf("thin coverage: %d scenes, classes %v", scenes, classes)
+	}
+}

@@ -87,29 +87,48 @@ func (e *Environment) GainDB(txPose Pose, txPat antenna.Pattern, rxPose Pose, rx
 	return 20 * math.Log10(a)
 }
 
-// BeamGains evaluates the channel separately for the node's two OTAM
-// beams — the pair of complex gains (h0 for Beam 0, h1 for Beam 1) whose
-// magnitude difference IS the over-the-air ASK modulation depth.
+// BeamGains evaluates the channel for the node's two OTAM beams — the
+// pair of complex gains (h0 for Beam 0, h1 for Beam 1) whose magnitude
+// difference IS the over-the-air ASK modulation depth.
 func (e *Environment) BeamGains(nodePose Pose, beams antenna.NodeBeams, apPose Pose, apPat antenna.Pattern) (h0, h1 complex128) {
-	h0 = e.Gain(nodePose, beams.Beam0, apPose, apPat)
-	h1 = e.Gain(nodePose, beams.Beam1, apPose, apPat)
+	h0, h1, _ = e.BeamGainsWithClass(nodePose, beams, apPose, apPat)
 	return h0, h1
 }
 
 // BeamGainsWithClass evaluates both OTAM beams and classifies the
-// propagation regime from a single path enumeration. The gains are
-// bit-identical to BeamGains (same paths in the same order, same
-// per-path arithmetic) and the class matches BestPathClass; sharing the
-// enumeration matters because ray tracing dominates a link evaluation,
-// and the separate entry points each pay for it again.
+// propagation regime from a single path enumeration. Everything about a
+// path that does not depend on the transmit beam — the AP-side field gain,
+// the spreading, elevation and excess-loss amplitude, the carrier phasor —
+// is computed once and shared by the two beams; each beam's product is
+// then formed in PathGain's own order, (tx·rx)·phasor, so h0 and h1 are
+// bit-identical to Gain(Beam0) and Gain(Beam1), and the class matches
+// BestPathClass. Ray tracing dominates a link evaluation, which is why the
+// enumeration is shared too.
 func (e *Environment) BeamGainsWithClass(nodePose Pose, beams antenna.NodeBeams, apPose Pose, apPat antenna.Pattern) (h0, h1 complex128, class string) {
 	s := pathScratchPool.Get().(*pathScratch)
 	s.out, s.backing = e.appendPaths(nodePose.Pos, apPose.Pos, s.out, s.backing)
+	lambda := units.Wavelength(e.FreqHz)
+	dh := apPose.Height - nodePose.Height
 	for _, p := range s.out {
-		h0 += e.PathGain(p, nodePose, beams.Beam0, apPose, apPat)
-	}
-	for _, p := range s.out {
-		h1 += e.PathGain(p, nodePose, beams.Beam1, apPose, apPat)
+		if p.Length <= 0 {
+			continue // PathGain contributes 0
+		}
+		dep := wrap(p.DepartureAngle - nodePose.Orientation)
+		arr := wrap(p.ArrivalAngle - apPose.Orientation)
+		length := p.Length
+		elevFactor := 1.0
+		if dh != 0 {
+			length = math.Hypot(p.Length, dh)
+			elev := math.Atan2(math.Abs(dh), p.Length)
+			elevFactor = elevationGain(elev, e.TxElevationHPBW) *
+				elevationGain(elev, e.RxElevationHPBW)
+		}
+		amp := lambda / (4 * math.Pi * length) * elevFactor
+		amp *= math.Pow(10, -p.ExcessLossDB()/20)
+		phasor := cmplx.Rect(amp, -2*math.Pi*length/lambda)
+		rx := apPat.FieldGain(arr)
+		h0 += beams.Beam0.FieldGain(dep) * rx * phasor
+		h1 += beams.Beam1.FieldGain(dep) * rx * phasor
 	}
 	class = pathClass(s.out)
 	pathScratchPool.Put(s)

@@ -149,10 +149,10 @@ func (l *Link) Evaluate() Evaluation {
 }
 
 // EvaluateWithClass is Evaluate plus the propagation path class, computed
-// from a single path enumeration instead of the three that separate
-// Evaluate + BestPathClass calls would pay. The gains (and everything
-// derived from them) are bit-identical to Evaluate's. This is the network
-// engine's per-node hot path.
+// from the same path enumeration instead of the second one a separate
+// BestPathClass call would pay. The gains (and everything derived from
+// them) are Evaluate's: both run channel.BeamGainsWithClass. This is the
+// network engine's per-node hot path.
 func (l *Link) EvaluateWithClass() Evaluation {
 	h0, h1, class := l.Env.BeamGainsWithClass(l.Node, l.Beams, l.AP, l.APPattern)
 	ev := l.evaluateGains(h0, h1)

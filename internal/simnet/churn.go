@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mmx/internal/channel"
-	"mmx/internal/core"
 	"mmx/internal/mac"
 )
 
@@ -83,8 +82,7 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 	rs.pending[id] = true
 	rs.sim.After(took, func() {
 		delete(rs.pending, id)
-		n.Link = core.NewLink(nw.Env, pose, ap.Pose)
-		n.Link.Beams = nw.NodeBeams
+		n.Link = nw.newLink(pose, ap)
 		nw.applyAssignment(n)
 		nw.registerNode(n)
 		nw.couplingAddNode()

@@ -58,7 +58,7 @@ func (nw *Network) exchangeAt(ap *AccessPoint, at float64) netctl.Exchange {
 // arrival maps onto — so the TMA can actually separate them.
 func (nw *Network) placement(ap *AccessPoint, n *Node) netctl.Placement {
 	return func(shareHz float64, _ int8) (float64, int8) {
-		if c, ok := nw.bestHostChannel(ap, n.SDMHarmonic, ap.Pose.AngleTo(n.Pose.Pos), n.ID); ok {
+		if c, ok := nw.bestHostChannel(ap, n.SDMHarmonic, n.tbl, n.ID); ok {
 			shareHz = c
 		}
 		return shareHz, int8(n.SDMHarmonic)

@@ -21,25 +21,51 @@ import (
 // and the incremental results are golden-tested equal to a from-scratch
 // rebuild.
 
-// gainTableFor returns node n's TMA harmonic gain table at its angle of
-// arrival at its serving AP — the table the pair kernel reads when n is
-// the interferer of a same-AP co-channel pair.
-func (nw *Network) gainTableFor(n *Node) []complex128 {
-	ap := nw.hostAP(n)
-	return ap.SDM.GainTable(ap.Pose.AngleTo(n.Pose.Pos))
+// aclrFactor is an adjacent-channel leakage figure with its linear power
+// factor FromDB(−db).
+type aclrFactor struct{ db, lin float64 }
+
+// refreshACLR re-derives the two linear ACLR factors when a caller has
+// changed ACLRAdjacentDB or ACLRFarDB since they were last converted. It
+// runs serially — at construction, at every admission (couplingAddNode)
+// and before the full rebuild fans out — so the pair kernels, which may
+// run on workers, only ever read the factors; aclrLinear stays correct
+// in between, it just converts.
+func (nw *Network) refreshACLR() {
+	if nw.aclrAdj.db != nw.ACLRAdjacentDB || nw.aclrAdj.lin == 0 {
+		nw.aclrAdj = aclrFactor{nw.ACLRAdjacentDB, units.FromDB(-nw.ACLRAdjacentDB)}
+	}
+	if nw.aclrFar.db != nw.ACLRFarDB || nw.aclrFar.lin == 0 {
+		nw.aclrFar = aclrFactor{nw.ACLRFarDB, units.FromDB(-nw.ACLRFarDB)}
+	}
+}
+
+// aclrLinear returns FromDB(−db) for a leakage figure freqCouplingDB
+// returned: the stored factor when db is still the figure it was
+// converted from, the conversion itself otherwise (a field changed and
+// refreshACLR has not run since) — the value is the same float either
+// way.
+func (nw *Network) aclrLinear(db float64) float64 {
+	if f := nw.aclrAdj; db == f.db && f.lin != 0 {
+		return f.lin
+	}
+	if f := nw.aclrFar; db == f.db && f.lin != 0 {
+		return f.lin
+	}
+	return units.FromDB(-db)
 }
 
 // pairCouplingLinear returns the linear coupling factor — the share of
 // other's power that lands in node's receiver: frequency separation for
-// FDM, TMA harmonic leakage (read from other's precomputed gain table)
-// for co-channel SDM pairs, and 1, a full collision, for overlapping
-// channels with no SDM party. It is the single pair kernel shared by the
-// full rebuild and every incremental update, so the two paths are
-// bit-identical by construction; couplingDB in legacy_bench_test.go is
-// its dB-domain oracle.
-func (nw *Network) pairCouplingLinear(node, other *Node, tblOther []complex128) float64 {
+// FDM, TMA harmonic leakage (read from other's gain table) for co-channel
+// SDM pairs, and 1, a full collision, for overlapping channels with no
+// SDM party. It is the single pair kernel shared by the full rebuild,
+// every incremental update and the sparse core's edge discovery, so they
+// are bit-identical by construction; couplingDB in legacy_bench_test.go
+// is its dB-domain oracle.
+func (nw *Network) pairCouplingLinear(node, other *Node) float64 {
 	if c, ok := nw.freqCouplingDB(node, other); ok {
-		return units.FromDB(-c)
+		return nw.aclrLinear(c)
 	}
 	if node.apIndex() != other.apIndex() {
 		// Cross-AP co-channel: the interferer is not part of the victim
@@ -51,31 +77,27 @@ func (nw *Network) pairCouplingLinear(node, other *Node, tblOther []complex128) 
 		return 1 // full collision, 0 dB
 	}
 	maxM := nw.APs[0].SDM.MaxHarmonic()
-	own := cmplx.Abs(tblOther[other.SDMHarmonic+maxM])
-	leak := cmplx.Abs(tblOther[node.SDMHarmonic+maxM])
+	own := cmplx.Abs(other.tbl[other.SDMHarmonic+maxM])
+	leak := cmplx.Abs(other.tbl[node.SDMHarmonic+maxM])
 	return units.FromDB(-tmaSuppressionDB(own, leak))
 }
 
-// couplingValid reports whether the cached matrix and gain tables are
-// trustworthy for a membership of size n — the precondition every
-// incremental update checks before touching the cache. A live sparse
-// core maintains its own incremental state, so it always counts as
-// valid.
+// couplingValid reports whether the cached matrix is trustworthy for a
+// membership of size n — the precondition every incremental update checks
+// before touching the cache. A live sparse core maintains its own
+// incremental state, so it always counts as valid.
 func (nw *Network) couplingValid(n int) bool {
 	if nw.sparse != nil {
 		return true
 	}
-	return !nw.couplingDirty && len(nw.coupling) == n*n && len(nw.couplingTables) == n
+	return !nw.couplingDirty && len(nw.coupling) == n*n
 }
 
 // ensureCoupling rebuilds the cached coupling matrix if it was
-// invalidated (or never built). The rebuild precomputes each node's full
-// TMA harmonic gain table at its angle of arrival once (tma.GainTable),
-// so the n² pair fill does table lookups instead of re-summing the array
-// response per pair, and stores each entry already linearized
+// invalidated (or never built). The n² pair fill reads each interferer's
+// TMA response off the gain table its node carries instead of re-summing
+// the array response per pair, and stores each entry already linearized
 // (FromDB(−dB)) so the per-call interference sum pays no dB conversion.
-// The gain tables are kept (couplingTables) so membership changes can
-// update the matrix incrementally instead of re-running this O(n²) pass.
 func (nw *Network) ensureCoupling() {
 	if nw.sparse != nil {
 		return
@@ -84,19 +106,12 @@ func (nw *Network) ensureCoupling() {
 	if nw.couplingValid(n) {
 		return
 	}
+	nw.refreshACLR()
 	if cap(nw.coupling) < n*n {
 		nw.coupling = make([]float64, n*n)
 	} else {
 		nw.coupling = nw.coupling[:n*n]
 	}
-	if cap(nw.couplingTables) < n {
-		nw.couplingTables = make([][]complex128, n)
-	} else {
-		nw.couplingTables = nw.couplingTables[:n]
-	}
-	nw.forEachNode(n, func(j int) {
-		nw.couplingTables[j] = nw.gainTableFor(nw.Nodes[j])
-	})
 	nw.forEachNode(n, func(i int) {
 		node := nw.Nodes[i]
 		row := nw.coupling[i*n : (i+1)*n]
@@ -105,7 +120,7 @@ func (nw *Network) ensureCoupling() {
 				row[j] = 0 // unused: the interference sum skips i==j
 				continue
 			}
-			row[j] = nw.pairCouplingLinear(node, nw.Nodes[j], nw.couplingTables[j])
+			row[j] = nw.pairCouplingLinear(node, nw.Nodes[j])
 		}
 	})
 	nw.couplingDirty = false
@@ -113,10 +128,11 @@ func (nw *Network) ensureCoupling() {
 
 // couplingAddNode extends the cache for a node just appended to
 // nw.Nodes: the existing rows are re-strided in place and only the new
-// node's row and column are computed — O(n) pair kernels plus one gain
-// table, instead of the O(n²) full rebuild. With an untrusted cache it
-// degrades to the dirty flag.
+// node's row and column are computed — O(n) pair kernels instead of the
+// O(n²) full rebuild. With an untrusted cache it degrades to the dirty
+// flag.
 func (nw *Network) couplingAddNode() {
+	nw.refreshACLR()
 	n := len(nw.Nodes)
 	if nw.sparse == nil && nw.couplingMode == CouplingAuto && n >= sparseCrossover {
 		nw.enterSparse() // builds state for the full membership, newcomer included
@@ -146,12 +162,10 @@ func (nw *Network) couplingAddNode() {
 		}
 	}
 	newcomer := nw.Nodes[old]
-	tbl := nw.gainTableFor(newcomer)
-	nw.couplingTables = append(nw.couplingTables, tbl)
 	row := nw.coupling[old*n : n*n]
 	for j := 0; j < old; j++ {
-		row[j] = nw.pairCouplingLinear(newcomer, nw.Nodes[j], nw.couplingTables[j])
-		nw.coupling[j*n+old] = nw.pairCouplingLinear(nw.Nodes[j], newcomer, tbl)
+		row[j] = nw.pairCouplingLinear(newcomer, nw.Nodes[j])
+		nw.coupling[j*n+old] = nw.pairCouplingLinear(nw.Nodes[j], newcomer)
 	}
 	row[old] = 0
 }
@@ -188,13 +202,11 @@ func (nw *Network) couplingRemoveNode(leaver *Node, k int) {
 		}
 	}
 	nw.coupling = nw.coupling[:n*n]
-	nw.couplingTables = append(nw.couplingTables[:k], nw.couplingTables[k+1:]...)
 }
 
 // couplingUpdateNode recomputes one live node's row and column after its
 // assignment or SDM role changed (promotion, renew re-sync, reboot
-// rejoin) — the node's pose is unchanged, so its cached gain table stays
-// valid and the update is O(n). The target's index comes from its
+// rejoin) — O(n) pair kernels. The target's index comes from its
 // maintained idx field, not the O(n) membership scan earlier revisions
 // paid per update. With an untrusted cache (or a node not in the
 // membership list) it degrades to the dirty flag.
@@ -203,35 +215,25 @@ func (nw *Network) couplingUpdateNode(target *Node) {
 		nw.sparse.updateNode(nw, target)
 		return
 	}
-	n := len(nw.Nodes)
-	if !nw.couplingValid(n) {
-		nw.couplingDirty = true
-		return
-	}
-	i := target.idx
-	if i < 0 || i >= n || nw.Nodes[i] != target {
-		nw.couplingDirty = true
-		return
-	}
-	for j := 0; j < n; j++ {
-		if j == i {
-			continue
-		}
-		nw.coupling[i*n+j] = nw.pairCouplingLinear(target, nw.Nodes[j], nw.couplingTables[j])
-		nw.coupling[j*n+i] = nw.pairCouplingLinear(nw.Nodes[j], target, nw.couplingTables[i])
-	}
+	nw.recomputePairs(target)
 }
 
-// couplingMoveNode refreshes the cache after target's pose (and possibly
-// harmonic slot) changed: its gain table is recomputed at the new angle
-// of arrival, then its row and column are recomputed in place — O(n)
-// pair kernels instead of a full O(n²) rebuild. With an untrusted cache
-// it degrades to the dirty flag.
+// couplingMoveNode refreshes the cache after target's pose (and with it
+// its gain table and possibly its harmonic slot — MoveNode re-aimed it)
+// changed. The dense matrix holds nothing pose-specific beyond the pair
+// factors, so it recomputes the node's row and column as an assignment
+// change does; the sparse core also re-files the node in its grid.
 func (nw *Network) couplingMoveNode(target *Node) {
 	if nw.sparse != nil {
 		nw.sparse.moveNode(nw, target)
 		return
 	}
+	nw.recomputePairs(target)
+}
+
+// recomputePairs refills target's row and column of the dense matrix in
+// place.
+func (nw *Network) recomputePairs(target *Node) {
 	n := len(nw.Nodes)
 	if !nw.couplingValid(n) {
 		nw.couplingDirty = true
@@ -242,13 +244,12 @@ func (nw *Network) couplingMoveNode(target *Node) {
 		nw.couplingDirty = true
 		return
 	}
-	nw.couplingTables[i] = nw.gainTableFor(target)
 	for j := 0; j < n; j++ {
 		if j == i {
 			continue
 		}
-		nw.coupling[i*n+j] = nw.pairCouplingLinear(target, nw.Nodes[j], nw.couplingTables[j])
-		nw.coupling[j*n+i] = nw.pairCouplingLinear(nw.Nodes[j], target, nw.couplingTables[i])
+		nw.coupling[i*n+j] = nw.pairCouplingLinear(target, nw.Nodes[j])
+		nw.coupling[j*n+i] = nw.pairCouplingLinear(nw.Nodes[j], target)
 	}
 }
 
@@ -277,7 +278,7 @@ func (nw *Network) roamAttach(n *Node) {
 		s.markEvalStale(n)
 		return
 	}
-	nw.couplingMoveNode(n)
+	nw.recomputePairs(n)
 }
 
 // couplingPowerChanged tells the coupling layer a node's transmit state

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 
 	"mmx/internal/channel"
@@ -82,11 +83,10 @@ type outEdge struct {
 type spNode struct {
 	in  []inEdge
 	out []outEdge
-	// tbl is the node's TMA gain table at its current angle of arrival;
 	// avec[k] is the suppression a victim listening on harmonic slot k
-	// sees from this node (tmaSuppressionDB of own vs leaked amplitude),
-	// the per-occupant vector behind the indexed bestHostChannel.
-	tbl  []complex128
+	// sees from this node (tmaSuppressionDB of own vs leaked amplitude in
+	// the node's gain table), the per-occupant vector behind the indexed
+	// bestHostChannel.
 	avec []float64
 	// pBound is the conservative ceiling on the node's received power at
 	// the AP (watts) — motion-invariant until the node itself moves.
@@ -122,14 +122,18 @@ type spNode struct {
 }
 
 // chanState is the registry entry for one channel center: its occupants
-// bucketed by harmonic slot, and the per-slot minimum of the occupants'
-// avec vectors (minA) that makes bestHostChannel O(#channels) per call.
+// bucketed by harmonic slot, the bitmask of the slots that have any
+// (occMask: bit k of word k/64 ⇔ len(occ[k]) > 0, kept by chanRegister
+// and chanUnregister), and the per-slot minimum of the occupants' avec
+// vectors (minA) — together what makes bestHostChannel O(#channels) per
+// call.
 type chanState struct {
 	center   float64
 	maxWidth float64 // never shrunk: conservative for the class screen
 	ap       int     // owning shard: occupants are served by this AP
 	count    int
 	occ      [][]*Node
+	occMask  []uint64
 	minA     []float64
 	// minADirty marks minA for lazy rebuild after an occupant left
 	// (removals can raise a minimum; additions only lower it).
@@ -190,7 +194,6 @@ type sparseState struct {
 	// scratch, reused across calls
 	evalScratch     []*Node
 	bvec            []float64
-	tblScratch      []complex128
 	sweptScratch    []channel.SweptRegion
 	corridorScratch []corridor
 	wallScratch     []channel.Wall
@@ -212,7 +215,6 @@ func (nw *Network) enterSparse() {
 		s.markEvalStale(n)
 	}
 	nw.coupling = nil
-	nw.couplingTables = nil
 	nw.couplingDirty = false
 }
 
@@ -293,7 +295,7 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 		math.Pow(10, -nw.LinkCfg.ImplementationLossDB/20)
 	// Switch field gains: selected path plus the leaked port, both
 	// arriving coherently in the worst case. Joining nodes all get links
-	// through core.NewLink, which installs the ADRF5020 model — read the
+	// through newLink, which installs the ADRF5020 model — read the
 	// figures off a member when one exists so a customized switch still
 	// bounds correctly.
 	sw := rf.NewADRF5020()
@@ -318,23 +320,21 @@ func (s *sparseState) registerNode(nw *Network, n *Node) {
 	s.chanRegister(n)
 }
 
-// setGeometry refreshes everything derived from the node's pose and its
-// serving AP: its TMA gain table (at the angle of arrival at THAT AP),
-// its avec suppression vector, and its power bound (anchored at that
-// AP). A roam re-runs this through registerNode after the association
-// flips.
+// setGeometry refreshes what the sparse core derives from the node's
+// pose, its serving AP and its harmonic slot: the avec suppression vector
+// (from the gain table aimAt left on the node, at the angle of arrival at
+// THAT AP) and the power bound (anchored at that AP). A roam re-runs this
+// through registerNode after the association flips.
 func (s *sparseState) setGeometry(nw *Network, n *Node) {
-	ap := nw.hostAP(n)
-	n.sp.tbl = ap.SDM.GainTable(ap.Pose.AngleTo(n.Pose.Pos))
-	if cap(n.sp.avec) < len(n.sp.tbl) {
-		n.sp.avec = make([]float64, len(n.sp.tbl))
+	if cap(n.sp.avec) < len(n.tbl) {
+		n.sp.avec = make([]float64, len(n.tbl))
 	}
-	n.sp.avec = n.sp.avec[:len(n.sp.tbl)]
-	own := cmplx.Abs(n.sp.tbl[n.SDMHarmonic+s.maxM])
+	n.sp.avec = n.sp.avec[:len(n.tbl)]
+	own := cmplx.Abs(n.tbl[n.SDMHarmonic+s.maxM])
 	for k := range n.sp.avec {
-		n.sp.avec[k] = tmaSuppressionDB(own, cmplx.Abs(n.sp.tbl[k]))
+		n.sp.avec[k] = tmaSuppressionDB(own, cmplx.Abs(n.tbl[k]))
 	}
-	n.sp.pBound = s.pBoundAt(n.Pose.Pos, ap)
+	n.sp.pBound = s.pBoundAt(n.Pose.Pos, nw.hostAP(n))
 }
 
 // pBoundAt anchors the conservative received-power bound at an arbitrary
@@ -453,6 +453,7 @@ func (s *sparseState) chanRegister(n *Node) {
 			center:  c,
 			ap:      n.apIndex(),
 			occ:     make([][]*Node, slots),
+			occMask: make([]uint64, (slots+63)/64),
 			minA:    make([]float64, slots),
 			listIdx: len(sh.chanList),
 		}
@@ -470,6 +471,7 @@ func (s *sparseState) chanRegister(n *Node) {
 	n.sp.chanHarm = h
 	n.sp.chanSlot = len(cs.occ[h])
 	cs.occ[h] = append(cs.occ[h], n)
+	cs.occMask[h/64] |= 1 << (h % 64)
 	cs.count++
 	for k := range cs.minA {
 		if n.sp.avec[k] < cs.minA[k] {
@@ -492,6 +494,9 @@ func (s *sparseState) chanUnregister(n *Node) {
 	}
 	lst[last] = nil
 	cs.occ[h] = lst[:last]
+	if last == 0 {
+		cs.occMask[h/64] &^= 1 << (h % 64)
+	}
 	cs.count--
 	cs.minADirty = true
 	n.sp.cs = nil
@@ -538,9 +543,9 @@ func (nw *Network) classBoundLinear(c0, w0 float64, cs *chanState) float64 {
 		return 1 // could overlap: full collision is possible
 	}
 	if sep-half < math.Min(w0, cs.maxWidth) {
-		return units.FromDB(-nw.ACLRAdjacentDB)
+		return nw.aclrLinear(nw.ACLRAdjacentDB)
 	}
-	return units.FromDB(-nw.ACLRFarDB)
+	return nw.aclrLinear(nw.ACLRFarDB)
 }
 
 // --- edges ---
@@ -671,7 +676,7 @@ func (s *sparseState) discoverIn(nw *Network, v *Node) {
 		if pb < threshold {
 			return
 		}
-		w := nw.pairCouplingLinear(v, j, j.sp.tbl)
+		w := nw.pairCouplingLinear(v, j)
 		if pb*w >= threshold {
 			s.addEdge(j, v, w)
 		}
@@ -706,7 +711,7 @@ func (s *sparseState) discoverOut(nw *Network, u *Node) {
 					if v == u {
 						continue
 					}
-					w := nw.pairCouplingLinear(v, u, u.sp.tbl)
+					w := nw.pairCouplingLinear(v, u)
 					if pb*w >= s.cut*v.sp.noise {
 						s.addEdge(u, v, w)
 					}
@@ -751,9 +756,10 @@ func (s *sparseState) updateNode(nw *Network, n *Node) {
 	s.markEvalStale(n)
 }
 
-// moveNode handles a pose change: new gain table, avec and power bound,
-// new grid cell, possibly a new harmonic bucket, and a full edge rebuild
-// for the moved node (everyone else's edges are pose-independent).
+// moveNode handles a pose change: new avec (the gain table moved with the
+// node) and power bound, new grid cell, possibly a new harmonic bucket,
+// and a full edge rebuild for the moved node (everyone else's edges are
+// pose-independent).
 func (s *sparseState) moveNode(nw *Network, n *Node) {
 	s.gridRemove(n)
 	s.chanUnregister(n)
@@ -972,7 +978,7 @@ func (s *sparseState) evaluateInto(nw *Network, out []Report) []Report {
 
 // bestHostChannel is the sparse-mode replacement for the dense
 // all-members scan: per channel, the worst-case suppression against a
-// newcomer at harmonic h and angle th is
+// newcomer at harmonic h with gain table tbl is
 //
 //	min over occupants v of min(a_v, b_v)
 //	  = min( min_v a_v , min_v b_v )
@@ -980,20 +986,21 @@ func (s *sparseState) evaluateInto(nw *Network, out []Report) []Report {
 //
 // with a_v the occupant-side leak (precomputed avec vectors, folded into
 // the channel's minA) and b_v the newcomer-side leak (one bvec per
-// call). Float min is exact and order-free, and the final selection uses
-// the same strict total order on (suppression, occupants, center) as the
-// dense scan, so the result is bit-identical. The excluded node's
-// channel (a reboot or post-restart rejoin re-running the handshake)
-// falls back to a direct occupant scan. Only the admitting AP's shard is
-// walked — SDM sharing is an intra-array affair, so occupants of other
-// APs never constrain the choice (the dense scan skips them the same
-// way).
-func (s *sparseState) bestHostChannel(nw *Network, ap *AccessPoint, h int, th float64, exclude uint32) (float64, bool) {
+// call). The occupied slots are the set bits of the channel's occMask, so
+// the second term walks one word per 64 slots and the slots that hold
+// someone, never the per-slot occupant lists. Float min is exact and
+// order-free, and the final selection uses the same strict total order on
+// (suppression, occupants, center) as the dense scan, so the result is
+// bit-identical. The excluded node's channel (a reboot or post-restart
+// rejoin re-running the handshake) falls back to a direct occupant scan.
+// Only the admitting AP's shard is walked — SDM sharing is an intra-array
+// affair, so occupants of other APs never constrain the choice (the dense
+// scan skips them the same way).
+func (s *sparseState) bestHostChannel(nw *Network, ap *AccessPoint, h int, tbl []complex128, exclude uint32) (float64, bool) {
 	chanList := s.shards[ap.idx].chanList
 	if len(chanList) == 0 {
 		return 0, false
 	}
-	tbl := ap.SDM.GainTable(th)
 	own := cmplx.Abs(tbl[h+s.maxM])
 	if cap(s.bvec) < len(tbl) {
 		s.bvec = make([]float64, len(tbl))
@@ -1030,9 +1037,11 @@ func (s *sparseState) bestHostChannel(nw *Network, ap *AccessPoint, h int, th fl
 				s.rebuildMinA(cs)
 			}
 			supp = cs.minA[h+s.maxM]
-			for k, lst := range cs.occ {
-				if len(lst) > 0 && bvec[k] < supp {
-					supp = bvec[k]
+			for wi, word := range cs.occMask {
+				for ; word != 0; word &= word - 1 {
+					if b := bvec[wi*64+bits.TrailingZeros64(word)]; b < supp {
+						supp = b
+					}
 				}
 			}
 		}

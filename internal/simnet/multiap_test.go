@@ -8,7 +8,9 @@ import (
 
 	"fmt"
 
+	"mmx/internal/antenna"
 	"mmx/internal/channel"
+	"mmx/internal/core"
 	"mmx/internal/faults"
 	"mmx/internal/mac"
 	"mmx/internal/stats"
@@ -211,6 +213,9 @@ func TestMultiAPChurnRoamDeterminism(t *testing.T) {
 		nw.SetCouplingMode(CouplingSparse)
 		nw.Workers = workers
 		multiAPChurnPlan(t, nw, 53, 16, 8, 6)
+		nw.OnMembership = func(event string, id uint32) {
+			assertOccMasks(t, nw, fmt.Sprintf("after %s of node %d", event, id))
+		}
 		return nw.Run(1.2, 0.05, 10)
 	}
 	a, b := run(1), run(8)
@@ -452,5 +457,67 @@ func TestMultiAPChurnSpectrumInvariants(t *testing.T) {
 	}
 	if err := nw.ValidateSpectrum(); err != nil {
 		t.Fatalf("spectrum after run: %v", err)
+	}
+}
+
+// TestLinksEvaluateThroughTheAPsOwnAntenna pins newLink: a deployment
+// that replaces an AP's Pattern before the first join gets links — the
+// serving link, a cross link toward it, a link rebuilt by a roam — whose
+// evaluations run through that pattern, the one sparsePowerBoundConst
+// bounds; with every pattern left alone a link is what core.NewLink
+// builds. (Earlier revisions installed a private default antenna on every
+// link, so the edge-admission bound and the evaluation could disagree.)
+func TestLinksEvaluateThroughTheAPsOwnAntenna(t *testing.T) {
+	custom := []antenna.Pattern{antenna.NewFixedBeam(antenna.Isotropic{}, 7), antenna.NewFixedBeam(antenna.Isotropic{}, 9)}
+	for _, tc := range []struct {
+		name  string
+		patch bool
+	}{{"default", false}, {"custom", true}} {
+		nw := multiAPNetwork(t, 61, 2)
+		if tc.patch {
+			nw.APs[0].Pattern, nw.APs[1].Pattern = custom[0], custom[1]
+		}
+		near1 := channel.Pose{Pos: channel.Vec2{X: 5.0, Y: 1.5}, Orientation: 0.3}
+		n, err := nw.Join(1, near1, 2e6, Telemetry(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.AP != nw.APs[1] {
+			t.Fatalf("%s: node homed on AP %d, want 1", tc.name, n.AP.idx)
+		}
+		reference := func(ap *AccessPoint, cfg core.LinkConfig) core.Evaluation {
+			l := core.NewLink(nw.Env, near1, ap.Pose)
+			l.Beams = nw.NodeBeams
+			if tc.patch {
+				l.APPattern = ap.Pattern
+			}
+			l.Cfg = cfg
+			return l.EvaluateWithClass()
+		}
+		if got, want := n.Link.EvaluateWithClass(), reference(nw.APs[1], n.Link.Cfg); got != want {
+			t.Errorf("%s: serving link evaluates to %+v, want %+v", tc.name, got, want)
+		}
+		if n.Link.APPattern != nw.APs[1].Pattern {
+			t.Errorf("%s: serving link carries %v, the AP %v", tc.name, n.Link.APPattern, nw.APs[1].Pattern)
+		}
+		x := nw.crossLink(n, 0)
+		if got, want := x.EvaluateWithClass(), reference(nw.APs[0], x.Cfg); got != want {
+			t.Errorf("%s: cross link evaluates to %+v, want %+v", tc.name, got, want)
+		}
+		// A second node joins facing AP 0 and is carried across: the link
+		// the roam builds toward AP 1 must carry AP 1's antenna too.
+		far := channel.Pose{Pos: channel.Vec2{X: 1.0, Y: 2.5}, Orientation: math.Pi}
+		m, err := nw.Join(2, far, 2e6, Telemetry(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, CheckIntervalS: 0.05, MinDwellS: 0.1})
+		nw.MoveNode(2, channel.Pose{Pos: channel.Vec2{X: 5.2, Y: 2.4}, Orientation: 0})
+		if st := nw.Run(0.3, 0.05, 10); st.Roams == 0 {
+			t.Fatalf("%s: the carried node never roamed", tc.name)
+		}
+		if m.AP != nw.APs[1] || m.Link.APPattern != nw.APs[1].Pattern {
+			t.Errorf("%s: roamed node on AP %d with antenna %v, want AP 1's %v", tc.name, m.AP.idx, m.Link.APPattern, nw.APs[1].Pattern)
+		}
 	}
 }

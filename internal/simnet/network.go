@@ -15,7 +15,9 @@ import (
 	"mmx/internal/faults"
 	"mmx/internal/mac"
 	"mmx/internal/netctl"
+	"mmx/internal/rf"
 	"mmx/internal/stats"
+	"mmx/internal/tma"
 	"mmx/internal/units"
 )
 
@@ -33,6 +35,10 @@ type Node struct {
 	// separates co-channel nodes. The Session's Harmonic is the copy
 	// the AP's books last confirmed; this one follows the node's pose.
 	SDMHarmonic int
+	// tbl is the serving AP's TMA harmonic gain table at the node's angle
+	// of arrival — one table per admission or pose change (aimAt), read by
+	// the harmonic pick, the SDM placement hook and both coupling cores.
+	tbl []complex128
 	// RateBps is the node's adapted PHY rate: the fastest ladder step
 	// its SNR sustains at BER ≤ 1e-6, capped by what its channel width
 	// carries. Frames occupy airtime at this rate. 0 means the link
@@ -122,13 +128,15 @@ type Network struct {
 	// deterministic.
 	OnMembership func(event string, id uint32)
 	// coupling caches the pairwise coupling matrix as linear power
-	// factors (see coupling.go). couplingTables holds each node's TMA
-	// harmonic gain table at its angle of arrival, so membership and
-	// assignment changes update the matrix incrementally; the dirty flag
-	// falls back to the full rebuild.
-	coupling       []float64
-	couplingTables [][]complex128
-	couplingDirty  bool
+	// factors (see coupling.go). Membership and assignment changes update
+	// it incrementally from the nodes' gain tables; the dirty flag falls
+	// back to the full rebuild.
+	coupling      []float64
+	couplingDirty bool
+	// aclrAdj and aclrFar are ACLRAdjacentDB and ACLRFarDB as linear
+	// factors, kept by refreshACLR so the pair kernel does not convert the
+	// same two constants for every candidate pair.
+	aclrAdj, aclrFar aclrFactor
 	// nodeIdx maps live node IDs to their membership entries, maintained
 	// on every membership change, so ID lookups are O(1) at any scale.
 	nodeIdx map[uint32]*Node
@@ -187,6 +195,7 @@ func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, ban
 		nodeIdx:        make(map[uint32]*Node),
 		strays:         make(map[uint32]*AccessPoint),
 	}
+	nw.refreshACLR()
 	nw.installAP(apPose)
 	return nw
 }
@@ -271,8 +280,7 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 	if _, err := nw.join(n, ap.Controller.NowS()); err != nil {
 		return nil, err
 	}
-	n.Link = core.NewLink(nw.Env, pose, ap.Pose)
-	n.Link.Beams = nw.NodeBeams
+	n.Link = nw.newLink(pose, ap)
 	nw.applyAssignment(n)
 	nw.registerNode(n)
 	nw.couplingAddNode()
@@ -286,8 +294,34 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 func (nw *Network) newNode(id uint32, pose channel.Pose, demandBps float64, traffic TrafficModel) *Node {
 	n := &Node{Session: netctl.Session{ID: id, Demand: demandBps}, Pose: pose, Traffic: traffic}
 	n.AP = nw.selectAP(pose.Pos)
-	n.SDMHarmonic = n.AP.SDM.BestHarmonic(n.AP.Pose.AngleTo(pose.Pos))
+	n.aimAt(n.AP)
 	return n
+}
+
+// aimAt derives what ap's TMA sees of the node where it stands: the gain
+// table at its angle of arrival, and from it the harmonic slot that angle
+// hashes into. It runs wherever the pose or the serving AP changes —
+// newNode, MoveNode, rehome — so the table is computed once per such
+// event and is current whenever the node is a member.
+func (n *Node) aimAt(ap *AccessPoint) {
+	n.tbl = ap.SDM.GainTableInto(n.tbl, ap.Pose.AngleTo(n.Pose.Pos))
+	n.SDMHarmonic = tma.BestHarmonicOf(n.tbl)
+}
+
+// newLink builds a node's link toward ap out of the deployment's own
+// parts — the beam pair every node carries, the AP's own antenna, the
+// shared link budget — so an evaluation sees the same hardware the sparse
+// core's power bound (sparsePowerBoundConst) was derived from.
+func (nw *Network) newLink(node channel.Pose, ap *AccessPoint) *core.Link {
+	return &core.Link{
+		Env:       nw.Env,
+		Node:      node,
+		AP:        ap.Pose,
+		Beams:     nw.NodeBeams,
+		APPattern: ap.Pattern,
+		Switch:    rf.NewADRF5020(),
+		Cfg:       nw.LinkCfg,
+	}
 }
 
 // applyAssignment (re)derives a node's link configuration and adapted PHY
@@ -318,44 +352,27 @@ func (nw *Network) cappedRate(n *Node, rate float64) float64 {
 
 // pairSuppressionDB returns the worse-direction TMA suppression between
 // two co-channel transmitters at the same AP: how far each one's energy
-// sits below the other's slot, given their harmonics and angles of
-// arrival at that AP's array.
-func (nw *Network) pairSuppressionDB(ap *AccessPoint, mi int, thI float64, mj int, thJ float64) float64 {
-	into := func(mVictim int, mOwn int, th float64) float64 {
-		own := cmplx.Abs(ap.SDM.HarmonicGain(mOwn, th))
-		leak := cmplx.Abs(ap.SDM.HarmonicGain(mVictim, th))
-		if own <= 0 {
-			return 0
-		}
-		if leak <= 0 {
-			return 150
-		}
-		s := 20 * math.Log10(own/leak)
-		if s < 0 {
-			s = 0
-		}
-		if s > 150 {
-			s = 150
-		}
-		return s
-	}
-	a := into(mi, mj, thJ) // j leaking into i's slot
-	b := into(mj, mi, thI) // i leaking into j's slot
+// sits below the other's slot, given their harmonics and their gain
+// tables at that AP's array.
+func pairSuppressionDB(mi int, tblI []complex128, mj int, tblJ []complex128) float64 {
+	maxM := (len(tblI) - 1) / 2
+	a := tmaSuppressionDB(cmplx.Abs(tblJ[mj+maxM]), cmplx.Abs(tblJ[mi+maxM])) // j leaking into i's slot
+	b := tmaSuppressionDB(cmplx.Abs(tblI[mi+maxM]), cmplx.Abs(tblI[mj+maxM])) // i leaking into j's slot
 	return math.Min(a, b)
 }
 
 // bestHostChannel picks, among the channels live at AP ap, the one whose
 // occupants that AP's TMA can best separate from a newcomer at harmonic h
-// and angle th — maximizing the worst-case pairwise suppression. Only
+// and gain table tbl — maximizing the worst-case pairwise suppression. Only
 // nodes served by ap count as occupants: co-channel nodes at other APs
 // are interference bounded by distance, not schedule mates. The exclude
 // ID skips the newcomer itself, so a node re-running the handshake
 // (reboot, post-restart rejoin, roam fallback) doesn't count its own
 // stale entry as an occupant. ok is false when the AP hosts no channels
 // yet.
-func (nw *Network) bestHostChannel(ap *AccessPoint, h int, th float64, exclude uint32) (float64, bool) {
+func (nw *Network) bestHostChannel(ap *AccessPoint, h int, tbl []complex128, exclude uint32) (float64, bool) {
 	if nw.sparse != nil {
-		return nw.sparse.bestHostChannel(nw, ap, h, th, exclude)
+		return nw.sparse.bestHostChannel(nw, ap, h, tbl, exclude)
 	}
 	type chanInfo struct {
 		worstSupp float64
@@ -371,7 +388,7 @@ func (nw *Network) bestHostChannel(ap *AccessPoint, h int, th float64, exclude u
 			ci = &chanInfo{worstSupp: math.Inf(1)}
 			byCenter[n.Assignment.CenterHz] = ci
 		}
-		s := nw.pairSuppressionDB(ap, h, th, n.SDMHarmonic, ap.Pose.AngleTo(n.Pose.Pos))
+		s := pairSuppressionDB(h, tbl, n.SDMHarmonic, n.tbl)
 		if s < ci.worstSupp {
 			ci.worstSupp = s
 		}
@@ -482,8 +499,7 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 			l.Node = pose
 		}
 	}
-	ap := nw.hostAP(n)
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(pose.Pos))
+	n.aimAt(nw.hostAP(n))
 	nw.couplingMoveNode(n)
 	return true
 }
@@ -654,7 +670,7 @@ func tmaSuppressionDB(own, leak float64) float64 {
 // crossLink returns node n's cached link toward the AP at index a,
 // creating it on first use. Cross links carry the geometry for cross-AP
 // interference contributions and roam SNR estimates; only their gains
-// matter, so the default link config they are born with is never
+// matter, so the link budget template they are born with is never
 // re-derived from assignments.
 func (nw *Network) crossLink(n *Node, a int) *core.Link {
 	if len(n.xlinks) < len(nw.APs) {
@@ -664,8 +680,7 @@ func (nw *Network) crossLink(n *Node, a int) *core.Link {
 	}
 	l := n.xlinks[a]
 	if l == nil {
-		l = core.NewLink(nw.Env, n.Pose, nw.APs[a].Pose)
-		l.Beams = nw.NodeBeams
+		l = nw.newLink(n.Pose, nw.APs[a])
 		n.xlinks[a] = l
 	}
 	return l

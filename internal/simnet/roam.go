@@ -97,10 +97,9 @@ func (rs *runState) rehome(n *Node, ap *AccessPoint) {
 	if l := n.xlinks[ap.idx]; l != nil {
 		n.Link = l
 	} else {
-		n.Link = core.NewLink(nw.Env, n.Pose, ap.Pose)
-		n.Link.Beams = nw.NodeBeams
+		n.Link = nw.newLink(n.Pose, ap)
 	}
-	n.SDMHarmonic = ap.SDM.BestHarmonic(ap.Pose.AngleTo(n.Pose.Pos))
+	n.aimAt(ap)
 }
 
 // roamTo migrates n from its serving AP to target: release at the old AP

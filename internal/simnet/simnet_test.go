@@ -195,6 +195,41 @@ func TestCouplingFDMSeparation(t *testing.T) {
 	}
 }
 
+// TestACLRChangeHonoured pins the linear ACLR factors the pair kernel
+// reads to the fields they come from: a caller who changes ACLRAdjacentDB
+// or ACLRFarDB on a live network gets the new figure from the very next
+// pair kernel (before anything has refreshed the stored factors), after
+// the next admission has, and in a full rebuild.
+func TestACLRChangeHonoured(t *testing.T) {
+	nw := newTestNetwork(7)
+	placeNodes(t, nw, 3, 20e6)
+	a, b, c := nw.Nodes[0], nw.Nodes[1], nw.Nodes[2]
+	check := func(when string) {
+		t.Helper()
+		if got, want := nw.pairCouplingLinear(a, b), units.FromDB(-nw.ACLRAdjacentDB); got != want {
+			t.Errorf("%s: adjacent pair couples at %x, want FromDB(-%g) = %x", when, got, nw.ACLRAdjacentDB, want)
+		}
+		if got, want := nw.pairCouplingLinear(a, c), units.FromDB(-nw.ACLRFarDB); got != want {
+			t.Errorf("%s: far pair couples at %x, want FromDB(-%g) = %x", when, got, nw.ACLRFarDB, want)
+		}
+	}
+	check("as built")
+	nw.ACLRAdjacentDB, nw.ACLRFarDB = 33, 71
+	check("right after the change")
+	joinOne(t, nw, 9, 20e6)
+	check("after the next admission")
+	if nw.aclrAdj.db != 33 || nw.aclrFar.db != 71 {
+		t.Errorf("admission left the stored factors at %g/%g dB", nw.aclrAdj.db, nw.aclrFar.db)
+	}
+	nw.ACLRAdjacentDB = 0 // a legal figure whose zero value must not read as "converted"
+	nw.invalidateCoupling()
+	nw.EvaluateSINR()
+	check("after a full rebuild")
+	if got := nw.coupling[a.idx*len(nw.Nodes)+b.idx]; got != 1 {
+		t.Errorf("rebuilt matrix holds %x for a 0 dB adjacent pair, want 1", got)
+	}
+}
+
 func TestMeanSINREmpty(t *testing.T) {
 	nw := newTestNetwork(8)
 	if !math.IsInf(nw.MeanSINRdB(), -1) {

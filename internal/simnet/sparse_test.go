@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"mmx/internal/channel"
@@ -66,6 +67,41 @@ func closeOrBothInf(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
+// assertOccMasks checks the occupancy-mask invariant the indexed
+// bestHostChannel reads instead of the occupant lists: in every channel of
+// every shard, bit k of occMask is set exactly when harmonic slot k holds
+// an occupant, and no bit beyond the slots is. It returns how many
+// channels had occupants in more than one slot, so a caller can tell a
+// scenario that exercised the mask from one that could not.
+func assertOccMasks(t *testing.T, nw *Network, what string) (multiSlot int) {
+	t.Helper()
+	for ai, sh := range nw.sparse.shards {
+		for _, cs := range sh.chanList {
+			occupied, set := 0, 0
+			for k, lst := range cs.occ {
+				bit := cs.occMask[k/64]>>(k%64)&1 == 1
+				if bit != (len(lst) > 0) {
+					t.Fatalf("%s: AP %d channel %.0f Hz slot %d: mask bit %v, %d occupants",
+						what, ai, cs.center, k, bit, len(lst))
+				}
+				if len(lst) > 0 {
+					occupied++
+				}
+			}
+			for _, w := range cs.occMask {
+				set += bits.OnesCount64(w)
+			}
+			if set != occupied {
+				t.Fatalf("%s: AP %d channel %.0f Hz: %d mask bits set, %d slots occupied", what, ai, cs.center, set, occupied)
+			}
+			if occupied > 1 {
+				multiSlot++
+			}
+		}
+	}
+	return multiSlot
+}
+
 // applyBoth runs the same mutation on both networks of a pair.
 func applyBoth(dense, sparse *Network, fn func(nw *Network)) {
 	fn(dense)
@@ -117,6 +153,7 @@ func TestSparseMatchesDenseChurnPlan(t *testing.T) {
 		if err := sparse.ValidateSpectrum(); err != nil {
 			t.Fatalf("step %d: sparse spectrum: %v", step, err)
 		}
+		assertOccMasks(t, sparse, fmt.Sprintf("step %d", step))
 	}
 }
 
@@ -125,10 +162,15 @@ func TestSparseMatchesDenseChurnPlan(t *testing.T) {
 // control plane draws no randomness, so if the indexed selection is
 // bit-identical the two modes must hand every joiner exactly the same
 // assignment, harmonic and sharing role — including the SDM host-channel
-// choices once FDM runs out.
+// choices once FDM runs out. After every step it also asks both modes the
+// placement question directly, for every member as a re-joiner (the
+// exclude path: the member's own entry must not count against its
+// channel) and as a stranger at the same angle, and checks the occupancy
+// masks the indexed answer was read from.
 func TestSparseAssignmentsMatchDense(t *testing.T) {
 	dense, sparse := sparseDensePair(1212)
 	rng := stats.NewRNG(5)
+	multiSlot := 0
 	for i := 1; i <= 90; i++ {
 		pos := channel.Vec2{X: rng.Uniform(1, 5.5), Y: rng.Uniform(0.5, 3.5)}
 		pose := channel.Pose{Pos: pos, Orientation: rng.Uniform(-math.Pi, math.Pi)}
@@ -140,6 +182,21 @@ func TestSparseAssignmentsMatchDense(t *testing.T) {
 		if i%7 == 0 { // owner/sharer leaves re-run host selection via promotion
 			applyBoth(dense, sparse, func(nw *Network) { nw.Leave(uint32(i / 2)) })
 		}
+		multiSlot += assertOccMasks(t, sparse, fmt.Sprintf("after join %d", i))
+		for k, dn := range dense.Nodes {
+			sn := sparse.Nodes[k]
+			for _, exclude := range []uint32{dn.ID, 0} {
+				dc, dok := dense.bestHostChannel(dense.APs[0], dn.SDMHarmonic, dn.tbl, exclude)
+				sc, sok := sparse.bestHostChannel(sparse.APs[0], sn.SDMHarmonic, sn.tbl, exclude)
+				if dc != sc || dok != sok {
+					t.Fatalf("after join %d: host channel for node %d (exclude %d): dense %v/%v, sparse %v/%v",
+						i, dn.ID, exclude, dc, dok, sc, sok)
+				}
+			}
+		}
+	}
+	if multiSlot == 0 {
+		t.Fatal("no channel ever held occupants in two harmonic slots: the mask walk was not exercised")
 	}
 	if len(dense.Nodes) != len(sparse.Nodes) {
 		t.Fatalf("membership diverged: dense %d sparse %d", len(dense.Nodes), len(sparse.Nodes))
@@ -231,7 +288,7 @@ func TestSparseAutoCrossover(t *testing.T) {
 	if auto.sparse == nil {
 		t.Fatal("auto mode did not switch at the crossover")
 	}
-	if auto.coupling != nil || auto.couplingTables != nil {
+	if auto.coupling != nil {
 		t.Error("crossover should release the dense cache")
 	}
 	assertReportsClose(t, dense, auto, 1e-12, "post-crossover")
@@ -305,7 +362,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 			if src == v {
 				continue
 			}
-			w := nw.pairCouplingLinear(v, src, src.sp.tbl)
+			w := nw.pairCouplingLinear(v, src)
 			actual := src.sp.power * w
 			if _, ok := stored[[2]uint32{v.ID, src.ID}]; ok {
 				continue
@@ -319,7 +376,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 	// The stored edges must hold the exact kernel value, not the bound.
 	for key, w := range stored {
 		v, src := nw.nodeByID(key[0]), nw.nodeByID(key[1])
-		if want := nw.pairCouplingLinear(v, src, src.sp.tbl); w != want {
+		if want := nw.pairCouplingLinear(v, src); w != want {
 			t.Fatalf("edge %d<-%d stores w=%x, kernel says %x", key[0], key[1], w, want)
 		}
 	}
@@ -355,7 +412,7 @@ func TestSparseInterferenceErrorBounded(t *testing.T) {
 			if src == v {
 				continue
 			}
-			denseInterf += src.sp.power * nw.pairCouplingLinear(v, src, src.sp.tbl)
+			denseInterf += src.sp.power * nw.pairCouplingLinear(v, src)
 		}
 		dropped := (len(nw.Nodes) - 1) - len(v.sp.in)
 		bound := float64(dropped) * cut * v.Link.Cfg.NoisePowerW()
@@ -454,5 +511,30 @@ func TestSparseForceDenseTeardown(t *testing.T) {
 			t.Fatalf("node %d: SINR changed across teardown: %x -> %x",
 				before[i].ID, before[i].SINRdB, after[i].SINRdB)
 		}
+	}
+}
+
+// BenchmarkJoin is admission on its own rung: the benchmark driver's
+// 12 000-node fleet (constant density, sparse core, leases off, 1 Mb/s
+// telemetry nodes) built once per iteration by a single worker — Join and
+// nothing else, where every BenchmarkNetworkScale rung is two thirds Join
+// and one third Run. With 16 APs the field is BenchmarkRegionMap's 4×4
+// grid on a reuse-4 plan.
+func BenchmarkJoin(b *testing.B) {
+	for _, g := range []int{1, 4} {
+		b.Run(fmt.Sprintf("aps=%d", g*g), func(b *testing.B) {
+			const nodes = 12000
+			side := 6000 * math.Sqrt(nodes/1000.0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nw := gridAPNetwork(b, 61, side, g, min(g*g, 4))
+				nw.Workers = 1
+				nw.Control.LeaseTTLS, nw.Control.RenewIntervalS = 0, 0
+				for _, ap := range nw.APs {
+					ap.Controller.LeaseTTL = 0
+				}
+				joinUniform(b, nw, stats.NewRNG(62), nodes)
+			}
+		})
 	}
 }

@@ -11,11 +11,18 @@
 // Σ_n a_mn·e^{j2πd·n·sinθ} (Eq. 4). For the classic sequentially-rotated
 // schedule, harmonic m forms a beam toward sinθ ≈ 2m/N (half-wavelength
 // spacing), so angle maps linearly onto harmonic index.
+//
+// The coefficients a_mn depend on the switching schedule and not on θ, so
+// an Array built by NewSDMArray carries the matrix for the harmonics
+// GainTable reports (coefMatrix): every entry is the value Coefficient
+// returns, computed once, and the per-θ work of HarmonicGain, GainTable
+// and BestHarmonic is one multiply-accumulate pass over it (respond).
 package tma
 
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"mmx/internal/dsp/pool"
 )
@@ -75,12 +82,71 @@ type Array struct {
 	SwitchRateHz float64
 	// Schedule gates the elements.
 	Schedule Schedule
+	// coef is the a_mn matrix NewSDMArray computed. It is never written
+	// afterwards — GainTable runs concurrently on a shared Array — and
+	// coefficients() checks it against N and Schedule before every use, so
+	// an Array edited after construction (or built as a struct literal,
+	// where coef is empty) gets a matrix computed on the spot instead.
+	coef coefMatrix
 }
 
 // NewSDMArray returns the AP's SDM front end: n elements at λ/2 with the
 // sequential schedule switching at fp.
 func NewSDMArray(n int, fp float64) *Array {
-	return &Array{N: n, SpacingWl: 0.5, SwitchRateHz: fp, Schedule: Sequential(n)}
+	a := &Array{N: n, SpacingWl: 0.5, SwitchRateHz: fp, Schedule: Sequential(n)}
+	a.coef = a.buildCoefficients()
+	return a
+}
+
+// coefMatrix is Coefficient(m, e) for every harmonic m in
+// [−MaxHarmonic, MaxHarmonic] and element e of an N-element array, stored
+// at a[(m+MaxHarmonic)·N+e], together with a private copy of the N
+// on-windows it was computed from.
+type coefMatrix struct {
+	on, width []float64
+	a         []complex128
+}
+
+func (a *Array) buildCoefficients() coefMatrix {
+	maxM := a.MaxHarmonic()
+	c := coefMatrix{
+		on:    append([]float64(nil), a.Schedule.On[:a.N]...),
+		width: append([]float64(nil), a.Schedule.Width[:a.N]...),
+		a:     make([]complex128, 0, (2*maxM+1)*a.N),
+	}
+	for m := -maxM; m <= maxM; m++ {
+		for e := 0; e < a.N; e++ {
+			c.a = append(c.a, a.Coefficient(m, e))
+		}
+	}
+	return c
+}
+
+// coefficients returns the a_mn matrix for the Array as it is now: the
+// one NewSDMArray stored while N and the first N on-windows still equal
+// what it was computed from, a fresh one otherwise.
+func (a *Array) coefficients() []complex128 {
+	c, s := &a.coef, a.Schedule
+	if len(s.On) >= a.N && len(s.Width) >= a.N &&
+		slices.Equal(c.on, s.On[:a.N]) && slices.Equal(c.width, s.Width[:a.N]) {
+		return c.a
+	}
+	return a.buildCoefficients().a
+}
+
+// respond adds the array response toward theta to dst, one entry per row
+// of coef (rows of N coefficients): dst[r] += Σ_e coef[r·N+e]·e^{j2πd·e·sinθ}.
+// Elements run in the outer loop so each steering phasor is computed once
+// and needs no buffer; every dst[r] still accumulates its terms in element
+// order, so a row's sum has the bits of the plain per-harmonic loop.
+func (a *Array) respond(dst, coef []complex128, theta float64) {
+	phasePerElem := 2 * math.Pi * a.SpacingWl * math.Sin(theta)
+	for e := 0; e < a.N; e++ {
+		p := cmplx.Rect(1, phasePerElem*float64(e))
+		for r := range dst {
+			dst[r] += coef[r*a.N+e] * p
+		}
+	}
 }
 
 // Coefficient returns the Fourier coefficient a_mn of element n's gating
@@ -107,12 +173,18 @@ func sinc(x float64) float64 {
 // HarmonicGain returns the array's complex response at harmonic m toward
 // azimuth theta (Eq. 4): Σ_n a_mn·e^{j2πd·n·sinθ}.
 func (a *Array) HarmonicGain(m int, theta float64) complex128 {
-	var g complex128
-	phasePerElem := 2 * math.Pi * a.SpacingWl * math.Sin(theta)
-	for n := 0; n < a.N; n++ {
-		g += a.Coefficient(m, n) * cmplx.Rect(1, phasePerElem*float64(n))
+	var row []complex128
+	if maxM := a.MaxHarmonic(); m >= -maxM && m <= maxM {
+		row = a.coefficients()[(m+maxM)*a.N:][:a.N]
+	} else {
+		row = make([]complex128, a.N)
+		for e := range row {
+			row[e] = a.Coefficient(m, e)
+		}
 	}
-	return g
+	var g [1]complex128
+	a.respond(g[:], row, theta)
+	return g[0]
 }
 
 // HarmonicPattern samples |HarmonicGain(m, θ)|² in dB relative to the
@@ -136,40 +208,50 @@ func (a *Array) HarmonicPattern(m int, thetas []float64) []float64 {
 func (a *Array) MaxHarmonic() int { return a.N / 2 }
 
 // GainTable returns HarmonicGain(m, theta) for every m in
-// [−MaxHarmonic, MaxHarmonic], indexed by m+MaxHarmonic. The per-element
-// steering phasors are computed once and shared across all harmonics, so
-// filling the whole table costs one phasor pass instead of one per
-// harmonic — the building block for simnet's cached coupling matrix, where
-// every co-channel pair needs gains at two harmonic indices per angle.
-// Each entry is bit-identical to the corresponding HarmonicGain call.
+// [−MaxHarmonic, MaxHarmonic], indexed by m+MaxHarmonic — the building
+// block for simnet's coupling, where every co-channel pair needs gains at
+// two harmonic indices per angle. The coefficients come from the matrix
+// the Array carries (see coefficients), so a table costs N steering
+// phasors and one multiply-accumulate pass, no trigonometry per
+// coefficient. Each entry is bit-identical to the corresponding
+// HarmonicGain call and to the closed form of Eq. 3/4 summed in element
+// order: the stored coefficients are Coefficient's own results, and they
+// are multiplied and added in the same order.
 func (a *Array) GainTable(theta float64) []complex128 {
-	maxM := a.MaxHarmonic()
-	out := make([]complex128, 2*maxM+1)
-	phasePerElem := 2 * math.Pi * a.SpacingWl * math.Sin(theta)
-	phasors := make([]complex128, a.N)
-	for n := 0; n < a.N; n++ {
-		phasors[n] = cmplx.Rect(1, phasePerElem*float64(n))
+	return a.GainTableInto(nil, theta)
+}
+
+// GainTableInto is GainTable with append-style buffer reuse: the table is
+// written into dst's storage when its capacity suffices, and costs no
+// other allocation.
+func (a *Array) GainTableInto(dst []complex128, theta float64) []complex128 {
+	rows := 2*a.MaxHarmonic() + 1
+	if cap(dst) < rows {
+		dst = make([]complex128, rows)
 	}
-	for m := -maxM; m <= maxM; m++ {
-		var g complex128
-		for n := 0; n < a.N; n++ {
-			g += a.Coefficient(m, n) * phasors[n]
-		}
-		out[m+maxM] = g
-	}
-	return out
+	dst = dst[:rows]
+	clear(dst)
+	a.respond(dst, a.coefficients(), theta)
+	return dst
 }
 
 // BestHarmonic returns the harmonic index whose response toward theta is
 // strongest — the frequency bin a transmitter at that angle lands in.
 func (a *Array) BestHarmonic(theta float64) int {
-	gt := a.GainTable(theta)
-	maxM := a.MaxHarmonic()
+	var buf [33]complex128 // arrays up to N=32 pick without allocating
+	return BestHarmonicOf(a.GainTableInto(buf[:0], theta))
+}
+
+// BestHarmonicOf is BestHarmonic for a caller that already holds the
+// GainTable at the angle: the harmonic of the strongest entry, the lowest
+// one on a tie.
+func BestHarmonicOf(table []complex128) int {
+	maxM := (len(table) - 1) / 2
 	best, bestMag := 0, -1.0
-	for m := -maxM; m <= maxM; m++ {
-		if mag := cmplx.Abs(gt[m+maxM]); mag > bestMag {
+	for i, g := range table {
+		if mag := cmplx.Abs(g); mag > bestMag {
 			bestMag = mag
-			best = m
+			best = i - maxM
 		}
 	}
 	return best

@@ -317,21 +317,154 @@ func TestMixLinearityProperty(t *testing.T) {
 	}
 }
 
-func TestGainTableMatchesHarmonicGain(t *testing.T) {
-	a := NewSDMArray(16, 1e6)
-	for _, th := range []float64{-1.2, -0.3, 0, 0.45, 1.0} {
-		gt := a.GainTable(th)
-		maxM := a.MaxHarmonic()
-		if len(gt) != 2*maxM+1 {
-			t.Fatalf("table length = %d", len(gt))
+// closedFormGain is Eq. 4 with Eq. 3 written out — a_mn =
+// w·sinc(m·w)·e^{−jπm(2o+w)} evaluated from the schedule for every term
+// and summed in element order. It reads nothing an Array stores besides
+// its exported fields, so it is an oracle for the coefficient matrix
+// rather than a second reader of it.
+func closedFormGain(a *Array, m int, theta float64) complex128 {
+	var g complex128
+	phasePerElem := 2 * math.Pi * a.SpacingWl * math.Sin(theta)
+	for n := 0; n < a.N; n++ {
+		var c complex128
+		if w, o := a.Schedule.Width[n], a.Schedule.On[n]; w > 0 {
+			mag := w
+			if x := float64(m) * w; x != 0 {
+				mag = w * (math.Sin(math.Pi*x) / (math.Pi * x))
+			}
+			c = cmplx.Rect(1, -math.Pi*float64(m)*(2*o+w)) * complex(mag, 0)
 		}
-		for m := -maxM; m <= maxM; m++ {
-			// Bit-identical, not merely close: the cached coupling matrix
-			// relies on it.
-			if gt[m+maxM] != a.HarmonicGain(m, th) {
-				t.Errorf("theta %g harmonic %d: table %v != direct %v",
-					th, m, gt[m+maxM], a.HarmonicGain(m, th))
+		g += c * cmplx.Rect(1, phasePerElem*float64(n))
+	}
+	return g
+}
+
+// oracleThetas is the angle set of the bit-identity tests: the two
+// endfire angles, broadside, and 64 seeded draws in between.
+func oracleThetas() []float64 {
+	rng := stats.NewRNG(19)
+	thetas := []float64{-math.Pi / 2, 0, math.Pi / 2}
+	for i := 0; i < 64; i++ {
+		thetas = append(thetas, rng.Uniform(-math.Pi/2, math.Pi/2))
+	}
+	return thetas
+}
+
+// TestGainTableMatchesHarmonicGain pins GainTable, GainTableInto,
+// HarmonicGain and BestHarmonic bit for bit to the closed form, for
+// arrays that carry NewSDMArray's coefficient matrix, arrays that never
+// had one (struct literals), and arrays edited after construction, which
+// must not be served the coefficients of the schedule they were built
+// with.
+func TestGainTableMatchesHarmonicGain(t *testing.T) {
+	type variant struct {
+		name string
+		make func(n int, s Schedule) *Array
+	}
+	variants := []variant{
+		{"constructed", func(n int, s Schedule) *Array {
+			a := NewSDMArray(n, 1e6)
+			if s.Width[0] != a.Schedule.Width[0] {
+				return nil // NewSDMArray only builds the sequential schedule
+			}
+			return a
+		}},
+		{"literal", func(n int, s Schedule) *Array {
+			return &Array{N: n, SpacingWl: 0.5, SwitchRateHz: 1e6, Schedule: s}
+		}},
+		{"schedule replaced", func(n int, s Schedule) *Array {
+			a := NewSDMArray(n, 1e6)
+			// A different schedule of the same shape: every window
+			// shifted and narrowed (or the caller's, when it differs).
+			if s.Width[0] == a.Schedule.Width[0] {
+				s = Sequential(n)
+				for i := range s.On {
+					s.On[i] += 0.25 / float64(n)
+					s.Width[i] *= 0.75
+				}
+			}
+			a.Schedule = s
+			return a
+		}},
+		{"schedule edited in place", func(n int, s Schedule) *Array {
+			a := NewSDMArray(n, 1e6)
+			a.Schedule.Width[n-1] *= 0.5
+			return a
+		}},
+		{"N shrunk", func(n int, s Schedule) *Array {
+			if n < 2 {
+				return nil
+			}
+			a := NewSDMArray(n, 1e6)
+			a.N = n / 2
+			return a
+		}},
+	}
+	thetas := oracleThetas()
+	for _, n := range []int{1, 4, 8, 16} {
+		for sname, sched := range map[string]Schedule{"sequential": Sequential(n), "always-on": AlwaysOn(n)} {
+			for _, v := range variants {
+				a := v.make(n, sched)
+				if a == nil {
+					continue
+				}
+				maxM := a.MaxHarmonic()
+				var into []complex128
+				for _, th := range thetas {
+					gt := a.GainTable(th)
+					if len(gt) != 2*maxM+1 {
+						t.Fatalf("N=%d %s %s: table length = %d", n, sname, v.name, len(gt))
+					}
+					into = a.GainTableInto(into, th)
+					best, bestMag := 0, -1.0
+					for m := -maxM; m <= maxM; m++ {
+						want := closedFormGain(a, m, th)
+						// Bit-identical, not merely close: the coupling
+						// caches and every fingerprint rely on it.
+						if gt[m+maxM] != want || into[m+maxM] != want || a.HarmonicGain(m, th) != want {
+							t.Fatalf("N=%d %s %s theta %g harmonic %d: table %v into %v direct %v, closed form %v",
+								n, sname, v.name, th, m, gt[m+maxM], into[m+maxM], a.HarmonicGain(m, th), want)
+						}
+						if mag := cmplx.Abs(want); mag > bestMag {
+							best, bestMag = m, mag
+						}
+					}
+					if got := a.BestHarmonic(th); got != best || BestHarmonicOf(gt) != best {
+						t.Fatalf("N=%d %s %s theta %g: BestHarmonic %d, BestHarmonicOf %d, closed form %d",
+							n, sname, v.name, th, got, BestHarmonicOf(gt), best)
+					}
+					// Harmonics beyond the table are served by HarmonicGain
+					// alone.
+					if m := maxM + 3; a.HarmonicGain(m, th) != closedFormGain(a, m, th) {
+						t.Fatalf("N=%d %s %s theta %g: harmonic %d off the closed form", n, sname, v.name, th, m)
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestGainTableIntoReusesStorage checks the append-style contract: a
+// destination with room is written in place, stale contents and all, and
+// the harmonic pick over a stack table allocates nothing.
+func TestGainTableIntoReusesStorage(t *testing.T) {
+	a := NewSDMArray(16, 1e6)
+	dst := make([]complex128, 0, 2*a.MaxHarmonic()+1)
+	first := a.GainTableInto(dst, 0.3)
+	second := a.GainTableInto(first, -0.7)
+	if &first[0] != &dst[:1][0] || &second[0] != &first[0] {
+		t.Error("GainTableInto did not reuse dst's storage")
+	}
+	for m, g := range a.GainTable(-0.7) {
+		if second[m] != g {
+			t.Fatalf("reused table entry %d = %v, want %v", m, second[m], g)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { second = a.GainTableInto(second, 0.1) }); n != 0 {
+		t.Errorf("GainTableInto into a sized buffer allocates %v times", n)
+	}
+	var sink int
+	if n := testing.AllocsPerRun(100, func() { sink += a.BestHarmonic(0.1) }); n != 0 {
+		t.Errorf("BestHarmonic allocates %v times", n)
 	}
 }
