@@ -3,6 +3,8 @@ package mac
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -36,23 +38,27 @@ const (
 
 // Allocator hands out non-overlapping FDM channels from a band, sized by
 // each node's demand (§4: "the bandwidth of an allocated channel depends
-// on the data rate requirement of the IoT node").
+// on the data rate requirement of the IoT node"). Its books are ordered by
+// construction: every grant is a binary insert into one frequency-ordered
+// slice and every release a binary remove from it, and placement, the SDM
+// share pick, Validate and Assignments read that slice in place — nothing
+// is rebuilt or sorted after a mutation.
 type Allocator struct {
 	band Band
-	// byNode maps node ID → current assignment.
+	// order holds every live assignment by ascending CenterHz. Centers are
+	// distinct except between channels narrower than the ulp of their
+	// center (reachable only through AllocateRegion), which keep insertion
+	// order.
+	order []Assignment
+	// byNode maps node ID → current assignment: the same membership as
+	// order (Validate checks it), kept for the O(1) Lookup every renew
+	// takes.
 	byNode map[uint32]Assignment
 	// FSKFraction sets each assignment's FSK offset as a fraction of its
 	// channel width.
 	FSKFraction float64
 	// Policy selects the gap-placement strategy (FirstFit default).
 	Policy Policy
-	// cache is the frequency-sorted view of byNode, rebuilt lazily after a
-	// mutation. Once the band fills, every overflow join still probes
-	// Allocate (ErrBandFull) and then reads Assignments to pick an SDM
-	// share — two sorted views per join with no intervening mutation, so
-	// caching turns a per-join O(k log k) sort into a map hit.
-	cache   []Assignment
-	cacheOK bool
 }
 
 // NewAllocator creates an allocator over the band.
@@ -69,7 +75,7 @@ var (
 	ErrBandFull         = errors.New("mac: no contiguous spectrum left for the requested rate")
 	ErrAlreadyAllocated = errors.New("mac: node already holds a channel")
 	ErrNotAllocated     = errors.New("mac: node holds no channel")
-	ErrBadDemand        = errors.New("mac: demand must be positive")
+	ErrBadDemand        = errors.New("mac: demand must be positive and finite")
 	ErrRegionBusy       = errors.New("mac: requested spectrum region unavailable")
 )
 
@@ -77,7 +83,10 @@ var (
 // ErrBandFull when FDM is exhausted — the caller's cue to fall back to
 // spatial reuse (SDM) on an existing channel.
 func (al *Allocator) Allocate(nodeID uint32, demandBps float64) (Assignment, error) {
-	if demandBps <= 0 {
+	// Written so that NaN is refused too: "<= 0" lets it through, no later
+	// comparison stops it, and a NaN-centered channel has no place in a
+	// sorted slice. An infinite demand fits no band.
+	if !(demandBps > 0) || math.IsInf(demandBps, 0) {
 		return Assignment{}, ErrBadDemand
 	}
 	if _, ok := al.byNode[nodeID]; ok {
@@ -94,55 +103,45 @@ func (al *Allocator) Allocate(nodeID uint32, demandBps float64) (Assignment, err
 		WidthHz:     width,
 		FSKOffsetHz: width * al.FSKFraction,
 	}
-	al.byNode[nodeID] = asg
-	al.cacheOK = false
+	al.insert(asg)
 	return asg, nil
 }
 
-// gap is a free span of spectrum.
-type gap struct{ lo, hi float64 }
-
-// freeGaps returns the free spans between assignments, low to high.
-func (al *Allocator) freeGaps() []gap {
-	var gaps []gap
-	cursor := al.band.LowHz
-	for _, a := range al.sorted() {
-		if a.Low() > cursor {
-			gaps = append(gaps, gap{cursor, a.Low()})
-		}
-		if a.High() > cursor {
-			cursor = a.High()
-		}
-	}
-	if cursor < al.band.HighHz {
-		gaps = append(gaps, gap{cursor, al.band.HighHz})
-	}
-	return gaps
+// insert books asg: after every entry whose center is not above its own.
+func (al *Allocator) insert(asg Assignment) {
+	i := sort.Search(len(al.order), func(i int) bool { return al.order[i].CenterHz > asg.CenterHz })
+	al.order = slices.Insert(al.order, i, asg)
+	al.byNode[asg.NodeID] = asg
 }
 
-// placeChannel picks the low edge of a new channel of the given width
-// per the allocator's policy. ok is false when nothing fits.
+// placeChannel picks the low edge of a new channel of the given positive
+// width per the allocator's policy: one pass over the ordered books, the
+// free span [lo, hi) below each assignment and the one above the last
+// computed on the way (an empty span has hi <= lo and fits nothing). ok
+// is false when nothing fits.
 func (al *Allocator) placeChannel(width float64) (float64, bool) {
-	var best gap
-	found := false
-	for _, g := range al.freeGaps() {
-		if g.hi-g.lo < width {
+	bestLo, bestSize, found := 0.0, 0.0, false
+	cursor := al.band.LowHz
+	for i := 0; i <= len(al.order); i++ {
+		lo, hi := cursor, al.band.HighHz
+		if i < len(al.order) {
+			a := al.order[i]
+			hi = a.Low()
+			if a.High() > cursor {
+				cursor = a.High()
+			}
+		}
+		if hi-lo < width {
 			continue
 		}
-		switch al.Policy {
-		case BestFit:
-			if !found || g.hi-g.lo < best.hi-best.lo {
-				best = g
-				found = true
-			}
-		default: // FirstFit
-			return g.lo, true
+		if al.Policy != BestFit {
+			return lo, true // FirstFit
+		}
+		if !found || hi-lo < bestSize {
+			bestLo, bestSize, found = lo, hi-lo, true
 		}
 	}
-	if !found {
-		return 0, false
-	}
-	return best.lo, true
+	return bestLo, found
 }
 
 // AllocateRegion grants nodeID the exact channel
@@ -162,7 +161,7 @@ func (al *Allocator) AllocateRegion(nodeID uint32, centerHz, widthHz float64) (A
 	if !al.band.Contains(lo, hi) {
 		return Assignment{}, ErrRegionBusy
 	}
-	for _, a := range al.byNode {
+	for _, a := range al.order {
 		if lo < a.High() && a.Low() < hi {
 			return Assignment{}, ErrRegionBusy
 		}
@@ -173,18 +172,24 @@ func (al *Allocator) AllocateRegion(nodeID uint32, centerHz, widthHz float64) (A
 		WidthHz:     widthHz,
 		FSKOffsetHz: widthHz * al.FSKFraction,
 	}
-	al.byNode[nodeID] = asg
-	al.cacheOK = false
+	al.insert(asg)
 	return asg, nil
 }
 
 // Release frees nodeID's channel.
 func (al *Allocator) Release(nodeID uint32) error {
-	if _, ok := al.byNode[nodeID]; !ok {
+	asg, ok := al.byNode[nodeID]
+	if !ok {
 		return ErrNotAllocated
 	}
+	// The first entry at the node's own center, then past any sub-ulp
+	// channels that share it.
+	i := sort.Search(len(al.order), func(i int) bool { return al.order[i].CenterHz >= asg.CenterHz })
+	for al.order[i].NodeID != nodeID {
+		i++
+	}
+	al.order = slices.Delete(al.order, i, i+1)
 	delete(al.byNode, nodeID)
-	al.cacheOK = false
 	return nil
 }
 
@@ -197,13 +202,14 @@ func (al *Allocator) Lookup(nodeID uint32) (Assignment, bool) {
 // Assignments returns all live assignments ordered by frequency. The
 // returned slice is the caller's to keep.
 func (al *Allocator) Assignments() []Assignment {
-	return append([]Assignment(nil), al.sorted()...)
+	return append([]Assignment(nil), al.order...)
 }
 
-// FreeHz returns the total unallocated spectrum.
+// FreeHz returns the total unallocated spectrum. Widths are summed in
+// frequency order, so the result is a function of the books alone.
 func (al *Allocator) FreeHz() float64 {
 	used := 0.0
-	for _, a := range al.byNode {
+	for _, a := range al.order {
 		used += a.WidthHz
 	}
 	return al.band.Width() - used
@@ -218,33 +224,31 @@ func (al *Allocator) Utilization() float64 {
 }
 
 // Validate checks the allocator's invariants: every assignment inside the
-// band and no two overlapping. It returns nil when consistent (used by
-// property tests).
+// band, no two overlapping, and the ordered books sorted by center with
+// exactly byNode's entries — an insert or remove that went to the wrong
+// slot fails every audit built on this (AuditBooks, ValidateSpectrum). It
+// returns nil when consistent.
 func (al *Allocator) Validate() error {
-	sorted := al.sorted()
-	for i, a := range sorted {
+	if len(al.order) != len(al.byNode) {
+		return fmt.Errorf("ordered books hold %d assignments, the node index %d", len(al.order), len(al.byNode))
+	}
+	for i, a := range al.order {
+		if got, ok := al.byNode[a.NodeID]; !ok || got != a {
+			return fmt.Errorf("ordered books and node index disagree on node %d", a.NodeID)
+		}
 		if !al.band.Contains(a.Low(), a.High()) {
 			return fmt.Errorf("assignment %d outside band", a.NodeID)
 		}
-		if i > 0 && a.Low() < sorted[i-1].High()-1e-6 {
-			return fmt.Errorf("assignments %d and %d overlap",
-				sorted[i-1].NodeID, a.NodeID)
+		if i == 0 {
+			continue
+		}
+		prev := al.order[i-1]
+		if a.CenterHz < prev.CenterHz {
+			return fmt.Errorf("assignments %d and %d out of frequency order", prev.NodeID, a.NodeID)
+		}
+		if a.Low() < prev.High()-1e-6 {
+			return fmt.Errorf("assignments %d and %d overlap", prev.NodeID, a.NodeID)
 		}
 	}
 	return nil
-}
-
-// sorted returns the cached frequency-sorted assignment list. The slice
-// is shared across calls until the next mutation — internal callers must
-// not modify it (Assignments hands external callers a copy).
-func (al *Allocator) sorted() []Assignment {
-	if !al.cacheOK {
-		al.cache = al.cache[:0]
-		for _, a := range al.byNode {
-			al.cache = append(al.cache, a)
-		}
-		sort.Slice(al.cache, func(i, j int) bool { return al.cache[i].CenterHz < al.cache[j].CenterHz })
-		al.cacheOK = true
-	}
-	return al.cache
 }

@@ -279,21 +279,37 @@ func TestControllerBadInput(t *testing.T) {
 	}
 }
 
+// TestFreeGaps checks the gaps placeChannel walks — there is no gap list
+// to read, so it asks for widths that just fit and just miss each one.
 func TestFreeGaps(t *testing.T) {
 	al := NewAllocator(ISM24GHz())
-	if gaps := al.freeGaps(); len(gaps) != 1 || gaps[0].hi-gaps[0].lo != 250e6 {
-		t.Fatalf("fresh gaps = %v", gaps)
+	low := al.band.LowHz
+	place := func(width float64, wantLo float64, wantOK bool) {
+		t.Helper()
+		if lo, ok := al.placeChannel(width); ok != wantOK || lo != wantLo {
+			t.Errorf("placeChannel(%g) = +%g MHz, %v; want +%g MHz, %v",
+				width, (lo-low)/1e6, ok, (wantLo-low)/1e6, wantOK)
+		}
 	}
+	// A fresh band is one gap of its own width.
+	place(250e6, low, true)
+	place(250e6+1, 0, false)
 	al.Allocate(1, 40e6) // 50 MHz at the bottom
 	al.Allocate(2, 40e6)
 	al.Release(1)
-	gaps := al.freeGaps()
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	if gaps[0].hi-gaps[0].lo != 50e6 {
-		t.Errorf("freed gap = %g", gaps[0].hi-gaps[0].lo)
-	}
+	// Two gaps: the freed 50 MHz below channel 2 and 150 MHz above it.
+	place(50e6, low, true)
+	place(50e6+1, low+100e6, true)
+	place(150e6, low+100e6, true)
+	place(150e6+1, 0, false)
+	al.Policy = BestFit
+	place(40e6, low, true)
+	place(60e6, low+100e6, true)
+	// The smaller gap on top: BestFit takes it, FirstFit the lower one.
+	al.Allocate(3, 100e6) // [100,225) MHz, leaving 25 MHz at the top
+	place(20e6, low+225e6, true)
+	al.Policy = FirstFit
+	place(20e6, low, true)
 }
 
 func TestBestFitPreservesLargeGaps(t *testing.T) {

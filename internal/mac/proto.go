@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // The initialization protocol (§4, §7a): before any mmWave transmission, a
@@ -617,7 +617,7 @@ func (c *Controller) Leaseholders() []uint32 {
 	for id := range c.renewedAt {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -744,7 +744,7 @@ func (c *Controller) ExpireLeases(now float64) []uint32 {
 			expired = append(expired, id)
 		}
 	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
+	slices.Sort(expired)
 	for _, id := range expired {
 		note, _ := c.release(id)
 		if len(note) > 0 {
@@ -801,7 +801,7 @@ func (c *Controller) AuditBooks() error {
 			return fmt.Errorf("mac: SDM sharer %d holds no lease", id)
 		}
 	}
-	for _, a := range c.Alloc.Assignments() {
+	for _, a := range c.Alloc.order {
 		if _, ok := c.renewedAt[a.NodeID]; !ok {
 			return fmt.Errorf("mac: FDM owner %d holds no lease", a.NodeID)
 		}
@@ -979,7 +979,7 @@ func (c *Controller) handleJoin(dst []byte, m JoinRequest) ([]byte, error) {
 		// single channel absorbs all the spatial reuse. The lease
 		// starts when the node confirms its placement.
 		share := c.Alloc.band.LowHz + BandwidthForRate(m.DemandBps)/2
-		if got := c.Alloc.sorted(); len(got) > 0 {
+		if got := c.Alloc.order; len(got) > 0 {
 			share = got[c.nextShare%len(got)].CenterHz
 			c.nextShare++
 		}
