@@ -10,7 +10,7 @@
 // On SIGTERM/SIGINT the daemon drains — every queued frame is handled
 // and its reply flushed — then prints a final audit line:
 //
-//	mmx-apd: final leases=0 audit=ok
+//	mmx-apd: final leases=0 records=0 addrs=0 audit=ok
 //
 // and exits 0 when the books are consistent, 2 when the audit fails.
 // The storm harness (cmd/mmx-load) and the CI soak grep that line for
@@ -104,8 +104,9 @@ func main() {
 	<-sig
 
 	// Drain-and-flush, then report the books' final state. "leases=0
-	// audit=ok" after a storm that released everything is the soak
-	// test's convergence proof.
+	// records=0 addrs=0 audit=ok" after a storm that released everything
+	// and one lease TTL of quiet is the soak test's convergence proof:
+	// nothing a node — or a stranger's datagram — left behind outlives it.
 	srv.Stop()
 	st := srv.Stats()
 	fmt.Printf("mmx-apd: handled=%d shed=%d malformed=%d promotes=%d expired=%d\n",
@@ -116,7 +117,8 @@ func main() {
 		audit = fmt.Sprintf("FAIL (%v)", err)
 		code = 2
 	}
-	fmt.Printf("mmx-apd: final leases=%d audit=%s\n", srv.LeaseCount(), audit)
+	fmt.Printf("mmx-apd: final leases=%d records=%d addrs=%d audit=%s\n",
+		srv.LeaseCount(), srv.RecordCount(), srv.AddrCount(), audit)
 	stopProfiles()
 	os.Exit(code)
 }

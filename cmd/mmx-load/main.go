@@ -9,7 +9,7 @@
 //
 // The run's convergence assertion is client-side: every client joined
 // and every client released. The daemon-side half — zero leases left,
-// books passing audit — is the "final leases=0 audit=ok" line mmx-apd
+// books passing audit — is the "final leases=0 … audit=ok" line mmx-apd
 // prints on SIGTERM; the CI soak checks both. Exit status: 0 on
 // convergence, 1 otherwise.
 //

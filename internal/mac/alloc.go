@@ -22,19 +22,10 @@ type Assignment struct {
 func (a Assignment) Low() float64  { return a.CenterHz - a.WidthHz/2 }
 func (a Assignment) High() float64 { return a.CenterHz + a.WidthHz/2 }
 
-// Policy selects how the allocator places a new channel among the free
-// gaps.
-type Policy int
-
-// Allocation policies.
-const (
-	// FirstFit takes the lowest-frequency gap that fits — fast and
-	// cache-friendly, but can fragment the band under churn.
-	FirstFit Policy = iota
-	// BestFit takes the smallest gap that fits, preserving large gaps
-	// for future wide channels.
-	BestFit
-)
+// FSKFraction is each channel's FSK offset — the per-beam VCO offset of
+// joint ASK-FSK — as a fraction of the channel's width. The AP's grants
+// and a sharer's self-placed SDM channel use the same figure.
+const FSKFraction = 0.05
 
 // Allocator hands out non-overlapping FDM channels from a band, sized by
 // each node's demand (§4: "the bandwidth of an allocated channel depends
@@ -54,20 +45,11 @@ type Allocator struct {
 	// order (Validate checks it), kept for the O(1) Lookup every renew
 	// takes.
 	byNode map[uint32]Assignment
-	// FSKFraction sets each assignment's FSK offset as a fraction of its
-	// channel width.
-	FSKFraction float64
-	// Policy selects the gap-placement strategy (FirstFit default).
-	Policy Policy
 }
 
 // NewAllocator creates an allocator over the band.
 func NewAllocator(band Band) *Allocator {
-	return &Allocator{
-		band:        band,
-		byNode:      make(map[uint32]Assignment),
-		FSKFraction: 0.05,
-	}
+	return &Allocator{band: band, byNode: make(map[uint32]Assignment)}
 }
 
 // Errors from allocation.
@@ -101,7 +83,7 @@ func (al *Allocator) Allocate(nodeID uint32, demandBps float64) (Assignment, err
 		NodeID:      nodeID,
 		CenterHz:    lo + width/2,
 		WidthHz:     width,
-		FSKOffsetHz: width * al.FSKFraction,
+		FSKOffsetHz: width * FSKFraction,
 	}
 	al.insert(asg)
 	return asg, nil
@@ -115,12 +97,11 @@ func (al *Allocator) insert(asg Assignment) {
 }
 
 // placeChannel picks the low edge of a new channel of the given positive
-// width per the allocator's policy: one pass over the ordered books, the
-// free span [lo, hi) below each assignment and the one above the last
-// computed on the way (an empty span has hi <= lo and fits nothing). ok
-// is false when nothing fits.
+// width, first fit: one pass over the ordered books, the free span
+// [lo, hi) below each assignment and the one above the last computed on
+// the way (an empty span has hi <= lo and fits nothing), stopping at the
+// lowest span that fits. ok is false when nothing fits.
 func (al *Allocator) placeChannel(width float64) (float64, bool) {
-	bestLo, bestSize, found := 0.0, 0.0, false
 	cursor := al.band.LowHz
 	for i := 0; i <= len(al.order); i++ {
 		lo, hi := cursor, al.band.HighHz
@@ -131,23 +112,17 @@ func (al *Allocator) placeChannel(width float64) (float64, bool) {
 				cursor = a.High()
 			}
 		}
-		if hi-lo < width {
-			continue
-		}
-		if al.Policy != BestFit {
-			return lo, true // FirstFit
-		}
-		if !found || hi-lo < bestSize {
-			bestLo, bestSize, found = lo, hi-lo, true
+		if hi-lo >= width {
+			return lo, true
 		}
 	}
-	return bestLo, found
+	return 0, false
 }
 
 // AllocateRegion grants nodeID the exact channel
 // [centerHz−widthHz/2, centerHz+widthHz/2] — targeted placement used when
 // promoting an SDM sharer to owner of the spectrum it already occupies,
-// where the policy-driven gap search of Allocate would move the channel.
+// where the first-fit gap search of Allocate would move the channel.
 // The region must lie inside the band and clear of every current
 // assignment.
 func (al *Allocator) AllocateRegion(nodeID uint32, centerHz, widthHz float64) (Assignment, error) {
@@ -170,7 +145,7 @@ func (al *Allocator) AllocateRegion(nodeID uint32, centerHz, widthHz float64) (A
 		NodeID:      nodeID,
 		CenterHz:    centerHz,
 		WidthHz:     widthHz,
-		FSKOffsetHz: widthHz * al.FSKFraction,
+		FSKOffsetHz: widthHz * FSKFraction,
 	}
 	al.insert(asg)
 	return asg, nil

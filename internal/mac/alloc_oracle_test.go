@@ -25,8 +25,6 @@ type refAllocator struct {
 	// FSKFraction sets each assignment's FSK offset as a fraction of its
 	// channel width.
 	FSKFraction float64
-	// Policy selects the gap-placement strategy (FirstFit default).
-	Policy Policy
 	// cache is the frequency-sorted view of byNode, rebuilt lazily after a
 	// mutation. Once the band fills, every overflow join still probes
 	// Allocate (ErrBandFull) and then reads Assignments to pick an SDM
@@ -92,35 +90,21 @@ func (al *refAllocator) freeGaps() []gap {
 	return gaps
 }
 
-// placeChannel picks the low edge of a new channel of the given width
-// per the allocator's policy. ok is false when nothing fits.
+// placeChannel picks the low edge of a new channel of the given width:
+// the lowest gap that fits. ok is false when nothing fits.
 func (al *refAllocator) placeChannel(width float64) (float64, bool) {
-	var best gap
-	found := false
 	for _, g := range al.freeGaps() {
-		if g.hi-g.lo < width {
-			continue
-		}
-		switch al.Policy {
-		case BestFit:
-			if !found || g.hi-g.lo < best.hi-best.lo {
-				best = g
-				found = true
-			}
-		default: // FirstFit
+		if g.hi-g.lo >= width {
 			return g.lo, true
 		}
 	}
-	if !found {
-		return 0, false
-	}
-	return best.lo, true
+	return 0, false
 }
 
 // AllocateRegion grants nodeID the exact channel
 // [centerHz−widthHz/2, centerHz+widthHz/2] — targeted placement used when
 // promoting an SDM sharer to owner of the spectrum it already occupies,
-// where the policy-driven gap search of Allocate would move the channel.
+// where the first-fit gap search of Allocate would move the channel.
 // The region must lie inside the band and clear of every current
 // assignment.
 func (al *refAllocator) AllocateRegion(nodeID uint32, centerHz, widthHz float64) (Assignment, error) {
@@ -221,19 +205,16 @@ type allocPair struct {
 	ties int
 }
 
-// newAllocPair picks policy and band from cfg: FirstFit or BestFit, the
-// ISM band or one sixteenth of it (a reuse slice: 12 narrow channels,
-// edges that are not round numbers).
+// newAllocPair picks the band from cfg: the ISM band or one sixteenth of
+// it (a reuse slice: 12 narrow channels, edges that are not round
+// numbers). Bit 0 selected the placement policy while there were two; it
+// is ignored, so corpus entries recorded then still run.
 func newAllocPair(t testing.TB, cfg byte) *allocPair {
 	band := ISM24GHz()
 	if cfg&2 != 0 {
 		band = band.Partition(16)[5]
 	}
-	d := &allocPair{t: t, al: NewAllocator(band), ref: newRefAllocator(band)}
-	if cfg&1 != 0 {
-		d.al.Policy, d.ref.Policy = BestFit, BestFit
-	}
-	return d
+	return &allocPair{t: t, al: NewAllocator(band), ref: newRefAllocator(band)}
 }
 
 // step decodes one op from four bytes and applies it to both sides.
@@ -338,7 +319,7 @@ func (d *allocPair) check(op string, id uint32, got, want Assignment, gerr, werr
 	d.n++
 	fail := func(format string, args ...any) {
 		d.t.Helper()
-		d.t.Fatalf("op %d %s (policy %d, band %v): %s", d.n, op, d.al.Policy, d.al.band, fmt.Sprintf(format, args...))
+		d.t.Fatalf("op %d %s (band %v): %s", d.n, op, d.al.band, fmt.Sprintf(format, args...))
 	}
 	if got != want || gerr != werr {
 		fail("returned %+v, %v; oracle %+v, %v", got, gerr, want, werr)
@@ -387,8 +368,8 @@ func (d *allocPair) check(op string, id uint32, got, want Assignment, gerr, werr
 }
 
 // TestAllocatorMatchesReference is the differential test of the ordered
-// books: 200 seeded sequences of 400 ops, both policies, the ISM band and
-// a reuse slice of it, every observable compared with the rebuild-and-sort
+// books: 200 seeded sequences of 400 ops, the ISM band and a reuse slice
+// of it, every observable compared with the rebuild-and-sort
 // oracle after every op.
 func TestAllocatorMatchesReference(t *testing.T) {
 	ties, grants := 0, 0
@@ -427,7 +408,7 @@ func FuzzAllocatorSequence(f *testing.F) {
 	}
 	f.Add(seq(2, fill...))
 	// Release every other channel, then ask for widths that do and do not
-	// fit the 1 MHz holes, under BestFit.
+	// fit the 1 MHz holes.
 	holes := slices.Clone(fill)
 	for id := 0; id < 15; id += 2 {
 		holes = append(holes, [4]byte{4, byte(id), 0, 1})

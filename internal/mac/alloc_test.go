@@ -79,7 +79,7 @@ func TestValidateCatchesIndexDrift(t *testing.T) {
 		ctl := NewController(ISM24GHz())
 		ctl.Alloc = mixedAllocator(t)
 		for _, a := range ctl.Alloc.order {
-			ctl.touch(a.NodeID)
+			ctl.lease(a.NodeID)
 		}
 		if err := ctl.AuditBooks(); err != nil {
 			t.Fatalf("%s: books before the corruption: %v", c.name, err)

@@ -70,6 +70,9 @@ func churnTraceHash(t *testing.T) (sum uint64, grants, rejects, promotes int) {
 			promotes++
 			h.Write(push)
 		}
+		if err := c.AuditBooks(); err != nil {
+			t.Fatalf("books after message %d: %v", sent, err)
+		}
 		return msg
 	}
 	frame := func(m any) []byte {
@@ -125,9 +128,6 @@ func churnTraceHash(t *testing.T) (sum uint64, grants, rejects, promotes int) {
 			}
 			send(id, append([]byte(nil), n.last...))
 		}
-	}
-	if err := c.AuditBooks(); err != nil {
-		t.Fatalf("books after the trace: %v", err)
 	}
 	return h.Sum64(), grants, rejects, promotes
 }

@@ -99,6 +99,18 @@ func TestControllerSeqDedup(t *testing.T) {
 	}
 }
 
+// TestReplyFitsRecord: a record caches the reply in a fixed array, so
+// maxReplyLen must be the longest reply the controller encodes.
+func TestReplyFitsRecord(t *testing.T) {
+	longest := 0
+	for _, m := range []any{AssignmentMsg{}, RejectMsg{}, RenewAckMsg{}, RenewNackMsg{}, AckMsg{}} {
+		longest = max(longest, len(mustMarshal(t, m)))
+	}
+	if longest != maxReplyLen {
+		t.Errorf("longest reply is %d bytes, maxReplyLen %d", longest, maxReplyLen)
+	}
+}
+
 // TestControllerLeaseExpiry drives the crash-without-Release path: a
 // silent owner is expired, its spectrum reclaimed, and its surviving
 // sharer promoted through the queued push.
@@ -188,11 +200,78 @@ func TestControllerReleaseForgetsDedup(t *testing.T) {
 		handleAt(t, c, JoinRequest{NodeID: id, Seq: 1, DemandBps: 1e6}, 0.6)
 		handleAt(t, c, ReleaseMsg{NodeID: id, Seq: 2}, 0.6)
 	}
-	if len(c.lastSeq) != c.LeaseCount() || len(c.lastReply) != c.LeaseCount() {
-		t.Errorf("dedup cache holds %d/%d entries for %d leases", len(c.lastSeq), len(c.lastReply), c.LeaseCount())
+	if c.RecordCount() != c.LeaseCount() {
+		t.Errorf("%d records kept for %d leases", c.RecordCount(), c.LeaseCount())
 	}
 	if err := c.AuditBooks(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestControllerForgetsStrangers: what the AP remembers about an ID that
+// never obtained a lease — the nack a stranger's renew drew, the reject of
+// a join that never confirmed — is dropped after LeaseTTL of silence like
+// a lease is. Kept, it is one entry per ID an unauthenticated datagram
+// ever named.
+func TestControllerForgetsStrangers(t *testing.T) {
+	c := NewController(ISM24GHz())
+	c.LeaseTTL = 1.0
+	const renews, joins = 1000, 200
+	for id := uint32(0); id < renews; id++ {
+		if _, ok := handleAt(t, c, RenewMsg{NodeID: id, Seq: 1}, 0).(RenewNackMsg); !ok {
+			t.Fatalf("stranger %d's renew was not nacked", id)
+		}
+	}
+	for id := uint32(renews); id < renews+joins; id++ {
+		// Wider than the whole band: rejected into SDM, never confirmed.
+		if _, ok := handleAt(t, c, JoinRequest{NodeID: id, Seq: 1, DemandBps: 1e9}, 0).(RejectMsg); !ok {
+			t.Fatalf("join %d was not rejected", id)
+		}
+	}
+	if c.RecordCount() != renews+joins || c.LeaseCount() != 0 {
+		t.Fatalf("after the flood: %d records, %d leases; want %d, 0", c.RecordCount(), c.LeaseCount(), renews+joins)
+	}
+	if err := c.AuditBooks(); err != nil {
+		t.Fatal(err)
+	}
+	if expired := c.ExpireLeases(1.5); len(expired) != 0 {
+		t.Errorf("ExpireLeases reported %d IDs that never held spectrum", len(expired))
+	}
+	if c.RecordCount() != 0 || c.LeaseCount() != 0 {
+		t.Errorf("a TTL of silence later: %d records, %d leases; want none", c.RecordCount(), c.LeaseCount())
+	}
+	if err := c.AuditBooks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestControllerRejectReplaysWithinTTLOfLastContact: a leaseless record's
+// TTL runs from the node's last answered request, not its first, so an
+// exact retransmission of a rejected join still draws the cached reject
+// byte for byte — re-executed, it would be handed the next SDM slot.
+func TestControllerRejectReplaysWithinTTLOfLastContact(t *testing.T) {
+	c := NewController(ISM24GHz())
+	c.LeaseTTL = 1.0
+	handleAt(t, c, JoinRequest{NodeID: 5, Seq: 1, DemandBps: 1e9}, 0)
+	second := mustMarshal(t, JoinRequest{NodeID: 5, Seq: 2, DemandBps: 1e9})
+	first, err := c.HandleAt(second, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expired := c.ExpireLeases(1.5); len(expired) != 0 || c.RecordCount() != 1 {
+		t.Fatalf("sweep 0.7 s after the last contact: expired %v, %d records; want none, 1", expired, c.RecordCount())
+	}
+	again, err := c.HandleAt(second, 1.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Errorf("retransmitted join re-executed:\n%v\n%v", first, again)
+	}
+	// The replay was not contact: the record still dates from 0.8.
+	c.ExpireLeases(2.0)
+	if c.RecordCount() != 0 {
+		t.Errorf("%d records 1.2 s after the last answered request", c.RecordCount())
 	}
 }
 
@@ -225,7 +304,7 @@ func TestControllerRenew(t *testing.T) {
 }
 
 // TestControllerRestart models the AP reboot: volatile books vanish, the
-// band and policy survive, renews are nacked, and rejoining from scratch
+// band survives, renews are nacked, and rejoining from scratch
 // works.
 func TestControllerRestart(t *testing.T) {
 	c := NewController(ISM24GHz())

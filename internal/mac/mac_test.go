@@ -302,59 +302,11 @@ func TestFreeGaps(t *testing.T) {
 	place(50e6+1, low+100e6, true)
 	place(150e6, low+100e6, true)
 	place(150e6+1, 0, false)
-	al.Policy = BestFit
-	place(40e6, low, true)
-	place(60e6, low+100e6, true)
-	// The smaller gap on top: BestFit takes it, FirstFit the lower one.
+	// A smaller gap on top that fits just as well: first fit still takes
+	// the lower one.
 	al.Allocate(3, 100e6) // [100,225) MHz, leaving 25 MHz at the top
-	place(20e6, low+225e6, true)
-	al.Policy = FirstFit
 	place(20e6, low, true)
-}
-
-func TestBestFitPreservesLargeGaps(t *testing.T) {
-	// Layout: a 100 MHz gap at the bottom of the band and an exact
-	// 50 MHz gap higher up. A 50 MHz request under FirstFit carves the
-	// big gap (fragmenting it); BestFit takes the exact-fit gap, so a
-	// later 100 MHz channel still fits.
-	build := func(policy Policy) *Allocator {
-		al := NewAllocator(ISM24GHz())
-		al.Policy = policy
-		al.Allocate(1, 80e6) // [0,100)
-		al.Allocate(2, 40e6) // [100,150)
-		al.Allocate(3, 40e6) // [150,200)
-		al.Allocate(4, 40e6) // [200,250)
-		al.Release(1)        // big gap low: [0,100)
-		al.Release(3)        // exact gap high: [150,200)
-		return al
-	}
-	ff := build(FirstFit)
-	bf := build(BestFit)
-
-	a1, err := ff.Allocate(10, 40e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1.Low() != ff.band.LowHz {
-		t.Errorf("FirstFit placed at +%g MHz, want band low", (a1.Low()-ff.band.LowHz)/1e6)
-	}
-	a2, err := bf.Allocate(10, 40e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2.Low() != bf.band.LowHz+150e6 {
-		t.Errorf("BestFit placed at +%g MHz, want +150", (a2.Low()-bf.band.LowHz)/1e6)
-	}
-	// Consequence: only BestFit can still admit an 80 Mbps (100 MHz) node.
-	if _, err := bf.Allocate(11, 80e6); err != nil {
-		t.Errorf("BestFit should still fit the wide channel: %v", err)
-	}
-	if _, err := ff.Allocate(11, 80e6); err == nil {
-		t.Error("FirstFit fragmented the band and should fail")
-	}
-	if ff.Validate() != nil || bf.Validate() != nil {
-		t.Error("invariants broken")
-	}
+	place(25e6, low, true)
 }
 
 func TestProtoRoundtripsLifecycle(t *testing.T) {
@@ -395,7 +347,7 @@ func TestAllocateRegion(t *testing.T) {
 	if r.CenterHz != center || r.WidthHz != 50e6 {
 		t.Errorf("region = %+v", r)
 	}
-	if r.FSKOffsetHz != 50e6*al.FSKFraction {
+	if r.FSKOffsetHz != 50e6*FSKFraction {
 		t.Errorf("FSK offset = %g", r.FSKOffsetHz)
 	}
 	if err := al.Validate(); err != nil {

@@ -505,12 +505,47 @@ func ReplyIdent(msg any) (node, seq uint32, ok bool) {
 	return 0, 0, false
 }
 
-// Sharer is one confirmed SDM occupant of a channel, as recorded by the
-// controller's spectrum books.
+// Sharer is one confirmed SDM occupant of a channel, as SharersOn reports
+// it.
 type Sharer struct {
 	NodeID   uint32
 	WidthHz  float64
 	Harmonic int8
+}
+
+// maxHarmonic bounds the SDM slots handed to rejected nodes (± the AP
+// TMA's usable range).
+const maxHarmonic = 4
+
+// maxReplyLen is the longest reply the controller encodes (RenewAckMsg).
+const maxReplyLen = 1 + 8 + 24 + 2
+
+// peer is everything the AP remembers about one node ID. It is created by
+// the first request the controller answers for the ID and ends in one
+// delete (forget), so lease, share slot and cached reply cannot outlive
+// one another.
+type peer struct {
+	// at is the node's last contact time: what ExpireLeases measures
+	// LeaseTTL of silence from, whether or not the node holds spectrum.
+	at float64
+	// center, width and harmonic are the SDM slot a sharer confirmed: the
+	// center of the channel it shares (copied verbatim from an assignment,
+	// so float equality is exact), its occupied width, its TMA slot.
+	center, width float64
+	id            uint32
+	// seq is the last non-zero sequence number the node sent and
+	// reply[:replyLen] the reply it drew: exact-duplicate suppression.
+	seq      uint32
+	harmonic int8
+	// leased: the node holds spectrum, as FDM owner (the allocator has its
+	// channel) or as SDM sharer.
+	leased bool
+	// shared: the node is a confirmed SDM sharer — the slot above is live
+	// and the record is listed in the controller's sharers index under
+	// center.
+	shared   bool
+	replyLen uint8
+	reply    [maxReplyLen]byte
 }
 
 // Controller is the AP-side handler of the initialization protocol: it
@@ -528,13 +563,16 @@ type Sharer struct {
 //     are harmless.
 //   - Exact duplicates (same node and sequence number) short-circuit to
 //     a cached copy of the original reply, so even non-idempotent future
-//     request types stay retry-safe. A node's cached entry goes with
-//     its lease: release and expiry both drop it.
+//     request types stay retry-safe.
 //   - Assignments are leases. When LeaseTTL > 0, a node that has not
 //     renewed within the TTL is expired by ExpireLeases and its spectrum
 //     reclaimed through the same churn-safe release path a voluntary
 //     Release takes — sharers of an expired owner are promoted, never
 //     stranded.
+//   - What the AP remembers is soft state: one record per answered node
+//     ID, dropped whole on release or after LeaseTTL of silence, so an ID
+//     that never obtained a lease (a nacked renew, a reject never
+//     confirmed) is forgotten on the same clock as one that did.
 type Controller struct {
 	Alloc *Allocator
 	// nextHarmonic round-robins SDM slots handed to rejected nodes.
@@ -542,23 +580,17 @@ type Controller struct {
 	// nextShare round-robins which existing channel each overflow node
 	// shares, spreading the SDM load across hosts.
 	nextShare int
-	// MaxHarmonic bounds the SDM slots (± the AP TMA's usable range).
-	MaxHarmonic int
-	// LeaseTTL is how long an assignment survives without a renew; 0
-	// disables expiry (leases then live until released).
+	// LeaseTTL is how long a node's record — and the spectrum it holds —
+	// survives without contact; 0 disables expiry (records then live
+	// until released).
 	LeaseTTL float64
-	// sharers lists the confirmed SDM occupants per channel, keyed by the
-	// exact center frequency the sharer confirmed (centers are copied
-	// verbatim from assignments, so float equality is exact).
-	sharers map[float64][]Sharer
-	// shareOf maps a sharer's node ID to the channel center it confirmed.
-	shareOf map[uint32]float64
-	// renewedAt records each leaseholder's last contact time.
-	renewedAt map[uint32]float64
-	// lastSeq/lastReply implement exact-duplicate suppression: the last
-	// non-zero sequence number each node sent, and the reply it got.
-	lastSeq   map[uint32]uint32
-	lastReply map[uint32][]byte
+	// peers holds the one record per node ID.
+	peers map[uint32]*peer
+	// leases counts the records that hold spectrum.
+	leases int
+	// sharers indexes the records of confirmed SDM sharers by the center
+	// of the channel they share, in confirmation order.
+	sharers map[float64][]*peer
 	// pending holds unsolicited AP→node pushes (PromoteMsg) produced as
 	// side effects of releases, drained by TakeNotifications.
 	pending [][]byte
@@ -569,18 +601,15 @@ type Controller struct {
 
 // NewController builds the AP-side protocol handler over a band.
 func NewController(band Band) *Controller {
-	c := &Controller{MaxHarmonic: 4}
-	c.Alloc = NewAllocator(band)
+	c := &Controller{Alloc: NewAllocator(band)}
 	c.resetState()
 	return c
 }
 
 func (c *Controller) resetState() {
-	c.sharers = make(map[float64][]Sharer)
-	c.shareOf = make(map[uint32]float64)
-	c.renewedAt = make(map[uint32]float64)
-	c.lastSeq = make(map[uint32]uint32)
-	c.lastReply = make(map[uint32][]byte)
+	c.peers = make(map[uint32]*peer)
+	c.leases = 0
+	c.sharers = make(map[float64][]*peer)
 	c.pending = nil
 }
 
@@ -589,23 +618,40 @@ func (c *Controller) resetState() {
 // configuration survive. Nodes discover the restart when their next
 // renew is nacked, and rejoin from scratch.
 func (c *Controller) Restart() {
-	old := c.Alloc
-	c.Alloc = NewAllocator(old.band)
-	c.Alloc.Policy = old.Policy
-	c.Alloc.FSKFraction = old.FSKFraction
+	c.Alloc = NewAllocator(c.Alloc.band)
 	c.resetState()
 }
 
 // NowS returns the controller's clock (the latest time it has seen).
 func (c *Controller) NowS() float64 { return c.now }
 
-// touch marks nodeID's lease as renewed at the controller's clock.
-func (c *Controller) touch(nodeID uint32) { c.renewedAt[nodeID] = c.now }
+// touch returns nodeID's record, created on first contact, with its
+// last-contact time set to the controller's clock.
+func (c *Controller) touch(nodeID uint32) *peer {
+	p := c.peers[nodeID]
+	if p == nil {
+		p = &peer{id: nodeID}
+		c.peers[nodeID] = p
+	}
+	p.at = c.now
+	return p
+}
+
+// lease marks nodeID as holding spectrum, renewed at the controller's
+// clock.
+func (c *Controller) lease(nodeID uint32) *peer {
+	p := c.touch(nodeID)
+	if !p.leased {
+		p.leased = true
+		c.leases++
+	}
+	return p
+}
 
 // HoldsLease reports whether nodeID currently holds a live lease.
 func (c *Controller) HoldsLease(nodeID uint32) bool {
-	_, ok := c.renewedAt[nodeID]
-	return ok
+	p := c.peers[nodeID]
+	return p != nil && p.leased
 }
 
 // Leaseholders returns every node ID with a live lease (owners and SDM
@@ -613,9 +659,11 @@ func (c *Controller) HoldsLease(nodeID uint32) bool {
 // the books: walking each AP's leaseholders costs O(total leases)
 // instead of probing every node against every AP.
 func (c *Controller) Leaseholders() []uint32 {
-	out := make([]uint32, 0, len(c.renewedAt))
-	for id := range c.renewedAt {
-		out = append(out, id)
+	out := make([]uint32, 0, c.leases)
+	for id, p := range c.peers {
+		if p.leased {
+			out = append(out, id)
+		}
 	}
 	slices.Sort(out)
 	return out
@@ -624,95 +672,92 @@ func (c *Controller) Leaseholders() []uint32 {
 // SharerChannel reports whether nodeID is a registered SDM sharer and, if
 // so, the center frequency of the channel it shares.
 func (c *Controller) SharerChannel(nodeID uint32) (float64, bool) {
-	center, ok := c.shareOf[nodeID]
-	return center, ok
+	if p := c.peers[nodeID]; p != nil && p.shared {
+		return p.center, true
+	}
+	return 0, false
 }
 
 // SharersOn returns the confirmed SDM occupants of the channel centered at
 // centerHz, in confirmation order.
 func (c *Controller) SharersOn(centerHz float64) []Sharer {
-	return append([]Sharer(nil), c.sharers[centerHz]...)
-}
-
-// confirmShare registers (or re-registers) a node as an SDM sharer on the
-// channel it settled on after TMA placement.
-func (c *Controller) confirmShare(m ShareConfirmMsg) {
-	if old, ok := c.shareOf[m.NodeID]; ok {
-		c.removeSharer(m.NodeID, old)
+	var out []Sharer
+	for _, p := range c.sharers[centerHz] {
+		out = append(out, Sharer{NodeID: p.id, WidthHz: p.width, Harmonic: p.harmonic})
 	}
-	c.sharers[m.ShareHz] = append(c.sharers[m.ShareHz], Sharer{
-		NodeID: m.NodeID, WidthHz: m.WidthHz, Harmonic: m.Harmonic,
-	})
-	c.shareOf[m.NodeID] = m.ShareHz
+	return out
 }
 
-func (c *Controller) removeSharer(nodeID uint32, centerHz float64) {
-	occ := c.sharers[centerHz]
-	for i, s := range occ {
-		if s.NodeID == nodeID {
-			occ = append(occ[:i], occ[i+1:]...)
-			break
-		}
+// unshare strikes p from the sharers index.
+func (c *Controller) unshare(p *peer) {
+	occ := c.sharers[p.center]
+	if i := slices.Index(occ, p); i >= 0 {
+		occ = slices.Delete(occ, i, i+1)
 	}
 	if len(occ) == 0 {
-		delete(c.sharers, centerHz)
+		delete(c.sharers, p.center)
 	} else {
-		c.sharers[centerHz] = occ
+		c.sharers[p.center] = occ
 	}
-	delete(c.shareOf, nodeID)
+	p.shared = false
 }
 
-// release frees a node's spectrum churn-safely. A leaving sharer is simply
-// struck from the registry. A leaving FDM owner whose channel still hosts
+// release frees p's spectrum churn-safely. A leaving sharer is simply
+// struck from the index. A leaving FDM owner whose channel still hosts
 // sharers must NOT hand the whole channel back to the pool — a later
 // joiner would be granted it as an exclusive channel and silently collide
 // with the live sharers. Instead the widest sharer (the demand best
 // matched to the freed channel; its extent then covers every remaining
 // narrower sharer, which all sit at the same center) is promoted to owner
-// of the spectrum it already occupies, and the encoded PromoteMsg push is
-// returned so the caller can queue it for the promoted node.
-func (c *Controller) release(nodeID uint32) ([]byte, error) {
-	if center, ok := c.shareOf[nodeID]; ok {
-		c.removeSharer(nodeID, center)
-		return nil, nil
+// of the spectrum it already occupies, and the PromoteMsg push is queued
+// for TakeNotifications.
+func (c *Controller) release(p *peer) {
+	if p.shared {
+		c.unshare(p)
+		return
 	}
-	asg, ok := c.Alloc.Lookup(nodeID)
+	asg, ok := c.Alloc.Lookup(p.id)
 	if !ok {
-		// Releasing an unknown node is a no-op, matching how APs treat
-		// stale releases.
-		return nil, nil
+		return
 	}
-	_ = c.Alloc.Release(nodeID)
+	_ = c.Alloc.Release(p.id)
 	occ := c.sharers[asg.CenterHz]
 	if len(occ) == 0 {
-		return nil, nil
+		return
 	}
-	p := occ[0]
+	w := occ[0]
 	for _, s := range occ[1:] {
-		if s.WidthHz > p.WidthHz || (s.WidthHz == p.WidthHz && s.NodeID < p.NodeID) {
-			p = s
+		if s.width > w.width || (s.width == w.width && s.id < w.id) {
+			w = s
 		}
 	}
-	width := p.WidthHz
-	if width > asg.WidthHz {
-		// A sharer wider than its host already stuck out before the
-		// churn; promotion keeps the status quo by clamping to the freed
-		// channel rather than overlapping the neighbours.
-		width = asg.WidthHz
-	}
-	promoted, err := c.Alloc.AllocateRegion(p.NodeID, asg.CenterHz, width)
+	// A sharer wider than its host already stuck out before the churn;
+	// promotion keeps the status quo by clamping to the freed channel
+	// rather than overlapping the neighbours.
+	promoted, err := c.Alloc.AllocateRegion(w.id, asg.CenterHz, min(w.width, asg.WidthHz))
 	if err != nil {
 		// The region was just freed, so this cannot happen; keep the
 		// sharer registered rather than corrupt the books.
-		return nil, nil
+		return
 	}
-	c.removeSharer(p.NodeID, asg.CenterHz)
-	return Marshal(PromoteMsg{
+	c.unshare(w)
+	c.pending = append(c.pending, PromoteMsg{
 		NodeID:      promoted.NodeID,
 		CenterHz:    promoted.CenterHz,
 		WidthHz:     promoted.WidthHz,
 		FSKOffsetHz: promoted.FSKOffsetHz,
-	})
+	}.AppendTo(nil))
+}
+
+// forget ends p's record: the spectrum it holds is released, and the one
+// delete takes its lease, share slot and cached reply together — a kept
+// reply would answer the ID's next first request with a stale grant.
+func (c *Controller) forget(p *peer) {
+	if p.leased {
+		c.release(p)
+		c.leases--
+	}
+	delete(c.peers, p.id)
 }
 
 // TakeNotifications drains the queued unsolicited AP→node pushes
@@ -725,12 +770,12 @@ func (c *Controller) TakeNotifications() [][]byte {
 	return p
 }
 
-// ExpireLeases reclaims the spectrum of every leaseholder silent for
-// longer than LeaseTTL as of now. Expired owners go through the same
-// churn-safe release path as voluntary leavers, so sharers of a dead
-// owner are promoted (the PromoteMsg pushes are queued alongside the
-// returned IDs). Expiry order is ascending node ID, making crash storms
-// bit-reproducible. It returns the expired node IDs.
+// ExpireLeases forgets every node silent for longer than LeaseTTL as of
+// now and returns, ascending, the IDs of those that held spectrum.
+// Expired owners go through the same churn-safe release path as
+// voluntary leavers, so sharers of a dead owner are promoted (the
+// PromoteMsg pushes are queued alongside the returned IDs). Expiry order
+// is ascending node ID, making crash storms bit-reproducible.
 func (c *Controller) ExpireLeases(now float64) []uint32 {
 	if now > c.now {
 		c.now = now
@@ -738,82 +783,90 @@ func (c *Controller) ExpireLeases(now float64) []uint32 {
 	if c.LeaseTTL <= 0 {
 		return nil
 	}
-	var expired []uint32
-	for id, at := range c.renewedAt {
-		if c.now-at > c.LeaseTTL {
-			expired = append(expired, id)
+	var silent []uint32
+	for id, p := range c.peers {
+		if c.now-p.at > c.LeaseTTL {
+			silent = append(silent, id)
 		}
 	}
-	slices.Sort(expired)
-	for _, id := range expired {
-		note, _ := c.release(id)
-		if len(note) > 0 {
-			c.pending = append(c.pending, note)
+	slices.Sort(silent)
+	expired := silent[:0]
+	for _, id := range silent {
+		p := c.peers[id]
+		if p.leased {
+			expired = append(expired, id)
 		}
-		delete(c.renewedAt, id)
-		delete(c.lastSeq, id)
-		delete(c.lastReply, id)
+		c.forget(p)
 	}
 	return expired
 }
 
-// LeaseCount returns the number of live leases — leaseholders that have
-// contacted the controller and been neither released nor expired.
-func (c *Controller) LeaseCount() int { return len(c.renewedAt) }
+// LeaseCount returns the number of live leases — nodes that hold spectrum
+// and have been neither released nor expired.
+func (c *Controller) LeaseCount() int { return c.leases }
+
+// RecordCount returns the number of node IDs the controller remembers
+// anything about: the leaseholders plus the IDs whose last answer (a
+// nack, an unconfirmed reject) is still cached for retransmissions.
+func (c *Controller) RecordCount() int { return len(c.peers) }
 
 // AuditBooks cross-checks the controller's internal books — the
 // daemon-side equivalent of the network layer's ValidateSpectrum
 // discipline, covering the state a socket server owns without a
-// simulated deployment around it: the allocator's invariants hold, the
-// sharer registry and its reverse map agree, no node is double-booked as
-// both FDM owner and SDM sharer, and leases exist exactly for the nodes
-// holding spectrum. nil means consistent; the load harness asserts this
-// after a storm quiesces.
+// simulated deployment around it: the allocator's invariants hold, every
+// record is filed under its own ID, the sharers index lists exactly the
+// records that say they share, no node is double-booked as both FDM owner
+// and SDM sharer, and leases — and the lease counter — exist exactly for
+// the nodes holding spectrum. nil means consistent; the load harness
+// asserts this after a storm quiesces.
 func (c *Controller) AuditBooks() error {
 	if err := c.Alloc.Validate(); err != nil {
 		return err
+	}
+	leased, shared, indexed := 0, 0, 0
+	for id, p := range c.peers {
+		if p.id != id {
+			return fmt.Errorf("mac: record of node %d filed under %d", p.id, id)
+		}
+		_, owner := c.Alloc.Lookup(id)
+		switch {
+		case owner && p.shared:
+			return fmt.Errorf("mac: node %d double-booked as FDM owner and SDM sharer", id)
+		case p.leased && !owner && !p.shared:
+			return fmt.Errorf("mac: lease held by node %d with no spectrum books", id)
+		case p.shared && !p.leased:
+			return fmt.Errorf("mac: SDM sharer %d holds no lease", id)
+		case p.shared && !slices.Contains(c.sharers[p.center], p):
+			return fmt.Errorf("mac: sharer %d on %.0f Hz missing from the index", id, p.center)
+		}
+		if p.leased {
+			leased++
+		}
+		if p.shared {
+			shared++
+		}
+	}
+	if leased != c.leases {
+		return fmt.Errorf("mac: lease counter reads %d, %d records hold spectrum", c.leases, leased)
 	}
 	for center, occ := range c.sharers {
 		if len(occ) == 0 {
 			return fmt.Errorf("mac: empty sharer list kept for channel %.0f Hz", center)
 		}
-		for _, s := range occ {
-			if got, ok := c.shareOf[s.NodeID]; !ok || got != center {
-				return fmt.Errorf("mac: sharer %d on %.0f Hz missing from the reverse map", s.NodeID, center)
+		for _, p := range occ {
+			if c.peers[p.id] != p || !p.shared || p.center != center {
+				return fmt.Errorf("mac: index entry for node %d on %.0f Hz has no matching record", p.id, center)
 			}
 		}
+		indexed += len(occ)
 	}
-	for id, center := range c.shareOf {
-		found := false
-		for _, s := range c.sharers[center] {
-			if s.NodeID == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("mac: shareOf[%d] = %.0f Hz has no sharer entry", id, center)
-		}
-		if _, ok := c.Alloc.Lookup(id); ok {
-			return fmt.Errorf("mac: node %d double-booked as FDM owner and SDM sharer", id)
-		}
-		if _, ok := c.renewedAt[id]; !ok {
-			return fmt.Errorf("mac: SDM sharer %d holds no lease", id)
-		}
+	if indexed != shared {
+		return fmt.Errorf("mac: sharers index holds %d entries for %d sharers", indexed, shared)
 	}
 	for _, a := range c.Alloc.order {
-		if _, ok := c.renewedAt[a.NodeID]; !ok {
+		if !c.HoldsLease(a.NodeID) {
 			return fmt.Errorf("mac: FDM owner %d holds no lease", a.NodeID)
 		}
-	}
-	for id := range c.renewedAt {
-		if _, ok := c.Alloc.Lookup(id); ok {
-			continue
-		}
-		if _, ok := c.shareOf[id]; ok {
-			continue
-		}
-		return fmt.Errorf("mac: lease held by node %d with no spectrum books", id)
 	}
 	return nil
 }
@@ -835,31 +888,33 @@ func (c *Controller) HandleAt(raw []byte, now float64) ([]byte, error) {
 }
 
 // replay serves an exact retransmission of a node's last request from
-// the duplicate-suppression cache: the original reply is re-appended to
-// dst without re-executing anything.
+// its record: the original reply is re-appended to dst without
+// re-executing anything, and without counting as contact.
 func (c *Controller) replay(dst []byte, node, seq uint32) ([]byte, bool) {
-	if seq != 0 && c.lastSeq[node] == seq {
-		return append(dst, c.lastReply[node]...), true
+	if p := c.peers[node]; p != nil && seq != 0 && p.seq == seq {
+		return append(dst, p.reply[:p.replyLen]...), true
 	}
 	return nil, false
 }
 
-// remember caches a request's encoded reply for duplicate suppression.
-// The per-node cache slice is reused across requests, so the steady
-// state writes into standing capacity instead of allocating.
+// remember caches a request's encoded reply in the node's record for
+// duplicate suppression. An answer is contact: it creates the record of
+// an ID that holds no lease (a nacked renew, an unconfirmed reject) and
+// restarts its TTL.
 func (c *Controller) remember(node, seq uint32, reply []byte) {
 	if seq != 0 {
-		c.lastSeq[node] = seq
-		c.lastReply[node] = append(c.lastReply[node][:0], reply...)
+		p := c.touch(node)
+		p.seq = seq
+		p.replyLen = uint8(copy(p.reply[:], reply))
 	}
 }
 
 // HandleAtAppend is HandleAt with the reply appended to dst — the
 // server hot path. Decoding uses the typed decoders (no interface
 // boxing), replies encode through the AppendTo encoders into dst, and
-// the duplicate-suppression cache recycles its per-node slices, so a
-// caller that reuses dst handles a steady-state request — renew, ack'd
-// release, idempotent re-grant — with zero heap allocations.
+// the duplicate-suppression cache is a fixed array inside the node's
+// record, so a caller that reuses dst handles a steady-state request —
+// renew, ack'd release, idempotent re-grant — with zero heap allocations.
 func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error) {
 	if now > c.now {
 		c.now = now
@@ -904,8 +959,11 @@ func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error
 		}
 		// Never replayed or remembered: a release is idempotent (the
 		// retransmission finds nothing to free, queues no second promote
-		// and draws the same ack), and handleRelease forgets the node.
-		return c.handleRelease(dst, m)
+		// and draws the same ack), and it ends the node's record.
+		if p := c.peers[m.NodeID]; p != nil {
+			c.forget(p)
+		}
+		return AckMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
 	case MsgRenew:
 		m, err := decodeRenew(raw)
 		if err != nil {
@@ -914,10 +972,7 @@ func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error
 		if out, hit := c.replay(dst, m.NodeID, m.Seq); hit {
 			return out, nil
 		}
-		out, err := c.handleRenew(dst, m)
-		if err != nil {
-			return nil, err
-		}
+		out := c.handleRenew(dst, m)
 		c.remember(m.NodeID, m.Seq, out[mark:])
 		return out, nil
 	case MsgAssignment, MsgReject, MsgPromote, MsgRenewAck, MsgRenewNack, MsgAck:
@@ -943,7 +998,7 @@ func (c *Controller) handleJoin(dst []byte, m JoinRequest) ([]byte, error) {
 	// again, which means the original reply was lost. Re-send its
 	// standing state instead of ErrAlreadyAllocated.
 	if asg, ok := c.Alloc.Lookup(m.NodeID); ok {
-		c.touch(m.NodeID)
+		c.lease(m.NodeID)
 		return AssignmentMsg{
 			NodeID:      m.NodeID,
 			Seq:         m.Seq,
@@ -952,19 +1007,13 @@ func (c *Controller) handleJoin(dst []byte, m JoinRequest) ([]byte, error) {
 			FSKOffsetHz: asg.FSKOffsetHz,
 		}.AppendTo(dst), nil
 	}
-	if center, ok := c.shareOf[m.NodeID]; ok {
-		h := int8(0)
-		for _, s := range c.sharers[center] {
-			if s.NodeID == m.NodeID {
-				h = s.Harmonic
-			}
-		}
-		c.touch(m.NodeID)
-		return RejectMsg{NodeID: m.NodeID, Seq: m.Seq, ShareHz: center, Harmonic: h}.AppendTo(dst), nil
+	if p := c.peers[m.NodeID]; p != nil && p.shared {
+		p.at = c.now
+		return RejectMsg{NodeID: m.NodeID, Seq: m.Seq, ShareHz: p.center, Harmonic: p.harmonic}.AppendTo(dst), nil
 	}
 	asg, err := c.Alloc.Allocate(m.NodeID, m.DemandBps)
 	if err == nil {
-		c.touch(m.NodeID)
+		c.lease(m.NodeID)
 		return AssignmentMsg{
 			NodeID:      m.NodeID,
 			Seq:         m.Seq,
@@ -983,7 +1032,7 @@ func (c *Controller) handleJoin(dst []byte, m JoinRequest) ([]byte, error) {
 			share = got[c.nextShare%len(got)].CenterHz
 			c.nextShare++
 		}
-		h := c.nextHarmonic%c.MaxHarmonic + 1
+		h := c.nextHarmonic%maxHarmonic + 1
 		if c.nextHarmonic%2 == 1 {
 			h = -h
 		}
@@ -1007,34 +1056,23 @@ func (c *Controller) handleShareConfirm(dst []byte, m ShareConfirmMsg) ([]byte, 
 		// An FDM owner confirming a share would double-book itself;
 		// ack without registering and let its next renew resync it
 		// onto the channel it actually owns.
-		c.touch(m.NodeID)
+		c.lease(m.NodeID)
 		return AckMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
 	}
-	c.confirmShare(m)
-	c.touch(m.NodeID)
+	// Register (or re-register) the node on the channel it settled on
+	// after TMA placement.
+	p := c.lease(m.NodeID)
+	if p.shared {
+		c.unshare(p)
+	}
+	p.shared, p.center, p.width, p.harmonic = true, m.ShareHz, m.WidthHz, m.Harmonic
+	c.sharers[m.ShareHz] = append(c.sharers[m.ShareHz], p)
 	return AckMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
 }
 
-func (c *Controller) handleRelease(dst []byte, m ReleaseMsg) ([]byte, error) {
-	note, err := c.release(m.NodeID)
-	if err != nil {
-		return nil, err
-	}
-	if len(note) > 0 {
-		c.pending = append(c.pending, note)
-	}
-	// The lease goes, and the duplicate-suppression entry with it: no
-	// lease is left for ExpireLeases to find the node by, and a kept
-	// entry would answer the ID's next first request with a stale reply.
-	delete(c.renewedAt, m.NodeID)
-	delete(c.lastSeq, m.NodeID)
-	delete(c.lastReply, m.NodeID)
-	return AckMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
-}
-
-func (c *Controller) handleRenew(dst []byte, m RenewMsg) ([]byte, error) {
+func (c *Controller) handleRenew(dst []byte, m RenewMsg) []byte {
 	if asg, ok := c.Alloc.Lookup(m.NodeID); ok {
-		c.touch(m.NodeID)
+		c.lease(m.NodeID)
 		return RenewAckMsg{
 			NodeID:      m.NodeID,
 			Seq:         m.Seq,
@@ -1042,25 +1080,19 @@ func (c *Controller) handleRenew(dst []byte, m RenewMsg) ([]byte, error) {
 			WidthHz:     asg.WidthHz,
 			FSKOffsetHz: asg.FSKOffsetHz,
 			Shared:      false,
-		}.AppendTo(dst), nil
+		}.AppendTo(dst)
 	}
-	if center, ok := c.shareOf[m.NodeID]; ok {
-		var s Sharer
-		for _, occ := range c.sharers[center] {
-			if occ.NodeID == m.NodeID {
-				s = occ
-			}
-		}
-		c.touch(m.NodeID)
+	if p := c.peers[m.NodeID]; p != nil && p.shared {
+		p.at = c.now
 		return RenewAckMsg{
 			NodeID:      m.NodeID,
 			Seq:         m.Seq,
-			CenterHz:    center,
-			WidthHz:     s.WidthHz,
-			FSKOffsetHz: s.WidthHz * c.Alloc.FSKFraction,
-			Harmonic:    s.Harmonic,
+			CenterHz:    p.center,
+			WidthHz:     p.width,
+			FSKOffsetHz: p.width * FSKFraction,
+			Harmonic:    p.harmonic,
 			Shared:      true,
-		}.AppendTo(dst), nil
+		}.AppendTo(dst)
 	}
-	return RenewNackMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
+	return RenewNackMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst)
 }

@@ -183,6 +183,55 @@ func TestServerEvictsAddrs(t *testing.T) {
 	}
 }
 
+// TestServerForgetsStrangers: datagrams that leave their sender without a
+// lease — renews the AP nacks, joins it rejects and that never confirm —
+// intern no address, and the records their answers leave in the controller
+// go after one TTL of silence. Both tables are otherwise one entry per ID
+// an unauthenticated datagram ever named.
+func TestServerForgetsStrangers(t *testing.T) {
+	clock := &FakeClock{}
+	mn, srv := startServer(nil, clock, 1.0)
+	defer srv.Stop()
+
+	const n = 200
+	for id := uint32(1); id <= n; id++ {
+		var req []byte
+		if id%4 == 0 {
+			// Wider than the whole band: rejected into SDM, never confirmed.
+			req = mac.JoinRequest{NodeID: id, Seq: 1, DemandBps: 1e9}.AppendTo(nil)
+		} else {
+			req = mac.RenewMsg{NodeID: id, Seq: 1}.AppendTo(nil)
+		}
+		tr := mn.Client(id)
+		if err := tr.Send(req); err != nil {
+			t.Fatal(err)
+		}
+		reply, ok := tr.Recv(2)
+		if !ok {
+			t.Fatalf("stranger %d drew no reply", id)
+		}
+		if typ := mac.MsgType(reply[0]); typ != mac.MsgRenewNack && typ != mac.MsgReject {
+			t.Fatalf("stranger %d drew reply type %d", id, typ)
+		}
+	}
+	if got := srv.RecordCount(); got != n {
+		t.Fatalf("%d records after %d answered strangers", got, n)
+	}
+	if got := srv.AddrCount(); got != 0 {
+		t.Errorf("%d addresses interned for nodes that hold no lease", got)
+	}
+	clock.Advance(2)
+	if expired := srv.ExpireNow(); len(expired) != 0 {
+		t.Errorf("sweep reported %d expired leases; nobody held one", len(expired))
+	}
+	if r, a, l := srv.RecordCount(), srv.AddrCount(), srv.LeaseCount(); r != 0 || a != 0 || l != 0 {
+		t.Errorf("a TTL of silence later: records=%d addrs=%d leases=%d, want all zero", r, a, l)
+	}
+	if err := srv.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTruncatedDatagramMalformed: the read buffer is MaxFrameLen+1, so
 // a datagram the kernel (or mem link) clips arrives longer than any
 // legal frame and must be counted malformed, never parsed.

@@ -71,8 +71,9 @@ type ServerStats struct {
 
 // Shard queue item kinds. itemFrame/itemPush/itemEvict arrive on the
 // queue; the remaining values are scratch states a worker writes into
-// its private batch while processing (handled → reply out, handled
-// release → reply out + address evicted, refused → drop).
+// its private batch while processing (handled → reply out, handled and
+// the sender holds no lease → reply out + address evicted, refused →
+// drop).
 const (
 	itemFrame uint8 = iota
 	itemPush
@@ -106,7 +107,7 @@ var errForeignAddr = errors.New("netctl: foreign address on batched UDP socket")
 // single-threaded state machine — its books are the ground truth the
 // whole network converges on), then flushes the replies with one
 // batched write after unlocking. Each worker privately owns the
-// last-seen-address table for its shard's nodes — no lock — and
+// last-seen-address table for its shard's leaseholders — no lock — and
 // promotion pushes are routed through the owning shard's queue. The
 // steady-state path recycles every buffer it touches: zero heap
 // allocations per handled frame. Lease expiry runs on a swappable
@@ -227,7 +228,7 @@ func (s *Server) readLoop() {
 }
 
 // workerLoop owns one shard: its queue, and the last-seen-address map
-// for every node that hashes here. Batches amortize the controller
+// for every leaseholder that hashes here. Batches amortize the controller
 // mutex — one Lock/Unlock handles up to Batch frames — and the replies
 // leave in one batched write after the unlock.
 func (s *Server) workerLoop(shard chan shardItem) {
@@ -272,7 +273,6 @@ func (s *Server) processBatch(w batchWriter, addrs map[uint32]net.Addr, batch []
 			continue
 		}
 		f := it.f
-		isRelease := mac.MsgType(f.buf[0]) == mac.MsgRelease
 		// The reply encodes into the request's own buffer:
 		// HandleAtAppend fully decodes raw before appending to dst, so
 		// aliasing dst over raw is safe and keeps the path copy-free.
@@ -282,10 +282,15 @@ func (s *Server) processBatch(w batchWriter, addrs map[uint32]net.Addr, batch []
 			continue
 		}
 		f.n = len(out)
-		if isRelease {
-			it.kind = itemReplyEvict
-		} else {
+		// The address table lives and dies with the lease: it is only
+		// ever read to address a promote push, and only leaseholders get
+		// those. A reply that leaves the sender without one (release
+		// ack, renew nack, unconfirmed reject) evicts instead of
+		// interning, so strangers cannot grow the table.
+		if s.ctrl.HoldsLease(it.node) {
 			it.kind = itemReply
+		} else {
+			it.kind = itemReplyEvict
 		}
 	}
 	notes = s.ctrl.TakeNotifications()
@@ -309,9 +314,7 @@ func (s *Server) processBatch(w batchWriter, addrs map[uint32]net.Addr, batch []
 			}
 			replies = append(replies, it.f)
 		case itemReplyEvict:
-			// A released (or releasing-again) node is leaving: drop its
-			// address so a churning fleet can't grow the table without
-			// bound. The ack still goes to the frame's own source addr.
+			// The reply still goes to the frame's own source addr.
 			handled++
 			prev := len(addrs)
 			delete(addrs, it.node)
@@ -463,8 +466,9 @@ func (s *Server) Stats() ServerStats {
 }
 
 // AddrCount returns how many nodes currently have a last-seen address
-// across all shards — the table the address-eviction discipline keeps
-// bounded under churn.
+// across all shards. The table follows the leases: a reply that leaves
+// its sender holding one interns the address, one that does not, and
+// expiry, evict it.
 func (s *Server) AddrCount() int {
 	return int(s.addrCount.Load())
 }
@@ -474,6 +478,14 @@ func (s *Server) LeaseCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ctrl.LeaseCount()
+}
+
+// RecordCount returns the number of node IDs the controller remembers
+// anything about (mac.Controller.RecordCount).
+func (s *Server) RecordCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ctrl.RecordCount()
 }
 
 // Audit cross-checks the controller's books — the daemon-side

@@ -86,7 +86,7 @@ func (s *Session) Join(x Exchange, place Placement) (float64, error) {
 			shareHz, harmonic = place(shareHz, harmonic)
 		}
 		width := mac.BandwidthForRate(s.Demand)
-		s.grant(shareHz, width, width*0.05, true, harmonic)
+		s.grant(shareHz, width, width*mac.FSKFraction, true, harmonic)
 		s.seq++
 		reply, t2, err := x(mac.ShareConfirmMsg{
 			NodeID: s.ID, Seq: s.seq, ShareHz: shareHz, WidthHz: width, Harmonic: harmonic,

@@ -21,39 +21,15 @@ import (
 // and the incremental results are golden-tested equal to a from-scratch
 // rebuild.
 
-// aclrFactor is an adjacent-channel leakage figure with its linear power
-// factor FromDB(−db).
-type aclrFactor struct{ db, lin float64 }
+// aclrAdjacentDB and aclrFarDB are the adjacent-channel leakage of FDM
+// neighbours (power ratio below the carrier): a neighbour closer than the
+// narrower channel's width, and anything farther (freqCoupling).
+const aclrAdjacentDB, aclrFarDB = 40.0, 60.0
 
-// refreshACLR re-derives the two linear ACLR factors when a caller has
-// changed ACLRAdjacentDB or ACLRFarDB since they were last converted. It
-// runs serially — at construction, at every admission (couplingAddNode)
-// and before the full rebuild fans out — so the pair kernels, which may
-// run on workers, only ever read the factors; aclrLinear stays correct
-// in between, it just converts.
-func (nw *Network) refreshACLR() {
-	if nw.aclrAdj.db != nw.ACLRAdjacentDB || nw.aclrAdj.lin == 0 {
-		nw.aclrAdj = aclrFactor{nw.ACLRAdjacentDB, units.FromDB(-nw.ACLRAdjacentDB)}
-	}
-	if nw.aclrFar.db != nw.ACLRFarDB || nw.aclrFar.lin == 0 {
-		nw.aclrFar = aclrFactor{nw.ACLRFarDB, units.FromDB(-nw.ACLRFarDB)}
-	}
-}
-
-// aclrLinear returns FromDB(−db) for a leakage figure freqCouplingDB
-// returned: the stored factor when db is still the figure it was
-// converted from, the conversion itself otherwise (a field changed and
-// refreshACLR has not run since) — the value is the same float either
-// way.
-func (nw *Network) aclrLinear(db float64) float64 {
-	if f := nw.aclrAdj; db == f.db && f.lin != 0 {
-		return f.lin
-	}
-	if f := nw.aclrFar; db == f.db && f.lin != 0 {
-		return f.lin
-	}
-	return units.FromDB(-db)
-}
+// aclrAdjacent and aclrFar are the two as linear power factors, converted
+// once so the pair kernel does not convert the same two constants for
+// every candidate pair.
+var aclrAdjacent, aclrFar = units.FromDB(-aclrAdjacentDB), units.FromDB(-aclrFarDB)
 
 // pairCouplingLinear returns the linear coupling factor — the share of
 // other's power that lands in node's receiver: frequency separation for
@@ -64,8 +40,8 @@ func (nw *Network) aclrLinear(db float64) float64 {
 // are bit-identical by construction; couplingDB in legacy_bench_test.go
 // is its dB-domain oracle.
 func (nw *Network) pairCouplingLinear(node, other *Node) float64 {
-	if c, ok := nw.freqCouplingDB(node, other); ok {
-		return nw.aclrLinear(c)
+	if _, lin, ok := nw.freqCoupling(node, other); ok {
+		return lin
 	}
 	if node.apIndex() != other.apIndex() {
 		// Cross-AP co-channel: the interferer is not part of the victim
@@ -106,7 +82,6 @@ func (nw *Network) ensureCoupling() {
 	if nw.couplingValid(n) {
 		return
 	}
-	nw.refreshACLR()
 	if cap(nw.coupling) < n*n {
 		nw.coupling = make([]float64, n*n)
 	} else {
@@ -132,7 +107,6 @@ func (nw *Network) ensureCoupling() {
 // O(n²) full rebuild. With an untrusted cache it degrades to the dirty
 // flag.
 func (nw *Network) couplingAddNode() {
-	nw.refreshACLR()
 	n := len(nw.Nodes)
 	if nw.sparse == nil && nw.couplingMode == CouplingAuto && n >= sparseCrossover {
 		nw.enterSparse() // builds state for the full membership, newcomer included

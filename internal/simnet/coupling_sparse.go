@@ -534,7 +534,7 @@ func (s *sparseState) rebuildMinA(cs *chanState) {
 // coupling factor between a channel at (c0,w0) and ANY occupant of the
 // registry channel cs: using cs.maxWidth in both the overlap and the
 // adjacency test can only move the classification toward the louder
-// class, so the returned bound dominates freqCouplingDB's per-pair
+// class, so the returned bound dominates freqCoupling's per-pair
 // answer for every actual occupant width ≤ maxWidth.
 func (nw *Network) classBoundLinear(c0, w0 float64, cs *chanState) float64 {
 	sep := math.Abs(c0 - cs.center)
@@ -543,9 +543,9 @@ func (nw *Network) classBoundLinear(c0, w0 float64, cs *chanState) float64 {
 		return 1 // could overlap: full collision is possible
 	}
 	if sep-half < math.Min(w0, cs.maxWidth) {
-		return nw.aclrLinear(nw.ACLRAdjacentDB)
+		return aclrAdjacent
 	}
-	return nw.aclrLinear(nw.ACLRFarDB)
+	return aclrFar
 }
 
 // --- edges ---

@@ -21,7 +21,7 @@ import (
 // bit-identical to linearizing this value, via precomputed harmonic gain
 // tables (pairCouplingLinear).
 func (nw *Network) couplingDB(i, j *Node) float64 {
-	if c, ok := nw.freqCouplingDB(i, j); ok {
+	if c, _, ok := nw.freqCoupling(i, j); ok {
 		return c
 	}
 	if i.apIndex() != j.apIndex() {

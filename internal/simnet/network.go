@@ -100,9 +100,6 @@ type Network struct {
 	// deployment can use antenna.NewNarrowNodeBeams since the shorter
 	// wavelength fits more elements in the same aperture).
 	NodeBeams antenna.NodeBeams
-	// ACLRAdjacentDB and ACLRFarDB set adjacent-channel leakage for FDM
-	// neighbours (power ratio below the carrier).
-	ACLRAdjacentDB, ACLRFarDB float64
 	// Workers caps the evaluation engine's parallel fan-out: 0 uses
 	// GOMAXPROCS, 1 forces the serial path. Parallel and serial results
 	// are bit-identical (each node writes only its own output slot).
@@ -133,10 +130,6 @@ type Network struct {
 	// back to the full rebuild.
 	coupling      []float64
 	couplingDirty bool
-	// aclrAdj and aclrFar are ACLRAdjacentDB and ACLRFarDB as linear
-	// factors, kept by refreshACLR so the pair kernel does not convert the
-	// same two constants for every candidate pair.
-	aclrAdj, aclrFar aclrFactor
 	// nodeIdx maps live node IDs to their membership entries, maintained
 	// on every membership change, so ID lookups are O(1) at any scale.
 	nodeIdx map[uint32]*Node
@@ -183,19 +176,16 @@ func New(env *channel.Environment, apPose channel.Pose, seed uint64) *Network {
 // carrier frequency should sit inside the band.
 func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, band mac.Band) *Network {
 	nw := &Network{
-		Env:            env,
-		band:           band,
-		LinkCfg:        core.DefaultLinkConfig(),
-		NodeBeams:      antenna.NewNodeBeams(),
-		ACLRAdjacentDB: 40,
-		ACLRFarDB:      60,
-		Control:        DefaultControlConfig(),
-		ctrlRNG:        stats.NewRNG(seed ^ 0xC0117A01),
-		rng:            stats.NewRNG(seed),
-		nodeIdx:        make(map[uint32]*Node),
-		strays:         make(map[uint32]*AccessPoint),
+		Env:       env,
+		band:      band,
+		LinkCfg:   core.DefaultLinkConfig(),
+		NodeBeams: antenna.NewNodeBeams(),
+		Control:   DefaultControlConfig(),
+		ctrlRNG:   stats.NewRNG(seed ^ 0xC0117A01),
+		rng:       stats.NewRNG(seed),
+		nodeIdx:   make(map[uint32]*Node),
+		strays:    make(map[uint32]*AccessPoint),
 	}
-	nw.refreshACLR()
 	nw.installAP(apPose)
 	return nw
 }
@@ -628,24 +618,25 @@ type Report struct {
 	SDM bool
 }
 
-// freqCouplingDB classifies the FDM relationship between two channels.
+// freqCoupling classifies the FDM relationship between two channels.
 // ok is false when the channels overlap (co-channel); otherwise the
-// returned value is the adjacent- or far-channel leakage, decided by the
-// actual edge-to-edge distance: a neighbour closer than the narrower
-// channel's width leaks at ACLRAdjacentDB, anything farther at ACLRFarDB.
+// returned pair is the adjacent- or far-channel leakage, in dB and as a
+// linear power factor, decided by the actual edge-to-edge distance: a
+// neighbour closer than the narrower channel's width leaks at
+// aclrAdjacentDB, anything farther at aclrFarDB.
 // (Comparing center separation against channel-width sums, as earlier
 // revisions did, misclassifies unequal-width neighbours.)
-func (nw *Network) freqCouplingDB(i, j *Node) (float64, bool) {
+func (nw *Network) freqCoupling(i, j *Node) (db, lin float64, ok bool) {
 	sep := math.Abs(i.Assignment.CenterHz - j.Assignment.CenterHz)
 	halfWidths := (i.Assignment.WidthHz + j.Assignment.WidthHz) / 2
 	if sep < halfWidths {
-		return 0, false
+		return 0, 0, false
 	}
 	edgeGap := sep - halfWidths
 	if edgeGap < math.Min(i.Assignment.WidthHz, j.Assignment.WidthHz) {
-		return nw.ACLRAdjacentDB, true
+		return aclrAdjacentDB, aclrAdjacent, true
 	}
-	return nw.ACLRFarDB, true
+	return aclrFarDB, aclrFar, true
 }
 
 // tmaSuppressionDB converts a transmitter's own-harmonic and leaked

@@ -194,14 +194,6 @@ const (
 // state; forcing sparse builds it for the current membership.
 func (n *Network) SetCouplingMode(m CouplingMode) { n.nw.SetCouplingMode(m) }
 
-// SetCouplingCutoff sets the sparse core's edge-admission threshold,
-// in dB relative to each victim's noise floor: a pair whose worst-case
-// coupled power is provably below noise·10^(cutoffDB/10) is never
-// stored. 0 (the default) cuts exactly at the noise floor; more negative
-// values trade memory for a tighter interference error bound. Takes
-// effect when the sparse core is (re)built.
-func (n *Network) SetCouplingCutoff(cutoffDB float64) { n.nw.CouplingCutoffDB = cutoffDB }
-
 // NodeReport is one node's current link quality inside the network,
 // including interference from every other node.
 type NodeReport struct {

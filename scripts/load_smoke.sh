@@ -8,9 +8,11 @@
 #
 #   client side: mmx-load exits 0 (every client joined AND released)
 #   daemon side: the restarted daemon's shutdown line reads
-#                "final leases=0 audit=ok" after one lease TTL has
-#                passed, so even leases planted by clients that lost
-#                their reply mid-fault were reclaimed.
+#                "final leases=0 records=0 addrs=0 audit=ok" after one
+#                lease TTL has passed, so even leases planted by clients
+#                that lost their reply mid-fault were reclaimed, and so
+#                were the records and addresses of nodes that never held
+#                one (the fleet the restarted daemon nacked).
 #
 # Tunables (environment): CLIENTS, PORT, SEED.
 set -euo pipefail
@@ -70,7 +72,7 @@ echo "== final audit"
 kill -TERM "$DAEMON_PID"
 wait "$DAEMON_PID" || true
 cat "$BIN/apd2.log"
-grep -q "final leases=0 audit=ok" "$BIN/apd2.log" || {
-    echo "FAIL: restarted daemon leaked leases or failed audit"; exit 1; }
+grep -q "final leases=0 records=0 addrs=0 audit=ok" "$BIN/apd2.log" || {
+    echo "FAIL: restarted daemon leaked leases, records or addresses, or failed audit"; exit 1; }
 
 echo "== load-smoke OK: converged through fault injection and a daemon restart"
