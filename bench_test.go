@@ -167,11 +167,13 @@ func BenchmarkOTAMFrameRoundtrip(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkSINREvaluation measures the steady-state network
-// evaluation hot path (what Run pays every envStep) at growing scale: 20
-// nodes (all FDM), and 100/500 nodes (dense SDM sharing). The coupling
-// matrix is cache-served and the per-node link evaluations fan out across
-// the worker pool; the serial variant pins the single-core cost.
+// BenchmarkNetworkSINREvaluation measures Reports on a settled network
+// at growing scale: 20 nodes (all FDM), and 100/500 nodes (dense SDM
+// sharing). Nothing moves between calls, so the engine's dirty set is
+// empty and each call copies the cached per-node reports — the floor of
+// what a caller pays per snapshot; the link re-evaluations a blocker tick
+// costs are BenchmarkRegionMap's rung. The serial variant pins the
+// single-worker cost.
 func BenchmarkNetworkSINREvaluation(b *testing.B) {
 	bench := func(size, workers int) func(b *testing.B) {
 		return func(b *testing.B) {

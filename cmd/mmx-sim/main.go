@@ -43,7 +43,7 @@ func main() {
 	crash := flag.String("crash", "", "comma-separated node crash events, each ID@seconds")
 	reboot := flag.String("reboot", "", "comma-separated node reboot events, each ID@seconds")
 	apRestart := flag.String("ap-restart", "", "AP restart as start@downFor seconds")
-	coupling := flag.String("coupling", "auto", "interference bookkeeping: auto (dense below the crossover size, sparse above), dense, or sparse")
+	coupling := flag.String("coupling", "auto", "interference engine pruning: auto (every pair below the crossover size, pruned above) or sparse (pruned from the first join)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	flag.Parse()
@@ -101,12 +101,10 @@ func main() {
 	switch strings.ToLower(*coupling) {
 	case "auto":
 		nw.SetCouplingMode(mmx.CouplingAuto)
-	case "dense":
-		nw.SetCouplingMode(mmx.CouplingDense)
 	case "sparse":
 		nw.SetCouplingMode(mmx.CouplingSparse)
 	default:
-		fmt.Fprintf(os.Stderr, "bad -coupling %q (want auto, dense or sparse)\n", *coupling)
+		fmt.Fprintf(os.Stderr, "bad -coupling %q (want auto or sparse)\n", *coupling)
 		os.Exit(2)
 	}
 	nw.SetLeaseTTL(*leaseTTL, *leaseTTL*0.3)

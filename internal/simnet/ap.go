@@ -49,11 +49,9 @@ func (nw *Network) AddAP(pose channel.Pose) (*AccessPoint, error) {
 		return nil, fmt.Errorf("simnet: AddAP must run before nodes join")
 	}
 	ap := nw.installAP(pose)
-	if nw.sparse != nil {
-		// The sparse core sizes its channel shards per AP; rebuild it
-		// for the grown registry (membership is empty, so this is free).
-		nw.enterSparse()
-	}
+	// The engine sizes its channel shards and power bound per AP set: the
+	// next need rebuilds it for the grown registry.
+	nw.sparse = nil
 	return ap, nil
 }
 
@@ -74,13 +72,9 @@ func (nw *Network) installAP(pose channel.Pose) *AccessPoint {
 }
 
 // selectAP associates a joining node with its nearest AP; ties break to
-// the lower AP index so admission is deterministic. With one AP the
-// choice is free — N=1 never evaluates a distance.
+// the lower AP index so admission is deterministic.
 func (nw *Network) selectAP(pos channel.Vec2) *AccessPoint {
 	best := nw.APs[0]
-	if len(nw.APs) == 1 {
-		return best
-	}
 	bd := pos.Dist(best.Pose.Pos)
 	for _, ap := range nw.APs[1:] {
 		if d := pos.Dist(ap.Pose.Pos); d < bd {

@@ -58,8 +58,8 @@ func (rs *runState) schedule(ce churnEvent) {
 // joinNow admits a node at the current sim clock. The control handshake
 // runs through the retry machinery anchored at the controller's timeline
 // (ctrlNow); the virtual time it consumed then elapses on the event heap
-// before the node is activated — appended to the membership, added to
-// the coupling matrix incrementally, its presence interval opened and
+// before the node is activated — appended to the membership, hooked into
+// the interference engine, its presence interval opened and
 // its traffic chain started. Between handshake and activation the ID is
 // held pending so a racing duplicate join is rejected. A handshake
 // failure increments JoinsFailed and returns a wrapped ErrJoinFailed;
@@ -85,7 +85,6 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		n.Link = nw.newLink(pose, ap)
 		nw.applyAssignment(n)
 		nw.registerNode(n)
-		nw.couplingAddNode()
 		rs.joins++
 		rs.apStats[ap.idx].Joins++
 		rs.apOpen(id, ap.idx, rs.sim.Now())
@@ -106,13 +105,13 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 }
 
 // leaveNow removes a member at the current sim clock: the node drops out
-// of the membership list and the coupling matrix (incremental column/row
-// compaction), its spectrum release rides the retry machinery over the
-// side channel (a release that dies entirely is reclaimed by lease
-// expiry), and promote pushes for surviving sharers are delivered
-// lossily — a lost push heals at the promoted node's next renew ack.
-// The leaver's presence interval closes and its frame chain is
-// generation-cancelled. Leaving a non-member is a no-op.
+// of the membership list and the interference engine, its spectrum
+// release rides the retry machinery over the side channel (a release
+// that dies entirely is reclaimed by lease expiry), and promote pushes
+// for surviving sharers are delivered lossily — a lost push heals at the
+// promoted node's next renew ack. The leaver's presence interval closes
+// and its frame chain is generation-cancelled. Leaving a non-member is a
+// no-op.
 func (rs *runState) leaveNow(id uint32) {
 	nw := rs.nw
 	leaver := nw.nodeByID(id)
@@ -125,7 +124,6 @@ func (rs *runState) leaveNow(id uint32) {
 	h := rs.hcache[removedAt]
 	rs.left[id] = h
 	rs.hcache = append(rs.hcache[:removedAt], rs.hcache[removedAt+1:]...)
-	nw.couplingRemoveNode(leaver, removedAt)
 	if !leaver.Down {
 		leaver.Release(nw.exchangeAt(ap, rs.nowAt(ap))) //nolint:errcheck // a lost release rides the lease TTL
 	} else {

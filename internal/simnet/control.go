@@ -58,7 +58,7 @@ func (nw *Network) exchangeAt(ap *AccessPoint, at float64) netctl.Exchange {
 // arrival maps onto — so the TMA can actually separate them.
 func (nw *Network) placement(ap *AccessPoint, n *Node) netctl.Placement {
 	return func(shareHz float64, _ int8) (float64, int8) {
-		if c, ok := nw.bestHostChannel(ap, n.SDMHarmonic, n.tbl, n.ID); ok {
+		if c, ok := nw.core().bestHostChannel(nw, ap, n.SDMHarmonic, n.tbl, n.ID); ok {
 			shareHz = c
 		}
 		return shareHz, int8(n.SDMHarmonic)
@@ -84,7 +84,7 @@ func (nw *Network) renew(n *Node, at float64) netctl.RenewOutcome {
 	outcome, _, _ := n.Renew(nw.exchangeAt(ap, at), nw.placement(ap, n))
 	if outcome == netctl.RenewResynced || outcome == netctl.RenewRejoined {
 		nw.applyAssignment(n)
-		nw.couplingUpdateNode(n)
+		nw.sparse.updateNode(nw, n)
 	}
 	return outcome
 }

@@ -319,7 +319,6 @@ type runState struct {
 	left   map[uint32]*nodeHandle
 	order  []*nodeHandle
 
-	reports []Report        // cached EvaluateSINR output, parallel to nw.Nodes
 	pending map[uint32]bool // IDs with a handshake done, activation queued
 }
 
@@ -356,27 +355,12 @@ func (rs *runState) newHandle(h *nodeHandle, id uint32) *nodeHandle {
 	return h
 }
 
-// refresh re-evaluates every node's SINR report (after environment
-// steps and control-plane or membership events that change the picture).
-// On the dense path that is a full EvaluateSINR; with the sparse core
-// live it settles exactly the dirty set — per-node reports are cached on
-// the nodes, so an O(degree) membership event never pays an O(n) report
-// slice rebuild.
+// refresh brings the interference picture up to date after
+// environment steps and control-plane or membership events: the engine
+// settles exactly its dirty set, and per-node reports stay cached on the
+// nodes, so an O(degree) event never pays an O(n) report rebuild.
 func (rs *runState) refresh() {
-	if s := rs.nw.sparse; s != nil {
-		s.settle(rs.nw)
-		return
-	}
-	rs.reports = rs.nw.EvaluateSINRInto(rs.reports)
-}
-
-// reportOf returns node n's current report: the node-cached one in
-// sparse mode, the slot in the parallel report slice in dense mode.
-func (rs *runState) reportOf(n *Node) *Report {
-	if rs.nw.sparse != nil {
-		return &n.sp.rep
-	}
-	return &rs.reports[n.idx]
+	rs.nw.core().settle(rs.nw)
 }
 
 // observe samples the current reports into per-node stats.
@@ -385,8 +369,7 @@ func (rs *runState) observe() {
 		if n.Down {
 			continue // a dead radio has no SINR to sample
 		}
-		r := rs.reportOf(n)
-		rs.sample(rs.hcache[i], r.SINRdB)
+		rs.sample(rs.hcache[i], n.sp.rep.SINRdB)
 	}
 }
 
@@ -407,32 +390,19 @@ func (rs *runState) sample(h *nodeHandle, sinrDB float64) {
 // interference picture after the blockers moved, re-adapt every live
 // node's PHY rate to it, and sample the SINR observations.
 //
-// With the sparse core live the three stages fuse into the settle
-// passes: syncEnv marks only the nodes the blockers' swept regions can
-// have touched, the eval pass re-traces exactly those, and one parallel
-// pass over the membership finishes the queued nodes, re-adapts rates
-// and accumulates the observation samples — non-dirty nodes' samples
-// come from their unchanged cached reports. Every write in the fused
-// pass lands in per-node state (the node itself or its stats handle),
-// so a fixed-seed run is byte-identical at any worker count, and the
-// serial per-node tail the dense path still pays is gone.
+// The three stages fuse into the settle passes: syncEnv marks only the
+// nodes the blockers' swept regions can have touched, the eval pass
+// re-traces exactly those, and one parallel pass over the membership
+// finishes the queued nodes, re-adapts rates (the reports hold each
+// node's SINR in its configured channel bandwidth, what the ladder walk
+// wants; rate 0 = outage until a later step clears it) and accumulates
+// the observation samples — non-dirty nodes' samples come from their
+// unchanged cached reports. Every write in the fused pass lands in
+// per-node state (the node itself or its stats handle), so a fixed-seed
+// run is byte-identical at any worker count.
 func (rs *runState) envRefresh() {
 	nw := rs.nw
-	s := nw.sparse
-	if s == nil {
-		rs.refresh()
-		// In-run rate adaptation: the reports hold each node's SINR in
-		// its configured channel bandwidth, exactly what the ladder walk
-		// wants. Rate 0 = outage until a later step clears it.
-		for _, n := range nw.Nodes {
-			if n.Down {
-				continue
-			}
-			n.RateBps = nw.cappedRate(n, core.RateForSNR(rs.reportOf(n).SINRdB, n.Link.Cfg.BandwidthHz, 1e-6))
-		}
-		rs.observe()
-		return
-	}
+	s := nw.core()
 	s.syncEnv(nw)
 	if len(s.dirty) > 0 {
 		s.runEvalPass(nw)
@@ -518,11 +488,7 @@ func (rs *runState) fireFrame(h *nodeHandle, gen, payload int) {
 				st.airtime += airtime
 				st.delayAccum += queue + airtime
 				st.delayed++
-				// reportOf is O(1) either way: node-cached report in
-				// sparse mode, the idx-maintained slot of the parallel
-				// slice in dense mode — no ID→index map rebuild per
-				// churn event.
-				ber := rs.reportOf(n).BER
+				ber := n.sp.rep.BER
 				pSuccess := math.Pow(1-ber, bits)
 				if rs.nw.rng.Float64() < pSuccess {
 					st.BitsDelivered += bits
@@ -587,6 +553,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		pending:      map[uint32]bool{},
 	}
 	sim.run = rs
+	// APHistory is nil for one AP: an entry per node would cost single-AP fleets heap.
 	if len(nw.APs) > 1 {
 		rs.apHist = make(map[uint32][]APInterval, len(nw.Nodes))
 	}
@@ -624,7 +591,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 				sim.At(fe.At, func() {
 					if n := nw.nodeByID(fe.NodeID); n != nil && !n.Down {
 						n.Down = true
-						nw.couplingPowerChanged(n)
+						nw.sparse.powerChanged(n)
 						ctl.Crashes++
 						rs.refresh()
 					}
@@ -645,7 +612,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 					}
 					n.Down = false
 					nw.applyAssignment(n)
-					nw.couplingUpdateNode(n)
+					nw.sparse.updateNode(nw, n)
 					rs.refresh()
 				})
 			case faults.APRestart:
@@ -728,9 +695,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		sim.After(nw.Control.RenewIntervalS, renewTick)
 	}
 
-	// Roaming policy tick: only ever scheduled for a multi-AP network
-	// with a policy installed, so single-AP runs see an unchanged event
-	// sequence.
+	// Roaming policy tick. One AP has nowhere to roam: no tick keeps its event sequence unchanged.
 	if nw.Roam != nil && len(nw.APs) > 1 {
 		interval := nw.Roam.CheckIntervalS
 		if interval <= 0 {

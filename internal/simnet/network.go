@@ -18,7 +18,6 @@ import (
 	"mmx/internal/rf"
 	"mmx/internal/stats"
 	"mmx/internal/tma"
-	"mmx/internal/units"
 )
 
 // Node is one IoT device attached to the network.
@@ -37,7 +36,7 @@ type Node struct {
 	SDMHarmonic int
 	// tbl is the serving AP's TMA harmonic gain table at the node's angle
 	// of arrival — one table per admission or pose change (aimAt), read by
-	// the harmonic pick, the SDM placement hook and both coupling cores.
+	// the harmonic pick, the SDM placement hook and the pair kernel.
 	tbl []complex128
 	// RateBps is the node's adapted PHY rate: the fastest ladder step
 	// its SNR sustains at BER ≤ 1e-6, capped by what its channel width
@@ -65,11 +64,10 @@ type Node struct {
 	// not move this node again (MinDwellS after the last attempt).
 	roamHoldUntil float64
 	// idx is the node's current position in Network.Nodes, maintained on
-	// every membership change so lookups and the incremental coupling
-	// paths never scan the slice. Stale the instant the node leaves.
+	// every membership change so lookups never scan the slice. Stale the
+	// instant the node leaves.
 	idx int
-	// sp is the node's sparse-coupling state (see coupling_sparse.go).
-	// Zero-valued and untouched while the network runs the dense matrix.
+	// sp is the node's interference-engine state (see coupling_sparse.go).
 	sp spNode
 }
 
@@ -124,39 +122,26 @@ type Network struct {
 	// sim clock inside the event loop, so keep it cheap and
 	// deterministic.
 	OnMembership func(event string, id uint32)
-	// coupling caches the pairwise coupling matrix as linear power
-	// factors (see coupling.go). Membership and assignment changes update
-	// it incrementally from the nodes' gain tables; the dirty flag falls
-	// back to the full rebuild.
-	coupling      []float64
-	couplingDirty bool
 	// nodeIdx maps live node IDs to their membership entries, maintained
 	// on every membership change, so ID lookups are O(1) at any scale.
 	nodeIdx map[uint32]*Node
-	// couplingMode selects dense vs sparse interference bookkeeping;
-	// CouplingAuto switches to sparse when membership first reaches
-	// sparseCrossover (see coupling_sparse.go).
+	// couplingMode selects when the engine starts pruning: CouplingAuto
+	// once membership first reaches sparseCrossover, CouplingSparse from
+	// the first join (see coupling_sparse.go).
 	couplingMode CouplingMode
-	// CouplingCutoffDB offsets the sparse path's edge-admission threshold
-	// relative to each victim's noise floor: a pair whose worst-case
-	// coupled power is provably below noise·10^(CouplingCutoffDB/10) is
-	// never stored. 0 (the default) cuts exactly at the noise floor.
+	// CouplingCutoffDB offsets the pruning engine's edge-admission
+	// threshold relative to each victim's noise floor: a pair whose
+	// worst-case coupled power is provably below
+	// noise·10^(CouplingCutoffDB/10) is never stored. 0 (the default) cuts
+	// exactly at the noise floor.
 	CouplingCutoffDB float64
-	// staleEveryTick is a test hook: the sparse core ignores the swept
+	// staleEveryTick is a test hook: the engine ignores the swept
 	// log and re-evaluates the whole membership on every environment
 	// epoch change — the oracle region invalidation is pinned
 	// byte-identical to (TestRegionRunMatchesStaleEverything).
 	staleEveryTick bool
-	// sparse is the live sparse coupling state, nil while dense.
+	// sparse is the interference engine, nil until first needed (core).
 	sparse *sparseState
-	// evalScratch and powerScratch are the dense evaluation path's
-	// retained intermediates, so steady-state EvaluateSINRInto calls stop
-	// allocating them per call. xpowerScratch holds each node's received
-	// power at every AP (row-major [ap][node]) and is only touched by
-	// multi-AP runs — the single-AP loop never indexes it.
-	evalScratch   []core.Evaluation
-	powerScratch  []float64
-	xpowerScratch []float64
 	// run points at the live engine state while Run executes; membership
 	// changes issued mid-run route through it onto the event heap.
 	run *runState
@@ -194,24 +179,16 @@ func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, ban
 // own sentinel, which the duplicate-ID refusals here also wrap.
 var ErrJoinFailed = netctl.ErrJoinFailed
 
-// SetCouplingMode selects the interference bookkeeping strategy.
-// CouplingAuto (the default) runs the dense matrix and switches to the
-// sparse core when membership first reaches the crossover size;
-// CouplingDense pins the golden-reference dense matrix (tearing down any
-// live sparse state); CouplingSparse builds the sparse core immediately
-// regardless of size.
+// SetCouplingMode selects when the interference engine starts pruning.
+// CouplingAuto (the default) stores every pair until membership first
+// reaches the crossover size; CouplingSparse prunes from now on, so it
+// builds the pruning engine immediately — for the current membership if
+// the graph is still exact — and derives its power bound from the
+// hardware configured at this call.
 func (nw *Network) SetCouplingMode(m CouplingMode) {
 	nw.couplingMode = m
-	switch m {
-	case CouplingDense:
-		if nw.sparse != nil {
-			nw.sparse = nil
-			nw.couplingDirty = true
-		}
-	case CouplingSparse:
-		if nw.sparse == nil {
-			nw.enterSparse()
-		}
+	if m == CouplingSparse && (len(nw.Nodes) == 0 || nw.sparse.exact) {
+		nw.enterSparse()
 	}
 }
 
@@ -222,19 +199,28 @@ func (nw *Network) nodeByID(id uint32) *Node {
 	return nw.nodeIdx[id]
 }
 
-// registerNode appends a node to the membership list and indexes it by ID.
-// Every admission path (pre-run Join and in-run activation) goes through
-// here so Node.idx and nodeIdx never drift from Nodes.
+// registerNode appends a node to the membership list, indexes it by ID
+// and hooks it into the interference engine. Every admission path
+// (pre-run Join and in-run activation) goes through here so Node.idx and
+// nodeIdx never drift from Nodes. The join that brings a CouplingAuto
+// membership to sparseCrossover rebuilds the graph pruned instead.
 func (nw *Network) registerNode(n *Node) {
+	s := nw.core()
 	n.idx = len(nw.Nodes)
 	nw.Nodes = append(nw.Nodes, n)
 	nw.nodeIdx[n.ID] = n
+	if s.exact && len(nw.Nodes) >= sparseCrossover {
+		nw.enterSparse() // the newcomer included
+		return
+	}
+	s.addNode(nw, n)
 }
 
-// unregisterNodeAt removes the node at index k. The shift-remove keeps
-// the membership order stable (renewTick iteration order and the dense
-// fingerprints depend on it); the trailing idx refresh is plain field
-// writes, far cheaper than rebuilding a map.
+// unregisterNodeAt removes the node at index k from the membership and
+// the interference engine. The shift-remove keeps the membership order
+// stable (renewTick iteration order and the fingerprints depend on it);
+// the trailing idx refresh is plain field writes, far cheaper than
+// rebuilding a map.
 func (nw *Network) unregisterNodeAt(k int) {
 	n := nw.Nodes[k]
 	nw.Nodes = append(nw.Nodes[:k], nw.Nodes[k+1:]...)
@@ -242,6 +228,7 @@ func (nw *Network) unregisterNodeAt(k int) {
 	for i := k; i < len(nw.Nodes); i++ {
 		nw.Nodes[i].idx = i
 	}
+	nw.sparse.removeNode(n)
 }
 
 // Join runs the initialization protocol for one node (the WiFi/Bluetooth
@@ -273,7 +260,6 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 	n.Link = nw.newLink(pose, ap)
 	nw.applyAssignment(n)
 	nw.registerNode(n)
-	nw.couplingAddNode()
 	return n, nil
 }
 
@@ -300,8 +286,8 @@ func (n *Node) aimAt(ap *AccessPoint) {
 
 // newLink builds a node's link toward ap out of the deployment's own
 // parts — the beam pair every node carries, the AP's own antenna, the
-// shared link budget — so an evaluation sees the same hardware the sparse
-// core's power bound (sparsePowerBoundConst) was derived from.
+// shared link budget — so an evaluation sees the same hardware the
+// engine's power bound (sparsePowerBoundConst) was derived from.
 func (nw *Network) newLink(node channel.Pose, ap *AccessPoint) *core.Link {
 	return &core.Link{
 		Env:       nw.Env,
@@ -340,64 +326,6 @@ func (nw *Network) cappedRate(n *Node, rate float64) float64 {
 	return rate
 }
 
-// pairSuppressionDB returns the worse-direction TMA suppression between
-// two co-channel transmitters at the same AP: how far each one's energy
-// sits below the other's slot, given their harmonics and their gain
-// tables at that AP's array.
-func pairSuppressionDB(mi int, tblI []complex128, mj int, tblJ []complex128) float64 {
-	maxM := (len(tblI) - 1) / 2
-	a := tmaSuppressionDB(cmplx.Abs(tblJ[mj+maxM]), cmplx.Abs(tblJ[mi+maxM])) // j leaking into i's slot
-	b := tmaSuppressionDB(cmplx.Abs(tblI[mi+maxM]), cmplx.Abs(tblI[mj+maxM])) // i leaking into j's slot
-	return math.Min(a, b)
-}
-
-// bestHostChannel picks, among the channels live at AP ap, the one whose
-// occupants that AP's TMA can best separate from a newcomer at harmonic h
-// and gain table tbl — maximizing the worst-case pairwise suppression. Only
-// nodes served by ap count as occupants: co-channel nodes at other APs
-// are interference bounded by distance, not schedule mates. The exclude
-// ID skips the newcomer itself, so a node re-running the handshake
-// (reboot, post-restart rejoin, roam fallback) doesn't count its own
-// stale entry as an occupant. ok is false when the AP hosts no channels
-// yet.
-func (nw *Network) bestHostChannel(ap *AccessPoint, h int, tbl []complex128, exclude uint32) (float64, bool) {
-	if nw.sparse != nil {
-		return nw.sparse.bestHostChannel(nw, ap, h, tbl, exclude)
-	}
-	type chanInfo struct {
-		worstSupp float64
-		occupants int
-	}
-	byCenter := map[float64]*chanInfo{}
-	for _, n := range nw.Nodes {
-		if n.ID == exclude || nw.hostAP(n) != ap {
-			continue
-		}
-		ci := byCenter[n.Assignment.CenterHz]
-		if ci == nil {
-			ci = &chanInfo{worstSupp: math.Inf(1)}
-			byCenter[n.Assignment.CenterHz] = ci
-		}
-		s := pairSuppressionDB(h, tbl, n.SDMHarmonic, n.tbl)
-		if s < ci.worstSupp {
-			ci.worstSupp = s
-		}
-		ci.occupants++
-	}
-	bestCenter, found := 0.0, false
-	var best chanInfo
-	for c, ci := range byCenter {
-		better := !found ||
-			ci.worstSupp > best.worstSupp ||
-			(ci.worstSupp == best.worstSupp && ci.occupants < best.occupants) ||
-			(ci.worstSupp == best.worstSupp && ci.occupants == best.occupants && c < bestCenter)
-		if better {
-			bestCenter, best, found = c, *ci, true
-		}
-	}
-	return bestCenter, found
-}
-
 // Leave removes a node and releases its spectrum churn-safely: if the
 // leaver was the FDM owner of a channel that SDM sharers still occupy, the
 // controller promotes the widest sharer to owner (PromoteMsg) instead of
@@ -418,9 +346,7 @@ func (nw *Network) Leave(id uint32) {
 	leaver := nw.nodeByID(id)
 	if leaver != nil {
 		ap := nw.hostAP(leaver)
-		removedAt := leaver.idx
-		nw.unregisterNodeAt(removedAt)
-		nw.couplingRemoveNode(leaver, removedAt)
+		nw.unregisterNodeAt(leaver.idx)
 		// Best-effort release through the retry machine: if every attempt
 		// dies on the side channel the lease TTL reclaims the spectrum.
 		leaver.Release(nw.exchangeAt(ap, ap.Controller.NowS())) //nolint:errcheck
@@ -464,16 +390,15 @@ func (nw *Network) applyPromotion(ap *AccessPoint, reply []byte) bool {
 	}
 	n.ApplyPromote(p)
 	nw.applyAssignment(n)
-	nw.couplingUpdateNode(n)
+	nw.sparse.updateNode(nw, n)
 	return true
 }
 
 // MoveNode repositions a live node (a camera carried across the room) and
 // refreshes everything pose-dependent: the OTAM link geometry, the node's
-// TMA harmonic slot, and the cached coupling matrix. The coupling refresh
-// is incremental — one gain table plus one row/column recompute
-// (couplingMoveNode), not the full-rebuild invalidation earlier revisions
-// paid per motion event. The association itself does not change here:
+// TMA harmonic slot, and its edges in the interference engine — one gain
+// table plus a rediscovery of the moved node's edges, nobody else's.
+// The association itself does not change here:
 // a node carried toward another AP re-homes at the roaming policy's next
 // check, not mid-motion. It reports whether the node exists. Safe during
 // Run — membership does not change.
@@ -490,7 +415,7 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 		}
 	}
 	n.aimAt(nw.hostAP(n))
-	nw.couplingMoveNode(n)
+	nw.sparse.moveNode(nw, n)
 	return true
 }
 
@@ -500,19 +425,15 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 // sharer is registered with its serving AP's controller on the channel it
 // actually occupies, and no two exclusive (non-SDM) channels at the same
 // AP overlap (cross-AP overlap is legal — that is what frequency reuse
-// and distance-bounded interference are for). In a multi-AP network it
-// additionally asserts the roaming invariant: no live node holds leases
-// at two APs at once, except for the tracked mid-roam strays whose
-// release died on the side channel and whose lease TTL is reclaiming
-// them. It returns nil when consistent — the property the churn and roam
-// lifecycles preserve.
+// and distance-bounded interference are for). It also asserts the roaming
+// invariant: no live node holds leases at two APs at once, except for the
+// tracked mid-roam strays whose release died on the side channel and
+// whose lease TTL is reclaiming them. It returns nil when consistent — the
+// property the churn and roam lifecycles preserve.
 func (nw *Network) ValidateSpectrum() error {
 	for _, ap := range nw.APs {
 		if err := ap.Controller.Alloc.Validate(); err != nil {
-			if len(nw.APs) > 1 {
-				return fmt.Errorf("simnet: AP %d: %w", ap.idx, err)
-			}
-			return err
+			return fmt.Errorf("simnet: AP %d: %w", ap.idx, err)
 		}
 	}
 	for _, n := range nw.Nodes {
@@ -541,9 +462,6 @@ func (nw *Network) ValidateSpectrum() error {
 		if a.CenterHz != n.Assignment.CenterHz || a.WidthHz != n.Assignment.WidthHz {
 			return fmt.Errorf("simnet: node %d assignment drifted from the allocator", n.ID)
 		}
-	}
-	if len(nw.APs) == 1 {
-		return nw.checkExclusiveOverlap(nw.Nodes)
 	}
 	// Roaming invariant: walking each AP's leaseholders costs O(total
 	// leases), not O(nodes × APs). A leaseholder served elsewhere is a
@@ -720,120 +638,17 @@ func (nw *Network) forEachNode(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// EvaluateSINR computes every node's current SNR and SINR. The per-node
-// link evaluations and interference sums fan out across the worker pool
-// (Workers), each node's gains and path class come from one shared path
-// enumeration (Link.EvaluateWithClass), and the pairwise coupling matrix
-// is served from the cache in linear form — rebuilt only after
-// membership, pose or assignment changes, not per call.
+// EvaluateSINR computes every node's current SNR and SINR. The engine
+// settles its dirty set — the link evaluations the last events or
+// blocker moves can have changed, then the interference re-sums of their
+// victims — fanned out across the worker pool (Workers), and serves
+// every other node's cached report.
 func (nw *Network) EvaluateSINR() []Report {
-	return nw.EvaluateSINRInto(nil)
-}
-
-// EvaluateSINRInto is EvaluateSINR with caller-owned report storage:
-// out's capacity is reused when it fits the membership (pass nil to
-// allocate fresh). The dense path's evaluation and power intermediates
-// are retained on the network between calls, so a steady-state caller —
-// Run's per-tick refresh — contributes nothing to the allocation
-// footprint.
-func (nw *Network) EvaluateSINRInto(out []Report) []Report {
-	if nw.sparse != nil {
-		return nw.sparse.evaluateInto(nw, out)
+	nw.core().settle(nw)
+	out := make([]Report, len(nw.Nodes))
+	for i, n := range nw.Nodes {
+		out[i] = n.sp.rep
 	}
-	n := len(nw.Nodes)
-	nw.ensureCoupling()
-	if cap(nw.evalScratch) < n {
-		nw.evalScratch = make([]core.Evaluation, n)
-		nw.powerScratch = make([]float64, n)
-	}
-	evals := nw.evalScratch[:n]
-	powers := nw.powerScratch[:n] // peak received power, watts
-	nAPs := len(nw.APs)
-	multi := nAPs > 1
-	var xp []float64
-	if multi {
-		// Each transmitter's power lands differently at each AP's
-		// receive array; xp[a*n+j] is node j's power at AP a. The
-		// serving-AP entry aliases powers[j], so the interference sum
-		// below reads one uniform table.
-		if cap(nw.xpowerScratch) < nAPs*n {
-			nw.xpowerScratch = make([]float64, nAPs*n)
-		}
-		xp = nw.xpowerScratch[:nAPs*n]
-	}
-	nw.forEachNode(n, func(i int) {
-		node := nw.Nodes[i]
-		if node.Down {
-			// Crashed: no carrier on the air, so no interference
-			// contribution and nothing to evaluate.
-			powers[i] = 0
-			if multi {
-				for a := 0; a < nAPs; a++ {
-					xp[a*n+i] = 0
-				}
-			}
-			return
-		}
-		evals[i] = node.Link.EvaluateWithClass()
-		g := math.Max(cmplx.Abs(evals[i].G0), cmplx.Abs(evals[i].G1))
-		powers[i] = g * g
-		if multi {
-			ai := node.apIndex()
-			for a := 0; a < nAPs; a++ {
-				if a == ai {
-					xp[a*n+i] = powers[i]
-					continue
-				}
-				xp[a*n+i] = nw.crossPower(node, a)
-			}
-		}
-	})
-	if cap(out) < n {
-		out = make([]Report, n)
-	}
-	out = out[:n]
-	nw.forEachNode(n, func(i int) {
-		node := nw.Nodes[i]
-		if node.Down {
-			out[i] = Report{
-				ID: node.ID, SNRdB: math.Inf(-1), SINRdB: math.Inf(-1),
-				BER: 1, PathClass: "down", SDM: node.Shared,
-			}
-			return
-		}
-		noise := evals[i].NoisePowerW
-		interf := 0.0
-		row := nw.coupling[i*n : (i+1)*n]
-		if multi {
-			// The victim listens at its serving AP: weigh every
-			// interferer by its power at that AP.
-			xrow := xp[node.apIndex()*n:]
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				interf += xrow[j] * row[j]
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				interf += powers[j] * row[j]
-			}
-		}
-		sinr := units.DB(powers[i] / (noise + interf))
-		ev := evals[i]
-		ev.SNRWithOTAM = sinr
-		out[i] = Report{
-			ID:        node.ID,
-			SNRdB:     units.DB(powers[i] / noise),
-			SINRdB:    sinr,
-			BER:       ev.BERWithOTAM(),
-			PathClass: ev.PathClass,
-			SDM:       node.Shared,
-		}
-	})
 	return out
 }
 

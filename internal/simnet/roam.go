@@ -53,7 +53,7 @@ func (rs *runState) roamCandidate(n *Node) *AccessPoint {
 	if noise <= 0 {
 		return nil
 	}
-	rep := rs.reportOf(n)
+	rep := &n.sp.rep
 	dCur := n.Pose.Pos.Dist(cur.Pose.Pos)
 	limit := dCur
 	if rep.PathClass != "los" {
@@ -123,7 +123,7 @@ func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 	}
 	n.Grant = last
 	rs.ctl.Promotions += nw.pushNotifications(from, false)
-	nw.roamDetach(n)
+	nw.sparse.detach(n)
 	rs.rehome(n, to)
 	if _, err := nw.join(n, rs.nowAt(to)); err != nil {
 		// The new AP never admitted the node: fall back to the one it
@@ -135,11 +135,11 @@ func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 			delete(nw.strays, n.ID) // re-admitted: the old entry is current again
 		}
 		nw.applyAssignment(n)
-		nw.roamAttach(n)
+		nw.sparse.addNode(nw, n)
 		return
 	}
 	nw.applyAssignment(n)
-	nw.roamAttach(n)
+	nw.sparse.addNode(nw, n)
 	rs.roams++
 	rs.apStats[from.idx].RoamsOut++
 	rs.apStats[to.idx].RoamsIn++

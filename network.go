@@ -171,27 +171,24 @@ func (n *Network) ValidateSpectrum() error { return n.nw.ValidateSpectrum() }
 // evaluation produce bit-identical reports.
 func (n *Network) SetWorkers(w int) { n.nw.Workers = w }
 
-// CouplingMode selects the network's interference bookkeeping strategy.
+// CouplingMode selects when the network's interference engine — per-node
+// neighbor lists over a grid partition — starts pruning pairs whose
+// worst-case coupled power falls below the noise floor.
 type CouplingMode = simnet.CouplingMode
 
 const (
-	// CouplingAuto (the default) runs the exact dense coupling matrix for
-	// small memberships and switches — one way — to the sparse spatial
-	// core when the membership first reaches the crossover size.
+	// CouplingAuto (the default) stores every pair, which is exact, for
+	// small memberships and starts pruning — one way — when the
+	// membership first reaches the crossover size.
 	CouplingAuto = simnet.CouplingAuto
-	// CouplingDense pins the O(n²) dense matrix at any size — the golden
-	// reference the sparse core is tested against.
-	CouplingDense = simnet.CouplingDense
-	// CouplingSparse builds the sparse spatial core immediately: per-node
-	// neighbor lists over a grid partition, with pairs whose worst-case
-	// coupled power falls below the cutoff never stored. This is what
-	// makes 100k-node memberships tractable.
+	// CouplingSparse prunes from the first join. This is what makes
+	// 100k-node memberships tractable.
 	CouplingSparse = simnet.CouplingSparse
 )
 
-// SetCouplingMode selects dense vs sparse interference bookkeeping (see
-// the CouplingMode constants). Forcing dense tears down any live sparse
-// state; forcing sparse builds it for the current membership.
+// SetCouplingMode selects when the interference engine starts pruning
+// (see the CouplingMode constants). CouplingSparse takes effect at once,
+// for the current membership.
 func (n *Network) SetCouplingMode(m CouplingMode) { n.nw.SetCouplingMode(m) }
 
 // NodeReport is one node's current link quality inside the network,
