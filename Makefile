@@ -25,7 +25,7 @@ BENCH_CTL_PATTERN  ?= ControlPlane
 BENCH_CTL_BASELINE ?= BENCH_ctl.json
 BENCH_OUT      ?= bench.out
 
-.PHONY: build test fmt-check loc bench bench-baseline bench-check bench-smoke load-smoke profile clean
+.PHONY: build test fmt-check loc deadcode bench bench-baseline bench-check bench-smoke load-smoke profile clean
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,12 @@ fmt-check:
 # simplicity PRs quote before and after.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
+
+# deadcode fails when a function declared under internal/ is linked by no
+# cmd/*, examples/* or benchmark binary and scripts/deadcode.allow does
+# not say why, or when an allowlist entry has gone stale.
+deadcode:
+	bash scripts/deadcode.sh
 
 # bench runs the gated PHY benchmarks and refreshes $(BENCH_BASELINE) with
 # the measured numbers. Commit the refreshed file only from the CI runner

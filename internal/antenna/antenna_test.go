@@ -161,13 +161,6 @@ func TestBeamOrthogonality(t *testing.T) {
 	}
 }
 
-func TestBeamSelect(t *testing.T) {
-	nb := NewNodeBeams()
-	if nb.Select(true) != nb.Beam1 || nb.Select(false) != nb.Beam0 {
-		t.Error("Select mapping wrong")
-	}
-}
-
 func TestBeam1HPBW(t *testing.T) {
 	nb := NewNodeBeams()
 	w := units.Rad2Deg(HalfPowerBeamwidth(nb.Beam1, 0))

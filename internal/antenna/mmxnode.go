@@ -54,15 +54,6 @@ func NewNodeBeams() NodeBeams {
 	}
 }
 
-// Select returns the pattern for a data bit: Beam 1 for true, Beam 0 for
-// false.
-func (nb NodeBeams) Select(bit bool) Pattern {
-	if bit {
-		return nb.Beam1
-	}
-	return nb.Beam0
-}
-
 // NewNonOrthogonalBeams builds the strawman of Fig. 5(a): two steered
 // beams pointing at +20° and -20° with no mutual nulls. Used by the
 // ablation benches to show why orthogonality matters.

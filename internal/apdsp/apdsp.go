@@ -9,9 +9,8 @@
 //     nodes arrive from different angles and the time-modulated array
 //     has hashed them onto different switching harmonics (±k·f_p), so a
 //     node's slot is its channel plus its harmonic's shift — still a bin.
-//   - SDMSeparator — the TMA seen from the capture side: it checks that
-//     the harmonic spacing clears the channel width and synthesizes the
-//     single-chain capture of several co-channel nodes.
+//   - SDMSeparator — the TMA seen from the capture side: it synthesizes
+//     the single-chain capture of several co-channel nodes.
 //
 // Together with modem.StreamReceiver this is the full software AP: one
 // wideband capture in, every node's frames out (FilterBank.ReceiveAll).
@@ -50,8 +49,7 @@ func ChannelConfig(outRate, symbolRate, fskOffsetHz float64) modem.Config {
 }
 
 // SDMSeparator is the AP's time-modulated array as the capture sees it:
-// the harmonic spacing co-channel nodes are hashed onto, and the
-// single-chain output they sum into.
+// the single-chain output co-channel nodes sum into.
 type SDMSeparator struct {
 	// Array is the AP's time-modulated array (its switching rate sets
 	// the harmonic spacing, which must exceed the channel bandwidth).
@@ -65,19 +63,6 @@ func NewSDMSeparator(a *tma.Array, widebandRate float64) *SDMSeparator {
 	return &SDMSeparator{Array: a, WidebandRate: widebandRate}
 }
 
-// ErrHarmonicOverlap reports a switching rate too slow for the channel:
-// adjacent harmonics would alias into the signal bandwidth.
-var ErrHarmonicOverlap = errors.New("apdsp: TMA switching rate below channel bandwidth")
-
-// CheckChannel verifies the TMA's harmonic spacing can separate signals
-// of the given channel width (adjacent harmonics must not overlap).
-func (s *SDMSeparator) CheckChannel(channelWidthHz float64) error {
-	if s.Array.SwitchRateHz < channelWidthHz {
-		return ErrHarmonicOverlap
-	}
-	return nil
-}
-
 // NodeCapture describes one co-channel transmission for SDM synthesis in
 // tests and demos: its angle of arrival and wideband waveform.
 type NodeCapture = tma.Source
@@ -85,11 +70,5 @@ type NodeCapture = tma.Source
 // MixSDM runs the TMA over co-channel node waveforms — the AP-side
 // counterpart of several nodes transmitting at once on one channel.
 func (s *SDMSeparator) MixSDM(nodes []NodeCapture) []complex128 {
-	return s.Array.Mix(nodes, s.WidebandRate)
-}
-
-// MixSDMInto is MixSDM with append-style buffer reuse; the TMA's phase
-// table lives in pooled scratch.
-func (s *SDMSeparator) MixSDMInto(dst []complex128, nodes []NodeCapture) []complex128 {
-	return s.Array.MixInto(dst, nodes, s.WidebandRate)
+	return s.Array.MixInto(nil, nodes, s.WidebandRate)
 }

@@ -83,13 +83,11 @@ type FilterBank struct {
 	MinSyncScore float64
 
 	// Configured state.
-	widthHz float64
-	outRate float64
-	decim   int
-	proto   []float64
-	chans   []bankChan
-	plan    *dsp.FFTPlan
-	u, bu   []complex128 // branch accumulator and its transform (len Bins)
+	decim int
+	proto []float64
+	chans []bankChan
+	plan  *dsp.FFTPlan
+	u, bu []complex128 // branch accumulator and its transform (len Bins)
 
 	// ReceiveAll state: per-channel stream receivers (each touched by
 	// exactly one worker per call) and extraction output scratch.
@@ -107,7 +105,6 @@ var (
 
 // bankChan is one configured channel's precomputed extraction state.
 type bankChan struct {
-	src BankChannel
 	// bin is the FFT output index holding the channel's branch sum:
 	// (−B) mod M for signed grid index B.
 	bin int
@@ -153,7 +150,7 @@ func (b *FilterBank) Configure(widthHz, outRate float64, channels []BankChannel)
 		if math.Abs(binF-math.Round(binF)) > 1e-6 {
 			return ErrOffGrid
 		}
-		chans = append(chans, bankChan{src: ch, bin: int(math.Round(binF))})
+		chans = append(chans, bankChan{bin: int(math.Round(binF))})
 	}
 	tf := b.TransitionFraction
 	if tf <= 0 {
@@ -163,7 +160,6 @@ func (b *FilterBank) Configure(widthHz, outRate float64, channels []BankChannel)
 	if taps <= 0 {
 		taps = 129
 	}
-	b.widthHz, b.outRate = widthHz, outRate
 	b.decim = int(math.Round(factor))
 	b.proto = dsp.LowPass(widthHz/2*(1+tf), b.WidebandRate, taps).Taps
 	b.plan = dsp.PlanFFT(b.Bins)
@@ -204,18 +200,6 @@ func gcd(a, c int) int {
 	}
 	return a
 }
-
-// Channels returns the configured channel plan in extraction order.
-func (b *FilterBank) Channels() []BankChannel {
-	out := make([]BankChannel, len(b.chans))
-	for i := range b.chans {
-		out[i] = b.chans[i].src
-	}
-	return out
-}
-
-// OutRate returns the configured per-channel delivery rate.
-func (b *FilterBank) OutRate() float64 { return b.outRate }
 
 // ExtractAll runs the one-pass filterbank over a capture and returns one
 // baseband stream per configured channel, in Configure order.

@@ -9,6 +9,7 @@ package apdsp
 
 import (
 	"math"
+	"math/cmplx"
 
 	"mmx/internal/dsp"
 	"mmx/internal/dsp/pool"
@@ -92,10 +93,10 @@ func (c *Channelizer) ExtractInto(dst, x []complex128, channelHz, widthHz, outRa
 		c.lpCutoff, c.lpTaps, c.lpRate = cutoff, taps, c.WidebandRate
 	}
 	mixed := pool.Complex(len(x))
-	mixed = dsp.MixDownInto(mixed, x, offset, c.WidebandRate)
+	mixed = MixDownInto(mixed, x, offset, c.WidebandRate)
 	filtered := pool.Complex(len(x))
 	filtered = c.lp.FilterInto(filtered, mixed)
-	out := dsp.DecimateInto(dst, filtered, int(math.Round(factor)))
+	out := DecimateInto(dst, filtered, int(math.Round(factor)))
 	pool.PutComplex(filtered)
 	pool.PutComplex(mixed)
 	return out, nil
@@ -123,5 +124,35 @@ func (s *SDMSeparator) ShiftInto(dst, y []complex128, harmonic int) []complex128
 		copy(dst, y)
 		return dst
 	}
-	return dsp.MixDownInto(dst, y, float64(harmonic)*s.Array.SwitchRateHz, s.WidebandRate)
+	return MixDownInto(dst, y, float64(harmonic)*s.Array.SwitchRateHz, s.WidebandRate)
+}
+
+// MixDownInto multiplies x by e^{-j2π f t}, shifting a tone at freqHz down
+// to DC, into dst's storage (append semantics). dst may alias x (the mix
+// is elementwise), so MixDownInto(x, x, ...) shifts in place.
+func MixDownInto(dst, x []complex128, freqHz, sampleRate float64) []complex128 {
+	if cap(dst) < len(x) {
+		dst = make([]complex128, len(x))
+	}
+	dst = dst[:len(x)]
+	w := -2 * math.Pi * freqHz / sampleRate
+	for i, v := range x {
+		dst[i] = v * cmplx.Rect(1, w*float64(i))
+	}
+	return dst
+}
+
+// DecimateInto keeps every factor-th sample of x (already anti-alias
+// filtered) into dst's storage (append semantics). dst may alias x (the
+// write cursor never passes the read cursor).
+func DecimateInto(dst, x []complex128, factor int) []complex128 {
+	n := (len(x) + factor - 1) / factor
+	if cap(dst) < n {
+		dst = make([]complex128, n)
+	}
+	dst = dst[:n]
+	for i, j := 0, 0; i < len(x); i, j = i+factor, j+1 {
+		dst[j] = x[i]
+	}
+	return dst
 }

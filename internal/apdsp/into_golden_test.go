@@ -1,6 +1,7 @@
 package apdsp
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -8,9 +9,11 @@ import (
 	"mmx/internal/tma"
 )
 
-// Golden equivalence: every Into variant must reproduce its allocating
-// wrapper exactly, including when handed a dirty oversized buffer (pooled
-// scratch arrives with arbitrary contents).
+// Each transform of the wideband chain has one entry point, its Into
+// form. Handed a dirty oversized dst — pooled scratch arrives with
+// arbitrary contents — it must return exactly what a fresh nil dst gets,
+// written into dst's backing array: overwritten, not accumulated, and not
+// reallocated.
 
 func noiseBurst(n int, seed uint64) []complex128 {
 	rng := stats.NewRNG(seed)
@@ -21,48 +24,52 @@ func noiseBurst(n int, seed uint64) []complex128 {
 	return x
 }
 
-func dirty(n int) []complex128 {
-	d := make([]complex128, n+9)
-	for i := range d {
-		d[i] = complex(1e300, -1e300)
+// checkInto runs into with a nil dst and with a dirty oversized one, and
+// requires the same result, in the dirty dst's storage.
+func checkInto(t *testing.T, name string, into func(dst []complex128) []complex128) {
+	t.Helper()
+	want := into(nil)
+	buf := make([]complex128, len(want)+9)
+	for i := range buf {
+		buf[i] = complex(1e300, -1e300)
 	}
-	return d[:0]
+	got := into(buf[:0])
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: result with a dirty dst differs from a fresh one", name)
+	}
+	if len(got) > 0 && &got[0] != &buf[0] {
+		t.Errorf("%s: did not reuse dst's backing array", name)
+	}
 }
 
 func TestChannelizerExtractIntoGolden(t *testing.T) {
 	c := NewChannelizer(200e6, 60e9)
 	x := noiseBurst(4096, 11)
-	want, err := c.Extract(x, 60.01e9, 10e6, 25e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ExtractInto(dirty(len(x)), x, 60.01e9, 10e6, 25e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("ExtractInto differs from Extract")
-	}
+	checkInto(t, "ExtractInto", func(d []complex128) []complex128 {
+		out, err := c.ExtractInto(d, x, 60.01e9, 10e6, 25e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	})
 }
 
 func TestSDMSeparatorShiftAndMixGolden(t *testing.T) {
 	arr := tma.NewSDMArray(8, 100e3)
 	s := NewSDMSeparator(arr, 200e6)
-
 	nodes := []NodeCapture{
 		{Theta: 0.3, Baseband: noiseBurst(512, 12)},
 		{Theta: -0.7, Baseband: noiseBurst(512, 13)},
 	}
-	wantMix := s.MixSDM(nodes)
-	if got := s.MixSDMInto(dirty(len(wantMix)), nodes); !reflect.DeepEqual(got, wantMix) {
-		t.Error("MixSDMInto differs from MixSDM")
+	mixed := s.MixSDM(nodes)
+	if want := arr.MixInto(nil, nodes, s.WidebandRate); !reflect.DeepEqual(mixed, want) {
+		t.Error("MixSDM differs from the TMA's MixInto at the wideband rate")
 	}
-
+	// Harmonic 0 copies: into dst, never handing back its input.
 	for _, h := range []int{0, 1, 3} {
-		want := s.Shift(wantMix, h)
-		if got := s.ShiftInto(dirty(len(wantMix)), wantMix, h); !reflect.DeepEqual(got, want) {
-			t.Errorf("ShiftInto(harmonic=%d) differs from Shift", h)
-		}
+		checkInto(t, fmt.Sprintf("ShiftInto(harmonic=%d)", h), func(d []complex128) []complex128 {
+			return s.ShiftInto(d, mixed, h)
+		})
 	}
 }
 
@@ -72,15 +79,12 @@ func TestTMAMixExtractIntoGolden(t *testing.T) {
 		{Theta: 0.2, Baseband: noiseBurst(300, 14)},
 		{Theta: -0.5, Baseband: noiseBurst(300, 15)},
 	}
-	fs := 200e6
-	wantMix := arr.Mix(srcs, fs)
-	if got := arr.MixInto(dirty(len(wantMix)), srcs, fs); !reflect.DeepEqual(got, wantMix) {
-		t.Error("tma MixInto differs from Mix")
-	}
+	const fs = 200e6
+	checkInto(t, "MixInto", func(d []complex128) []complex128 { return arr.MixInto(d, srcs, fs) })
+	mixed := arr.MixInto(nil, srcs, fs)
 	for _, m := range []int{1, 2} {
-		want := arr.Extract(wantMix, m, fs)
-		if got := arr.ExtractInto(dirty(len(wantMix)), wantMix, m, fs); !reflect.DeepEqual(got, want) {
-			t.Errorf("tma ExtractInto(m=%d) differs from Extract", m)
-		}
+		checkInto(t, fmt.Sprintf("ExtractInto(m=%d)", m), func(d []complex128) []complex128 {
+			return arr.ExtractInto(d, mixed, m, fs)
+		})
 	}
 }

@@ -33,20 +33,8 @@ func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Len() }
 // Angle returns the direction of v in radians (atan2 convention).
 func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// Normalize returns v/|v|, or the zero vector for a zero input.
-func (v Vec2) Normalize() Vec2 {
-	l := v.Len()
-	if l == 0 {
-		return Vec2{}
-	}
-	return v.Scale(1 / l)
-}
-
 // Segment is a directed line segment from A to B.
 type Segment struct{ A, B Vec2 }
-
-// Length returns the segment's length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
 // PointAt returns A + t·(B−A).
 func (s Segment) PointAt(t float64) Vec2 {
@@ -68,28 +56,6 @@ func (s Segment) DistanceTo(p Vec2) float64 {
 		t = 1
 	}
 	return s.PointAt(t).Dist(p)
-}
-
-// DistanceToSegment returns the minimum distance between the two
-// segments: 0 when they cross, otherwise the closest pair involves an
-// endpoint, so the minimum over the four endpoint-to-segment distances.
-// Degenerate (zero-length) and parallel inputs fall through to the
-// endpoint cases, which remain exact.
-func (s Segment) DistanceToSegment(o Segment) float64 {
-	if t, u, ok := s.Intersect(o); ok && t >= 0 && t <= 1 && u >= 0 && u <= 1 {
-		return 0
-	}
-	d := s.DistanceTo(o.A)
-	if v := s.DistanceTo(o.B); v < d {
-		d = v
-	}
-	if v := o.DistanceTo(s.A); v < d {
-		d = v
-	}
-	if v := o.DistanceTo(s.B); v < d {
-		d = v
-	}
-	return d
 }
 
 // Intersect returns the parameter t along s where it crosses the infinite

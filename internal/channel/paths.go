@@ -1,9 +1,6 @@
 package channel
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // Path is one propagation route from transmitter to receiver.
 type Path struct {
@@ -194,26 +191,6 @@ func (e *Environment) reflectionPoint1(tx, rx Vec2, walls []Wall, wi int) (Vec2,
 	return rp, true
 }
 
-// firstOrderPath builds the single-bounce path off walls[wi] as a
-// standalone Path (test helper; Paths uses reflectionPoint1 with shared
-// backing storage).
-func (e *Environment) firstOrderPath(tx, rx Vec2, walls []Wall, wi int) (Path, bool) {
-	rp, ok := e.reflectionPoint1(tx, rx, walls, wi)
-	if !ok {
-		return Path{}, false
-	}
-	pts := []Vec2{tx, rp, rx}
-	return Path{
-		Points:           pts,
-		Length:           tx.Dist(rp) + rp.Dist(rx),
-		DepartureAngle:   rp.Sub(tx).Angle(),
-		ArrivalAngle:     rp.Sub(rx).Angle(),
-		Reflections:      1,
-		ReflectionLossDB: walls[wi].ReflectionLossDB,
-		BlockageLossDB:   e.pathObstructionLossDB(pts),
-	}, true
-}
-
 // reflectionPoints2 finds the double-bounce reflection points hitting wall
 // w1 then w2.
 func (e *Environment) reflectionPoints2(tx, rx Vec2, walls []Wall, w1i, w2i int) (Vec2, Vec2, bool) {
@@ -252,20 +229,4 @@ func sameSide(s Segment, a, b Vec2) bool {
 	ca := d.X*(a.Y-s.A.Y) - d.Y*(a.X-s.A.X)
 	cb := d.X*(b.Y-s.A.Y) - d.Y*(b.X-s.A.X)
 	return ca*cb > 0
-}
-
-// LoSBlocked reports whether the direct tx→rx path currently crosses any
-// blocker.
-func (e *Environment) LoSBlocked(tx, rx Vec2) bool {
-	return e.blockageLossDB(Segment{tx, rx}) > 0
-}
-
-// sanity guard used by tests: a path's length can never be shorter than
-// the straight-line distance.
-func (p Path) geometricallyValid() bool {
-	if len(p.Points) < 2 {
-		return false
-	}
-	direct := p.Points[0].Dist(p.Points[len(p.Points)-1])
-	return p.Length >= direct-1e-9 && !math.IsNaN(p.Length)
 }

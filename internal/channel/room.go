@@ -66,11 +66,6 @@ func NewLabRoom(rng *stats.RNG) *Room {
 	return NewRoom(6, 4, rng)
 }
 
-// Contains reports whether p lies strictly inside the room.
-func (r *Room) Contains(p Vec2) bool {
-	return p.X > 0 && p.X < r.Width && p.Y > 0 && p.Y < r.Height
-}
-
 // AddInteriorWall places a partition inside the room. reflectLossDB is
 // the per-bounce loss; penetrationLossDB the through-loss. Typical 24 GHz
 // values: drywall ≈(8, 7), glass ≈(10, 3), concrete ≈(6, 40).

@@ -2,68 +2,6 @@ package dsp
 
 import "math"
 
-// AGC is a sample-by-sample automatic gain control loop: it drives the
-// output envelope toward a target level with a first-order feedback loop,
-// the standard front end before a fixed-range ADC. For ASK signals the
-// attack rate must be slow relative to the symbol rate or the loop would
-// flatten the very amplitude modulation the receiver needs — NewAGC's
-// default is safe for the mmX numerology.
-type AGC struct {
-	// TargetLevel is the desired output envelope.
-	TargetLevel float64
-	// Rate is the per-sample adaptation coefficient (small = slow).
-	Rate float64
-	// MaxGain bounds the loop so silence doesn't drive the gain to
-	// infinity.
-	MaxGain float64
-
-	gain float64
-}
-
-// NewAGC returns a loop targeting the given level with a time constant of
-// roughly 1/(rate) samples.
-func NewAGC(targetLevel float64) *AGC {
-	return &AGC{TargetLevel: targetLevel, Rate: 2e-5, MaxGain: 1e9, gain: 1}
-}
-
-// Gain returns the loop's current gain.
-func (a *AGC) Gain() float64 { return a.gain }
-
-// Process applies the loop to a capture, returning a new slice. The loop
-// state persists across calls (streaming operation).
-func (a *AGC) Process(x []complex128) []complex128 {
-	return a.ProcessInto(nil, x)
-}
-
-// ProcessInPlace applies the loop to x in place (zero-allocation
-// streaming), returning x. The per-sample feedback reads only the sample
-// it just wrote, so aliasing input and output is safe.
-func (a *AGC) ProcessInPlace(x []complex128) []complex128 {
-	return a.ProcessInto(x, x)
-}
-
-// ProcessInto is Process with append-style buffer reuse; dst == x is
-// allowed.
-func (a *AGC) ProcessInto(dst, x []complex128) []complex128 {
-	if cap(dst) < len(x) {
-		dst = make([]complex128, len(x))
-	}
-	out := dst[:len(x)]
-	for i, v := range x {
-		y := v * complex(a.gain, 0)
-		out[i] = y
-		env := math.Hypot(real(y), imag(y))
-		a.gain += a.Rate * (a.TargetLevel - env) * a.gain
-		if a.gain > a.MaxGain {
-			a.gain = a.MaxGain
-		}
-		if a.gain < 1/a.MaxGain {
-			a.gain = 1 / a.MaxGain
-		}
-	}
-	return out
-}
-
 // NormalizeRMS scales x (in place) so its RMS amplitude equals target —
 // the block-AGC used when the whole capture is available at once, as in
 // the AP's buffered processing. It returns the gain applied.

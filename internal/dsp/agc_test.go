@@ -2,32 +2,29 @@ package dsp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mmx/internal/stats"
 )
 
+// The receive chain's AGC stage is NormalizeRMS: one gain per buffered
+// capture, the slow-rate limit of a feedback loop.
+
 func TestAGCConvergesToTarget(t *testing.T) {
-	a := NewAGC(0.5)
-	a.Rate = 1e-3 // fast for a short test
-	x := Tone(40000, 10e3, 3.7e-5, 0, 1e6)
-	y := a.Process(x)
-	// Steady-state output envelope ≈ target.
-	tail := Envelope(y[30000:])
-	mean := 0.0
-	for _, e := range tail {
-		mean += e
-	}
-	mean /= float64(len(tail))
-	if math.Abs(mean-0.5) > 0.05 {
-		t.Errorf("steady-state envelope = %g, want ≈0.5", mean)
+	x := tone(40000, 10e3, 3.7e-5, 0, 1e6)
+	NormalizeRMS(x, 0.5)
+	// A tone's envelope is flat, so the whole capture sits at the target.
+	for i, e := range EnvelopeInto(nil, x) {
+		if math.Abs(e-0.5) > 1e-9 {
+			t.Fatalf("envelope[%d] = %g, want 0.5", i, e)
+		}
 	}
 }
 
 func TestAGCPreservesASKAtSlowRate(t *testing.T) {
-	// A slow loop must NOT flatten symbol-rate amplitude modulation:
-	// the high/low level ratio survives.
-	a := NewAGC(0.5)
+	// The AGC must NOT flatten symbol-rate amplitude modulation: the
+	// high/low level ratio survives.
 	fs, spb := 25e6, 25
 	var x []complex128
 	for s := 0; s < 400; s++ {
@@ -35,34 +32,41 @@ func TestAGCPreservesASKAtSlowRate(t *testing.T) {
 		if s%2 == 0 {
 			amp = 1e-4
 		}
-		x = append(x, Tone(spb, 250e3, amp, 0, fs)...)
+		x = append(x, tone(spb, 250e3, amp, 0, fs)...)
 	}
-	// Pre-normalize coarse level so the loop operates near lock.
 	NormalizeRMS(x, 0.4)
-	y := a.Process(x)
-	// Compare mid-symbol envelopes late in the capture.
-	hi := Envelope(y[396*spb : 397*spb])
-	lo := Envelope(y[397*spb : 398*spb])
-	ratio := hi[spb/2] / lo[spb/2]
-	if ratio < 8 {
-		t.Errorf("ASK depth flattened: hi/lo = %.2f, want ≈10", ratio)
+	env := EnvelopeInto(nil, x)
+	if ratio := env[396*spb+spb/2] / env[397*spb+spb/2]; math.Abs(ratio-10) > 1e-9 {
+		t.Errorf("ASK depth changed: hi/lo = %.6f, want 10", ratio)
 	}
 }
 
 func TestAGCGainBounds(t *testing.T) {
-	a := NewAGC(1)
-	a.Rate = 1
-	a.MaxGain = 100
-	// Silence drives gain up to the bound, not to infinity.
-	a.Process(make([]complex128, 10000))
-	if a.Gain() > 100 {
-		t.Errorf("gain exploded: %g", a.Gain())
+	// Silence does not drive the gain to infinity: the capture is left
+	// alone.
+	silent := make([]complex128, 10000)
+	if g := NormalizeRMS(silent, 1); g != 1 || Power(silent) != 0 {
+		t.Errorf("silence: gain %g, power %g", g, Power(silent))
 	}
-	// Huge input drives it down to the floor, not below.
-	big := Tone(10000, 0, 1e9, 0, 1e6)
-	a.Process(big)
-	if a.Gain() < 1.0/100-1e-12 {
-		t.Errorf("gain under floor: %g", a.Gain())
+	// Huge and tiny inputs get finite gains that land on the target.
+	for _, amp := range []float64{1e9, 1e-12} {
+		x := tone(10000, 0, amp, 0, 1e6)
+		g := NormalizeRMS(x, 1)
+		if math.IsInf(g, 0) || g <= 0 || math.Abs(math.Sqrt(Power(x))-1) > 1e-9 {
+			t.Errorf("amplitude %g: gain %g, RMS %g", amp, g, math.Sqrt(Power(x)))
+		}
+	}
+}
+
+func TestAGCProcessVariantsGolden(t *testing.T) {
+	// The AGC's one entry point works in place: it scales x's own storage,
+	// and the result is x scaled by the gain it returns.
+	x := goldenInput(200, 9)
+	want := append([]complex128(nil), x...)
+	g := NormalizeRMS(x, 1.0)
+	Scale(want, complex(g, 0))
+	if !reflect.DeepEqual(x, want) {
+		t.Error("NormalizeRMS differs from scaling by its returned gain")
 	}
 }
 

@@ -7,7 +7,7 @@ import "unsafe"
 // to) overlap the read region x[:len(x)]. Transforms that read input
 // behind their write cursor (FIR convolution, the filterbank) use it to
 // reject in-place calls their access pattern would corrupt; elementwise
-// transforms (MixDownInto, Scale) alias safely and do not check.
+// transforms (Scale, NormalizeRMS) alias safely and do not check.
 func Aliases(dst, x []complex128) bool {
 	n := cap(dst)
 	if n > len(x) {

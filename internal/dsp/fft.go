@@ -4,48 +4,21 @@ import (
 	"mmx/internal/dsp/pool"
 )
 
-// FFT computes the discrete Fourier transform of x and returns a new slice.
-// Power-of-two lengths use an iterative radix-2 Cooley-Tukey; other lengths
-// use Bluestein's chirp-z algorithm, so any length is supported. An empty
-// input returns nil.
-func FFT(x []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	return FFTInto(nil, x)
-}
-
-// FFTInto is FFT with append-style buffer reuse: the transform is written
-// into dst's storage when cap(dst) >= len(x). dst == x computes the
-// transform in place. The twiddle/bit-reversal (and, for non-power-of-two
-// lengths, Bluestein chirp) tables come from the process-wide plan cache
-// (PlanFFT) and Bluestein work buffers from the package buffer pool, so
-// repeated same-length transforms allocate nothing once dst is sized.
+// FFTInto computes the discrete Fourier transform of x into dst's storage
+// (append semantics: the backing array is reused when cap(dst) >= len(x),
+// nil allocates). dst == x computes the transform in place. Power-of-two
+// lengths use an iterative radix-2 Cooley-Tukey; other lengths use
+// Bluestein's chirp-z algorithm, so any length is supported. The
+// twiddle/bit-reversal (and, for non-power-of-two lengths, Bluestein
+// chirp) tables come from the process-wide plan cache (PlanFFT) and
+// Bluestein work buffers from the package buffer pool, so repeated
+// same-length transforms allocate nothing once dst is sized.
 func FFTInto(dst, x []complex128) []complex128 {
 	n := len(x)
 	if n == 0 {
 		return dst[:0]
 	}
 	return PlanFFT(n).Forward(dst, x)
-}
-
-// IFFT computes the inverse DFT of x (normalized by 1/N) and returns a new
-// slice.
-func IFFT(x []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	return IFFTInto(nil, x)
-}
-
-// IFFTInto is IFFT with append-style buffer reuse; dst == x is allowed.
-// Like FFTInto it executes against the cached plan for len(x).
-func IFFTInto(dst, x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return dst[:0]
-	}
-	return PlanFFT(n).Inverse(dst, x)
 }
 
 // FFTFreqs returns the frequency (Hz) of each FFT bin for a given length and
@@ -64,14 +37,9 @@ func FFTFreqs(n int, sampleRate float64) []float64 {
 	return out
 }
 
-// PowerSpectrum returns |FFT(x)|²/N per bin, the periodogram estimate of the
-// power in each frequency bin.
-func PowerSpectrum(x []complex128) []float64 {
-	return PowerSpectrumInto(nil, x)
-}
-
-// PowerSpectrumInto is PowerSpectrum with append-style buffer reuse; the
-// intermediate transform lives in a pooled buffer.
+// PowerSpectrumInto writes |FFT(x)|²/N² per bin into dst's storage (append
+// semantics) — the periodogram estimate of the power in each frequency
+// bin. The intermediate transform lives in a pooled buffer.
 func PowerSpectrumInto(dst []float64, x []complex128) []float64 {
 	X := pool.Complex(len(x))
 	X = FFTInto(X, x)
@@ -89,18 +57,6 @@ func PowerSpectrumInto(dst []float64, x []complex128) []float64 {
 	return dst
 }
 
-// DominantFrequency returns the frequency in Hz of the strongest spectral
-// bin of x at the given sample rate, resolving FFT ordering to a signed
-// frequency. It returns 0 for an empty input.
-func DominantFrequency(x []complex128, sampleRate float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	spec := PowerSpectrum(x)
-	freqs := FFTFreqs(len(x), sampleRate)
-	return freqs[ArgMax(spec)]
-}
-
 // STFT computes a short-time Fourier transform: the power spectrum of
 // consecutive (possibly overlapping) Hamming-windowed segments. It
 // returns one power-spectrum row per frame (each of length fftSize) —
@@ -116,7 +72,7 @@ func STFT(x []complex128, fftSize, hop int) [][]float64 {
 		for i := 0; i < fftSize; i++ {
 			buf[i] = x[start+i] * complex(w[i], 0)
 		}
-		rows = append(rows, PowerSpectrum(buf))
+		rows = append(rows, PowerSpectrumInto(nil, buf))
 	}
 	return rows
 }

@@ -18,7 +18,7 @@ func TestFFTImpulse(t *testing.T) {
 	for _, n := range []int{8, 12, 16, 17} {
 		x := make([]complex128, n)
 		x[0] = 1
-		X := FFT(x)
+		X := FFTInto(nil, x)
 		for i, v := range X {
 			if !cAlmostEq(v, 1, 1e-9) {
 				t.Errorf("n=%d: FFT(delta)[%d] = %v, want 1", n, i, v)
@@ -35,7 +35,7 @@ func TestFFTSingleTone(t *testing.T) {
 		for i := range x {
 			x[i] = cmplx.Rect(1, 2*math.Pi*float64(k*i)/float64(n))
 		}
-		X := FFT(x)
+		X := FFTInto(nil, x)
 		for i, v := range X {
 			want := complex(0, 0)
 			if i == k {
@@ -55,7 +55,8 @@ func TestFFTIFFTRoundtrip(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
 		}
-		y := IFFT(FFT(x))
+		p := PlanFFT(n)
+		y := p.Inverse(nil, p.Forward(nil, x))
 		for i := range x {
 			if !cAlmostEq(x[i], y[i], 1e-8) {
 				t.Fatalf("n=%d: roundtrip mismatch at %d: %v vs %v", n, i, x[i], y[i])
@@ -80,7 +81,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range sum {
 			sum[i] = a[i] + alpha*b[i]
 		}
-		FA, FB, FS := FFT(a), FFT(b), FFT(sum)
+		FA, FB, FS := FFTInto(nil, a), FFTInto(nil, b), FFTInto(nil, sum)
 		for i := range FS {
 			if !cAlmostEq(FS[i], FA[i]+alpha*FB[i], 1e-6) {
 				return false
@@ -102,7 +103,7 @@ func TestParsevalProperty(t *testing.T) {
 		for i := range x {
 			x[i] = complex(r.Normal(0, 1), r.Normal(0, 1))
 		}
-		spec := PowerSpectrum(x)
+		spec := PowerSpectrumInto(nil, x)
 		sum := 0.0
 		for _, p := range spec {
 			sum += p
@@ -134,33 +135,33 @@ func TestFFTFreqs(t *testing.T) {
 func TestDominantFrequency(t *testing.T) {
 	fs := 1e6
 	for _, f := range []float64{0, 125e3, -250e3, 31.25e3} {
-		x := Tone(256, f, 1, 0, fs)
-		got := DominantFrequency(x, fs)
+		x := tone(256, f, 1, 0, fs)
+		got := dominantFrequency(x, fs)
 		if math.Abs(got-f) > fs/256+1 {
-			t.Errorf("DominantFrequency of %g Hz tone = %g", f, got)
+			t.Errorf("strongest bin of a %g Hz tone at %g Hz", f, got)
 		}
-	}
-	if DominantFrequency(nil, fs) != 0 {
-		t.Error("empty input should return 0")
 	}
 }
 
 func TestFFTEmpty(t *testing.T) {
-	if FFT(nil) != nil || IFFT(nil) != nil {
-		t.Error("FFT/IFFT of empty input should be nil")
+	if FFTInto(nil, nil) != nil {
+		t.Error("FFTInto(nil) of empty input should be nil")
+	}
+	if got := FFTInto(make([]complex128, 4), nil); len(got) != 0 {
+		t.Errorf("FFTInto of empty input has length %d", len(got))
 	}
 }
 
 func TestSTFT(t *testing.T) {
 	fs := 1e6
 	// First half at +100 kHz, second half at -200 kHz.
-	x := append(Tone(2048, 100e3, 1, 0, fs), Tone(2048, -200e3, 1, 0, fs)...)
+	x := append(tone(2048, 100e3, 1, 0, fs), tone(2048, -200e3, 1, 0, fs)...)
 	rows := STFT(x, 256, 128)
 	if len(rows) != (4096-256)/128+1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	freqs := FFTFreqs(256, fs)
-	peakFreq := func(row []float64) float64 { return freqs[ArgMax(row)] }
+	peakFreq := func(row []float64) float64 { return freqs[argMax(row)] }
 	// Early frames peak near +100 kHz; late frames near −200 kHz.
 	if f := peakFreq(rows[0]); math.Abs(f-100e3) > fs/256+1 {
 		t.Errorf("early peak = %g", f)

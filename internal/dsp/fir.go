@@ -8,14 +8,14 @@ import (
 )
 
 // FIR is a finite-impulse-response filter defined by its real tap weights.
-// Apply it to complex IQ data with Filter.
+// Apply it to complex IQ data with FilterInto.
 //
 // Long filters are applied by overlap-save FFT convolution: above the
 // olsMinTaps crossover the filter lazily caches its frequency response
 // (the FFT of the taps at the overlap-save block size) on first use.
-// Taps may be edited freely before the first Filter/FilterInto call and
-// must be treated as frozen afterwards. Concurrent Filter calls on one
-// FIR are safe; the cached response is built exactly once.
+// Taps may be edited freely before the first FilterInto call and must be
+// treated as frozen afterwards. Concurrent FilterInto calls on one FIR
+// are safe; the cached response is built exactly once.
 type FIR struct {
 	Taps []float64
 
@@ -80,20 +80,6 @@ func Hamming(n int) []float64 {
 	return w
 }
 
-// Blackman returns the n-point Blackman window.
-func Blackman(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(x) + 0.08*math.Cos(2*x)
-	}
-	return w
-}
-
 func sinc(x float64) float64 {
 	if x == 0 {
 		return 1
@@ -129,46 +115,13 @@ func LowPass(cutoffHz, sampleRate float64, taps int) *FIR {
 	return &FIR{Taps: h}
 }
 
-// BandPass designs a windowed-sinc band-pass FIR between loHz and hiHz.
-// The filter is the difference of two low-pass designs and is normalized to
-// unit gain at the band center.
-func BandPass(loHz, hiHz, sampleRate float64, taps int) *FIR {
-	if hiHz <= loHz {
-		panic("dsp: BandPass requires hiHz > loHz")
-	}
-	hi := LowPass(hiHz, sampleRate, taps)
-	lo := LowPass(loHz, sampleRate, taps)
-	h := make([]float64, len(hi.Taps))
-	for i := range h {
-		h[i] = hi.Taps[i] - lo.Taps[i]
-	}
-	f := &FIR{Taps: h}
-	// Normalize gain at band center.
-	center := (loHz + hiHz) / 2
-	g := f.GainAt(center, sampleRate)
-	if g > 0 {
-		for i := range f.Taps {
-			f.Taps[i] /= g
-		}
-	}
-	return f
-}
-
-// Len returns the number of taps.
-func (f *FIR) Len() int { return len(f.Taps) }
-
-// Filter convolves x with the filter taps, returning a slice the same
-// length as x (the first len(taps)-1 outputs use an implicit zero history,
-// matching streaming behaviour).
-func (f *FIR) Filter(x []complex128) []complex128 {
-	return f.FilterInto(nil, x)
-}
-
-// FilterInto is Filter writing into dst's storage (append semantics: the
-// backing array is reused when cap(dst) >= len(x), otherwise a new slice
-// is allocated). dst must not alias x — the convolution reads x behind the
-// write cursor, and an aliasing dst panics. It returns the len(x)-long
-// result. Filters of olsMinTaps or more taps applied to inputs of at
+// FilterInto convolves x with the filter taps into dst's storage and
+// returns the len(x)-long result; the first len(taps)-1 outputs use an
+// implicit zero history, matching streaming behaviour. dst follows append
+// semantics: its backing array is reused when cap(dst) >= len(x),
+// otherwise a new slice is allocated (nil allocates). dst must not alias
+// x — the convolution reads x behind the write cursor, and an aliasing
+// dst panics. Filters of olsMinTaps or more taps applied to inputs of at
 // least twice the filter length run as overlap-save FFT convolution
 // (identical output up to floating-point rounding, ~1e-13); shorter ones
 // convolve directly.
@@ -242,117 +195,4 @@ func (f *FIR) filterOLS(st *olsState, dst, x []complex128) {
 		copy(dst[start:end], buf[hist:hist+(end-start)])
 	}
 	pool.PutComplex(buf)
-}
-
-// FilterReal convolves a real signal with the taps.
-func (f *FIR) FilterReal(x []float64) []float64 {
-	return f.FilterRealInto(nil, x)
-}
-
-// FilterRealInto is FilterReal with append-style buffer reuse; dst must
-// not alias x.
-func (f *FIR) FilterRealInto(dst, x []float64) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
-	for n := range x {
-		acc := 0.0
-		for k, t := range f.Taps {
-			if n-k < 0 {
-				break
-			}
-			acc += x[n-k] * t
-		}
-		dst[n] = acc
-	}
-	return dst
-}
-
-// GainAt evaluates the filter's amplitude response |H(f)| at a frequency.
-func (f *FIR) GainAt(freqHz, sampleRate float64) float64 {
-	w := 2 * math.Pi * freqHz / sampleRate
-	var re, im float64
-	for k, t := range f.Taps {
-		re += t * math.Cos(w*float64(k))
-		im -= t * math.Sin(w*float64(k))
-	}
-	return math.Hypot(re, im)
-}
-
-// GroupDelay returns the (constant) group delay in samples of this
-// linear-phase filter: (N-1)/2.
-func (f *FIR) GroupDelay() float64 {
-	return float64(len(f.Taps)-1) / 2
-}
-
-// Decimate keeps every factor-th sample of x, after the caller has applied
-// appropriate anti-alias filtering. factor must be >= 1.
-func Decimate(x []complex128, factor int) []complex128 {
-	return DecimateInto(nil, x, factor)
-}
-
-// DecimateInto is Decimate with append-style buffer reuse. dst may alias x
-// (the write cursor never passes the read cursor).
-func DecimateInto(dst, x []complex128, factor int) []complex128 {
-	if factor < 1 {
-		panic("dsp: Decimate factor must be >= 1")
-	}
-	n := (len(x) + factor - 1) / factor
-	if cap(dst) < n {
-		dst = make([]complex128, n)
-	}
-	dst = dst[:n]
-	for i, j := 0, 0; i < len(x); i, j = i+factor, j+1 {
-		dst[j] = x[i]
-	}
-	return dst
-}
-
-// Upsample inserts factor-1 zeros between samples (to be followed by
-// interpolation filtering).
-func Upsample(x []complex128, factor int) []complex128 {
-	if factor < 1 {
-		panic("dsp: Upsample factor must be >= 1")
-	}
-	out := make([]complex128, len(x)*factor)
-	for i, v := range x {
-		out[i*factor] = v
-	}
-	return out
-}
-
-// Resample converts x between sample rates by the rational factor up/down
-// (polyphase conceptually: zero-stuff by up, interpolate with a low-pass
-// sized to the tighter of the two Nyquist bands, then keep every down-th
-// sample). The interpolation filter's gain compensates the zero-stuffing
-// loss. It panics on non-positive factors.
-func Resample(x []complex128, up, down int, taps int) []complex128 {
-	if up < 1 || down < 1 {
-		panic("dsp: Resample factors must be >= 1")
-	}
-	if up == 1 && down == 1 {
-		return append([]complex128(nil), x...)
-	}
-	y := Upsample(x, up)
-	// Cut at the lower of the input and output Nyquist frequencies,
-	// normalized to the upsampled rate.
-	cut := 0.5 / float64(up)
-	if c := 0.5 / float64(down); c < cut {
-		cut = c
-	}
-	if taps < 3 {
-		taps = 8*maxInt(up, down) + 1
-	}
-	lp := LowPass(cut, 1, taps) // normalized rates: Fs = 1
-	y = lp.Filter(y)
-	Scale(y, complex(float64(up), 0))
-	return Decimate(y, down)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

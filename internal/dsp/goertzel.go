@@ -60,15 +60,3 @@ func (d *ToneDiscriminator) Decide(block []complex128) (bit bool, p0, p1 float64
 	p1 = d.g1.Power(block)
 	return p1 > p0, p0, p1
 }
-
-// Separation returns a dimensionless confidence in the tone decision for a
-// block: |p1-p0| / (p1+p0), in [0, 1]. Near 0 means the two tones are
-// indistinguishable; near 1 means one tone dominates.
-func (d *ToneDiscriminator) Separation(block []complex128) float64 {
-	p0 := d.g0.Power(block)
-	p1 := d.g1.Power(block)
-	if p0+p1 == 0 {
-		return 0
-	}
-	return math.Abs(p1-p0) / (p1 + p0)
-}

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -8,9 +9,10 @@ import (
 	"mmx/internal/stats"
 )
 
-// The Into variants must be bit-identical to their allocating wrappers,
-// both when growing from nil and when reusing a dirty oversized buffer
-// (pool buffers arrive with arbitrary contents).
+// Each transform has one entry point, its Into form. Handed a dirty
+// oversized dst — pooled scratch arrives with arbitrary contents — it must
+// return exactly what a fresh nil dst gets, written into dst's backing
+// array: overwritten, not accumulated, and not reallocated.
 
 func goldenInput(n int, seed uint64) []complex128 {
 	rng := stats.NewRNG(seed)
@@ -21,91 +23,49 @@ func goldenInput(n int, seed uint64) []complex128 {
 	return x
 }
 
-// dirtyC returns an oversized buffer full of garbage, to prove Into
-// variants overwrite rather than accumulate.
-func dirtyC(n int) []complex128 {
-	d := make([]complex128, n+17)
-	for i := range d {
-		d[i] = complex(math.Inf(1), -1e300)
+// checkInto runs into with a nil dst and with a dirty oversized one full
+// of garbage, and requires the same result, in the dirty dst's storage.
+func checkInto[T complex128 | float64](t *testing.T, name string, garbage T, into func(dst []T) []T) {
+	t.Helper()
+	want := into(nil)
+	buf := make([]T, len(want)+17)
+	for i := range buf {
+		buf[i] = garbage
 	}
-	return d[:0]
+	got := into(buf[:0])
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: result with a dirty dst differs from a fresh one", name)
+	}
+	if len(got) > 0 && &got[0] != &buf[0] {
+		t.Errorf("%s: did not reuse dst's backing array", name)
+	}
 }
 
-func dirtyF(n int) []float64 {
-	d := make([]float64, n+17)
-	for i := range d {
-		d[i] = math.Inf(-1)
-	}
-	return d[:0]
-}
+var (
+	garbageC = complex(math.Inf(1), -1e300)
+	garbageF = math.Inf(-1)
+)
 
 func TestFilterIntoGolden(t *testing.T) {
-	f := LowPass(1e6, 10e6, 31)
-	x := goldenInput(257, 1)
-	want := f.Filter(x)
-	if got := f.FilterInto(nil, x); !reflect.DeepEqual(got, want) {
-		t.Error("FilterInto(nil) differs from Filter")
-	}
-	dst := dirtyC(len(x))
-	got := f.FilterInto(dst, x)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("FilterInto(dirty) differs from Filter")
-	}
-	if &got[0] != &dst[:1][0] {
-		t.Error("FilterInto did not reuse the supplied backing array")
-	}
-}
-
-func TestFilterRealIntoGolden(t *testing.T) {
-	f := LowPass(1e6, 10e6, 21)
-	rng := stats.NewRNG(2)
-	x := make([]float64, 200)
-	for i := range x {
-		x[i] = rng.StdNormal()
-	}
-	want := f.FilterReal(x)
-	if got := f.FilterRealInto(dirtyF(len(x)), x); !reflect.DeepEqual(got, want) {
-		t.Error("FilterRealInto differs from FilterReal")
-	}
-}
-
-func TestDecimateIntoGolden(t *testing.T) {
-	x := goldenInput(100, 3)
-	for _, factor := range []int{1, 2, 3, 7} {
-		want := Decimate(x, factor)
-		if got := DecimateInto(dirtyC(len(x)), x, factor); !reflect.DeepEqual(got, want) {
-			t.Errorf("DecimateInto(factor=%d) differs from Decimate", factor)
-		}
-	}
+	x, long := goldenInput(257, 1), goldenInput(1000, 2)
+	direct := LowPass(1e6, 10e6, 31)
+	ols := LowPass(0.1, 1, 129) // olsMinTaps or more, on 2×taps or more samples
+	checkInto(t, "direct", garbageC, func(d []complex128) []complex128 { return direct.FilterInto(d, x) })
+	checkInto(t, "overlap-save", garbageC, func(d []complex128) []complex128 { return ols.FilterInto(d, long) })
 }
 
 func TestEnvelopeIntoGolden(t *testing.T) {
 	x := goldenInput(123, 4)
-	want := Envelope(x)
-	if got := EnvelopeInto(dirtyF(len(x)), x); !reflect.DeepEqual(got, want) {
-		t.Error("EnvelopeInto differs from Envelope")
-	}
-}
-
-func TestMixDownIntoGolden(t *testing.T) {
-	x := goldenInput(123, 5)
-	want := MixDown(x, 1.5e6, 10e6)
-	if got := MixDownInto(dirtyC(len(x)), x, 1.5e6, 10e6); !reflect.DeepEqual(got, want) {
-		t.Error("MixDownInto differs from MixDown")
-	}
+	checkInto(t, "EnvelopeInto", garbageF, func(d []float64) []float64 { return EnvelopeInto(d, x) })
 }
 
 func TestMovingAverageIntoGolden(t *testing.T) {
-	rng := stats.NewRNG(6)
-	x := make([]float64, 150)
-	for i := range x {
-		x[i] = rng.StdNormal()
+	xs := make([]float64, 150)
+	for i, v := range goldenInput(len(xs), 6) {
+		xs[i] = real(v)
 	}
 	for _, w := range []int{1, 2, 5, 149, 151} {
-		want := MovingAverage(x, w)
-		if got := MovingAverageInto(dirtyF(len(x)), x, w); !reflect.DeepEqual(got, want) {
-			t.Errorf("MovingAverageInto(width=%d) differs from MovingAverage", w)
-		}
+		checkInto(t, fmt.Sprintf("width=%d", w), garbageF, func(d []float64) []float64 { return MovingAverageInto(d, xs, w) })
 	}
 }
 
@@ -113,37 +73,11 @@ func TestFFTIntoGolden(t *testing.T) {
 	// 64 exercises the radix-2 path, 60 the Bluestein path.
 	for _, n := range []int{64, 60} {
 		x := goldenInput(n, 7)
-		wantF := FFT(x)
-		if got := FFTInto(dirtyC(n), x); !reflect.DeepEqual(got, wantF) {
-			t.Errorf("FFTInto differs from FFT at n=%d", n)
-		}
-		wantI := IFFT(x)
-		if got := IFFTInto(dirtyC(n), x); !reflect.DeepEqual(got, wantI) {
-			t.Errorf("IFFTInto differs from IFFT at n=%d", n)
-		}
+		checkInto(t, fmt.Sprintf("n=%d", n), garbageC, func(d []complex128) []complex128 { return FFTInto(d, x) })
 	}
 }
 
 func TestPowerSpectrumIntoGolden(t *testing.T) {
 	x := goldenInput(64, 8)
-	want := PowerSpectrum(x)
-	if got := PowerSpectrumInto(dirtyF(len(x)), x); !reflect.DeepEqual(got, want) {
-		t.Error("PowerSpectrumInto differs from PowerSpectrum")
-	}
-}
-
-func TestAGCProcessVariantsGolden(t *testing.T) {
-	x := goldenInput(200, 9)
-	want := NewAGC(1.0).Process(x)
-
-	if got := NewAGC(1.0).ProcessInto(dirtyC(len(x)), x); !reflect.DeepEqual(got, want) {
-		t.Error("ProcessInto differs from Process")
-	}
-
-	inPlace := append([]complex128(nil), x...)
-	if got := NewAGC(1.0).ProcessInPlace(inPlace); !reflect.DeepEqual(got, want) {
-		t.Error("ProcessInPlace differs from Process")
-	} else if &got[0] != &inPlace[0] {
-		t.Error("ProcessInPlace did not operate in place")
-	}
+	checkInto(t, "PowerSpectrumInto", garbageF, func(d []float64) []float64 { return PowerSpectrumInto(d, x) })
 }

@@ -1,19 +1,18 @@
 // Package pool provides size-classed, sync.Pool-backed scratch buffers for
-// the PHY sample pipeline. The hot path — waveform synthesis, channelizer
-// extraction, FIR decimation, demodulation — churns through short-lived
-// []complex128 and []float64 slices whose sizes repeat frame after frame;
-// recycling them removes the dominant GC pressure of the sample-domain
-// code.
+// the PHY sample pipeline. The hot path — waveform synthesis, filterbank
+// extraction, FIR filtering, demodulation — churns through short-lived
+// []complex128 slices whose sizes repeat frame after frame; recycling them
+// removes the dominant GC pressure of the sample-domain code.
 //
 // Ownership rules (see DESIGN.md §9):
 //
-//   - Complex/Float transfer ownership of the returned slice to the
-//     caller. The contents are arbitrary (NOT zeroed); callers must write
-//     every element they read.
-//   - PutComplex/PutFloat return ownership to the pool. After Put the
-//     caller must not touch the slice again; nothing may Put a slice it
-//     does not own, and a slice that has escaped to an API caller (e.g. a
-//     returned capture) must never be Put.
+//   - Complex transfers ownership of the returned slice to the caller.
+//     The contents are arbitrary (NOT zeroed); callers must write every
+//     element they read.
+//   - PutComplex returns ownership to the pool. After Put the caller must
+//     not touch the slice again; nothing may Put a slice it does not own,
+//     and a slice that has escaped to an API caller (e.g. a returned
+//     capture) must never be Put.
 //   - Slices obtained elsewhere (make, append growth) may be Put as long
 //     as they are not aliased; the pool size-classes by capacity.
 package pool
@@ -29,14 +28,12 @@ import (
 const maxClass = 24
 
 var complexPools [maxClass + 1]sync.Pool
-var floatPools [maxClass + 1]sync.Pool
 
 // Slice headers handed to sync.Pool must be heap-allocated (*[]T); to keep
 // the steady state truly allocation-free the headers themselves are
-// recycled through side pools, so a Get/Put roundtrip reuses both the
+// recycled through a side pool, so a Get/Put roundtrip reuses both the
 // payload array and its header box.
 var complexHeaders = sync.Pool{New: func() any { return new([]complex128) }}
-var floatHeaders = sync.Pool{New: func() any { return new([]float64) }}
 
 // class returns the size-class index for n elements: the smallest c with
 // 1<<c >= n, or -1 when n is out of pooled range.
@@ -69,58 +66,29 @@ func Complex(n int) []complex128 {
 	return make([]complex128, n, 1<<c)
 }
 
-// PutComplex returns a buffer to its size class. Undersized or oversized
+// putClass returns the size class a buffer of capacity cp is filed under
+// on Put — the largest class it can fully serve — or -1 when the buffer is
+// dropped: empty, or above the largest pooled class.
+func putClass(cp int) int {
+	c := class(cp)
+	if cp == 0 || c < 0 {
+		return -1
+	}
+	if 1<<c != cp {
+		c-- // non-power-of-two capacity: the class below
+	}
+	return c
+}
+
+// PutComplex returns a buffer to its size class. Empty or oversized
 // backing arrays are dropped.
 func PutComplex(buf []complex128) {
 	cp := cap(buf)
-	if cp == 0 {
+	c := putClass(cp)
+	if c < 0 {
 		return
-	}
-	c := class(cp)
-	if c < 0 || 1<<c != cp {
-		// Non-power-of-two capacity: file it under the class it can
-		// fully serve, if any.
-		c = bits.Len(uint(cp)) - 1
-		if c > maxClass {
-			return
-		}
 	}
 	h := complexHeaders.Get().(*[]complex128)
 	*h = buf[:cp]
 	complexPools[c].Put(h)
-}
-
-// Float returns a []float64 of length n with arbitrary contents. The
-// caller owns it until PutFloat.
-func Float(n int) []float64 {
-	c := class(n)
-	if c < 0 {
-		return make([]float64, n)
-	}
-	if v := floatPools[c].Get(); v != nil {
-		h := v.(*[]float64)
-		buf := *h
-		*h = nil
-		floatHeaders.Put(h)
-		return buf[:n]
-	}
-	return make([]float64, n, 1<<c)
-}
-
-// PutFloat returns a buffer to its size class.
-func PutFloat(buf []float64) {
-	cp := cap(buf)
-	if cp == 0 {
-		return
-	}
-	c := class(cp)
-	if c < 0 || 1<<c != cp {
-		c = bits.Len(uint(cp)) - 1
-		if c > maxClass {
-			return
-		}
-	}
-	h := floatHeaders.Get().(*[]float64)
-	*h = buf[:cp]
-	floatPools[c].Put(h)
 }

@@ -20,23 +20,11 @@ func TestComplexRoundtrip(t *testing.T) {
 	}
 }
 
-func TestFloatRoundtrip(t *testing.T) {
-	b := Float(33)
-	if len(b) != 33 || cap(b) != 64 {
-		t.Fatalf("len=%d cap=%d", len(b), cap(b))
-	}
-	PutFloat(b)
-	if got := Float(64); len(got) != 64 {
-		t.Fatalf("len = %d", len(got))
-	}
-}
-
 func TestZeroAndHuge(t *testing.T) {
 	if b := Complex(0); len(b) != 0 {
 		t.Fatal("zero-length")
 	}
 	PutComplex(nil) // must not panic
-	PutFloat(nil)
 	huge := Complex((1 << maxClass) + 1)
 	if len(huge) != (1<<maxClass)+1 {
 		t.Fatal("huge request")
@@ -54,6 +42,24 @@ func TestClassBoundaries(t *testing.T) {
 	}
 	if class(1<<maxClass+1) != -1 {
 		t.Error("oversize class should be -1")
+	}
+}
+
+// TestPutClassDropsOversize pins where Put files a buffer, by capacity:
+// the largest class it can fully serve, and nowhere once it is empty or
+// too large for the top class — a buffer just above 2^maxClass elements
+// must be dropped, not pinned in class maxClass.
+func TestPutClassDropsOversize(t *testing.T) {
+	for _, tc := range []struct{ cp, want int }{
+		{0, -1}, {1, 0}, {2, 1}, {3, 1}, {100, 6}, {128, 7},
+		{1 << maxClass, maxClass},
+		{1<<maxClass - 1, maxClass - 1},
+		{1<<maxClass + 1, -1},
+		{1<<(maxClass+1) - 1, -1},
+	} {
+		if got := putClass(tc.cp); got != tc.want {
+			t.Errorf("putClass(%d) = %d, want %d", tc.cp, got, tc.want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package dsp provides the digital signal processing substrate for the mmX
 // simulator: complex-baseband IQ vectors, FFTs, FIR filter design and
-// application, Goertzel tone detection, envelope detection, correlation,
+// application, Goertzel tone detection, envelope detection, smoothing,
 // and additive white Gaussian noise. Everything operates on complex128
 // slices at an explicit sample rate; no external DSP library is used.
 package dsp
@@ -11,18 +11,6 @@ import (
 
 	"mmx/internal/stats"
 )
-
-// Tone synthesizes n samples of a complex exponential at freqHz (relative to
-// the baseband center) with the given amplitude, initial phase (radians),
-// and sample rate.
-func Tone(n int, freqHz, amplitude, phase, sampleRate float64) []complex128 {
-	out := make([]complex128, n)
-	w := 2 * math.Pi * freqHz / sampleRate
-	for i := range out {
-		out[i] = cmplx.Rect(amplitude, phase+w*float64(i))
-	}
-	return out
-}
 
 // Power returns the mean power of x: mean(|x|^2).
 func Power(x []complex128) float64 {
@@ -66,14 +54,10 @@ func Add(a, b []complex128) []complex128 {
 	return a
 }
 
-// Envelope returns |x| sample by sample — the output of an ideal envelope
-// detector, the first stage of the mmX AP's ASK demodulator.
-func Envelope(x []complex128) []float64 {
-	return EnvelopeInto(nil, x)
-}
-
-// EnvelopeInto is Envelope with append-style buffer reuse: dst's backing
-// array is reused when cap(dst) >= len(x).
+// EnvelopeInto writes |x| sample by sample into dst's storage — the output
+// of an ideal envelope detector, the first stage of the mmX AP's ASK
+// demodulator. dst's backing array is reused when cap(dst) >= len(x); nil
+// allocates.
 func EnvelopeInto(dst []float64, x []complex128) []float64 {
 	if cap(dst) < len(x) {
 		dst = make([]float64, len(x))
@@ -98,79 +82,10 @@ func AddNoise(x []complex128, noisePower float64, rng *stats.RNG) []complex128 {
 	return x
 }
 
-// MeasureSNR estimates the SNR in dB of a signal of power sigPower observed
-// over noise of power noisePower.
-func MeasureSNR(sigPower, noisePower float64) float64 {
-	if noisePower <= 0 {
-		return math.Inf(1)
-	}
-	if sigPower <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(sigPower/noisePower)
-}
-
-// MixDown multiplies x by e^{-j2π f t}, shifting a tone at f down to DC.
-func MixDown(x []complex128, freqHz, sampleRate float64) []complex128 {
-	return MixDownInto(nil, x, freqHz, sampleRate)
-}
-
-// MixDownInto is MixDown with append-style buffer reuse. dst may alias x
-// (the mix is elementwise), so MixDownInto(x, x, ...) shifts in place.
-func MixDownInto(dst, x []complex128, freqHz, sampleRate float64) []complex128 {
-	if cap(dst) < len(x) {
-		dst = make([]complex128, len(x))
-	}
-	dst = dst[:len(x)]
-	w := -2 * math.Pi * freqHz / sampleRate
-	for i, v := range x {
-		dst[i] = v * cmplx.Rect(1, w*float64(i))
-	}
-	return dst
-}
-
-// CrossCorrelate computes the sliding cross-correlation magnitude of x with
-// the template h: out[k] = |Σ_i x[k+i] * conj(h[i])| for every full overlap
-// position k in [0, len(x)-len(h)]. It returns nil if h is longer than x or
-// either is empty.
-func CrossCorrelate(x, h []complex128) []float64 {
-	if len(h) == 0 || len(h) > len(x) {
-		return nil
-	}
-	out := make([]float64, len(x)-len(h)+1)
-	for k := range out {
-		var acc complex128
-		for i, hv := range h {
-			acc += x[k+i] * cmplx.Conj(hv)
-		}
-		out[k] = cmplx.Abs(acc)
-	}
-	return out
-}
-
-// ArgMax returns the index of the largest element of xs, or -1 for an empty
-// slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// MovingAverage smooths xs with a centered boxcar of the given width
-// (clamped to odd, >= 1). Edges use the available neighborhood.
-func MovingAverage(xs []float64, width int) []float64 {
-	return MovingAverageInto(nil, xs, width)
-}
-
-// MovingAverageInto is MovingAverage with append-style buffer reuse. dst
-// must not alias xs (each output reads a neighborhood of inputs).
+// MovingAverageInto smooths xs with a centered boxcar of the given width
+// (clamped to odd, >= 1) into dst's storage (append semantics); edges use
+// the available neighborhood. dst must not alias xs (each output reads a
+// neighborhood of inputs).
 func MovingAverageInto(dst, xs []float64, width int) []float64 {
 	if width < 1 {
 		width = 1
@@ -197,25 +112,6 @@ func MovingAverageInto(dst, xs []float64, width int) []float64 {
 			s += xs[j]
 		}
 		out[i] = s / float64(hi-lo+1)
-	}
-	return out
-}
-
-// Real extracts the real parts of x.
-func Real(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = real(v)
-	}
-	return out
-}
-
-// ToComplex converts a real signal into a complex one with zero imaginary
-// part.
-func ToComplex(x []float64) []complex128 {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(v, 0)
 	}
 	return out
 }

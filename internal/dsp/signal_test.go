@@ -9,18 +9,42 @@ import (
 	"mmx/internal/stats"
 )
 
+// tone synthesizes n samples of a complex exponential at freqHz with the
+// given amplitude, initial phase (radians) and sample rate.
+func tone(n int, freqHz, amplitude, phase, sampleRate float64) []complex128 {
+	out := make([]complex128, n)
+	w := 2 * math.Pi * freqHz / sampleRate
+	for i := range out {
+		out[i] = cmplx.Rect(amplitude, phase+w*float64(i))
+	}
+	return out
+}
+
+// argMax returns the index of the first largest element of xs.
+func argMax(xs []float64) int {
+	best := 0
+	for i, v := range xs {
+		if v > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// dominantFrequency returns the signed frequency of the strongest bin of
+// x's power spectrum.
+func dominantFrequency(x []complex128, sampleRate float64) float64 {
+	return FFTFreqs(len(x), sampleRate)[argMax(PowerSpectrumInto(nil, x))]
+}
+
 func TestTonePowerAndFrequency(t *testing.T) {
 	fs := 1e6
-	x := Tone(4096, 100e3, 2, 0.3, fs)
+	x := tone(4096, 100e3, 2, 0.3, fs)
 	if p := Power(x); math.Abs(p-4) > 1e-9 {
 		t.Errorf("tone power = %g, want 4", p)
 	}
-	if got := DominantFrequency(x, fs); math.Abs(got-100e3) > fs/4096+1 {
+	if got := dominantFrequency(x, fs); math.Abs(got-100e3) > fs/4096+1 {
 		t.Errorf("tone frequency = %g", got)
-	}
-	// Initial phase honored.
-	if ph := cmplx.Phase(x[0]); math.Abs(ph-0.3) > 1e-12 {
-		t.Errorf("initial phase = %g", ph)
 	}
 }
 
@@ -43,7 +67,7 @@ func TestPowerPeakScale(t *testing.T) {
 
 func TestEnvelope(t *testing.T) {
 	x := []complex128{complex(3, 4), complex(0, -2)}
-	e := Envelope(x)
+	e := EnvelopeInto(nil, x)
 	if e[0] != 5 || e[1] != 2 {
 		t.Errorf("Envelope = %v", e)
 	}
@@ -64,69 +88,9 @@ func TestAddNoisePower(t *testing.T) {
 	}
 }
 
-func TestMeasureSNR(t *testing.T) {
-	if got := MeasureSNR(100, 1); math.Abs(got-20) > 1e-12 {
-		t.Errorf("MeasureSNR = %g", got)
-	}
-	if !math.IsInf(MeasureSNR(1, 0), 1) {
-		t.Error("zero noise should be +Inf")
-	}
-	if !math.IsInf(MeasureSNR(0, 1), -1) {
-		t.Error("zero signal should be -Inf")
-	}
-}
-
-func TestMixDown(t *testing.T) {
-	fs := 1e6
-	x := Tone(1024, 200e3, 1, 0, fs)
-	y := MixDown(x, 200e3, fs)
-	// After mixing the tone sits at DC: nearly constant signal.
-	if got := DominantFrequency(y, fs); math.Abs(got) > fs/1024+1 {
-		t.Errorf("mixed-down frequency = %g, want ≈0", got)
-	}
-	if math.Abs(Power(y)-Power(x)) > 1e-9 {
-		t.Error("MixDown changed signal power")
-	}
-}
-
-func TestCrossCorrelatePeak(t *testing.T) {
-	rng := stats.NewRNG(20)
-	h := make([]complex128, 31)
-	for i := range h {
-		h[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-	}
-	x := make([]complex128, 200)
-	for i := range x {
-		x[i] = complex(rng.Normal(0, 0.1), rng.Normal(0, 0.1))
-	}
-	offset := 77
-	for i, v := range h {
-		x[offset+i] += v
-	}
-	corr := CrossCorrelate(x, h)
-	if got := ArgMax(corr); got != offset {
-		t.Errorf("correlation peak at %d, want %d", got, offset)
-	}
-	if CrossCorrelate(h, x) != nil {
-		t.Error("template longer than signal should return nil")
-	}
-	if CrossCorrelate(x, nil) != nil {
-		t.Error("empty template should return nil")
-	}
-}
-
-func TestArgMax(t *testing.T) {
-	if ArgMax(nil) != -1 {
-		t.Error("ArgMax(nil) != -1")
-	}
-	if got := ArgMax([]float64{1, 5, 3, 5}); got != 1 {
-		t.Errorf("ArgMax returns first max, got %d", got)
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	xs := []float64{0, 0, 9, 0, 0}
-	out := MovingAverage(xs, 3)
+	out := MovingAverageInto(nil, xs, 3)
 	want := []float64{0, 3, 3, 3, 0}
 	for i := range want {
 		if math.Abs(out[i]-want[i]) > 1e-12 {
@@ -134,7 +98,7 @@ func TestMovingAverage(t *testing.T) {
 		}
 	}
 	// Even width is promoted to odd; width<1 clamps to 1 (identity).
-	id := MovingAverage(xs, 0)
+	id := MovingAverageInto(nil, xs, 0)
 	for i := range xs {
 		if id[i] != xs[i] {
 			t.Error("width<1 should be identity")
@@ -150,7 +114,7 @@ func TestMovingAverageConservesMeanProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = val
 		}
-		out := MovingAverage(xs, int(w%9))
+		out := MovingAverageInto(nil, xs, int(w%9))
 		for _, o := range out {
 			if math.Abs(o-val) > 1e-9 {
 				return false
@@ -169,12 +133,10 @@ func TestAddRealToComplex(t *testing.T) {
 	if a[0] != 11 || a[1] != 22 {
 		t.Errorf("Add = %v", a)
 	}
-	r := Real([]complex128{complex(3, 9)})
-	if r[0] != 3 {
-		t.Error("Real wrong")
-	}
-	c := ToComplex([]float64{4})
-	if c[0] != 4 {
-		t.Error("ToComplex wrong")
+	// A real signal carried as IQ adds into the in-phase rail only.
+	c := []complex128{complex(1, 5)}
+	Add(c, []complex128{complex(3, 0)})
+	if c[0] != complex(4, 5) {
+		t.Errorf("Add of a real signal = %v", c[0])
 	}
 }

@@ -154,7 +154,7 @@ func Fig9(seed uint64) Fig9Result {
 		got, res, err := d.Receive(x, len(payload))
 		decoded := err == nil && string(got) == string(payload)
 		spb := l.Cfg.Modem.SamplesPerSymbol()
-		envlp := dsp.Envelope(x[:12*spb])
+		envlp := dsp.EnvelopeInto(nil, x[:12*spb])
 		// Normalize for display.
 		peak := stats.Max(envlp)
 		if peak > 0 {

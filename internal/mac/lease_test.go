@@ -13,7 +13,7 @@ func handleAt(t *testing.T, c *Controller, m any, now float64) any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.HandleAt(raw, now)
+	reply, err := c.HandleAtAppend(nil, raw, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestControllerIdempotentJoin(t *testing.T) {
 func TestControllerSeqDedup(t *testing.T) {
 	c := NewController(ISM24GHz())
 	req, _ := Marshal(JoinRequest{NodeID: 7, Seq: 42, DemandBps: 50e6})
-	first, err := c.HandleAt(req, 0)
+	first, err := c.HandleAtAppend(nil, req, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup, err := c.HandleAt(req, 0.5)
+	dup, err := c.HandleAtAppend(nil, req, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestControllerSeqDedup(t *testing.T) {
 	}
 	// The cached reply is a copy, not an alias into controller state.
 	dup[0] ^= 0xFF
-	dup2, _ := c.HandleAt(req, 0.6)
+	dup2, _ := c.HandleAtAppend(nil, req, 0.6)
 	if !bytes.Equal(first, dup2) {
 		t.Error("mutating a returned reply corrupted the cache")
 	}
 	// Seq 0 (legacy callers) bypasses the cache entirely.
 	rel0, _ := Marshal(ReleaseMsg{NodeID: 7})
-	if _, err := c.Handle(rel0); err != nil {
+	if _, err := c.HandleAtAppend(nil, rel0, c.NowS()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Alloc.Lookup(7); ok {
@@ -181,11 +181,11 @@ func TestControllerReleaseForgetsDedup(t *testing.T) {
 	handleAt(t, c, JoinRequest{NodeID: 2, Seq: 1, DemandBps: 80e6}, 0.3)
 	handleAt(t, c, ShareConfirmMsg{NodeID: 2, Seq: 2, ShareHz: owner.CenterHz, WidthHz: 100e6, Harmonic: 2}, 0.3)
 	rel, _ := Marshal(ReleaseMsg{NodeID: 1, Seq: 2})
-	first, err := c.HandleAt(rel, 0.4)
+	first, err := c.HandleAtAppend(nil, rel, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := c.HandleAt(rel, 0.5)
+	again, err := c.HandleAtAppend(nil, rel, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +254,14 @@ func TestControllerRejectReplaysWithinTTLOfLastContact(t *testing.T) {
 	c.LeaseTTL = 1.0
 	handleAt(t, c, JoinRequest{NodeID: 5, Seq: 1, DemandBps: 1e9}, 0)
 	second := mustMarshal(t, JoinRequest{NodeID: 5, Seq: 2, DemandBps: 1e9})
-	first, err := c.HandleAt(second, 0.8)
+	first, err := c.HandleAtAppend(nil, second, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if expired := c.ExpireLeases(1.5); len(expired) != 0 || c.RecordCount() != 1 {
 		t.Fatalf("sweep 0.7 s after the last contact: expired %v, %d records; want none, 1", expired, c.RecordCount())
 	}
-	again, err := c.HandleAt(second, 1.6)
+	again, err := c.HandleAtAppend(nil, second, 1.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestControllerRestart(t *testing.T) {
 	owner := handleAt(t, c, JoinRequest{NodeID: 1, Seq: 1, DemandBps: 200e6}, 0).(AssignmentMsg)
 	handleAt(t, c, JoinRequest{NodeID: 2, Seq: 1, DemandBps: 80e6}, 0)
 	handleAt(t, c, ShareConfirmMsg{NodeID: 2, Seq: 2, ShareHz: owner.CenterHz, WidthHz: 100e6, Harmonic: 1}, 0)
-	c.HandleAt(mustMarshal(t, ReleaseMsg{NodeID: 99, Seq: 1}), 0.5) // populate dedup cache
+	c.HandleAtAppend(nil, mustMarshal(t, ReleaseMsg{NodeID: 99, Seq: 1}), 0.5) // populate dedup cache
 
 	c.Restart()
 	if _, ok := c.Alloc.Lookup(1); ok {

@@ -146,7 +146,7 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 		live := map[uint32]bool{}
 		for op := 0; op < 200; op++ {
 			id := uint32(rng.Intn(20))
-			if rng.Bool() && !live[id] {
+			if rng.Uint64()&1 == 1 && !live[id] {
 				demand := rng.Uniform(1e6, 60e6)
 				if _, err := al.Allocate(id, demand); err == nil {
 					live[id] = true
@@ -218,7 +218,7 @@ func TestControllerGrantAndReject(t *testing.T) {
 	c := NewController(ISM24GHz())
 	ask := func(id uint32, bps float64) any {
 		raw, _ := Marshal(JoinRequest{NodeID: id, DemandBps: bps})
-		reply, err := c.Handle(raw)
+		reply, err := c.HandleAtAppend(nil, raw, c.NowS())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestControllerGrantAndReject(t *testing.T) {
 	// Release frees spectrum for a new join and is acknowledged, so a
 	// node on a lossy channel can tell "done" from "lost".
 	raw, _ := Marshal(ReleaseMsg{NodeID: 1})
-	reply, err := c.Handle(raw)
+	reply, err := c.HandleAtAppend(nil, raw, c.NowS())
 	if err != nil {
 		t.Fatalf("release: %v", err)
 	}
@@ -264,17 +264,17 @@ func TestControllerGrantAndReject(t *testing.T) {
 
 func TestControllerBadInput(t *testing.T) {
 	c := NewController(ISM24GHz())
-	if _, err := c.Handle([]byte{0xFF}); err == nil {
+	if _, err := c.HandleAtAppend(nil, []byte{0xFF}, c.NowS()); err == nil {
 		t.Error("bad message should error")
 	}
 	// An Assignment sent *to* the controller is not a request.
 	raw, _ := Marshal(AssignmentMsg{NodeID: 1})
-	if _, err := c.Handle(raw); !errors.Is(err, ErrUnknownType) {
+	if _, err := c.HandleAtAppend(nil, raw, c.NowS()); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("unexpected direction: %v", err)
 	}
 	// Zero-demand join propagates the allocator error.
 	raw, _ = Marshal(JoinRequest{NodeID: 1, DemandBps: 0})
-	if _, err := c.Handle(raw); !errors.Is(err, ErrBadDemand) {
+	if _, err := c.HandleAtAppend(nil, raw, c.NowS()); !errors.Is(err, ErrBadDemand) {
 		t.Errorf("zero demand: %v", err)
 	}
 }
@@ -377,7 +377,7 @@ func TestControllerSharerLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, err := c.Handle(raw)
+		reply, err := c.HandleAtAppend(nil, raw, c.NowS())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +471,7 @@ func TestControllerReconfirmMoves(t *testing.T) {
 	c := NewController(ISM24GHz())
 	handle := func(m any) {
 		raw, _ := Marshal(m)
-		if _, err := c.Handle(raw); err != nil {
+		if _, err := c.HandleAtAppend(nil, raw, c.NowS()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -241,35 +241,31 @@ func (m AckMsg) AppendTo(b []byte) []byte {
 	return appendHeader(b, MsgAck, m.NodeID, m.Seq)
 }
 
-// Marshal encodes any control message into a fresh slice.
-func Marshal(msg any) ([]byte, error) { return MarshalInto(nil, msg) }
-
-// MarshalInto appends the wire encoding of msg to dst and returns the
-// extended slice — the buffer-reusing form of Marshal. Callers holding a
-// concrete message type should prefer its AppendTo method, which skips
-// the interface boxing this signature forces on the argument.
-func MarshalInto(dst []byte, msg any) ([]byte, error) {
+// Marshal encodes any control message into a fresh slice. Callers that
+// reuse buffers use the concrete message type's AppendTo method, which
+// also skips the interface boxing this signature forces on the argument.
+func Marshal(msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case JoinRequest:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case AssignmentMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case ReleaseMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case RejectMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case ShareConfirmMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case PromoteMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case RenewMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case RenewAckMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case RenewNackMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	case AckMsg:
-		return m.AppendTo(dst), nil
+		return m.AppendTo(nil), nil
 	default:
 		return nil, ErrUnknownType
 	}
@@ -594,8 +590,8 @@ type Controller struct {
 	// pending holds unsolicited AP→node pushes (PromoteMsg) produced as
 	// side effects of releases, drained by TakeNotifications.
 	pending [][]byte
-	// now is the controller's monotonic clock, advanced by HandleAt and
-	// ExpireLeases.
+	// now is the controller's monotonic clock, advanced by HandleAtAppend
+	// and ExpireLeases.
 	now float64
 }
 
@@ -871,22 +867,6 @@ func (c *Controller) AuditBooks() error {
 	return nil
 }
 
-// Handle processes one encoded control message at the controller's
-// current clock and returns the encoded reply. See HandleAt.
-func (c *Controller) Handle(raw []byte) ([]byte, error) {
-	return c.HandleAt(raw, c.now)
-}
-
-// HandleAt processes one encoded control message arriving at time now.
-// Every request gets a reply (Assignment/Reject for joins, RenewAck/Nack
-// for renews, Ack for releases and share confirms); promotion pushes are
-// queued for TakeNotifications rather than returned, because they are
-// addressed to a different node than the sender. The reply is a fresh
-// slice; servers that reuse reply buffers call HandleAtAppend instead.
-func (c *Controller) HandleAt(raw []byte, now float64) ([]byte, error) {
-	return c.HandleAtAppend(nil, raw, now)
-}
-
 // replay serves an exact retransmission of a node's last request from
 // its record: the original reply is re-appended to dst without
 // re-executing anything, and without counting as contact.
@@ -909,12 +889,20 @@ func (c *Controller) remember(node, seq uint32, reply []byte) {
 	}
 }
 
-// HandleAtAppend is HandleAt with the reply appended to dst — the
-// server hot path. Decoding uses the typed decoders (no interface
-// boxing), replies encode through the AppendTo encoders into dst, and
-// the duplicate-suppression cache is a fixed array inside the node's
-// record, so a caller that reuses dst handles a steady-state request —
-// renew, ack'd release, idempotent re-grant — with zero heap allocations.
+// HandleAtAppend processes one encoded control message arriving at time
+// now and appends the encoded reply to dst (nil allocates a fresh one).
+// Every request gets a reply (Assignment/Reject for joins, RenewAck/Nack
+// for renews, Ack for releases and share confirms); promotion pushes are
+// queued for TakeNotifications rather than returned, because they are
+// addressed to a different node than the sender. The clock never runs
+// backwards: a now before the controller's NowS is handled at NowS.
+//
+// This is the server hot path. Decoding uses the typed decoders (no
+// interface boxing), replies encode through the AppendTo encoders into
+// dst, and the duplicate-suppression cache is a fixed array inside the
+// node's record, so a caller that reuses dst handles a steady-state
+// request — renew, ack'd release, idempotent re-grant — with zero heap
+// allocations.
 func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error) {
 	if now > c.now {
 		c.now = now

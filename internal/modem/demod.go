@@ -424,39 +424,6 @@ func (d *Demodulator) Receive(x []complex128, payloadLen int) ([]byte, DemodResu
 	return payload, res, err
 }
 
-func zeroMean(xs []float64) {
-	mean := 0.0
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(len(xs))
-	for i := range xs {
-		xs[i] -= mean
-	}
-}
-
-// ncc is the normalized cross-correlation of a window with a zero-mean
-// template — the reference implementation the prefix-sum correlator is
-// validated against.
-func ncc(window, tmpl []float64) float64 {
-	var mean float64
-	for _, v := range window {
-		mean += v
-	}
-	mean /= float64(len(window))
-	var dot, ew, et float64
-	for i, tv := range tmpl {
-		wv := window[i] - mean
-		dot += wv * tv
-		ew += wv * wv
-		et += tv * tv
-	}
-	if ew == 0 || et == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(ew*et)
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -36,7 +36,7 @@ type naiveSync struct {
 
 func newNaiveSync(cfg Config, x []complex128) *naiveSync {
 	spb := cfg.SamplesPerSymbol()
-	sc := &naiveSync{tmplLen: len(Preamble) * spb, env: dsp.Envelope(x)}
+	sc := &naiveSync{tmplLen: len(Preamble) * spb, env: dsp.EnvelopeInto(nil, x)}
 	sc.envT = make([]float64, sc.tmplLen)
 	for s, b := range Preamble {
 		v := -1.0
@@ -65,7 +65,7 @@ func newNaiveSync(cfg Config, x []complex128) *naiveSync {
 		for i := 0; i+1 < len(x); i++ {
 			sc.instFreq[i] = cmplx.Phase(x[i+1]*cmplx.Conj(x[i]))*cfg.SampleRate/(2*math.Pi) - mid
 		}
-		sc.instFreq = dsp.MovingAverage(sc.instFreq, spb/2)
+		sc.instFreq = dsp.MovingAverageInto(nil, sc.instFreq, spb/2)
 	}
 	return sc
 }
@@ -81,6 +81,40 @@ func (sc *naiveSync) scoreAt(k int) float64 {
 		}
 	}
 	return score
+}
+
+// zeroMean subtracts xs's mean from every element, in place.
+func zeroMean(xs []float64) {
+	mean := 0.0
+	for _, v := range xs {
+		mean += v
+	}
+	mean /= float64(len(xs))
+	for i := range xs {
+		xs[i] -= mean
+	}
+}
+
+// ncc is the normalized cross-correlation of a window with a zero-mean
+// template — the reference implementation the prefix-sum correlator is
+// validated against.
+func ncc(window, tmpl []float64) float64 {
+	var mean float64
+	for _, v := range window {
+		mean += v
+	}
+	mean /= float64(len(window))
+	var dot, ew, et float64
+	for i, tv := range tmpl {
+		wv := window[i] - mean
+		dot += wv * tv
+		ew += wv * wv
+		et += tv * tv
+	}
+	if ew == 0 || et == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(ew*et)
 }
 
 // syncCase synthesizes a padded noisy capture for one channel scenario.

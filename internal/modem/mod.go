@@ -41,9 +41,6 @@ func (c Config) SamplesPerSymbol() int {
 	return n
 }
 
-// BitDuration returns one symbol period in seconds.
-func (c Config) BitDuration() float64 { return 1 / c.SymbolRate }
-
 // Synthesize produces the received complex baseband waveform for a bit
 // stream given the effective complex gain applied while each bit value is
 // transmitted. The carrier is phase-continuous across symbols — it is one

@@ -11,9 +11,19 @@ import (
 	"mmx/internal/stats"
 )
 
+// bytesToBits expands data MSB-first through the frame encoder's
+// appendByteBits.
+func bytesToBits(data []byte) []bool {
+	var bits []bool
+	for _, b := range data {
+		bits = appendByteBits(bits, b)
+	}
+	return bits
+}
+
 func TestBitsBytesRoundtrip(t *testing.T) {
 	data := []byte{0x00, 0xFF, 0xA5, 0x3C}
-	bits := BytesToBits(data)
+	bits := bytesToBits(data)
 	if len(bits) != 32 {
 		t.Fatalf("bits len = %d", len(bits))
 	}
@@ -21,7 +31,7 @@ func TestBitsBytesRoundtrip(t *testing.T) {
 		t.Error("roundtrip mismatch")
 	}
 	// MSB-first: 0xA5 = 10100101.
-	a5 := BytesToBits([]byte{0xA5})
+	a5 := bytesToBits([]byte{0xA5})
 	want := []bool{true, false, true, false, false, true, false, true}
 	for i := range want {
 		if a5[i] != want[i] {
@@ -36,7 +46,7 @@ func TestBitsBytesRoundtrip(t *testing.T) {
 
 func TestBitsBytesProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		return bytes.Equal(BitsToBytes(BytesToBits(data)), data)
+		return bytes.Equal(BitsToBytes(bytesToBits(data)), data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -107,10 +117,14 @@ func TestFrameErrors(t *testing.T) {
 }
 
 func TestInvertAndCount(t *testing.T) {
-	a := []bool{true, false, true}
-	InvertBits(a)
-	if a[0] || !a[1] || a[2] {
-		t.Error("InvertBits wrong")
+	// A beam-inverted copy of a frame differs in every bit.
+	a := []bool{true, false, true, true}
+	inv := make([]bool, len(a))
+	for i, b := range a {
+		inv[i] = !b
+	}
+	if n := CountBitErrors(a, inv); n != len(a) {
+		t.Errorf("CountBitErrors against the inverted copy = %d, want %d", n, len(a))
 	}
 	if n := CountBitErrors([]bool{true, true}, []bool{true, false}); n != 1 {
 		t.Errorf("CountBitErrors = %d", n)
@@ -170,9 +184,6 @@ func TestSamplesPerSymbolClamp(t *testing.T) {
 	}
 	if DefaultConfig().SamplesPerSymbol() != 25 {
 		t.Errorf("default spb = %d", DefaultConfig().SamplesPerSymbol())
-	}
-	if DefaultConfig().BitDuration() != 1e-6 {
-		t.Error("BitDuration wrong")
 	}
 }
 

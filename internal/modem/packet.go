@@ -42,17 +42,6 @@ var (
 	ErrPayloadTooLong = errors.New("modem: payload exceeds MaxPayload")
 )
 
-// BytesToBits expands data into MSB-first bits.
-func BytesToBits(data []byte) []bool {
-	bits := make([]bool, 0, len(data)*8)
-	for _, b := range data {
-		for i := 7; i >= 0; i-- {
-			bits = append(bits, b&(1<<uint(i)) != 0)
-		}
-	}
-	return bits
-}
-
 // BitsToBytes packs MSB-first bits into bytes; trailing bits that do not
 // fill a byte are dropped.
 func BitsToBytes(bits []bool) []byte {
@@ -138,16 +127,6 @@ func ParseFrame(bits []bool) ([]byte, error) {
 	out := make([]byte, n)
 	copy(out, payload)
 	return out, nil
-}
-
-// InvertBits flips every bit in place and returns the slice — the receiver
-// applies this when the preamble arrives inverted (blocked-LoS case of
-// Fig. 4(b)).
-func InvertBits(bits []bool) []bool {
-	for i := range bits {
-		bits[i] = !bits[i]
-	}
-	return bits
 }
 
 // CountBitErrors returns the number of positions where a and b disagree

@@ -3,6 +3,8 @@ package modem
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/cmplx"
 	"testing"
 
 	"mmx/internal/dsp"
@@ -119,6 +121,16 @@ func TestStreamReceiverSkipsCorruptFrame(t *testing.T) {
 	}
 }
 
+// mixDown multiplies x by e^{-j2π f t} in place, shifting a tone at freqHz
+// down to DC, and returns x.
+func mixDown(x []complex128, freqHz, sampleRate float64) []complex128 {
+	w := -2 * math.Pi * freqHz / sampleRate
+	for i, v := range x {
+		x[i] = v * cmplx.Rect(1, w*float64(i))
+	}
+	return x
+}
+
 func TestCFOToleranceASK(t *testing.T) {
 	// The envelope detector is CFO-immune: even a large residual carrier
 	// offset (PLL error after down-conversion) leaves ASK decoding
@@ -128,7 +140,7 @@ func TestCFOToleranceASK(t *testing.T) {
 	bits, _ := BuildFrame(payload)
 	for _, cfo := range []float64{10e3, 100e3, 400e3} {
 		x := Synthesize(cfg, bits, complex(0.1, 0), complex(1, 0))
-		x = dsp.MixDown(x, -cfo, cfg.SampleRate) // shift everything up by cfo
+		x = mixDown(x, -cfo, cfg.SampleRate) // shift everything up by cfo
 		dsp.AddNoise(x, 0.01, stats.NewRNG(7))
 		d := NewDemodulator(cfg)
 		got, _, err := d.Receive(x, len(payload))
@@ -148,7 +160,7 @@ func TestCFOToleranceFSK(t *testing.T) {
 	g := complex(0.8, 0)
 	for _, cfo := range []float64{20e3, 80e3, 150e3} {
 		x := Synthesize(cfg, bits, g, g) // equal loss: FSK-only
-		x = dsp.MixDown(x, -cfo, cfg.SampleRate)
+		x = mixDown(x, -cfo, cfg.SampleRate)
 		dsp.AddNoise(x, 0.005, stats.NewRNG(8))
 		d := NewDemodulator(cfg)
 		got, res, err := d.Receive(x, len(payload))

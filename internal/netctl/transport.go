@@ -369,13 +369,6 @@ func (f *FaultyTransport) Recv(timeoutS float64) ([]byte, bool) { return f.T.Rec
 // Close closes the wrapped transport.
 func (f *FaultyTransport) Close() error { return f.T.Close() }
 
-// Stats returns the injected-fault counters (drops, dups, truncations).
-func (f *FaultyTransport) Stats() (drops, dups, truncs int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.side.Drops, f.side.Dups, f.side.Truncs
-}
-
 // memAddr is the fake net.Addr a MemNet client presents to the server.
 type memAddr uint32
 

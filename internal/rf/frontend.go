@@ -110,16 +110,8 @@ func (a *ADC) Quantize(v float64) float64 {
 	return math.Round(v/step) * step
 }
 
-// QuantizeIQ quantizes a complex baseband capture into a new slice,
-// leaving the input untouched (the copying API). Hot paths that own their
-// capture should use QuantizeIQInPlace instead.
-func (a *ADC) QuantizeIQ(x []complex128) []complex128 {
-	out := append([]complex128(nil), x...)
-	return a.QuantizeIQInPlace(out)
-}
-
-// QuantizeIQInPlace quantizes a complex baseband capture in place and
-// returns it — the allocation-free variant of QuantizeIQ.
+// QuantizeIQInPlace quantizes a complex baseband capture in place (I and Q
+// each through Quantize) and returns it; it allocates nothing.
 func (a *ADC) QuantizeIQInPlace(x []complex128) []complex128 {
 	for i, v := range x {
 		x[i] = complex(a.Quantize(real(v)), a.Quantize(imag(v)))

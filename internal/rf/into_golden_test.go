@@ -1,57 +1,67 @@
 package rf
 
 import (
+	"math"
+	"math/cmplx"
 	"reflect"
 	"testing"
 
 	"mmx/internal/stats"
 )
 
-// QuantizeIQ must leave its input untouched (copying API) while
-// QuantizeIQInPlace overwrites the input; both must produce identical
-// codes.
+// noisyCapture returns n complex samples at σ = 2, so a good share of them
+// lie past the ADC's full scale.
+func noisyCapture(n int, seed uint64) []complex128 {
+	rng := stats.NewRNG(seed)
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(2*rng.StdNormal(), 2*rng.StdNormal())
+	}
+	return x
+}
+
+// The ADC's one entry point quantizes in place: it must write every code
+// into the capture's own storage, each I and Q value rounded and clipped
+// by Quantize on its own.
 func TestQuantizeIQVariantsGolden(t *testing.T) {
 	a := NewUSRPN210()
-	rng := stats.NewRNG(21)
-	x := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(rng.StdNormal(), rng.StdNormal())
+	x := noisyCapture(128, 21)
+	want := make([]complex128, len(x))
+	for i, v := range x {
+		want[i] = complex(a.Quantize(real(v)), a.Quantize(imag(v)))
 	}
-	orig := append([]complex128(nil), x...)
-
-	want := a.QuantizeIQ(x)
-	if !reflect.DeepEqual(x, orig) {
-		t.Fatal("QuantizeIQ mutated its input")
-	}
-	if &want[0] == &x[0] {
-		t.Fatal("QuantizeIQ returned the input slice instead of a copy")
-	}
-
 	got := a.QuantizeIQInPlace(x)
 	if &got[0] != &x[0] {
 		t.Error("QuantizeIQInPlace did not quantize in place")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("QuantizeIQInPlace differs from QuantizeIQ")
+		t.Error("QuantizeIQInPlace differs from per-sample Quantize")
 	}
 }
 
 // ApplyPhaseNoise must draw exactly len(x) samples from the RNG and match
-// the equivalent manual Wiener-walk rotation, so the waveform pipeline's
-// in-place path is bit-identical to the historical allocate-and-rotate
-// path.
+// the manual Wiener-walk rotation sample by sample, in place.
 func TestApplyPhaseNoiseDrawCount(t *testing.T) {
+	const fs = 25e6
 	v := NewHMC533()
-	x := make([]complex128, 64)
-	for i := range x {
-		x[i] = complex(1, 0)
+	x := noisyCapture(64, 7)
+	want := make([]complex128, len(x))
+	rng := stats.NewRNG(7)
+	sigma := math.Sqrt(2 * math.Pi * LinewidthHz / fs)
+	phase := 0.0
+	for i, s := range x {
+		phase += rng.Normal(0, sigma)
+		want[i] = s * cmplx.Rect(1, phase)
 	}
-	v.ApplyPhaseNoise(x, 25e6, stats.NewRNG(7))
+	v.ApplyPhaseNoise(x, fs, stats.NewRNG(7))
+	if !reflect.DeepEqual(x, want) {
+		t.Error("ApplyPhaseNoise differs from the manual Wiener-walk rotation")
+	}
 
 	// An RNG seeded identically and stepped len(x) times lands in the same
 	// state as one used by ApplyPhaseNoise.
 	a, b := stats.NewRNG(7), stats.NewRNG(7)
-	v.ApplyPhaseNoise(make([]complex128, 64), 25e6, a)
+	v.ApplyPhaseNoise(make([]complex128, 64), fs, a)
 	for i := 0; i < 64; i++ {
 		b.StdNormal()
 	}

@@ -251,9 +251,9 @@ func TestADCQuantize(t *testing.T) {
 	if got := a.Quantize(-2); got != -1 {
 		t.Errorf("clip low = %g", got)
 	}
-	iq := a.QuantizeIQ([]complex128{complex(0.3, -0.3)})
+	iq := a.QuantizeIQInPlace([]complex128{complex(0.3, -0.3)})
 	if real(iq[0]) != 0.25 || imag(iq[0]) != -0.25 {
-		t.Errorf("QuantizeIQ = %v", iq[0])
+		t.Errorf("QuantizeIQInPlace = %v", iq[0])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mmx/internal/channel"
-	"mmx/internal/mac"
 )
 
 // churnEvent is one planned membership change: a join carries the full
@@ -105,9 +104,9 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 }
 
 // leaveNow removes a member at the current sim clock: the node drops out
-// of the membership list and the interference engine, its spectrum
-// release rides the retry machinery over the side channel (a release
-// that dies entirely is reclaimed by lease expiry), and promote pushes
+// of the membership list and the interference engine, its spectrum is
+// released (Network.release: over the side channel, or directly for a
+// crashed node), and promote pushes
 // for surviving sharers are delivered lossily — a lost push heals at the
 // promoted node's next renew ack. The leaver's presence interval closes
 // and its frame chain is generation-cancelled. Leaving a non-member is a
@@ -124,12 +123,7 @@ func (rs *runState) leaveNow(id uint32) {
 	h := rs.hcache[removedAt]
 	rs.left[id] = h
 	rs.hcache = append(rs.hcache[:removedAt], rs.hcache[removedAt+1:]...)
-	if !leaver.Down {
-		leaver.Release(nw.exchangeAt(ap, rs.nowAt(ap))) //nolint:errcheck // a lost release rides the lease TTL
-	} else {
-		raw, _ := mac.Marshal(mac.ReleaseMsg{NodeID: id})
-		ap.Controller.Handle(raw) //nolint:errcheck // release of a crashed node's books entry
-	}
+	nw.release(ap, leaver, rs.nowAt(ap))
 	delete(nw.strays, id)
 	rs.ctl.Promotions += nw.pushNotifications(ap, false)
 	rs.leaves++

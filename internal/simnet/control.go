@@ -89,6 +89,22 @@ func (nw *Network) renew(n *Node, at float64) netctl.RenewOutcome {
 	return outcome
 }
 
+// release frees node n's spectrum at ap — the one release both leave
+// paths take, in a Run and before one. A live node sends it through the
+// retry machinery over the (possibly lossy) side channel from virtual
+// time at; a release that dies entirely is reclaimed by lease expiry. A
+// crashed node's radio sends nothing, so its books entry is released at
+// the controller directly, where no loss on the channel can strand the
+// lease until its TTL.
+func (nw *Network) release(ap *AccessPoint, n *Node, at float64) {
+	if n.Down {
+		raw, _ := mac.Marshal(mac.ReleaseMsg{NodeID: n.ID})
+		ap.Controller.HandleAtAppend(nil, raw, ap.Controller.NowS()) //nolint:errcheck // a well-formed release
+		return
+	}
+	n.Release(nw.exchangeAt(ap, at)) //nolint:errcheck // a lost release rides the lease TTL
+}
+
 // transact runs one request/reply exchange over the (possibly lossy)
 // control side channel: transmit the frame, collect the reply, and on
 // loss retry through netctl.Retrier — the same state machine the socket
@@ -122,7 +138,7 @@ func (nw *Network) attempt(ap *AccessPoint, raw []byte, node, seq uint32, at flo
 	var rtt float64
 	got := false
 	for _, rd := range requests {
-		replyRaw, err := ap.Controller.HandleAt(rd.Frame, at+rd.DelayS)
+		replyRaw, err := ap.Controller.HandleAtAppend(nil, rd.Frame, at+rd.DelayS)
 		if err != nil || replyRaw == nil {
 			continue // garbled on the air, or not a replyable message
 		}

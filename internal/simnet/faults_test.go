@@ -303,3 +303,30 @@ func TestLeaveBestEffortUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCrashedNodeLeaveBeforeRunReleasesBooks: a crashed node's radio
+// sends nothing, so Leave between runs must free its books entry at the
+// controller as the in-run leave does — not send its release over the
+// side channel, where loss strands the lease until its TTL.
+func TestCrashedNodeLeaveBeforeRunReleasesBooks(t *testing.T) {
+	nw := newTestNetwork(43)
+	placeNodes(t, nw, 2, 100e6)
+	// Crash node 1 near the end of the run: its last renew is recent, so
+	// its lease outlives the run.
+	nw.Faults = faults.NewPlan().Crash(0.95, 1)
+	nw.Run(1.0, 0, -5)
+	if n := nw.nodeByID(1); n == nil || !n.Down {
+		t.Fatal("node 1 did not crash")
+	}
+	if !nw.APs[0].Controller.HoldsLease(1) {
+		t.Fatal("test is vacuous: the crashed node's lease already expired")
+	}
+	nw.Side = faults.Lossy(99, 1, 0, 0) // nothing gets through
+	nw.Leave(1)
+	if nw.APs[0].Controller.HoldsLease(1) {
+		t.Error("a crashed node's Leave before a run left its lease in the books")
+	}
+	if err := nw.ValidateSpectrum(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -272,7 +272,7 @@ func TestMultiAPDoubleAssociationCaught(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	if _, err := other.Controller.Handle(raw); err != nil {
+	if _, err := other.Controller.HandleAtAppend(nil, raw, other.Controller.NowS()); err != nil {
 		t.Fatalf("injected grant at AP %d: %v", other.idx, err)
 	}
 	err = nw.ValidateSpectrum()

@@ -332,12 +332,15 @@ func (nw *Network) cappedRate(n *Node, rate float64) float64 {
 // returning the occupied channel to the free pool, and the promoted node
 // is flipped to exclusive operation here.
 //
+// A live leaver's release rides the retry machinery over the (possibly
+// lossy) side channel, and a release that dies entirely is reclaimed by
+// the lease TTL; a crashed leaver's books entry is released at the
+// controller directly (Network.release).
+//
 // Called while Run is executing, the leave becomes a membership event at
-// the current sim clock: the release rides the retry machinery over the
-// (possibly lossy) side channel, promote pushes are delivered lossily
-// like any in-run notification (a lost one heals at the promoted node's
-// next renew ack), and the leaver's presence interval closes for the
-// run's stats.
+// the current sim clock: promote pushes are delivered lossily like any
+// in-run notification (a lost one heals at the promoted node's next renew
+// ack), and the leaver's presence interval closes for the run's stats.
 func (nw *Network) Leave(id uint32) {
 	if rs := nw.run; rs != nil {
 		rs.leaveNow(id)
@@ -347,9 +350,7 @@ func (nw *Network) Leave(id uint32) {
 	if leaver != nil {
 		ap := nw.hostAP(leaver)
 		nw.unregisterNodeAt(leaver.idx)
-		// Best-effort release through the retry machine: if every attempt
-		// dies on the side channel the lease TTL reclaims the spectrum.
-		leaver.Release(nw.exchangeAt(ap, ap.Controller.NowS())) //nolint:errcheck
+		nw.release(ap, leaver, ap.Controller.NowS())
 		delete(nw.strays, id)
 		// The leaver is gone from the membership list, so the promote
 		// push (if any) is delivered reliably to whichever sharer it
@@ -361,7 +362,7 @@ func (nw *Network) Leave(id uint32) {
 		// stale no-op at the others).
 		raw, _ := mac.Marshal(mac.ReleaseMsg{NodeID: id})
 		for _, ap := range nw.APs {
-			ap.Controller.Handle(raw) //nolint:errcheck
+			ap.Controller.HandleAtAppend(nil, raw, ap.Controller.NowS()) //nolint:errcheck
 			nw.pushNotifications(ap, true)
 		}
 	}

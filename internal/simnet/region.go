@@ -366,10 +366,12 @@ func (s *sparseState) descend(co *corridor, slot int, r cellRect) {
 }
 
 // segsWithin reports whether segments s and o come within √r2 of each
-// other — Segment.DistanceToSegment(o) ≤ r on squared distances, so the
-// descent's innermost test pays no square root. The two agree except
-// within a few ulps of the boundary, which sweptSlack covers a million
-// times over.
+// other: 0 when they cross, otherwise the closest pair involves an
+// endpoint, so the minimum over the four endpoint-to-segment distances —
+// compared on squared distances, so the descent's innermost test pays no
+// square root. Against Segment.DistanceTo's square-rooted form it differs
+// only within a few ulps of the boundary, which sweptSlack covers a
+// million times over.
 func segsWithin(s, o channel.Segment, r2 float64) bool {
 	if t, u, ok := s.Intersect(o); ok && t >= 0 && t <= 1 && u >= 0 && u <= 1 {
 		return true

@@ -324,7 +324,7 @@ func TestAllocatorStaysValidThroughNetworkChurn(t *testing.T) {
 	live := map[uint32]bool{}
 	next := uint32(1)
 	for op := 0; op < 120; op++ {
-		if rng.Bool() || len(live) == 0 {
+		if rng.Uint64()&1 == 1 || len(live) == 0 {
 			id := next
 			next++
 			pos := channel.Vec2{X: rng.Uniform(1, 5.5), Y: rng.Uniform(0.5, 3.5)}
@@ -701,7 +701,7 @@ func TestValidateSpectrumThroughHeavyChurn(t *testing.T) {
 	live := map[uint32]bool{}
 	next := uint32(1)
 	for op := 0; op < 200; op++ {
-		if rng.Bool() || len(live) == 0 {
+		if rng.Uint64()&1 == 1 || len(live) == 0 {
 			id := next
 			next++
 			pos := channel.Vec2{X: rng.Uniform(1, 5.5), Y: rng.Uniform(0.5, 3.5)}

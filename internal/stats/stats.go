@@ -46,24 +46,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the minimum of xs; it panics on an empty slice.
 func Min(xs []float64) float64 {
 	m := xs[0]
@@ -112,110 +94,3 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// CDF is an empirical cumulative distribution function over a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from the sample xs (which it copies).
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
-}
-
-// N returns the number of samples underlying the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// At returns the empirical probability P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// Number of samples <= x.
-	n := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(c.sorted))
-}
-
-// Quantile returns the value below which fraction q (0..1) of the sample
-// falls.
-func (c *CDF) Quantile(q float64) float64 {
-	return Percentile(c.sorted, q*100)
-}
-
-// Points returns (x, P(X<=x)) pairs suitable for plotting the CDF as a step
-// function, one point per sample.
-func (c *CDF) Points() (xs, ps []float64) {
-	xs = append([]float64(nil), c.sorted...)
-	ps = make([]float64, len(xs))
-	for i := range xs {
-		ps[i] = float64(i+1) / float64(len(xs))
-	}
-	return xs, ps
-}
-
-// Histogram counts samples into uniform bins over [lo, hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count samples outside [lo, hi].
-	Under, Over int
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard float rounding at the top edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the total number of samples recorded, including out-of-range
-// ones.
-func (h *Histogram) Total() int {
-	t := h.Under + h.Over
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
-}

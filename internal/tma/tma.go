@@ -287,16 +287,12 @@ type Source struct {
 	Baseband []complex128
 }
 
-// Mix produces the single-chain output of the TMA for a set of co-channel
-// sources, sampled at fs: y[t] = Σ_i s_i[t]·Σ_n w_n(t)·e^{j2πd·n·sinθ_i}.
-// The output length is the shortest source.
-func (a *Array) Mix(sources []Source, fs float64) []complex128 {
-	return a.MixInto(nil, sources, fs)
-}
-
-// MixInto is Mix with append-style buffer reuse: the output is written
-// into dst's storage when its capacity suffices. The per-source element
-// phase table lives in a pooled scratch buffer.
+// MixInto produces the single-chain output of the TMA for a set of
+// co-channel sources, sampled at fs: y[t] = Σ_i s_i[t]·Σ_n
+// w_n(t)·e^{j2πd·n·sinθ_i}. The output length is the shortest source; it
+// is written into dst's storage when its capacity suffices (nil
+// allocates), and no sources yield nil. The per-source element phase
+// table lives in a pooled scratch buffer.
 func (a *Array) MixInto(dst []complex128, sources []Source, fs float64) []complex128 {
 	if len(sources) == 0 {
 		return nil
@@ -338,16 +334,12 @@ func (a *Array) MixInto(dst []complex128, sources []Source, fs float64) []comple
 	return out
 }
 
-// Extract recovers the stream parked at harmonic m from a TMA output: it
-// mixes the capture down by m·f_p and applies a boxcar integrate-and-dump
-// over one switching period, the matched filter for the rectangular
-// gating.
-func (a *Array) Extract(y []complex128, m int, fs float64) []complex128 {
-	return a.ExtractInto(nil, y, m, fs)
-}
-
-// ExtractInto is Extract with append-style buffer reuse; the mixed-down
-// intermediate lives in a pooled scratch buffer. dst must not alias y.
+// ExtractInto recovers the stream parked at harmonic m from a TMA output:
+// it mixes the capture down by m·f_p and applies a boxcar
+// integrate-and-dump over one switching period, the matched filter for the
+// rectangular gating. The result is written into dst's storage when its
+// capacity suffices (nil allocates); the mixed-down intermediate lives in
+// a pooled scratch buffer. dst must not alias y.
 func (a *Array) ExtractInto(dst, y []complex128, m int, fs float64) []complex128 {
 	shift := -2 * math.Pi * float64(m) * a.SwitchRateHz / fs
 	period := int(math.Round(fs / a.SwitchRateHz))

@@ -135,7 +135,10 @@ func TestSidebandSuppression(t *testing.T) {
 
 func TestHarmonicPattern(t *testing.T) {
 	a := NewSDMArray(8, 1e6)
-	thetas := stats.Linspace(-math.Pi/2, math.Pi/2, 181)
+	thetas := make([]float64, 181) // −90°…90° in 1° steps
+	for i := range thetas {
+		thetas[i] = float64(i-90) * math.Pi / 180
+	}
 	p := a.HarmonicPattern(1, thetas)
 	if len(p) != 181 {
 		t.Fatal("pattern length")
@@ -155,10 +158,10 @@ func TestHarmonicPattern(t *testing.T) {
 
 func TestMixEmptyAndLengths(t *testing.T) {
 	a := NewSDMArray(4, 1e6)
-	if a.Mix(nil, 64e6) != nil {
+	if a.MixInto(nil, nil, 64e6) != nil {
 		t.Error("no sources should yield nil")
 	}
-	y := a.Mix([]Source{
+	y := a.MixInto(nil, []Source{
 		{Theta: 0, Baseband: make([]complex128, 100)},
 		{Theta: 0.1, Baseband: make([]complex128, 60)},
 	}, 64e6)
@@ -187,7 +190,7 @@ func TestSDMSeparationTwoSources(t *testing.T) {
 		{Theta: gridAngle(1, n), Baseband: mk(amp1)},
 		{Theta: gridAngle(-2, n), Baseband: mk(amp2)},
 	}
-	y := a.Mix(src, fs)
+	y := a.MixInto(nil, src, fs)
 
 	meanAbs := func(x []complex128) float64 {
 		// Skip the integrate-and-dump transient.
@@ -199,9 +202,9 @@ func TestSDMSeparationTwoSources(t *testing.T) {
 		}
 		return s / float64(cnt)
 	}
-	own1 := meanAbs(a.Extract(y, 1, fs))
-	own2 := meanAbs(a.Extract(y, -2, fs))
-	cross := meanAbs(a.Extract(y, 3, fs))
+	own1 := meanAbs(a.ExtractInto(nil, y, 1, fs))
+	own2 := meanAbs(a.ExtractInto(nil, y, -2, fs))
+	cross := meanAbs(a.ExtractInto(nil, y, 3, fs))
 
 	want1 := amp1 * cmplx.Abs(a.HarmonicGain(1, src[0].Theta))
 	want2 := amp2 * cmplx.Abs(a.HarmonicGain(-2, src[1].Theta))
@@ -235,18 +238,18 @@ func TestSDMSeparationCarriesModulation(t *testing.T) {
 	for i := range flat {
 		flat[i] = 1
 	}
-	y := a.Mix([]Source{
+	y := a.MixInto(nil, []Source{
 		{Theta: gridAngle(1, n), Baseband: ook},
 		{Theta: gridAngle(-1, n), Baseband: flat},
 	}, fs)
-	rec := a.Extract(y, 1, fs)
+	rec := a.ExtractInto(nil, y, 1, fs)
 	// Compare mid-symbol samples of an on and an off period.
 	on := cmplx.Abs(rec[period/2+2*period])
 	off := cmplx.Abs(rec[period/2+3*period])
 	if on < 5*off+0.01 {
 		t.Errorf("OOK not preserved through TMA: on=%.3f off=%.3f", on, off)
 	}
-	recFlat := a.Extract(y, -1, fs)
+	recFlat := a.ExtractInto(nil, y, -1, fs)
 	a1 := cmplx.Abs(recFlat[period/2+2*period])
 	a2 := cmplx.Abs(recFlat[period/2+3*period])
 	if math.Abs(a1-a2) > 0.1*a1 {
@@ -307,9 +310,9 @@ func TestMixLinearityProperty(t *testing.T) {
 		sum[i] = s1[i] + s2[i]
 	}
 	th := 0.3
-	y1 := a.Mix([]Source{{Theta: th, Baseband: s1}}, 16e6)
-	y2 := a.Mix([]Source{{Theta: th, Baseband: s2}}, 16e6)
-	ys := a.Mix([]Source{{Theta: th, Baseband: sum}}, 16e6)
+	y1 := a.MixInto(nil, []Source{{Theta: th, Baseband: s1}}, 16e6)
+	y2 := a.MixInto(nil, []Source{{Theta: th, Baseband: s2}}, 16e6)
+	ys := a.MixInto(nil, []Source{{Theta: th, Baseband: sum}}, 16e6)
 	for i := range ys {
 		if cmplx.Abs(ys[i]-y1[i]-y2[i]) > 1e-9 {
 			t.Fatalf("nonlinear at %d", i)

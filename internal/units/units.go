@@ -4,7 +4,7 @@
 //
 // Conventions: "dB" values are power ratios (10*log10), never amplitude
 // ratios. Frequencies are hertz, distances are meters, powers are watts
-// unless a name says otherwise (e.g. DBm).
+// unless a name says otherwise (e.g. FromDBm).
 package units
 
 import (
@@ -56,27 +56,6 @@ func FromDB(db float64) float64 {
 	return math.Pow(10, db/10)
 }
 
-// AmplitudeDB converts a linear amplitude (voltage) ratio to decibels.
-func AmplitudeDB(ratio float64) float64 {
-	if ratio <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(ratio)
-}
-
-// AmplitudeFromDB converts decibels to a linear amplitude (voltage) ratio.
-func AmplitudeFromDB(db float64) float64 {
-	return math.Pow(10, db/20)
-}
-
-// DBm converts a power in watts to dBm.
-func DBm(watts float64) float64 {
-	if watts <= 0 {
-		return math.Inf(-1)
-	}
-	return 10*math.Log10(watts) + 30
-}
-
 // FromDBm converts a power in dBm to watts.
 func FromDBm(dbm float64) float64 {
 	return math.Pow(10, (dbm-30)/10)
@@ -85,12 +64,6 @@ func FromDBm(dbm float64) float64 {
 // Wavelength returns the free-space wavelength in meters of a frequency in Hz.
 func Wavelength(freqHz float64) float64 {
 	return SpeedOfLight / freqHz
-}
-
-// Frequency returns the frequency in Hz whose free-space wavelength is the
-// given length in meters.
-func Frequency(wavelengthM float64) float64 {
-	return SpeedOfLight / wavelengthM
 }
 
 // FSPL returns the free-space path loss in dB (always >= 0 for d >= λ/4π)
@@ -110,34 +83,11 @@ func ThermalNoisePower(bandwidthHz float64) float64 {
 	return Boltzmann * RoomTemperature * bandwidthHz
 }
 
-// ThermalNoiseDBm returns the thermal noise floor in dBm over the given
-// bandwidth (≈ -174 dBm/Hz + 10 log10 B).
-func ThermalNoiseDBm(bandwidthHz float64) float64 {
-	return DBm(ThermalNoisePower(bandwidthHz))
-}
-
-// NoiseFloorDBm returns the receiver noise floor in dBm for a bandwidth and
-// a cascade noise figure in dB.
-func NoiseFloorDBm(bandwidthHz, noiseFigureDB float64) float64 {
-	return ThermalNoiseDBm(bandwidthHz) + noiseFigureDB
-}
-
 // Deg2Rad converts degrees to radians.
 func Deg2Rad(deg float64) float64 { return deg * math.Pi / 180 }
 
 // Rad2Deg converts radians to degrees.
 func Rad2Deg(rad float64) float64 { return rad * 180 / math.Pi }
-
-// WrapAngle wraps an angle in radians into (-π, π].
-func WrapAngle(rad float64) float64 {
-	for rad > math.Pi {
-		rad -= 2 * math.Pi
-	}
-	for rad <= -math.Pi {
-		rad += 2 * math.Pi
-	}
-	return rad
-}
 
 // FormatHz renders a frequency with an SI prefix, e.g. "24.125 GHz".
 func FormatHz(freqHz float64) string {
