@@ -6,7 +6,8 @@ package mmx
 // the pooled-frame + append-encode discipline means a steady-state renew
 // costs no garbage at all. The loopback case adds real UDP sockets and
 // (on Linux) the recvmmsg/sendmmsg transport, pinning the syscall-bound
-// single-stream round trip. Committed baseline: BENCH_ctl.json, gated in
+// single-stream round trip of one client on its own Mux — the mux's
+// reader and writer goroutines included. Committed baseline: BENCH_ctl.json, gated in
 // CI by mmx-benchstat like the PHY and AP numbers.
 
 import (
@@ -146,10 +147,12 @@ func BenchmarkControlPlane(b *testing.B) {
 		srv := netctl.NewServer(ctrl, netctl.NewRealClock(), netctl.ServerConfig{})
 		srv.Serve(conn)
 		defer srv.Stop()
-		tr, err := netctl.DialUDP(conn.LocalAddr().String())
+		mux, err := netctl.DialMux(conn.LocalAddr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer mux.Close() //nolint:errcheck // bench teardown
+		tr := mux.Client(2)
 		defer tr.Close() //nolint:errcheck // bench teardown
 		benchRenewLoop(b, tr, 2)
 	})

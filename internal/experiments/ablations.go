@@ -267,6 +267,7 @@ func AblationSearch(seed uint64) AblationSearchResult {
 	cb := baseline.UniformCodebook(64, units.Deg2Rad(120))
 	apPat := antenna.NewAPAntenna()
 	searches := RunTrials(seed, 2, func(i int, _ *stats.RNG) baseline.SearchResult {
+		p := baseline.NewPhasedArrayNode() // a search steers its array: one per trial
 		if i == 0 {
 			return p.ExhaustiveSearch(env, node, ap, apPat, cb)
 		}

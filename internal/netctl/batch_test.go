@@ -264,9 +264,10 @@ func TestTruncatedDatagramMalformed(t *testing.T) {
 }
 
 // TestUDPLoopbackRoundtrip drives the full client lifecycle through a
-// real UDP socket — on Linux this exercises the recvmmsg/sendmmsg batch
-// transport end to end, including address interning and the raw
-// sockaddr echo on the reply path.
+// real UDP socket, one client on its own Mux — on Linux this exercises
+// the recvmmsg/sendmmsg batch transport end to end on both sides,
+// including address interning and the raw sockaddr echo on the reply
+// path.
 func TestUDPLoopbackRoundtrip(t *testing.T) {
 	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -277,11 +278,12 @@ func TestUDPLoopbackRoundtrip(t *testing.T) {
 	srv.Serve(conn)
 	defer srv.Stop()
 
-	tr, err := DialUDP(conn.LocalAddr().String())
+	mux, err := DialMux(conn.LocalAddr().String())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	c := NewClient(42, 1e6, tr, 1)
+	defer mux.Close() //nolint:errcheck // test teardown
+	c := NewClient(42, 1e6, mux.Client(42), 1)
 	c.Retry = testRetrier()
 	defer c.Close() //nolint:errcheck // test teardown
 

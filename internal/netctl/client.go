@@ -10,26 +10,30 @@ import (
 
 // Client is the node-side control-plane endpoint over a real transport:
 // a Session — the protocol state and verbs the simulator also runs —
-// plus the socket exchange that carries its requests. It hands the verbs
-// no Placement: a real node has no network-layer view of the other
-// sharers' angles, so on an SDM reject it confirms the AP's nominal host
-// channel — the AP's books and the node agree either way, which is all
-// the protocol requires.
+// and the Carrier that moves its requests over a Transport on real time.
+// It hands the verbs no Placement: a real node has no network-layer view
+// of the other sharers' angles, so on an SDM reject it confirms the AP's
+// nominal host channel — the AP's books and the node agree either way,
+// which is all the protocol requires.
 //
 // Build one with NewClient, which binds the exchange. A Client is not
 // safe for concurrent use; the load generator runs one goroutine per
 // client.
 type Client struct {
 	Session
+	// Tally counts the sheds and promotes the client's exchanges met.
+	Tally
 	T Transport
-	// Retry paces the per-exchange attempts. The zero value is replaced
-	// by DefaultRetrier at first use.
+	// Retry paces the per-exchange attempts; NewClient installs
+	// DefaultRetrier.
 	Retry Retrier
 
-	// Counters for the storm report.
-	Sheds, Rejoins, Resyncs, Promotes int
+	// Keepalive outcome counters for the storm report.
+	Rejoins, Resyncs int
 
 	rng *stats.RNG
+	// start is when the current attempt's request went out.
+	start time.Time
 	// exch is the exchange method bound once at NewClient, so the verbs
 	// allocate no method value per op.
 	exch Exchange
@@ -74,54 +78,30 @@ func ShedReply(node, seq uint32) mac.RejectMsg {
 	return mac.RejectMsg{NodeID: node, Seq: seq}
 }
 
-// exchange is the Client's Exchange: one request frame through the retry
-// machine on real time — send, collect frames until one is the matching
-// reply, back off and resend on timeout or shed. Unsolicited PromoteMsg
-// pushes that arrive while waiting are applied on the spot; garbled
-// frames and stale replies are discarded, as in the simulator's attempt.
-func (c *Client) exchange(raw []byte) (any, float64, error) {
-	_, node, seq, _ := mac.PeekHeader(raw)
-	r := c.Retry
-	if r.MaxAttempts == 0 {
-		r = DefaultRetrier()
+// exchange is the Client's Exchange: the one attempt loop over the
+// client as carrier.
+func (c *Client) exchange(req []byte) (any, float64, error) {
+	return Carry(c.Retry, c.rng, c, &c.Session, &c.Tally, req)
+}
+
+// Send starts an attempt on the real clock: the request goes out on the
+// transport. The elapsed time needs no anchoring here — the wall clock
+// has already moved by it.
+func (c *Client) Send(req []byte, _ float64) error {
+	c.start = time.Now()
+	return c.T.Send(req)
+}
+
+// Recv waits for the transport's next frame until the attempt's
+// TimeoutS, counted from its Send, runs out, and returns it with the
+// real time since the Send.
+func (c *Client) Recv() ([]byte, float64, bool) {
+	remain := c.Retry.TimeoutS - time.Since(c.start).Seconds()
+	if remain <= 0 {
+		return nil, 0, false
 	}
-	return r.Do(c.rng, func(_ int, _ float64) (any, float64, bool) {
-		start := time.Now()
-		took := func() float64 { return time.Since(start).Seconds() }
-		if err := c.T.Send(raw); err != nil {
-			return nil, took(), false
-		}
-		for {
-			remain := r.TimeoutS - took()
-			if remain <= 0 {
-				return nil, took(), false
-			}
-			frame, ok := c.T.Recv(remain)
-			if !ok {
-				return nil, took(), false
-			}
-			msg, err := mac.Unmarshal(frame)
-			if err != nil {
-				continue // garbled on the air
-			}
-			if p, ok := msg.(mac.PromoteMsg); ok {
-				if p.NodeID == c.ID {
-					c.ApplyPromote(p)
-					c.Promotes++
-				}
-				continue
-			}
-			rn, rs, ok := mac.ReplyIdent(msg)
-			if !ok || rn != node || rs != seq {
-				continue // stale or misaddressed
-			}
-			if rej, ok := msg.(mac.RejectMsg); ok && IsShedReply(rej) {
-				c.Sheds++
-				return nil, took(), false // AP overloaded: back off
-			}
-			return msg, took(), true
-		}
-	})
+	frame, ok := c.T.Recv(remain)
+	return frame, time.Since(c.start).Seconds(), ok
 }
 
 // Join runs the Session's handshake over the transport and returns the

@@ -430,3 +430,23 @@ func TestRetrierAccounting(t *testing.T) {
 		t.Fatalf("elapsed = %v, want >= %v", elapsed2, wantMin)
 	}
 }
+
+// TestEndpointTimerReuse: the endpoint's one timer outlives the receive
+// it was armed for. A frame that beats the timer leaves it to expire
+// unreceived; the next timed receive must not see that stale expiry as
+// its own timeout.
+func TestEndpointTimerReuse(t *testing.T) {
+	mn := NewMemNet(nil)
+	tr := mn.Client(1)
+	defer tr.Close() //nolint:errcheck // test teardown
+	in := mn.subs[1]
+	mn.deliver([]byte{1}, in, nil)
+	if f, ok := tr.Recv(0.001); !ok || f[0] != 1 {
+		t.Fatalf("queued frame not received (ok=%v)", ok)
+	}
+	time.Sleep(5 * time.Millisecond) // the timer expires with nobody receiving
+	time.AfterFunc(20*time.Millisecond, func() { mn.deliver([]byte{2}, in, nil) })
+	if f, ok := tr.Recv(1); !ok || f[0] != 2 {
+		t.Fatalf("a stale expiry cut the next receive short (ok=%v)", ok)
+	}
+}

@@ -34,8 +34,9 @@ type StormConfig struct {
 	JoinDeadlineS float64
 	// Seed feeds every client's jitter RNG.
 	Seed uint64
-	// Retry overrides the per-exchange retry timing (zero value =
-	// DefaultRetrier).
+	// Retry paces every client's exchanges (DefaultRetrier is the
+	// production timing). It has no default: a zero Retrier makes no
+	// attempt.
 	Retry Retrier
 	// NewTransport builds each client's endpoint — a Mux.Client over
 	// shared UDP sockets, a MemNet endpoint, or either wrapped in a
@@ -126,9 +127,6 @@ func RunStorm(cfg StormConfig) StormResult {
 	}
 	if cfg.JoinDeadlineS <= 0 {
 		cfg.JoinDeadlineS = 30
-	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = DefaultRetrier()
 	}
 	outcomes := make([]clientOutcome, cfg.Clients)
 	joinHist, renewHist := NewLatencyHist(), NewLatencyHist()

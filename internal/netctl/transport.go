@@ -16,7 +16,7 @@ import (
 // datagram — the MAC wire format is self-delimiting and fits far inside
 // any MTU (mac.MaxFrameLen bytes), so there is no streaming framing
 // layer. Reply matching, retries and timeouts live above this interface
-// in the Client; loss, duplication and reordering below it.
+// in Carry; loss, duplication and reordering below it.
 type Transport interface {
 	// Send transmits one frame toward the AP.
 	Send(frame []byte) error
@@ -31,102 +31,134 @@ type Transport interface {
 	Close() error
 }
 
-// ErrClosed reports use of a closed transport.
-var ErrClosed = errors.New("netctl: transport closed")
-
-// UDPTransport is a Transport over one connected UDP socket — the
-// single-client configuration (a real IoT node owns its own socket).
-type UDPTransport struct {
-	conn *net.UDPConn
-	buf  [frameCap]byte
-}
-
-// DialUDP connects a transport to the daemon at addr ("host:port").
-func DialUDP(addr string) (*UDPTransport, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.DialUDP("udp", nil, ua)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetReadBuffer(1 << 20)  //nolint:errcheck // best-effort; kernel clamps
-	conn.SetWriteBuffer(1 << 20) //nolint:errcheck // best-effort
-	return &UDPTransport{conn: conn}, nil
-}
-
-// Send transmits one frame.
-func (t *UDPTransport) Send(frame []byte) error {
-	_, err := t.conn.Write(frame)
-	return err
-}
-
-// Recv waits up to timeoutS for the next datagram (forever when
-// negative). The returned slice aliases the transport's receive buffer:
-// valid until the next Recv.
-func (t *UDPTransport) Recv(timeoutS float64) ([]byte, bool) {
-	var dl time.Time
-	if timeoutS >= 0 {
-		dl = time.Now().Add(secondsToDuration(timeoutS))
-	}
-	if err := t.conn.SetReadDeadline(dl); err != nil {
-		return nil, false
-	}
-	n, err := t.conn.Read(t.buf[:])
-	if err != nil {
-		return nil, false
-	}
-	return t.buf[:n], true
-}
-
-// Close closes the socket.
-func (t *UDPTransport) Close() error { return t.conn.Close() }
-
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// recvFrame is the shared frame-channel receive used by the mux and
-// mem clients: block (optionally with a timeout) for the next pooled
-// frame. A negative timeout blocks without arming a timer, which keeps
-// the steady-state receive path allocation-free.
-func recvFrame(in chan *frame, timeoutS float64) (*frame, bool) {
-	if timeoutS < 0 {
-		f, ok := <-in
-		return f, ok
+// routes maps node IDs to the inbound queues of a network's endpoints;
+// once closed, new endpoints start closed. Its mutex also guards what the
+// owning network keeps beside it.
+type routes struct {
+	mu     sync.Mutex
+	subs   map[uint32]chan *frame
+	closed bool
+}
+
+// register opens an endpoint of network o for node id, stamping its
+// sends with addr.
+func (r *routes) register(o owner, id uint32, addr net.Addr) Transport {
+	// A client has a few requests in flight at most; 16 absorbs their
+	// replies, duplicates and pushes, and a frame beyond them sheds like
+	// a full socket buffer.
+	ch := make(chan *frame, 16)
+	r.mu.Lock()
+	if r.closed {
+		close(ch)
+	} else {
+		r.subs[id] = ch
 	}
-	t := time.NewTimer(secondsToDuration(timeoutS))
-	defer t.Stop()
-	select {
-	case f, ok := <-in:
-		return f, ok
-	case <-t.C:
+	r.mu.Unlock()
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &endpoint{owner: o, id: id, addr: addr, in: ch, timer: t}
+}
+
+// unregister drops id's route if it still leads to in: an endpoint
+// registered later under the same ID keeps its own.
+func (r *routes) unregister(id uint32, in chan *frame) {
+	r.mu.Lock()
+	if r.subs[id] == in {
+		delete(r.subs, id)
+	}
+	r.mu.Unlock()
+}
+
+// owner is the network an endpoint belongs to — a Mux or a MemNet: it
+// carries the endpoint's sends and takes its route down on Close.
+type owner interface {
+	send(frame []byte, from net.Addr) error
+	unregister(id uint32, in chan *frame)
+}
+
+// endpoint is the client Transport of both networks: the owner routes
+// inbound frames to in and carries sends. The frame Recv returns is held
+// until the next Recv or Close, then recycled; one timer, re-armed per
+// timed receive, bounds the waits.
+type endpoint struct {
+	owner owner
+	id    uint32
+	addr  net.Addr // boxed once so Send doesn't re-box per frame
+	in    chan *frame
+	held  *frame
+	timer *time.Timer
+}
+
+func (e *endpoint) Send(frame []byte) error { return e.owner.send(frame, e.addr) }
+
+// Recv waits for the next frame; a negative timeout blocks without
+// arming the timer. go.mod's language version (1.22) selects the
+// pre-1.23 timer contract, under which an expiry nobody received stays
+// buffered in the channel, so the timer is stopped and drained before
+// Reset: a stale expiry never cuts a later receive short.
+func (e *endpoint) Recv(timeoutS float64) ([]byte, bool) {
+	e.recycle()
+	var f *frame
+	ok := false
+	if timeoutS < 0 {
+		f, ok = <-e.in
+	} else {
+		if !e.timer.Stop() {
+			select {
+			case <-e.timer.C:
+			default:
+			}
+		}
+		e.timer.Reset(secondsToDuration(timeoutS))
+		select {
+		case f, ok = <-e.in:
+		case <-e.timer.C:
+		}
+	}
+	if !ok {
 		return nil, false
 	}
+	e.held = f
+	return f.bytes(), true
+}
+
+func (e *endpoint) recycle() {
+	if e.held != nil {
+		putFrame(e.held)
+		e.held = nil
+	}
+}
+
+func (e *endpoint) Close() error {
+	e.owner.unregister(e.id, e.in)
+	e.recycle()
+	e.timer.Stop()
+	return nil
 }
 
 // Mux multiplexes many virtual clients over one UDP socket — how the
 // load generator packs 100k simulated nodes onto a handful of file
-// descriptors. Outbound frames are coalesced: Send enqueues onto a
-// shared queue and a writer goroutine flushes whole batches in one
-// syscall (sendmmsg on Linux), so a storm of concurrent clients pays
-// ~1/batch of a syscall per request instead of one each. Inbound frames
-// are read in batches (recvmmsg), landed in pooled buffers, and routed
-// to the owning client by the node ID every control message carries in
-// its fixed header. A frame for an unregistered node (or a client whose
-// queue is full) is dropped, exactly as a kernel socket buffer would
-// shed it — the retry machine above absorbs the loss; likewise Send is
-// fire-and-forget, surfacing wire errors as ordinary UDP loss.
+// descriptors, and how a single client reaches the daemon too. Outbound
+// frames are coalesced: Send enqueues onto a shared queue and a writer
+// goroutine flushes whole batches in one syscall (sendmmsg on Linux), so
+// a storm of concurrent clients pays ~1/batch of a syscall per request
+// instead of one each. Inbound frames are read in batches (recvmmsg),
+// landed in pooled buffers, and routed to the owning client by the node
+// ID every control message carries in its fixed header. A frame for an
+// unregistered node (or a client whose queue is full) is dropped,
+// exactly as a kernel socket buffer would shed it — the retry machine
+// above absorbs the loss; likewise Send is fire-and-forget, surfacing
+// wire errors as ordinary UDP loss.
 type Mux struct {
+	routes
 	conn *net.UDPConn
 	out  chan *frame
 	done chan struct{}
 	once sync.Once
-
-	mu     sync.Mutex
-	subs   map[uint32]chan *frame
-	closed bool
 }
 
 // muxBatch caps frames moved per mux read or write batch.
@@ -150,10 +182,10 @@ func DialMux(addr string) (*Mux, error) {
 	conn.SetReadBuffer(8 << 20)  //nolint:errcheck // best-effort
 	conn.SetWriteBuffer(8 << 20) //nolint:errcheck // best-effort
 	m := &Mux{
-		conn: conn,
-		out:  make(chan *frame, 1024),
-		done: make(chan struct{}),
-		subs: make(map[uint32]chan *frame),
+		routes: routes{subs: make(map[uint32]chan *frame)},
+		conn:   conn,
+		out:    make(chan *frame, 1024),
+		done:   make(chan struct{}),
 	}
 	go m.readLoop()
 	go m.writeLoop()
@@ -257,16 +289,19 @@ func (m *Mux) readLoop() {
 
 // Client returns the transport endpoint for one virtual node. Closing
 // the endpoint unregisters it; the shared socket stays open.
-func (m *Mux) Client(nodeID uint32) Transport {
-	ch := make(chan *frame, 16)
-	m.mu.Lock()
-	if m.closed {
-		close(ch)
-	} else {
-		m.subs[nodeID] = ch
+func (m *Mux) Client(nodeID uint32) Transport { return m.register(m, nodeID, nil) }
+
+// send queues one frame for the batching writer.
+func (m *Mux) send(b []byte, _ net.Addr) error {
+	f := getFrame()
+	f.set(b, nil) // nil addr: the mux socket is connected
+	select {
+	case m.out <- f:
+		return nil
+	case <-m.done:
+		putFrame(f)
+		return net.ErrClosed
 	}
-	m.mu.Unlock()
-	return &muxClient{m: m, id: nodeID, in: ch}
 }
 
 // Close stops the writer and closes the shared socket; every endpoint's
@@ -276,49 +311,27 @@ func (m *Mux) Close() error {
 	return m.conn.Close()
 }
 
-type muxClient struct {
-	m    *Mux
-	id   uint32
-	in   chan *frame
-	held *frame // last frame returned by Recv; recycled on the next
-}
-
-func (c *muxClient) Send(frame []byte) error {
-	f := getFrame()
-	f.set(frame, nil) // nil addr: the mux socket is connected
-	select {
-	case c.m.out <- f:
-		return nil
-	case <-c.m.done:
-		putFrame(f)
-		return net.ErrClosed
+// sideSend passes frame through side, whose draws mu serializes, and
+// hands each surviving copy to deliver: at once, or from a timer after
+// the copy's delay — over a snapshot, because the caller may recycle
+// frame as soon as this returns. It returns the first error of the
+// immediate deliveries; a late copy that fails is just loss.
+func sideSend(mu *sync.Mutex, side *faults.SideChannel, frame []byte, deliver func([]byte) error) error {
+	mu.Lock()
+	deliveries := side.Transmit(frame)
+	mu.Unlock()
+	var firstErr error
+	for _, d := range deliveries {
+		if d.DelayS > 0 {
+			fr := append([]byte(nil), d.Frame...)
+			time.AfterFunc(secondsToDuration(d.DelayS), func() { deliver(fr) }) //nolint:errcheck // late-copy loss
+			continue
+		}
+		if err := deliver(d.Frame); err != nil && firstErr == nil {
+			firstErr = err
+		}
 	}
-}
-
-func (c *muxClient) Recv(timeoutS float64) ([]byte, bool) {
-	if c.held != nil {
-		putFrame(c.held)
-		c.held = nil
-	}
-	f, ok := recvFrame(c.in, timeoutS)
-	if !ok {
-		return nil, false
-	}
-	c.held = f
-	return f.bytes(), true
-}
-
-func (c *muxClient) Close() error {
-	c.m.mu.Lock()
-	if ch, ok := c.m.subs[c.id]; ok && ch == c.in {
-		delete(c.m.subs, c.id)
-	}
-	c.m.mu.Unlock()
-	if c.held != nil {
-		putFrame(c.held)
-		c.held = nil
-	}
-	return nil
+	return firstErr
 }
 
 // FaultyTransport injects seeded faults into a Transport's send path —
@@ -344,23 +357,7 @@ func NewFaultyTransport(t Transport, side *faults.SideChannel) *FaultyTransport 
 // Send passes the frame through the side channel: it may vanish, arrive
 // twice, arrive truncated, or arrive late.
 func (f *FaultyTransport) Send(frame []byte) error {
-	f.mu.Lock()
-	deliveries := f.side.Transmit(frame)
-	f.mu.Unlock()
-	var firstErr error
-	for _, d := range deliveries {
-		if d.DelayS > 0 {
-			fr := d.Frame
-			time.AfterFunc(secondsToDuration(d.DelayS), func() {
-				f.T.Send(fr) //nolint:errcheck // a late copy racing Close is just loss
-			})
-			continue
-		}
-		if err := f.T.Send(d.Frame); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return sideSend(&f.mu, f.side, frame, f.T.Send)
 }
 
 // Recv and Close delegate to the wrapped transport.
@@ -388,56 +385,45 @@ func (a memAddr) String() string  { return fmt.Sprintf("mem:%d", uint32(a)) }
 // still succeed and pile into the ingress buffer until it sheds —
 // exactly a kernel socket buffer with the daemon down.
 type MemNet struct {
-	mu      sync.Mutex
-	side    *faults.SideChannel
-	clients map[uint32]chan *frame
-	toSrv   chan *frame
+	routes // its mutex also serializes the side channel's draws
+	side   *faults.SideChannel
+	toSrv  chan *frame
 }
 
 // NewMemNet builds an in-memory network whose both directions share one
 // seeded side channel (nil side = perfect link).
 func NewMemNet(side *faults.SideChannel) *MemNet {
 	return &MemNet{
-		side:    side,
-		clients: make(map[uint32]chan *frame),
-		toSrv:   make(chan *frame, 1024),
+		routes: routes{subs: make(map[uint32]chan *frame)},
+		side:   side,
+		toSrv:  make(chan *frame, 1024),
 	}
 }
 
 // Client registers a node endpoint on the network.
-func (mn *MemNet) Client(nodeID uint32) Transport {
-	ch := make(chan *frame, 16)
-	mn.mu.Lock()
-	mn.clients[nodeID] = ch
-	mn.mu.Unlock()
-	return &memClient{mn: mn, id: nodeID, addr: net.Addr(memAddr(nodeID)), in: ch}
+func (mn *MemNet) Client(nodeID uint32) Transport { return mn.register(mn, nodeID, memAddr(nodeID)) }
+
+// send carries a client endpoint's frame toward the server socket; a
+// full ingress queue (or no daemon reading) sheds inside deliver.
+func (mn *MemNet) send(frame []byte, from net.Addr) error {
+	mn.transmit(frame, mn.toSrv, from)
+	return nil
 }
 
 // transmit passes one frame through the shared side channel and hands
-// the surviving copies to ch, stamped with addr (late copies via
-// timers). The destination is passed as plain data rather than a
-// deliver-closure so the perfect-link fast path — what every benchmark
-// runs — is allocation-free end to end; a closure would escape through
-// the delayed-delivery branch and cost one heap object per send.
+// the surviving copies to ch, stamped with addr. The destination is
+// passed as plain data rather than a deliver-closure so the perfect-link
+// fast path — what every benchmark runs — is allocation-free end to end;
+// only the fault path builds a closure.
 func (mn *MemNet) transmit(frame []byte, ch chan *frame, addr net.Addr) {
 	if mn.side == nil {
 		mn.deliver(frame, ch, addr)
 		return
 	}
-	mn.mu.Lock()
-	deliveries := mn.side.Transmit(frame)
-	mn.mu.Unlock()
-	for _, d := range deliveries {
-		if d.DelayS > 0 {
-			// A delayed copy outlives this call, but the source buffer
-			// is a pooled frame the sender recycles on return — snapshot
-			// it now (the fault path is not allocation-sensitive).
-			fr := append([]byte(nil), d.Frame...)
-			time.AfterFunc(secondsToDuration(d.DelayS), func() { mn.deliver(fr, ch, addr) })
-			continue
-		}
-		mn.deliver(d.Frame, ch, addr)
-	}
+	sideSend(&mn.mu, mn.side, frame, func(b []byte) error { //nolint:errcheck // deliver cannot fail
+		mn.deliver(b, ch, addr)
+		return nil
+	})
 }
 
 // deliver copies one surviving frame into a pooled buffer and enqueues
@@ -451,46 +437,6 @@ func (mn *MemNet) deliver(b []byte, ch chan *frame, addr net.Addr) {
 	default:
 		putFrame(f)
 	}
-}
-
-type memClient struct {
-	mn   *MemNet
-	id   uint32
-	addr net.Addr // memAddr pre-boxed so Send doesn't re-box per frame
-	in   chan *frame
-	held *frame
-}
-
-func (c *memClient) Send(frame []byte) error {
-	// A full ingress queue (or no daemon reading) sheds inside deliver.
-	c.mn.transmit(frame, c.mn.toSrv, c.addr)
-	return nil
-}
-
-func (c *memClient) Recv(timeoutS float64) ([]byte, bool) {
-	if c.held != nil {
-		putFrame(c.held)
-		c.held = nil
-	}
-	f, ok := recvFrame(c.in, timeoutS)
-	if !ok {
-		return nil, false
-	}
-	c.held = f
-	return f.bytes(), true
-}
-
-func (c *memClient) Close() error {
-	c.mn.mu.Lock()
-	if ch, ok := c.mn.clients[c.id]; ok && ch == c.in {
-		delete(c.mn.clients, c.id)
-	}
-	c.mn.mu.Unlock()
-	if c.held != nil {
-		putFrame(c.held)
-		c.held = nil
-	}
-	return nil
 }
 
 // ServerConn returns a server-side socket, a net.PacketConn the Server
@@ -621,7 +567,7 @@ func (sc *memServerConn) writeBatch(fs []*frame) error {
 	mn.mu.Lock()
 	for _, f := range fs {
 		if id, ok := f.addr.(memAddr); ok {
-			if ch := mn.clients[uint32(id)]; ch != nil {
+			if ch := mn.subs[uint32(id)]; ch != nil {
 				mn.deliver(f.bytes(), ch, nil)
 			}
 		}
@@ -657,7 +603,7 @@ func (sc *memServerConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 		return 0, fmt.Errorf("netctl: foreign addr %v on mem network", addr)
 	}
 	sc.mn.mu.Lock()
-	ch := sc.mn.clients[uint32(id)]
+	ch := sc.mn.subs[uint32(id)]
 	sc.mn.mu.Unlock()
 	if ch == nil {
 		return len(p), nil // client gone: the link silently drops

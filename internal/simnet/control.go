@@ -38,14 +38,15 @@ func DefaultControlConfig() ControlConfig {
 	}
 }
 
-// exchangeAt is the simulator's netctl.Exchange: requests go to ap over
-// the (possibly lossy) side channel on a virtual clock that starts at
-// time at and advances by what each exchange consumed, so a verb's
-// follow-up request (the share confirm, the rejoin after a nack) is
-// anchored where the previous one ended.
-func (nw *Network) exchangeAt(ap *AccessPoint, at float64) netctl.Exchange {
+// exchangeAt is the simulator's netctl.Exchange for node n: the one
+// attempt loop over the network's virtual-time carrier toward ap, on a
+// clock that starts at time at and advances by what each exchange
+// consumed, so a verb's follow-up request (the share confirm, the rejoin
+// after a nack) is anchored where the previous one ended.
+func (nw *Network) exchangeAt(n *Node, ap *AccessPoint, at float64) netctl.Exchange {
 	return func(req []byte) (any, float64, error) {
-		reply, took, err := nw.transact(ap, req, at)
+		nw.air.nw, nw.air.ap, nw.air.at = nw, ap, at
+		reply, took, err := netctl.Carry(nw.Control.Retrier, nw.ctrlRNG, &nw.air, &n.Session, nil, req)
 		at += took
 		return reply, took, err
 	}
@@ -72,7 +73,7 @@ func (nw *Network) placement(ap *AccessPoint, n *Node) netctl.Placement {
 // handshake consumed.
 func (nw *Network) join(n *Node, at float64) (float64, error) {
 	ap := nw.hostAP(n)
-	return n.Join(nw.exchangeAt(ap, at), nw.placement(ap, n))
+	return n.Join(nw.exchangeAt(n, ap, at), nw.placement(ap, n))
 }
 
 // renew runs the netctl keepalive for node n at virtual time at. A resync
@@ -81,7 +82,7 @@ func (nw *Network) join(n *Node, at float64) (float64, error) {
 // last-known assignment (graceful degradation) until the next keepalive.
 func (nw *Network) renew(n *Node, at float64) netctl.RenewOutcome {
 	ap := nw.hostAP(n)
-	outcome, _, _ := n.Renew(nw.exchangeAt(ap, at), nw.placement(ap, n))
+	outcome, _, _ := n.Renew(nw.exchangeAt(n, ap, at), nw.placement(ap, n))
 	if outcome == netctl.RenewResynced || outcome == netctl.RenewRejoined {
 		nw.applyAssignment(n)
 		nw.sparse.updateNode(nw, n)
@@ -102,64 +103,56 @@ func (nw *Network) release(ap *AccessPoint, n *Node, at float64) {
 		ap.Controller.HandleAtAppend(nil, raw, ap.Controller.NowS()) //nolint:errcheck // a well-formed release
 		return
 	}
-	n.Release(nw.exchangeAt(ap, at)) //nolint:errcheck // a lost release rides the lease TTL
+	n.Release(nw.exchangeAt(n, ap, at)) //nolint:errcheck // a lost release rides the lease TTL
 }
 
-// transact runs one request/reply exchange over the (possibly lossy)
-// control side channel: transmit the frame, collect the reply, and on
-// loss retry through netctl.Retrier — the same state machine the socket
-// client runs on real time, here fed virtual-time attempts. It returns
-// the decoded reply, the virtual time the exchange consumed, and an
-// error (netctl.ErrExhausted) when every attempt failed. Duplicate
-// request copies are deliberately all delivered to the controller —
-// that is what exercises its idempotent handling — and duplicate or
-// stale replies (wrong sequence number) are discarded by the
-// caller-side match.
-func (nw *Network) transact(ap *AccessPoint, raw []byte, at float64) (any, float64, error) {
-	_, node, seq, _ := mac.PeekHeader(raw)
-	return nw.Control.Do(nw.ctrlRNG, func(_ int, elapsed float64) (any, float64, bool) {
-		return nw.attempt(ap, raw, node, seq, at+elapsed)
-	})
+// airCarrier is the simulator's netctl.Carrier toward ap over the
+// (possibly lossy) side channel, on virtual time from at. Send runs the
+// whole attempt: the request through the side channel, every arriving
+// copy to the controller at at+elapsed plus its delay (duplicates are
+// what exercises its idempotency), each reply back through the channel.
+// Recv then yields the reply copies in that iteration order — not in
+// order of arrival; the golden runs were recorded so — with the round
+// trip as the time taken, skipping copies past the timeout.
+type airCarrier struct {
+	nw *Network
+	ap *AccessPoint
+	at float64
+	// replies[:n] are the attempt's reply copies, DelayS the round trip
+	// — at most two request copies arrive, each drawing at most two —
+	// and next is the first one Recv has not yielded.
+	replies [4]faults.Delivery
+	n, next int
 }
 
-// attempt is one try of an exchange: the request goes through the side
-// channel (drop/duplicate/truncate/delay), every arriving copy is handled
-// by the controller (truncated copies fail to parse and die there), and
-// each reply goes back through the side channel. The first reply copy
-// whose identity matches (node, seq) and whose round trip fits the
-// timeout wins.
-func (nw *Network) attempt(ap *AccessPoint, raw []byte, node, seq uint32, at float64) (any, float64, bool) {
-	requests := nw.Side.Transmit(raw)
-	if ap.down {
-		// The AP is rebooting: frames fall on deaf ears.
-		return nil, 0, false
+func (c *airCarrier) Send(req []byte, elapsed float64) error {
+	c.n, c.next = 0, 0
+	requests := c.nw.Side.Transmit(req)
+	if c.ap.down {
+		return nil // the AP is rebooting: frames fall on deaf ears
 	}
-	var reply any
-	var rtt float64
-	got := false
 	for _, rd := range requests {
-		replyRaw, err := ap.Controller.HandleAtAppend(nil, rd.Frame, at+rd.DelayS)
-		if err != nil || replyRaw == nil {
+		reply, err := c.ap.Controller.HandleAtAppend(nil, rd.Frame, c.at+elapsed+rd.DelayS)
+		if err != nil || reply == nil {
 			continue // garbled on the air, or not a replyable message
 		}
-		for _, dd := range nw.Side.Transmit(replyRaw) {
-			if got {
-				continue // duplicate reply: discarded by the node
-			}
-			msg, err := mac.Unmarshal(dd.Frame)
-			if err != nil {
-				continue
-			}
-			rn, rs, ok := mac.ReplyIdent(msg)
-			if !ok || rn != node || rs != seq {
-				continue // stale or misaddressed reply: discarded
-			}
-			if total := rd.DelayS + dd.DelayS; total <= nw.Control.TimeoutS {
-				reply, rtt, got = msg, total, true
-			}
+		for _, dd := range c.nw.Side.Transmit(reply) {
+			c.replies[c.n] = faults.Delivery{Frame: dd.Frame, DelayS: rd.DelayS + dd.DelayS}
+			c.n++
 		}
 	}
-	return reply, rtt, got
+	return nil
+}
+
+func (c *airCarrier) Recv() ([]byte, float64, bool) {
+	for c.next < c.n {
+		d := c.replies[c.next]
+		c.next++
+		if d.DelayS <= c.nw.Control.TimeoutS {
+			return d.Frame, d.DelayS, true
+		}
+	}
+	return nil, 0, false
 }
 
 // pushNotifications delivers one AP controller's queued PromoteMsg pushes

@@ -330,3 +330,59 @@ func TestCrashedNodeLeaveBeforeRunReleasesBooks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAirCarrierTakesFirstInTimeoutCopy: within an attempt the virtual
+// carrier yields the reply copies in the order the side channel produced
+// them — request copy by request copy, each one's reply copies in turn —
+// skipping any whose round trip exceeds the timeout, so the exchange
+// takes the first in-timeout copy in that order, not the earliest
+// arrival. Seed 2 duplicates and delays every frame into round trips of
+// 22.1 (late), 14.5, 3.0 and 12.5 ms: the answer is 14.5.
+func TestAirCarrierTakesFirstInTimeoutCopy(t *testing.T) {
+	side := func() *faults.SideChannel {
+		sc := faults.NewSideChannel(2)
+		sc.DupProb, sc.DelayProb, sc.DelayMeanS = 1, 1, 0.008
+		return sc
+	}
+	nw := newTestNetwork(3)
+	nw.Side = side()
+	timeout := nw.Control.TimeoutS
+
+	// A twin channel replays the draws: nothing truncates, so they do not
+	// depend on the frames' contents.
+	twin := side()
+	var trips []float64
+	for _, rd := range twin.Transmit([]byte{0}) {
+		for _, dd := range twin.Transmit([]byte{0}) {
+			trips = append(trips, rd.DelayS+dd.DelayS)
+		}
+	}
+	first, earliest := -1.0, math.Inf(1)
+	for _, d := range trips {
+		if d > timeout {
+			continue
+		}
+		if first < 0 {
+			first = d
+		}
+		earliest = math.Min(earliest, d)
+	}
+	if len(trips) != 4 || trips[0] <= timeout || first < 0 || earliest == first {
+		t.Fatalf("seed no longer separates the rules: round trips %v", trips)
+	}
+
+	n := &Node{}
+	n.ID, n.Demand = 42, 1e6
+	req := mac.JoinRequest{NodeID: 42, Seq: 1, DemandBps: 1e6}.AppendTo(nil)
+	reply, took, err := nw.exchangeAt(n, nw.APs[0], 0)(req)
+	if err != nil {
+		t.Fatalf("exchange: %v", err)
+	}
+	if _, ok := reply.(mac.AssignmentMsg); !ok {
+		t.Fatalf("reply %T, want an assignment", reply)
+	}
+	if took != first {
+		t.Fatalf("took %v, want the first in-timeout copy's %v (earliest arrival %v, round trips %v)",
+			took, first, earliest, trips)
+	}
+}

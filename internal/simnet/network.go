@@ -114,7 +114,10 @@ type Network struct {
 	// ctrlRNG jitters the control plane's retry backoff without
 	// perturbing the traffic RNG stream.
 	ctrlRNG *stats.RNG
-	rng     *stats.RNG
+	// air carries every control exchange; exchanges never overlap, so
+	// one carrier serves them all.
+	air airCarrier
+	rng *stats.RNG
 	// OnMembership, if non-nil, is invoked after every membership event
 	// applied inside Run — "join" or "leave", with the node's ID — with
 	// the network already in its post-event state. Tests and tools use

@@ -118,7 +118,7 @@ func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 	// a join lands a new one — what the node transmits on if every
 	// handshake below dies.
 	last := n.Grant
-	if _, err := n.Release(nw.exchangeAt(from, rs.nowAt(from))); err != nil {
+	if _, err := n.Release(nw.exchangeAt(n, from, rs.nowAt(from))); err != nil {
 		nw.strays[n.ID] = from
 	}
 	n.Grant = last
