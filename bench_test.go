@@ -4,11 +4,15 @@ package mmx
 // its figure/table from scratch per iteration and reports the headline
 // number as a custom metric, so `go test -bench=. -benchmem` doubles as
 // the reproduction harness's smoke run. cmd/mmx-bench prints the full
-// rows/series.
+// rows/series. No rung is gated on its wall clock — the end-to-end
+// figures are BENCHMARK.json's — and where a rung's allocation count is a
+// promise, a Test…Allocs beside it shares the fixture and asserts it under
+// plain `go test`.
 
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"mmx/internal/apdsp"
@@ -151,51 +155,99 @@ func BenchmarkAblationSearch(b *testing.B) {
 // modulation/demodulation path, the number that would gate a real-time
 // software AP.
 
-func BenchmarkOTAMFrameRoundtrip(b *testing.B) {
+// otamRoundTrip returns one OTAM frame round trip through the facade —
+// Send then Receive on a 5 m link in a 10×6 m room, node facing the AP.
+func otamRoundTrip(tb testing.TB) func() {
 	env := NewEnvironment(10, 6, 1)
 	link := env.NewLink(Facing(1, 3, 6, 3), Pose{X: 6, Y: 3, FacingRad: 3.14159})
 	payload := []byte("benchmark frame payload....")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		capture, err := link.Send(payload)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := link.Receive(capture, len(payload)); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkNetworkSINREvaluation measures Reports on a settled network
-// at growing scale: 20 nodes (all FDM), and 100/500 nodes (dense SDM
-// sharing). Nothing moves between calls, so the engine's dirty set is
-// empty and each call copies the cached per-node reports — the floor of
-// what a caller pays per snapshot; the link re-evaluations a blocker tick
-// costs are BenchmarkRegionMap's rung. The serial variant pins the
-// single-worker cost.
-func BenchmarkNetworkSINREvaluation(b *testing.B) {
-	bench := func(size, workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			env := NewLabEnvironment(2)
-			nw := env.NewNetwork(Pose{X: 0.3, Y: 2}, 3)
-			nw.SetWorkers(workers)
-			for i := 1; i <= size; i++ {
-				x := 1 + float64(i%5)
-				y := 0.5 + float64(i%4)*0.8
-				if _, err := nw.Join(uint32(i), Facing(x, y, 0.3, 2), 10e6, CameraTraffic(8)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nw.Reports()
-			}
+func BenchmarkOTAMFrameRoundtrip(b *testing.B) {
+	roundTrip := otamRoundTrip(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
+
+// TestOTAMFrameRoundtripAllocs pins the facade's frame round trip at
+// three allocations. The DSP scratch comes from sync.Pools, which the
+// race detector leaks and every collection empties, so the count is
+// taken without the detector and with the collector off; the first
+// calls at each new capture length build an FFT plan, which the average
+// over 100 round trips absorbs.
+func TestOTAMFrameRoundtripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(100, otamRoundTrip(t)); allocs > 3 {
+		t.Errorf("frame round trip allocates %v times, want ≤ 3", allocs)
+	}
+}
+
+// settledNetwork joins size camera nodes into the lab room at a fixed
+// pattern — all FDM at 20, dense SDM sharing from 100 — and reads Reports
+// once, so the engine's dirty set is empty.
+func settledNetwork(tb testing.TB, size, workers int) *Network {
+	env := NewLabEnvironment(2)
+	nw := env.NewNetwork(Pose{X: 0.3, Y: 2}, 3)
+	nw.SetWorkers(workers)
+	for i := 1; i <= size; i++ {
+		x := 1 + float64(i%5)
+		y := 0.5 + float64(i%4)*0.8
+		if _, err := nw.Join(uint32(i), Facing(x, y, 0.3, 2), 10e6, CameraTraffic(8)); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	nw.Reports()
+	return nw
+}
+
+// BenchmarkNetworkSINREvaluation measures Reports on a settled network
+// at growing scale. Nothing moves between calls, so each call copies the
+// cached per-node reports — the floor of what a caller pays per snapshot;
+// the link re-evaluations a blocker tick costs are BenchmarkRegionMap's
+// rung. The serial variant pins the single-worker cost.
+func BenchmarkNetworkSINREvaluation(b *testing.B) {
 	for _, size := range []int{20, 100, 500} {
-		b.Run(fmt.Sprintf("nodes=%d", size), bench(size, 0))
-		b.Run(fmt.Sprintf("nodes=%d/serial", size), bench(size, 1))
+		for _, workers := range []int{0, 1} {
+			name := fmt.Sprintf("nodes=%d", size)
+			if workers == 1 {
+				name += "/serial"
+			}
+			b.Run(name, func(b *testing.B) {
+				nw := settledNetwork(b, size, workers)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					nw.Reports()
+				}
+			})
+		}
+	}
+}
+
+// TestNetworkSINREvaluationAllocs pins Reports on a settled network at
+// two allocations per call whatever the worker count: nothing is stale,
+// so no worker starts.
+func TestNetworkSINREvaluationAllocs(t *testing.T) {
+	for _, size := range []int{20, 100, 500} {
+		for _, workers := range []int{0, 1} {
+			nw := settledNetwork(t, size, workers)
+			if allocs := testing.AllocsPerRun(100, func() { nw.Reports() }); allocs != 2 {
+				t.Errorf("%d nodes, Workers=%d: settled Reports allocates %v times, want 2", size, workers, allocs)
+			}
+		}
 	}
 }
 
@@ -205,8 +257,8 @@ func BenchmarkNetworkSINREvaluation(b *testing.B) {
 // sample the branch MACs and the FFT are shared by every channel and only
 // a twiddled readout is per channel, so cost barely moves with the
 // channel count. Bins is a power of two, so the bank's steady-state path
-// is pool-free and must report 0 allocs/op — the gate in BENCH_ap.json
-// pins that.
+// is pool-free: internal/apdsp's TestBankHotPathAllocationFree pins it
+// at 0 allocs/op.
 func BenchmarkAPWidebandDemux(b *testing.B) {
 	const (
 		rate    = 250e6
@@ -316,9 +368,10 @@ func BenchmarkAblationFilter(b *testing.B) {
 // crosses over below the 1k rung) is what keeps the whole run
 // near-linear. The blockers=8 variants isolate the environment-tick cost
 // under walking people — region-scoped invalidation re-evaluates only
-// the nodes the walkers' swept corridors can reach.
-// Committed baseline: BENCH_net.json, gated in CI by mmx-benchstat like
-// the PHY and AP numbers.
+// the nodes the walkers' swept corridors can reach. Nothing here is
+// gated: allocs/op moves by tens run to run with worker start-up, so the
+// per-join count is bounded at Workers=1 by internal/simnet's
+// TestJoinAllocs instead.
 func BenchmarkNetworkScale(b *testing.B) {
 	for _, size := range []int{1000, 10000, 100000, 1000000} {
 		b.Run(fmt.Sprintf("nodes=%d", size), func(b *testing.B) {
@@ -473,9 +526,9 @@ func benchNetworkBlockers(b *testing.B, size int) {
 // BenchmarkNetworkScale field, admitted before the timer starts. The
 // field is too wide for any ladder step to close, so an iteration is
 // ≈240 k outage frames through the event engine — the scale rungs above
-// spend two thirds of their time in Join and cannot see it. The
-// allocs/op gate pins the engine's per-frame allocation count at zero:
-// what remains is Run's fixed start.
+// spend two thirds of their time in Join and cannot see it. The engine
+// allocates nothing per frame (internal/simnet's
+// TestFrameDispatchAllocatesNothing), so allocs/op is Run's fixed start.
 func BenchmarkRunTraffic(b *testing.B) {
 	_, nw, _ := benchTelemetryFleet(b, 12000, 0.1)
 	nw.Reports() // settle the post-join picture untimed

@@ -53,6 +53,14 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (after the storm) to this file")
 	)
 	flag.Parse()
+	if *sockets < 1 {
+		fmt.Fprintf(os.Stderr, "mmx-load: bad -sockets %d (want at least 1)\n", *sockets)
+		os.Exit(2)
+	}
+	if *clients < 0 {
+		fmt.Fprintf(os.Stderr, "mmx-load: bad -clients %d (want 0 or more)\n", *clients)
+		os.Exit(2)
+	}
 	stopProfiles, err := profile.Start("mmx-load: ", *cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mmx-load: %v\n", err)

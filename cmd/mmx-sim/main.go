@@ -122,6 +122,10 @@ func main() {
 		var start, downFor float64
 		var apIdx int
 		if _, err := fmt.Sscanf(*apRestart, "%f@%f@%d", &start, &downFor, &apIdx); err == nil {
+			if apIdx < 0 || apIdx >= *aps {
+				fmt.Fprintf(os.Stderr, "bad -ap-restart %q: AP %d outside [0, %d)\n", *apRestart, apIdx, *aps)
+				os.Exit(2)
+			}
 			plan.RestartAPAt(start, downFor, apIdx)
 		} else if _, err := fmt.Sscanf(*apRestart, "%f@%f", &start, &downFor); err == nil {
 			plan.RestartAP(start, downFor)

@@ -84,23 +84,6 @@ func (nw *Network) selectAP(pos channel.Vec2) *AccessPoint {
 	return best
 }
 
-// hostAP returns the AP serving node n. Hand-built nodes that never went
-// through Join (test fixtures) count as served by the first AP.
-func (nw *Network) hostAP(n *Node) *AccessPoint {
-	if n.AP == nil {
-		return nw.APs[0]
-	}
-	return n.AP
-}
-
-// apIndex is the node's serving-AP index (0 for hand-built nodes).
-func (n *Node) apIndex() int {
-	if n.AP == nil {
-		return 0
-	}
-	return n.AP.idx
-}
-
 // PlanReuse partitions the network band into factor contiguous slices
 // and statically colors the AP registry with them, greedily maximizing
 // the distance between same-slice neighbors (the classic reuse-distance

@@ -117,7 +117,7 @@ func (rs *runState) leaveNow(id uint32) {
 	if leaver == nil {
 		return
 	}
-	ap := nw.hostAP(leaver)
+	ap := leaver.AP
 	removedAt := leaver.idx
 	nw.unregisterNodeAt(removedAt)
 	h := rs.hcache[removedAt]

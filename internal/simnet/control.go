@@ -72,7 +72,7 @@ func (nw *Network) placement(ap *AccessPoint, n *Node) netctl.Placement {
 // the same code from inside Renew. It returns the virtual time the
 // handshake consumed.
 func (nw *Network) join(n *Node, at float64) (float64, error) {
-	ap := nw.hostAP(n)
+	ap := n.AP
 	return n.Join(nw.exchangeAt(n, ap, at), nw.placement(ap, n))
 }
 
@@ -81,7 +81,7 @@ func (nw *Network) join(n *Node, at float64) (float64, error) {
 // coupling are re-derived; a timeout leaves it transmitting on its
 // last-known assignment (graceful degradation) until the next keepalive.
 func (nw *Network) renew(n *Node, at float64) netctl.RenewOutcome {
-	ap := nw.hostAP(n)
+	ap := n.AP
 	outcome, _, _ := n.Renew(nw.exchangeAt(n, ap, at), nw.placement(ap, n))
 	if outcome == netctl.RenewResynced || outcome == netctl.RenewRejoined {
 		nw.applyAssignment(n)

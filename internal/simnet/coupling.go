@@ -32,7 +32,7 @@ func (nw *Network) pairCouplingLinear(node, other *Node) float64 {
 	if _, lin, ok := nw.freqCoupling(node, other); ok {
 		return lin
 	}
-	if node.apIndex() != other.apIndex() {
+	if node.AP.idx != other.AP.idx {
 		// Cross-AP co-channel: the interferer is not part of the victim
 		// AP's TMA schedule, so the array buys no separation — a full
 		// collision, mitigated only by distance (the power term).

@@ -221,7 +221,7 @@ func (nw *Network) enterSparse() {
 	nw.sparse = s
 	for _, n := range nw.Nodes {
 		n.sp = spNode{} // drop any state from an earlier graph
-		s.registerNode(nw, n)
+		s.registerNode(n)
 	}
 	// Victim-side discovery visits every directed pair exactly once.
 	for _, n := range nw.Nodes {
@@ -311,14 +311,9 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 	amp := math.Sqrt(units.FromDBm(nw.LinkCfg.TxPowerDBm)) *
 		math.Pow(10, -nw.LinkCfg.ImplementationLossDB/20)
 	// Switch field gains: selected path plus the leaked port, both
-	// arriving coherently in the worst case. Joining nodes all get links
-	// through newLink, which installs the ADRF5020 model — read the
-	// figures off a member when one exists so a customized switch still
-	// bounds correctly.
+	// arriving coherently in the worst case. Every link comes from
+	// newLink, which installs the ADRF5020 model.
 	sw := rf.NewADRF5020()
-	if len(nw.Nodes) > 0 && nw.Nodes[0].Link != nil {
-		sw = nw.Nodes[0].Link.Switch
-	}
 	sel, leak := sw.SelectedGain(), sw.LeakageGain()
 	lam := units.Wavelength(nw.Env.FreqHz)
 	field := amp * (sel + leak) * gt * gr * (lam / (4 * math.Pi)) * margin
@@ -327,8 +322,8 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 
 // registerNode installs a node into the grid, the channel registry and
 // the noise tracking. It does not discover edges.
-func (s *sparseState) registerNode(nw *Network, n *Node) {
-	s.setGeometry(nw, n)
+func (s *sparseState) registerNode(n *Node) {
+	s.setGeometry(n)
 	n.sp.noise = n.Link.Cfg.NoisePowerW()
 	if n.sp.noise < s.minNoise {
 		s.minNoise = n.sp.noise
@@ -342,7 +337,7 @@ func (s *sparseState) registerNode(nw *Network, n *Node) {
 // (from the gain table aimAt left on the node, at the angle of arrival at
 // THAT AP) and the power bound (anchored at that AP). A roam re-runs this
 // through registerNode after the association flips.
-func (s *sparseState) setGeometry(nw *Network, n *Node) {
+func (s *sparseState) setGeometry(n *Node) {
 	if cap(n.sp.avec) < len(n.tbl) {
 		n.sp.avec = make([]float64, len(n.tbl))
 	}
@@ -351,7 +346,7 @@ func (s *sparseState) setGeometry(nw *Network, n *Node) {
 	for k := range n.sp.avec {
 		n.sp.avec[k] = tmaSuppressionDB(own, cmplx.Abs(n.tbl[k]))
 	}
-	n.sp.pBound = s.pBoundAt(n.Pose.Pos, nw.hostAP(n))
+	n.sp.pBound = s.pBoundAt(n.Pose.Pos, n.AP)
 }
 
 // pBoundAt anchors the conservative received-power bound at an arbitrary
@@ -457,14 +452,14 @@ func cellSpan(c, r, w float64, n int) (lo, hi int) {
 // --- channel registry ---
 
 func (s *sparseState) chanRegister(n *Node) {
-	sh := &s.shards[n.apIndex()]
+	sh := &s.shards[n.AP.idx]
 	c := n.Assignment.CenterHz
 	cs := sh.chans[c]
 	if cs == nil {
 		slots := 2*s.maxM + 1
 		cs = &chanState{
 			center:  c,
-			ap:      n.apIndex(),
+			ap:      n.AP.idx,
 			occ:     make([][]*Node, slots),
 			occMask: make([]uint64, (slots+63)/64),
 			minA:    make([]float64, slots),
@@ -581,7 +576,7 @@ func (s *sparseState) addEdge(src, dst *Node, w float64) {
 	di := len(dst.sp.in)
 	src.sp.out = append(src.sp.out, outEdge{dst: dst, dstSlot: di})
 	dst.sp.in = append(dst.sp.in, inEdge{src: src, w: w, srcSlot: si})
-	if da := dst.apIndex(); da != src.apIndex() {
+	if da := dst.AP.idx; da != src.AP.idx {
 		if src.sp.outPerAP == nil {
 			src.sp.outPerAP = make([]int, s.nAPs)
 			src.sp.xpower = make([]float64, s.nAPs)
@@ -602,7 +597,7 @@ func (s *sparseState) addEdge(src, dst *Node, w float64) {
 // association changes (roamDetach runs under the old AP), so the AP
 // indexes seen here match the ones addEdge counted.
 func (s *sparseState) noteUnhook(src, dst *Node) {
-	if da := dst.apIndex(); da != src.apIndex() && src.sp.outPerAP != nil {
+	if da := dst.AP.idx; da != src.AP.idx && src.sp.outPerAP != nil {
 		src.sp.outPerAP[da]--
 	}
 }
@@ -676,14 +671,14 @@ func (s *sparseState) discoverIn(nw *Network, v *Node) {
 	if r < sparseDMin {
 		r = sparseDMin
 	}
-	apV := nw.hostAP(v)
+	apV := v.AP
 	vi := apV.idx
 	s.forEachInDisc(apV.Pose.Pos, r, func(j *Node) {
 		if j == v {
 			return
 		}
 		pb := j.sp.pBound
-		if j.apIndex() != vi {
+		if j.AP.idx != vi {
 			pb = s.pBoundAt(j.Pose.Pos, apV)
 		}
 		if pb < threshold {
@@ -705,7 +700,7 @@ func (s *sparseState) discoverIn(nw *Network, v *Node) {
 // threshold) skips that shard's walk entirely — the common case for
 // shards whose AP sits across the floor.
 func (s *sparseState) discoverOut(nw *Network, u *Node) {
-	ui := u.apIndex()
+	ui := u.AP.idx
 	for ai := range s.shards {
 		pb := u.sp.pBound
 		if ai != ui {
@@ -738,7 +733,7 @@ func (s *sparseState) discoverOut(nw *Network, u *Node) {
 
 // addNode hooks n in: a joiner, or a roamer under its new association.
 func (s *sparseState) addNode(nw *Network, n *Node) {
-	s.registerNode(nw, n)
+	s.registerNode(n)
 	s.discoverIn(nw, n)
 	s.discoverOut(nw, n)
 	s.markEvalStale(n)
@@ -767,7 +762,7 @@ func (s *sparseState) detach(n *Node) {
 // rebuild the node's edges both ways.
 func (s *sparseState) updateNode(nw *Network, n *Node) {
 	s.chanUnregister(n)
-	s.setGeometry(nw, n)
+	s.setGeometry(n)
 	n.sp.noise = n.Link.Cfg.NoisePowerW()
 	if n.sp.noise < s.minNoise {
 		s.minNoise = n.sp.noise
@@ -786,7 +781,7 @@ func (s *sparseState) updateNode(nw *Network, n *Node) {
 func (s *sparseState) moveNode(nw *Network, n *Node) {
 	s.gridRemove(n)
 	s.chanUnregister(n)
-	s.setGeometry(nw, n)
+	s.setGeometry(n)
 	s.gridInsert(n)
 	s.chanRegister(n)
 	s.clearEdges(n)
@@ -892,7 +887,7 @@ func (s *sparseState) runEvalPass(nw *Network) {
 		// victims at (cross-shard edges). Down sources are skipped: their
 		// victims skip them in the re-sum, exactly like the serving path.
 		if n.sp.outPerAP != nil && !n.Down {
-			ai := n.apIndex()
+			ai := n.AP.idx
 			for a, cnt := range n.sp.outPerAP {
 				if cnt <= 0 || a == ai {
 					continue
@@ -951,14 +946,14 @@ func (s *sparseState) finishNode(n *Node) {
 		return
 	}
 	interf := 0.0
-	vi := n.apIndex()
+	vi := n.AP.idx
 	for i := range n.sp.in {
 		e := &n.sp.in[i]
 		if e.src.Down {
 			continue // a crashed source puts no carrier on the air
 		}
 		p := e.src.sp.power
-		if e.src.apIndex() != vi {
+		if e.src.AP.idx != vi {
 			// Cross-shard source: its power at THIS victim's AP, not at
 			// its own serving AP. The eval pass keeps xpower[vi] fresh for
 			// as long as the edge exists (outPerAP[vi] > 0).

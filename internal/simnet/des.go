@@ -565,7 +565,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		h := rs.newHandle(&slab[i], n.ID)
 		h.present = true
 		rs.hcache[i] = h
-		rs.apOpen(n.ID, n.apIndex(), 0)
+		rs.apOpen(n.ID, n.AP.idx, 0)
 	}
 	rs.refresh()
 	rs.observe()
@@ -607,7 +607,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 					// old lease survived, the AP idempotently re-grants
 					// the same spectrum. A handshake that dies entirely
 					// leaves the node down until the plan retries.
-					if _, err := nw.join(n, rs.nowAt(nw.hostAP(n))); err != nil {
+					if _, err := nw.join(n, rs.nowAt(n.AP)); err != nil {
 						return
 					}
 					n.Down = false
@@ -655,7 +655,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 				continue
 			}
 			ctl.RenewsSent++
-			switch nw.renew(n, rs.nowAt(nw.hostAP(n))) {
+			switch nw.renew(n, rs.nowAt(n.AP)) {
 			case netctl.RenewResynced:
 				ctl.Resyncs++
 				changed = true
@@ -717,7 +717,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 
 	for _, n := range nw.Nodes {
 		rs.apClose(n.ID, duration)
-		rs.apStats[n.apIndex()].Members++
+		rs.apStats[n.AP.idx].Members++
 	}
 	for i := range rs.apStats {
 		rs.apStats[i].AP = i

@@ -371,7 +371,7 @@ func TestAirCarrierTakesFirstInTimeoutCopy(t *testing.T) {
 		t.Fatalf("seed no longer separates the rules: round trips %v", trips)
 	}
 
-	n := &Node{}
+	n := &Node{AP: nw.APs[0]}
 	n.ID, n.Demand = 42, 1e6
 	req := mac.JoinRequest{NodeID: 42, Seq: 1, DemandBps: 1e6}.AppendTo(nil)
 	reply, took, err := nw.exchangeAt(n, nw.APs[0], 0)(req)

@@ -24,7 +24,7 @@ func (nw *Network) couplingDB(i, j *Node) float64 {
 	if c, _, ok := nw.freqCoupling(i, j); ok {
 		return c
 	}
-	if i.apIndex() != j.apIndex() {
+	if i.AP.idx != j.AP.idx {
 		// Cross-AP co-channel: the interferer is not part of the victim
 		// AP's TMA schedule, so the array buys no separation — a full
 		// collision, mitigated only by distance (the power term).
@@ -36,7 +36,7 @@ func (nw *Network) couplingDB(i, j *Node) float64 {
 	// Co-channel at the same AP: separated spatially by that AP's TMA.
 	// Leakage is j's energy appearing at i's harmonic relative to j's
 	// own harmonic.
-	ap := nw.hostAP(j)
+	ap := j.AP
 	thJ := ap.Pose.AngleTo(j.Pose.Pos)
 	own := cmplx.Abs(ap.SDM.HarmonicGain(j.SDMHarmonic, thJ))
 	leak := cmplx.Abs(ap.SDM.HarmonicGain(i.SDMHarmonic, thJ))
@@ -95,7 +95,7 @@ func denseEvaluateSINR(nw *Network) []Report {
 		evals[j] = node.Link.EvaluateWithClass()
 		g := math.Max(cmplx.Abs(evals[j].G0), cmplx.Abs(evals[j].G1))
 		for a := 0; a < nAPs; a++ {
-			if a == node.apIndex() {
+			if a == node.AP.idx {
 				xp[a*n+j] = g * g
 			} else {
 				xp[a*n+j] = nw.crossPower(node, a)
@@ -108,7 +108,7 @@ func denseEvaluateSINR(nw *Network) []Report {
 			out[i] = Report{ID: node.ID, SNRdB: math.Inf(-1), SINRdB: math.Inf(-1), BER: 1, PathClass: "down", SDM: node.Shared}
 			continue
 		}
-		row := xp[node.apIndex()*n:]
+		row := xp[node.AP.idx*n:]
 		noise, interf := evals[i].NoisePowerW, 0.0
 		for j, other := range nw.Nodes {
 			if i != j {
@@ -149,7 +149,7 @@ func denseBestHostChannel(nw *Network, ap *AccessPoint, h int, tbl []complex128,
 	}
 	byCenter := map[float64]*chanInfo{}
 	for _, n := range nw.Nodes {
-		if n.ID == exclude || nw.hostAP(n) != ap {
+		if n.ID == exclude || n.AP != ap {
 			continue
 		}
 		ci := byCenter[n.Assignment.CenterHz]

@@ -126,7 +126,7 @@ func TestMultiAPJoinSelectsNearest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("join %d: %v", c.id, err)
 		}
-		if got := n.apIndex(); got != c.want {
+		if got := n.AP.idx; got != c.want {
 			t.Errorf("node %d at x=%.1f associated with AP %d, want %d", c.id, c.x, got, c.want)
 		}
 	}
@@ -188,7 +188,7 @@ func TestPlanReuseColoring(t *testing.T) {
 		if err != nil {
 			t.Fatalf("post-plan join at AP %d: %v", i, err)
 		}
-		b := nw.hostAP(n).Band
+		b := n.AP.Band
 		if !b.Contains(n.Assignment.Low(), n.Assignment.High()) {
 			t.Errorf("AP %d granted %v outside its slice %v", i, n.Assignment, b)
 		}
@@ -265,7 +265,7 @@ func TestMultiAPDoubleAssociationCaught(t *testing.T) {
 		t.Fatalf("clean network fails validation: %v", err)
 	}
 	other := nw.APs[1]
-	if n.apIndex() == 1 {
+	if n.AP.idx == 1 {
 		other = nw.APs[0]
 	}
 	raw, err := mac.Marshal(mac.JoinRequest{NodeID: n.ID, Seq: 999, DemandBps: 1e6})
@@ -313,8 +313,8 @@ func TestRoamStrandedLeaseReclaimed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	if n.apIndex() != 0 {
-		t.Fatalf("node associated with AP %d, want nearest AP 0", n.apIndex())
+	if n.AP.idx != 0 {
+		t.Fatalf("node associated with AP %d, want nearest AP 0", n.AP.idx)
 	}
 	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, CheckIntervalS: 0.1, MinDwellS: 0.2})
 	// AP 0 is down across the first roam check, so the release at it
@@ -333,8 +333,8 @@ func TestRoamStrandedLeaseReclaimed(t *testing.T) {
 	if st.Roams < 1 {
 		t.Fatalf("node never roamed off its blocked, down AP (roams=%d failed=%d)", st.Roams, st.RoamsFailed)
 	}
-	if n.apIndex() != 1 {
-		t.Errorf("node finished on AP %d, want 1", n.apIndex())
+	if n.AP.idx != 1 {
+		t.Errorf("node finished on AP %d, want 1", n.AP.idx)
 	}
 	if !sawStray {
 		t.Error("release at the down AP should have stranded a tracked stray lease")
@@ -382,9 +382,9 @@ func TestRoamKeepsLastGrantWhenEveryJoinDies(t *testing.T) {
 	if nw.APs[0].Controller.HoldsLease(1) || nw.APs[1].Controller.HoldsLease(1) {
 		t.Fatal("scenario is vacuous: the node still holds a lease")
 	}
-	if n.apIndex() != 0 || n.Assignment != held || n.RateBps != rate || rate == 0 {
+	if n.AP.idx != 0 || n.Assignment != held || n.RateBps != rate || rate == 0 {
 		t.Errorf("after the failed roam: AP %d, assignment %+v, rate %g; want AP 0, %+v, %g",
-			n.apIndex(), n.Assignment, n.RateBps, held, rate)
+			n.AP.idx, n.Assignment, n.RateBps, held, rate)
 	}
 }
 

@@ -46,9 +46,8 @@ type Node struct {
 	RateBps float64
 	// Link is the node's OTAM link to its serving AP.
 	Link *core.Link
-	// AP is the access point currently serving the node — set at join,
-	// switched by the roaming policy. nil on hand-built nodes, which
-	// count as served by the network's first AP.
+	// AP is the access point currently serving the node — set when the
+	// node is built (newNode), switched by the roaming policy.
 	AP *AccessPoint
 	// Down marks a crashed node: it neither transmits nor renews its
 	// lease until a FaultPlan reboot brings it back through the full
@@ -351,7 +350,7 @@ func (nw *Network) Leave(id uint32) {
 	}
 	leaver := nw.nodeByID(id)
 	if leaver != nil {
-		ap := nw.hostAP(leaver)
+		ap := leaver.AP
 		nw.unregisterNodeAt(leaver.idx)
 		nw.release(ap, leaver, ap.Controller.NowS())
 		delete(nw.strays, id)
@@ -389,7 +388,7 @@ func (nw *Network) applyPromotion(ap *AccessPoint, reply []byte) bool {
 		return false
 	}
 	n := nw.nodeByID(p.NodeID)
-	if n == nil || nw.hostAP(n) != ap {
+	if n == nil || n.AP != ap {
 		return false
 	}
 	n.ApplyPromote(p)
@@ -418,7 +417,7 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 			l.Node = pose
 		}
 	}
-	n.aimAt(nw.hostAP(n))
+	n.aimAt(n.AP)
 	nw.sparse.moveNode(nw, n)
 	return true
 }
@@ -447,7 +446,7 @@ func (nw *Network) ValidateSpectrum() error {
 			// invariants.
 			continue
 		}
-		ap := nw.hostAP(n)
+		ap := n.AP
 		if n.Shared {
 			c, ok := ap.Controller.SharerChannel(n.ID)
 			if !ok {
@@ -474,19 +473,19 @@ func (nw *Network) ValidateSpectrum() error {
 	for _, ap := range nw.APs {
 		for _, id := range ap.Controller.Leaseholders() {
 			n := nw.nodeByID(id)
-			if n == nil || nw.hostAP(n) == ap {
+			if n == nil || n.AP == ap {
 				continue
 			}
 			if nw.strays[id] == ap {
 				continue
 			}
 			return fmt.Errorf("simnet: node %d double-associated: leases at AP %d while served by AP %d",
-				id, ap.idx, nw.hostAP(n).idx)
+				id, ap.idx, n.AP.idx)
 		}
 	}
 	perAP := make([][]*Node, len(nw.APs))
 	for _, n := range nw.Nodes {
-		k := n.apIndex()
+		k := n.AP.idx
 		perAP[k] = append(perAP[k], n)
 	}
 	for _, nodes := range perAP {

@@ -262,7 +262,7 @@ func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
 
 // listens reports whether node n caches a link towards AP j.
 func (n *Node) listens(j int) bool {
-	return n.apIndex() == j || (n.sp.outPerAP != nil && n.sp.outPerAP[j] > 0)
+	return n.AP.idx == j || (n.sp.outPerAP != nil && n.sp.outPerAP[j] > 0)
 }
 
 func (s *sparseState) rectListens(slot, ap int) bool {
@@ -302,7 +302,7 @@ func (s *sparseState) maskRect(slot int, r cellRect) {
 	clear(m)
 	if r.leaf() {
 		for _, n := range s.cells[r.y*s.nx+r.x] {
-			a := n.apIndex()
+			a := n.AP.idx
 			m[a>>6] |= 1 << (a & 63)
 			for j, cnt := range n.sp.outPerAP {
 				if cnt > 0 {

@@ -104,7 +104,7 @@ func checkRegionStep(t *testing.T, nw *Network, step int, tally *regionTally) {
 			}
 		}
 		for a, cnt := range n.sp.outPerAP {
-			if cnt <= 0 || a == n.apIndex() {
+			if cnt <= 0 || a == n.AP.idx {
 				continue
 			}
 			tally.crossLive++

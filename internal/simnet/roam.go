@@ -48,7 +48,7 @@ func (rs *runState) roamTick() {
 // what roaming is for.
 func (rs *runState) roamCandidate(n *Node) *AccessPoint {
 	nw := rs.nw
-	cur := nw.hostAP(n)
+	cur := n.AP
 	noise := n.Link.Cfg.NoisePowerW()
 	if noise <= 0 {
 		return nil
@@ -86,7 +86,7 @@ func (rs *runState) roamCandidate(n *Node) *AccessPoint {
 // untouched — callers run the handshake next.
 func (rs *runState) rehome(n *Node, ap *AccessPoint) {
 	nw := rs.nw
-	old := nw.hostAP(n)
+	old := n.AP
 	if len(n.xlinks) < len(nw.APs) {
 		grown := make([]*core.Link, len(nw.APs))
 		copy(grown, n.xlinks)
@@ -113,7 +113,7 @@ func (rs *runState) rehome(n *Node, ap *AccessPoint) {
 // restart.
 func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 	nw := rs.nw
-	from := nw.hostAP(n)
+	from := n.AP
 	// The release voids the grant, but the radio stays tuned to it until
 	// a join lands a new one — what the node transmits on if every
 	// handshake below dies.

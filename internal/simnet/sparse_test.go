@@ -59,7 +59,7 @@ func assertMatchesOracle(t *testing.T, nw *Network, what string) {
 	t.Helper()
 	assertReportsClose(t, nw.EvaluateSINR(), denseEvaluateSINR(nw), 1e-12, what)
 	for _, n := range nw.Nodes {
-		ap := nw.hostAP(n)
+		ap := n.AP
 		for _, exclude := range []uint32{n.ID, 0} {
 			c, ok := nw.core().bestHostChannel(nw, ap, n.SDMHarmonic, n.tbl, exclude)
 			wc, wok := denseBestHostChannel(nw, ap, n.SDMHarmonic, n.tbl, exclude)
@@ -513,7 +513,7 @@ func TestSparseDeterminism(t *testing.T) {
 func TestCheckExclusiveOverlapCatchesInjected(t *testing.T) {
 	nw := newTestNetwork(88)
 	mk := func(id uint32, low, width float64, shared, down bool) *Node {
-		n := &Node{Down: down}
+		n := &Node{Down: down, AP: nw.APs[0]}
 		n.ID, n.Shared = id, shared
 		n.Assignment = mac.Assignment{NodeID: id, CenterHz: low + width/2, WidthHz: width}
 		return n
@@ -538,27 +538,51 @@ func TestCheckExclusiveOverlapCatchesInjected(t *testing.T) {
 	}
 }
 
-// BenchmarkJoin is admission on its own rung: the benchmark driver's
-// 12 000-node fleet (constant density, sparse core, leases off, 1 Mb/s
-// telemetry nodes) built once per iteration by a single worker — Join and
-// nothing else, where every BenchmarkNetworkScale rung is two thirds Join
-// and one third Run. With 16 APs the field is BenchmarkRegionMap's 4×4
-// grid on a reuse-4 plan.
+// joinFleet builds a constant-density admission fleet — leases off,
+// 1 Mb/s telemetry nodes, a single worker — on a g×g AP grid (a reuse-4
+// plan from four APs up) and joins nodes into it.
+func joinFleet(tb testing.TB, g, nodes int) *Network {
+	side := 6000 * math.Sqrt(float64(nodes)/1000)
+	nw := gridAPNetwork(tb, 61, side, g, min(g*g, 4))
+	nw.Workers = 1
+	nw.Control.LeaseTTLS, nw.Control.RenewIntervalS = 0, 0
+	for _, ap := range nw.APs {
+		ap.Controller.LeaseTTL = 0
+	}
+	joinUniform(tb, nw, stats.NewRNG(62), nodes)
+	return nw
+}
+
+// BenchmarkJoin is admission on its own rung: the 12 000-node fleet built
+// once per iteration — Join and nothing else, where every
+// BenchmarkNetworkScale rung is two thirds Join and one third Run. With
+// 16 APs the field is BenchmarkRegionMap's 4×4 grid.
 func BenchmarkJoin(b *testing.B) {
 	for _, g := range []int{1, 4} {
 		b.Run(fmt.Sprintf("aps=%d", g*g), func(b *testing.B) {
-			const nodes = 12000
-			side := 6000 * math.Sqrt(nodes/1000.0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				nw := gridAPNetwork(b, 61, side, g, min(g*g, 4))
-				nw.Workers = 1
-				nw.Control.LeaseTTLS, nw.Control.RenewIntervalS = 0, 0
-				for _, ap := range nw.APs {
-					ap.Controller.LeaseTTL = 0
-				}
-				joinUniform(b, nw, stats.NewRNG(62), nodes)
+				joinFleet(b, g, 12000)
 			}
 		})
+	}
+}
+
+// TestJoinAllocs bounds admission's allocations per join on a 2 000-node
+// single-AP fleet at Workers=1 — the machine-independent half of the
+// BenchmarkNetworkScale rungs, whose allocs/op also count worker start-up.
+// The fleet measured 26.32 when the contract was written; the bound
+// leaves room for the ±0.01 that collections add by emptying the
+// sync.Pool link evaluation draws path scratch from, and not for one more
+// allocation per join. The race detector leaks that pool, so the count
+// holds without it.
+func TestJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch under the race detector")
+	}
+	const nodes, bound = 2000, 26.4
+	allocs := testing.AllocsPerRun(1, func() { joinFleet(t, 1, nodes) })
+	if perJoin := allocs / nodes; perJoin > bound {
+		t.Errorf("%.2f allocations per join, want ≤ %.2f", perJoin, bound)
 	}
 }
