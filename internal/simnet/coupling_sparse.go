@@ -196,12 +196,19 @@ type sparseState struct {
 	listen      []uint64
 	listenWords int
 
-	// scratch, reused across calls
-	workScratch     []*Node
-	bvec            []float64
-	sweptScratch    []channel.SweptRegion
+	// The mapping fan-out (region.go): a tick's corridors, its work items,
+	// one lane per worker, and the item function, built once per core so a
+	// tick allocates no closure.
 	corridorScratch []corridor
-	wallScratch     []channel.Wall
+	mapItems        []mapItem
+	mapLanes        []mapLane
+	mapFn           func(lane, i int)
+
+	// scratch, reused across calls
+	workScratch  []*Node
+	bvec         []float64
+	sweptScratch []channel.SweptRegion
+	wallScratch  []channel.Wall
 }
 
 // core returns the interference engine, built at first need for the
@@ -871,7 +878,7 @@ func (s *sparseState) runEvalPass(nw *Network) {
 			work = append(work, n)
 		}
 	}
-	nw.forEachNode(len(work), func(i int) {
+	nw.forEachNode(len(work), func(_, i int) {
 		n := work[i]
 		n.sp.evalStale = false
 		oldPower := n.sp.power
@@ -917,7 +924,7 @@ func (s *sparseState) runEvalPass(nw *Network) {
 // resets the dirty set.
 func (s *sparseState) finishDirty(nw *Network) {
 	dirty := s.dirty
-	nw.forEachNode(len(dirty), func(i int) {
+	nw.forEachNode(len(dirty), func(_, i int) {
 		n := dirty[i]
 		if nw.nodeIdx[n.ID] != n {
 			return

@@ -409,7 +409,7 @@ func (rs *runState) envRefresh() {
 	}
 	nodes := nw.Nodes
 	hcache := rs.hcache
-	nw.forEachNode(len(nodes), func(i int) {
+	nw.forEachNode(len(nodes), func(_, i int) {
 		n := nodes[i]
 		if n.sp.queued {
 			n.sp.queued = false

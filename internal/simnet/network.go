@@ -606,20 +606,26 @@ func (nw *Network) crossPower(n *Node, a int) float64 {
 	return g * g
 }
 
-// forEachNode runs fn(i) for every i in [0,n), fanned out across the
-// network's worker pool. Each index writes only its own output slot, so
-// results are bit-identical to the serial loop regardless of scheduling.
-func (nw *Network) forEachNode(n int, fn func(i int)) {
+// lanes is the number of goroutines forEachNode runs n indexes on: the
+// worker pool (Workers, 0 = GOMAXPROCS), never more than n, at least 1.
+func (nw *Network) lanes(n int) int {
 	workers := nw.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	return max(1, min(workers, n))
+}
+
+// forEachNode runs fn(lane, i) for every i in [0,n), fanned out across
+// the network's worker pool; lane in [0, lanes(n)) names the goroutine
+// running it, so fn may append to per-lane scratch. Each index writes
+// only its own output slot, so results are bit-identical to the serial
+// loop regardless of scheduling.
+func (nw *Network) forEachNode(n int, fn func(lane, i int)) {
+	workers := nw.lanes(n)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -634,7 +640,7 @@ func (nw *Network) forEachNode(n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

@@ -33,17 +33,19 @@ import (
 //
 // The grid turns the per-node test into a per-cell one: for every node
 // position p in a rectangle, segment(p, apex) lies inside the convex
-// fan hull(rect ∪ {apex}), whose boundary is covered by the rect's four
-// edges and the apex→corner segments. A capsule within reach of the fan
-// either comes within reach of one of those eight segments or lies
-// entirely inside the fan (capsule start inside the hull). Both tests
-// are exact segment arithmetic, so a quadtree-style descent over the
-// grid prunes whole subrectangles the corridor provably cannot touch
-// and visits O(affected cells) instead of all 16384 per corridor. A
-// corridor leads to one AP, so the descent also leaves every rectangle
-// that holds no node caching a link towards that AP (the listen masks
-// below): mapping costs what the APs a region's neighbourhood listens to
-// cost, not what the AP count does.
+// fan hull(rect ∪ {apex}), whose boundary is its silhouette: the rect
+// edges facing away from the apex and the two apex→corner spokes that
+// graze the rect. A capsule within reach of the fan either comes within
+// reach of one of those segments or lies entirely inside the fan
+// (capsule start inside the hull). Both tests are exact segment
+// arithmetic, so a quadtree-style descent over the grid prunes whole
+// subrectangles the corridor provably cannot touch and visits
+// O(affected cells) instead of all 16384 per corridor. A corridor leads
+// to one AP, so the descent also leaves every rectangle that holds no
+// node caching a link towards that AP (the listen masks below): mapping
+// costs what the APs a region's neighbourhood listens to cost, not what
+// the AP count does. The descents of one tick are independent of each
+// other, so mapRegions runs them on the worker pool.
 
 // sweptSlack pads the corridor admission radius. The blockage indicator
 // and the corridor tests run different (individually exact) float
@@ -58,8 +60,8 @@ const sweptSlack = 1e-6
 // test each leg against, and each variant's angular sector from the apex
 // (the cheap prune the quadtree descent tries before exact segment
 // arithmetic). Everything but apex, ap and secs is a property of the
-// capsule and the walls alone: buildCorridors fills that part once per
-// capsule and aim points it at one AP after another.
+// capsule and the walls alone: appendCorridors fills that part once per
+// capsule, and aim points a worker's copy of it at one AP after another.
 type corridor struct {
 	apex channel.Vec2
 	ap   int // index of the AP the corridor leads to
@@ -177,16 +179,15 @@ func mirrorRegion(w channel.Segment, k channel.SweptRegion) channel.SweptRegion 
 	return channel.SweptRegion{Seg: mirrorSeg(w, k.Seg), Radius: k.Radius}
 }
 
-// buildCorridors enumerates the unfolded corridors for swept region k,
+// appendCorridors appends the unfolded corridors for swept region k,
 // mirroring appendPaths' path set: the direct segment, one bounce off
 // every wall, and every ordered wall pair up to MaxReflections. The
 // mirrored capsules and gates depend on the walls alone, so the list is
-// built once per capsule and mapRegions aims it at each AP in turn.
+// built once per capsule and each work item aims a copy at its AP.
 // Paths the enumeration would reject (reflection point off the wall,
 // wrong side) only shrink the true affected set, so including their
 // corridors unconditionally is conservative.
-func (s *sparseState) buildCorridors(nw *Network, k channel.SweptRegion) []corridor {
-	out := s.corridorScratch[:0]
+func (s *sparseState) appendCorridors(nw *Network, out []corridor, k channel.SweptRegion) []corridor {
 	none := [2]channel.Segment{}
 	out = append(out, newCorridor([3]channel.SweptRegion{k}, 1, none, none))
 	walls := s.wallScratch
@@ -216,8 +217,22 @@ func (s *sparseState) buildCorridors(nw *Network, k channel.SweptRegion) []corri
 				[2]channel.Segment{w1, w2}, [2]channel.Segment{w1, mirrorSeg(w1, w2)}))
 		}
 	}
-	s.corridorScratch = out
 	return out
+}
+
+// mapItem is one work item of the mapping fan-out: corridor corr of the
+// tick's list aimed at AP ap. The descent leaves its candidates in
+// mapLanes[lane].cand[lo:hi].
+type mapItem struct {
+	corr, ap     int32
+	lane, lo, hi int32
+}
+
+// mapLane is one worker's scratch: the corridor it is descending, aimed
+// at the current item's AP, and the candidates of every item it ran.
+type mapLane struct {
+	co   corridor
+	cand []*Node
 }
 
 // mapRegions marks evalStale every node whose cached evaluations one of
@@ -229,23 +244,61 @@ func (s *sparseState) buildCorridors(nw *Network, k channel.SweptRegion) []corri
 // the nodes listening to j; an xpower[j] left to go stale while
 // unreferenced is recomputed before anyone reads it, because addEdge
 // forces an evaluation on the 0→1 transition of outPerAP[j].
+//
+// Each (region, AP, corridor) triple is a work item, and the items fan
+// out over the worker pool. A descent only collects candidates, so
+// during the fan-out nothing writes node state and every read of
+// evalStale and the listen masks is race-free. The serial merge then
+// marks the candidates item by item in the order a single loop over
+// regions, APs and corridors visits them, which keeps s.dirty's order
+// independent of Workers.
 func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
 	room := nw.Env.Room
 	s.wallScratch = append(append(s.wallScratch[:0], room.Walls...), room.Interior...)
 	s.buildListenMasks()
+	corridors, items := s.corridorScratch[:0], s.mapItems[:0]
 	for _, k := range regions {
-		corridors := s.buildCorridors(nw, k)
+		first := len(corridors)
+		corridors = s.appendCorridors(nw, corridors, k)
 		for _, ap := range nw.APs {
 			if !s.rectListens(0, ap.idx) {
 				continue // nobody listens to this AP: skip the sector trigonometry too
 			}
-			for i := range corridors {
-				co := &corridors[i]
-				co.aim(ap)
-				s.descend(co, 0, cellRect{0, 0, s.nx, s.ny})
+			for c := first; c < len(corridors); c++ {
+				items = append(items, mapItem{corr: int32(c), ap: int32(ap.idx)})
 			}
 		}
 	}
+	s.corridorScratch, s.mapItems = corridors, items
+	if lanes := nw.lanes(len(items)); len(s.mapLanes) < lanes {
+		s.mapLanes = append(s.mapLanes, make([]mapLane, lanes-len(s.mapLanes))...)
+	}
+	for i := range s.mapLanes {
+		s.mapLanes[i].cand = s.mapLanes[i].cand[:0]
+	}
+	if s.mapFn == nil {
+		s.mapFn = func(lane, i int) { s.mapItem(nw, lane, i) }
+	}
+	nw.forEachNode(len(items), s.mapFn)
+	for _, it := range items {
+		for _, n := range s.mapLanes[it.lane].cand[it.lo:it.hi] {
+			if !n.sp.evalStale {
+				s.markEvalStale(n)
+			}
+		}
+	}
+}
+
+// mapItem runs work item i on the given lane: it aims the lane's copy of
+// the item's corridor at the item's AP and descends the grid with it.
+func (s *sparseState) mapItem(nw *Network, lane, i int) {
+	it := &s.mapItems[i]
+	ln := &s.mapLanes[lane]
+	ln.co = s.corridorScratch[it.corr]
+	ln.co.aim(nw.APs[it.ap])
+	it.lane, it.lo = int32(lane), int32(len(ln.cand))
+	s.descend(ln, 0, cellRect{0, 0, s.nx, s.ny})
+	it.hi = int32(len(ln.cand))
 }
 
 // The listen masks are one AP bitmask (listenWords words) per rectangle
@@ -321,10 +374,14 @@ func (s *sparseState) maskRect(slot int, r cellRect) {
 }
 
 // descend walks the grid quadtree-style over the cell rectangle r — tree
-// slot `slot` of the listen masks — leaving rectangles nobody listens to
-// the corridor's AP from, pruning subrectangles the corridor cannot
-// reach, and testing each listening node in surviving leaf cells exactly.
-func (s *sparseState) descend(co *corridor, slot int, r cellRect) {
+// slot `slot` of the listen masks — with the lane's corridor, leaving
+// rectangles nobody listens to the corridor's AP from, pruning
+// subrectangles the corridor cannot reach, and testing each listening
+// node in surviving leaf cells exactly. A node that passes, and was not
+// already stale, is appended to the lane's candidates; descend writes no
+// node state.
+func (s *sparseState) descend(ln *mapLane, slot int, r cellRect) {
+	co := &ln.co
 	if !s.rectListens(slot, co.ap) {
 		return
 	}
@@ -355,14 +412,14 @@ func (s *sparseState) descend(co *corridor, slot int, r cellRect) {
 	if r.leaf() {
 		for _, n := range s.cells[r.y*s.nx+r.x] {
 			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) {
-				s.markEvalStale(n)
+				ln.cand = append(ln.cand, n)
 			}
 		}
 		return
 	}
 	a, b := r.halves()
-	s.descend(co, 2*slot+1, a)
-	s.descend(co, 2*slot+2, b)
+	s.descend(ln, 2*slot+1, a)
+	s.descend(ln, 2*slot+2, b)
 }
 
 // segsWithin reports whether segments s and o come within √r2 of each
@@ -461,11 +518,15 @@ func (co *corridor) nearNode(p channel.Vec2) bool {
 // nearRect reports whether any node position p inside the rectangle can
 // have segment(p, apex) within reach of one of the corridor's capsules.
 // The fan of those segments is hull(rect ∪ {apex}); a capsule within
-// reach of it is within reach of the hull boundary — covered by the
-// rect's edges and the apex→corner segments — unless it starts inside
-// the hull, caught by fanContains.
+// reach of it is within reach of the hull boundary (its silhouette)
+// unless it starts inside the hull, caught by fanContains. The facing
+// edges and the other spokes lie inside the hull, and a capsule outside
+// a convex set is no nearer to its interior than to its boundary, so
+// testing them too would never change the answer.
 func (co *corridor) nearRect(x0, y0, x1, y1 float64) bool {
 	corners := [4]channel.Vec2{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
+	var bound [5]channel.Segment
+	nb := silhouette(co.apex, &corners, &bound)
 	for c := 0; c < co.nCaps; c++ {
 		if !co.secs[c].admitsRect(co.apex, &corners) {
 			continue
@@ -473,13 +534,8 @@ func (co *corridor) nearRect(x0, y0, x1, y1 float64) bool {
 		k := &co.caps[c]
 		reach := k.Radius + sweptSlack
 		r2 := reach * reach
-		for i := 0; i < 4; i++ {
-			edge := channel.Segment{A: corners[i], B: corners[(i+1)%4]}
-			if segsWithin(k.Seg, edge, r2) {
-				return true
-			}
-			spoke := channel.Segment{A: co.apex, B: corners[i]}
-			if segsWithin(k.Seg, spoke, r2) {
+		for _, seg := range bound[:nb] {
+			if segsWithin(k.Seg, seg, r2) {
 				return true
 			}
 		}
@@ -488,6 +544,35 @@ func (co *corridor) nearRect(x0, y0, x1, y1 float64) bool {
 		}
 	}
 	return false
+}
+
+// silhouette fills bound with the boundary of hull(rect ∪ {a}), the rect
+// given by its corners counter-clockwise from the lower left, and returns
+// how many segments that takes: at most three edges and two spokes. Edge
+// i runs from corners[i] to corners[i+1] (bottom, right, top, left) and
+// faces a when a lies strictly beyond it. At most two adjacent edges
+// face it, and the chain of them starts and ends at the corners the
+// spokes graze.
+func silhouette(a channel.Vec2, corners *[4]channel.Vec2, bound *[5]channel.Segment) int {
+	faces := [4]bool{a.Y < corners[0].Y, a.X > corners[2].X, a.Y > corners[2].Y, a.X < corners[0].X}
+	n := 0
+	for i := 0; i < 4; i++ {
+		next := corners[(i+1)%4]
+		if !faces[i] {
+			bound[n] = channel.Segment{A: corners[i], B: next}
+			n++
+			continue
+		}
+		if !faces[(i+3)%4] {
+			bound[n] = channel.Segment{A: a, B: corners[i]}
+			n++
+		}
+		if !faces[(i+1)%4] {
+			bound[n] = channel.Segment{A: a, B: next}
+			n++
+		}
+	}
+	return n
 }
 
 // fanContains reports whether p lies inside hull(rect ∪ {apex}): either

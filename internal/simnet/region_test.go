@@ -3,6 +3,8 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mmx/internal/channel"
@@ -541,6 +543,231 @@ func FuzzRegionSoundness(f *testing.F) {
 	})
 }
 
+// nearRectOracle is the eight-segment form of nearRect that the
+// silhouette is held to: every capsule the sector admits is tested
+// against all four rect edges and all four apex→corner spokes, whichever
+// of them bound the fan.
+func nearRectOracle(co *corridor, x0, y0, x1, y1 float64) bool {
+	corners := [4]channel.Vec2{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
+	for c := 0; c < co.nCaps; c++ {
+		if !co.secs[c].admitsRect(co.apex, &corners) {
+			continue
+		}
+		k := &co.caps[c]
+		reach := k.Radius + sweptSlack
+		r2 := reach * reach
+		for i := 0; i < 4; i++ {
+			edge := channel.Segment{A: corners[i], B: corners[(i+1)%4]}
+			if segsWithin(k.Seg, edge, r2) {
+				return true
+			}
+			spoke := channel.Segment{A: co.apex, B: corners[i]}
+			if segsWithin(k.Seg, spoke, r2) {
+				return true
+			}
+		}
+		if fanContains(co.apex, x0, y0, x1, y1, k.Seg.A) {
+			return true
+		}
+	}
+	return false
+}
+
+// nearRectShapes names the kinds of (rect, apex, capsule) triple
+// TestNearRectMatchesOracle draws, in the order nearRectCase takes them.
+var nearRectShapes = []string{
+	"generic", "apex inside the rect", "apex on an edge's supporting line",
+	"apex on a corner diagonal", "zero-length capsule", "field-scale boundary rect",
+}
+
+// nearRectCase draws one triple of the given shape. The capsule is drawn
+// near the fan half of the time and anywhere around rect and apex
+// otherwise, so both answers are common.
+func nearRectCase(rng *stats.RNG, shape int) (x0, y0, x1, y1 float64, apex channel.Vec2, k channel.SweptRegion) {
+	x0, y0 = rng.Uniform(0, 10), rng.Uniform(0, 10)
+	x1, y1 = x0+rng.Uniform(0.05, 4), y0+rng.Uniform(0.05, 4)
+	apex = channel.Vec2{X: rng.Uniform(-20, 30), Y: rng.Uniform(-20, 30)}
+	radius, walk := rng.Uniform(0.05, 1.5), rng.Uniform(0, 3)
+	switch shape {
+	case 1:
+		apex = channel.Vec2{X: rng.Uniform(x0, x1), Y: rng.Uniform(y0, y1)}
+	case 2:
+		switch rng.Intn(4) {
+		case 0:
+			apex.X = x0
+		case 1:
+			apex.X = x1
+		case 2:
+			apex.Y = y0
+		default:
+			apex.Y = y1
+		}
+	case 3:
+		corners := [4]channel.Vec2{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
+		j := rng.Intn(4)
+		c, o := corners[j], corners[(j+2)%4]
+		out := c.Sub(o) // the rect's own diagonal, extended past c
+		if rng.Intn(2) == 0 {
+			out = channel.Vec2{X: math.Copysign(1, out.X), Y: math.Copysign(1, out.Y)} // the 45° one
+		}
+		t := rng.Uniform(0.05, 5)
+		apex = channel.Vec2{X: c.X + t*out.X, Y: c.Y + t*out.Y}
+	case 4:
+		walk = 0 // AddBlocker logs the newcomer's disc as a capsule of length 0
+	case 5:
+		// A rectangle of descend's split on the benchmark driver's
+		// 12 000-node field that touches the grid boundary, extended to a
+		// node bounding box reaching past the room; the apex is an AP or
+		// an unfolded one, and the capsule a pedestrian's step.
+		side := 6000 * math.Sqrt(12)
+		cell := side / 128
+		cx, cy := rng.Intn(128), rng.Intn(128)
+		cw, ch := 1+rng.Intn(128-cx), 1+rng.Intn(128-cy)
+		switch rng.Intn(4) {
+		case 0:
+			cx = 0
+		case 1:
+			cw = 128 - cx
+		case 2:
+			cy = 0
+		default:
+			ch = 128 - cy
+		}
+		x0, y0 = float64(cx)*cell, float64(cy)*cell
+		x1, y1 = float64(cx+cw)*cell, float64(cy+ch)*cell
+		if cx == 0 {
+			x0 = -rng.Uniform(0, side)
+		}
+		if cy == 0 {
+			y0 = -rng.Uniform(0, side)
+		}
+		if cx+cw == 128 {
+			x1 = side + rng.Uniform(0, side)
+		}
+		if cy+ch == 128 {
+			y1 = side + rng.Uniform(0, side)
+		}
+		apex = channel.Vec2{X: rng.Uniform(-side, 2*side), Y: rng.Uniform(-side, 2*side)}
+		radius, walk = rng.Uniform(0.2, 0.5), rng.Uniform(0, 2)
+	}
+	var p channel.Vec2
+	if rng.Intn(2) == 0 {
+		// On the segment from a rect point towards the apex, or a little
+		// past either end, nudged sideways by up to a few radii.
+		q := channel.Vec2{X: rng.Uniform(x0, x1), Y: rng.Uniform(y0, y1)}
+		t, d := rng.Uniform(-0.2, 1.2), 3*radius
+		p = channel.Vec2{X: q.X + t*(apex.X-q.X) + rng.Uniform(-d, d), Y: q.Y + t*(apex.Y-q.Y) + rng.Uniform(-d, d)}
+	} else {
+		m := 2 + walk
+		p = channel.Vec2{
+			X: rng.Uniform(math.Min(x0, apex.X)-m, math.Max(x1, apex.X)+m),
+			Y: rng.Uniform(math.Min(y0, apex.Y)-m, math.Max(y1, apex.Y)+m),
+		}
+	}
+	sin, cos := math.Sincos(rng.Uniform(-math.Pi, math.Pi))
+	k = channel.SweptRegion{Seg: channel.Segment{A: p, B: channel.Vec2{X: p.X + walk*cos, Y: p.Y + walk*sin}}, Radius: radius}
+	return x0, y0, x1, y1, apex, k
+}
+
+// TestNearRectMatchesOracle holds the silhouette test to the eight-segment
+// one it replaced: over 120 000 seeded (rect, apex, capsule) triples —
+// every shape of nearRectShapes, the capsule's sector computed from the
+// apex on half of them and admitting everything on the other half, so
+// the segment tests decide — both must give the same answer.
+func TestNearRectMatchesOracle(t *testing.T) {
+	const trials = 120000
+	rng := stats.NewRNG(83)
+	var hits, tried [6]int
+	for i := 0; i < trials; i++ {
+		shape := i % len(nearRectShapes)
+		x0, y0, x1, y1, apex, k := nearRectCase(rng, shape)
+		co := corridor{apex: apex, nCaps: 1}
+		co.caps[0] = k
+		if i/len(nearRectShapes)%2 == 0 {
+			co.secs[0] = makeSector(apex, k)
+		} else {
+			co.secs[0] = sector{all: true}
+		}
+		got, want := co.nearRect(x0, y0, x1, y1), nearRectOracle(&co, x0, y0, x1, y1)
+		if got != want {
+			t.Fatalf("triple %d (%s): silhouette says %v, oracle %v\nrect [%v, %v]×[%v, %v] apex %+v capsule %+v",
+				i, nearRectShapes[shape], got, want, x0, x1, y0, y1, apex, k)
+		}
+		tried[shape]++
+		if got {
+			hits[shape]++
+		}
+	}
+	for s, name := range nearRectShapes {
+		if 10*hits[s] < tried[s] || 10*hits[s] > 9*tried[s] {
+			t.Errorf("%s: %d of %d triples near — both answers must be common", name, hits[s], tried[s])
+		}
+	}
+	t.Logf("near: %v of %v per shape", hits, tried)
+}
+
+// TestRegionMapDirtyOrderAcrossWorkers pins the mapping fan-out's merge:
+// after every walker step the dirty list syncEnv leaves must hold the
+// same node IDs in the same order at Workers = 1, 2 and 8 — the order
+// the eval pass's serial victim propagation and every later append build
+// on — on a one-AP field and on a sixteen-AP reuse-4 field.
+func TestRegionMapDirtyOrderAcrossWorkers(t *testing.T) {
+	for _, g := range []int{1, 4} {
+		workers := []int{1, 2, 8}
+		nets := make([]*Network, len(workers))
+		for w := range workers {
+			nw := gridAPNetwork(t, 53, 200, g, g)
+			nw.Workers = workers[w]
+			prng := stats.NewRNG(54)
+			joinUniform(t, nw, prng, 600)
+			for k := 0; k < 4; k++ {
+				nw.Env.AddBlocker(&channel.Blocker{
+					Pos:    channel.Vec2{X: prng.Uniform(20, 180), Y: prng.Uniform(20, 180)},
+					Radius: 0.4, LossDB: 12,
+					Vel: channel.Vec2{X: prng.Uniform(-3, 3), Y: prng.Uniform(-3, 3)},
+				})
+			}
+			nw.EvaluateSINR()
+			nets[w] = nw
+		}
+		marked, spread := 0, 0
+		for step := 0; step < 40; step++ {
+			var want []uint32
+			for w, nw := range nets {
+				nw.Env.Step(0.1)
+				nw.sparse.syncEnv(nw)
+				ids := make([]uint32, len(nw.sparse.dirty))
+				for i, n := range nw.sparse.dirty {
+					ids[i] = n.ID
+				}
+				if w == 0 {
+					want = ids
+					marked += len(ids)
+				} else if !slices.Equal(ids, want) {
+					t.Fatalf("%d APs, step %d: dirty list at Workers=%d differs from Workers=1\nWorkers=1: %v\nWorkers=%d: %v",
+						g*g, step, workers[w], want, workers[w], ids)
+				}
+				if w == len(nets)-1 {
+					lanes := map[int32]bool{}
+					for _, it := range nw.sparse.mapItems {
+						if it.hi > it.lo {
+							lanes[it.lane] = true
+						}
+					}
+					if len(lanes) > 1 {
+						spread++
+					}
+				}
+				nw.EvaluateSINR()
+			}
+		}
+		if marked < 40 {
+			t.Fatalf("%d APs: 40 steps marked %d nodes — the order had nothing to decide", g*g, marked)
+		}
+		t.Logf("%d APs: %d marks over 40 steps; candidates came from several lanes on %d steps at Workers=8", g*g, marked, spread)
+	}
+}
+
 // TestRegionMappingAllocatesNothing pins the whole mapping — swept log
 // read, wall list, listen-mask rebuild, corridors, descent, dirty marks —
 // at zero allocations per environment tick once warm, with one AP and
@@ -578,14 +805,19 @@ func TestRegionMappingAllocatesNothing(t *testing.T) {
 // BenchmarkRegionMap is the region-mapping phase on its own rung: the
 // benchmark driver's 12 000-node field (constant density, four walkers
 // on a ring around AP 0 crossing its sight lines), one iteration = one
-// 0.25 s environment tick mapped and settled, single worker.
+// 0.25 s environment tick mapped and settled, on one worker and on
+// GOMAXPROCS of them. The two worker counts share one fleet, whose
+// walkers move on between them.
 func BenchmarkRegionMap(b *testing.B) {
+	workers := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		workers = append(workers, p)
+	}
 	for _, g := range []int{1, 4} {
 		b.Run(fmt.Sprintf("aps=%d", g*g), func(b *testing.B) {
 			const nodes, walkers = 12000, 4
 			side := 6000 * math.Sqrt(nodes/1000.0)
 			nw := gridAPNetwork(b, 61, side, g, min(g*g, 4))
-			nw.Workers = 1
 			joinUniform(b, nw, stats.NewRNG(62), nodes)
 			ap := nw.APs[0].Pose.Pos
 			for k := 0; k < walkers; k++ {
@@ -598,11 +830,15 @@ func BenchmarkRegionMap(b *testing.B) {
 				})
 			}
 			nw.EvaluateSINR()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nw.Env.Step(0.25)
-				nw.sparse.settle(nw) // syncEnv, then the eval and finish passes
+			for _, w := range workers {
+				b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+					nw.Workers = w
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						nw.Env.Step(0.25)
+						nw.sparse.settle(nw) // syncEnv, then the eval and finish passes
+					}
+				})
 			}
 		})
 	}
