@@ -89,11 +89,11 @@ func TestPoseAngleTo(t *testing.T) {
 	}
 }
 
-// firstOrderPath builds the single-bounce path off walls[wi] as a
+// firstOrderPath builds the single-bounce path off wall wi as a
 // standalone Path (Paths uses reflectionPoint1 with shared backing
 // storage).
-func (e *Environment) firstOrderPath(tx, rx Vec2, walls []Wall, wi int) (Path, bool) {
-	rp, ok := e.reflectionPoint1(tx, rx, walls, wi)
+func (e *Environment) firstOrderPath(tx, rx Vec2, wi int) (Path, bool) {
+	rp, ok := e.reflectionPoint1(tx, rx, wi)
 	if !ok {
 		return Path{}, false
 	}
@@ -104,7 +104,7 @@ func (e *Environment) firstOrderPath(tx, rx Vec2, walls []Wall, wi int) (Path, b
 		DepartureAngle:   rp.Sub(tx).Angle(),
 		ArrivalAngle:     rp.Sub(rx).Angle(),
 		Reflections:      1,
-		ReflectionLossDB: walls[wi].ReflectionLossDB,
+		ReflectionLossDB: e.Room.Wall(wi).ReflectionLossDB,
 		BlockageLossDB:   e.pathObstructionLossDB(pts),
 	}, true
 }
@@ -196,7 +196,7 @@ func TestFirstOrderPathGeometry(t *testing.T) {
 	tx, rx := Vec2{2, 1}, Vec2{4, 1}
 	// Bounce off the y=0 wall (wall index 0): mirror symmetry puts the
 	// reflection point at x=3, y=0 and length = 2*sqrt(1+1).
-	p, ok := e.firstOrderPath(tx, rx, e.Room.allWalls(), 0)
+	p, ok := e.firstOrderPath(tx, rx, 0)
 	if !ok {
 		t.Fatal("no bottom-wall path")
 	}
@@ -581,5 +581,27 @@ func TestBeamGainsMatchPerBeamGain(t *testing.T) {
 	}
 	if scenes < 1000 || classes["los"] == 0 || classes["nlos"] == 0 || classes["blocked"] == 0 {
 		t.Fatalf("thin coverage: %d scenes, classes %v", scenes, classes)
+	}
+}
+
+// TestLinkEvaluationAllocatesNothing pins the link kernel at zero
+// allocations per evaluation once its path scratch is pooled, in a room
+// with an interior partition and a blocker: the wall list is indexed in
+// place, never concatenated per enumeration. The race detector drops
+// pooled scratch on purpose, so the count holds only without it.
+func TestLinkEvaluationAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch under the race detector")
+	}
+	e := newTestEnv(50)
+	e.Room.AddInteriorWall(Segment{Vec2{3, 0.5}, Vec2{3, 3.5}}, 8, 7)
+	e.AddBlocker(&Blocker{Pos: Vec2{2, 2}, Radius: 0.3, LossDB: 12})
+	nb, apPat := antenna.NewNodeBeams(), antenna.NewAPAntenna()
+	node := Pose{Pos: Vec2{1, 1.5}}
+	ap := Pose{Pos: Vec2{5, 2}, Orientation: math.Pi}
+	e.BeamGainsWithClass(node, nb, ap, apPat) // sizes the pooled scratch
+	allocs := testing.AllocsPerRun(100, func() { e.BeamGainsWithClass(node, nb, ap, apPat) })
+	if allocs != 0 {
+		t.Errorf("a link evaluation with one partition allocates %.0f times, want 0", allocs)
 	}
 }

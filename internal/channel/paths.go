@@ -59,9 +59,9 @@ var pathScratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
 // caller can recycle them. The returned Paths alias backing; they are
 // valid until the slices are next reused.
 func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Path, []Vec2) {
-	walls := e.Room.allWalls()
+	room := e.Room
 	maxR := e.MaxReflections
-	nWalls := len(walls)
+	nWalls := room.NumWalls()
 	maxPaths := 1
 	maxPts := 2
 	if maxR >= 1 {
@@ -103,8 +103,8 @@ func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Pa
 	}
 
 	if maxR >= 1 {
-		for wi := range walls {
-			rp, ok := e.reflectionPoint1(tx, rx, walls, wi)
+		for wi := 0; wi < nWalls; wi++ {
+			rp, ok := e.reflectionPoint1(tx, rx, wi)
 			if !ok {
 				continue
 			}
@@ -117,18 +117,18 @@ func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Pa
 				DepartureAngle:   rp.Sub(tx).Angle(),
 				ArrivalAngle:     rp.Sub(rx).Angle(),
 				Reflections:      1,
-				ReflectionLossDB: walls[wi].ReflectionLossDB,
+				ReflectionLossDB: room.Wall(wi).ReflectionLossDB,
 				BlockageLossDB:   e.pathObstructionLossDB(pts),
 			})
 		}
 	}
 	if maxR >= 2 {
-		for w1 := range walls {
-			for w2 := range walls {
+		for w1 := 0; w1 < nWalls; w1++ {
+			for w2 := 0; w2 < nWalls; w2++ {
 				if w1 == w2 {
 					continue
 				}
-				r1, r2, ok := e.reflectionPoints2(tx, rx, walls, w1, w2)
+				r1, r2, ok := e.reflectionPoints2(tx, rx, w1, w2)
 				if !ok {
 					continue
 				}
@@ -141,7 +141,7 @@ func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Pa
 					DepartureAngle:   r1.Sub(tx).Angle(),
 					ArrivalAngle:     r2.Sub(rx).Angle(),
 					Reflections:      2,
-					ReflectionLossDB: walls[w1].ReflectionLossDB + walls[w2].ReflectionLossDB,
+					ReflectionLossDB: room.Wall(w1).ReflectionLossDB + room.Wall(w2).ReflectionLossDB,
 					BlockageLossDB:   e.pathObstructionLossDB(pts),
 				})
 			}
@@ -168,10 +168,56 @@ func pathLess(a, b Path) bool {
 	return a.Length < b.Length
 }
 
-// reflectionPoint1 finds the single-bounce reflection point off walls[wi],
+// BlockageFlips reports whether one blocker change, the swept region r,
+// flips the blockage of some leg of one path from tx to rx: the direct
+// path (refl 0), the bounce off wall w1 (refl 1), or the bounce off w1
+// then w2 (refl 2), walls indexed in Room.Wall's order from tx's side.
+// A leg flips when blockageLossDB's own predicate,
+// Segment.DistanceTo(pos) <= Radius, reads differently with the blocker
+// at r.Seg.A and at r.Seg.B. A degenerate region (A == B) is a blocker
+// that just appeared (AddBlocker), so there every leg within reach of B
+// flips. A path the enumeration does not produce flips nothing.
+//
+// A path's BlockageLossDB is a fixed-order sum of per-leg, per-blocker
+// indicators, and everything else about it is geometry no blocker
+// moves: a path for which this returns false keeps every bit of its
+// evaluation across the change.
+func (e *Environment) BlockageFlips(tx, rx Vec2, refl, w1, w2 int, r SweptRegion) bool {
+	var pts [4]Vec2
+	n := 0
+	switch {
+	case refl > e.MaxReflections:
+		return false
+	case refl == 0 && tx != rx:
+		pts, n = [4]Vec2{tx, rx}, 2
+	case refl == 1:
+		rp, ok := e.reflectionPoint1(tx, rx, w1)
+		if !ok {
+			return false
+		}
+		pts, n = [4]Vec2{tx, rp, rx}, 3
+	case refl == 2 && w1 != w2:
+		r1, r2, ok := e.reflectionPoints2(tx, rx, w1, w2)
+		if !ok {
+			return false
+		}
+		pts, n = [4]Vec2{tx, r1, r2, rx}, 4
+	}
+	appeared := r.Seg.A == r.Seg.B
+	for i := 1; i < n; i++ {
+		leg := Segment{pts[i-1], pts[i]}
+		before := !appeared && leg.DistanceTo(r.Seg.A) <= r.Radius
+		if before != (leg.DistanceTo(r.Seg.B) <= r.Radius) {
+			return true
+		}
+	}
+	return false
+}
+
+// reflectionPoint1 finds the single-bounce reflection point off wall wi,
 // if the geometric reflection point falls on the wall.
-func (e *Environment) reflectionPoint1(tx, rx Vec2, walls []Wall, wi int) (Vec2, bool) {
-	w := walls[wi]
+func (e *Environment) reflectionPoint1(tx, rx Vec2, wi int) (Vec2, bool) {
+	w := e.Room.Wall(wi)
 	img := w.Seg.MirrorAcross(tx)
 	// The reflection point is where rx→img crosses the wall.
 	ray := Segment{rx, img}
@@ -193,9 +239,9 @@ func (e *Environment) reflectionPoint1(tx, rx Vec2, walls []Wall, wi int) (Vec2,
 
 // reflectionPoints2 finds the double-bounce reflection points hitting wall
 // w1 then w2.
-func (e *Environment) reflectionPoints2(tx, rx Vec2, walls []Wall, w1i, w2i int) (Vec2, Vec2, bool) {
-	w1 := walls[w1i]
-	w2 := walls[w2i]
+func (e *Environment) reflectionPoints2(tx, rx Vec2, w1i, w2i int) (Vec2, Vec2, bool) {
+	w1 := e.Room.Wall(w1i)
+	w2 := e.Room.Wall(w2i)
 	img1 := w1.Seg.MirrorAcross(tx)   // tx mirrored in w1
 	img2 := w2.Seg.MirrorAcross(img1) // then in w2
 	// Last bounce: rx→img2 crosses w2 at r2, strictly between the two.

@@ -77,15 +77,19 @@ func (r *Room) AddInteriorWall(seg Segment, reflectLossDB, penetrationLossDB flo
 	})
 }
 
-// allWalls returns every reflecting surface (boundary then interior).
-func (r *Room) allWalls() []Wall {
-	if len(r.Interior) == 0 {
-		return r.Walls
+// NumWalls counts every reflecting surface: the boundary walls, then the
+// interior partitions.
+func (r *Room) NumWalls() int { return len(r.Walls) + len(r.Interior) }
+
+// Wall returns reflecting surface i of NumWalls' order — the one wall
+// order path enumeration, BlockageFlips and their consumers share. It
+// indexes the two lists in place, so enumerating paths in a room with
+// partitions allocates no combined list.
+func (r *Room) Wall(i int) *Wall {
+	if i < len(r.Walls) {
+		return &r.Walls[i]
 	}
-	out := make([]Wall, 0, len(r.Walls)+len(r.Interior))
-	out = append(out, r.Walls...)
-	out = append(out, r.Interior...)
-	return out
+	return &r.Interior[i-len(r.Walls)]
 }
 
 // Environment is a complete propagation scene: a room, its moving

@@ -208,7 +208,6 @@ type sparseState struct {
 	workScratch  []*Node
 	bvec         []float64
 	sweptScratch []channel.SweptRegion
-	wallScratch  []channel.Wall
 }
 
 // core returns the interference engine, built at first need for the
@@ -811,8 +810,9 @@ func (s *sparseState) powerChanged(n *Node) {
 
 // syncEnv folds environment changes since the last settle into the
 // dirty set: each blocker change's swept capsule is mapped through the
-// grid corridors (region.go) and only the nodes whose paths it can reach
-// go stale — everyone else keeps their cached evaluation bit-identically.
+// grid corridors (region.go) and only the nodes with a path leg whose
+// blockage it flipped go stale — everyone else keeps their cached
+// evaluation bit-identically.
 // A consumer that outlived the environment's bounded swept log cannot
 // know where changes happened and stales everything, which is always
 // sound.

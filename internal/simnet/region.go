@@ -8,20 +8,32 @@ import (
 )
 
 // This file maps a blocker's swept region (channel.SweptRegion) onto the
-// set of nodes whose cached link evaluations it can have changed, using
-// the sparse core's 128×128 pose grid. The contract is conservative
-// soundness: every node whose evaluation actually changes must be
-// marked; marking extras only costs a redundant re-evaluation.
+// set of nodes whose cached link evaluations it changed, using the sparse
+// core's 128×128 pose grid. The contract is exact per leg, with a
+// conservative grid prefilter: every node whose evaluation changes is
+// marked, and a node is marked only when some leg of one of its paths
+// flips its blockage indicator between the capsule's two ends.
 //
 // Blockage enters a link evaluation exactly one way: a path leg (node →
 // reflection point → … → AP) pays a blocker's LossDB iff the leg passes
-// within Radius of the blocker's position (blockageLossDB). So a node's
-// evaluation can change only if some leg of some of its paths comes
-// within Radius of the blocker's old or new position — both inside the
-// swept capsule. The image method makes the leg geometry testable
-// without enumerating per-node paths: unfolding a k-bounce path across
-// its walls straightens it into the segment node → apex, where the apex
-// is the AP mirrored through the reflection walls (in first-hit order),
+// within Radius of the blocker's position (blockageLossDB). A path's
+// BlockageLossDB is a fixed-order sum of those per-leg, per-blocker
+// indicators, and everything else about it is static geometry, so a
+// node's evaluation is bit-identical across a blocker change unless the
+// indicator of some leg differs between the old and the new position
+// (channel.Environment.BlockageFlips; a blocker that just appeared has no
+// old position, so any leg within reach of it flips). That is the leaf
+// test. By induction over syncs every node left unmarked caches exactly
+// what a fresh trace at the last sync's blocker positions gives, and a
+// region chained over several epochs is tested one capsule at a time,
+// which can only mark more.
+//
+// The prefilter finds the nodes that can have such a leg at all: every
+// leg that flips comes within Radius of the swept capsule. The image
+// method makes that testable without enumerating per-node paths:
+// unfolding a k-bounce path across its walls straightens it into the
+// segment node → apex, where the apex is the AP mirrored through the
+// reflection walls (in first-hit order),
 // and each leg's unfolded image is a subsegment of that line. Mirroring
 // is an isometry, so "leg within R of capsule K" is equivalent to
 // "unfolded leg within R of the correspondingly mirrored capsule". A
@@ -45,31 +57,38 @@ import (
 // node caching a link towards that AP (the listen masks below): mapping
 // costs what the APs a region's neighbourhood listens to cost, not what
 // the AP count does. The descents of one tick are independent of each
-// other, so mapRegions runs them on the worker pool.
+// other, so mapRegions runs them on the worker pool. A node in a
+// surviving leaf cell meets the corridor test (nearNode), a few dot
+// products, first, and only then the exact leaf test, which solves the
+// path's reflection points.
 
 // sweptSlack pads the corridor admission radius. The blockage indicator
 // and the corridor tests run different (individually exact) float
 // sequences, so a leg sitting numerically on the radius boundary could
 // otherwise fall on opposite sides; one micrometer dwarfs the rounding
 // of a handful of float64 ops at room scale and is irrelevant against
-// any physical blocker radius.
+// any physical blocker radius. The leaf test runs the indicator's own
+// arithmetic and takes no slack.
 const sweptSlack = 1e-6
 
 // corridor is one unfolded propagation geometry (direct, or via one or
 // two reflection walls): the mirrored-AP apex, the capsule variant to
 // test each leg against, and each variant's angular sector from the apex
 // (the cheap prune the quadtree descent tries before exact segment
-// arithmetic). Everything but apex, ap and secs is a property of the
-// capsule and the walls alone: appendCorridors fills that part once per
-// capsule, and aim points a worker's copy of it at one AP after another.
+// arithmetic). Everything but apex, apPos, ap and secs is a property of
+// the capsule and the walls alone: appendCorridors fills that part once
+// per capsule, and aim points a worker's copy of it at one AP after
+// another.
 type corridor struct {
-	apex channel.Vec2
-	ap   int // index of the AP the corridor leads to
-	caps [3]channel.SweptRegion
-	secs [3]sector
-	// walls are the reflecting walls themselves, node side first; the
-	// apex is the AP mirrored through them, last wall first.
-	walls [2]channel.Segment
+	apex  channel.Vec2
+	apPos channel.Vec2 // the AP itself, where the path ends
+	ap    int          // index of the AP the corridor leads to
+	caps  [3]channel.SweptRegion
+	secs  [3]sector
+	// walls index the reflecting walls in channel.Room.Wall's order, node
+	// side first; the apex is the AP mirrored through them, last wall
+	// first.
+	walls [2]int
 	// gates are the unfolded reflecting walls (w1, then M1(w2)) that
 	// segment(node, apex) must actually cross for this corridor's path
 	// to exist. Path existence is pure geometry — blockers only add
@@ -153,22 +172,28 @@ func (sc *sector) admitsPoint(apex, p channel.Vec2) bool {
 // newCorridor assembles the AP-independent part of a corridor: n capsule
 // variants and the reflecting walls (node side first) with their
 // unfolded images, the gates.
-func newCorridor(caps [3]channel.SweptRegion, n int, walls, gates [2]channel.Segment) corridor {
+func newCorridor(caps [3]channel.SweptRegion, n int, walls [2]int, gates [2]channel.Segment) corridor {
 	return corridor{caps: caps, nCaps: n, walls: walls, gates: gates, nGates: n - 1}
 }
 
 // aim points the corridor at one AP: the apex is the AP unfolded through
 // the corridor's walls, and the sectors are the capsule variants seen
 // from there.
-func (co *corridor) aim(ap *AccessPoint) {
+func (co *corridor) aim(room *channel.Room, ap *AccessPoint) {
 	apex := ap.Pose.Pos
 	for g := co.nGates - 1; g >= 0; g-- {
-		apex = co.walls[g].MirrorAcross(apex)
+		apex = room.Wall(co.walls[g]).Seg.MirrorAcross(apex)
 	}
-	co.apex, co.ap = apex, ap.idx
+	co.apex, co.apPos, co.ap = apex, ap.Pose.Pos, ap.idx
 	for c := 0; c < co.nCaps; c++ {
 		co.secs[c] = makeSector(apex, co.caps[c])
 	}
+}
+
+// flips is the exact leaf test: does the capsule flip the blockage of a
+// leg of the path this corridor stands for, from p to the corridor's AP?
+func (co *corridor) flips(env *channel.Environment, p channel.Vec2) bool {
+	return env.BlockageFlips(p, co.apPos, co.nCaps-1, co.walls[0], co.walls[1], co.caps[0])
 }
 
 func mirrorSeg(w, s channel.Segment) channel.Segment {
@@ -186,35 +211,35 @@ func mirrorRegion(w channel.Segment, k channel.SweptRegion) channel.SweptRegion 
 // built once per capsule and each work item aims a copy at its AP.
 // Paths the enumeration would reject (reflection point off the wall,
 // wrong side) only shrink the true affected set, so including their
-// corridors unconditionally is conservative.
-func (s *sparseState) appendCorridors(nw *Network, out []corridor, k channel.SweptRegion) []corridor {
-	none := [2]channel.Segment{}
-	out = append(out, newCorridor([3]channel.SweptRegion{k}, 1, none, none))
-	walls := s.wallScratch
-	if nw.Env.MaxReflections < 1 {
-		walls = nil
+// corridors unconditionally is conservative; the leaf test rejects them.
+func appendCorridors(env *channel.Environment, out []corridor, k channel.SweptRegion) []corridor {
+	out = append(out, newCorridor([3]channel.SweptRegion{k}, 1, [2]int{}, [2]channel.Segment{}))
+	room := env.Room
+	walls := room.NumWalls()
+	if env.MaxReflections < 1 {
+		walls = 0
 	}
-	for i := range walls {
-		w1 := walls[i].Seg
+	for i := 0; i < walls; i++ {
+		w1 := room.Wall(i).Seg
 		// Single bounce off w1: legs node→rp and rp→AP unfold onto
 		// node→M₁(AP); the second leg's image needs the mirrored capsule.
 		k1 := mirrorRegion(w1, k)
 		out = append(out, newCorridor([3]channel.SweptRegion{k, k1}, 2,
-			[2]channel.Segment{w1}, [2]channel.Segment{w1}))
-		if nw.Env.MaxReflections < 2 {
+			[2]int{i}, [2]channel.Segment{w1}))
+		if env.MaxReflections < 2 {
 			continue
 		}
-		for j := range walls {
+		for j := 0; j < walls; j++ {
 			if j == i {
 				continue
 			}
-			w2 := walls[j].Seg
+			w2 := room.Wall(j).Seg
 			// Double bounce w1 then w2 (node side first, matching
 			// reflectionPoints2): apex M₁(M₂(AP)), legs test against
 			// K, M₁(K), M₁(M₂(K)).
 			out = append(out, newCorridor(
 				[3]channel.SweptRegion{k, k1, mirrorRegion(w1, mirrorRegion(w2, k))}, 3,
-				[2]channel.Segment{w1, w2}, [2]channel.Segment{w1, mirrorSeg(w1, w2)}))
+				[2]int{i, j}, [2]channel.Segment{w1, mirrorSeg(w1, w2)}))
 		}
 	}
 	return out
@@ -229,14 +254,16 @@ type mapItem struct {
 }
 
 // mapLane is one worker's scratch: the corridor it is descending, aimed
-// at the current item's AP, and the candidates of every item it ran.
+// at the current item's AP, the environment its leaf test traces in, and
+// the candidates of every item it ran.
 type mapLane struct {
 	co   corridor
+	env  *channel.Environment
 	cand []*Node
 }
 
 // mapRegions marks evalStale every node whose cached evaluations one of
-// the swept regions can have changed — the region-scoped replacement for
+// the swept regions changed — the region-scoped replacement for
 // the stale-everything epoch response. A node caches exactly the links
 // it listens on: the one towards its serving AP (sp.eval, sp.power) and,
 // while it has victims served at AP j (outPerAP[j] > 0), its power there
@@ -253,13 +280,11 @@ type mapLane struct {
 // regions, APs and corridors visits them, which keeps s.dirty's order
 // independent of Workers.
 func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
-	room := nw.Env.Room
-	s.wallScratch = append(append(s.wallScratch[:0], room.Walls...), room.Interior...)
 	s.buildListenMasks()
 	corridors, items := s.corridorScratch[:0], s.mapItems[:0]
 	for _, k := range regions {
 		first := len(corridors)
-		corridors = s.appendCorridors(nw, corridors, k)
+		corridors = appendCorridors(nw.Env, corridors, k)
 		for _, ap := range nw.APs {
 			if !s.rectListens(0, ap.idx) {
 				continue // nobody listens to this AP: skip the sector trigonometry too
@@ -294,8 +319,8 @@ func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
 func (s *sparseState) mapItem(nw *Network, lane, i int) {
 	it := &s.mapItems[i]
 	ln := &s.mapLanes[lane]
-	ln.co = s.corridorScratch[it.corr]
-	ln.co.aim(nw.APs[it.ap])
+	ln.co, ln.env = s.corridorScratch[it.corr], nw.Env
+	ln.co.aim(nw.Env.Room, nw.APs[it.ap])
 	it.lane, it.lo = int32(lane), int32(len(ln.cand))
 	s.descend(ln, 0, cellRect{0, 0, s.nx, s.ny})
 	it.hi = int32(len(ln.cand))
@@ -376,10 +401,10 @@ func (s *sparseState) maskRect(slot int, r cellRect) {
 // descend walks the grid quadtree-style over the cell rectangle r — tree
 // slot `slot` of the listen masks — with the lane's corridor, leaving
 // rectangles nobody listens to the corridor's AP from, pruning
-// subrectangles the corridor cannot reach, and testing each listening
-// node in surviving leaf cells exactly. A node that passes, and was not
-// already stale, is appended to the lane's candidates; descend writes no
-// node state.
+// subrectangles the corridor cannot reach, and putting each listening
+// node in surviving leaf cells through the corridor test and then the
+// exact leaf test. A node that passes both, and was not already stale,
+// is appended to the lane's candidates; descend writes no node state.
 func (s *sparseState) descend(ln *mapLane, slot int, r cellRect) {
 	co := &ln.co
 	if !s.rectListens(slot, co.ap) {
@@ -411,7 +436,7 @@ func (s *sparseState) descend(ln *mapLane, slot int, r cellRect) {
 	}
 	if r.leaf() {
 		for _, n := range s.cells[r.y*s.nx+r.x] {
-			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) {
+			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) && co.flips(ln.env, n.Pose.Pos) {
 				ln.cand = append(ln.cand, n)
 			}
 		}
@@ -456,12 +481,13 @@ func pointSegDist2(s channel.Segment, p channel.Vec2) float64 {
 	return e.Dot(e)
 }
 
-// nearNode is the exact per-node corridor test applied inside surviving
-// leaf cells: is segment(p, apex) within reach of any capsule variant?
-// Every unfolded leg image is a subsegment of that segment, so the test
-// is still a conservative superset per leg, while far tighter than the
-// cell-level fan test when the grid cells are coarse (kilometer-scale
-// fields quantize a meters-wide corridor to cell-wide strips otherwise).
+// nearNode is the per-node corridor test applied inside surviving leaf
+// cells, the prefilter of the exact leaf test: is segment(p, apex) within
+// reach of any capsule variant? Every unfolded leg image is a subsegment
+// of that segment, so the test is a conservative superset per leg, while
+// far tighter than the cell-level fan test when the grid cells are coarse
+// (kilometer-scale fields quantize a meters-wide corridor to cell-wide
+// strips otherwise).
 func (co *corridor) nearNode(p channel.Vec2) bool {
 	seg := channel.Segment{A: p, B: co.apex}
 	// gateSlack (in normalized crossing coordinates) keeps the gate test

@@ -58,14 +58,55 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 	const steps = 150
 	var tally regionTally
 	for step := 0; step < steps; step++ {
+		if step == steps/2 {
+			// Mid-walk, on the settled network, two blockers appear: one on
+			// a node's sight line, which must stale that node (a degenerate
+			// region is a newcomer, not a move), and one 0.5 µm outside
+			// another node's sight line, which must not stale that one (the
+			// leaf test runs the indicator's own arithmetic, no slack). The
+			// second node is the first whose paths neither newcomer reaches.
+			const radius = 0.2
+			ap := nw.APs[0].Pose.Pos
+			appear := func(at channel.Vec2) channel.SweptRegion {
+				return channel.SweptRegion{Seg: channel.Segment{A: at, B: at}, Radius: radius}
+			}
+			beside := func(n *Node) channel.Vec2 {
+				d := ap.Sub(n.Pose.Pos)
+				normal := channel.Vec2{X: -d.Y, Y: d.X}.Scale((radius + 5e-7) / d.Len())
+				return n.Pose.Pos.Add(d.Scale(0.5)).Add(normal)
+			}
+			shadowed := nw.Nodes[0]
+			shadow := shadowed.Pose.Pos.Add(ap.Sub(shadowed.Pose.Pos).Scale(0.5))
+			var grazed *Node
+			for _, n := range nw.Nodes[1:] {
+				if !pathsFlip(env, n.Pose.Pos, ap, appear(shadow)) && !pathsFlip(env, n.Pose.Pos, ap, appear(beside(n))) {
+					grazed = n
+					break
+				}
+			}
+			if grazed == nil {
+				t.Fatal("every node has a path one of the newcomers reaches")
+			}
+			env.AddBlocker(&channel.Blocker{Pos: shadow, Radius: radius, LossDB: 12})
+			env.AddBlocker(&channel.Blocker{Pos: beside(grazed), Radius: radius, LossDB: 12})
+			from := s.envEpoch
+			s.syncEnv(nw)
+			checkRegionStep(t, nw, from, step, &tally)
+			if !shadowed.sp.evalStale || grazed.sp.evalStale {
+				t.Fatalf("blockers appeared mid-walk: node %d on a sight line staled %v (want true), node %d beside one staled %v (want false)",
+					shadowed.ID, shadowed.sp.evalStale, grazed.ID, grazed.sp.evalStale)
+			}
+			nw.EvaluateSINR()
+		}
 		if step%25 == 24 { // re-aim the walkers so they roam the whole room
 			for _, b := range env.Blockers {
 				b.Vel = channel.Vec2{X: prng.Uniform(-2, 2), Y: prng.Uniform(-2, 2)}
 			}
 		}
+		from := s.envEpoch
 		env.Step(prng.Uniform(0.02, 0.1))
 		s.syncEnv(nw) // marks the dirty set without settling it
-		checkRegionStep(t, nw, step, &tally)
+		checkRegionStep(t, nw, from, step, &tally)
 		nw.EvaluateSINR() // settle so the caches are fresh for the next step
 	}
 	if tally.servingChanged == 0 {
@@ -74,36 +115,50 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 	if tally.staled >= tally.population {
 		t.Fatal("every node was staled on every step — region invalidation degenerated to stale-everything")
 	}
-	t.Logf("%d steps: %d node-evals changed, %d staled of %d node-steps (%.1f%%)",
-		steps, tally.servingChanged, tally.staled, tally.population, 100*float64(tally.staled)/float64(tally.population))
+	t.Logf("%d steps: %d of %d node-steps staled (%.1f%%), %d changed",
+		steps, tally.staled, tally.population, 100*float64(tally.staled)/float64(tally.population), tally.changed)
 }
 
 // regionTally accumulates what checkRegionStep saw over a walk.
 type regionTally struct {
 	population, staled int // node-steps checked, and how many were evalStale
+	changed            int // node-steps whose serving evaluation or some live xpower changed
 	servingChanged     int // serving-link evaluations a fresh trace read differently
 	crossLive          int // live xpower entries checked: (node, foreign AP) listeners
 	crossChanged       int // of those, the ones a fresh trace read differently
 }
 
-// checkRegionStep is the soundness property after one syncEnv, before the
-// settle: every value a node caches about the environment — the
-// evaluation of its serving link, and its power at every foreign AP it
-// has victims at — either still equals a fresh trace or belongs to a node
-// marked evalStale.
-func checkRegionStep(t *testing.T, nw *Network, step int, tally *regionTally) {
+// checkRegionStep checks one syncEnv that consumed the environment's
+// epochs since from, before the settle, both ways. Soundness: every value
+// a node caches about the environment — the evaluation of its serving
+// link, and its power at every foreign AP it has victims at — either
+// still equals a fresh trace or belongs to a node marked evalStale.
+// Exactness: every node marked evalStale has a path leg on one of those
+// links whose blockage one of the swept regions flips, by pathsFlip.
+func checkRegionStep(t *testing.T, nw *Network, from uint64, step int, tally *regionTally) {
 	t.Helper()
+	regions, ok := nw.Env.SweptSince(from, nil)
+	if !ok {
+		t.Fatalf("step %d: the swept log no longer covers the epochs since %d", step, from)
+	}
 	for _, n := range nw.Nodes {
 		tally.population++
-		if n.sp.evalStale {
-			tally.staled++
+		stale, changed, flipped := n.sp.evalStale, false, false
+		linkFlips := func(ap *AccessPoint) {
+			for _, k := range regions {
+				flipped = flipped || pathsFlip(nw.Env, n.Pose.Pos, ap.Pose.Pos, k)
+			}
 		}
 		if fresh := n.Link.EvaluateWithClass(); fresh != n.sp.eval {
 			tally.servingChanged++
-			if !n.sp.evalStale {
+			changed = true
+			if !stale {
 				t.Fatalf("step %d: node %d's evaluation changed but was not invalidated\ncached %+v\nfresh  %+v",
 					step, n.ID, n.sp.eval, fresh)
 			}
+		}
+		if stale {
+			linkFlips(n.AP)
 		}
 		for a, cnt := range n.sp.outPerAP {
 			if cnt <= 0 || a == n.AP.idx {
@@ -112,13 +167,44 @@ func checkRegionStep(t *testing.T, nw *Network, step int, tally *regionTally) {
 			tally.crossLive++
 			if fresh := nw.crossPower(n, a); fresh != n.sp.xpower[a] {
 				tally.crossChanged++
-				if !n.sp.evalStale {
+				changed = true
+				if !stale {
 					t.Fatalf("step %d: node %d: xpower[%d] changed, not staled (cached %g, fresh %g)",
 						step, n.ID, a, n.sp.xpower[a], fresh)
 				}
 			}
+			if stale {
+				linkFlips(nw.APs[a])
+			}
+		}
+		if changed {
+			tally.changed++
+		}
+		if stale {
+			tally.staled++
+			if !flipped {
+				t.Fatalf("step %d: node %d was staled, but no region flips the blockage of a leg on a link it listens on", step, n.ID)
+			}
 		}
 	}
+}
+
+// pathsFlip is the Paths-based oracle of channel.BlockageFlips, as the
+// channel package's tests hold it: does some leg of some path from tx to
+// rx read blockageLossDB's indicator differently with the blocker at k's
+// start (absent, when k is degenerate: a blocker that just appeared) and
+// at its end? It recomputes the indicator from each path's Points.
+func pathsFlip(env *channel.Environment, tx, rx channel.Vec2, k channel.SweptRegion) bool {
+	for _, p := range env.Paths(tx, rx) {
+		for i := 1; i < len(p.Points); i++ {
+			leg := channel.Segment{A: p.Points[i-1], B: p.Points[i]}
+			was := k.Seg.A != k.Seg.B && leg.DistanceTo(k.Seg.A) <= k.Radius
+			if was != (leg.DistanceTo(k.Seg.B) <= k.Radius) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // apNetwork builds a network over env with one AP at each position,
@@ -211,9 +297,10 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 				aim(b)
 			}
 		}
+		from := nw.sparse.envEpoch
 		env.Step(prng.Uniform(0.02, 0.1))
 		nw.sparse.syncEnv(nw)
-		checkRegionStep(t, nw, step, &tally)
+		checkRegionStep(t, nw, from, step, &tally)
 		nw.EvaluateSINR()
 	}
 	if all := tally.population * (len(nw.APs) - 1); tally.crossLive == 0 || tally.crossLive >= all {
@@ -224,14 +311,15 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 			tally.servingChanged, tally.crossChanged)
 	}
 	// Unfolding every capsule towards every AP for every node stales 99.6%
-	// of the node-steps of this walk; scoped to listeners it is 73%.
+	// of the node-steps of this walk; scoped to listeners it is 73%, and
+	// with the exact leaf test 15%.
 	if 10*tally.staled >= 8*tally.population {
 		t.Fatalf("%d of %d node-steps staled — the descent is not scoped to the APs a node listens to",
 			tally.staled, tally.population)
 	}
-	t.Logf("%d cross listeners per step; %d steps: %d serving and %d xpower changes, %d staled of %d node-steps (%.1f%%)",
+	t.Logf("%d cross listeners per step; %d steps: %d serving and %d xpower changes; %d of %d node-steps staled (%.1f%%), %d changed",
 		tally.crossLive/steps, steps, tally.servingChanged, tally.crossChanged, tally.staled, tally.population,
-		100*float64(tally.staled)/float64(tally.population))
+		100*float64(tally.staled)/float64(tally.population), tally.changed)
 }
 
 // TestRegionRunMatchesStaleEverything requires the region-invalidated
@@ -537,9 +625,10 @@ func FuzzRegionSoundness(f *testing.F) {
 		env.AddBlocker(b)
 		nw.EvaluateSINR()
 		b.Vel = channel.Vec2{X: frac(toX), Y: frac(toY)}.Sub(from)
+		settled := nw.sparse.envEpoch
 		env.Step(1)
 		nw.sparse.syncEnv(nw)
-		checkRegionStep(t, nw, 0, &regionTally{})
+		checkRegionStep(t, nw, settled, 0, &regionTally{})
 	})
 }
 
@@ -805,9 +894,12 @@ func TestRegionMappingAllocatesNothing(t *testing.T) {
 // BenchmarkRegionMap is the region-mapping phase on its own rung: the
 // benchmark driver's 12 000-node field (constant density, four walkers
 // on a ring around AP 0 crossing its sight lines), one iteration = one
-// 0.25 s environment tick mapped and settled, on one worker and on
-// GOMAXPROCS of them. The two worker counts share one fleet, whose
-// walkers move on between them.
+// environment tick mapped and settled, on one worker and on GOMAXPROCS
+// of them. The tick is 0.25 s, where a walker moves past its own radius,
+// or 0.05 s, the sim-blockers workload's tick. staled/op counts the
+// nodes the mapping marked per tick — the link re-evaluations the tick
+// pays for, exact at any worker count. All rungs of one AP count share a
+// fleet, whose walkers move on between them.
 func BenchmarkRegionMap(b *testing.B) {
 	workers := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
@@ -830,15 +922,21 @@ func BenchmarkRegionMap(b *testing.B) {
 				})
 			}
 			nw.EvaluateSINR()
-			for _, w := range workers {
-				b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-					nw.Workers = w
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						nw.Env.Step(0.25)
-						nw.sparse.settle(nw) // syncEnv, then the eval and finish passes
-					}
-				})
+			for _, step := range []float64{0.25, 0.05} {
+				for _, w := range workers {
+					b.Run(fmt.Sprintf("step=%gs/workers=%d", step, w), func(b *testing.B) {
+						nw.Workers = w
+						b.ReportAllocs()
+						staled := 0
+						for i := 0; i < b.N; i++ {
+							nw.Env.Step(step)
+							nw.sparse.syncEnv(nw)
+							staled += len(nw.sparse.dirty)
+							nw.sparse.settle(nw) // the eval and finish passes
+						}
+						b.ReportMetric(float64(staled)/float64(b.N), "staled/op")
+					})
+				}
 			}
 		})
 	}
