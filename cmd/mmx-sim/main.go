@@ -60,6 +60,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -room %q (want WxH)\n", *roomSpec)
 		os.Exit(2)
 	}
+	if *aps < 1 {
+		fmt.Fprintf(os.Stderr, "bad -aps %d (want at least 1)\n", *aps)
+		os.Exit(2)
+	}
+	if *reuse < 1 {
+		fmt.Fprintf(os.Stderr, "bad -reuse %d (want at least 1)\n", *reuse)
+		os.Exit(2)
+	}
 
 	env := mmx.NewEnvironment(w, h, *seed)
 	apPose := mmx.Pose{X: 0.3, Y: h / 2, FacingRad: 0}

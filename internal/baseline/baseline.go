@@ -1,8 +1,9 @@
-// Package baseline implements the comparators mmX is evaluated against:
+// Package baseline implements the comparator mmX is evaluated against:
 // the conventional phased-array radio that must *search* for the best
-// beam (with its probe/feedback latency and energy costs, §2/§6), and the
-// fixed-beam ASK transmitter of the paper's "without OTAM" scenario
-// (§9.2). These let the benches quantify exactly what OTAM eliminates.
+// beam, with its probe/feedback latency and energy costs (§2/§6), so the
+// benches can quantify exactly what OTAM eliminates. The other §9.2
+// baseline, the fixed-beam ASK transmitter of the "without OTAM"
+// scenario, is core.Evaluation.SNRWithoutOTAM.
 package baseline
 
 import (
@@ -11,7 +12,6 @@ import (
 	"mmx/internal/antenna"
 	"mmx/internal/channel"
 	"mmx/internal/rf"
-	"mmx/internal/units"
 )
 
 // Codebook is a set of steering directions a phased array can probe.
@@ -157,37 +157,3 @@ func (p *PhasedArrayNode) HierarchicalSearch(env *channel.Environment, node, ap 
 		EnergyJ:    lat * p.RadioPowerW,
 	}
 }
-
-// SearchOverheadPerEvent returns the fraction of a node's time spent
-// re-searching if the environment changes every coherenceS seconds (the
-// mobility burden §6 describes; OTAM's overhead is identically zero).
-func SearchOverheadPerEvent(searchLatency, coherenceS float64) float64 {
-	if coherenceS <= 0 {
-		return 1
-	}
-	f := searchLatency / coherenceS
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
-// FixedBeamSNRdB is the "without OTAM" §9.2 baseline expressed directly:
-// the node's Beam 1 carries conventional ASK, so the link SNR is whatever
-// Beam 1 alone delivers (core.Evaluation.SNRWithoutOTAM computes the same
-// figure inside a Link; this standalone helper serves the benches).
-func FixedBeamSNRdB(env *channel.Environment, node, ap channel.Pose, txPowerDBm, implLossDB, bandwidthHz, nfDB float64) float64 {
-	beams := antenna.NewNodeBeams()
-	apPat := antenna.NewAPAntenna()
-	sw := rf.NewADRF5020()
-	g := env.Gain(node, beams.Beam1, ap, apPat)
-	amp := math.Sqrt(units.FromDBm(txPowerDBm)) * math.Pow(10, -implLossDB/20) * sw.SelectedGain()
-	rx := amp * realAbs(g)
-	n := units.ThermalNoisePower(bandwidthHz) * units.FromDB(nfDB)
-	if rx <= 0 {
-		return math.Inf(-1)
-	}
-	return units.DB(rx * rx / n)
-}
-
-func realAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }

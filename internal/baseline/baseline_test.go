@@ -6,6 +6,7 @@ import (
 
 	"mmx/internal/antenna"
 	"mmx/internal/channel"
+	"mmx/internal/core"
 	"mmx/internal/stats"
 	"mmx/internal/units"
 )
@@ -85,18 +86,6 @@ func TestSearchEnergyScalesWithCodebook(t *testing.T) {
 	}
 }
 
-func TestSearchOverheadPerEvent(t *testing.T) {
-	if got := SearchOverheadPerEvent(0.01, 1); got != 0.01 {
-		t.Errorf("overhead = %g", got)
-	}
-	if got := SearchOverheadPerEvent(2, 1); got != 1 {
-		t.Error("overhead should clamp at 1")
-	}
-	if got := SearchOverheadPerEvent(1, 0); got != 1 {
-		t.Error("zero coherence should saturate")
-	}
-}
-
 func TestFixedBeamSNRFacingVsRotated(t *testing.T) {
 	rng := stats.NewRNG(4)
 	env := channel.NewEnvironment(channel.NewRoom(10, 6, rng), units.ISM24GHzCenter)
@@ -104,8 +93,9 @@ func TestFixedBeamSNRFacingVsRotated(t *testing.T) {
 	facing := channel.Pose{Pos: channel.Vec2{X: 1, Y: 3}}
 	rotated := facing
 	rotated.Orientation = units.Deg2Rad(30) // AP lands in Beam 1's null
-	sf := FixedBeamSNRdB(env, facing, ap, 12, 22, 25e6, 2.3)
-	sr := FixedBeamSNRdB(env, rotated, ap, 12, 22, 25e6, 2.3)
+	// The "without OTAM" SNR: Beam 1 alone carries conventional ASK.
+	sf := core.NewLink(env, facing, ap).Evaluate().SNRWithoutOTAM
+	sr := core.NewLink(env, rotated, ap).Evaluate().SNRWithoutOTAM
 	if sf < 20 {
 		t.Errorf("facing fixed-beam SNR = %.1f, want strong", sf)
 	}

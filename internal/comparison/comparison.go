@@ -76,16 +76,6 @@ func Table1() []Platform {
 	}
 }
 
-// Lookup returns the named row.
-func Lookup(name string) (Platform, bool) {
-	for _, p := range Table1() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Platform{}, false
-}
-
 // Render formats the comparison as the paper's table (rows = metrics,
 // columns = platforms).
 func Render(ps []Platform) string {

@@ -33,12 +33,16 @@ func TestTable1Shape(t *testing.T) {
 	if rows[0].Name != "mmX" {
 		t.Error("mmX should lead the table")
 	}
+	byName := map[string]Platform{}
+	for _, p := range rows {
+		byName[p.Name] = p
+	}
 	m := rows[0]
 	// Ordering claims the paper makes:
-	mira, _ := Lookup("MiRa")
-	wifi, _ := Lookup("WiFi (802.11n)")
-	bt, _ := Lookup("Bluetooth")
-	openm, _ := Lookup("OpenMili/Pasternack")
+	mira := byName["MiRa"]
+	wifi := byName["WiFi (802.11n)"]
+	bt := byName["Bluetooth"]
+	openm := byName["OpenMili/Pasternack"]
 	if !(m.CostUSD < mira.CostUSD/10 && m.CostUSD < openm.CostUSD/10) {
 		t.Error("mmX should be >10x cheaper than mmWave platforms")
 	}
@@ -63,15 +67,6 @@ func TestTable1Shape(t *testing.T) {
 	}
 	if e := bt.EnergyPerBitNJ(); math.Abs(e-29) > 0.1 {
 		t.Errorf("Bluetooth nJ/bit = %g", e)
-	}
-}
-
-func TestLookup(t *testing.T) {
-	if _, ok := Lookup("mmX"); !ok {
-		t.Error("mmX missing")
-	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("phantom row")
 	}
 }
 

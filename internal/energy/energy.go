@@ -1,8 +1,7 @@
-// Package energy rolls the rf component catalog up into the node- and
-// AP-level power, cost, and energy-efficiency figures the paper headlines
-// (§9.1: 1.1 W node, 11 nJ/bit at 100 Mbps, $110 BOM) and provides the
-// duty-cycling and search-energy arithmetic used in the Table 1 and
-// ablation benches.
+// Package energy rolls the rf component catalog up into the node's power,
+// cost and energy-efficiency figures the paper headlines (§9.1: 1.1 W
+// node, 11 nJ/bit at 100 Mbps, $110 BOM) and prices a beam-searching
+// radio's daily re-alignment energy, which OTAM avoids (§6).
 package energy
 
 import (
@@ -25,46 +24,10 @@ func NodeBudget() Budget {
 	return Budget{Name: c.Name, PowerW: c.PowerW(), CostUSD: c.CostUSD()}
 }
 
-// APBudget returns the access point's totals, including its LO chain.
-func APBudget() Budget {
-	c := rf.APRXChain()
-	return Budget{
-		Name:    c.Name,
-		PowerW:  c.PowerW() + rf.PartPLL.PowerW,
-		CostUSD: c.CostUSD() + rf.PartPLL.CostUSD,
-	}
-}
-
-// ConventionalRadioBudget returns the phased-array radio's totals for the
-// cost/power comparison (§1, §6).
-func ConventionalRadioBudget() Budget {
-	c := rf.PhasedArrayRadio()
-	return Budget{Name: c.Name, PowerW: c.PowerW(), CostUSD: c.CostUSD()}
-}
-
 // EnergyPerBitNJ returns a budget's energy efficiency in nJ/bit at the
 // given sustained bitrate.
 func (b Budget) EnergyPerBitNJ(bps float64) float64 {
 	return units.NanojoulesPerBit(b.PowerW, bps)
-}
-
-// AveragePowerW returns the device's mean power at a transmit duty cycle
-// in [0,1], with idle power a fraction of active (the VCO and controller
-// can sleep between frames).
-func (b Budget) AveragePowerW(dutyCycle, idleFraction float64) float64 {
-	dutyCycle = clamp01(dutyCycle)
-	idleFraction = clamp01(idleFraction)
-	return b.PowerW * (dutyCycle + (1-dutyCycle)*idleFraction)
-}
-
-// BatteryLifeHours returns how long a battery of the given watt-hour
-// capacity sustains the device at a duty cycle.
-func (b Budget) BatteryLifeHours(capacityWh, dutyCycle, idleFraction float64) float64 {
-	p := b.AveragePowerW(dutyCycle, idleFraction)
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return capacityWh / p
 }
 
 // SearchEnergyPerDay returns the joules per day a beam-searching radio
@@ -77,14 +40,4 @@ func SearchEnergyPerDay(searchLatency, searchPowerW, coherenceS float64) float64
 	}
 	searchesPerDay := 86400 / coherenceS
 	return searchesPerDay * searchLatency * searchPowerW
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
 }

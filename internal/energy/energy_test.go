@@ -3,7 +3,6 @@ package energy
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNodeBudgetHeadlines(t *testing.T) {
@@ -17,74 +16,6 @@ func TestNodeBudgetHeadlines(t *testing.T) {
 	// 11 nJ/bit at 100 Mbps (§9.1).
 	if e := n.EnergyPerBitNJ(100e6); math.Abs(e-11) > 0.2 {
 		t.Errorf("energy/bit = %.2f nJ, want 11", e)
-	}
-}
-
-func TestAPBudget(t *testing.T) {
-	ap := APBudget()
-	if ap.PowerW <= 0 || ap.CostUSD <= 0 {
-		t.Error("AP budget empty")
-	}
-	// The AP (with USRP-class baseband) costs more than a node.
-	if ap.CostUSD <= NodeBudget().CostUSD {
-		t.Error("AP should cost more than a node")
-	}
-}
-
-func TestConventionalRadioBudget(t *testing.T) {
-	c := ConventionalRadioBudget()
-	n := NodeBudget()
-	if c.CostUSD < 5*n.CostUSD {
-		t.Errorf("conventional $%.0f vs node $%.0f", c.CostUSD, n.CostUSD)
-	}
-	if c.PowerW < 3*n.PowerW {
-		t.Errorf("conventional %.1f W vs node %.1f W", c.PowerW, n.PowerW)
-	}
-}
-
-func TestAveragePower(t *testing.T) {
-	b := Budget{PowerW: 1.0}
-	if got := b.AveragePowerW(1, 0); got != 1 {
-		t.Errorf("full duty = %g", got)
-	}
-	if got := b.AveragePowerW(0, 0.1); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("idle = %g", got)
-	}
-	if got := b.AveragePowerW(0.5, 0.1); math.Abs(got-0.55) > 1e-12 {
-		t.Errorf("half duty = %g", got)
-	}
-	// Clamping.
-	if got := b.AveragePowerW(2, -1); got != 1 {
-		t.Errorf("clamped = %g", got)
-	}
-}
-
-func TestAveragePowerBoundedProperty(t *testing.T) {
-	b := Budget{PowerW: 1.1}
-	f := func(d, i uint8) bool {
-		duty := float64(d) / 255
-		idle := float64(i) / 255
-		p := b.AveragePowerW(duty, idle)
-		return p >= 0 && p <= b.PowerW+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBatteryLife(t *testing.T) {
-	b := Budget{PowerW: 1.1}
-	// 10 Wh battery at full duty ≈ 9.09 h.
-	if got := b.BatteryLifeHours(10, 1, 0); math.Abs(got-10/1.1) > 1e-9 {
-		t.Errorf("battery life = %g", got)
-	}
-	// Heavy duty cycling stretches it.
-	cycled := b.BatteryLifeHours(10, 0.01, 0.02)
-	if cycled < 5*10/1.1 {
-		t.Errorf("duty-cycled life = %g h, want much longer", cycled)
-	}
-	if !math.IsInf(Budget{}.BatteryLifeHours(10, 1, 0), 1) {
-		t.Error("zero-power device should last forever")
 	}
 }
 

@@ -160,16 +160,6 @@ func (c *Codec) codedBits(n int) (coded, padded int) {
 	return coded, padded
 }
 
-// BurstTolerance returns the longest contiguous run of channel bit errors
-// a coded n-byte payload is guaranteed to survive.
-func (c *Codec) BurstTolerance(n int) int {
-	_, padded := c.codedBits(n)
-	if c.InterleaveDepth <= 1 {
-		return 1
-	}
-	return padded / c.InterleaveDepth
-}
-
 // Overhead returns the coded size in bytes for n payload bytes.
 func (c *Codec) Overhead(n int) int {
 	_, padded := c.codedBits(n)

@@ -162,9 +162,11 @@ func TestCodecCorrectsBurst(t *testing.T) {
 	c := NewCodec()
 	payload := []byte("burst-protected mmX frame payload!!")
 	coded := c.Encode(payload)
-	// A contiguous burst at the codec's guaranteed tolerance (a blocker
-	// clipping the beam for that many symbol times).
-	tol := c.BurstTolerance(len(payload))
+	// A contiguous burst at the codec's guaranteed tolerance, one bit per
+	// interleaver row (a blocker clipping the beam for that many symbol
+	// times).
+	_, padded := c.codedBits(len(payload))
+	tol := padded / c.InterleaveDepth
 	if tol < 12 {
 		t.Fatalf("burst tolerance = %d, want ≥12", tol)
 	}
@@ -194,8 +196,8 @@ func TestCodecOverhead(t *testing.T) {
 	if got := len(c.Encode(make([]byte, 64))); got != 112 {
 		t.Errorf("Encode size = %d", got)
 	}
-	if got := c.BurstTolerance(64); got != 64 {
-		t.Errorf("BurstTolerance(64) = %d, want 64 rows", got)
+	if _, padded := c.codedBits(64); padded/c.InterleaveDepth != 64 {
+		t.Errorf("64-byte payload spans %d rows, want 64", padded/c.InterleaveDepth)
 	}
 	// Decode rejects truncated input.
 	if _, _, err := c.Decode(make([]byte, 3), 64); err == nil {

@@ -171,10 +171,8 @@ func TestCFOToleranceFSK(t *testing.T) {
 }
 
 func TestVCOFSKStepSupportsModem(t *testing.T) {
-	// Cross-package sanity: the modem's default ±250 kHz tone split is a
-	// 500 kHz VCO step, which the HMC533 model can produce with a
-	// sub-millivolt-scale control nudge — i.e. the §6.3 "simply
-	// implemented by changing the control voltage" claim.
+	// The modem's default ±250 kHz tone split is the §6.3 FSK offset (in
+	// hardware, a small nudge of the VCO control voltage).
 	cfg := DefaultConfig()
 	split := cfg.F1 - cfg.F0
 	if split != 500e3 {

@@ -7,10 +7,7 @@
 // paper's physical prototype with a parameterized model.
 package rf
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Component describes one stage of an RF chain.
 type Component struct {
@@ -31,15 +28,6 @@ type Component struct {
 type Chain struct {
 	Name   string
 	Stages []Component
-}
-
-// GainDB returns the total cascade gain in dB.
-func (c *Chain) GainDB() float64 {
-	g := 0.0
-	for _, s := range c.Stages {
-		g += s.GainDB
-	}
-	return g
 }
 
 // NoiseFigureDB returns the cascade noise figure via the Friis formula:
@@ -74,12 +62,6 @@ func (c *Chain) CostUSD() float64 {
 		v += s.CostUSD
 	}
 	return v
-}
-
-// String renders a one-line summary.
-func (c *Chain) String() string {
-	return fmt.Sprintf("%s: gain %.1f dB, NF %.2f dB, %.2f W, $%.0f",
-		c.Name, c.GainDB(), c.NoiseFigureDB(), c.PowerW(), c.CostUSD())
 }
 
 // Catalog entries: parameters from the paper (§1, §8) and the cited

@@ -52,34 +52,6 @@ func (f *MicrostripFilter) RejectionDB(freqHz float64) float64 {
 	return f.GainDB(f.CenterHz) - f.GainDB(freqHz)
 }
 
-// SubharmonicMixer models the HMC264LC3B: it internally doubles the LO so
-// a 10 GHz PLL can down-convert 24 GHz to an IF the baseband processor
-// (USRP, ≤6 GHz) can digitize.
-type SubharmonicMixer struct {
-	// ConversionLossDB is the RF→IF power loss.
-	ConversionLossDB float64
-	// LOMultiple is the internal LO multiplication factor (2 for
-	// sub-harmonic mixers).
-	LOMultiple float64
-}
-
-// NewHMC264 returns the paper's mixer.
-func NewHMC264() *SubharmonicMixer {
-	return &SubharmonicMixer{ConversionLossDB: 10, LOMultiple: 2}
-}
-
-// IFFrequency returns the intermediate frequency for an RF input and an LO
-// setting: |f_RF − m·f_LO|.
-func (m *SubharmonicMixer) IFFrequency(rfHz, loHz float64) float64 {
-	return math.Abs(rfHz - m.LOMultiple*loHz)
-}
-
-// LOFor returns the LO frequency that places rfHz at the desired IF
-// (low-side injection).
-func (m *SubharmonicMixer) LOFor(rfHz, ifHz float64) float64 {
-	return (rfHz - ifHz) / m.LOMultiple
-}
-
 // ADC models the baseband digitizer: full-scale range, resolution, and
 // sample rate (the prototype's USRP N210 front end).
 type ADC struct {
@@ -117,10 +89,4 @@ func (a *ADC) QuantizeIQInPlace(x []complex128) []complex128 {
 		x[i] = complex(a.Quantize(real(v)), a.Quantize(imag(v)))
 	}
 	return x
-}
-
-// SQNRdB returns the ideal signal-to-quantization-noise ratio for a
-// full-scale sinusoid: 6.02·bits + 1.76 dB.
-func (a *ADC) SQNRdB() float64 {
-	return 6.02*float64(a.Bits) + 1.76
 }

@@ -2,6 +2,7 @@ package rf
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 	"testing/quick"
 
@@ -52,22 +53,6 @@ func TestVCOClamping(t *testing.T) {
 	}
 }
 
-func TestVCOVoltageForRoundtrip(t *testing.T) {
-	v := NewHMC533()
-	for _, f := range []float64{23.96e9, 24.0e9, 24.125e9, 24.2e9, 24.249e9} {
-		volts, err := v.VoltageFor(f)
-		if err != nil {
-			t.Fatalf("VoltageFor(%g): %v", f, err)
-		}
-		if got := v.FrequencyAt(volts); math.Abs(got-f) > 1e3 {
-			t.Errorf("roundtrip %g -> %g", f, got)
-		}
-	}
-	if _, err := v.VoltageFor(30e9); err != ErrFrequencyOutOfRange {
-		t.Error("out-of-range frequency should error")
-	}
-}
-
 func TestVCOTuningCurveShape(t *testing.T) {
 	v := NewHMC533()
 	volts, freqs := v.TuningCurve(15)
@@ -95,32 +80,10 @@ func TestVCOTuningCurveShape(t *testing.T) {
 	}
 }
 
-func TestVCOFSKStep(t *testing.T) {
-	v := NewHMC533()
-	op := 4.0
-	dv := v.FSKStepVolts(op, 2e6)
-	f0 := v.FrequencyAt(op)
-	f1 := v.FrequencyAt(op + dv)
-	if math.Abs((f1-f0)-2e6) > 50e3 {
-		t.Errorf("FSK step produced %g Hz, want ≈2 MHz", f1-f0)
-	}
-}
-
-func TestVCOOutputPower(t *testing.T) {
-	v := NewHMC533()
-	// 12 dBm ≈ 15.85 mW.
-	if got := v.OutputPowerW(); math.Abs(got-0.015849) > 1e-5 {
-		t.Errorf("OutputPowerW = %g", got)
-	}
-}
-
 func TestSwitchRates(t *testing.T) {
 	s := NewADRF5020()
 	if s.MaxBitRate() != 100e6 {
 		t.Errorf("MaxBitRate = %g", s.MaxBitRate())
-	}
-	if !s.SupportsBitRate(100e6) || s.SupportsBitRate(101e6) || s.SupportsBitRate(0) {
-		t.Error("SupportsBitRate boundary wrong")
 	}
 }
 
@@ -131,10 +94,6 @@ func TestSwitchGains(t *testing.T) {
 	}
 	if g := s.LeakageGain(); math.Abs(20*math.Log10(g)+67) > 1e-9 {
 		t.Errorf("leakage gain = %g dB", 20*math.Log10(g))
-	}
-	g := s.PortGains(1)
-	if g[1] != s.SelectedGain() || g[0] != s.LeakageGain() {
-		t.Error("PortGains mapping wrong")
 	}
 }
 
@@ -152,9 +111,6 @@ func TestChainCascade(t *testing.T) {
 		t.Errorf("filter-first NF %.2f should exceed LNA-first %.2f by ≈5 dB",
 			rev.NoiseFigureDB(), nf)
 	}
-	if math.Abs(c.GainDB()-(25-5-10+30)) > 1e-9 {
-		t.Errorf("chain gain = %g", c.GainDB())
-	}
 	if (&Chain{}).NoiseFigureDB() != 0 {
 		t.Error("empty chain NF should be 0")
 	}
@@ -168,9 +124,6 @@ func TestNodeChainTotals(t *testing.T) {
 	}
 	if cst := n.CostUSD(); math.Abs(cst-110) > 0.5 {
 		t.Errorf("node cost = $%.0f, want $110", cst)
-	}
-	if n.String() == "" {
-		t.Error("String empty")
 	}
 }
 
@@ -219,26 +172,6 @@ func TestFilterDegenerate(t *testing.T) {
 	}
 }
 
-func TestSubharmonicMixer(t *testing.T) {
-	m := NewHMC264()
-	// 24 GHz RF with 10 GHz LO → 4 GHz IF, the paper's plan.
-	if ifHz := m.IFFrequency(24e9, 10e9); ifHz != 4e9 {
-		t.Errorf("IF = %g", ifHz)
-	}
-	if lo := m.LOFor(24e9, 4e9); lo != 10e9 {
-		t.Errorf("LOFor = %g", lo)
-	}
-	// Roundtrip property.
-	f := func(rfMHz uint16) bool {
-		rf := 23e9 + float64(rfMHz%2000)*1e6
-		lo := m.LOFor(rf, 4e9)
-		return math.Abs(m.IFFrequency(rf, lo)-4e9) < 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestADCQuantize(t *testing.T) {
 	a := &ADC{Bits: 3, FullScale: 1, SampleRateHz: 1e6}
 	// 3 bits → 4 levels per polarity, step 0.25.
@@ -258,8 +191,18 @@ func TestADCQuantize(t *testing.T) {
 }
 
 func TestADCSQNR(t *testing.T) {
+	// A full-scale sinusoid through the digitizer the waveform path uses
+	// reaches the ideal quantizer's 6.02·bits + 1.76 dB.
 	a := NewUSRPN210()
-	if got := a.SQNRdB(); math.Abs(got-(6.02*14+1.76)) > 1e-9 {
+	const n = 100003 // prime, so the phases sample the whole cycle
+	var sig, noise float64
+	for i := 0; i < n; i++ {
+		x := a.FullScale * math.Sin(2*math.Pi*float64(i)*1013/n)
+		e := a.Quantize(x) - x
+		sig += x * x
+		noise += e * e
+	}
+	if got := 10 * math.Log10(sig/noise); math.Abs(got-(6.02*14+1.76)) > 0.5 {
 		t.Errorf("SQNR = %g", got)
 	}
 	// Quantization error for a 14-bit ADC is tiny.
@@ -280,18 +223,20 @@ func TestPhaseNoiseTrack(t *testing.T) {
 	v := NewHMC533()
 	fs := 25e6
 	n := 200000
-	track := v.PhaseNoiseTrack(n, fs, statsNewRNG(5))
-	if len(track) != n {
-		t.Fatal("length")
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = 1
 	}
+	v.ApplyPhaseNoise(x, fs, statsNewRNG(5))
 	// Wiener process: variance of the increment over k samples ≈
-	// k·2π·linewidth/fs. (k small enough that the estimator has ~1000
-	// windows; χ² scatter stays within a few percent.)
-	k := 200
+	// k·2π·linewidth/fs, read as the phase of x[i+k]·conj(x[i]). k keeps
+	// that phase's standard deviation near 0.5 rad, so it never wraps, and
+	// leaves ~4000 windows; χ² scatter stays within a few percent.
+	k := 50
 	var s2 float64
 	count := 0
 	for i := 0; i+k < n; i += k {
-		d := track[i+k] - track[i]
+		d := cmplx.Phase(x[i+k] * cmplx.Conj(x[i]))
 		s2 += d * d
 		count++
 	}

@@ -25,11 +25,6 @@ func NewADRF5020() *SPDTSwitch {
 // the switch supports: one beam toggle per bit.
 func (s *SPDTSwitch) MaxBitRate() float64 { return s.MaxToggleHz }
 
-// SupportsBitRate reports whether the switch can signal at bps.
-func (s *SPDTSwitch) SupportsBitRate(bps float64) bool {
-	return bps > 0 && bps <= s.MaxToggleHz
-}
-
 // SelectedGain returns the linear field (amplitude) gain of the selected
 // path: the insertion loss.
 func (s *SPDTSwitch) SelectedGain() float64 {
@@ -40,18 +35,4 @@ func (s *SPDTSwitch) SelectedGain() float64 {
 // insertion loss plus isolation.
 func (s *SPDTSwitch) LeakageGain() float64 {
 	return math.Pow(10, -(s.InsertionLossDB+s.IsolationDB)/20)
-}
-
-// PortGains returns the field gains (selected, unselected) given which port
-// is active; port must be 0 or 1 and the returned slice is indexed by port.
-func (s *SPDTSwitch) PortGains(active int) [2]float64 {
-	var g [2]float64
-	for p := range g {
-		if p == active {
-			g[p] = s.SelectedGain()
-		} else {
-			g[p] = s.LeakageGain()
-		}
-	}
-	return g
 }

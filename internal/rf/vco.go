@@ -1,7 +1,6 @@
 package rf
 
 import (
-	"errors"
 	"math"
 	"math/cmplx"
 
@@ -12,9 +11,9 @@ import (
 // VCO models the node's HMC533 voltage-controlled oscillator. Its tuning
 // curve reproduces Fig. 7 of the paper: 23.95 GHz at 3.5 V rising to
 // 24.25 GHz at 4.9 V, covering the whole 24 GHz ISM band, with the mild
-// varactor nonlinearity visible in the measured curve. Changing the
-// control voltage both selects the FDM channel and implements the small
-// frequency steps of the joint ASK-FSK modulation (§6.3).
+// varactor nonlinearity visible in the measured curve. It also sets the
+// free-running phase noise (LinewidthHz) that every synthesized frame
+// carries.
 type VCO struct {
 	// VMin and VMax bound the usable tuning voltage range.
 	VMin, VMax float64
@@ -26,13 +25,10 @@ type VCO struct {
 	// CurvatureHzPerV2 is the second-order term (negative: the curve
 	// flattens at high voltage, as varactors do).
 	CurvatureHzPerV2 float64
-	// OutputPowerDBm is the carrier power delivered to the switch.
-	OutputPowerDBm float64
 }
 
 // NewHMC533 returns the VCO with the paper's measured endpoints:
-// f(3.5 V) = 23.95 GHz and f(4.9 V) = 24.25 GHz, output +12 dBm (which is
-// what lets the node omit a power amplifier).
+// f(3.5 V) = 23.95 GHz and f(4.9 V) = 24.25 GHz.
 func NewHMC533() *VCO {
 	const (
 		vmin, vmax = 3.5, 4.9
@@ -47,7 +43,6 @@ func NewHMC533() *VCO {
 		FMin:             fmin,
 		SlopeHzPerV:      slope,
 		CurvatureHzPerV2: curvature,
-		OutputPowerDBm:   12,
 	}
 }
 
@@ -63,29 +58,6 @@ func (v *VCO) FrequencyAt(volts float64) float64 {
 	}
 	dv := volts - v.VMin
 	return v.FMin + v.SlopeHzPerV*dv + v.CurvatureHzPerV2*dv*dv
-}
-
-// ErrFrequencyOutOfRange reports a tune request outside the VCO's range.
-var ErrFrequencyOutOfRange = errors.New("rf: requested frequency outside VCO tuning range")
-
-// VoltageFor inverts the tuning curve: the control voltage that produces
-// freqHz. It returns ErrFrequencyOutOfRange if the VCO cannot reach it.
-func (v *VCO) VoltageFor(freqHz float64) (float64, error) {
-	fLo := v.FrequencyAt(v.VMin)
-	fHi := v.FrequencyAt(v.VMax)
-	if freqHz < fLo-1 || freqHz > fHi+1 {
-		return 0, ErrFrequencyOutOfRange
-	}
-	lo, hi := v.VMin, v.VMax
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if v.FrequencyAt(mid) < freqHz {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }
 
 // CoversISMBand reports whether the tuning range spans the full 24 GHz ISM
@@ -110,22 +82,6 @@ func (v *VCO) TuningCurve(n int) (volts, freqs []float64) {
 	return volts, freqs
 }
 
-// FSKStepVolts returns the control-voltage step that shifts the output by
-// deltaHz around the operating voltage — how the node implements the FSK
-// half of joint ASK-FSK by nudging the VCO control line.
-func (v *VCO) FSKStepVolts(operatingVolts, deltaHz float64) float64 {
-	slope := v.SlopeHzPerV + 2*v.CurvatureHzPerV2*(operatingVolts-v.VMin)
-	if slope == 0 {
-		return 0
-	}
-	return deltaHz / slope
-}
-
-// OutputPowerW returns the carrier power in watts.
-func (v *VCO) OutputPowerW() float64 {
-	return math.Pow(10, (v.OutputPowerDBm-30)/10)
-}
-
 // LinewidthHz is the free-running VCO's Lorentzian linewidth — the
 // random-walk phase-noise parameter. mmX deliberately runs the node VCO
 // open-loop (no PLL: that is part of why the node is cheap), which a
@@ -134,25 +90,10 @@ func (v *VCO) OutputPowerW() float64 {
 // usable.
 const LinewidthHz = 20e3
 
-// PhaseNoiseTrack generates n samples of cumulative phase error (radians)
-// for a free-running oscillator at the given sample rate: a Wiener
-// process with per-sample variance 2π·linewidth/fs.
-func (v *VCO) PhaseNoiseTrack(n int, sampleRate float64, rng *stats.RNG) []float64 {
-	sigma := math.Sqrt(2 * math.Pi * LinewidthHz / sampleRate)
-	out := make([]float64, n)
-	phase := 0.0
-	for i := range out {
-		phase += rng.Normal(0, sigma)
-		out[i] = phase
-	}
-	return out
-}
-
-// ApplyPhaseNoise rotates a complex baseband waveform by the same Wiener
-// phase walk PhaseNoiseTrack generates, in place and without materializing
-// the track — the allocation-free variant for the per-frame transmit path.
-// It consumes exactly len(x) draws from rng, so a transmit chain switching
-// between the two APIs stays reproducible.
+// ApplyPhaseNoise rotates a complex baseband waveform, in place, by the
+// free-running oscillator's phase error: a Wiener process with per-sample
+// variance 2π·LinewidthHz/sampleRate, starting at zero. It consumes
+// exactly len(x) draws from rng and allocates nothing.
 func (v *VCO) ApplyPhaseNoise(x []complex128, sampleRate float64, rng *stats.RNG) {
 	sigma := math.Sqrt(2 * math.Pi * LinewidthHz / sampleRate)
 	phase := 0.0

@@ -46,16 +46,6 @@ func Sequential(n int) Schedule {
 	return s
 }
 
-// AlwaysOn returns the degenerate schedule with every element conducting
-// continuously (the TMA reduces to a plain array; only harmonic 0 exists).
-func AlwaysOn(n int) Schedule {
-	s := Schedule{On: make([]float64, n), Width: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		s.Width[i] = 1
-	}
-	return s
-}
-
 // Gate evaluates w_n at a phase within the period (frac ∈ [0,1)).
 func (s Schedule) Gate(n int, frac float64) float64 {
 	frac -= math.Floor(frac)
@@ -185,22 +175,6 @@ func (a *Array) HarmonicGain(m int, theta float64) complex128 {
 	var g [1]complex128
 	a.respond(g[:], row, theta)
 	return g[0]
-}
-
-// HarmonicPattern samples |HarmonicGain(m, θ)|² in dB relative to the
-// full-array response over the given azimuths.
-func (a *Array) HarmonicPattern(m int, thetas []float64) []float64 {
-	out := make([]float64, len(thetas))
-	ref := float64(a.N) // coherent all-on response
-	for i, th := range thetas {
-		g := cmplx.Abs(a.HarmonicGain(m, th)) / ref
-		if g <= 0 {
-			out[i] = math.Inf(-1)
-		} else {
-			out[i] = 20 * math.Log10(g)
-		}
-	}
-	return out
 }
 
 // MaxHarmonic is the largest |m| BestHarmonic considers; beyond ±N/2 the

@@ -73,7 +73,10 @@ func TestCoefficientZeroWidth(t *testing.T) {
 }
 
 func TestAlwaysOnOnlyDCHarmonic(t *testing.T) {
-	a := &Array{N: 4, SpacingWl: 0.5, SwitchRateHz: 1e6, Schedule: AlwaysOn(4)}
+	// Every element conducting continuously: the TMA reduces to a plain
+	// array and only harmonic 0 exists.
+	allOn := Schedule{On: []float64{0, 0, 0, 0}, Width: []float64{1, 1, 1, 1}}
+	a := &Array{N: 4, SpacingWl: 0.5, SwitchRateHz: 1e6, Schedule: allOn}
 	// Broadside, harmonic 0: full coherent sum.
 	if g := cmplx.Abs(a.HarmonicGain(0, 0)); math.Abs(g-4) > 1e-9 {
 		t.Errorf("harmonic 0 gain = %g, want 4", g)
@@ -130,29 +133,6 @@ func TestSidebandSuppression(t *testing.T) {
 	// At an off-grid angle it is finite but still real separation.
 	if s := a.SidebandSuppressionDB(0.2); s < 3 {
 		t.Errorf("off-grid suppression = %.1f dB, want >3", s)
-	}
-}
-
-func TestHarmonicPattern(t *testing.T) {
-	a := NewSDMArray(8, 1e6)
-	thetas := make([]float64, 181) // −90°…90° in 1° steps
-	for i := range thetas {
-		thetas[i] = float64(i-90) * math.Pi / 180
-	}
-	p := a.HarmonicPattern(1, thetas)
-	if len(p) != 181 {
-		t.Fatal("pattern length")
-	}
-	// The pattern should peak near the grid angle for m=1 (14.48°).
-	best := 0
-	for i := range p {
-		if p[i] > p[best] {
-			best = i
-		}
-	}
-	peakDeg := thetas[best] * 180 / math.Pi
-	if math.Abs(peakDeg-14.48) > 2 {
-		t.Errorf("harmonic-1 beam peaks at %.1f°, want ≈14.5°", peakDeg)
 	}
 }
 
@@ -405,7 +385,11 @@ func TestGainTableMatchesHarmonicGain(t *testing.T) {
 	}
 	thetas := oracleThetas()
 	for _, n := range []int{1, 4, 8, 16} {
-		for sname, sched := range map[string]Schedule{"sequential": Sequential(n), "always-on": AlwaysOn(n)} {
+		allOn := Schedule{On: make([]float64, n), Width: make([]float64, n)}
+		for i := range allOn.Width {
+			allOn.Width[i] = 1
+		}
+		for sname, sched := range map[string]Schedule{"sequential": Sequential(n), "always-on": allOn} {
 			for _, v := range variants {
 				a := v.make(n, sched)
 				if a == nil {

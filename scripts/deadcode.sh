@@ -18,7 +18,6 @@
 # Allowlist lines read "<pkg>.<Func>" or "<pkg>.<Type>.<Method>" (the
 # package path relative to mmx/internal/), then one reason tag:
 #
-#   paper-model   a component model of the paper, pinned by a test
 #   test-oracle   an oracle or introspection the tests read
 #   test-fake     a test fake, or an interface method the interface needs
 #   facade        reached only through the public mmx package's API
@@ -95,9 +94,9 @@ report "on scripts/deadcode.allow but linked by a binary" "$work/stale"
 awk '{ print $1 }' "$work/declared" | sort -u | comm -13 - "$work/allowed" > "$work/missing"
 report "on scripts/deadcode.allow but declared nowhere" "$work/missing"
 
-awk 'NF != 2 || $2 !~ /^(paper-model|test-oracle|test-fake|facade|test-knob|out-of-scope)$/' \
+awk 'NF != 2 || $2 !~ /^(test-oracle|test-fake|facade|test-knob|out-of-scope)$/' \
 	"$work/allow" > "$work/badreason"
-report "allowlist lines without exactly one known reason tag" "$work/badreason"
+report "allowlist lines with a missing or unknown reason tag, or more than one" "$work/badreason"
 
 if [ "$fail" = 0 ]; then
 	echo "deadcode: ok ($(wc -l < "$work/linked") linked, $(wc -l < "$work/allowed") allowlisted)"
