@@ -68,6 +68,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -reuse %d (want at least 1)\n", *reuse)
 		os.Exit(2)
 	}
+	// Each rule states what a good value satisfies, so NaN fails it.
+	for _, r := range []struct {
+		name, want string
+		ok         bool
+	}{
+		{"duration", "finite seconds above 0", *duration > 0 && *duration <= math.MaxFloat64},
+		{"nodes", "at least 0", *nodes >= 0},
+		{"blockers", "at least 0", *blockers >= 0},
+		{"rate", "finite Mbps above 0", *rateMbps > 0 && *rateMbps <= math.MaxFloat64},
+		{"drop", "a probability in [0, 1]", *drop >= 0 && *drop <= 1},
+		{"dup", "a probability in [0, 1]", *dup >= 0 && *dup <= 1},
+		{"trunc", "a probability in [0, 1]", *trunc >= 0 && *trunc <= 1},
+	} {
+		if !r.ok {
+			fmt.Fprintf(os.Stderr, "bad -%s %s (want %s)\n", r.name, flag.Lookup(r.name).Value, r.want)
+			os.Exit(2)
+		}
+	}
 
 	env := mmx.NewEnvironment(w, h, *seed)
 	apPose := mmx.Pose{X: 0.3, Y: h / 2, FacingRad: 0}

@@ -170,13 +170,6 @@ type sparseState struct {
 	nx, ny       int
 	cellW, cellH float64
 	cells        [][]*Node
-	// bbMin/bbMax bound every node position ever inserted, unioned with
-	// the room rectangle. cellIndex clamps out-of-room positions into
-	// edge cells, so the swept-region descent (region.go) extends
-	// the boundary cells' rectangles to this box — tight when everyone
-	// is inside the room, and never shrunk, so it stays sound for nodes
-	// that have left.
-	bbMin, bbMax channel.Vec2
 
 	// shards holds the per-AP channel registries, indexed by AP index;
 	// nAPs sizes the per-node cross-AP bookkeeping vectors.
@@ -190,11 +183,12 @@ type sparseState struct {
 	// victim propagation, every victim is already queued.
 	allStale bool
 
-	// listen holds the per-rectangle AP bitmasks, listenWords words each,
-	// that scope the swept-region descent to the nodes caching a link
-	// towards the corridor's AP (region.go).
-	listen      []uint64
-	listenWords int
+	// listeners[j] bounds every position at which a node started to cache
+	// a link towards AP j: it grows in gridInsert for the serving AP and
+	// in addEdge when outPerAP[j] leaves 0, and never shrinks, so it holds
+	// every node listening to j now. It scopes the swept-region walk
+	// (region.go) to the nodes a corridor towards j can dirty.
+	listeners []box
 
 	// The mapping fan-out (region.go): a tick's corridors, its work items,
 	// one lane per worker, and the item function, built once per core so a
@@ -244,24 +238,24 @@ func newSparseState(nw *Network, exact bool) *sparseState {
 		cut, pC = units.FromDB(nw.CouplingCutoffDB), nw.sparsePowerBoundConst()
 	}
 	s := &sparseState{
-		exact:    exact,
-		cut:      cut,
-		pC:       pC,
-		minNoise: math.Inf(1),
-		maxM:     nw.APs[0].SDM.MaxHarmonic(),
-		nx:       nx,
-		ny:       ny,
-		cellW:    room.Width / float64(nx),
-		cellH:    room.Height / float64(ny),
-		cells:    make([][]*Node, nx*ny),
-		shards:   make([]sparseShard, len(nw.APs)),
-		nAPs:     len(nw.APs),
-		envEpoch: nw.Env.Epoch(),
-		bbMin:    channel.Vec2{},
-		bbMax:    channel.Vec2{X: room.Width, Y: room.Height},
+		exact:     exact,
+		cut:       cut,
+		pC:        pC,
+		minNoise:  math.Inf(1),
+		maxM:      nw.APs[0].SDM.MaxHarmonic(),
+		nx:        nx,
+		ny:        ny,
+		cellW:     room.Width / float64(nx),
+		cellH:     room.Height / float64(ny),
+		cells:     make([][]*Node, nx*ny),
+		shards:    make([]sparseShard, len(nw.APs)),
+		nAPs:      len(nw.APs),
+		envEpoch:  nw.Env.Epoch(),
+		listeners: make([]box, len(nw.APs)),
 	}
 	for i := range s.shards {
 		s.shards[i].chans = make(map[float64]*chanState)
+		s.listeners[i] = emptyBox()
 	}
 	return s
 }
@@ -369,30 +363,15 @@ func (s *sparseState) pBoundAt(p channel.Vec2, ap *AccessPoint) float64 {
 
 // --- grid ---
 
+// cellIndex is the grid cell of position p; positions outside the room
+// clamp into the boundary cells.
 func (s *sparseState) cellIndex(p channel.Vec2) int {
-	ix := int(math.Floor(p.X / s.cellW))
-	iy := int(math.Floor(p.Y / s.cellH))
-	if ix < 0 {
-		ix = 0
-	}
-	if ix >= s.nx {
-		ix = s.nx - 1
-	}
-	if iy < 0 {
-		iy = 0
-	}
-	if iy >= s.ny {
-		iy = s.ny - 1
-	}
-	return iy*s.nx + ix
+	return clampCell(p.Y, s.cellH, s.ny)*s.nx + clampCell(p.X, s.cellW, s.nx)
 }
 
 func (s *sparseState) gridInsert(n *Node) {
 	p := n.Pose.Pos
-	s.bbMin.X = math.Min(s.bbMin.X, p.X)
-	s.bbMin.Y = math.Min(s.bbMin.Y, p.Y)
-	s.bbMax.X = math.Max(s.bbMax.X, p.X)
-	s.bbMax.Y = math.Max(s.bbMax.Y, p.Y)
+	s.listeners[n.AP.idx].grow(p)
 	c := s.cellIndex(p)
 	n.sp.cell = c
 	n.sp.cellSlot = len(s.cells[c])
@@ -591,8 +570,10 @@ func (s *sparseState) addEdge(src, dst *Node, w float64) {
 		if src.sp.outPerAP[da] == 1 {
 			// First victim at that AP: the source's cached xpower[da] has
 			// never been computed (or went stale while unreferenced), so
-			// force an eval pass over it before the victim re-sums.
+			// force an eval pass over it before the victim re-sums. The
+			// source now listens to da.
 			s.markEvalStale(src)
+			s.listeners[da].grow(src.Pose.Pos)
 		}
 	}
 	s.markDirty(dst)

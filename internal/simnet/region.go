@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"math"
-	"math/bits"
 
 	"mmx/internal/channel"
 )
@@ -43,24 +42,23 @@ import (
 // whole unfolded segment instead of the exact leg subsegments is a
 // further conservative superset.
 //
-// The grid turns the per-node test into a per-cell one: for every node
-// position p in a rectangle, segment(p, apex) lies inside the convex
-// fan hull(rect ∪ {apex}), whose boundary is its silhouette: the rect
-// edges facing away from the apex and the two apex→corner spokes that
-// graze the rect. A capsule within reach of the fan either comes within
-// reach of one of those segments or lies entirely inside the fan
-// (capsule start inside the hull). Both tests are exact segment
-// arithmetic, so a quadtree-style descent over the grid prunes whole
-// subrectangles the corridor provably cannot touch and visits
-// O(affected cells) instead of all 16384 per corridor. A corridor leads
-// to one AP, so the descent also leaves every rectangle that holds no
-// node caching a link towards that AP (the listen masks below): mapping
-// costs what the APs a region's neighbourhood listens to cost, not what
-// the AP count does. The descents of one tick are independent of each
-// other, so mapRegions runs them on the worker pool. A node in a
-// surviving leaf cell meets the corridor test (nearNode), a few dot
-// products, first, and only then the exact leaf test, which solves the
-// path's reflection points.
+// The grid turns the per-node test into a walk over the cells that can
+// matter. A node p can pass it for capsule variant c only inside c's
+// sector from the apex (the capsule's supporting cone, two half-planes)
+// and only when p lies at least dist(apex, capsule) − reach from the apex,
+// since every point of segment(p, apex) is within |p − apex| of it. A
+// corridor leads to one AP, and only the nodes caching a link towards that
+// AP can be dirtied by it; they all lie inside the AP's listener box. So
+// for each capsule variant the walk clips the box by the sector, walks the
+// clipped polygon's rows, turns each row's x-extent into a cell range with
+// cellIndex's own clamp (the boundary rows and columns are open-ended, so
+// a node clamped in from outside the room is covered), skips cells wholly
+// nearer to the apex than the capsule's reach allows, and visits each
+// remaining cell once per corridor, so a corridor costs the cells inside
+// its cones. The walks of one tick are independent of each other, so
+// mapRegions runs them on the worker pool. A node in a visited cell meets
+// the corridor test (nearNode), a few dot products, first, and only then
+// the exact leaf test, which solves the path's reflection points.
 
 // sweptSlack pads the corridor admission radius. The blockage indicator
 // and the corridor tests run different (individually exact) float
@@ -74,8 +72,8 @@ const sweptSlack = 1e-6
 // corridor is one unfolded propagation geometry (direct, or via one or
 // two reflection walls): the mirrored-AP apex, the capsule variant to
 // test each leg against, and each variant's angular sector from the apex
-// (the cheap prune the quadtree descent tries before exact segment
-// arithmetic). Everything but apex, apPos, ap and secs is a property of
+// (which bounds the cells the walk visits). Everything but apex, apPos, ap
+// and secs is a property of
 // the capsule and the walls alone: appendCorridors fills that part once
 // per capsule, and aim points a worker's copy of it at one AP after
 // another.
@@ -105,10 +103,8 @@ type corridor struct {
 // within reach of the capsule spine lies inside it (the ray apex→p must
 // enter the capsule's convex hull, so its direction falls in the cone).
 // The cone of a hull of two discs is exactly the hull of the two discs'
-// tangent cones, so the bounding angular interval is exact, and a
-// rectangle wholly outside either boundary half-plane provably holds no
-// affected node — two dot products per corner instead of eight exact
-// segment-distance tests.
+// tangent cones, so the bounding angular interval is exact, and no node
+// outside either boundary half-plane is affected.
 type sector struct {
 	n1, n2 channel.Vec2 // inward normals of the cone's boundary rays
 	all    bool         // apex inside the capsule or cone ≥ π: no prune
@@ -138,26 +134,6 @@ func makeSector(apex channel.Vec2, k channel.SweptRegion) sector {
 		n1: channel.Vec2{X: -sinLo, Y: cosLo}, // inside: rel · n1 ≥ 0
 		n2: channel.Vec2{X: sinHi, Y: -cosHi}, // inside: rel · n2 ≥ 0
 	}
-}
-
-// admitsRect reports whether the rectangle can intersect the sector; a
-// convex rect with all corners outside one boundary half-plane cannot.
-func (sc *sector) admitsRect(apex channel.Vec2, corners *[4]channel.Vec2) bool {
-	if sc.all {
-		return true
-	}
-	out1, out2 := true, true
-	for i := 0; i < 4; i++ {
-		rx := corners[i].X - apex.X
-		ry := corners[i].Y - apex.Y
-		if rx*sc.n1.X+ry*sc.n1.Y >= 0 {
-			out1 = false
-		}
-		if rx*sc.n2.X+ry*sc.n2.Y >= 0 {
-			out2 = false
-		}
-	}
-	return !out1 && !out2
 }
 
 func (sc *sector) admitsPoint(apex, p channel.Vec2) bool {
@@ -246,20 +222,22 @@ func appendCorridors(env *channel.Environment, out []corridor, k channel.SweptRe
 }
 
 // mapItem is one work item of the mapping fan-out: corridor corr of the
-// tick's list aimed at AP ap. The descent leaves its candidates in
-// mapLanes[lane].cand[lo:hi].
+// tick's list aimed at AP ap. Its walk visited cells grid cells and left
+// its candidates in mapLanes[lane].cand[lo:hi].
 type mapItem struct {
 	corr, ap     int32
 	lane, lo, hi int32
+	cells        int32
 }
 
-// mapLane is one worker's scratch: the corridor it is descending, aimed
-// at the current item's AP, the environment its leaf test traces in, and
-// the candidates of every item it ran.
+// mapLane is one worker's scratch: the corridor it is walking, aimed at
+// the current item's AP, the environment its leaf test traces in, the
+// current item's cells, and the candidates of every item it ran.
 type mapLane struct {
-	co   corridor
-	env  *channel.Environment
-	cand []*Node
+	co    corridor
+	env   *channel.Environment
+	cells []int32
+	cand  []*Node
 }
 
 // mapRegions marks evalStale every node whose cached evaluations one of
@@ -273,21 +251,19 @@ type mapLane struct {
 // forces an evaluation on the 0→1 transition of outPerAP[j].
 //
 // Each (region, AP, corridor) triple is a work item, and the items fan
-// out over the worker pool. A descent only collects candidates, so
-// during the fan-out nothing writes node state and every read of
-// evalStale and the listen masks is race-free. The serial merge then
-// marks the candidates item by item in the order a single loop over
-// regions, APs and corridors visits them, which keeps s.dirty's order
-// independent of Workers.
+// out over the worker pool. A walk only collects candidates, so during
+// the fan-out nothing writes node state or listener boxes and every read
+// of evalStale is race-free. The serial merge then marks the candidates
+// item by item in the order a single loop over regions, APs and corridors
+// visits them, which keeps s.dirty's order independent of Workers.
 func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
-	s.buildListenMasks()
 	corridors, items := s.corridorScratch[:0], s.mapItems[:0]
 	for _, k := range regions {
 		first := len(corridors)
 		corridors = appendCorridors(nw.Env, corridors, k)
 		for _, ap := range nw.APs {
-			if !s.rectListens(0, ap.idx) {
-				continue // nobody listens to this AP: skip the sector trigonometry too
+			if s.listeners[ap.idx].empty() {
+				continue // nobody ever listened to this AP: skip the sector trigonometry too
 			}
 			for c := first; c < len(corridors); c++ {
 				items = append(items, mapItem{corr: int32(c), ap: int32(ap.idx)})
@@ -315,143 +291,208 @@ func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
 }
 
 // mapItem runs work item i on the given lane: it aims the lane's copy of
-// the item's corridor at the item's AP and descends the grid with it.
+// the item's corridor at the item's AP, walks the cells its cones cover
+// in the AP's listener box, and puts each listening node there through
+// the corridor test and then the exact leaf test. A node that passes
+// both, and was not already stale, is appended to the lane's candidates.
 func (s *sparseState) mapItem(nw *Network, lane, i int) {
 	it := &s.mapItems[i]
 	ln := &s.mapLanes[lane]
 	ln.co, ln.env = s.corridorScratch[it.corr], nw.Env
-	ln.co.aim(nw.Env.Room, nw.APs[it.ap])
-	it.lane, it.lo = int32(lane), int32(len(ln.cand))
-	s.descend(ln, 0, cellRect{0, 0, s.nx, s.ny})
+	co := &ln.co
+	co.aim(nw.Env.Room, nw.APs[it.ap])
+	ln.cells = s.appendConeCells(ln.cells[:0], co, &s.listeners[it.ap])
+	it.lane, it.lo, it.cells = int32(lane), int32(len(ln.cand)), int32(len(ln.cells))
+	for _, c := range ln.cells {
+		for _, n := range s.cells[c] {
+			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) && co.flips(ln.env, n.Pose.Pos) {
+				ln.cand = append(ln.cand, n)
+			}
+		}
+	}
 	it.hi = int32(len(ln.cand))
 }
-
-// The listen masks are one AP bitmask (listenWords words) per rectangle
-// of descend's binary split, laid out as an implicit tree: slot 0 is the
-// whole grid and the halves of slot i are slots 2i+1 and 2i+2. A
-// rectangle's mask is the union of its nodes' listen sets, so a corridor
-// towards AP j leaves a rectangle whose mask lacks bit j without a
-// single geometric test — with one AP that is the empty-rectangle prune.
-// Listen sets change with every membership, roam and edge event, so the
-// tree is not maintained: mapRegions rebuilds it from the cells, one
-// O(cells + nodes) pass per environment tick that has regions to map,
-// and nothing can change a listen set between that pass and the descents
-// that read it.
 
 // listens reports whether node n caches a link towards AP j.
 func (n *Node) listens(j int) bool {
 	return n.AP.idx == j || (n.sp.outPerAP != nil && n.sp.outPerAP[j] > 0)
 }
 
-func (s *sparseState) rectListens(slot, ap int) bool {
-	return s.listen[slot*s.listenWords+ap>>6]&(1<<(ap&63)) != 0
+// box is an axis-aligned bounding box; emptyBox has lo > hi.
+type box struct{ lo, hi channel.Vec2 }
+
+func emptyBox() box {
+	inf := math.Inf(1)
+	return box{lo: channel.Vec2{X: inf, Y: inf}, hi: channel.Vec2{X: -inf, Y: -inf}}
 }
 
-// cellRect is the cell-index rectangle [x, x+w) × [y, y+h).
-type cellRect struct{ x, y, w, h int }
+func (b *box) empty() bool { return b.lo.X > b.hi.X }
 
-func (r cellRect) leaf() bool { return r.w == 1 && r.h == 1 }
+func (b *box) grow(p channel.Vec2) {
+	b.lo = channel.Vec2{X: math.Min(b.lo.X, p.X), Y: math.Min(b.lo.Y, p.Y)}
+	b.hi = channel.Vec2{X: math.Max(b.hi.X, p.X), Y: math.Max(b.hi.Y, p.Y)}
+}
 
-// halves splits the rectangle across its longer side, the first half
-// rounded down — the one binary split descend and the listen masks share.
-func (r cellRect) halves() (a, b cellRect) {
-	if r.w >= r.h {
-		return cellRect{r.x, r.y, r.w / 2, r.h}, cellRect{r.x + r.w/2, r.y, r.w - r.w/2, r.h}
+// cone is one capsule variant's share of a listener box: the box clipped
+// by the variant's sector, its rows, and the distance from the apex below
+// which no node's segment to the apex reaches the capsule. Each cut adds
+// one vertex to a convex polygon, so a box needs 6; rounding on a
+// zero-width box can alternate the signs and make it 9.
+type cone struct {
+	v        [10]channel.Vec2
+	n        int
+	near     float64
+	iy0, iy1 int
+}
+
+// clip sets the cone to b cut by the sector's two boundary half-planes,
+// each loosened by sweptSlack so that every point admitsPoint accepts
+// stays inside under the clip's own rounding.
+func (cn *cone) clip(b *box, apex channel.Vec2, sc *sector) {
+	cn.v[0], cn.v[1] = b.lo, channel.Vec2{X: b.hi.X, Y: b.lo.Y}
+	cn.v[2], cn.v[3] = b.hi, channel.Vec2{X: b.lo.X, Y: b.hi.Y}
+	cn.n = 4
+	if !sc.all {
+		cn.cut(apex, sc.n1)
+		cn.cut(apex, sc.n2)
 	}
-	return cellRect{r.x, r.y, r.w, r.h / 2}, cellRect{r.x, r.y + r.h/2, r.w, r.h - r.h/2}
 }
 
-func (s *sparseState) buildListenMasks() {
-	if s.listen == nil {
-		// Allocated at the first region mapping, so a network no blocker
-		// ever moves in does not carry the tree. Halving a side of n cells
-		// reaches 1 after ⌈log₂ n⌉ splits, which bounds the tree's depth.
-		depth := bits.Len(uint(s.nx-1)) + bits.Len(uint(s.ny-1))
-		s.listenWords = (s.nAPs + 63) / 64
-		s.listen = make([]uint64, (2<<depth-1)*s.listenWords)
+// cut keeps the part of the polygon where (p − apex) · nrm ≥ −sweptSlack
+// (one Sutherland–Hodgman pass).
+func (cn *cone) cut(apex, nrm channel.Vec2) {
+	var out [10]channel.Vec2
+	m := 0
+	side := func(p channel.Vec2) float64 { return (p.X-apex.X)*nrm.X + (p.Y-apex.Y)*nrm.Y + sweptSlack }
+	for i := 0; i < cn.n; i++ {
+		a, b := cn.v[i], cn.v[(i+1)%cn.n]
+		da, db := side(a), side(b)
+		if da >= 0 {
+			out[m] = a
+			m++
+		}
+		if (da >= 0) != (db >= 0) {
+			t := da / (da - db)
+			out[m] = channel.Vec2{X: a.X + t*(b.X-a.X), Y: a.Y + t*(b.Y-a.Y)}
+			m++
+		}
 	}
-	s.maskRect(0, cellRect{0, 0, s.nx, s.ny})
+	cn.v, cn.n = out, m
 }
 
-// maskRect fills the mask of tree slot `slot`, which covers r, after
-// filling everything below it.
-func (s *sparseState) maskRect(slot int, r cellRect) {
-	m := s.listen[slot*s.listenWords : (slot+1)*s.listenWords]
-	clear(m)
-	if r.leaf() {
-		for _, n := range s.cells[r.y*s.nx+r.x] {
-			a := n.AP.idx
-			m[a>>6] |= 1 << (a & 63)
-			for j, cnt := range n.sp.outPerAP {
-				if cnt > 0 {
-					m[j>>6] |= 1 << (j & 63)
+// xSpan returns the x-extent of the cone's part inside the band
+// y0 ≤ y ≤ y1 (ok false when it misses the band). A convex polygon's slice
+// is bounded by its edges, so the extent is that of the edges' slices.
+func (cn *cone) xSpan(y0, y1 float64) (xa, xb float64, ok bool) {
+	xa, xb = math.Inf(1), math.Inf(-1)
+	for i := 0; i < cn.n; i++ {
+		a, b := cn.v[i], cn.v[(i+1)%cn.n]
+		if a.Y > b.Y {
+			a, b = b, a
+		}
+		if b.Y < y0 || a.Y > y1 {
+			continue
+		}
+		lo, hi := a.X, b.X
+		if a.Y < y0 {
+			lo = a.X + (y0-a.Y)*(b.X-a.X)/(b.Y-a.Y)
+		}
+		if b.Y > y1 {
+			hi = a.X + (y1-a.Y)*(b.X-a.X)/(b.Y-a.Y)
+		}
+		xa, xb = math.Min(xa, math.Min(lo, hi)), math.Max(xb, math.Max(lo, hi))
+	}
+	return xa, xb, xa <= xb
+}
+
+// cellExtent is the extent of cell i, on an axis of n cells of width w,
+// within [lo, hi]; the end cells, which cellIndex clamps everything
+// beyond the grid into, reach to lo and hi.
+func cellExtent(i int, w float64, n int, lo, hi float64) (a, b float64) {
+	a, b = math.Max(float64(i)*w, lo), math.Min(float64(i+1)*w, hi)
+	if i == 0 {
+		a = lo
+	}
+	if i == n-1 {
+		b = hi
+	}
+	return a, b
+}
+
+// clampCell is the grid index of coordinate v on an axis of n cells of
+// width w, clamped into the grid as cellIndex does. The clamp runs in
+// float: Go leaves a float-to-int conversion implementation-defined when
+// the value does not fit.
+func clampCell(v, w float64, n int) int {
+	return int(math.Min(math.Max(math.Floor(v/w), 0), float64(n-1)))
+}
+
+// appendConeCells appends, in row-major order and each once, the grid
+// cells that can hold a node inside b whose segment to the corridor's
+// apex reaches one of its capsules: for capsule variant c, the cells that
+// meet b clipped by sector c and are not wholly nearer to the apex than
+// dist(apex, capsule c) − reach. Rows and x-extents are padded by
+// sweptSlack, and the end rows and columns reach to ±∞, so every node
+// position the cones hold maps into a listed cell. b must not be empty.
+func (s *sparseState) appendConeCells(dst []int32, co *corridor, b *box) []int32 {
+	var cones [3]cone
+	rows0, rows1 := s.ny, -1
+	for c := 0; c < co.nCaps; c++ {
+		cn := &cones[c]
+		cn.clip(b, co.apex, &co.secs[c])
+		if cn.n == 0 {
+			cn.iy0, cn.iy1 = s.ny, -1
+			continue
+		}
+		k := &co.caps[c]
+		cn.near = k.Seg.DistanceTo(co.apex) - k.Radius - 2*sweptSlack // one slack for reach, one for rounding
+		ylo, yhi := math.Inf(1), math.Inf(-1)
+		for _, v := range cn.v[:cn.n] {
+			ylo, yhi = math.Min(ylo, v.Y), math.Max(yhi, v.Y)
+		}
+		cn.iy0, cn.iy1 = clampCell(ylo-sweptSlack, s.cellH, s.ny), clampCell(yhi+sweptSlack, s.cellH, s.ny)
+		rows0, rows1 = min(rows0, cn.iy0), max(rows1, cn.iy1)
+	}
+	apex := co.apex
+	inf := math.Inf(1)
+	for iy := rows0; iy <= rows1; iy++ {
+		y0, y1 := cellExtent(iy, s.cellH, s.ny, -inf, inf)
+		var lo, hi [3]int
+		cols0, cols1 := s.nx, -1
+		for c := 0; c < co.nCaps; c++ {
+			cn := &cones[c]
+			lo[c], hi[c] = 0, -1
+			if iy < cn.iy0 || iy > cn.iy1 {
+				continue
+			}
+			if xa, xb, ok := cn.xSpan(y0-sweptSlack, y1+sweptSlack); ok {
+				lo[c], hi[c] = clampCell(xa-sweptSlack, s.cellW, s.nx), clampCell(xb+sweptSlack, s.cellW, s.nx)
+				cols0, cols1 = min(cols0, lo[c]), max(cols1, hi[c])
+			}
+		}
+		// far2 is the squared distance from the apex to the farthest
+		// point of the cell's part of b.
+		cy0, cy1 := cellExtent(iy, s.cellH, s.ny, b.lo.Y, b.hi.Y)
+		fy := math.Max((cy0-apex.Y)*(cy0-apex.Y), (cy1-apex.Y)*(cy1-apex.Y))
+		for ix := cols0; ix <= cols1; ix++ {
+			cx0, cx1 := cellExtent(ix, s.cellW, s.nx, b.lo.X, b.hi.X)
+			far2 := fy + math.Max((cx0-apex.X)*(cx0-apex.X), (cx1-apex.X)*(cx1-apex.X))
+			for c := 0; c < co.nCaps; c++ {
+				if lo[c] <= ix && ix <= hi[c] && (cones[c].near <= 0 || far2 >= cones[c].near*cones[c].near) {
+					dst = append(dst, int32(iy*s.nx+ix))
+					break
 				}
 			}
 		}
-		return
 	}
-	a, b := r.halves()
-	s.maskRect(2*slot+1, a)
-	s.maskRect(2*slot+2, b)
-	for i := range m {
-		m[i] = s.listen[(2*slot+1)*s.listenWords+i] | s.listen[(2*slot+2)*s.listenWords+i]
-	}
-}
-
-// descend walks the grid quadtree-style over the cell rectangle r — tree
-// slot `slot` of the listen masks — with the lane's corridor, leaving
-// rectangles nobody listens to the corridor's AP from, pruning
-// subrectangles the corridor cannot reach, and putting each listening
-// node in surviving leaf cells through the corridor test and then the
-// exact leaf test. A node that passes both, and was not already stale,
-// is appended to the lane's candidates; descend writes no node state.
-func (s *sparseState) descend(ln *mapLane, slot int, r cellRect) {
-	co := &ln.co
-	if !s.rectListens(slot, co.ap) {
-		return
-	}
-	x0 := float64(r.x) * s.cellW
-	y0 := float64(r.y) * s.cellH
-	x1 := float64(r.x+r.w) * s.cellW
-	y1 := float64(r.y+r.h) * s.cellH
-	// Boundary cells also hold any node cellIndex clamped in from
-	// outside the room, so their rectangles extend to the all-time node
-	// bounding box. (Extending to ±∞ would be sound too, but then every
-	// far apex's fan contains every capsule through the giant boundary
-	// rects and the descent degenerates into a full boundary-ring walk.)
-	if r.x == 0 {
-		x0 = math.Min(x0, s.bbMin.X)
-	}
-	if r.x+r.w == s.nx {
-		x1 = math.Max(x1, s.bbMax.X)
-	}
-	if r.y == 0 {
-		y0 = math.Min(y0, s.bbMin.Y)
-	}
-	if r.y+r.h == s.ny {
-		y1 = math.Max(y1, s.bbMax.Y)
-	}
-	if !co.nearRect(x0, y0, x1, y1) {
-		return
-	}
-	if r.leaf() {
-		for _, n := range s.cells[r.y*s.nx+r.x] {
-			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) && co.flips(ln.env, n.Pose.Pos) {
-				ln.cand = append(ln.cand, n)
-			}
-		}
-		return
-	}
-	a, b := r.halves()
-	s.descend(ln, 2*slot+1, a)
-	s.descend(ln, 2*slot+2, b)
+	return dst
 }
 
 // segsWithin reports whether segments s and o come within √r2 of each
 // other: 0 when they cross, otherwise the closest pair involves an
 // endpoint, so the minimum over the four endpoint-to-segment distances —
-// compared on squared distances, so the descent's innermost test pays no
-// square root. Against Segment.DistanceTo's square-rooted form it differs
+// compared on squared distances, so the per-node test pays no square
+// root. Against Segment.DistanceTo's square-rooted form it differs
 // only within a few ulps of the boundary, which sweptSlack covers a
 // million times over.
 func segsWithin(s, o channel.Segment, r2 float64) bool {
@@ -481,13 +522,12 @@ func pointSegDist2(s channel.Segment, p channel.Vec2) float64 {
 	return e.Dot(e)
 }
 
-// nearNode is the per-node corridor test applied inside surviving leaf
+// nearNode is the per-node corridor test applied inside the walked
 // cells, the prefilter of the exact leaf test: is segment(p, apex) within
 // reach of any capsule variant? Every unfolded leg image is a subsegment
 // of that segment, so the test is a conservative superset per leg, while
-// far tighter than the cell-level fan test when the grid cells are coarse
-// (kilometer-scale fields quantize a meters-wide corridor to cell-wide
-// strips otherwise).
+// far tighter than the cells when they are coarse (kilometer-scale fields
+// quantize a meters-wide corridor to cell-wide strips otherwise).
 func (co *corridor) nearNode(p channel.Vec2) bool {
 	seg := channel.Segment{A: p, B: co.apex}
 	// gateSlack (in normalized crossing coordinates) keeps the gate test
@@ -539,111 +579,4 @@ func (co *corridor) nearNode(p channel.Vec2) bool {
 		}
 	}
 	return false
-}
-
-// nearRect reports whether any node position p inside the rectangle can
-// have segment(p, apex) within reach of one of the corridor's capsules.
-// The fan of those segments is hull(rect ∪ {apex}); a capsule within
-// reach of it is within reach of the hull boundary (its silhouette)
-// unless it starts inside the hull, caught by fanContains. The facing
-// edges and the other spokes lie inside the hull, and a capsule outside
-// a convex set is no nearer to its interior than to its boundary, so
-// testing them too would never change the answer.
-func (co *corridor) nearRect(x0, y0, x1, y1 float64) bool {
-	corners := [4]channel.Vec2{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
-	var bound [5]channel.Segment
-	nb := silhouette(co.apex, &corners, &bound)
-	for c := 0; c < co.nCaps; c++ {
-		if !co.secs[c].admitsRect(co.apex, &corners) {
-			continue
-		}
-		k := &co.caps[c]
-		reach := k.Radius + sweptSlack
-		r2 := reach * reach
-		for _, seg := range bound[:nb] {
-			if segsWithin(k.Seg, seg, r2) {
-				return true
-			}
-		}
-		if fanContains(co.apex, x0, y0, x1, y1, k.Seg.A) {
-			return true
-		}
-	}
-	return false
-}
-
-// silhouette fills bound with the boundary of hull(rect ∪ {a}), the rect
-// given by its corners counter-clockwise from the lower left, and returns
-// how many segments that takes: at most three edges and two spokes. Edge
-// i runs from corners[i] to corners[i+1] (bottom, right, top, left) and
-// faces a when a lies strictly beyond it. At most two adjacent edges
-// face it, and the chain of them starts and ends at the corners the
-// spokes graze.
-func silhouette(a channel.Vec2, corners *[4]channel.Vec2, bound *[5]channel.Segment) int {
-	faces := [4]bool{a.Y < corners[0].Y, a.X > corners[2].X, a.Y > corners[2].Y, a.X < corners[0].X}
-	n := 0
-	for i := 0; i < 4; i++ {
-		next := corners[(i+1)%4]
-		if !faces[i] {
-			bound[n] = channel.Segment{A: corners[i], B: next}
-			n++
-			continue
-		}
-		if !faces[(i+3)%4] {
-			bound[n] = channel.Segment{A: a, B: corners[i]}
-			n++
-		}
-		if !faces[(i+1)%4] {
-			bound[n] = channel.Segment{A: a, B: next}
-			n++
-		}
-	}
-	return n
-}
-
-// fanContains reports whether p lies inside hull(rect ∪ {apex}): either
-// inside the rectangle, or on a segment from the apex to some rectangle
-// point — i.e. the ray apex→p, extended at or past p, enters the
-// rectangle (a slab test over t ≥ 1).
-func fanContains(apex channel.Vec2, x0, y0, x1, y1 float64, p channel.Vec2) bool {
-	if p.X >= x0 && p.X <= x1 && p.Y >= y0 && p.Y <= y1 {
-		return true
-	}
-	d := p.Sub(apex)
-	tmin, tmax := 1.0, math.Inf(1)
-	if d.X == 0 {
-		if apex.X < x0 || apex.X > x1 {
-			return false
-		}
-	} else {
-		ta := (x0 - apex.X) / d.X
-		tb := (x1 - apex.X) / d.X
-		if ta > tb {
-			ta, tb = tb, ta
-		}
-		if ta > tmin {
-			tmin = ta
-		}
-		if tb < tmax {
-			tmax = tb
-		}
-	}
-	if d.Y == 0 {
-		if apex.Y < y0 || apex.Y > y1 {
-			return false
-		}
-	} else {
-		ta := (y0 - apex.Y) / d.Y
-		tb := (y1 - apex.Y) / d.Y
-		if ta > tb {
-			ta, tb = tb, ta
-		}
-		if ta > tmin {
-			tmin = ta
-		}
-		if tb < tmax {
-			tmax = tb
-		}
-	}
-	return tmin <= tmax
 }

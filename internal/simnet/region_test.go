@@ -129,7 +129,8 @@ type regionTally struct {
 }
 
 // checkRegionStep checks one syncEnv that consumed the environment's
-// epochs since from, before the settle, both ways. Soundness: every value
+// epochs since from, before the settle, both ways. Scope: every node lies
+// inside the listener box of each AP it listens to. Soundness: every value
 // a node caches about the environment — the evaluation of its serving
 // link, and its power at every foreign AP it has victims at — either
 // still equals a fresh trace or belongs to a node marked evalStale.
@@ -143,6 +144,11 @@ func checkRegionStep(t *testing.T, nw *Network, from uint64, step int, tally *re
 	}
 	for _, n := range nw.Nodes {
 		tally.population++
+		for j, b := range nw.sparse.listeners {
+			if p := n.Pose.Pos; n.listens(j) && (p.X < b.lo.X || p.X > b.hi.X || p.Y < b.lo.Y || p.Y > b.hi.Y) {
+				t.Fatalf("step %d: node %d at %+v listens to AP %d but lies outside its listener box %+v", step, n.ID, p, j, b)
+			}
+		}
 		stale, changed, flipped := n.sp.evalStale, false, false
 		linkFlips := func(ap *AccessPoint) {
 			for _, k := range regions {
@@ -257,7 +263,7 @@ func joinUniform(t testing.TB, nw *Network, prng *stats.RNG, n int) {
 }
 
 // TestRegionInvalidationSoundnessMultiAP is the same property where the
-// per-AP scoping of the descent matters: 16 APs on a field large enough
+// per-AP scoping of the mapping matters: 16 APs on a field large enough
 // that a node is heard at some foreign APs and not at others, so a
 // corridor towards AP j must reach j's shard and its cross listeners and
 // may skip everyone else. Besides the serving evaluations it checks every
@@ -314,7 +320,7 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 	// of the node-steps of this walk; scoped to listeners it is 73%, and
 	// with the exact leaf test 15%.
 	if 10*tally.staled >= 8*tally.population {
-		t.Fatalf("%d of %d node-steps staled — the descent is not scoped to the APs a node listens to",
+		t.Fatalf("%d of %d node-steps staled — the mapping is not scoped to the APs a node listens to",
 			tally.staled, tally.population)
 	}
 	t.Logf("%d cross listeners per step; %d steps: %d serving and %d xpower changes; %d of %d node-steps staled (%.1f%%), %d changed",
@@ -580,7 +586,7 @@ func TestMultiAPRegionRunMatchesStaleEverything(t *testing.T) {
 // generated deployment: room size, AP count and placement, reuse factor,
 // reflection order, an optional interior wall, node count, poses outside
 // the room (clamped into boundary cells) and the capsule itself are all
-// inputs. More than 64 APs puts the listen masks on two words.
+// inputs. Poses outside the room stretch the listener boxes past the grid.
 func FuzzRegionSoundness(f *testing.F) {
 	// The two property tests' shapes, and a 70-AP deployment.
 	f.Add(uint64(31), 20.0, uint8(0), uint8(0), uint8(2), uint16(35), uint8(0), 0.3, 0.4, 0.32, 0.43, 0.25)
@@ -632,167 +638,212 @@ func FuzzRegionSoundness(f *testing.F) {
 	})
 }
 
-// nearRectOracle is the eight-segment form of nearRect that the
-// silhouette is held to: every capsule the sector admits is tested
-// against all four rect edges and all four apex→corner spokes, whichever
-// of them bound the fan.
-func nearRectOracle(co *corridor, x0, y0, x1, y1 float64) bool {
-	corners := [4]channel.Vec2{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
-	for c := 0; c < co.nCaps; c++ {
-		if !co.secs[c].admitsRect(co.apex, &corners) {
-			continue
-		}
-		k := &co.caps[c]
-		reach := k.Radius + sweptSlack
-		r2 := reach * reach
-		for i := 0; i < 4; i++ {
-			edge := channel.Segment{A: corners[i], B: corners[(i+1)%4]}
-			if segsWithin(k.Seg, edge, r2) {
-				return true
-			}
-			spoke := channel.Segment{A: co.apex, B: corners[i]}
-			if segsWithin(k.Seg, spoke, r2) {
-				return true
-			}
-		}
-		if fanContains(co.apex, x0, y0, x1, y1, k.Seg.A) {
-			return true
-		}
-	}
-	return false
+// coneShapes names the kinds of (box, apex, capsule) triple
+// TestConeCellsCoverBruteForce draws, in the order coneCase takes them.
+var coneShapes = []string{
+	"apex outside the box", "apex inside the box", "apex on a cell line",
+	"zero-length capsule", "field-scale boundary box",
 }
 
-// nearRectShapes names the kinds of (rect, apex, capsule) triple
-// TestNearRectMatchesOracle draws, in the order nearRectCase takes them.
-var nearRectShapes = []string{
-	"generic", "apex inside the rect", "apex on an edge's supporting line",
-	"apex on a corner diagonal", "zero-length capsule", "field-scale boundary rect",
+// coneGrid is a bare sparse core over a side×side room: just the 128×128
+// grid appendConeCells and cellIndex read.
+func coneGrid(side float64) *sparseState {
+	return &sparseState{nx: 128, ny: 128, cellW: side / 128, cellH: side / 128}
 }
 
-// nearRectCase draws one triple of the given shape. The capsule is drawn
-// near the fan half of the time and anywhere around rect and apex
-// otherwise, so both answers are common.
-func nearRectCase(rng *stats.RNG, shape int) (x0, y0, x1, y1 float64, apex channel.Vec2, k channel.SweptRegion) {
-	x0, y0 = rng.Uniform(0, 10), rng.Uniform(0, 10)
-	x1, y1 = x0+rng.Uniform(0.05, 4), y0+rng.Uniform(0.05, 4)
-	apex = channel.Vec2{X: rng.Uniform(-20, 30), Y: rng.Uniform(-20, 30)}
+// coneCase draws one triple of the given shape over coneGrid(side). The
+// capsule is drawn near the box half of the time and anywhere around box
+// and apex otherwise.
+func coneCase(rng *stats.RNG, shape int) (side float64, b box, apex channel.Vec2, k channel.SweptRegion) {
+	side = 20
+	cell := side / 128
+	b = emptyBox()
+	b.grow(channel.Vec2{X: rng.Uniform(-2, 22), Y: rng.Uniform(-2, 22)})
+	b.grow(channel.Vec2{X: rng.Uniform(-2, 22), Y: rng.Uniform(-2, 22)})
+	apex = channel.Vec2{X: rng.Uniform(-40, 60), Y: rng.Uniform(-40, 60)}
 	radius, walk := rng.Uniform(0.05, 1.5), rng.Uniform(0, 3)
 	switch shape {
+	case 0:
+		if apex.X >= b.lo.X && apex.X <= b.hi.X && apex.Y >= b.lo.Y && apex.Y <= b.hi.Y {
+			apex.X = b.hi.X + rng.Uniform(0.1, 30)
+		}
 	case 1:
-		apex = channel.Vec2{X: rng.Uniform(x0, x1), Y: rng.Uniform(y0, y1)}
+		apex = channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
 	case 2:
-		switch rng.Intn(4) {
-		case 0:
-			apex.X = x0
-		case 1:
-			apex.X = x1
-		case 2:
-			apex.Y = y0
-		default:
-			apex.Y = y1
+		apex = channel.Vec2{X: float64(rng.Intn(129)) * cell, Y: rng.Uniform(-5, 25)}
+		if rng.Intn(2) == 0 {
+			apex.X, apex.Y = apex.Y, apex.X
 		}
 	case 3:
-		corners := [4]channel.Vec2{{X: x0, Y: y0}, {X: x1, Y: y0}, {X: x1, Y: y1}, {X: x0, Y: y1}}
-		j := rng.Intn(4)
-		c, o := corners[j], corners[(j+2)%4]
-		out := c.Sub(o) // the rect's own diagonal, extended past c
-		if rng.Intn(2) == 0 {
-			out = channel.Vec2{X: math.Copysign(1, out.X), Y: math.Copysign(1, out.Y)} // the 45° one
-		}
-		t := rng.Uniform(0.05, 5)
-		apex = channel.Vec2{X: c.X + t*out.X, Y: c.Y + t*out.Y}
-	case 4:
 		walk = 0 // AddBlocker logs the newcomer's disc as a capsule of length 0
-	case 5:
-		// A rectangle of descend's split on the benchmark driver's
-		// 12 000-node field that touches the grid boundary, extended to a
-		// node bounding box reaching past the room; the apex is an AP or
-		// an unfolded one, and the capsule a pedestrian's step.
-		side := 6000 * math.Sqrt(12)
-		cell := side / 128
-		cx, cy := rng.Intn(128), rng.Intn(128)
-		cw, ch := 1+rng.Intn(128-cx), 1+rng.Intn(128-cy)
-		switch rng.Intn(4) {
-		case 0:
-			cx = 0
-		case 1:
-			cw = 128 - cx
-		case 2:
-			cy = 0
-		default:
-			ch = 128 - cy
-		}
-		x0, y0 = float64(cx)*cell, float64(cy)*cell
-		x1, y1 = float64(cx+cw)*cell, float64(cy+ch)*cell
-		if cx == 0 {
-			x0 = -rng.Uniform(0, side)
-		}
-		if cy == 0 {
-			y0 = -rng.Uniform(0, side)
-		}
-		if cx+cw == 128 {
-			x1 = side + rng.Uniform(0, side)
-		}
-		if cy+ch == 128 {
-			y1 = side + rng.Uniform(0, side)
-		}
+	case 4:
+		// A listener box on the benchmark driver's 12 000-node field that
+		// reaches past the room on some sides; the apex is an AP or an
+		// unfolded one, and the capsule a pedestrian's step.
+		side = 6000 * math.Sqrt(12)
+		b = emptyBox()
+		b.grow(channel.Vec2{X: rng.Uniform(-side/2, side), Y: rng.Uniform(-side/2, side)})
+		b.grow(channel.Vec2{X: rng.Uniform(0, 1.5*side), Y: rng.Uniform(0, 1.5*side)})
 		apex = channel.Vec2{X: rng.Uniform(-side, 2*side), Y: rng.Uniform(-side, 2*side)}
 		radius, walk = rng.Uniform(0.2, 0.5), rng.Uniform(0, 2)
 	}
 	var p channel.Vec2
 	if rng.Intn(2) == 0 {
-		// On the segment from a rect point towards the apex, or a little
-		// past either end, nudged sideways by up to a few radii.
-		q := channel.Vec2{X: rng.Uniform(x0, x1), Y: rng.Uniform(y0, y1)}
-		t, d := rng.Uniform(-0.2, 1.2), 3*radius
+		q := channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
+		t, d := rng.Uniform(0, 1), 3*radius
 		p = channel.Vec2{X: q.X + t*(apex.X-q.X) + rng.Uniform(-d, d), Y: q.Y + t*(apex.Y-q.Y) + rng.Uniform(-d, d)}
 	} else {
-		m := 2 + walk
 		p = channel.Vec2{
-			X: rng.Uniform(math.Min(x0, apex.X)-m, math.Max(x1, apex.X)+m),
-			Y: rng.Uniform(math.Min(y0, apex.Y)-m, math.Max(y1, apex.Y)+m),
+			X: rng.Uniform(math.Min(b.lo.X, apex.X), math.Max(b.hi.X, apex.X)),
+			Y: rng.Uniform(math.Min(b.lo.Y, apex.Y), math.Max(b.hi.Y, apex.Y)),
 		}
 	}
 	sin, cos := math.Sincos(rng.Uniform(-math.Pi, math.Pi))
 	k = channel.SweptRegion{Seg: channel.Segment{A: p, B: channel.Vec2{X: p.X + walk*cos, Y: p.Y + walk*sin}}, Radius: radius}
-	return x0, y0, x1, y1, apex, k
+	return side, b, apex, k
 }
 
-// TestNearRectMatchesOracle holds the silhouette test to the eight-segment
-// one it replaced: over 120 000 seeded (rect, apex, capsule) triples —
-// every shape of nearRectShapes, the capsule's sector computed from the
-// apex on half of them and admitting everything on the other half, so
-// the segment tests decide — both must give the same answer.
-func TestNearRectMatchesOracle(t *testing.T) {
-	const trials = 120000
+// checkConeCells is the brute-force oracle of appendConeCells: every point
+// of b that some capsule variant's sector admits, at least dist − reach
+// from the apex for that variant, must fall in a listed cell, and no cell
+// may be listed twice. It draws the points uniformly over b, on its
+// corners and edges, on cell lines, and along the sectors' boundary rays,
+// and returns how many were in scope and how many cells the walk listed.
+func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stats.RNG, points int) (inScope, listed int) {
+	t.Helper()
+	cells := s.appendConeCells(nil, co, &b)
+	visited := make([]bool, s.nx*s.ny)
+	for _, c := range cells {
+		if visited[c] {
+			t.Fatalf("cell %d listed twice", c)
+		}
+		visited[c] = true
+	}
+	apex := co.apex
+	inCone := func(p channel.Vec2) bool {
+		for c := 0; c < co.nCaps; c++ {
+			k := &co.caps[c]
+			if co.secs[c].admitsPoint(apex, p) && p.Dist(apex) >= k.Seg.DistanceTo(apex)-(k.Radius+sweptSlack) {
+				return true
+			}
+		}
+		return false
+	}
+	far := math.Max(math.Hypot(b.lo.X-apex.X, b.lo.Y-apex.Y), math.Hypot(b.hi.X-apex.X, b.hi.Y-apex.Y)) +
+		math.Hypot(b.hi.X-b.lo.X, b.hi.Y-b.lo.Y)
+	for i := 0; i < points; i++ {
+		p := channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
+		switch i % 5 {
+		case 1: // on an edge or a corner
+			if rng.Intn(2) == 0 {
+				p.X = [2]float64{b.lo.X, b.hi.X}[rng.Intn(2)]
+			}
+			if rng.Intn(2) == 0 {
+				p.Y = [2]float64{b.lo.Y, b.hi.Y}[rng.Intn(2)]
+			}
+		case 2: // on a cell line
+			p.X = math.Floor(p.X/s.cellW) * s.cellW
+		case 3, 4: // on a boundary ray of one of the sectors
+			if sc := &co.secs[i%co.nCaps]; !sc.all {
+				d := channel.Vec2{X: sc.n1.Y, Y: -sc.n1.X}
+				if i%5 == 4 {
+					d = channel.Vec2{X: -sc.n2.Y, Y: sc.n2.X}
+				}
+				tt := rng.Uniform(0, far)
+				p = channel.Vec2{X: apex.X + tt*d.X, Y: apex.Y + tt*d.Y}
+			}
+		}
+		if p.X < b.lo.X || p.X > b.hi.X || p.Y < b.lo.Y || p.Y > b.hi.Y || !inCone(p) {
+			continue
+		}
+		inScope++
+		if c := s.cellIndex(p); !visited[c] {
+			t.Fatalf("point %+v (cell %d, %d) is in a cone but its cell was not listed\nbox %+v apex %+v capsules %+v sectors %+v",
+				p, c%s.nx, c/s.nx, b, apex, co.caps[:co.nCaps], co.secs[:co.nCaps])
+		}
+	}
+	return inScope, len(cells)
+}
+
+// TestConeCellsCoverBruteForce holds the cone walk to the brute-force
+// oracle over 30 000 seeded (box, apex, capsule) triples — every shape of
+// coneShapes, the capsule's sector computed from the apex on half of them
+// and admitting everything on the other half, and on two thirds of them
+// one or two more capsule variants, each the previous one mirrored across
+// a line through the box, as a reflection corridor's are. Both in-scope
+// points and cells the walk leaves out must be common, or the check is
+// vacuous.
+func TestConeCellsCoverBruteForce(t *testing.T) {
+	const trials = 30000
 	rng := stats.NewRNG(83)
-	var hits, tried [6]int
+	var scoped, pruned, tried [5]int
 	for i := 0; i < trials; i++ {
-		shape := i % len(nearRectShapes)
-		x0, y0, x1, y1, apex, k := nearRectCase(rng, shape)
-		co := corridor{apex: apex, nCaps: 1}
+		shape := i % len(coneShapes)
+		side, b, apex, k := coneCase(rng, shape)
+		s := coneGrid(side)
+		co := corridor{apex: apex, nCaps: 1 + i/(2*len(coneShapes))%3}
 		co.caps[0] = k
-		if i/len(nearRectShapes)%2 == 0 {
-			co.secs[0] = makeSector(apex, k)
-		} else {
-			co.secs[0] = sector{all: true}
+		for c := 1; c < co.nCaps; c++ {
+			q := channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
+			sin, cos := math.Sincos(rng.Uniform(-math.Pi, math.Pi))
+			wall := channel.Segment{A: q, B: channel.Vec2{X: q.X + cos, Y: q.Y + sin}}
+			co.caps[c] = mirrorRegion(wall, co.caps[c-1])
 		}
-		got, want := co.nearRect(x0, y0, x1, y1), nearRectOracle(&co, x0, y0, x1, y1)
-		if got != want {
-			t.Fatalf("triple %d (%s): silhouette says %v, oracle %v\nrect [%v, %v]×[%v, %v] apex %+v capsule %+v",
-				i, nearRectShapes[shape], got, want, x0, x1, y0, y1, apex, k)
+		for c := 0; c < co.nCaps; c++ {
+			co.secs[c] = sector{all: true}
+			if i/len(coneShapes)%2 == 0 {
+				co.secs[c] = makeSector(apex, co.caps[c])
+			}
 		}
+		in, listed := checkConeCells(t, s, b, &co, rng, 200)
+		lo, hi := s.cellIndex(b.lo), s.cellIndex(b.hi)
 		tried[shape]++
-		if got {
-			hits[shape]++
+		if in > 0 {
+			scoped[shape]++
+		}
+		if listed < (hi%s.nx-lo%s.nx+1)*(hi/s.nx-lo/s.nx+1) {
+			pruned[shape]++
 		}
 	}
-	for s, name := range nearRectShapes {
-		if 10*hits[s] < tried[s] || 10*hits[s] > 9*tried[s] {
-			t.Errorf("%s: %d of %d triples near — both answers must be common", name, hits[s], tried[s])
+	for sh, name := range coneShapes {
+		if 5*scoped[sh] < tried[sh] || 5*pruned[sh] < tried[sh] {
+			t.Errorf("%s: %d of %d triples had points in scope, %d left cells of the box out — both must be common",
+				name, scoped[sh], tried[sh], pruned[sh])
 		}
 	}
-	t.Logf("near: %v of %v per shape", hits, tried)
+	t.Logf("in scope %v, pruned %v of %v per shape", scoped, pruned, tried)
+}
+
+// FuzzConeCells runs the brute-force oracle of TestConeCellsCoverBruteForce
+// on generated triples: the room side, two box corners, the apex, the
+// capsule's ends and radius, and whether the sector admits everything.
+func FuzzConeCells(f *testing.F) {
+	f.Add(uint64(1), 20.0, 2.0, 3.0, 15.0, 12.0, -10.0, 5.0, 6.0, 7.0, 6.5, 7.2, 0.3, false)
+	f.Add(uint64(2), 20.0, -3.0, -1.0, 25.0, 4.0, 5.0, 2.0, 5.0, 2.0, 8.0, 2.0, 0.4, false)
+	f.Add(uint64(3), 20785.0, -9000.0, 100.0, 25000.0, 20000.0, 47000.0, -12000.0, 800.0, 900.0, 801.0, 901.0, 0.3, false)
+	f.Add(uint64(4), 60.0, 0.0, 0.0, 60.0, 60.0, 30.0, 30.0, 10.0, 10.0, 10.0, 10.0, 1.0, true)
+	f.Fuzz(func(t *testing.T, seed uint64, side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius float64, all bool) {
+		for _, v := range []float64{side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
+				t.Skip("non-finite or off-scale input")
+			}
+		}
+		side = math.Max(side, 1)
+		b := emptyBox()
+		b.grow(channel.Vec2{X: x0, Y: y0})
+		b.grow(channel.Vec2{X: x1, Y: y1})
+		k := channel.SweptRegion{
+			Seg:    channel.Segment{A: channel.Vec2{X: kx0, Y: ky0}, B: channel.Vec2{X: kx1, Y: ky1}},
+			Radius: math.Min(math.Max(radius, 0.01), 5),
+		}
+		co := corridor{apex: channel.Vec2{X: ax, Y: ay}, nCaps: 1}
+		co.caps[0] = k
+		co.secs[0] = sector{all: true}
+		if !all {
+			co.secs[0] = makeSector(co.apex, k)
+		}
+		checkConeCells(t, coneGrid(side), b, &co, stats.NewRNG(seed), 500)
+	})
 }
 
 // TestRegionMapDirtyOrderAcrossWorkers pins the mapping fan-out's merge:
@@ -858,9 +909,9 @@ func TestRegionMapDirtyOrderAcrossWorkers(t *testing.T) {
 }
 
 // TestRegionMappingAllocatesNothing pins the whole mapping — swept log
-// read, wall list, listen-mask rebuild, corridors, descent, dirty marks —
-// at zero allocations per environment tick once warm, with one AP and
-// with sixteen.
+// read, wall list, corridors, cone walks, dirty marks — at zero
+// allocations per environment tick once warm, with one AP and with
+// sixteen.
 func TestRegionMappingAllocatesNothing(t *testing.T) {
 	for _, g := range []int{1, 4} {
 		nw := gridAPNetwork(t, 47, 200, g, g)
@@ -874,7 +925,7 @@ func TestRegionMappingAllocatesNothing(t *testing.T) {
 			})
 		}
 		// Warm: the first settle sizes the dirty list to the membership,
-		// the first mapping allocates the mask tree and the scratch lists,
+		// the first mappings allocate the scratch lists,
 		// and forty steps grow the swept log (and the scratch copy of it)
 		// past what the measured ones add.
 		for i := 0; i < 40; i++ {
@@ -898,8 +949,9 @@ func TestRegionMappingAllocatesNothing(t *testing.T) {
 // of them. The tick is 0.25 s, where a walker moves past its own radius,
 // or 0.05 s, the sim-blockers workload's tick. staled/op counts the
 // nodes the mapping marked per tick — the link re-evaluations the tick
-// pays for, exact at any worker count. All rungs of one AP count share a
-// fleet, whose walkers move on between them.
+// pays for, exact at any worker count — and cells/op the grid cells the
+// cone walks visited per tick. All rungs of one AP count share a fleet,
+// whose walkers move on between them.
 func BenchmarkRegionMap(b *testing.B) {
 	workers := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
@@ -927,14 +979,18 @@ func BenchmarkRegionMap(b *testing.B) {
 					b.Run(fmt.Sprintf("step=%gs/workers=%d", step, w), func(b *testing.B) {
 						nw.Workers = w
 						b.ReportAllocs()
-						staled := 0
+						staled, cells := 0, 0
 						for i := 0; i < b.N; i++ {
 							nw.Env.Step(step)
 							nw.sparse.syncEnv(nw)
 							staled += len(nw.sparse.dirty)
+							for _, it := range nw.sparse.mapItems {
+								cells += int(it.cells)
+							}
 							nw.sparse.settle(nw) // the eval and finish passes
 						}
 						b.ReportMetric(float64(staled)/float64(b.N), "staled/op")
+						b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
 					})
 				}
 			}
