@@ -21,13 +21,13 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
+	"os"
 	"time"
 
 	"mmx/internal/apdsp"
 	"mmx/internal/dsp"
 	"mmx/internal/modem"
+	"mmx/internal/par"
 	"mmx/internal/stats"
 	"mmx/internal/tma"
 	"mmx/internal/units"
@@ -47,6 +47,14 @@ func main() {
 	fdm := flag.Int("fdm", 0, "run the N-channel wideband FDM demo (e.g. 200) instead of the SDM scene")
 	workers := flag.Int("workers", 0, "demodulation workers (0 = GOMAXPROCS)")
 	flag.Parse()
+	if *fdm < 0 || *fdm > 240 {
+		fmt.Fprintf(os.Stderr, "mmx-ap: bad -fdm %d (want 0 for the SDM scene, or 1..240 channels on the 1 MHz grid inside the 250 MHz band)\n", *fdm)
+		os.Exit(2)
+	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "mmx-ap: bad -workers %d (want 0 for GOMAXPROCS, or at least 1)\n", *workers)
+		os.Exit(2)
+	}
 	if *fdm > 0 {
 		fdmDemo(*fdm, *seed, *workers)
 		return
@@ -162,10 +170,6 @@ func fdmDemo(n int, seed uint64, workers int) {
 		// sample.
 		taps = 2751
 	)
-	if n < 1 || n > 240 {
-		fmt.Println("-fdm wants 1..240 channels (1 MHz grid inside the 250 MHz band)")
-		return
-	}
 	center := units.ISM24GHzCenter
 	offsets := make([]float64, n)
 	for i := range offsets {
@@ -173,41 +177,33 @@ func fdmDemo(n int, seed uint64, workers int) {
 	}
 
 	// Synthesize every node's frame straight at its wideband offset,
-	// fanning nodes across workers (each accumulates a partial band sum).
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+	// striding nodes across w lanes (each accumulates a partial band sum,
+	// summed in lane order, so the capture depends on w alone).
+	w := par.Lanes(workers, n)
 	payload := func(i int) []byte { return []byte(fmt.Sprintf("n%03d", i)) }
 	frameSamples := modem.FrameBits(4) * int(wideRate/sym)
 	capLen := frameSamples + 6000
 	partials := make([][]complex128, w)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			sum := make([]complex128, capLen)
-			for i := g; i < n; i += w {
-				bits, err := modem.BuildFrame(payload(i))
-				if err != nil {
-					panic(err)
-				}
-				cfg := modem.Config{
-					SampleRate: wideRate, SymbolRate: sym,
-					F0: offsets[i] - fsk/2, F1: offsets[i] + fsk/2,
-				}
-				rng := stats.NewRNG(seed + uint64(i)*0x9E3779B97F4A7C15)
-				x := modem.PadRandomOffset(
-					modem.Synthesize(cfg, bits, complex(0.1, 0), complex(0.9, 0)),
-					int(rng.Intn(4000)))
-				dsp.Add(sum, x)
+	par.For(w, w, func(_, g int) {
+		sum := make([]complex128, capLen)
+		for i := g; i < n; i += w {
+			bits, err := modem.BuildFrame(payload(i))
+			if err != nil {
+				panic(err)
 			}
-			partials[g] = sum
-		}(g)
-	}
-	wg.Wait()
+			cfg := modem.Config{
+				SampleRate: wideRate, SymbolRate: sym,
+				F0: offsets[i] - fsk/2, F1: offsets[i] + fsk/2,
+			}
+			rng := stats.NewRNG(seed + uint64(i)*0x9E3779B97F4A7C15)
+			x := modem.PadRandomOffset(
+				modem.Synthesize(cfg, bits, complex(0.1, 0), complex(0.9, 0)),
+				int(rng.Intn(4000)))
+			dsp.Add(sum, x)
+		}
+		partials[g] = sum
+	})
 	wide := partials[0]
 	for _, p := range partials[1:] {
 		dsp.Add(wide, p)

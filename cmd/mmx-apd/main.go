@@ -25,10 +25,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"mmx/internal/mac"
 	"mmx/internal/netctl"
@@ -49,12 +51,26 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (at shutdown) to this file")
 	)
 	flag.Parse()
-	stopProfiles, err := profile.Start("mmx-apd: ", *cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mmx-apd: %v\n", err)
-		os.Exit(2)
+	// Every flag is checked before the socket opens. Each rule states what
+	// a good value satisfies, so NaN fails it; a sweep period must also
+	// convert to a time.Duration of at least 1 ns, or the sweeper's ticker
+	// panics while the daemon is already serving.
+	sweep := *expireEvery * float64(time.Second)
+	for _, r := range []struct {
+		name, want string
+		ok         bool
+	}{
+		{"lease-ttl", "finite seconds, 0 or more", *leaseTTL >= 0 && *leaseTTL <= math.MaxFloat64},
+		{"expire-every", "0, or seconds from 1e-9 to 9.2e9", *expireEvery == 0 || (sweep >= 1 && sweep < math.MaxInt64)},
+		{"readers", "at least 1", *readers >= 1},
+		{"workers", "at least 1", *workers >= 1},
+		{"queue", "at least 1", *queue >= 1},
+	} {
+		if !r.ok {
+			fmt.Fprintf(os.Stderr, "mmx-apd: bad -%s %s (want %s)\n", r.name, flag.Lookup(r.name).Value, r.want)
+			os.Exit(2)
+		}
 	}
-
 	var b mac.Band
 	switch *band {
 	case "ism24":
@@ -62,9 +78,14 @@ func main() {
 	case "u60":
 		b = mac.Unlicensed60GHz()
 	default:
-		fmt.Fprintf(os.Stderr, "mmx-apd: unknown band %q\n", *band)
-		stopProfiles()
-		os.Exit(1)
+		fmt.Fprintf(os.Stderr, "mmx-apd: bad -band %q (want ism24 or u60)\n", *band)
+		os.Exit(2)
+	}
+
+	stopProfiles, err := profile.Start("mmx-apd: ", *cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mmx-apd: %v\n", err)
+		os.Exit(2)
 	}
 
 	conn, err := net.ListenPacket("udp", *listen)

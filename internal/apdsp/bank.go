@@ -33,12 +33,10 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mmx/internal/dsp"
 	"mmx/internal/modem"
+	"mmx/internal/par"
 )
 
 // BankChannel names one receive slot of the filterbank: an FDM channel
@@ -267,13 +265,12 @@ func (b *FilterBank) process(out [][]complex128, x []complex128) {
 
 // ReceiveAll is the full AP receive stage: one ExtractAll pass over the
 // capture, then every channel's baseband handed to its own
-// modem.StreamReceiver across a worker pool (workers ≤ 0 means
+// modem.StreamReceiver across the worker pool, par.For (workers ≤ 0 means
 // GOMAXPROCS). cfg is the shared per-channel modem numerology (see
 // ChannelConfig); payloadLens[i] is channel i's expected payload size.
 // Results are indexed by channel and are identical for any worker count:
-// channels are the unit of work (claimed off an atomic counter, the
-// RunTrials discipline) and each channel's receiver is touched by exactly
-// one worker per call.
+// channels are the unit of work and each channel's receiver is touched by
+// exactly one worker per call.
 func (b *FilterBank) ReceiveAll(x []complex128, cfg modem.Config, payloadLens []int, workers int) ([][]modem.StreamFrame, error) {
 	if len(payloadLens) != len(b.chans) {
 		return nil, errors.New("apdsp: payloadLens must match configured channels")
@@ -293,36 +290,9 @@ func (b *FilterBank) ReceiveAll(x []complex128, cfg modem.Config, payloadLens []
 		}
 		b.recvCfg = cfg
 	}
-	nc := len(b.chans)
-	results := make([][]modem.StreamFrame, nc)
-	w := workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > nc {
-		w = nc
-	}
-	if w <= 1 {
-		for i := 0; i < nc; i++ {
-			results[i] = b.recv[i].ReceiveAll(outs[i], payloadLens[i])
-		}
-		return results, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nc {
-					return
-				}
-				results[i] = b.recv[i].ReceiveAll(outs[i], payloadLens[i])
-			}
-		}()
-	}
-	wg.Wait()
+	results := make([][]modem.StreamFrame, len(b.chans))
+	par.For(workers, len(b.chans), func(_, i int) {
+		results[i] = b.recv[i].ReceiveAll(outs[i], payloadLens[i])
+	})
 	return results, nil
 }

@@ -2,8 +2,9 @@ package experiments
 
 // Deterministic Monte Carlo fan-out. Every figure and ablation in this
 // package decomposes into independent trials (grid cells, random poses,
-// distance samples, network instantiations). RunTrials runs them across a
-// worker pool while keeping the output bit-identical to a serial run:
+// distance samples, network instantiations). RunTrials runs them across
+// the worker pool (par.For) while keeping the output bit-identical to a
+// serial run:
 //
 //   - trial i's randomness comes only from TrialRNG(seed, i), never from a
 //     stream shared across trials, so scheduling cannot reorder draws;
@@ -16,35 +17,9 @@ package experiments
 // contract.
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
+	"mmx/internal/par"
 	"mmx/internal/stats"
 )
-
-// workerCount overrides the fan-out width; 0 means GOMAXPROCS.
-var workerCount atomic.Int64
-
-// SetWorkers fixes the number of worker goroutines RunTrials uses and
-// returns the previous setting. n <= 0 restores the default
-// (GOMAXPROCS at call time). Results never depend on the worker count;
-// SetWorkers(1) exists for benchmarking the serial path, not for
-// reproducibility.
-func SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(workerCount.Swap(int64(n)))
-}
-
-// Workers reports the fan-out width RunTrials will use.
-func Workers() int {
-	if n := int(workerCount.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // trialSeedStride spaces per-trial seeds across the 64-bit space (the
 // golden-ratio increment of splitmix64). stats.NewRNG splitmixes the seed
@@ -59,39 +34,16 @@ func TrialRNG(seed uint64, trial int) *stats.RNG {
 }
 
 // RunTrials evaluates fn for trials 0..n-1, each with its own TrialRNG,
-// and returns the results in trial order. The trials run on Workers()
-// goroutines; the returned slice is byte-identical for any worker count.
-// fn must not mutate state shared between trials.
+// and returns the results in trial order. The trials run on the worker
+// pool (par.For, GOMAXPROCS wide); the returned slice is byte-identical
+// for any width. fn must not mutate state shared between trials.
 func RunTrials[T any](seed uint64, n int, fn func(trial int, rng *stats.RNG) T) []T {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]T, n)
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := range out {
-			out[i] = fn(i, TrialRNG(seed, i))
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i, TrialRNG(seed, i))
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(0, n, func(_, i int) {
+		out[i] = fn(i, TrialRNG(seed, i))
+	})
 	return out
 }

@@ -2,17 +2,19 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"mmx/internal/stats"
 )
 
-// withWorkers runs fn with the fan-out width pinned, restoring it after.
+// withWorkers runs fn with the fan-out width pinned (RunTrials is
+// GOMAXPROCS wide), restoring it after.
 func withWorkers(t *testing.T, n int, fn func()) {
 	t.Helper()
-	prev := SetWorkers(n)
-	defer SetWorkers(prev)
+	prev := runtime.GOMAXPROCS(n)
+	defer runtime.GOMAXPROCS(prev)
 	fn()
 }
 
@@ -69,18 +71,6 @@ func TestTrialRNGStreamsIndependent(t *testing.T) {
 			t.Fatalf("trials %d and %d opened with the same draw", j, i)
 		}
 		seen[v] = i
-	}
-}
-
-func TestSetWorkers(t *testing.T) {
-	prev := SetWorkers(3)
-	defer SetWorkers(prev)
-	if Workers() != 3 {
-		t.Errorf("Workers() = %d after SetWorkers(3)", Workers())
-	}
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Errorf("default Workers() = %d", Workers())
 	}
 }
 

@@ -94,7 +94,7 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		h.present = true
 		h.joinedAt = rs.sim.Now()
 		rs.hcache = append(rs.hcache, h) // registerNode put n at the tail
-		rs.refresh()
+		nw.core().settle(nw)
 		rs.scheduleFrames(n)
 		if nw.OnMembership != nil {
 			nw.OnMembership("join", id)
@@ -136,7 +136,7 @@ func (rs *runState) leaveNow(id uint32) {
 		h.present = false
 	}
 	h.gen++ // cancels the departed node's in-flight frame chain
-	rs.refresh()
+	nw.core().settle(nw)
 	if nw.OnMembership != nil {
 		nw.OnMembership("leave", id)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mmx/internal/channel"
 	"mmx/internal/core"
+	"mmx/internal/par"
 	"mmx/internal/rf"
 	"mmx/internal/units"
 )
@@ -178,10 +179,6 @@ type sparseState struct {
 
 	dirty    []*Node
 	envEpoch uint64
-	// allStale marks that the current dirty set is the whole membership
-	// (stale-everything fallback): the eval pass can skip the per-source
-	// victim propagation, every victim is already queued.
-	allStale bool
 
 	// listeners[j] bounds every position at which a node started to cache
 	// a link towards AP j: it grows in gridInsert for the serving AP and
@@ -824,7 +821,6 @@ func (s *sparseState) staleAll(nw *Network) {
 		n.sp.queued = true
 		s.dirty = append(s.dirty, n)
 	}
-	s.allStale = true
 }
 
 // settle brings every dirty node's cached report up to date: the eval
@@ -846,9 +842,7 @@ func (s *sparseState) settle(nw *Network) {
 // runEvalPass re-evaluates the stale members of the dirty set in
 // parallel, then (serially, so the dirty list grows deterministically at
 // any worker count) queues the victims of every node whose received
-// power actually changed — their interference rows are stale too. The
-// propagation sweep is skipped when the whole membership is already
-// queued.
+// power actually changed — their interference rows are stale too.
 func (s *sparseState) runEvalPass(nw *Network) {
 	work := s.workScratch[:0]
 	for _, n := range s.dirty {
@@ -859,7 +853,7 @@ func (s *sparseState) runEvalPass(nw *Network) {
 			work = append(work, n)
 		}
 	}
-	nw.forEachNode(len(work), func(_, i int) {
+	par.For(nw.Workers, len(work), func(_, i int) {
 		n := work[i]
 		n.sp.evalStale = false
 		oldPower := n.sp.power
@@ -888,14 +882,12 @@ func (s *sparseState) runEvalPass(nw *Network) {
 		}
 		n.sp.powerMoved = moved
 	})
-	if !s.allStale {
-		for _, n := range work {
-			if !n.sp.powerMoved {
-				continue
-			}
-			for i := range n.sp.out {
-				s.markDirty(n.sp.out[i].dst)
-			}
+	for _, n := range work {
+		if !n.sp.powerMoved {
+			continue
+		}
+		for i := range n.sp.out {
+			s.markDirty(n.sp.out[i].dst)
 		}
 	}
 	s.workScratch = work[:0]
@@ -905,7 +897,7 @@ func (s *sparseState) runEvalPass(nw *Network) {
 // resets the dirty set.
 func (s *sparseState) finishDirty(nw *Network) {
 	dirty := s.dirty
-	nw.forEachNode(len(dirty), func(_, i int) {
+	par.For(nw.Workers, len(dirty), func(_, i int) {
 		n := dirty[i]
 		if nw.nodeIdx[n.ID] != n {
 			return
@@ -918,7 +910,6 @@ func (s *sparseState) finishDirty(nw *Network) {
 		s.finishNode(n)
 	})
 	s.dirty = dirty[:0]
-	s.allStale = false
 }
 
 // finishNode re-sums one victim's interference row from scratch and

@@ -6,6 +6,7 @@ import (
 	"mmx/internal/core"
 	"mmx/internal/faults"
 	"mmx/internal/netctl"
+	"mmx/internal/par"
 )
 
 // event is one scheduled simulation action, stored by value in the
@@ -355,14 +356,6 @@ func (rs *runState) newHandle(h *nodeHandle, id uint32) *nodeHandle {
 	return h
 }
 
-// refresh brings the interference picture up to date after
-// environment steps and control-plane or membership events: the engine
-// settles exactly its dirty set, and per-node reports stay cached on the
-// nodes, so an O(degree) event never pays an O(n) report rebuild.
-func (rs *runState) refresh() {
-	rs.nw.core().settle(rs.nw)
-}
-
 // observe samples the current reports into per-node stats.
 func (rs *runState) observe() {
 	for i, n := range rs.nw.Nodes {
@@ -386,48 +379,29 @@ func (rs *runState) sample(h *nodeHandle, sinrDB float64) {
 	}
 }
 
-// envRefresh is the per-environment-step pipeline: refresh the
-// interference picture after the blockers moved, re-adapt every live
-// node's PHY rate to it, and sample the SINR observations.
-//
-// The three stages fuse into the settle passes: syncEnv marks only the
-// nodes the blockers' swept regions can have touched, the eval pass
-// re-traces exactly those, and one parallel pass over the membership
-// finishes the queued nodes, re-adapts rates (the reports hold each
-// node's SINR in its configured channel bandwidth, what the ladder walk
-// wants; rate 0 = outage until a later step clears it) and accumulates
-// the observation samples — non-dirty nodes' samples come from their
-// unchanged cached reports. Every write in the fused pass lands in
-// per-node state (the node itself or its stats handle), so a fixed-seed
-// run is byte-identical at any worker count.
+// envRefresh is the per-environment-step pipeline: settle the
+// interference picture after the blockers moved (syncEnv marks only the
+// nodes the blockers' swept regions can have touched, and the settle
+// passes re-trace and re-sum exactly those), then one rate/sample pass
+// over the membership re-adapts every live node's PHY rate (the reports
+// hold each node's SINR in its configured channel bandwidth, what the
+// ladder walk wants; rate 0 = outage until a later step clears it) and
+// accumulates the observation samples. The pass writes only per-node
+// state (the node itself and its stats handle), so a fixed-seed run is
+// byte-identical at any worker count.
 func (rs *runState) envRefresh() {
 	nw := rs.nw
-	s := nw.core()
-	s.syncEnv(nw)
-	if len(s.dirty) > 0 {
-		s.runEvalPass(nw)
-	}
+	nw.core().settle(nw)
 	nodes := nw.Nodes
 	hcache := rs.hcache
-	nw.forEachNode(len(nodes), func(_, i int) {
+	par.For(nw.Workers, len(nodes), func(_, i int) {
 		n := nodes[i]
-		if n.sp.queued {
-			n.sp.queued = false
-			if n.sp.sumDirty {
-				n.sp.sumDirty = false
-				s.finishNode(n)
-			}
-		}
 		if n.Down {
 			return
 		}
 		n.RateBps = nw.cappedRate(n, core.RateForSNR(n.sp.rep.SINRdB, n.Link.Cfg.BandwidthHz, 1e-6))
 		rs.sample(hcache[i], n.sp.rep.SINRdB)
 	})
-	// Dirty entries no longer in the membership were already reset by
-	// removeNode; the fused pass cleared everyone else's flags.
-	s.dirty = s.dirty[:0]
-	s.allStale = false
 }
 
 // maxBacklogS bounds per-node queueing: frames older than this are
@@ -567,7 +541,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		rs.hcache[i] = h
 		rs.apOpen(n.ID, n.AP.idx, 0)
 	}
-	rs.refresh()
+	nw.core().settle(nw)
 	rs.observe()
 
 	var envTick func()
@@ -593,7 +567,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 						n.Down = true
 						nw.sparse.powerChanged(n)
 						ctl.Crashes++
-						rs.refresh()
+						nw.core().settle(nw)
 					}
 				})
 			case faults.NodeReboot:
@@ -613,7 +587,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 					n.Down = false
 					nw.applyAssignment(n)
 					nw.sparse.updateNode(nw, n)
-					rs.refresh()
+					nw.core().settle(nw)
 				})
 			case faults.APRestart:
 				if fe.AP < 0 || fe.AP >= len(nw.APs) {
@@ -687,7 +661,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 			}
 		}
 		if changed {
-			rs.refresh()
+			nw.core().settle(nw)
 		}
 		sim.After(nw.Control.RenewIntervalS, renewTick)
 	}

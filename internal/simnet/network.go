@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mmx/internal/antenna"
 	"mmx/internal/channel"
@@ -604,47 +601,6 @@ func (nw *Network) crossPower(n *Node, a int) float64 {
 	ev := nw.crossLink(n, a).EvaluateWithClass()
 	g := math.Max(cmplx.Abs(ev.G0), cmplx.Abs(ev.G1))
 	return g * g
-}
-
-// lanes is the number of goroutines forEachNode runs n indexes on: the
-// worker pool (Workers, 0 = GOMAXPROCS), never more than n, at least 1.
-func (nw *Network) lanes(n int) int {
-	workers := nw.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(workers, n))
-}
-
-// forEachNode runs fn(lane, i) for every i in [0,n), fanned out across
-// the network's worker pool; lane in [0, lanes(n)) names the goroutine
-// running it, so fn may append to per-lane scratch. Each index writes
-// only its own output slot, so results are bit-identical to the serial
-// loop regardless of scheduling.
-func (nw *Network) forEachNode(n int, fn func(lane, i int)) {
-	workers := nw.lanes(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // EvaluateSINR computes every node's current SNR and SINR. The engine

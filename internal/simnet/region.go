@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"mmx/internal/channel"
+	"mmx/internal/par"
 )
 
 // This file maps a blocker's swept region (channel.SweptRegion) onto the
@@ -271,7 +272,7 @@ func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
 		}
 	}
 	s.corridorScratch, s.mapItems = corridors, items
-	if lanes := nw.lanes(len(items)); len(s.mapLanes) < lanes {
+	if lanes := par.Lanes(nw.Workers, len(items)); len(s.mapLanes) < lanes {
 		s.mapLanes = append(s.mapLanes, make([]mapLane, lanes-len(s.mapLanes))...)
 	}
 	for i := range s.mapLanes {
@@ -280,7 +281,7 @@ func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
 	if s.mapFn == nil {
 		s.mapFn = func(lane, i int) { s.mapItem(nw, lane, i) }
 	}
-	nw.forEachNode(len(items), s.mapFn)
+	par.For(nw.Workers, len(items), s.mapFn)
 	for _, it := range items {
 		for _, n := range s.mapLanes[it.lane].cand[it.lo:it.hi] {
 			if !n.sp.evalStale {

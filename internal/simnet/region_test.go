@@ -456,9 +456,9 @@ func TestSweptLogOverrunStalesEverything(t *testing.T) {
 	}
 }
 
-// TestFusedTickDeterminismAcrossWorkers pins the fused environment tick
-// (region invalidation + parallel rate adaptation + SINR sampling in one
-// pass) to byte-identical outcomes at any worker count: the same seeded
+// TestFusedTickDeterminismAcrossWorkers pins the environment tick
+// (region invalidation and settle, then the parallel rate/sample pass)
+// to byte-identical outcomes at any worker count: the same seeded
 // run at Workers = 1, 4 and 8 must agree on every report bit and every
 // per-node statistic. Run under -race in CI this also shakes out write
 // overlap between the fan-out lanes.

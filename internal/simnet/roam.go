@@ -31,7 +31,7 @@ func (rs *runState) roamTick() {
 		}
 	}
 	if changed {
-		rs.refresh()
+		nw.core().settle(nw)
 	}
 }
 
