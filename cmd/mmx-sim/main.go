@@ -56,7 +56,7 @@ func main() {
 	defer stopProfiles()
 
 	var w, h float64
-	if _, err := fmt.Sscanf(strings.ToLower(*roomSpec), "%fx%f", &w, &h); err != nil || w <= 0 || h <= 0 {
+	if _, err := fmt.Sscanf(strings.ToLower(*roomSpec), "%fx%f", &w, &h); err != nil {
 		fmt.Fprintf(os.Stderr, "bad -room %q (want WxH)\n", *roomSpec)
 		os.Exit(2)
 	}
@@ -68,18 +68,52 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bad -reuse %d (want at least 1)\n", *reuse)
 		os.Exit(2)
 	}
+	crashes := parseEvents(*crash, "-crash")
+	reboots := parseEvents(*reboot, "-reboot")
+	var restartAt, restartDown float64
+	restartAP := -1 // the plan's default AP unless the spec names one
+	if *apRestart != "" {
+		if _, err := fmt.Sscanf(*apRestart, "%f@%f@%d", &restartAt, &restartDown, &restartAP); err == nil {
+			if restartAP < 0 || restartAP >= *aps {
+				fmt.Fprintf(os.Stderr, "bad -ap-restart %q: AP %d outside [0, %d)\n", *apRestart, restartAP, *aps)
+				os.Exit(2)
+			}
+		} else if _, err := fmt.Sscanf(*apRestart, "%f@%f", &restartAt, &restartDown); err != nil {
+			fmt.Fprintf(os.Stderr, "bad -ap-restart %q (want start@downFor or start@downFor@ap)\n", *apRestart)
+			os.Exit(2)
+		}
+	}
 	// Each rule states what a good value satisfies, so NaN fails it.
+	positive := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+	nonNegative := func(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+	timesOK := func(evs []faultEvent) bool {
+		for _, ev := range evs {
+			if !nonNegative(ev.at) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, r := range []struct {
 		name, want string
 		ok         bool
 	}{
-		{"duration", "finite seconds above 0", *duration > 0 && *duration <= math.MaxFloat64},
+		{"room", "WxH, each finite meters above 0", positive(w) && positive(h)},
+		{"duration", "finite seconds above 0", positive(*duration)},
 		{"nodes", "at least 0", *nodes >= 0},
 		{"blockers", "at least 0", *blockers >= 0},
-		{"rate", "finite Mbps above 0", *rateMbps > 0 && *rateMbps <= math.MaxFloat64},
+		{"rate", "finite Mbps above 0", positive(*rateMbps)},
 		{"drop", "a probability in [0, 1]", *drop >= 0 && *drop <= 1},
 		{"dup", "a probability in [0, 1]", *dup >= 0 && *dup <= 1},
 		{"trunc", "a probability in [0, 1]", *trunc >= 0 && *trunc <= 1},
+		{"churn-rate", "finite arrivals per second, at least 0", nonNegative(*churnRate)},
+		{"churn-dwell", "finite seconds above 0", positive(*churnDwell)},
+		{"lease-ttl", "finite seconds, at least 0", nonNegative(*leaseTTL)},
+		{"roam-hysteresis-db", "finite dB, at least 0", nonNegative(*roamHystDB)},
+		{"crash", "event times in finite seconds, at least 0", timesOK(crashes)},
+		{"reboot", "event times in finite seconds, at least 0", timesOK(reboots)},
+		{"ap-restart", "a finite start of at least 0 s and a finite down time above 0 s",
+			*apRestart == "" || nonNegative(restartAt) && positive(restartDown)},
 	} {
 		if !r.ok {
 			fmt.Fprintf(os.Stderr, "bad -%s %s (want %s)\n", r.name, flag.Lookup(r.name).Value, r.want)
@@ -138,27 +172,17 @@ func main() {
 		nw.SetLossyControl(*seed+2, *drop, *dup, *trunc)
 	}
 	plan := mmx.NewFaultPlan()
-	for _, ev := range parseEvents(*crash, "-crash") {
+	for _, ev := range crashes {
 		plan.Crash(ev.at, uint32(ev.id))
 	}
-	for _, ev := range parseEvents(*reboot, "-reboot") {
+	for _, ev := range reboots {
 		plan.Reboot(ev.at, uint32(ev.id))
 	}
-	if *apRestart != "" {
-		var start, downFor float64
-		var apIdx int
-		if _, err := fmt.Sscanf(*apRestart, "%f@%f@%d", &start, &downFor, &apIdx); err == nil {
-			if apIdx < 0 || apIdx >= *aps {
-				fmt.Fprintf(os.Stderr, "bad -ap-restart %q: AP %d outside [0, %d)\n", *apRestart, apIdx, *aps)
-				os.Exit(2)
-			}
-			plan.RestartAPAt(start, downFor, apIdx)
-		} else if _, err := fmt.Sscanf(*apRestart, "%f@%f", &start, &downFor); err == nil {
-			plan.RestartAP(start, downFor)
-		} else {
-			fmt.Fprintf(os.Stderr, "bad -ap-restart %q (want start@downFor or start@downFor@ap)\n", *apRestart)
-			os.Exit(2)
-		}
+	switch {
+	case restartAP >= 0:
+		plan.RestartAPAt(restartAt, restartDown, restartAP)
+	case *apRestart != "":
+		plan.RestartAP(restartAt, restartDown)
 	}
 	if len(plan.Events) > 0 {
 		nw.SetFaultPlan(plan)

@@ -121,6 +121,8 @@ func (rs *runState) leaveNow(id uint32) {
 	removedAt := leaver.idx
 	nw.unregisterNodeAt(removedAt)
 	h := rs.hcache[removedAt]
+	rs.flushSamples(h)
+	h.sampled = false
 	rs.left[id] = h
 	rs.hcache = append(rs.hcache[:removedAt], rs.hcache[removedAt+1:]...)
 	nw.release(ap, leaver, rs.nowAt(ap))

@@ -194,6 +194,9 @@ type sparseState struct {
 	mapItems        []mapItem
 	mapLanes        []mapLane
 	mapFn           func(lane, i int)
+	// The eval and finish passes' item functions, built once per core
+	// for the same reason: they index workScratch and dirty.
+	evalFn, finishFn func(lane, i int)
 
 	// scratch, reused across calls
 	workScratch  []*Node
@@ -853,35 +856,11 @@ func (s *sparseState) runEvalPass(nw *Network) {
 			work = append(work, n)
 		}
 	}
-	par.For(nw.Workers, len(work), func(_, i int) {
-		n := work[i]
-		n.sp.evalStale = false
-		oldPower := n.sp.power
-		if n.Down {
-			n.sp.power = 0
-		} else {
-			n.sp.eval = n.Link.EvaluateWithClass()
-			g := math.Max(cmplx.Abs(n.sp.eval.G0), cmplx.Abs(n.sp.eval.G1))
-			n.sp.power = g * g
-		}
-		moved := n.sp.power != oldPower
-		// Refresh the node's received power at every foreign AP it has
-		// victims at (cross-shard edges). Down sources are skipped: their
-		// victims skip them in the re-sum, exactly like the serving path.
-		if n.sp.outPerAP != nil && !n.Down {
-			ai := n.AP.idx
-			for a, cnt := range n.sp.outPerAP {
-				if cnt <= 0 || a == ai {
-					continue
-				}
-				if p := nw.crossPower(n, a); p != n.sp.xpower[a] {
-					n.sp.xpower[a] = p
-					moved = true
-				}
-			}
-		}
-		n.sp.powerMoved = moved
-	})
+	s.workScratch = work
+	if s.evalFn == nil {
+		s.evalFn = func(_, i int) { s.evalNode(nw, s.workScratch[i]) }
+	}
+	par.For(nw.Workers, len(work), s.evalFn)
 	for _, n := range work {
 		if !n.sp.powerMoved {
 			continue
@@ -893,22 +872,66 @@ func (s *sparseState) runEvalPass(nw *Network) {
 	s.workScratch = work[:0]
 }
 
+// evalNode re-runs one stale node's link evaluation and records whether
+// its received power — at its serving AP or at any foreign AP it has
+// victims at — moved.
+func (s *sparseState) evalNode(nw *Network, n *Node) {
+	n.sp.evalStale = false
+	oldPower := n.sp.power
+	if n.Down {
+		n.sp.power = 0
+	} else {
+		n.sp.eval = n.Link.EvaluateWithClass()
+		g := math.Max(cmplx.Abs(n.sp.eval.G0), cmplx.Abs(n.sp.eval.G1))
+		n.sp.power = g * g
+	}
+	moved := n.sp.power != oldPower
+	// Refresh the node's received power at every foreign AP it has
+	// victims at (cross-shard edges). Down sources are skipped: their
+	// victims skip them in the re-sum, exactly like the serving path.
+	if n.sp.outPerAP != nil && !n.Down {
+		ai := n.AP.idx
+		for a, cnt := range n.sp.outPerAP {
+			if cnt <= 0 || a == ai {
+				continue
+			}
+			if p := nw.crossPower(n, a); p != n.sp.xpower[a] {
+				n.sp.xpower[a] = p
+				moved = true
+			}
+		}
+	}
+	n.sp.powerMoved = moved
+}
+
 // finishDirty re-sums and rebuilds the report of every queued node, then
-// resets the dirty set.
+// resets the dirty set. During Run it also queues every member it visited
+// on the run's finished list — the only feed of the tick's rate/sample
+// step (runState.envRefresh).
 func (s *sparseState) finishDirty(nw *Network) {
 	dirty := s.dirty
-	par.For(nw.Workers, len(dirty), func(_, i int) {
-		n := dirty[i]
-		if nw.nodeIdx[n.ID] != n {
-			return
+	if s.finishFn == nil {
+		s.finishFn = func(_, i int) {
+			n := s.dirty[i]
+			if nw.nodeIdx[n.ID] != n {
+				return
+			}
+			n.sp.queued = false
+			if !n.sp.sumDirty {
+				return
+			}
+			n.sp.sumDirty = false
+			s.finishNode(n)
 		}
-		n.sp.queued = false
-		if !n.sp.sumDirty {
-			return
+	}
+	par.For(nw.Workers, len(dirty), s.finishFn)
+	if rs := nw.run; rs != nil {
+		for _, n := range dirty {
+			if nw.nodeIdx[n.ID] == n {
+				rs.queueFinished(n)
+			}
 		}
-		n.sp.sumDirty = false
-		s.finishNode(n)
-	})
+	}
 	s.dirty = dirty[:0]
 }
 

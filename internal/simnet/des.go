@@ -6,7 +6,6 @@ import (
 	"mmx/internal/core"
 	"mmx/internal/faults"
 	"mmx/internal/netctl"
-	"mmx/internal/par"
 )
 
 // event is one scheduled simulation action, stored by value in the
@@ -284,6 +283,14 @@ type nodeHandle struct {
 	activeS   float64 // sum of closed presence intervals
 	busyUntil float64 // transmitter occupancy horizon
 	gen       int     // bumped on leave: cancels stale frame chains
+
+	// The node's pending SINR samples, one run-length: while sampled, it
+	// observed sinr at every instant from observation instant from on
+	// (runState.instants counts them). flushSamples folds the run into
+	// st; a new value, a crash or a leave starts the next one.
+	sinr    float64
+	from    int
+	sampled bool
 }
 
 // runState is the live engine state while Run executes. Network.run
@@ -321,6 +328,14 @@ type runState struct {
 	order  []*nodeHandle
 
 	pending map[uint32]bool // IDs with a handshake done, activation queued
+
+	// finished lists the members the settles re-finished since the last
+	// environment tick (plus, until the first tick, the whole starting
+	// membership), each once (Node.finished); the tick re-rates and
+	// re-samples exactly these. instants counts the observation instants
+	// so far: Run's start, then every tick.
+	finished []*Node
+	instants int
 }
 
 // nowAt maps the current sim time onto one AP controller's clock.
@@ -356,52 +371,78 @@ func (rs *runState) newHandle(h *nodeHandle, id uint32) *nodeHandle {
 	return h
 }
 
-// observe samples the current reports into per-node stats.
+// observe opens every member's sample run at Run's start, observation
+// instant 0. A Down node is not sampled: a dead radio has no SINR.
 func (rs *runState) observe() {
 	for i, n := range rs.nw.Nodes {
-		if n.Down {
-			continue // a dead radio has no SINR to sample
-		}
-		rs.sample(rs.hcache[i], n.sp.rep.SINRdB)
+		h := rs.hcache[i]
+		h.sinr, h.sampled = n.sp.rep.SINRdB, !n.Down
+	}
+	rs.instants = 1
+}
+
+// queueFinished puts a member on the finished list unless it is there.
+func (rs *runState) queueFinished(n *Node) {
+	if !n.finished {
+		n.finished = true
+		rs.finished = append(rs.finished, n)
 	}
 }
 
-// sample folds one SINR observation into a node's stats.
-func (rs *runState) sample(h *nodeHandle, sinrDB float64) {
-	st := &h.st
-	st.sinrAccum += sinrDB
-	st.SINRSamples++
-	if sinrDB < st.MinSINRdB {
-		st.MinSINRdB = sinrDB
+// flushSamples folds h's pending run-length into its stats: one SINR
+// observation per instant from h.from up to the last one. The values are
+// added one by one, as an eager per-tick sampler would have — k·v rounds
+// differently — so the accumulators come out bit-identical.
+func (rs *runState) flushSamples(h *nodeHandle) {
+	k := rs.instants - h.from
+	h.from = rs.instants
+	if !h.sampled || k == 0 {
+		return
 	}
-	if sinrDB < rs.outageSINRdB {
-		st.outages++
+	st := &h.st
+	for i := 0; i < k; i++ {
+		st.sinrAccum += h.sinr
+	}
+	st.SINRSamples += k
+	if h.sinr < st.MinSINRdB {
+		st.MinSINRdB = h.sinr
+	}
+	if h.sinr < rs.outageSINRdB {
+		st.outages += k
 	}
 }
 
 // envRefresh is the per-environment-step pipeline: settle the
 // interference picture after the blockers moved (syncEnv marks only the
 // nodes the blockers' swept regions can have touched, and the settle
-// passes re-trace and re-sum exactly those), then one rate/sample pass
-// over the membership re-adapts every live node's PHY rate (the reports
-// hold each node's SINR in its configured channel bandwidth, what the
-// ladder walk wants; rate 0 = outage until a later step clears it) and
-// accumulates the observation samples. The pass writes only per-node
-// state (the node itself and its stats handle), so a fixed-seed run is
-// byte-identical at any worker count.
+// passes re-trace and re-sum exactly those), then re-rate and re-sample
+// the finished list. A member off the list holds the report, the Down
+// state and the rate it held at its last visit — every event that changes
+// one goes through a settle that finishes the node — so its rate stands
+// and its sample run goes on. A listed live node's PHY rate is re-adapted
+// to its SINR in its configured channel bandwidth (rate 0 = outage until
+// a later step clears it) and its sample run restarts at the new value.
+// The step is serial, so its cost is the list's length, not the fleet's.
 func (rs *runState) envRefresh() {
 	nw := rs.nw
 	nw.core().settle(nw)
-	nodes := nw.Nodes
-	hcache := rs.hcache
-	par.For(nw.Workers, len(nodes), func(_, i int) {
-		n := nodes[i]
-		if n.Down {
-			return
+	for _, n := range rs.finished {
+		n.finished = false
+		if nw.nodeIdx[n.ID] != n {
+			continue // left since it was finished
 		}
-		n.RateBps = nw.cappedRate(n, core.RateForSNR(n.sp.rep.SINRdB, n.Link.Cfg.BandwidthHz, 1e-6))
-		rs.sample(hcache[i], n.sp.rep.SINRdB)
-	})
+		h := rs.hcache[n.idx]
+		rs.flushSamples(h)
+		h.sampled = !n.Down
+		if n.Down {
+			continue
+		}
+		sinr := n.sp.rep.SINRdB
+		n.RateBps = nw.cappedRate(n, core.RateForSNR(sinr, n.Link.Cfg.BandwidthHz, 1e-6))
+		h.sinr = sinr
+	}
+	rs.finished = rs.finished[:0]
+	rs.instants++
 }
 
 // maxBacklogS bounds per-node queueing: frames older than this are
@@ -525,6 +566,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		left:         map[uint32]*nodeHandle{},
 		order:        make([]*nodeHandle, 0, len(nw.Nodes)),
 		pending:      map[uint32]bool{},
+		finished:     make([]*Node, 0, len(nw.Nodes)),
 	}
 	sim.run = rs
 	// APHistory is nil for one AP: an entry per node would cost single-AP fleets heap.
@@ -540,6 +582,9 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		h.present = true
 		rs.hcache[i] = h
 		rs.apOpen(n.ID, n.AP.idx, 0)
+		// Rates come from applyAssignment's AdaptRate until the first
+		// tick, which re-rates the whole starting membership.
+		rs.queueFinished(n)
 	}
 	nw.core().settle(nw)
 	rs.observe()
@@ -688,6 +733,9 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	}
 
 	sim.RunUntil(duration)
+	for _, n := range rs.finished {
+		n.finished = false // the next Run starts its own list
+	}
 
 	for _, n := range nw.Nodes {
 		rs.apClose(n.ID, duration)
@@ -699,6 +747,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 
 	perNode := make([]NodeStats, 0, len(rs.order))
 	for _, h := range rs.order {
+		rs.flushSamples(h)
 		if h.present {
 			h.activeS += duration - h.joinedAt
 			h.st.LeftAtS = duration

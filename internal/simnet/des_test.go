@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mmx/internal/channel"
+	"mmx/internal/core"
 	"mmx/internal/stats"
 )
 
@@ -355,5 +356,113 @@ func TestRejoinSameIDKeepsOneHandle(t *testing.T) {
 	}
 	if nw.nodeByID(1) == nil {
 		t.Error("node 1 should be a member at the end")
+	}
+}
+
+// tickNetwork is the lazy tick's test bed: 24 exact-coupled nodes under
+// two walkers that keep crossing sight lines.
+func tickNetwork(t testing.TB, workers int, staleEveryTick bool) *Network {
+	t.Helper()
+	nw := newTestNetwork(93)
+	nw.CouplingCutoffDB = exactCutoffDB
+	nw.SetCouplingMode(CouplingSparse)
+	nw.Workers = workers
+	nw.staleEveryTick = staleEveryTick
+	nw.Env.AddBlocker(&channel.Blocker{
+		Pos: channel.Vec2{X: 3, Y: 2}, Radius: 0.3, LossDB: 12,
+		Vel: channel.Vec2{X: 0.8, Y: -0.5},
+	})
+	nw.Env.AddBlocker(&channel.Blocker{
+		Pos: channel.Vec2{X: 1.6, Y: 1.2}, Radius: 0.25, LossDB: 10,
+		Vel: channel.Vec2{X: -0.6, Y: 0.9},
+	})
+	for i := 1; i <= 24; i++ {
+		if _, err := nw.Join(uint32(i), churnPose(nw, uint32(i)), 40e6, Telemetry(0.05)); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	return nw
+}
+
+// tickRate is the tick's rate rule for n at its current report.
+func tickRate(nw *Network, n *Node) float64 {
+	return nw.cappedRate(n, core.RateForSNR(n.sp.rep.SINRdB, n.Link.Cfg.BandwidthHz, 1e-6))
+}
+
+// TestTickRatesFollowReportsAcrossRuns: after a Run whose last event is a
+// tick, every live member holds the tick rule's rate for its final
+// report — also when the previous Run ended with a join and a leave after
+// its last tick, which left nodes on that Run's finished list. Between
+// the Runs every rate is poisoned. In the second Run the walkers stand
+// still, so no settle finishes anyone and only the start-of-Run queue
+// can bring a member to the first tick; in the third they walk again, so
+// the finish pass must feed the ticks.
+func TestTickRatesFollowReportsAcrossRuns(t *testing.T) {
+	nw := tickNetwork(t, 1, false)
+	nw.ScheduleJoin(0.8, 40, churnPose(nw, 40), 40e6, Telemetry(0.05))
+	nw.ScheduleLeave(0.85, 3)
+	if st := nw.Run(0.95, 0.25, 10); st.Joins != 1 || st.Leaves != 1 {
+		t.Fatalf("first Run: %d joins, %d leaves; want 1, 1 after its last tick", st.Joins, st.Leaves)
+	}
+	for _, n := range nw.Nodes {
+		if n.finished {
+			t.Fatalf("node %d still flagged as finished after Run", n.ID)
+		}
+		n.RateBps = -1
+	}
+	check := func(what string) {
+		t.Helper()
+		live := 0
+		for _, n := range nw.Nodes {
+			if n.Down {
+				continue
+			}
+			live++
+			if want := tickRate(nw, n); n.RateBps != want {
+				t.Errorf("%s: node %d: RateBps %g, want the tick rule's %g at SINR %.2f dB", what, n.ID, n.RateBps, want, n.sp.rep.SINRdB)
+			}
+		}
+		if live < 20 {
+			t.Fatalf("%s: %d live members: the scenario lost its fleet", what, live)
+		}
+	}
+	vel := make([]channel.Vec2, len(nw.Env.Blockers))
+	for i, b := range nw.Env.Blockers {
+		vel[i], b.Vel = b.Vel, channel.Vec2{}
+	}
+	epoch := nw.Env.Epoch()
+	nw.Run(0.5, 0.25, 10) // ticks at 0.25 and 0.5, the horizon
+	if nw.Env.Epoch() != epoch {
+		t.Fatal("a standing crowd moved the environment epoch")
+	}
+	check("standing walkers")
+	for i, b := range nw.Env.Blockers {
+		b.Vel = vel[i]
+	}
+	nw.Run(1.5, 0.25, 10)
+	check("walking again")
+}
+
+// TestEnvTickAllocatesNothing pins the environment tick — walker step,
+// region mapping, settle, and the rate/sample step over the finished list
+// — at zero allocations once warm: a Run with ten times the ticks costs
+// the mallocs of the short one, which are Run's fixed start. There is no
+// traffic and no keepalive cycle, so ticks are the only events.
+func TestEnvTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the link evaluation's scratch under the race detector")
+	}
+	nw := tickNetwork(t, 1, false)
+	nw.Control.RenewIntervalS = 0
+	for _, n := range nw.Nodes {
+		n.Traffic = trafficFunc(func() (float64, int) { return 1e9, 0 })
+	}
+	nw.Run(2, 0.05, 10) // warm: the swept log and every scratch list reach their size
+	short := testing.AllocsPerRun(5, func() { nw.Run(0.5, 0.05, 10) })
+	long := testing.AllocsPerRun(5, func() { nw.Run(5, 0.05, 10) })
+	// 90 more ticks; a malloc per tick would be 90 here, while the
+	// runtime's own strays (a thread starting) are a handful.
+	if perTick := (long - short) / 90; perTick > 0.05 {
+		t.Errorf("Run(5) = %.0f allocs, Run(0.5) = %.0f: %.2f allocs per tick, want 0", long, short, perTick)
 	}
 }

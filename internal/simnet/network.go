@@ -50,6 +50,10 @@ type Node struct {
 	// lease until a FaultPlan reboot brings it back through the full
 	// join handshake.
 	Down bool
+	// finished marks the node as queued on the run's finished list (the
+	// nodes the next environment tick re-rates and re-samples). It lives
+	// here, not in sp, because enterSparse zeroes sp mid-run.
+	finished bool
 	// xlinks lazily caches the node's links toward non-serving APs, one
 	// per AP index: the geometry its cross-AP interference contributions
 	// and roam SNR estimates are evaluated over. On a roam the serving

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -329,64 +330,94 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 }
 
 // TestRegionRunMatchesStaleEverything requires the region-invalidated
-// sparse core to be indistinguishable from the stale-everything baseline
-// — byte-identical reports and traffic outcomes, not just close — through
-// a full Run with walking blockers, scheduled churn and node faults, and
-// both to agree with the dense oracle afterwards.
+// sparse core and the lazy tick (re-rate and re-sample only the finished
+// list) to be indistinguishable from the stale-everything baseline, which
+// finishes, re-rates and re-samples every member on every tick. Stats,
+// reports and rates must be byte-identical, not just close, at one worker
+// and at eight, through a full Run with walking blockers, scheduled churn
+// and node faults, and both must agree with the dense oracle afterwards.
+// The Run walks the lazy sampler through each transition: a node Down
+// when Run starts and rebooted mid-run, a crash and a reboot between two
+// ticks and one spanning several, a leave and a rejoin under the same ID
+// between two ticks, leaves for good and a mid-run joiner.
 func TestRegionRunMatchesStaleEverything(t *testing.T) {
-	region := newTestNetwork(77)
-	region.CouplingCutoffDB = exactCutoffDB
-	region.SetCouplingMode(CouplingSparse)
-	stale := newTestNetwork(77)
-	stale.CouplingCutoffDB = exactCutoffDB
-	stale.staleEveryTick = true
-	stale.SetCouplingMode(CouplingSparse)
-	for _, nw := range []*Network{region, stale} {
-		nw.Env.AddBlocker(&channel.Blocker{
-			Pos: channel.Vec2{X: 3, Y: 2}, Radius: 0.3, LossDB: 12,
-			Vel: channel.Vec2{X: 0.8, Y: -0.5},
-		})
-		nw.Env.AddBlocker(&channel.Blocker{
-			Pos: channel.Vec2{X: 1.6, Y: 1.2}, Radius: 0.25, LossDB: 10,
-			Vel: channel.Vec2{X: -0.6, Y: 0.9},
-		})
-		for i := 1; i <= 24; i++ {
-			if _, err := nw.Join(uint32(i), churnPose(nw, uint32(i)), 40e6, Telemetry(0.05)); err != nil {
-				t.Fatalf("join %d: %v", i, err)
-			}
+	type outcome struct {
+		st      RunStats
+		reports []Report
+		rates   []float64
+	}
+	runOnce := func(workers int, stale bool) outcome {
+		nw := tickNetwork(t, workers, stale)
+		nw.Faults = faults.NewPlan().Crash(0.05, 7)
+		nw.Run(0.1, 0.05, 10) // node 7 is Down when the measured Run starts
+		if n := nw.nodeByID(7); n == nil || !n.Down {
+			t.Fatal("node 7 should be Down between the Runs")
 		}
+		nw.Faults = faults.NewPlan().
+			Crash(0.12, 5).Reboot(0.28, 5).
+			Crash(0.21, 9).Reboot(0.24, 9).
+			Reboot(0.33, 7)
 		nw.ScheduleJoin(0.1, 40, churnPose(nw, 40), 40e6, Telemetry(0.05))
 		nw.ScheduleLeave(0.15, 3)
 		nw.ScheduleLeave(0.3, 11)
-		nw.Faults = faults.NewPlan().Crash(0.12, 5).Reboot(0.28, 5)
+		nw.ScheduleLeave(0.36, 13)
+		nw.ScheduleJoin(0.37, 13, churnPose(nw, 13), 40e6, Telemetry(0.05))
+		st := nw.Run(0.5, 0.05, 10)
+		if st.Joins != 2 || st.Leaves != 3 || st.Control.Crashes != 2 || st.Control.Reboots != 3 {
+			t.Fatalf("workers %d stale %v: %d joins, %d leaves, %d crashes, %d reboots; want 2, 3, 2, 3",
+				workers, stale, st.Joins, st.Leaves, st.Control.Crashes, st.Control.Reboots)
+		}
+		assertMatchesOracle(t, nw, fmt.Sprintf("workers %d stale %v", workers, stale))
+		o := outcome{st: st, reports: nw.EvaluateSINR()}
+		for _, n := range nw.Nodes {
+			o.rates = append(o.rates, n.RateBps)
+		}
+		return o
 	}
-	rs := region.Run(0.5, 0.05, 10)
-	ss := stale.Run(0.5, 0.05, 10)
-
-	if rs.Joins != ss.Joins || rs.Leaves != ss.Leaves || rs.JoinsFailed != ss.JoinsFailed || rs.Control != ss.Control {
-		t.Fatalf("control outcomes diverged: region %+v stale %+v", rs.Control, ss.Control)
-	}
-	if len(rs.PerNode) != len(ss.PerNode) {
-		t.Fatalf("per-node layout diverged: %d vs %d", len(rs.PerNode), len(ss.PerNode))
-	}
-	for i := range rs.PerNode {
-		if rs.PerNode[i] != ss.PerNode[i] {
-			t.Errorf("node %d: stats not byte-identical\nregion %+v\nstale  %+v",
-				rs.PerNode[i].ID, rs.PerNode[i], ss.PerNode[i])
+	// A node up and present all Run is observed at its start and at every
+	// tick, whether or not a tick finished it. Each tick is scheduled
+	// envStep after the last, and one at the horizon runs. Node 11, up
+	// until it leaves for good at 0.3, is observed at the ticks before;
+	// a tick at exactly 0.3 would run after the leave, planned earlier.
+	samples, samples11 := 1, 1
+	for at := 0.05; at <= 0.5; at += 0.05 {
+		samples++
+		if at < 0.3 {
+			samples11++
 		}
 	}
-	rr := region.EvaluateSINR()
-	sr := stale.EvaluateSINR()
-	if len(rr) != len(sr) {
-		t.Fatalf("report counts diverged: %d vs %d", len(rr), len(sr))
-	}
-	for i := range rr {
-		if rr[i] != sr[i] {
-			t.Errorf("node %d: reports not byte-identical\nregion %+v\nstale  %+v", rr[i].ID, rr[i], sr[i])
+	for _, workers := range []int{1, 8} {
+		rs, ss := runOnce(workers, false), runOnce(workers, true)
+		if rs.st.Joins != ss.st.Joins || rs.st.Leaves != ss.st.Leaves || rs.st.JoinsFailed != ss.st.JoinsFailed || rs.st.Control != ss.st.Control {
+			t.Fatalf("workers %d: control outcomes diverged: region %+v stale %+v", workers, rs.st.Control, ss.st.Control)
+		}
+		if len(rs.st.PerNode) != len(ss.st.PerNode) {
+			t.Fatalf("workers %d: per-node layout diverged: %d vs %d", workers, len(rs.st.PerNode), len(ss.st.PerNode))
+		}
+		for i, pn := range rs.st.PerNode {
+			if pn != ss.st.PerNode[i] {
+				t.Errorf("workers %d: node %d: stats not byte-identical\nregion %+v\nstale  %+v",
+					workers, pn.ID, pn, ss.st.PerNode[i])
+			}
+			want := samples
+			switch pn.ID {
+			case 3, 5, 7, 9, 13, 40:
+				continue
+			case 11:
+				want = samples11
+			}
+			if pn.SINRSamples != want {
+				t.Errorf("workers %d: node %d has %d SINR samples, want %d: Run's start and every tick while present",
+					workers, pn.ID, pn.SINRSamples, want)
+			}
+		}
+		if !reflect.DeepEqual(rs.reports, ss.reports) {
+			t.Errorf("workers %d: final reports not byte-identical\nregion %+v\nstale  %+v", workers, rs.reports, ss.reports)
+		}
+		if !reflect.DeepEqual(rs.rates, ss.rates) {
+			t.Errorf("workers %d: final rates %v, stale %v", workers, rs.rates, ss.rates)
 		}
 	}
-	assertMatchesOracle(t, region, "region")
-	assertMatchesOracle(t, stale, "stale")
 }
 
 // TestSweptLogOverrunStalesEverything reaches syncEnv's other branch: a
