@@ -77,13 +77,16 @@ func (nw *Network) join(n *Node, at float64) (float64, error) {
 }
 
 // renew runs the netctl keepalive for node n at virtual time at. A resync
-// or a rejoin moved the node's grant, so its link configuration and
-// coupling are re-derived; a timeout leaves it transmitting on its
-// last-known assignment (graceful degradation) until the next keepalive.
+// or a rejoin moved the node's grant, and so can a lost rejoin (rejected
+// into SDM, its share confirm dead: the node transmits on the placement
+// anyway), so its link configuration and coupling are re-derived; a
+// timeout leaves it transmitting on its last-known assignment (graceful
+// degradation) until the next keepalive.
 func (nw *Network) renew(n *Node, at float64) netctl.RenewOutcome {
 	ap := n.AP
+	before := n.Grant
 	outcome, _, _ := n.Renew(nw.exchangeAt(n, ap, at), nw.placement(ap, n))
-	if outcome == netctl.RenewResynced || outcome == netctl.RenewRejoined {
+	if outcome == netctl.RenewResynced || outcome == netctl.RenewRejoined || n.Grant != before {
 		nw.applyAssignment(n)
 		nw.sparse.updateNode(nw, n)
 	}

@@ -9,6 +9,7 @@ import (
 	"mmx/internal/faults"
 	"mmx/internal/mac"
 	"mmx/internal/stats"
+	"mmx/internal/units"
 )
 
 // lossyTestNetwork builds a network whose control side channel drops,
@@ -178,6 +179,62 @@ func TestAPRestartGracefulDegradation(t *testing.T) {
 	}
 	if err := nw.ValidateSpectrum(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRenewKeepsEngineOnTheGrant: every renew that moves a node's grant
+// re-registers it with the interference engine — also a lost one, where
+// the nack's rejoin was rejected into SDM and its share confirm died:
+// the node transmits on that placement, so the engine must sum its
+// interference there. The scenario is
+//
+//	mmx-sim -nodes 60 -duration 4 -drop 0.25 -dup 0.1 -trunc 0.08
+//	        -ap-restart 1.0@0.3 -lease-ttl 0.5 -seed S
+//
+// built the way the CLI builds it, at seeds whose runs end on such a
+// renew.
+func TestRenewKeepsEngineOnTheGrant(t *testing.T) {
+	for _, seed := range []uint64{23, 24, 31, 34, 36} {
+		rng := stats.NewRNG(seed)
+		env := channel.NewEnvironment(channel.NewRoom(6, 4, rng), units.ISM24GHzCenter)
+		ap := channel.Vec2{X: 0.3, Y: 2}
+		nw := New(env, channel.Pose{Pos: ap}, seed+1)
+		nw.Control.LeaseTTLS, nw.Control.RenewIntervalS = 0.5, 0.15
+		nw.APs[0].Controller.LeaseTTL = 0.5
+		nw.Side = faults.Lossy(seed+2, 0.25, 0.1, 0.08)
+		nw.Faults = faults.NewPlan().RestartAP(1.0, 0.3)
+		const nodes = 60
+		for i := 0; i < nodes; i++ {
+			frac := float64(i) / nodes
+			pos := channel.Vec2{X: 1 + 4.2*frac, Y: 0.5 + 3*math.Abs(math.Sin(frac*math.Pi*3))}
+			orient := ap.Sub(pos).Angle() + (frac-0.5)*math.Pi/3
+			if _, err := nw.Join(uint32(i+1), channel.Pose{Pos: pos, Orientation: orient}, 10e6, HDCamera(8)); err != nil {
+				t.Fatalf("seed %d: join %d: %v", seed, i+1, err)
+			}
+		}
+		env.AddBlocker(&channel.Blocker{
+			Pos: channel.Vec2{X: 1.5, Y: 2}, Radius: 0.3,
+			LossDB: rng.Uniform(10, 15), Vel: channel.Vec2{X: 0.6, Y: 0.4},
+		})
+		nw.Run(4, 0.05, 10)
+		nw.EvaluateSINR()
+		for _, n := range nw.Nodes {
+			if n.Down {
+				continue
+			}
+			cfg := nw.LinkCfg
+			cfg.BandwidthHz = n.Assignment.WidthHz
+			switch {
+			case n.sp.cs == nil || n.sp.cs.center != n.Assignment.CenterHz:
+				t.Errorf("seed %d: node %d transmits at %.0f Hz, but the engine registers it elsewhere",
+					seed, n.ID, n.Assignment.CenterHz)
+			case n.sp.noise != cfg.NoisePowerW():
+				t.Errorf("seed %d: node %d: engine noise floor %g W is not its %.0f Hz channel's %g W",
+					seed, n.ID, n.sp.noise, n.Assignment.WidthHz, cfg.NoisePowerW())
+			case n.sp.rep.SDM != n.Shared:
+				t.Errorf("seed %d: node %d reports SDM=%v but shares=%v", seed, n.ID, n.sp.rep.SDM, n.Shared)
+			}
+		}
 	}
 }
 
