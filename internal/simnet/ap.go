@@ -17,7 +17,9 @@ import (
 // AddAP before any node joins; the registry is static for the life of
 // the network (APs restart via faults.Plan, they never move or leave).
 type AccessPoint struct {
-	Pose    channel.Pose
+	Pose channel.Pose
+	// Pattern is the AP's receive antenna, the one every link toward it
+	// evaluates through. Fixed once the first node joins, like APs.
 	Pattern antenna.Pattern
 	// Controller owns this AP's spectrum books. Each AP runs its own
 	// controller over its own band slice — there is no shared state

@@ -81,7 +81,6 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 	rs.pending[id] = true
 	rs.sim.After(took, func() {
 		delete(rs.pending, id)
-		n.Link = nw.newLink(pose, ap)
 		nw.applyAssignment(n)
 		nw.registerNode(n)
 		rs.joins++

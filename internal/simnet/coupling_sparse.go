@@ -8,7 +8,6 @@ import (
 	"mmx/internal/channel"
 	"mmx/internal/core"
 	"mmx/internal/par"
-	"mmx/internal/rf"
 	"mmx/internal/units"
 )
 
@@ -159,8 +158,9 @@ type sparseShard struct {
 type sparseState struct {
 	// exact marks the phase that stores every ordered pair: cut is 0 and
 	// pC +Inf, so no screen can drop one and the disc query covers every
-	// cell. The power bound is derived only when pruning starts, since
-	// NodeBeams and LinkCfg may change until then.
+	// cell. The power bound is derived only when pruning starts; it reads
+	// NodeBeams, LinkCfg and the APs' Patterns, which are fixed once the
+	// first node joins.
 	exact    bool
 	cut      float64 // linear edge-admission cutoff (FromDB(CouplingCutoffDB))
 	pC       float64 // pBound numerator: power ≤ pC / max(d,dMin)²
@@ -221,7 +221,7 @@ func (nw *Network) enterSparse() {
 	nw.sparse = s
 	for _, n := range nw.Nodes {
 		n.sp = spNode{} // drop any state from an earlier graph
-		s.registerNode(n)
+		s.registerNode(nw, n)
 	}
 	// Victim-side discovery visits every directed pair exactly once.
 	for _, n := range nw.Nodes {
@@ -311,10 +311,9 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 	amp := math.Sqrt(units.FromDBm(nw.LinkCfg.TxPowerDBm)) *
 		math.Pow(10, -nw.LinkCfg.ImplementationLossDB/20)
 	// Switch field gains: selected path plus the leaked port, both
-	// arriving coherently in the worst case. Every link comes from
-	// newLink, which installs the ADRF5020 model.
-	sw := rf.NewADRF5020()
-	sel, leak := sw.SelectedGain(), sw.LeakageGain()
+	// arriving coherently in the worst case — the switch every
+	// evaluation reads.
+	sel, leak := nodeSwitch.SelectedGain(), nodeSwitch.LeakageGain()
 	lam := units.Wavelength(nw.Env.FreqHz)
 	field := amp * (sel + leak) * gt * gr * (lam / (4 * math.Pi)) * margin
 	return field * field * 1.1 // final safety factor on the power bound
@@ -322,9 +321,9 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 
 // registerNode installs a node into the grid, the channel registry and
 // the noise tracking. It does not discover edges.
-func (s *sparseState) registerNode(n *Node) {
+func (s *sparseState) registerNode(nw *Network, n *Node) {
 	s.setGeometry(n)
-	n.sp.noise = n.Link.Cfg.NoisePowerW()
+	n.sp.noise = nw.linkCfg(n).NoisePowerW()
 	if n.sp.noise < s.minNoise {
 		s.minNoise = n.sp.noise
 	}
@@ -720,7 +719,7 @@ func (s *sparseState) discoverOut(nw *Network, u *Node) {
 
 // addNode hooks n in: a joiner, or a roamer under its new association.
 func (s *sparseState) addNode(nw *Network, n *Node) {
-	s.registerNode(n)
+	s.registerNode(nw, n)
 	s.discoverIn(nw, n)
 	s.discoverOut(nw, n)
 	s.markEvalStale(n)
@@ -750,7 +749,7 @@ func (s *sparseState) detach(n *Node) {
 func (s *sparseState) updateNode(nw *Network, n *Node) {
 	s.chanUnregister(n)
 	s.setGeometry(n)
-	n.sp.noise = n.Link.Cfg.NoisePowerW()
+	n.sp.noise = nw.linkCfg(n).NoisePowerW()
 	if n.sp.noise < s.minNoise {
 		s.minNoise = n.sp.noise
 	}
@@ -881,7 +880,7 @@ func (s *sparseState) evalNode(nw *Network, n *Node) {
 	if n.Down {
 		n.sp.power = 0
 	} else {
-		n.sp.eval = n.Link.EvaluateWithClass()
+		n.sp.eval = nw.evaluate(n, n.AP)
 		g := math.Max(cmplx.Abs(n.sp.eval.G0), cmplx.Abs(n.sp.eval.G1))
 		n.sp.power = g * g
 	}

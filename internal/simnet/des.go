@@ -438,7 +438,7 @@ func (rs *runState) envRefresh() {
 			continue
 		}
 		sinr := n.sp.rep.SINRdB
-		n.RateBps = nw.cappedRate(n, core.RateForSNR(sinr, n.Link.Cfg.BandwidthHz, 1e-6))
+		n.RateBps = nw.cappedRate(n, core.RateForSNR(sinr, n.widthHz, 1e-6))
 		h.sinr = sinr
 	}
 	rs.finished = rs.finished[:0]
@@ -582,7 +582,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		h.present = true
 		rs.hcache[i] = h
 		rs.apOpen(n.ID, n.AP.idx, 0)
-		// Rates come from applyAssignment's AdaptRate until the first
+		// Rates come from applyAssignment's link evaluation until the first
 		// tick, which re-rates the whole starting membership.
 		rs.queueFinished(n)
 	}

@@ -386,7 +386,7 @@ func tickNetwork(t testing.TB, workers int, staleEveryTick bool) *Network {
 
 // tickRate is the tick's rate rule for n at its current report.
 func tickRate(nw *Network, n *Node) float64 {
-	return nw.cappedRate(n, core.RateForSNR(n.sp.rep.SINRdB, n.Link.Cfg.BandwidthHz, 1e-6))
+	return nw.cappedRate(n, core.RateForSNR(n.sp.rep.SINRdB, n.widthHz, 1e-6))
 }
 
 // TestTickRatesFollowReportsAcrossRuns: after a Run whose last event is a

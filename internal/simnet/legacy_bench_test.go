@@ -52,7 +52,7 @@ func legacyEvaluateSINR(nw *Network) []Report {
 	evals := make([]core.Evaluation, len(nw.Nodes))
 	powers := make([]float64, len(nw.Nodes))
 	for i, n := range nw.Nodes {
-		evals[i] = n.Link.Evaluate()
+		evals[i] = nw.evaluate(n, n.AP)
 		g := math.Max(cmplx.Abs(evals[i].G0), cmplx.Abs(evals[i].G1))
 		powers[i] = g * g
 	}
@@ -92,7 +92,7 @@ func denseEvaluateSINR(nw *Network) []Report {
 		if node.Down {
 			continue
 		}
-		evals[j] = node.Link.EvaluateWithClass()
+		evals[j] = nw.evaluate(node, node.AP)
 		g := math.Max(cmplx.Abs(evals[j].G0), cmplx.Abs(evals[j].G1))
 		for a := 0; a < nAPs; a++ {
 			if a == node.AP.idx {

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"math/cmplx"
 	"sort"
 	"strings"
 	"testing"
@@ -436,64 +437,89 @@ func TestMultiAPChurnSpectrumInvariants(t *testing.T) {
 	}
 }
 
-// TestLinksEvaluateThroughTheAPsOwnAntenna pins newLink: a deployment
-// that replaces an AP's Pattern before the first join gets links — the
-// serving link, a cross link toward it, a link rebuilt by a roam — whose
-// evaluations run through that pattern, the one sparsePowerBoundConst
-// bounds; with every pattern left alone a link is what core.NewLink
-// builds. (Earlier revisions installed a private default antenna on every
-// link, so the edge-admission bound and the evaluation could disagree.)
+// TestLinksEvaluateThroughTheAPsOwnAntenna pins Network.evaluate, the one
+// place a node's link is assembled: the serving evaluation (called
+// directly and as the engine cached it), the power crossPower reports at
+// every foreign AP, and both again after MoveNode, after a roam and after
+// the roam back, each equal what core.NewLink builds from the node's
+// current pose toward that AP. A deployment that replaces the APs'
+// Patterns before the first join gets links through those patterns, the
+// ones sparsePowerBoundConst bounds; with every pattern left alone a link
+// carries NewLink's default antenna.
 func TestLinksEvaluateThroughTheAPsOwnAntenna(t *testing.T) {
-	custom := []antenna.Pattern{antenna.NewFixedBeam(antenna.Isotropic{}, 7), antenna.NewFixedBeam(antenna.Isotropic{}, 9)}
+	custom := []antenna.Pattern{
+		antenna.NewFixedBeam(antenna.Isotropic{}, 7),
+		antenna.NewFixedBeam(antenna.Isotropic{}, 9),
+		antenna.NewFixedBeam(antenna.Isotropic{}, 11),
+	}
 	for _, tc := range []struct {
 		name  string
 		patch bool
 	}{{"default", false}, {"custom", true}} {
-		nw := multiAPNetwork(t, 61, 2)
+		nw := multiAPNetwork(t, 61, 3)
 		if tc.patch {
-			nw.APs[0].Pattern, nw.APs[1].Pattern = custom[0], custom[1]
+			for i, ap := range nw.APs {
+				ap.Pattern = custom[i]
+			}
 		}
-		near1 := channel.Pose{Pos: channel.Vec2{X: 5.0, Y: 1.5}, Orientation: 0.3}
-		n, err := nw.Join(1, near1, 2e6, Telemetry(0.05))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.AP != nw.APs[1] {
-			t.Fatalf("%s: node homed on AP %d, want 1", tc.name, n.AP.idx)
-		}
-		reference := func(ap *AccessPoint, cfg core.LinkConfig) core.Evaluation {
-			l := core.NewLink(nw.Env, near1, ap.Pose)
+		reference := func(n *Node, ap *AccessPoint) core.Evaluation {
+			l := core.NewLink(nw.Env, n.Pose, ap.Pose)
 			l.Beams = nw.NodeBeams
 			if tc.patch {
 				l.APPattern = ap.Pattern
 			}
-			l.Cfg = cfg
+			l.Cfg.BandwidthHz = n.Assignment.WidthHz
 			return l.EvaluateWithClass()
 		}
-		if got, want := n.Link.EvaluateWithClass(), reference(nw.APs[1], n.Link.Cfg); got != want {
-			t.Errorf("%s: serving link evaluates to %+v, want %+v", tc.name, got, want)
+		check := func(stage string, n *Node, home int) {
+			t.Helper()
+			if n.AP != nw.APs[home] {
+				t.Fatalf("%s, %s: node %d on AP %d, want %d", tc.name, stage, n.ID, n.AP.idx, home)
+			}
+			want := reference(n, n.AP)
+			if got := nw.evaluate(n, n.AP); got != want {
+				t.Errorf("%s, %s: node %d's serving link evaluates to %+v, want %+v", tc.name, stage, n.ID, got, want)
+			}
+			nw.EvaluateSINR()
+			if n.sp.eval != want {
+				t.Errorf("%s, %s: the engine holds %+v for node %d, want %+v", tc.name, stage, n.sp.eval, n.ID, want)
+			}
+			for _, ap := range nw.APs {
+				if ap == n.AP {
+					continue
+				}
+				ev := reference(n, ap)
+				g := math.Max(cmplx.Abs(ev.G0), cmplx.Abs(ev.G1))
+				if got := nw.crossPower(n, ap.idx); got != g*g {
+					t.Errorf("%s, %s: node %d's power at AP %d is %g W, want %g W", tc.name, stage, n.ID, ap.idx, got, g*g)
+				}
+			}
 		}
-		if n.Link.APPattern != nw.APs[1].Pattern {
-			t.Errorf("%s: serving link carries %v, the AP %v", tc.name, n.Link.APPattern, nw.APs[1].Pattern)
-		}
-		x := nw.crossLink(n, 0)
-		if got, want := x.EvaluateWithClass(), reference(nw.APs[0], x.Cfg); got != want {
-			t.Errorf("%s: cross link evaluates to %+v, want %+v", tc.name, got, want)
-		}
-		// A second node joins facing AP 0 and is carried across: the link
-		// the roam builds toward AP 1 must carry AP 1's antenna too.
-		far := channel.Pose{Pos: channel.Vec2{X: 1.0, Y: 2.5}, Orientation: math.Pi}
-		m, err := nw.Join(2, far, 2e6, Telemetry(0.05))
+		n, err := nw.Join(1, channel.Pose{Pos: channel.Vec2{X: 5.0, Y: 1.5}, Orientation: 0.3}, 2e6, Telemetry(0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
+		check("join", n, 2)
+		nw.MoveNode(1, channel.Pose{Pos: channel.Vec2{X: 4.6, Y: 2.8}, Orientation: -0.2})
+		check("move", n, 2)
+		// A second node joins facing AP 0, is carried to AP 2 and roams
+		// there, then is carried back and roams home.
+		m, err := nw.Join(2, channel.Pose{Pos: channel.Vec2{X: 1.0, Y: 2.5}, Orientation: math.Pi}, 2e6, Telemetry(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("join", m, 0)
 		nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, CheckIntervalS: 0.05, MinDwellS: 0.1})
 		nw.MoveNode(2, channel.Pose{Pos: channel.Vec2{X: 5.2, Y: 2.4}, Orientation: 0})
 		if st := nw.Run(0.3, 0.05, 10); st.Roams == 0 {
 			t.Fatalf("%s: the carried node never roamed", tc.name)
 		}
-		if m.AP != nw.APs[1] || m.Link.APPattern != nw.APs[1].Pattern {
-			t.Errorf("%s: roamed node on AP %d with antenna %v, want AP 1's %v", tc.name, m.AP.idx, m.Link.APPattern, nw.APs[1].Pattern)
+		check("roam", m, 2)
+		nw.MoveNode(2, channel.Pose{Pos: channel.Vec2{X: 1.0, Y: 2.5}, Orientation: math.Pi})
+		if st := nw.Run(0.3, 0.05, 10); st.Roams == 0 {
+			t.Fatalf("%s: the carried node never roamed back", tc.name)
 		}
+		check("roam back", m, 0)
+		check("roam back", n, 2)
 	}
 }

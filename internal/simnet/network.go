@@ -41,8 +41,11 @@ type Node struct {
 	// cannot close at any ladder step — the node is in outage and its
 	// frames are dropped rather than transmitted at a hopeless rate.
 	RateBps float64
-	// Link is the node's OTAM link to its serving AP.
-	Link *core.Link
+	// widthHz is the channel width applyAssignment last applied: the
+	// receiver bandwidth the node's link is evaluated and rated at. It
+	// is not always Assignment.WidthHz — a reboot rejoin whose share
+	// confirm dies moves the Assignment of a node that stays Down.
+	widthHz float64
 	// AP is the access point currently serving the node — set when the
 	// node is built (newNode), switched by the roaming policy.
 	AP *AccessPoint
@@ -54,12 +57,6 @@ type Node struct {
 	// nodes the next environment tick re-rates and re-samples). It lives
 	// here, not in sp, because enterSparse zeroes sp mid-run.
 	finished bool
-	// xlinks lazily caches the node's links toward non-serving APs, one
-	// per AP index: the geometry its cross-AP interference contributions
-	// and roam SNR estimates are evaluated over. On a roam the serving
-	// link parks here and the cached link toward the new AP (if any) is
-	// promoted, so link state is never rebuilt on a ping-pong.
-	xlinks []*core.Link
 	// roamHoldUntil is the sim time before which the roaming policy will
 	// not move this node again (MinDwellS after the last attempt).
 	roamHoldUntil float64
@@ -91,12 +88,15 @@ type Network struct {
 	// the no-double-association invariant.
 	strays map[uint32]*AccessPoint
 	Nodes  []*Node
-	// LinkCfg is the shared link budget template.
+	// LinkCfg is the shared link budget template; each node's link
+	// evaluates at it with the node's channel width. Fixed once the first
+	// node joins, like APs.
 	LinkCfg core.LinkConfig
-	// NodeBeams is the beam pair installed on every joining node
-	// (defaults to the standard two-element orthogonal pair; a 60 GHz
-	// deployment can use antenna.NewNarrowNodeBeams since the shorter
-	// wavelength fits more elements in the same aperture).
+	// NodeBeams is the beam pair every node carries (defaults to the
+	// standard two-element orthogonal pair; a 60 GHz deployment can use
+	// antenna.NewNarrowNodeBeams since the shorter wavelength fits more
+	// elements in the same aperture). Fixed once the first node joins,
+	// like APs.
 	NodeBeams antenna.NodeBeams
 	// Workers caps the evaluation engine's parallel fan-out: 0 uses
 	// GOMAXPROCS, 1 forces the serial path. Parallel and serial results
@@ -260,7 +260,6 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 	if _, err := nw.join(n, ap.Controller.NowS()); err != nil {
 		return nil, err
 	}
-	n.Link = nw.newLink(pose, ap)
 	nw.applyAssignment(n)
 	nw.registerNode(n)
 	return n, nil
@@ -287,37 +286,49 @@ func (n *Node) aimAt(ap *AccessPoint) {
 	n.SDMHarmonic = tma.BestHarmonicOf(n.tbl)
 }
 
-// newLink builds a node's link toward ap out of the deployment's own
-// parts — the beam pair every node carries, the AP's own antenna, the
-// shared link budget — so an evaluation sees the same hardware the
-// engine's power bound (sparsePowerBoundConst) was derived from.
-func (nw *Network) newLink(node channel.Pose, ap *AccessPoint) *core.Link {
-	return &core.Link{
+// nodeSwitch is the SPDT switch every node carries, the ADRF5020; the
+// engine's power bound (sparsePowerBoundConst) reads the same model.
+var nodeSwitch = rf.NewADRF5020()
+
+// linkCfg is node n's link budget: the shared template at the channel
+// width applyAssignment last applied.
+func (nw *Network) linkCfg(n *Node) core.LinkConfig {
+	cfg := nw.LinkCfg
+	cfg.BandwidthHz = n.widthHz
+	return cfg
+}
+
+// evaluate is node n's link budget toward ap — its serving AP or any
+// other — where the node stands now. The link is assembled from the
+// deployment's own parts for this one call: the beam pair and switch
+// every node carries, ap's pose and antenna, n's link budget. So an
+// evaluation sees the same hardware the engine's power bound was derived
+// from, and nothing per node outlives the call.
+func (nw *Network) evaluate(n *Node, ap *AccessPoint) core.Evaluation {
+	l := core.Link{
 		Env:       nw.Env,
-		Node:      node,
+		Node:      n.Pose,
 		AP:        ap.Pose,
 		Beams:     nw.NodeBeams,
 		APPattern: ap.Pattern,
-		Switch:    rf.NewADRF5020(),
-		Cfg:       nw.LinkCfg,
+		Switch:    nodeSwitch,
+		Cfg:       nw.linkCfg(n),
 	}
+	return l.EvaluateWithClass()
 }
 
-// applyAssignment (re)derives a node's link configuration and adapted PHY
+// applyAssignment (re)derives a node's channel width and adapted PHY
 // rate from its current spectrum assignment — used at join and again when
 // a release promotes the node from SDM sharer to FDM owner or a renew ack
 // re-syncs it after an AP restart.
 func (nw *Network) applyAssignment(n *Node) {
-	cfg := nw.LinkCfg
-	cfg.BandwidthHz = n.Assignment.WidthHz
-	cfg.Modem.F0 = -n.Assignment.FSKOffsetHz / 2
-	cfg.Modem.F1 = +n.Assignment.FSKOffsetHz / 2
-	n.Link.Cfg = cfg
+	n.widthHz = n.Assignment.WidthHz
 	// Adapt the PHY rate to the link (switch-speed scaling, §5.1),
 	// bounded by what the allocated channel width can carry. Rate 0 —
 	// the ladder cannot close the link at all — marks the node in
 	// outage; Run drops its frames instead of transmitting hopelessly.
-	n.RateBps = nw.cappedRate(n, n.Link.AdaptRate(1e-6))
+	ev := nw.evaluate(n, n.AP)
+	n.RateBps = nw.cappedRate(n, core.RateForSNR(ev.SNRWithOTAM, n.widthHz, 1e-6))
 }
 
 // cappedRate bounds an adapted ladder rate by what the node's allocated
@@ -399,25 +410,19 @@ func (nw *Network) applyPromotion(ap *AccessPoint, reply []byte) bool {
 }
 
 // MoveNode repositions a live node (a camera carried across the room) and
-// refreshes everything pose-dependent: the OTAM link geometry, the node's
-// TMA harmonic slot, and its edges in the interference engine — one gain
-// table plus a rediscovery of the moved node's edges, nobody else's.
-// The association itself does not change here:
-// a node carried toward another AP re-homes at the roaming policy's next
-// check, not mid-motion. It reports whether the node exists. Safe during
-// Run — membership does not change.
+// refreshes everything pose-dependent: the node's TMA harmonic slot and
+// its edges in the interference engine — one gain table plus a
+// rediscovery of the moved node's edges, nobody else's. Its links need
+// nothing: every evaluation reads Pose. The association itself does not
+// change here: a node carried toward another AP re-homes at the roaming
+// policy's next check, not mid-motion. It reports whether the node
+// exists. Safe during Run — membership does not change.
 func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 	n := nw.nodeByID(id)
 	if n == nil {
 		return false
 	}
 	n.Pose = pose
-	n.Link.Node = pose
-	for _, l := range n.xlinks {
-		if l != nil {
-			l.Node = pose
-		}
-	}
 	n.aimAt(n.AP)
 	nw.sparse.moveNode(nw, n)
 	return true
@@ -580,29 +585,10 @@ func tmaSuppressionDB(own, leak float64) float64 {
 	return supp
 }
 
-// crossLink returns node n's cached link toward the AP at index a,
-// creating it on first use. Cross links carry the geometry for cross-AP
-// interference contributions and roam SNR estimates; only their gains
-// matter, so the link budget template they are born with is never
-// re-derived from assignments.
-func (nw *Network) crossLink(n *Node, a int) *core.Link {
-	if len(n.xlinks) < len(nw.APs) {
-		grown := make([]*core.Link, len(nw.APs))
-		copy(grown, n.xlinks)
-		n.xlinks = grown
-	}
-	l := n.xlinks[a]
-	if l == nil {
-		l = nw.newLink(n.Pose, nw.APs[a])
-		n.xlinks[a] = l
-	}
-	return l
-}
-
 // crossPower evaluates node n's peak received power at the AP at index a
 // — the interference it injects into that AP's receive domain.
 func (nw *Network) crossPower(n *Node, a int) float64 {
-	ev := nw.crossLink(n, a).EvaluateWithClass()
+	ev := nw.evaluate(n, nw.APs[a])
 	g := math.Max(cmplx.Abs(ev.G0), cmplx.Abs(ev.G1))
 	return g * g
 }

@@ -156,7 +156,7 @@ func checkRegionStep(t *testing.T, nw *Network, from uint64, step int, tally *re
 				flipped = flipped || pathsFlip(nw.Env, n.Pose.Pos, ap.Pose.Pos, k)
 			}
 		}
-		if fresh := n.Link.EvaluateWithClass(); fresh != n.sp.eval {
+		if fresh := nw.evaluate(n, n.AP); fresh != n.sp.eval {
 			tally.servingChanged++
 			changed = true
 			if !stale {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"mmx/internal/core"
 	"mmx/internal/units"
 )
 
@@ -49,7 +48,7 @@ func (rs *runState) roamTick() {
 func (rs *runState) roamCandidate(n *Node) *AccessPoint {
 	nw := rs.nw
 	cur := n.AP
-	noise := n.Link.Cfg.NoisePowerW()
+	noise := nw.linkCfg(n).NoisePowerW()
 	if noise <= 0 {
 		return nil
 	}
@@ -68,7 +67,7 @@ func (rs *runState) roamCandidate(n *Node) *AccessPoint {
 		if d := n.Pose.Pos.Dist(ap.Pose.Pos); d >= limit {
 			continue
 		}
-		ev := nw.crossLink(n, ap.idx).EvaluateWithClass()
+		ev := nw.evaluate(n, ap)
 		g := math.Max(cmplx.Abs(ev.G0), cmplx.Abs(ev.G1))
 		// The candidate SNR estimate uses the serving link's noise
 		// bandwidth: same demand, same channel width either way, so the
@@ -80,25 +79,11 @@ func (rs *runState) roamCandidate(n *Node) *AccessPoint {
 	return best
 }
 
-// rehome points n's radio at ap: the serving link parks in the cross-link
-// cache, the cached link toward ap (if any) is promoted, and the TMA
-// harmonic is re-derived for the new angle of arrival. Spectrum state is
-// untouched — callers run the handshake next.
-func (rs *runState) rehome(n *Node, ap *AccessPoint) {
-	nw := rs.nw
-	old := n.AP
-	if len(n.xlinks) < len(nw.APs) {
-		grown := make([]*core.Link, len(nw.APs))
-		copy(grown, n.xlinks)
-		n.xlinks = grown
-	}
-	n.xlinks[old.idx] = n.Link
+// rehome points n's radio at ap and re-derives the TMA harmonic for the
+// new angle of arrival. Spectrum state is untouched — callers run the
+// handshake next.
+func (n *Node) rehome(ap *AccessPoint) {
 	n.AP = ap
-	if l := n.xlinks[ap.idx]; l != nil {
-		n.Link = l
-	} else {
-		n.Link = nw.newLink(n.Pose, ap)
-	}
 	n.aimAt(ap)
 }
 
@@ -124,13 +109,13 @@ func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 	n.Grant = last
 	rs.ctl.Promotions += nw.pushNotifications(from, false)
 	nw.sparse.detach(n)
-	rs.rehome(n, to)
+	n.rehome(to)
 	if _, err := nw.join(n, rs.nowAt(to)); err != nil {
 		// The new AP never admitted the node: fall back to the one it
 		// came from. If the release above was lost its old lease may
 		// even still be live, and the books idempotently re-grant.
 		rs.roamsFailed++
-		rs.rehome(n, from)
+		n.rehome(from)
 		if _, err := nw.join(n, rs.nowAt(from)); err == nil {
 			delete(nw.strays, n.ID) // re-admitted: the old entry is current again
 		}

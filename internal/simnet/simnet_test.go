@@ -82,12 +82,13 @@ func TestJoinFDMThenSDM(t *testing.T) {
 	if fdm != 3 || sdm != 2 {
 		t.Errorf("fdm=%d sdm=%d, want 3/2", fdm, sdm)
 	}
-	// Per-node link config inherits the assignment.
+	// Each node's link evaluates at its assigned channel width, and its
+	// grant splits the FSK tones.
 	for _, n := range nodes {
-		if n.Link.Cfg.BandwidthHz != n.Assignment.WidthHz {
+		if nw.linkCfg(n).BandwidthHz != n.Assignment.WidthHz {
 			t.Error("link bandwidth not tied to assignment")
 		}
-		if n.Link.Cfg.Modem.F1 <= n.Link.Cfg.Modem.F0 {
+		if n.Assignment.FSKOffsetHz <= 0 {
 			t.Error("FSK tones not split")
 		}
 	}
