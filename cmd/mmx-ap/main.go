@@ -3,8 +3,9 @@
 // simultaneous camera nodes — FDM channels plus co-channel nodes separated
 // by the time-modulated array — and runs the one-pass AP receive pipeline:
 // a single polyphase filterbank sweep yields every node's baseband (TMA
-// harmonic shifts composed into the channel map), and the per-channel
-// stream demodulators fan out across a worker pool.
+// harmonic shifts composed into the channel map), and both the sweep's
+// output instants and the per-channel stream demodulators fan out across
+// a worker pool.
 //
 // The -fdm N mode scales the same pipeline sideways: N simultaneous FDM
 // nodes on a 1 MHz grid across the whole digitized band, demultiplexed in
@@ -45,7 +46,7 @@ const (
 func main() {
 	seed := flag.Uint64("seed", 1, "noise seed")
 	fdm := flag.Int("fdm", 0, "run the N-channel wideband FDM demo (e.g. 200) instead of the SDM scene")
-	workers := flag.Int("workers", 0, "demodulation workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "receive workers: filterbank extraction and demodulation (0 = GOMAXPROCS)")
 	flag.Parse()
 	if *fdm < 0 || *fdm > 240 {
 		fmt.Fprintf(os.Stderr, "mmx-ap: bad -fdm %d (want 0 for the SDM scene, or 1..240 channels on the 1 MHz grid inside the 250 MHz band)\n", *fdm)

@@ -55,9 +55,10 @@ type BankChannel struct {
 // WidebandRate/Bins (after composing their TMA harmonic shift).
 //
 // A FilterBank is NOT safe for concurrent use: the per-block branch/FFT
-// scratch is owned by the bank. Give each worker its own bank, or let one
-// goroutine run ExtractAllInto and fan out the per-channel demodulation
-// (ReceiveAll does exactly that).
+// scratch is owned by the bank. Give each worker its own bank, or let
+// ReceiveAll fan the work out: it splits the extraction over output
+// instants and the demodulation over channels, each lane on scratch of
+// its own.
 type FilterBank struct {
 	// WidebandRate is the capture's complex sample rate (Hz).
 	WidebandRate float64
@@ -65,8 +66,9 @@ type FilterBank struct {
 	CenterHz float64
 	// Bins is M, the uniform channel grid: channels sit at integer
 	// multiples of WidebandRate/Bins relative to CenterHz. Power-of-two
-	// values run the per-block FFT radix-2; other values fall back to the
-	// (plan-cached) Bluestein transform.
+	// values run the per-block FFT radix-2, other values mixed-radix
+	// (plan-cached); a Bins with a large prime factor p costs O(M·p) per
+	// block instead of O(M log M).
 	Bins int
 	// SwitchRateHz is the TMA schedule rate f_p, required when any
 	// configured channel has a nonzero Harmonic.
@@ -76,16 +78,15 @@ type FilterBank struct {
 	// (default 129 when zero).
 	TransitionFraction float64
 	Taps               int
-	// MinSyncScore overrides the StreamReceiver preamble floor used by
-	// ReceiveAll (0 keeps the modem default).
-	MinSyncScore float64
 
 	// Configured state.
 	decim int
 	proto []float64
 	chans []bankChan
 	plan  *dsp.FFTPlan
-	u, bu []complex128 // branch accumulator and its transform (len Bins)
+	// lanes[k] is the per-block scratch of extraction lane k, grown
+	// lazily to the widest fan-out seen; ExtractAllInto runs on lanes[0].
+	lanes []bankLane
 
 	// ReceiveAll state: per-channel stream receivers (each touched by
 	// exactly one worker per call) and extraction output scratch.
@@ -100,6 +101,10 @@ var (
 	ErrNoSwitchRate  = errors.New("apdsp: harmonic channel requires SwitchRateHz")
 	ErrNotConfigured = errors.New("apdsp: filterbank has no configured channels")
 )
+
+// bankLane is one extraction lane's per-block scratch: the branch
+// accumulator and its transform (len Bins each).
+type bankLane struct{ u, bu []complex128 }
 
 // bankChan is one configured channel's precomputed extraction state.
 type bankChan struct {
@@ -161,8 +166,8 @@ func (b *FilterBank) Configure(widthHz, outRate float64, channels []BankChannel)
 	b.decim = int(math.Round(factor))
 	b.proto = dsp.LowPass(widthHz/2*(1+tf), b.WidebandRate, taps).Taps
 	b.plan = dsp.PlanFFT(b.Bins)
-	b.u = make([]complex128, b.Bins)
-	b.bu = make([]complex128, b.Bins)
+	b.lanes = nil
+	b.growLanes(1)
 	for i := range chans {
 		b.initTwiddle(&chans[i])
 	}
@@ -211,6 +216,17 @@ func (b *FilterBank) ExtractAll(x []complex128) ([][]complex128, error) {
 // branch accumulation, the length-M FFT, and the per-channel twiddled
 // readout — allocates nothing.
 func (b *FilterBank) ExtractAllInto(dst [][]complex128, x []complex128) ([][]complex128, error) {
+	dst, err := b.outputs(dst, x)
+	if err != nil {
+		return nil, err
+	}
+	b.extract(dst, x, 0, len(dst[0]), &b.lanes[0])
+	return dst, nil
+}
+
+// outputs sizes dst to one len(x)/D-sample slice per channel, reusing
+// capacity, and rejects a slice that aliases x.
+func (b *FilterBank) outputs(dst [][]complex128, x []complex128) ([][]complex128, error) {
 	if len(b.chans) == 0 {
 		return nil, ErrNotConfigured
 	}
@@ -231,18 +247,27 @@ func (b *FilterBank) ExtractAllInto(dst [][]complex128, x []complex128) ([][]com
 		}
 		dst[i] = dst[i][:nOut]
 	}
-	b.process(dst, x)
 	return dst, nil
 }
 
-// process is the per-block hot path. Output sample j of every channel is
-// produced from input window x[jD−taps+1 .. jD]: M branch sums, one
-// M-point transform, one twiddled readout per channel.
-func (b *FilterBank) process(out [][]complex128, x []complex128) {
+// growLanes makes sure lanes[0..n) exist.
+func (b *FilterBank) growLanes(n int) {
+	for len(b.lanes) < n {
+		m := b.plan.Len()
+		b.lanes = append(b.lanes, bankLane{u: make([]complex128, m), bu: make([]complex128, m)})
+	}
+}
+
+// extract is the per-block hot path over output instants [lo, hi). Output
+// sample j of every channel is produced from input window
+// x[jD−taps+1 .. jD]: M branch sums, one M-point transform, one twiddled
+// readout per channel. Sample j depends on j alone, never on the range
+// it was computed in, so any split of the instants gives the same bits.
+func (b *FilterBank) extract(out [][]complex128, x []complex128, lo, hi int, ln *bankLane) {
 	m, d := b.Bins, b.decim
 	proto := b.proto
-	u := b.u
-	for j := 0; j < len(out[0]); j++ {
+	u := ln.u
+	for j := lo; j < hi; j++ {
 		t := j * d
 		maxTap := len(proto) - 1
 		if t < maxTap {
@@ -255,7 +280,7 @@ func (b *FilterBank) process(out [][]complex128, x []complex128) {
 			}
 			u[r] = acc
 		}
-		bu := b.plan.Forward(b.bu, u)
+		bu := b.plan.Forward(ln.bu, u)
 		for ci := range b.chans {
 			c := &b.chans[ci]
 			out[ci][j] = bu[c.bin] * c.tw[j%len(c.tw)]
@@ -263,30 +288,34 @@ func (b *FilterBank) process(out [][]complex128, x []complex128) {
 	}
 }
 
-// ReceiveAll is the full AP receive stage: one ExtractAll pass over the
-// capture, then every channel's baseband handed to its own
-// modem.StreamReceiver across the worker pool, par.For (workers ≤ 0 means
-// GOMAXPROCS). cfg is the shared per-channel modem numerology (see
-// ChannelConfig); payloadLens[i] is channel i's expected payload size.
-// Results are indexed by channel and are identical for any worker count:
-// channels are the unit of work and each channel's receiver is touched by
-// exactly one worker per call.
+// ReceiveAll is the full AP receive stage on the worker pool, par.For
+// (workers ≤ 0 means GOMAXPROCS): the extraction's output instants split
+// into one contiguous range per lane, then every channel's baseband
+// handed to its own modem.StreamReceiver. cfg is the shared per-channel
+// modem numerology (see ChannelConfig); payloadLens[i] is channel i's
+// expected payload size. Results are indexed by channel and are
+// identical for any worker count: every output sample is computed the
+// same way on whichever lane holds it, and each channel's receiver is
+// touched by exactly one worker per call.
 func (b *FilterBank) ReceiveAll(x []complex128, cfg modem.Config, payloadLens []int, workers int) ([][]modem.StreamFrame, error) {
 	if len(payloadLens) != len(b.chans) {
 		return nil, errors.New("apdsp: payloadLens must match configured channels")
 	}
-	outs, err := b.ExtractAllInto(b.outs, x)
+	outs, err := b.outputs(b.outs, x)
 	if err != nil {
 		return nil, err
 	}
 	b.outs = outs
+	nOut := len(outs[0])
+	lanes := par.Lanes(workers, nOut)
+	b.growLanes(lanes)
+	par.For(lanes, lanes, func(_, k int) {
+		b.extract(outs, x, k*nOut/lanes, (k+1)*nOut/lanes, &b.lanes[k])
+	})
 	if b.recv == nil || b.recvCfg != cfg {
 		b.recv = make([]*modem.StreamReceiver, len(b.chans))
 		for i := range b.recv {
 			b.recv[i] = modem.NewStreamReceiver(cfg)
-			if b.MinSyncScore > 0 {
-				b.recv[i].MinSyncScore = b.MinSyncScore
-			}
 		}
 		b.recvCfg = cfg
 	}

@@ -98,7 +98,7 @@ func TestBankMatchesLegacyAcrossRandomPlans(t *testing.T) {
 }
 
 // TestBankMatchesLegacyNonPowerOfTwoBins runs the same pin with a bin
-// count that forces the Bluestein per-block transform.
+// count that forces the mixed-radix per-block transform.
 func TestBankMatchesLegacyNonPowerOfTwoBins(t *testing.T) {
 	center := units.ISM24GHzCenter
 	const bins = 20 // fs/bins = 800 kHz grid; outRate divides fs
@@ -220,6 +220,69 @@ func TestBankReceiveAllDecodesFDMPlusSDM(t *testing.T) {
 	}
 	if !reflect.DeepEqual(frames, serial) {
 		t.Error("ReceiveAll results depend on worker count")
+	}
+}
+
+// TestBankExtractionIdenticalAcrossLanes pins the fanned-out sweep: on
+// the shipped 1 MHz grid (250 bins — the mixed-radix FFT — 2751 taps,
+// decimation 125) the channel outputs ReceiveAll extracts over 1, 2, 3 and
+// 8 lanes equal ExtractAll's bit for bit, down to captures with fewer
+// output instants than lanes. The outputs are poisoned with NaN before
+// every call, so a lane range that leaves an instant unwritten fails.
+func TestBankExtractionIdenticalAcrossLanes(t *testing.T) {
+	const (
+		rate = 250e6
+		bins = 250
+		taps = 2751
+	)
+	center := units.ISM24GHzCenter
+	plan := make([]BankChannel, 0, 24)
+	for i := -12; i < 12; i++ {
+		plan = append(plan, BankChannel{ChannelHz: center + float64(7*i)*1e6})
+	}
+	bank := NewFilterBank(rate, center, bins)
+	bank.Taps = taps
+	if err := bank.Configure(1e6, 2e6, plan); err != nil {
+		t.Fatal(err)
+	}
+	if bank.decim != 125 {
+		t.Fatalf("decimation %d, want 125", bank.decim)
+	}
+	cfg := ChannelConfig(2e6, 125e3, 500e3)
+	lens := make([]int, len(plan))
+	for i := range lens {
+		lens[i] = 4
+	}
+	nan := complex(math.NaN(), math.NaN())
+	for _, n := range []int{40*125 + 17, 2 * 125, 1} {
+		x := randCapture(n, uint64(n))
+		want, err := bank.ExtractAll(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, o := range bank.outs {
+				o = o[:cap(o)]
+				for j := range o {
+					o[j] = nan
+				}
+			}
+			if _, err := bank.ReceiveAll(x, cfg, lens, workers); err != nil {
+				t.Fatal(err)
+			}
+			for ci, w := range want {
+				got := bank.outs[ci]
+				if len(got) != len(w) {
+					t.Fatalf("n=%d workers=%d ch %d: %d samples, want %d", n, workers, ci, len(got), len(w))
+				}
+				for j := range w {
+					if math.Float64bits(real(got[j])) != math.Float64bits(real(w[j])) ||
+						math.Float64bits(imag(got[j])) != math.Float64bits(imag(w[j])) {
+						t.Fatalf("n=%d workers=%d ch %d sample %d: %v, ExtractAll has %v", n, workers, ci, j, got[j], w[j])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func TestFFTSingleTone(t *testing.T) {
 
 func TestFFTIFFTRoundtrip(t *testing.T) {
 	rng := stats.NewRNG(4)
-	for _, n := range []int{1, 2, 8, 31, 32, 33, 100, 255, 256} {
+	for _, n := range []int{1, 2, 8, 31, 32, 33, 97, 100, 194, 243, 250, 255, 256, 1000} {
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))

@@ -70,7 +70,7 @@ func TestMovingAverageIntoGolden(t *testing.T) {
 }
 
 func TestFFTIntoGolden(t *testing.T) {
-	// 64 exercises the radix-2 path, 60 the Bluestein path.
+	// 64 exercises the radix-2 path, 60 the mixed-radix path.
 	for _, n := range []int{64, 60} {
 		x := goldenInput(n, 7)
 		checkInto(t, fmt.Sprintf("n=%d", n), garbageC, func(d []complex128) []complex128 { return FFTInto(d, x) })

@@ -50,7 +50,7 @@ func TestPlanFFTCacheReturnsSharedPlan(t *testing.T) {
 }
 
 func TestPlanForwardInverseMatchNaiveDFT(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 12, 31, 50, 64, 100, 129} {
+	for _, n := range []int{1, 2, 3, 8, 12, 31, 50, 64, 97, 100, 129, 194, 243, 250, 1000} {
 		x := randComplex(n, uint64(n))
 		p := PlanFFT(n)
 		fwd := p.Forward(nil, x)
@@ -69,7 +69,7 @@ func TestPlanForwardInverseMatchNaiveDFT(t *testing.T) {
 }
 
 func TestPlanInPlaceMatchesOutOfPlace(t *testing.T) {
-	for _, n := range []int{16, 50} {
+	for _, n := range []int{16, 50, 250} {
 		x := randComplex(n, 7)
 		p := PlanFFT(n)
 		want := p.Forward(nil, x)
@@ -94,13 +94,13 @@ func TestPlanLengthMismatchPanics(t *testing.T) {
 
 // TestFFTWarmPathAllocationFree pins the plan-cache + pooled-scratch
 // contract: once the plan exists and dst is sized, repeated transforms —
-// including non-power-of-two Bluestein lengths, whose work buffers come
+// including non-power-of-two mixed-radix lengths, whose work buffers come
 // from the buffer pool — allocate nothing.
 func TestFFTWarmPathAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	for _, n := range []int{64, 50, 100} {
+	for _, n := range []int{64, 50, 100, 250} {
 		x := randComplex(n, uint64(n))
 		dst := make([]complex128, n)
 		FFTInto(dst, x) // warm plan, pool, and dst

@@ -12,8 +12,8 @@ import (
 type DemodResult struct {
 	// Bits are the decoded frame bits (preamble first), after any
 	// inversion correction. The slice is owned by the Demodulator and is
-	// valid only until its next Demodulate/DemodulateAt/Receive call;
-	// callers that retain bits across calls must copy them.
+	// valid only until its next Demodulate/Receive call; callers that
+	// retain bits across calls must copy them.
 	Bits []bool
 	// Offset is the detected start of the frame in samples.
 	Offset int
@@ -240,19 +240,7 @@ func (d *Demodulator) Demodulate(x []complex128, nBits int) (DemodResult, error)
 			offset = k
 		}
 	}
-	return d.decodeAt(x, nBits, offset, score)
-}
-
-// DemodulateAt decodes a frame of nBits symbols starting exactly at
-// offset (no search) — the fast path for stream scanning where the frame
-// position is already known.
-func (d *Demodulator) DemodulateAt(x []complex128, nBits, offset int) (DemodResult, error) {
-	spb := d.spb
-	if offset < 0 || len(x)-offset < nBits*spb || nBits < len(Preamble) {
-		return DemodResult{}, ErrNoSync
-	}
-	d.prepare(x)
-	return d.decodeAt(x, nBits, offset, d.scoreAt(offset))
+	return d.decodeAt(x, nBits, offset, score), nil
 }
 
 // FirstSync scans forward for the first preamble whose two-track
@@ -280,9 +268,10 @@ func (d *Demodulator) FirstSync(x []complex128, threshold float64) (offset int, 
 	return 0, 0, false
 }
 
-// decodeAt runs the joint ASK-FSK decision on a frame at a known offset.
-// prepare must have run for the capture.
-func (d *Demodulator) decodeAt(x []complex128, nBits, offset int, syncScore float64) (DemodResult, error) {
+// decodeAt runs the joint ASK-FSK decision on a frame of nBits symbols
+// at a known offset, which must leave the whole frame inside x. prepare
+// must have run for the capture.
+func (d *Demodulator) decodeAt(x []complex128, nBits, offset int, syncScore float64) DemodResult {
 	spb := d.spb
 
 	// Per-symbol observables.
@@ -396,7 +385,7 @@ func (d *Demodulator) decodeAt(x []complex128, nBits, offset int, syncScore floa
 		ASKConfidence: askConf,
 		FSKConfidence: fskConf,
 		Mode:          mode,
-	}, nil
+	}
 }
 
 func growFloats(buf []float64, n int) []float64 {

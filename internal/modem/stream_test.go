@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"reflect"
 	"testing"
 
 	"mmx/internal/dsp"
@@ -118,6 +119,63 @@ func TestStreamReceiverSkipsCorruptFrame(t *testing.T) {
 	}
 	if !bytes.Equal(frames[0].Payload, payloads[0]) || !bytes.Equal(frames[1].Payload, payloads[2]) {
 		t.Errorf("wrong survivors: %q, %q", frames[0].Payload, frames[1].Payload)
+	}
+}
+
+// oracleReceiveAll is StreamReceiver.ReceiveAll as it was before each scan
+// window was prepared once: FirstSync prepares x[base:], then the decode
+// prepares the same slice again and rescores the offset it was handed.
+func oracleReceiveAll(d *Demodulator, minScore float64, x []complex128, payloadLen int) []StreamFrame {
+	var out []StreamFrame
+	nBits := FrameBits(payloadLen)
+	frameSamples := nBits * d.cfg.SamplesPerSymbol()
+	base := 0
+	for len(x)-base >= frameSamples {
+		offset, _, ok := d.FirstSync(x[base:], minScore)
+		if !ok || base+offset+frameSamples > len(x) {
+			break
+		}
+		d.prepare(x[base:])
+		res := d.decodeAt(x[base:], nBits, offset, d.scoreAt(offset))
+		if payload, err := ParseFrame(res.Bits); err == nil {
+			res.Offset = base + offset
+			res.Bits = append([]bool(nil), res.Bits...)
+			out = append(out, StreamFrame{Payload: payload, Offset: res.Offset, Result: res})
+		}
+		base += offset + frameSamples
+	}
+	return out
+}
+
+// TestStreamReceiverMatchesPrepareTwiceOracle pins the single prepare per
+// scan window against the old loop: on a multi-frame capture with one
+// frame that fails its CRC, the frames, their offsets and every Result
+// field come out identical.
+func TestStreamReceiverMatchesPrepareTwiceOracle(t *testing.T) {
+	cfg := DefaultConfig()
+	payloads := [][]byte{[]byte("frame-00"), []byte("frame-01"), []byte("corrupt!"), []byte("frame-03"), []byte("frame-04")}
+	gaps := []int{41, 17, 90, 33, 64}
+	x := buildStream(t, cfg, payloads, gaps, complex(0.15, 0.05), complex(0.9, -0.2), 0.02, 11)
+	spb := cfg.SamplesPerSymbol()
+	frameLen := FrameBits(8) * spb
+	mid := gaps[0] + gaps[1] + gaps[2] + 2*frameLen + 50*spb
+	for i := mid; i < mid+20*spb; i++ {
+		x[i] = 0
+	}
+	sr := NewStreamReceiver(cfg)
+	got := sr.ReceiveAll(x, 8)
+	want := oracleReceiveAll(NewDemodulator(cfg), sr.MinSyncScore, x, 8)
+	if len(want) != len(payloads)-1 {
+		t.Fatalf("oracle decoded %d frames, want %d (the corrupt one skipped)", len(want), len(payloads)-1)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("stream receiver found %d frames, oracle %d", len(got), len(want))
+	}
+	for i := range want {
+		if g, w := got[i], want[i]; !reflect.DeepEqual(g, w) {
+			t.Errorf("frame %d: offset %d score %v mode %s, oracle offset %d score %v mode %s",
+				i, g.Offset, g.Result.SyncScore, g.Result.Mode, w.Offset, w.Result.SyncScore, w.Result.Mode)
+		}
 	}
 }
 
