@@ -122,11 +122,7 @@ func NewULA(elem Element, n int, spacingWl float64) *ULA {
 // ArrayFactor returns the unnormalized complex array factor toward theta:
 // AF(θ) = Σ_n w_n e^{j 2π n d sinθ}.
 func (u *ULA) ArrayFactor(theta float64) complex128 {
-	var af complex128
-	phasePerElem := 2 * math.Pi * u.SpacingWl * math.Sin(theta)
-	for n, w := range u.Weights {
-		af += w * cmplx.Rect(1, phasePerElem*float64(n))
-	}
+	af, _ := arrayFactors(u.progression(theta), u.Weights, nil)
 	return af
 }
 
@@ -134,14 +130,42 @@ func (u *ULA) ArrayFactor(theta float64) complex128 {
 // array factor, normalized so the maximum possible |field| is 1 (achieved
 // when all element contributions align at an element-pattern peak).
 func (u *ULA) Field(theta float64) complex128 {
-	var norm float64
-	for _, w := range u.Weights {
-		norm += cmplx.Abs(w)
-	}
+	norm := weightNorm(u.Weights)
 	if norm == 0 {
 		return 0
 	}
 	return u.Elem.Field(theta) * u.ArrayFactor(theta) / complex(norm, 0)
+}
+
+// progression is the phase step between neighbouring elements toward
+// theta: 2π d sinθ.
+func (u *ULA) progression(theta float64) float64 {
+	return 2 * math.Pi * u.SpacingWl * math.Sin(theta)
+}
+
+// arrayFactors sums Σ_n w_n e^{j n·step} for one weight vector, or for two
+// of the same length (w1 nil: af1 is 0) with each element phasor computed
+// once. It is the one place the array formula is written: ULA.ArrayFactor
+// and NodeBeams.FieldGains both run it, so the two agree bit for bit.
+func arrayFactors(step float64, w0, w1 []complex128) (af0, af1 complex128) {
+	for n, w := range w0 {
+		ph := cmplx.Rect(1, step*float64(n))
+		af0 += w * ph
+		if w1 != nil {
+			af1 += w1[n] * ph
+		}
+	}
+	return af0, af1
+}
+
+// weightNorm is Σ_n |w_n|, the field of all elements aligned: the
+// normalization that caps a ULA's |Field| at 1.
+func weightNorm(w []complex128) float64 {
+	var norm float64
+	for _, x := range w {
+		norm += cmplx.Abs(x)
+	}
+	return norm
 }
 
 // SteerTo sets progressive phase weights so the main beam points toward
@@ -187,11 +211,16 @@ func NewFixedBeam(source Element, peakDBi float64) FixedBeam {
 
 // FieldGain implements Pattern.
 func (b FixedBeam) FieldGain(theta float64) complex128 {
-	amp := b.amp
-	if amp == 0 || b.ampDBi != b.PeakDBi {
-		amp = math.Pow(10, b.PeakDBi/20)
+	return b.Source.Field(theta) * complex(b.amplitude(), 0)
+}
+
+// amplitude is the field amplitude of PeakDBi: the one NewFixedBeam
+// cached, or computed now for a literal or edited beam.
+func (b FixedBeam) amplitude() float64 {
+	if b.amp == 0 || b.ampDBi != b.PeakDBi {
+		return math.Pow(10, b.PeakDBi/20)
 	}
-	return b.Source.Field(theta) * complex(amp, 0)
+	return b.amp
 }
 
 // PeakGainDBi implements Pattern.

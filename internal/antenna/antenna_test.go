@@ -264,3 +264,40 @@ func TestNewFixedBeamMatchesLiteral(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeBeamsFieldGainsBitIdentical pins NodeBeams.FieldGains to the
+// two per-beam FieldGain calls it replaces, bit for bit, on every pair the
+// stack builds: the shared-array path (standard, non-orthogonal, narrow
+// and a literal pair with no cached amplitude) and the fallback (the
+// mirrored pair).
+func TestNodeBeamsFieldGainsBitIdentical(t *testing.T) {
+	pairs := map[string]NodeBeams{
+		"node":           NewNodeBeams(),
+		"non-orthogonal": NewNonOrthogonalBeams(),
+		"narrow-4":       NewNarrowNodeBeams(4),
+		"narrow-8":       NewNarrowNodeBeams(8),
+		"extended":       NewExtendedNodeBeams(),
+		"literal": {
+			Beam0: FixedBeam{Source: NewNodeBeam0(), PeakDBi: NodePeakGainDBi},
+			Beam1: FixedBeam{Source: NewNodeBeam1(), PeakDBi: NodePeakGainDBi},
+		},
+	}
+	const n = 4096
+	thetas := []float64{0, math.Pi / 2, -math.Pi / 2, math.Pi, -math.Pi}
+	for i := 0; i <= n; i++ {
+		thetas = append(thetas, -2*math.Pi+4*math.Pi*float64(i)/n)
+	}
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for name, nb := range pairs {
+		for _, th := range thetas {
+			g0, g1 := nb.FieldGains(th)
+			w0, w1 := nb.Beam0.FieldGain(th), nb.Beam1.FieldGain(th)
+			if !same(g0, w0) || !same(g1, w1) {
+				t.Fatalf("%s at θ=%v: FieldGains = (%v, %v), FieldGain = (%v, %v)", name, th, g0, g1, w0, w1)
+			}
+		}
+	}
+}

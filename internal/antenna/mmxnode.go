@@ -46,6 +46,43 @@ type NodeBeams struct {
 	Beam0, Beam1 Pattern
 }
 
+// FieldGains returns both beams' field gains toward theta —
+// Beam0.FieldGain(theta) and Beam1.FieldGain(theta), bit for bit. The
+// node's pairs are one array fed two ways (paper §6.2): when both beams
+// are FixedBeams over ULAs with the same patch element, spacing and
+// element count, the element field, sin θ and the element phasors are
+// computed once and shared, and each beam's product keeps FieldGain's
+// operation order. Any other pair (the mirrored node's, say) makes the
+// two FieldGain calls.
+func (nb NodeBeams) FieldGains(theta float64) (g0, g1 complex128) {
+	b0, ok0 := nb.Beam0.(FixedBeam)
+	b1, ok1 := nb.Beam1.(FixedBeam)
+	if ok0 && ok1 {
+		u0, ok0 := b0.Source.(*ULA)
+		u1, ok1 := b1.Source.(*ULA)
+		if ok0 && ok1 && u0.SpacingWl == u1.SpacingWl && len(u0.Weights) == len(u1.Weights) && samePatch(u0.Elem, u1.Elem) {
+			norm0, norm1 := weightNorm(u0.Weights), weightNorm(u1.Weights)
+			if norm0 != 0 && norm1 != 0 {
+				e := u0.Elem.Field(theta)
+				af0, af1 := arrayFactors(u0.progression(theta), u0.Weights, u1.Weights)
+				g0 = e * af0 / complex(norm0, 0) * complex(b0.amplitude(), 0)
+				g1 = e * af1 / complex(norm1, 0) * complex(b1.amplitude(), 0)
+				return g0, g1
+			}
+		}
+	}
+	return nb.Beam0.FieldGain(theta), nb.Beam1.FieldGain(theta)
+}
+
+// samePatch reports whether a and b are equal Patch elements — the
+// element every pair builder uses — so one Field call serves both beams.
+// Any other element takes FieldGains' fallback.
+func samePatch(a, b Element) bool {
+	pa, okA := a.(Patch)
+	pb, okB := b.(Patch)
+	return okA && okB && pa == pb
+}
+
 // NewNodeBeams builds the orthogonal pair used by every mmX node.
 func NewNodeBeams() NodeBeams {
 	return NodeBeams{

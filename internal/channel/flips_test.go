@@ -206,3 +206,57 @@ func FuzzBlockageFlips(f *testing.F) {
 		checkFlips(t, e, at(txX, txY), at(rxX, rxY), k)
 	})
 }
+
+// FuzzBlockageLoss checks blockageLossDB, with its bounding-box skip,
+// against the unfiltered sum of every blocker within Radius of the leg.
+// Each input places four blockers: one off the leg's interior along its
+// normal and one off each endpoint, all at Radius+off (off ≈ ±1e-9 in
+// the seeds, straddling the exact test), plus one free one. Distinct
+// power-of-two losses make the sum name the set of blockers counted.
+func FuzzBlockageLoss(f *testing.F) {
+	f.Add(0.0, 0.0, 10.0, 0.0, 0.5, math.Pi/2, 0.5, -1e-9, 3.0, 3.0)
+	f.Add(0.0, 0.0, 10.0, 0.0, 0.5, -math.Pi/2, 0.5, 1e-9, 3.0, 0.2)
+	f.Add(1.0, 1.0, 4.0, 5.0, 0.0, math.Atan2(-4, -3), 0.3, -1e-9, 4.1, 5.2)
+	f.Add(1.0, 1.0, 4.0, 5.0, 1.0, math.Atan2(4, 3), 0.3, 1e-9, 0.9, 0.8)
+	f.Add(2.0, 2.0, 2.0, 2.0, 0.3, 1.0, 0.4, -1e-9, 2.3, 2.3)
+	f.Add(2.0, 2.0, 2.0, 2.0, 0.3, -2.5, 0.4, 1e-9, 1.6, 2.0)
+	f.Add(-2e4, 1.5e4, 2e4, -1.9e4, 0.37, 2.1, 0.35, -1e-9, 1.99e4, 2e4)
+	f.Add(2e4, 2e4, 2e4, 2e4, 0.0, 0.7, 0.25, -1e-9, 2e4, 1.99e4)
+	f.Fuzz(func(t *testing.T, ax, ay, bx, by, at, phi, radius, off, px, py float64) {
+		for _, v := range []float64{ax, ay, bx, by, at, phi, radius, off, px, py} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite input")
+			}
+		}
+		clamp := func(v, lo, hi float64) float64 { return math.Min(math.Max(v, lo), hi) }
+		coord := func(v float64) float64 { return clamp(v, -2e4, 2e4) }
+		seg := Segment{A: Vec2{coord(ax), coord(ay)}, B: Vec2{coord(bx), coord(by)}}
+		r := clamp(radius, 0, 50)
+		reach := r + clamp(off, -1, 1)
+		dir := Vec2{math.Cos(phi), math.Sin(phi)}
+		normal := dir
+		if d := seg.B.Sub(seg.A); d.Dot(d) > 0 {
+			l := math.Sqrt(d.Dot(d))
+			normal = Vec2{-d.Y / l, d.X / l}
+			if dir.Dot(normal) < 0 {
+				normal = normal.Scale(-1)
+			}
+		}
+		e := &Environment{Blockers: []*Blocker{
+			{Pos: seg.PointAt(clamp(at, 0, 1)).Add(normal.Scale(reach)), Radius: r, LossDB: 1},
+			{Pos: seg.A.Add(dir.Scale(reach)), Radius: r, LossDB: 2},
+			{Pos: seg.B.Add(dir.Scale(reach)), Radius: r, LossDB: 4},
+			{Pos: Vec2{coord(px), coord(py)}, Radius: r, LossDB: 8},
+		}}
+		want := 0.0
+		for _, b := range e.Blockers {
+			if seg.DistanceTo(b.Pos) <= b.Radius {
+				want += b.LossDB
+			}
+		}
+		if got := e.blockageLossDB(seg); got != want {
+			t.Fatalf("leg %v: blockageLossDB = %v, unfiltered sum %v (blockers %v %v %v %v)",
+				seg, got, want, *e.Blockers[0], *e.Blockers[1], *e.Blockers[2], *e.Blockers[3])
+		}
+	})
+}

@@ -99,11 +99,12 @@ func (e *Environment) BeamGains(nodePose Pose, beams antenna.NodeBeams, apPose P
 // propagation regime from a single path enumeration. Everything about a
 // path that does not depend on the transmit beam — the AP-side field gain,
 // the spreading, elevation and excess-loss amplitude, the carrier phasor —
-// is computed once and shared by the two beams; each beam's product is
-// then formed in PathGain's own order, (tx·rx)·phasor, so h0 and h1 are
-// bit-identical to Gain(Beam0) and Gain(Beam1), and the class matches
-// BestPathClass. Ray tracing dominates a link evaluation, which is why the
-// enumeration is shared too.
+// is computed once and shared by the two beams, and the two node-beam
+// gains come from one NodeBeams.FieldGains call (one array fed two ways).
+// Each beam's product is then formed in PathGain's own order,
+// (tx·rx)·phasor, so h0 and h1 are bit-identical to Gain(Beam0) and
+// Gain(Beam1), and the class matches BestPathClass. Ray tracing dominates
+// a link evaluation, which is why the enumeration is shared too.
 func (e *Environment) BeamGainsWithClass(nodePose Pose, beams antenna.NodeBeams, apPose Pose, apPat antenna.Pattern) (h0, h1 complex128, class string) {
 	s := pathScratchPool.Get().(*pathScratch)
 	s.out, s.backing = e.appendPaths(nodePose.Pos, apPose.Pos, s.out, s.backing)
@@ -127,8 +128,9 @@ func (e *Environment) BeamGainsWithClass(nodePose Pose, beams antenna.NodeBeams,
 		amp *= math.Pow(10, -p.ExcessLossDB()/20)
 		phasor := cmplx.Rect(amp, -2*math.Pi*length/lambda)
 		rx := apPat.FieldGain(arr)
-		h0 += beams.Beam0.FieldGain(dep) * rx * phasor
-		h1 += beams.Beam1.FieldGain(dep) * rx * phasor
+		g0, g1 := beams.FieldGains(dep)
+		h0 += g0 * rx * phasor
+		h1 += g1 * rx * phasor
 	}
 	class = pathClass(s.out)
 	pathScratchPool.Put(s)

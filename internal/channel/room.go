@@ -246,16 +246,33 @@ func (e *Environment) Step(dt float64) {
 
 // blockageLossDB sums the blocker losses along one segment (interior-wall
 // penetration is handled at path level by pathObstructionLossDB, which
-// can see reflection vertices).
+// can see reflection vertices). A blocker whose position lies outside the
+// segment's bounding box grown by Radius + boxSlack is farther than
+// Radius from every point of the segment, so it is skipped on four
+// compares; DistanceTo ≤ Radius decides every other blocker, and the sum
+// keeps the same terms in the same order. The compares are written so a
+// NaN coordinate or radius falls through to the exact test.
 func (e *Environment) blockageLossDB(seg Segment) float64 {
+	loX, hiX := min(seg.A.X, seg.B.X), max(seg.A.X, seg.B.X)
+	loY, hiY := min(seg.A.Y, seg.B.Y), max(seg.A.Y, seg.B.Y)
 	loss := 0.0
 	for _, b := range e.Blockers {
+		r := b.Radius + boxSlack
+		if b.Pos.X < loX-r || b.Pos.X > hiX+r || b.Pos.Y < loY-r || b.Pos.Y > hiY+r {
+			continue
+		}
 		if seg.DistanceTo(b.Pos) <= b.Radius {
 			loss += b.LossDB
 		}
 	}
 	return loss
 }
+
+// boxSlack grows blockageLossDB's bounding box past each blocker's
+// Radius: far above the rounding of the exact distance test at any room
+// scale the simulator runs (coordinates of 10⁴ m round at ~10⁻¹² m), and
+// the same scale as the region mapper's corridor slack.
+const boxSlack = 1e-6
 
 // pathObstructionLossDB returns the total penetration loss a polyline
 // path pays: blocker losses per leg, plus interior-wall losses wherever

@@ -1,8 +1,8 @@
 // Package par is the one worker pool: every index loop in the stack that
-// fans out across cores — simnet's settle passes and region mapping, the
-// experiments' Monte Carlo trials, the filterbank's extraction ranges and
-// per-channel demodulators, mmx-ap's wideband synthesis — runs through
-// For.
+// fans out across cores — simnet's settle passes, region mapping and roam
+// screen, the experiments' Monte Carlo trials, the filterbank's extraction
+// ranges and per-channel demodulators, mmx-ap's wideband synthesis — runs
+// through For.
 //
 // Results are independent of scheduling as long as each index writes only
 // its own output slot (or its lane's scratch, merged afterwards in a fixed

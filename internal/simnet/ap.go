@@ -148,6 +148,12 @@ func (nw *Network) reuseColors(k int) []int {
 // transition is release-at-old, handshake-at-new through the same lossy
 // control machinery as churn — mid-roam loss degrades into a stray
 // lease the old AP's TTL reclaims, never a double booking.
+//
+// A check screens every node's pose and report as they stood when the
+// check began: the candidate traces of all nodes run first, on the
+// worker pool, and the decisions and roams follow in membership order.
+// An OnMembership callback that moves a node in the middle of a check is
+// seen at the next check.
 type RoamPolicy struct {
 	// HysteresisDB is how much better (in dB) a candidate AP's SNR
 	// estimate must be before the node roams to it.

@@ -336,6 +336,14 @@ type runState struct {
 	// so far: Run's start, then every tick.
 	finished []*Node
 	instants int
+
+	// The roam check's scratch (roam.go), grown on demand and kept for
+	// the run: roamLanes holds each worker lane's traced candidates,
+	// roamSpans[i] where member i's lie, and roamFn is the phase-1
+	// closure par.For runs.
+	roamLanes [][]roamCand
+	roamSpans []roamSpan
+	roamFn    func(lane, i int)
 }
 
 // nowAt maps the current sim time onto one AP controller's clock.

@@ -119,11 +119,14 @@ type Network struct {
 	air airCarrier
 	rng *stats.RNG
 	// OnMembership, if non-nil, is invoked after every membership event
-	// applied inside Run — "join" or "leave", with the node's ID — with
-	// the network already in its post-event state. Tests and tools use
-	// it to audit ValidateSpectrum after each event; it executes at the
-	// sim clock inside the event loop, so keep it cheap and
-	// deterministic.
+	// applied inside Run — "join", "leave" or "roam", with the node's ID
+	// — with the network already in its post-event state. Tests and tools
+	// use it to audit ValidateSpectrum after each event; it executes at
+	// the sim clock inside the event loop, so keep it cheap and
+	// deterministic. A "roam" fires in the middle of a roam check, which
+	// screens every node's pose and report as they stood when the check
+	// began (see RoamPolicy): a node this callback moves is screened at
+	// its new pose from the next check on.
 	OnMembership func(event string, id uint32)
 	// nodeIdx maps live node IDs to their membership entries, maintained
 	// on every membership change, so ID lookups are O(1) at any scale.

@@ -4,28 +4,86 @@ import (
 	"math"
 	"math/cmplx"
 
+	"mmx/internal/par"
 	"mmx/internal/units"
 )
 
-// roamTick runs one roaming-policy evaluation over the membership, in
-// membership order. A roam never changes membership — the node stays in
-// Nodes throughout — so iterating the live slice is stable even as
-// roamTo rewires associations mid-pass.
+// roamCand is one traced candidate of a roam check: the AP and the
+// stronger of the node's two beam field gains toward it.
+type roamCand struct {
+	ap *AccessPoint
+	g  float64
+}
+
+// roamSpan locates one member's candidates: roamLanes[lane][lo:hi].
+type roamSpan struct {
+	lane, lo, hi int32
+}
+
+// roamTick runs one roaming-policy evaluation over the membership in two
+// phases. Phase 1 (roamScreen) screens every member and traces its
+// admitted candidates on the worker pool; phase 2 decides and roams
+// serially, in membership order. A roam never changes membership — the
+// node stays in Nodes throughout — so the membership index is stable
+// across both phases even as roamTo rewires associations.
+//
+// The split decides exactly what the one-pass serial check decided.
+// Phase 1 reads only the node's own pose, serving AP, report and hold
+// time, plus the AP registry. During the pass reports change only at
+// the closing settle, and n.AP and roamHoldUntil change only for the
+// node that roams — which phase 1 has already screened. What an earlier
+// roam can still change for a later member is its noise floor: the
+// roamer's release may promote a sharer (applyPromotion →
+// applyAssignment), re-widthing it. So phase 2 reads the noise floor at
+// decision time, not phase 1.
 func (rs *runState) roamTick() {
 	nw := rs.nw
 	dwell := nw.Roam.MinDwellS
 	if dwell <= 0 {
 		dwell = 0.5
 	}
+	members := len(nw.Nodes)
+	if cap(rs.roamSpans) < members {
+		rs.roamSpans = make([]roamSpan, members)
+	}
+	rs.roamSpans = rs.roamSpans[:members]
+	if lanes := par.Lanes(nw.Workers, members); len(rs.roamLanes) < lanes {
+		rs.roamLanes = append(rs.roamLanes, make([][]roamCand, lanes-len(rs.roamLanes))...)
+	}
+	for l := range rs.roamLanes {
+		rs.roamLanes[l] = rs.roamLanes[l][:0]
+	}
+	if rs.roamFn == nil {
+		rs.roamFn = func(lane, i int) { rs.roamScreen(lane, i) }
+	}
+	par.For(nw.Workers, members, rs.roamFn)
+
 	now := rs.sim.Now()
 	changed := false
-	for _, n := range nw.Nodes {
-		if n.Down || now < n.roamHoldUntil {
+	for i, n := range nw.Nodes {
+		sp := rs.roamSpans[i]
+		if sp.lo == sp.hi {
 			continue
 		}
-		if to := rs.roamCandidate(n); to != nil {
+		noise := nw.linkCfg(n).NoisePowerW() // now, after earlier roams' promotions
+		if noise <= 0 {
+			continue
+		}
+		// Hysteresis on SNR estimates: the best candidate must beat the
+		// serving link's measured SNR by HysteresisDB. The candidate
+		// estimate uses the serving link's noise bandwidth: same demand,
+		// same channel width either way, so the comparison is
+		// apples-to-apples.
+		var best *AccessPoint
+		bestSNR := n.sp.rep.SNRdB + nw.Roam.HysteresisDB
+		for _, c := range rs.roamLanes[sp.lane][sp.lo:sp.hi] {
+			if snr := units.DB(c.g * c.g / noise); snr > bestSNR {
+				best, bestSNR = c.ap, snr
+			}
+		}
+		if best != nil {
 			n.roamHoldUntil = now + dwell
-			rs.roamTo(n, to)
+			rs.roamTo(n, best)
 			changed = true
 		}
 	}
@@ -34,49 +92,41 @@ func (rs *runState) roamTick() {
 	}
 }
 
-// roamCandidate returns the AP the policy would move n to, or nil. The
-// rule is hysteresis on SNR estimates: the best candidate must beat the
-// serving link's measured SNR by HysteresisDB. Candidates are screened
-// by geometry before paying a ray trace: while the serving path is
-// line-of-sight, only strictly-closer APs can plausibly clear the
-// margin (the antennas are identical, so a farther AP starts ≥ 0 dB of
-// free-space behind) — and since nodes associate to the nearest AP at
-// join, a steady network evaluates zero candidates per tick. Once the
-// serving path degrades (nlos/blocked), the screen widens to every AP
-// within 4× the serving distance — escaping a blocked link is exactly
-// what roaming is for.
-func (rs *runState) roamCandidate(n *Node) *AccessPoint {
+// roamScreen is phase 1 of a roam check for member i, on lane: unless
+// the node is down or holding, it traces every candidate AP the
+// geometric screen admits, in AP order, into the lane's buffer. While
+// the serving path is line-of-sight, only strictly-closer APs can
+// plausibly clear the margin (the antennas are identical, so a farther
+// AP starts ≥ 0 dB of free-space behind) — and since nodes associate to
+// the nearest AP at join, a steady network traces zero candidates per
+// check. Once the serving path degrades (nlos/blocked), the screen
+// widens to every AP within 4× the serving distance — escaping a
+// blocked link is exactly what roaming is for.
+func (rs *runState) roamScreen(lane, i int) {
 	nw := rs.nw
-	cur := n.AP
-	noise := nw.linkCfg(n).NoisePowerW()
-	if noise <= 0 {
-		return nil
-	}
-	rep := &n.sp.rep
-	dCur := n.Pose.Pos.Dist(cur.Pose.Pos)
-	limit := dCur
-	if rep.PathClass != "los" {
-		limit = 4 * dCur
-	}
-	var best *AccessPoint
-	bestSNR := rep.SNRdB + nw.Roam.HysteresisDB
-	for _, ap := range nw.APs {
-		if ap == cur || ap.down {
-			continue
+	n := nw.Nodes[i]
+	buf := rs.roamLanes[lane]
+	lo := len(buf)
+	if !n.Down && rs.sim.Now() >= n.roamHoldUntil {
+		cur := n.AP
+		dCur := n.Pose.Pos.Dist(cur.Pose.Pos)
+		limit := dCur
+		if n.sp.rep.PathClass != "los" {
+			limit = 4 * dCur
 		}
-		if d := n.Pose.Pos.Dist(ap.Pose.Pos); d >= limit {
-			continue
-		}
-		ev := nw.evaluate(n, ap)
-		g := math.Max(cmplx.Abs(ev.G0), cmplx.Abs(ev.G1))
-		// The candidate SNR estimate uses the serving link's noise
-		// bandwidth: same demand, same channel width either way, so the
-		// comparison is apples-to-apples.
-		if snr := units.DB(g * g / noise); snr > bestSNR {
-			best, bestSNR = ap, snr
+		for _, ap := range nw.APs {
+			if ap == cur || ap.down {
+				continue
+			}
+			if d := n.Pose.Pos.Dist(ap.Pose.Pos); d >= limit {
+				continue
+			}
+			ev := nw.evaluate(n, ap)
+			buf = append(buf, roamCand{ap, math.Max(cmplx.Abs(ev.G0), cmplx.Abs(ev.G1))})
 		}
 	}
-	return best
+	rs.roamLanes[lane] = buf
+	rs.roamSpans[i] = roamSpan{int32(lane), int32(lo), int32(len(buf))}
 }
 
 // rehome points n's radio at ap and re-derives the TMA harmonic for the
