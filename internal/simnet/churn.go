@@ -81,8 +81,7 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 	rs.pending[id] = true
 	rs.sim.After(took, func() {
 		delete(rs.pending, id)
-		nw.applyAssignment(n)
-		nw.registerNode(n)
+		nw.registerNode(n, nw.applyAssignment(n))
 		rs.joins++
 		rs.apStats[ap.idx].Joins++
 		rs.apOpen(id, ap.idx, rs.sim.Now())

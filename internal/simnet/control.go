@@ -87,8 +87,7 @@ func (nw *Network) renew(n *Node, at float64) netctl.RenewOutcome {
 	before := n.Grant
 	outcome, _, _ := n.Renew(nw.exchangeAt(n, ap, at), nw.placement(ap, n))
 	if outcome == netctl.RenewResynced || outcome == netctl.RenewRejoined || n.Grant != before {
-		nw.applyAssignment(n)
-		nw.sparse.updateNode(nw, n)
+		nw.sparse.updateNode(nw, n, nw.applyAssignment(n))
 	}
 	return outcome
 }

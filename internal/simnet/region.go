@@ -305,7 +305,8 @@ func (s *sparseState) mapItem(nw *Network, lane, i int) {
 	ln.cells = s.appendConeCells(ln.cells[:0], co, &s.listeners[it.ap])
 	it.lane, it.lo, it.cells = int32(lane), int32(len(ln.cand)), int32(len(ln.cells))
 	for _, c := range ln.cells {
-		for _, n := range s.cells[c] {
+		for _, sl := range s.cells[c] {
+			n := sl.n
 			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) && co.flips(ln.env, n.Pose.Pos) {
 				ln.cand = append(ln.cand, n)
 			}

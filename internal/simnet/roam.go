@@ -169,12 +169,10 @@ func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 		if _, err := nw.join(n, rs.nowAt(from)); err == nil {
 			delete(nw.strays, n.ID) // re-admitted: the old entry is current again
 		}
-		nw.applyAssignment(n)
-		nw.sparse.addNode(nw, n)
+		nw.sparse.addNode(nw, n, nw.applyAssignment(n))
 		return
 	}
-	nw.applyAssignment(n)
-	nw.sparse.addNode(nw, n)
+	nw.sparse.addNode(nw, n, nw.applyAssignment(n))
 	rs.roams++
 	rs.apStats[from.idx].RoamsOut++
 	rs.apStats[to.idx].RoamsIn++

@@ -572,11 +572,12 @@ func BenchmarkJoin(b *testing.B) {
 // TestJoinAllocs bounds admission's allocations and bytes per join on a
 // 2 000-node single-AP fleet at Workers=1 — the machine-independent half
 // of the BenchmarkNetworkScale rungs, whose allocs/op also count worker
-// start-up. The fleet measured 24.32 allocations and 1 987 B per join
-// (go1.24, amd64) once a node stopped owning a link; the count bound
-// leaves room for the ±0.01 that collections add by emptying the
-// sync.Pool link evaluation draws path scratch from, and not for one more
-// allocation per join. The byte bound leaves 61 B for that and for
+// start-up. The fleet measured 24.32 allocations and 2 021 B per join
+// (go1.24, amd64) once a grid slot carried its node's bound and channel
+// entry; the count bound leaves room for the ±0.01 that collections add
+// by emptying the sync.Pool link evaluation draws path scratch from, and
+// not for one more allocation per join. The byte bound leaves 27 B for
+// that and for
 // toolchains whose maps lay out differently, and not for the next Node
 // size class (64 B up) or any per-node object on top. The race detector
 // leaks that pool, so both hold without it.
