@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"slices"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"mmx/internal/core"
 	"mmx/internal/faults"
 	"mmx/internal/stats"
+	"mmx/internal/tma"
 	"mmx/internal/units"
 )
 
@@ -227,6 +229,28 @@ func assertDiscoveryMatchesDiscWalk(t *testing.T, nw *Network, what string) int 
 	return unscreened
 }
 
+// assertAimed requires every member's harmonic slot and suppression
+// vector to be, bit for bit, what a fresh gain table of its serving AP's
+// TMA at its angle of arrival gives: the harmonic of the strongest entry,
+// and per slot k the suppression of entry k against that harmonic's.
+func assertAimed(t *testing.T, nw *Network, what string) {
+	t.Helper()
+	for _, n := range nw.Nodes {
+		tbl := n.AP.SDM.GainTable(n.AP.Pose.AngleTo(n.Pose.Pos))
+		h := tma.BestHarmonicOf(tbl)
+		if n.SDMHarmonic != h || len(n.avec) != len(tbl) {
+			t.Fatalf("%s: node %d at AP %d is aimed at harmonic %d over %d slots, its AP sees harmonic %d over %d",
+				what, n.ID, n.AP.idx, n.SDMHarmonic, len(n.avec), h, len(tbl))
+		}
+		own := cmplx.Abs(tbl[h+n.AP.SDM.MaxHarmonic()])
+		for k, g := range tbl {
+			if want := tmaSuppressionDB(own, cmplx.Abs(g)); math.Float64bits(n.avec[k]) != math.Float64bits(want) {
+				t.Fatalf("%s: node %d at AP %d holds suppression %x at slot %d, its AP sees %x", what, n.ID, n.AP.idx, n.avec[k], k, want)
+			}
+		}
+	}
+}
+
 // inEdgeLists flattens every member's in-edge list, in membership order:
 // the member's ID and edge count, then per edge the source's ID and the
 // coupling factor's bits.
@@ -241,42 +265,31 @@ func inEdgeLists(nw *Network) []uint64 {
 	return out
 }
 
-// sameEvaluation compares two link evaluations field by field, floats by
-// their bits.
-func sameEvaluation(a, b core.Evaluation) bool {
-	c := func(x, y complex128) bool {
-		return math.Float64bits(real(x)) == math.Float64bits(real(y)) &&
-			math.Float64bits(imag(x)) == math.Float64bits(imag(y))
-	}
-	f := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	return c(a.H0, b.H0) && c(a.H1, b.H1) && c(a.G0, b.G0) && c(a.G1, b.G1) &&
-		f(a.NoisePowerW, b.NoisePowerW) && f(a.SNRWithOTAM, b.SNRWithOTAM) &&
-		f(a.SNRWithoutOTAM, b.SNRWithoutOTAM) && f(a.ASKDepth, b.ASKDepth) &&
-		a.Inverted == b.Inverted && a.PathClass == b.PathClass
-}
-
-// assertSettledEvaluationsCurrent settles the engine and requires every
-// up member it left fresh to cache exactly the evaluation a trace where
-// the node stands now gives, and that evaluation's peak power. It
-// returns how many members it compared.
-func assertSettledEvaluationsCurrent(t *testing.T, nw *Network, what string) int {
+// settledEvals settles the engine and records each member's serving-link
+// evaluation as a fresh trace gives it now — the record the callers
+// compare later traces against, whole. Every up member the settle left
+// fresh must hold what the engine keeps of that record, bit for bit: its
+// peak power, path class and noise floor, and the report's SNR and class
+// built from them.
+func settledEvals(t *testing.T, nw *Network, what string) map[*Node]core.Evaluation {
 	t.Helper()
 	nw.EvaluateSINR()
-	checked := 0
+	rec := make(map[*Node]core.Evaluation, len(nw.Nodes))
+	bits := math.Float64bits
 	for _, n := range nw.Nodes {
+		ev := nw.evaluate(n, n.AP)
+		rec[n] = ev
 		if n.Down || n.sp.evalStale {
 			continue
 		}
-		want := nw.evaluate(n, n.AP)
-		if !sameEvaluation(n.sp.eval, want) {
-			t.Fatalf("%s: node %d caches %+v, a fresh trace gives %+v", what, n.ID, n.sp.eval, want)
+		sp := &n.sp
+		if bits(sp.power) != bits(peakPower(ev)) || sp.class != ev.PathClass || bits(sp.noise) != bits(ev.NoisePowerW) ||
+			bits(sp.rep.SNRdB) != bits(ev.SNRWithOTAM) || sp.rep.PathClass != ev.PathClass {
+			t.Fatalf("%s: node %d holds power %x class %q noise %x and reports SNR %x class %q; a fresh trace gives %+v",
+				what, n.ID, sp.power, sp.class, sp.noise, sp.rep.SNRdB, sp.rep.PathClass, ev)
 		}
-		if p := peakPower(want); math.Float64bits(n.sp.power) != math.Float64bits(p) {
-			t.Fatalf("%s: node %d caches power %x, a fresh trace gives %x", what, n.ID, n.sp.power, p)
-		}
-		checked++
 	}
-	return checked
+	return rec
 }
 
 // probe is a traffic model that sends nothing and calls fn once per gap:
@@ -453,8 +466,8 @@ func runAdmissionScenario(t *testing.T, sc admissionScenario, seed uint64, walk 
 	if sc.g > 1 && st.Roams == 0 {
 		t.Fatalf("%s: no roams", sc.name)
 	}
-	t.Logf("%s: %d members, %d joins, %d leaves, %d roams, %d promotions, %d resyncs, %d rejoins, %d probes",
-		sc.name, len(nw.Nodes), st.Joins, st.Leaves, st.Roams, st.Control.Promotions, st.Control.Resyncs, st.Control.Rejoins, probes)
+	t.Logf("%s: %d members, %d joins, %d leaves, %d roams (%d failed), %d promotions, %d resyncs, %d rejoins, %d probes",
+		sc.name, len(nw.Nodes), st.Joins, st.Leaves, st.Roams, st.RoamsFailed, st.Control.Promotions, st.Control.Resyncs, st.Control.Rejoins, probes)
 	return st
 }
 
@@ -480,13 +493,16 @@ func firstDiff(a, b []uint64) int {
 // moving a down node's grant off its registered channel; there every
 // member's in-edge list — sources, coupling bits and order — must equal,
 // after every event, the list of the same run made with the disc walk
-// doing discovery, and the two runs' statistics must agree.
+// doing discovery, and the two runs' statistics must agree. Every check
+// also audits each member's aimed state (assertAimed); some roam's
+// handshake at the new AP dies, so the fallback to the old AP re-aims.
 func TestDiscoveryMatchesDiscWalk(t *testing.T) {
-	promotions, unscreened := 0, 0
+	promotions, unscreened, roamsFailed := 0, 0, 0
 	for _, sc := range admissionScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			var got [][]uint64
 			st := runAdmissionScenario(t, sc, 41, false, func(nw *Network, what string) {
+				assertAimed(t, nw, what)
 				u := assertDiscoveryMatchesDiscWalk(t, nw, what)
 				if u > 0 && !sc.lossy {
 					t.Fatalf("%s: %d unscreened slots over a lossless side channel", what, u)
@@ -497,6 +513,7 @@ func TestDiscoveryMatchesDiscWalk(t *testing.T) {
 				}
 			})
 			promotions += st.Control.Promotions
+			roamsFailed += st.RoamsFailed
 			if !sc.lossy {
 				return
 			}
@@ -519,23 +536,28 @@ func TestDiscoveryMatchesDiscWalk(t *testing.T) {
 			}
 		})
 	}
-	if promotions == 0 || unscreened == 0 {
-		t.Fatalf("too tame: %d promotions, %d unscreened slots seen", promotions, unscreened)
+	if promotions == 0 || unscreened == 0 || roamsFailed == 0 {
+		t.Fatalf("too tame: %d promotions, %d unscreened slots seen, %d failed roams", promotions, unscreened, roamsFailed)
 	}
 }
 
 // TestSettledEvaluationsAreCurrent is the invariant that lets a join's
 // own link evaluation stand in for the settle's (seedEval): after every
-// settle, every up member the settle left fresh caches what a fresh trace
-// gives, bit for bit, and its peak power. It runs the discovery test's
-// fleets, settling at every check, and a fleet whose walker steps
-// between the last settle and a Join.
+// settle, every up member the settle left fresh holds what a fresh trace
+// gives, bit for bit (settledEvals). It runs the discovery test's fleets,
+// settling at every check, and a fleet whose walker steps between the
+// last settle and a Join.
 func TestSettledEvaluationsAreCurrent(t *testing.T) {
 	checked := 0
 	for _, sc := range admissionScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			runAdmissionScenario(t, sc, 42, false, func(nw *Network, what string) {
-				checked += assertSettledEvaluationsCurrent(t, nw, what)
+				settledEvals(t, nw, what)
+				for _, n := range nw.Nodes {
+					if !n.Down && !n.sp.evalStale { // the members settledEvals compared
+						checked++
+					}
+				}
 			})
 		})
 	}
@@ -548,7 +570,7 @@ func TestSettledEvaluationsAreCurrent(t *testing.T) {
 		Pos: channel.Vec2{X: 1, Y: 2}, Radius: 0.35, LossDB: 18, Vel: channel.Vec2{X: 1.5, Y: 0.2},
 	})
 	placeNodes(t, nw, 12, 10e6)
-	assertSettledEvaluationsCurrent(t, nw, "fleet")
+	settledEvals(t, nw, "fleet")
 	rng := stats.NewRNG(44)
 	for id := uint32(100); id < 110; id++ {
 		nw.Env.Step(0.05)
@@ -557,7 +579,7 @@ func TestSettledEvaluationsAreCurrent(t *testing.T) {
 		if _, err := nw.Join(id, pose, 10e6, HDCamera(8)); err != nil {
 			t.Fatal(err)
 		}
-		assertSettledEvaluationsCurrent(t, nw, fmt.Sprintf("join %d after a walker step", id))
+		settledEvals(t, nw, fmt.Sprintf("join %d after a walker step", id))
 	}
 }
 
@@ -615,6 +637,7 @@ func FuzzBestHostChannel(f *testing.F) {
 		}
 		base := 5 + 4*slots
 		occupants := 1 + int(at(2))%32
+		tbls := map[*Node][]complex128{}
 		for i := 0; i < occupants; i++ {
 			b := base + 3*i
 			n := &Node{Pose: channel.Pose{Pos: channel.Vec2{X: 1 + 0.1*float64(i), Y: 2}}, AP: nw.APs[0]}
@@ -623,7 +646,8 @@ func FuzzBestHostChannel(f *testing.F) {
 			n.Assignment.WidthHz = 10e6
 			n.widthHz = n.Assignment.WidthHz
 			n.SDMHarmonic = int(at(b+1))%slots - s.maxM
-			n.tbl = table(int(at(b+2)) % 4)
+			tbls[n] = table(int(at(b+2)) % 4)
+			n.avec = suppressionVector(nil, tbls[n], n.SDMHarmonic)
 			n.idx = len(nw.Nodes)
 			nw.Nodes = append(nw.Nodes, n)
 			nw.nodeIdx[n.ID] = n
@@ -644,8 +668,8 @@ func FuzzBestHostChannel(f *testing.F) {
 		if e := at(1); e%2 == 1 {
 			exclude = uint32(int(e/2)%occupants + 1)
 		}
-		c, ok := s.bestHostChannel(nw, nw.APs[0], h, tbl, exclude)
-		wc, wok := denseBestHostChannel(nw, nw.APs[0], h, tbl, exclude)
+		c, ok := s.bestHostChannel(nw, nw.APs[0], h, suppressionVector(nil, tbl, h), exclude)
+		wc, wok := denseBestHostChannel(nw, nw.APs[0], h, tbl, tbls, exclude)
 		if c != wc || ok != wok {
 			t.Fatalf("host channel for slot %d (exclude %d): %v/%v, oracle %v/%v", h, exclude, c, ok, wc, wok)
 		}

@@ -158,11 +158,13 @@ type RoamPolicy struct {
 	// HysteresisDB is how much better (in dB) a candidate AP's SNR
 	// estimate must be before the node roams to it.
 	HysteresisDB float64
-	// CheckIntervalS is the roam evaluation period. <= 0 uses 0.2 s.
+	// CheckIntervalS is the roam evaluation period. A value that is not
+	// > 0 (NaN included) uses 0.2 s.
 	CheckIntervalS float64
 	// MinDwellS suppresses further roam attempts for this long after
 	// one — hysteresis in time, so a node cannot ping-pong between two
-	// APs on consecutive checks. <= 0 uses 0.5 s.
+	// APs on consecutive checks. A value that is not > 0 (NaN included)
+	// uses 0.5 s.
 	MinDwellS float64
 }
 

@@ -59,7 +59,7 @@ func (nw *Network) exchangeAt(n *Node, ap *AccessPoint, at float64) netctl.Excha
 // arrival maps onto — so the TMA can actually separate them.
 func (nw *Network) placement(ap *AccessPoint, n *Node) netctl.Placement {
 	return func(shareHz float64, _ int8) (float64, int8) {
-		if c, ok := nw.core().bestHostChannel(nw, ap, n.SDMHarmonic, n.tbl, n.ID); ok {
+		if c, ok := nw.core().bestHostChannel(nw, ap, n.SDMHarmonic, n.avec, n.ID); ok {
 			shareHz = c
 		}
 		return shareHz, int8(n.SDMHarmonic)

@@ -1,10 +1,6 @@
 package simnet
 
-import (
-	"math/cmplx"
-
-	"mmx/internal/units"
-)
+import "mmx/internal/units"
 
 // This file owns the pair kernel: the linear power factor by which one
 // node's carrier lands in another's receiver. The interference engine
@@ -23,11 +19,11 @@ var aclrAdjacent, aclrFar = units.FromDB(-aclrAdjacentDB), units.FromDB(-aclrFar
 
 // pairCouplingLinear returns the linear coupling factor — the share of
 // other's power that lands in node's receiver: frequency separation for
-// FDM, TMA harmonic leakage (read from other's gain table) for co-channel
-// SDM pairs, and 1, a full collision, for overlapping channels with no
-// SDM party. It is the single pair kernel of edge discovery and of the
-// dense oracle; couplingDB in legacy_bench_test.go is its dB-domain
-// oracle.
+// FDM, TMA harmonic leakage (other's suppression vector, avec, read at
+// node's slot) for co-channel SDM pairs, and 1, a full collision, for
+// overlapping channels with no SDM party. It is the single pair kernel
+// of edge discovery and of the dense oracle; couplingDB in
+// legacy_bench_test.go is its dB-domain oracle.
 func (nw *Network) pairCouplingLinear(node, other *Node) float64 {
 	if _, lin, ok := nw.freqCoupling(node, other); ok {
 		return lin
@@ -41,8 +37,5 @@ func (nw *Network) pairCouplingLinear(node, other *Node) float64 {
 	if !node.Shared && !other.Shared {
 		return 1 // full collision, 0 dB
 	}
-	maxM := nw.APs[0].SDM.MaxHarmonic()
-	own := cmplx.Abs(other.tbl[other.SDMHarmonic+maxM])
-	leak := cmplx.Abs(other.tbl[node.SDMHarmonic+maxM])
-	return units.FromDB(-tmaSuppressionDB(own, leak))
+	return units.FromDB(-other.avec[node.SDMHarmonic+nw.APs[0].SDM.MaxHarmonic()])
 }

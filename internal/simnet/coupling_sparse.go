@@ -82,19 +82,16 @@ type outEdge struct {
 type spNode struct {
 	in  []inEdge
 	out []outEdge
-	// avec[k] is the suppression a victim listening on harmonic slot k
-	// sees from this node (tmaSuppressionDB of own vs leaked amplitude in
-	// the node's gain table), the per-occupant vector behind the indexed
-	// bestHostChannel.
-	avec []float64
 	// pBound is the conservative ceiling on the node's received power at
 	// the AP (watts) — motion-invariant until the node itself moves.
 	pBound float64
 	// noise is the node's receiver noise floor (bandwidth-dependent).
 	noise float64
-	// power is the node's actual received power at its serving AP from
-	// the last link evaluation; interf the last interference re-sum.
+	// power and class are the node's peak received power at its serving
+	// AP and its path class, from the last link evaluation — all of it
+	// the reports read; interf is the last interference re-sum.
 	power  float64
+	class  string
 	interf float64
 	// outPerAP counts, per AP index, the node's out-edges into victims
 	// served there; xpower caches the node's received power at each such
@@ -103,7 +100,6 @@ type spNode struct {
 	// single-AP runs carry no per-node overhead.
 	outPerAP []int
 	xpower   []float64
-	eval     core.Evaluation
 	rep      Report
 	// grid and channel-registry bookkeeping (swap-remove slots).
 	cell     int
@@ -200,7 +196,6 @@ type sparseState struct {
 	// scratch, reused across calls
 	workScratch  []*Node
 	inScratch    []inEdge
-	bvec         []float64
 	slotOrder    []int
 	sweptScratch []channel.SweptRegion
 }
@@ -336,7 +331,7 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 // registerNode installs a node into the grid, the channel registry and
 // the noise tracking. It does not discover edges.
 func (s *sparseState) registerNode(nw *Network, n *Node) {
-	s.setGeometry(n)
+	n.sp.pBound = s.pBoundAt(n.Pose.Pos, n.AP)
 	n.sp.noise = nw.linkCfg(n).NoisePowerW()
 	if n.sp.noise < s.minNoise {
 		s.minNoise = n.sp.noise
@@ -345,27 +340,10 @@ func (s *sparseState) registerNode(nw *Network, n *Node) {
 	s.chanRegister(n)
 }
 
-// setGeometry refreshes what the sparse core derives from the node's
-// pose, its serving AP and its harmonic slot: the avec suppression vector
-// (from the gain table aimAt left on the node, at the angle of arrival at
-// THAT AP) and the power bound (anchored at that AP). A roam re-runs this
-// through registerNode after the association flips.
-func (s *sparseState) setGeometry(n *Node) {
-	if cap(n.sp.avec) < len(n.tbl) {
-		n.sp.avec = make([]float64, len(n.tbl))
-	}
-	n.sp.avec = n.sp.avec[:len(n.tbl)]
-	own := cmplx.Abs(n.tbl[n.SDMHarmonic+s.maxM])
-	for k := range n.sp.avec {
-		n.sp.avec[k] = tmaSuppressionDB(own, cmplx.Abs(n.tbl[k]))
-	}
-	n.sp.pBound = s.pBoundAt(n.Pose.Pos, n.AP)
-}
-
 // pBoundAt anchors the conservative received-power bound at an arbitrary
-// AP — the cross-shard analogue of the pBound cached by setGeometry. The
-// float operations are identical, so evaluated at a node's own serving
-// AP it reproduces the cached value bit-for-bit.
+// AP. A node's own pBound is this at its serving AP, set where its pose
+// or AP changes (registerNode, moveNode; a roam re-registers), so the
+// cross-shard re-anchoring reproduces it bit for bit at that AP.
 func (s *sparseState) pBoundAt(p channel.Vec2, ap *AccessPoint) float64 {
 	d := p.Dist(ap.Pose.Pos)
 	if d < sparseDMin {
@@ -480,8 +458,8 @@ func (s *sparseState) chanRegister(n *Node) {
 	cs.occMask[h/64] |= 1 << (h % 64)
 	cs.count++
 	for k := range cs.minA {
-		if n.sp.avec[k] < cs.minA[k] {
-			cs.minA[k] = n.sp.avec[k]
+		if n.avec[k] < cs.minA[k] {
+			cs.minA[k] = n.avec[k]
 		}
 	}
 }
@@ -536,8 +514,8 @@ func (s *sparseState) rebuildMinA(cs *chanState) {
 	for _, lst := range cs.occ {
 		for _, v := range lst {
 			for k := range cs.minA {
-				if v.sp.avec[k] < cs.minA[k] {
-					cs.minA[k] = v.sp.avec[k]
+				if v.avec[k] < cs.minA[k] {
+					cs.minA[k] = v.avec[k]
 				}
 			}
 		}
@@ -806,14 +784,14 @@ func (s *sparseState) detach(n *Node) {
 }
 
 // updateNode handles an assignment or SDM-role change at a fixed pose
-// (promotion, renew re-sync, reboot rejoin): re-register the channel,
-// refresh the noise floor (the bandwidth may have changed) and the avec
-// vector (a re-run handshake can land on a different harmonic), rebuild
-// the node's edges both ways, and seed the evaluation applyAssignment
-// just ran (ev).
+// and AP (promotion, renew re-sync, reboot rejoin): re-register the
+// channel, refresh the noise floor (the bandwidth may have changed),
+// rebuild the node's edges both ways, and seed the evaluation
+// applyAssignment just ran (ev). The power bound and avec stay: they
+// follow the pose and the AP, and a handshake moves only the grant (it
+// writes Session.Harmonic, never SDMHarmonic).
 func (s *sparseState) updateNode(nw *Network, n *Node, ev core.Evaluation) {
 	s.chanUnregister(n)
-	s.setGeometry(n)
 	n.sp.noise = nw.linkCfg(n).NoisePowerW()
 	if n.sp.noise < s.minNoise {
 		s.minNoise = n.sp.noise
@@ -825,32 +803,30 @@ func (s *sparseState) updateNode(nw *Network, n *Node, ev core.Evaluation) {
 	s.seedEval(n, ev)
 }
 
-// seedEval installs ev, the evaluation applyAssignment ran for n at its
-// current pose, AP and width, as the node's cached one — the call the
-// eval pass would make, on the same inputs, so the settle does not repeat
-// it. A down node is marked stale as any changed node is. From here n is
-// a settled node: region mapping tests it against every region swept
-// since the engine's epoch (a region swept before the seed can only have
-// it re-traced to the same bits), and an addEdge that marked it stale for
-// a cross-AP xpower still has the eval pass run it.
+// seedEval installs what the engine keeps of ev, the evaluation
+// applyAssignment ran for n at its current pose, AP and width — the call
+// the eval pass would make, on the same inputs, so the settle does not
+// repeat it. A down node is marked stale as any changed node is. From
+// here n is a settled node: region mapping tests it against every region
+// swept since the engine's epoch (a region swept before the seed can only
+// have it re-traced to the same bits), and an addEdge that marked it
+// stale for a cross-AP xpower still has the eval pass run it.
 func (s *sparseState) seedEval(n *Node, ev core.Evaluation) {
 	if n.Down {
 		s.markEvalStale(n)
 		return
 	}
-	n.sp.eval = ev
-	n.sp.power = peakPower(ev)
+	n.sp.power, n.sp.class = peakPower(ev), ev.PathClass
 	s.markDirty(n)
 }
 
-// moveNode handles a pose change: new avec (the gain table moved with the
-// node) and power bound, new grid cell, possibly a new harmonic bucket,
-// and a full edge rebuild for the moved node (everyone else's edges are
-// pose-independent).
+// moveNode handles a pose change (aimAt has re-aimed avec): new power
+// bound, new grid cell, possibly a new harmonic bucket, and a full edge
+// rebuild for the moved node (everyone else's edges are pose-independent).
 func (s *sparseState) moveNode(nw *Network, n *Node) {
 	s.gridRemove(n)
 	s.chanUnregister(n)
-	s.setGeometry(n)
+	n.sp.pBound = s.pBoundAt(n.Pose.Pos, n.AP)
 	s.gridInsert(n)
 	s.chanRegister(n)
 	s.clearEdges(n)
@@ -963,8 +939,8 @@ func (s *sparseState) evalNode(nw *Network, n *Node) {
 	if n.Down {
 		n.sp.power = 0
 	} else {
-		n.sp.eval = nw.evaluate(n, n.AP)
-		n.sp.power = peakPower(n.sp.eval)
+		ev := nw.evaluate(n, n.AP)
+		n.sp.power, n.sp.class = peakPower(ev), ev.PathClass
 	}
 	moved := n.sp.power != oldPower
 	// Refresh the node's received power at every foreign AP it has
@@ -1045,17 +1021,14 @@ func (s *sparseState) finishNode(n *Node) {
 		interf += p * e.w
 	}
 	n.sp.interf = interf
-	noise := n.sp.eval.NoisePowerW
-	p := n.sp.power
+	noise, p := n.sp.noise, n.sp.power
 	sinr := units.DB(p / (noise + interf))
-	ev := n.sp.eval
-	ev.SNRWithOTAM = sinr
 	n.sp.rep = Report{
 		ID:        n.ID,
 		SNRdB:     units.DB(p / noise),
 		SINRdB:    sinr,
-		BER:       ev.BERWithOTAM(),
-		PathClass: ev.PathClass,
+		BER:       core.Evaluation{SNRWithOTAM: sinr}.BERWithOTAM(),
+		PathClass: n.sp.class,
 		SDM:       n.Shared,
 	}
 }
@@ -1064,20 +1037,20 @@ func (s *sparseState) finishNode(n *Node) {
 
 // bestHostChannel picks, among the channels live at AP ap, the one whose
 // occupants that AP's TMA can best separate from a newcomer at harmonic h
-// and gain table tbl — maximizing the worst-case pairwise suppression,
-// ties to fewer occupants, then the lower center. The exclude ID skips the
-// newcomer itself, so a node re-running the handshake (reboot,
-// post-restart rejoin) does not count its own entry as an occupant. ok is
-// false when the AP hosts no channels yet. Per channel, the worst-case
-// suppression is
+// with suppression vector bvec (its avec) — maximizing the worst-case
+// pairwise suppression, ties to fewer occupants, then the lower center.
+// The exclude ID skips the newcomer itself, so a node re-running the
+// handshake (reboot, post-restart rejoin) does not count its own entry as
+// an occupant. ok is false when the AP hosts no channels yet. Per
+// channel, the worst-case suppression is
 //
 //	min over occupants v of min(a_v, b_v)
 //	  = min( min_v a_v , min_v b_v )
 //	  = min( minA[h] , min over occupied slots k of bvec[k] )
 //
-// with a_v the occupant-side leak (precomputed avec vectors, folded into
-// the channel's minA) and b_v the newcomer-side leak (one bvec per
-// call). The slots are sorted by bvec once per call, so the second term
+// with a_v the occupant-side leak (the occupants' avec, folded into the
+// channel's minA) and b_v the newcomer-side leak (bvec at the occupant's
+// slot). The slots are sorted by bvec once per call, so the second term
 // is the bvec of the first slot in that order whose occMask bit is set,
 // never a walk of the per-slot occupant lists. A channel whose minA[h]
 // already falls below the best so far can neither win nor tie, and is
@@ -1088,19 +1061,16 @@ func (s *sparseState) finishNode(n *Node) {
 // node's channel falls back to a direct occupant scan. Only the admitting
 // AP's shard is walked — SDM sharing is an intra-array affair, so
 // occupants of other APs never constrain the choice.
-func (s *sparseState) bestHostChannel(nw *Network, ap *AccessPoint, h int, tbl []complex128, exclude uint32) (float64, bool) {
+func (s *sparseState) bestHostChannel(nw *Network, ap *AccessPoint, h int, bvec []float64, exclude uint32) (float64, bool) {
 	chanList := s.shards[ap.idx].chanList
 	if len(chanList) == 0 {
 		return 0, false
 	}
-	own := cmplx.Abs(tbl[h+s.maxM])
-	if cap(s.bvec) < len(tbl) {
-		s.bvec = make([]float64, len(tbl))
-		s.slotOrder = make([]int, len(tbl))
+	if cap(s.slotOrder) < len(bvec) {
+		s.slotOrder = make([]int, len(bvec))
 	}
-	bvec, order := s.bvec[:len(tbl)], s.slotOrder[:len(tbl)]
+	order := s.slotOrder[:len(bvec)]
 	for k := range bvec {
-		bvec[k] = tmaSuppressionDB(own, cmplx.Abs(tbl[k]))
 		// Insertion sort by bvec: 17 slots.
 		i := k
 		for ; i > 0 && bvec[order[i-1]] > bvec[k]; i-- {
@@ -1125,7 +1095,7 @@ func (s *sparseState) bestHostChannel(nw *Network, ap *AccessPoint, h int, tbl [
 					if v == exNode {
 						continue
 					}
-					m := math.Min(v.sp.avec[h+s.maxM], bvec[v.sp.chanHarm])
+					m := math.Min(v.avec[h+s.maxM], bvec[v.sp.chanHarm])
 					if m < supp {
 						supp = m
 					}

@@ -730,7 +730,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	// Roaming policy tick. One AP has nowhere to roam: no tick keeps its event sequence unchanged.
 	if nw.Roam != nil && len(nw.APs) > 1 {
 		interval := nw.Roam.CheckIntervalS
-		if interval <= 0 {
+		if !(interval > 0) { // NaN too: sim.After would clamp it to now, forever
 			interval = 0.2
 		}
 		var roamTick func()

@@ -19,7 +19,7 @@ import (
 // earlier revisions granted such pairs phantom TMA suppression). This is
 // the reference the production pair kernel is tested against: every edge
 // stores FromDB(−couplingDB) for its pair, bit-identical to linearizing
-// this value, via precomputed harmonic gain tables (pairCouplingLinear).
+// this value, via the precomputed suppression vectors (pairCouplingLinear).
 func (nw *Network) couplingDB(i, j *Node) float64 {
 	if c, _, ok := nw.freqCoupling(i, j); ok {
 		return c
@@ -137,12 +137,23 @@ func pairSuppressionDB(mi int, tblI []complex128, mj int, tblJ []complex128) flo
 	return math.Min(a, b)
 }
 
+// servingTables traces, per member, the gain table its serving AP's TMA
+// has at its angle of arrival — what the node's avec was derived from.
+func servingTables(nw *Network) map[*Node][]complex128 {
+	tbls := make(map[*Node][]complex128, len(nw.Nodes))
+	for _, n := range nw.Nodes {
+		tbls[n] = n.AP.SDM.GainTable(n.AP.Pose.AngleTo(n.Pose.Pos))
+	}
+	return tbls
+}
+
 // denseBestHostChannel is the all-members host-channel scan the indexed
 // bestHostChannel replaced, kept as its oracle: per channel live at ap,
-// the worst pairwise suppression against the newcomer over the nodes ap
-// serves (exclude skipped), then the best channel by (suppression,
-// fewer occupants, lower center).
-func denseBestHostChannel(nw *Network, ap *AccessPoint, h int, tbl []complex128, exclude uint32) (float64, bool) {
+// the worst pairwise suppression against the newcomer (harmonic h, gain
+// table tbl) over the nodes ap serves (exclude skipped), each with its
+// gain table from tbls, then the best channel by (suppression, fewer
+// occupants, lower center).
+func denseBestHostChannel(nw *Network, ap *AccessPoint, h int, tbl []complex128, tbls map[*Node][]complex128, exclude uint32) (float64, bool) {
 	type chanInfo struct {
 		worstSupp float64
 		occupants int
@@ -157,7 +168,7 @@ func denseBestHostChannel(nw *Network, ap *AccessPoint, h int, tbl []complex128,
 			ci = &chanInfo{worstSupp: math.Inf(1)}
 			byCenter[n.Assignment.CenterHz] = ci
 		}
-		ci.worstSupp = math.Min(ci.worstSupp, pairSuppressionDB(h, tbl, n.SDMHarmonic, n.tbl))
+		ci.worstSupp = math.Min(ci.worstSupp, pairSuppressionDB(h, tbl, n.SDMHarmonic, tbls[n]))
 		ci.occupants++
 	}
 	bestCenter, found := 0.0, false

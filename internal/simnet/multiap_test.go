@@ -439,7 +439,7 @@ func TestMultiAPChurnSpectrumInvariants(t *testing.T) {
 
 // TestLinksEvaluateThroughTheAPsOwnAntenna pins Network.evaluate, the one
 // place a node's link is assembled: the serving evaluation (called
-// directly and as the engine cached it), the power crossPower reports at
+// directly, and what the engine holds of it), the power crossPower reports at
 // every foreign AP, and both again after MoveNode, after a roam and after
 // the roam back, each equal what core.NewLink builds from the node's
 // current pose toward that AP. A deployment that replaces the APs'
@@ -480,10 +480,7 @@ func TestLinksEvaluateThroughTheAPsOwnAntenna(t *testing.T) {
 			if got := nw.evaluate(n, n.AP); got != want {
 				t.Errorf("%s, %s: node %d's serving link evaluates to %+v, want %+v", tc.name, stage, n.ID, got, want)
 			}
-			nw.EvaluateSINR()
-			if n.sp.eval != want {
-				t.Errorf("%s, %s: the engine holds %+v for node %d, want %+v", tc.name, stage, n.sp.eval, n.ID, want)
-			}
+			settledEvals(t, nw, tc.name+", "+stage) // the engine holds what that evaluation gives
 			for _, ap := range nw.APs {
 				if ap == n.AP {
 					continue

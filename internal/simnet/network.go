@@ -31,10 +31,12 @@ type Node struct {
 	// separates co-channel nodes. The Session's Harmonic is the copy
 	// the AP's books last confirmed; this one follows the node's pose.
 	SDMHarmonic int
-	// tbl is the serving AP's TMA harmonic gain table at the node's angle
-	// of arrival — one table per admission or pose change (aimAt), read by
-	// the harmonic pick, the SDM placement hook and the pair kernel.
-	tbl []complex128
+	// avec is what the serving AP's TMA sees of the node: avec[k] is the
+	// suppression (dB) a receiver on harmonic slot k sees from it — the
+	// leak of its gain table into slot k against its own harmonic. aimAt
+	// writes it once per admission or pose change; the pair kernel, the
+	// host-channel search and the channel minima read it.
+	avec []float64
 	// RateBps is the node's adapted PHY rate: the fastest ladder step
 	// its SNR sustains at BER ≤ 1e-6, capped by what its channel width
 	// carries. Frames occupy airtime at this rate. 0 means the link
@@ -285,14 +287,32 @@ func (nw *Network) newNode(id uint32, pose channel.Pose, demandBps float64, traf
 	return n
 }
 
-// aimAt derives what ap's TMA sees of the node where it stands: the gain
-// table at its angle of arrival, and from it the harmonic slot that angle
-// hashes into. It runs wherever the pose or the serving AP changes —
-// newNode, MoveNode, rehome — so the table is computed once per such
-// event and is current whenever the node is a member.
+// aimAt derives what ap's TMA sees of the node where it stands: from the
+// gain table at its angle of arrival, the harmonic slot that angle hashes
+// into and the suppression vector avec. It runs wherever the pose or the
+// serving AP changes — newNode, MoveNode, rehome — so both are computed
+// once per such event and are current whenever the node is a member. The
+// table itself lives on the stack for the call.
 func (n *Node) aimAt(ap *AccessPoint) {
-	n.tbl = ap.SDM.GainTableInto(n.tbl, ap.Pose.AngleTo(n.Pose.Pos))
-	n.SDMHarmonic = tma.BestHarmonicOf(n.tbl)
+	var buf [33]complex128 // arrays up to N=32 aim without allocating
+	tbl := ap.SDM.GainTableInto(buf[:0], ap.Pose.AngleTo(n.Pose.Pos))
+	n.SDMHarmonic = tma.BestHarmonicOf(tbl)
+	n.avec = suppressionVector(n.avec, tbl, n.SDMHarmonic)
+}
+
+// suppressionVector writes into dst's storage, per harmonic slot k of the
+// gain table tbl, the suppression a receiver on slot k sees from a
+// transmitter on harmonic h: its own amplitude against its leak into k.
+func suppressionVector(dst []float64, tbl []complex128, h int) []float64 {
+	if cap(dst) < len(tbl) {
+		dst = make([]float64, len(tbl))
+	}
+	dst = dst[:len(tbl)]
+	own := cmplx.Abs(tbl[h+(len(tbl)-1)/2])
+	for k, g := range tbl {
+		dst[k] = tmaSuppressionDB(own, cmplx.Abs(g))
+	}
+	return dst
 }
 
 // nodeSwitch is the SPDT switch every node carries, the ADRF5020; the

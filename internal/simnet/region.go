@@ -244,7 +244,7 @@ type mapLane struct {
 // mapRegions marks evalStale every node whose cached evaluations one of
 // the swept regions changed — the region-scoped replacement for
 // the stale-everything epoch response. A node caches exactly the links
-// it listens on: the one towards its serving AP (sp.eval, sp.power) and,
+// it listens on: the one towards its serving AP (sp.power, sp.class) and,
 // while it has victims served at AP j (outPerAP[j] > 0), its power there
 // (sp.xpower[j]). A corridor towards AP j therefore only needs to reach
 // the nodes listening to j; an xpower[j] left to go stale while

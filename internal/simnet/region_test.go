@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mmx/internal/channel"
+	"mmx/internal/core"
 	"mmx/internal/faults"
 	"mmx/internal/stats"
 	"mmx/internal/units"
@@ -53,7 +54,7 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 			Vel:    channel.Vec2{X: prng.Uniform(-2, 2), Y: prng.Uniform(-2, 2)},
 		})
 	}
-	nw.EvaluateSINR() // settle the baseline caches
+	rec := settledEvals(t, nw, "baseline")
 	s := nw.sparse
 
 	const steps = 150
@@ -92,12 +93,12 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 			env.AddBlocker(&channel.Blocker{Pos: beside(grazed), Radius: radius, LossDB: 12})
 			from := s.envEpoch
 			s.syncEnv(nw)
-			checkRegionStep(t, nw, from, step, &tally)
+			checkRegionStep(t, nw, rec, from, step, &tally)
 			if !shadowed.sp.evalStale || grazed.sp.evalStale {
 				t.Fatalf("blockers appeared mid-walk: node %d on a sight line staled %v (want true), node %d beside one staled %v (want false)",
 					shadowed.ID, shadowed.sp.evalStale, grazed.ID, grazed.sp.evalStale)
 			}
-			nw.EvaluateSINR()
+			rec = settledEvals(t, nw, "blockers appeared")
 		}
 		if step%25 == 24 { // re-aim the walkers so they roam the whole room
 			for _, b := range env.Blockers {
@@ -107,8 +108,8 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 		from := s.envEpoch
 		env.Step(prng.Uniform(0.02, 0.1))
 		s.syncEnv(nw) // marks the dirty set without settling it
-		checkRegionStep(t, nw, from, step, &tally)
-		nw.EvaluateSINR() // settle so the caches are fresh for the next step
+		checkRegionStep(t, nw, rec, from, step, &tally)
+		rec = settledEvals(t, nw, fmt.Sprintf("step %d", step)) // settle so the caches are fresh for the next step
 	}
 	if tally.servingChanged == 0 {
 		t.Fatal("walk never changed any node's evaluation — the property was vacuous")
@@ -130,14 +131,16 @@ type regionTally struct {
 }
 
 // checkRegionStep checks one syncEnv that consumed the environment's
-// epochs since from, before the settle, both ways. Scope: every node lies
-// inside the listener box of each AP it listens to. Soundness: every value
-// a node caches about the environment — the evaluation of its serving
-// link, and its power at every foreign AP it has victims at — either
-// still equals a fresh trace or belongs to a node marked evalStale.
+// epochs since from, before the settle, both ways. rec is the serving
+// evaluations recorded at the last settle (settledEvals). Scope: every
+// node lies inside the listener box of each AP it listens to. Soundness:
+// every value a node caches about the environment — its serving
+// evaluation, as rec holds it whole, and its power at every foreign AP it
+// has victims at — either still equals a fresh trace or belongs to a node
+// marked evalStale.
 // Exactness: every node marked evalStale has a path leg on one of those
 // links whose blockage one of the swept regions flips, by pathsFlip.
-func checkRegionStep(t *testing.T, nw *Network, from uint64, step int, tally *regionTally) {
+func checkRegionStep(t *testing.T, nw *Network, rec map[*Node]core.Evaluation, from uint64, step int, tally *regionTally) {
 	t.Helper()
 	regions, ok := nw.Env.SweptSince(from, nil)
 	if !ok {
@@ -156,12 +159,12 @@ func checkRegionStep(t *testing.T, nw *Network, from uint64, step int, tally *re
 				flipped = flipped || pathsFlip(nw.Env, n.Pose.Pos, ap.Pose.Pos, k)
 			}
 		}
-		if fresh := nw.evaluate(n, n.AP); fresh != n.sp.eval {
+		if fresh := nw.evaluate(n, n.AP); fresh != rec[n] {
 			tally.servingChanged++
 			changed = true
 			if !stale {
-				t.Fatalf("step %d: node %d's evaluation changed but was not invalidated\ncached %+v\nfresh  %+v",
-					step, n.ID, n.sp.eval, fresh)
+				t.Fatalf("step %d: node %d's evaluation changed but was not invalidated\nsettled %+v\nfresh   %+v",
+					step, n.ID, rec[n], fresh)
 			}
 		}
 		if stale {
@@ -295,7 +298,7 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 		aim(b)
 		env.AddBlocker(b)
 	}
-	nw.EvaluateSINR() // settle the baseline caches
+	rec := settledEvals(t, nw, "baseline")
 
 	var tally regionTally
 	for step := 0; step < steps; step++ {
@@ -307,8 +310,8 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 		from := nw.sparse.envEpoch
 		env.Step(prng.Uniform(0.02, 0.1))
 		nw.sparse.syncEnv(nw)
-		checkRegionStep(t, nw, from, step, &tally)
-		nw.EvaluateSINR()
+		checkRegionStep(t, nw, rec, from, step, &tally)
+		rec = settledEvals(t, nw, fmt.Sprintf("step %d", step))
 	}
 	if all := tally.population * (len(nw.APs) - 1); tally.crossLive == 0 || tally.crossLive >= all {
 		t.Fatalf("%d of %d possible cross listeners — per-AP scoping has nothing to decide", tally.crossLive, all)
@@ -660,12 +663,12 @@ func FuzzRegionSoundness(f *testing.F) {
 		from := channel.Vec2{X: frac(fromX), Y: frac(fromY)}
 		b := &channel.Blocker{Pos: from, Radius: radius, LossDB: 12}
 		env.AddBlocker(b)
-		nw.EvaluateSINR()
+		rec := settledEvals(t, nw, "before the move")
 		b.Vel = channel.Vec2{X: frac(toX), Y: frac(toY)}.Sub(from)
 		settled := nw.sparse.envEpoch
 		env.Step(1)
 		nw.sparse.syncEnv(nw)
-		checkRegionStep(t, nw, settled, 0, &regionTally{})
+		checkRegionStep(t, nw, rec, settled, 0, &regionTally{})
 	})
 }
 

@@ -39,7 +39,7 @@ type roamSpan struct {
 func (rs *runState) roamTick() {
 	nw := rs.nw
 	dwell := nw.Roam.MinDwellS
-	if dwell <= 0 {
+	if !(dwell > 0) { // NaN too: a NaN hold would never expire
 		dwell = 0.5
 	}
 	members := len(nw.Nodes)

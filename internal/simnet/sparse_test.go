@@ -59,11 +59,12 @@ func closeOrBothInf(a, b, tol float64) bool {
 func assertMatchesOracle(t *testing.T, nw *Network, what string) {
 	t.Helper()
 	assertReportsClose(t, nw.EvaluateSINR(), denseEvaluateSINR(nw), 1e-12, what)
+	tbls := servingTables(nw)
 	for _, n := range nw.Nodes {
 		ap := n.AP
 		for _, exclude := range []uint32{n.ID, 0} {
-			c, ok := nw.core().bestHostChannel(nw, ap, n.SDMHarmonic, n.tbl, exclude)
-			wc, wok := denseBestHostChannel(nw, ap, n.SDMHarmonic, n.tbl, exclude)
+			c, ok := nw.core().bestHostChannel(nw, ap, n.SDMHarmonic, n.avec, exclude)
+			wc, wok := denseBestHostChannel(nw, ap, n.SDMHarmonic, tbls[n], tbls, exclude)
 			if c != wc || ok != wok {
 				t.Fatalf("%s: host channel for node %d (exclude %d): %v/%v, oracle %v/%v",
 					what, n.ID, exclude, c, ok, wc, wok)
@@ -255,7 +256,7 @@ func TestSparseAssignmentsMatchDense(t *testing.T) {
 		pose := channel.Pose{Pos: pos, Orientation: rng.Uniform(-math.Pi, math.Pi)}
 		ap := nw.selectAP(pos)
 		tbl := ap.SDM.GainTableInto(nil, ap.Pose.AngleTo(pos))
-		want, _ := denseBestHostChannel(nw, ap, tma.BestHarmonicOf(tbl), tbl, uint32(i))
+		want, _ := denseBestHostChannel(nw, ap, tma.BestHarmonicOf(tbl), tbl, servingTables(nw), uint32(i))
 		n, err := nw.Join(uint32(i), pose, 40e6, HDCamera(8))
 		if err != nil {
 			t.Fatalf("join %d: %v", i, err)
@@ -572,20 +573,20 @@ func BenchmarkJoin(b *testing.B) {
 // TestJoinAllocs bounds admission's allocations and bytes per join on a
 // 2 000-node single-AP fleet at Workers=1 — the machine-independent half
 // of the BenchmarkNetworkScale rungs, whose allocs/op also count worker
-// start-up. The fleet measured 24.32 allocations and 2 021 B per join
-// (go1.24, amd64) once a grid slot carried its node's bound and channel
-// entry; the count bound leaves room for the ±0.01 that collections add
-// by emptying the sync.Pool link evaluation draws path scratch from, and
-// not for one more allocation per join. The byte bound leaves 27 B for
-// that and for
-// toolchains whose maps lay out differently, and not for the next Node
-// size class (64 B up) or any per-node object on top. The race detector
-// leaks that pool, so both hold without it.
+// start-up. The fleet measured 23.32 allocations and 1 588 B per join
+// (go1.24, amd64) once a node kept no gain table and the engine no
+// Evaluation (a 440 B Node, size class 448); the count bound leaves room
+// for the ±0.01 that collections add by emptying the sync.Pool link
+// evaluation draws path scratch from, and not for one more allocation per
+// join — a per-node gain table coming back is one. The byte bound leaves
+// 27 B for that and for toolchains whose maps lay out differently, and
+// not for the next Node size class (32 B up) or any per-node object on
+// top. The race detector leaks that pool, so both hold without it.
 func TestJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch under the race detector")
 	}
-	const nodes, bound, byteBound = 2000, 24.4, 2048
+	const nodes, bound, byteBound = 2000, 23.4, 1615
 	var bytes uint64
 	allocs := testing.AllocsPerRun(1, func() {
 		var before, after runtime.MemStats
