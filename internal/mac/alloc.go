@@ -33,7 +33,9 @@ const FSKFraction = 0.05
 // construction: every grant is a binary insert into one frequency-ordered
 // slice and every release a binary remove from it, and placement, the SDM
 // share pick, Validate and Assignments read that slice in place — nothing
-// is rebuilt or sorted after a mutation.
+// is rebuilt or sorted after a mutation. It keeps no per-node index:
+// which node holds which channel is the controller's record (one per
+// node), and a release names the channel it frees.
 type Allocator struct {
 	band Band
 	// order holds every live assignment by ascending CenterHz. Centers are
@@ -41,38 +43,31 @@ type Allocator struct {
 	// center (reachable only through AllocateRegion), which keep insertion
 	// order.
 	order []Assignment
-	// byNode maps node ID → current assignment: the same membership as
-	// order (Validate checks it), kept for the O(1) Lookup every renew
-	// takes.
-	byNode map[uint32]Assignment
 }
 
 // NewAllocator creates an allocator over the band.
 func NewAllocator(band Band) *Allocator {
-	return &Allocator{band: band, byNode: make(map[uint32]Assignment)}
+	return &Allocator{band: band}
 }
 
 // Errors from allocation.
 var (
-	ErrBandFull         = errors.New("mac: no contiguous spectrum left for the requested rate")
-	ErrAlreadyAllocated = errors.New("mac: node already holds a channel")
-	ErrNotAllocated     = errors.New("mac: node holds no channel")
-	ErrBadDemand        = errors.New("mac: demand must be positive and finite")
-	ErrRegionBusy       = errors.New("mac: requested spectrum region unavailable")
+	ErrBandFull     = errors.New("mac: no contiguous spectrum left for the requested rate")
+	ErrNotAllocated = errors.New("mac: channel not allocated")
+	ErrBadDemand    = errors.New("mac: demand must be positive and finite")
+	ErrRegionBusy   = errors.New("mac: requested spectrum region unavailable")
 )
 
 // Allocate grants nodeID a channel wide enough for demandBps. It returns
 // ErrBandFull when FDM is exhausted — the caller's cue to fall back to
-// spatial reuse (SDM) on an existing channel.
+// spatial reuse (SDM) on an existing channel. It does not know which IDs
+// already hold a channel: the caller asks for each ID once.
 func (al *Allocator) Allocate(nodeID uint32, demandBps float64) (Assignment, error) {
 	// Written so that NaN is refused too: "<= 0" lets it through, no later
 	// comparison stops it, and a NaN-centered channel has no place in a
 	// sorted slice. An infinite demand fits no band.
 	if !(demandBps > 0) || math.IsInf(demandBps, 0) {
 		return Assignment{}, ErrBadDemand
-	}
-	if _, ok := al.byNode[nodeID]; ok {
-		return Assignment{}, ErrAlreadyAllocated
 	}
 	width := BandwidthForRate(demandBps)
 	lo, ok := al.placeChannel(width)
@@ -93,7 +88,6 @@ func (al *Allocator) Allocate(nodeID uint32, demandBps float64) (Assignment, err
 func (al *Allocator) insert(asg Assignment) {
 	i := sort.Search(len(al.order), func(i int) bool { return al.order[i].CenterHz > asg.CenterHz })
 	al.order = slices.Insert(al.order, i, asg)
-	al.byNode[asg.NodeID] = asg
 }
 
 // placeChannel picks the low edge of a new channel of the given positive
@@ -129,9 +123,6 @@ func (al *Allocator) AllocateRegion(nodeID uint32, centerHz, widthHz float64) (A
 	if widthHz <= 0 {
 		return Assignment{}, ErrBadDemand
 	}
-	if _, ok := al.byNode[nodeID]; ok {
-		return Assignment{}, ErrAlreadyAllocated
-	}
 	lo, hi := centerHz-widthHz/2, centerHz+widthHz/2
 	if !al.band.Contains(lo, hi) {
 		return Assignment{}, ErrRegionBusy
@@ -151,27 +142,27 @@ func (al *Allocator) AllocateRegion(nodeID uint32, centerHz, widthHz float64) (A
 	return asg, nil
 }
 
-// Release frees nodeID's channel.
-func (al *Allocator) Release(nodeID uint32) error {
-	asg, ok := al.byNode[nodeID]
-	if !ok {
+// Release frees asg, the channel Allocate or AllocateRegion returned. It
+// returns ErrNotAllocated when the books hold no such entry.
+func (al *Allocator) Release(asg Assignment) error {
+	i := al.find(asg)
+	if i < 0 {
 		return ErrNotAllocated
 	}
-	// The first entry at the node's own center, then past any sub-ulp
-	// channels that share it.
-	i := sort.Search(len(al.order), func(i int) bool { return al.order[i].CenterHz >= asg.CenterHz })
-	for al.order[i].NodeID != nodeID {
-		i++
-	}
 	al.order = slices.Delete(al.order, i, i+1)
-	delete(al.byNode, nodeID)
 	return nil
 }
 
-// Lookup returns a node's current assignment.
-func (al *Allocator) Lookup(nodeID uint32) (Assignment, bool) {
-	a, ok := al.byNode[nodeID]
-	return a, ok
+// find returns the index of the entry equal to asg, or -1: the first entry
+// at asg's center, then past any sub-ulp channels that share it.
+func (al *Allocator) find(asg Assignment) int {
+	i := sort.Search(len(al.order), func(i int) bool { return al.order[i].CenterHz >= asg.CenterHz })
+	for ; i < len(al.order) && al.order[i].CenterHz == asg.CenterHz; i++ {
+		if al.order[i] == asg {
+			return i
+		}
+	}
+	return -1
 }
 
 // Assignments returns all live assignments ordered by frequency. The
@@ -199,18 +190,12 @@ func (al *Allocator) Utilization() float64 {
 }
 
 // Validate checks the allocator's invariants: every assignment inside the
-// band, no two overlapping, and the ordered books sorted by center with
-// exactly byNode's entries — an insert or remove that went to the wrong
-// slot fails every audit built on this (AuditBooks, ValidateSpectrum). It
+// band, no two overlapping, and the books sorted by center — an insert at
+// the wrong slot fails every audit built on this (AuditBooks,
+// ValidateSpectrum). Which node owns each entry is AuditBooks' check. It
 // returns nil when consistent.
 func (al *Allocator) Validate() error {
-	if len(al.order) != len(al.byNode) {
-		return fmt.Errorf("ordered books hold %d assignments, the node index %d", len(al.order), len(al.byNode))
-	}
 	for i, a := range al.order {
-		if got, ok := al.byNode[a.NodeID]; !ok || got != a {
-			return fmt.Errorf("ordered books and node index disagree on node %d", a.NodeID)
-		}
 		if !al.band.Contains(a.Low(), a.High()) {
 			return fmt.Errorf("assignment %d outside band", a.NodeID)
 		}

@@ -15,12 +15,15 @@ func mixedAllocator(t *testing.T) *Allocator {
 	t.Helper()
 	rng := stats.NewRNG(0xF4EE)
 	al := NewAllocator(ISM24GHz())
-	for id := uint32(0); id < 60; id++ {
-		if _, err := al.Allocate(id, rng.Uniform(1e6, 60e6)); err != nil && err != ErrBandFull {
+	grants := make([]Assignment, 60)
+	for id := range grants {
+		a, err := al.Allocate(uint32(id), rng.Uniform(1e6, 60e6))
+		if err != nil && err != ErrBandFull {
 			t.Fatal(err)
 		}
+		grants[id] = a
 		if id%3 == 2 {
-			al.Release(id - 2)
+			al.Release(grants[id-2])
 		}
 	}
 	if len(al.order) < 8 {
@@ -50,42 +53,47 @@ func TestFreeHzIsAFunctionOfTheBooks(t *testing.T) {
 	}
 }
 
-// TestValidateCatchesIndexDrift plants each way the ordered books can part
-// from the node index — what an insert or a remove at the wrong slot
-// leaves behind — and expects Validate, and AuditBooks through it, to
-// refuse every one.
+// TestValidateCatchesIndexDrift plants each way the allocator's books can
+// part from the owner records — what an insert or a remove at the wrong
+// slot, or a release that skipped the allocator, leaves behind — and
+// expects AuditBooks to refuse every one, and Validate the ones that
+// break the order or overlap.
 func TestValidateCatchesIndexDrift(t *testing.T) {
 	corruptions := []struct {
-		name  string
-		plant func(al *Allocator)
+		name     string
+		plant    func(ctl *Controller)
+		validate bool // Validate must refuse it too
 	}{
-		{"swapped neighbours", func(al *Allocator) {
-			al.order[2], al.order[3] = al.order[3], al.order[2]
-		}},
-		{"stale entry left after Release", func(al *Allocator) {
-			delete(al.byNode, al.order[1].NodeID)
-		}},
-		{"missing entry", func(al *Allocator) {
-			al.order = slices.Delete(al.order, 4, 5)
-		}},
-		{"entry replaced by its neighbour", func(al *Allocator) {
-			al.order[5] = al.order[4]
-		}},
-		{"entry that differs from the node index", func(al *Allocator) {
-			al.order[0].FSKOffsetHz++
-		}},
+		{"swapped neighbours", func(ctl *Controller) {
+			ctl.Alloc.order[2], ctl.Alloc.order[3] = ctl.Alloc.order[3], ctl.Alloc.order[2]
+		}, true},
+		{"stale entry left after Release", func(ctl *Controller) {
+			delete(ctl.peers, ctl.Alloc.order[1].NodeID)
+			ctl.leases--
+		}, false},
+		{"owner record whose channel the allocator no longer books", func(ctl *Controller) {
+			ctl.Alloc.order = slices.Delete(ctl.Alloc.order, 4, 5)
+		}, false},
+		{"entry replaced by its neighbour", func(ctl *Controller) {
+			ctl.Alloc.order[5] = ctl.Alloc.order[4]
+		}, true},
+		{"entry that differs from its owner record", func(ctl *Controller) {
+			ctl.Alloc.order[0].FSKOffsetHz++
+		}, false},
 	}
 	for _, c := range corruptions {
 		ctl := NewController(ISM24GHz())
 		ctl.Alloc = mixedAllocator(t)
 		for _, a := range ctl.Alloc.order {
-			ctl.lease(a.NodeID)
+			p := ctl.touch(a.NodeID)
+			p.hold, p.center, p.width = holdOwner, a.CenterHz, a.WidthHz
+			ctl.leases++
 		}
 		if err := ctl.AuditBooks(); err != nil {
 			t.Fatalf("%s: books before the corruption: %v", c.name, err)
 		}
-		c.plant(ctl.Alloc)
-		if err := ctl.Alloc.Validate(); err == nil {
+		c.plant(ctl)
+		if err := ctl.Alloc.Validate(); c.validate && err == nil {
 			t.Errorf("%s: Validate passed", c.name)
 		}
 		if err := ctl.AuditBooks(); err == nil {
@@ -106,7 +114,7 @@ func TestAllocateRefusesNonFiniteDemand(t *testing.T) {
 			t.Errorf("Allocate(%v) = %v, want ErrBadDemand", demand, err)
 		}
 	}
-	if _, ok := al.Lookup(1000); ok || !slices.Equal(al.Assignments(), before) {
+	if !slices.Equal(al.Assignments(), before) {
 		t.Error("a refused demand changed the books")
 	}
 	if err := al.Validate(); err != nil {
@@ -122,10 +130,13 @@ func TestSubUlpChannelsKeepInsertionOrder(t *testing.T) {
 	al := NewAllocator(ISM24GHz())
 	const center = 24.1e9
 	al.Allocate(1, 10e6)
+	grants := map[uint32]Assignment{}
 	for _, id := range []uint32{7, 5, 9} {
-		if _, err := al.AllocateRegion(id, center, 1e-9); err != nil {
+		a, err := al.AllocateRegion(id, center, 1e-9)
+		if err != nil {
 			t.Fatal(err)
 		}
+		grants[id] = a
 	}
 	ids := func() (out []uint32) {
 		for _, a := range al.Assignments() {
@@ -140,7 +151,7 @@ func TestSubUlpChannelsKeepInsertionOrder(t *testing.T) {
 		release uint32
 		want    []uint32
 	}{{5, []uint32{1, 7, 9}}, {9, []uint32{1, 7}}, {7, []uint32{1}}} {
-		if err := al.Release(step.release); err != nil {
+		if err := al.Release(grants[step.release]); err != nil {
 			t.Fatal(err)
 		}
 		if got := ids(); !slices.Equal(got, step.want) {

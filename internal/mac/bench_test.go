@@ -24,20 +24,24 @@ var churnBands = []struct {
 // the live IDs so the hole moves across the band.
 func allocatorChurn(tb testing.TB, band Band, fill float64) func(i int) {
 	al := NewAllocator(band)
-	live := int(fill * band.Width() / BandwidthForRate(1e6))
-	for id := 0; id < live; id++ {
-		if _, err := al.Allocate(uint32(id), 1e6); err != nil {
+	grants := make([]Assignment, int(fill*band.Width()/BandwidthForRate(1e6)))
+	for id := range grants {
+		a, err := al.Allocate(uint32(id), 1e6)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		grants[id] = a
 	}
 	return func(i int) {
-		id := uint32(i % live)
-		if err := al.Release(id); err != nil {
+		id := i % len(grants)
+		if err := al.Release(grants[id]); err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := al.Allocate(id, 1e6); err != nil {
+		a, err := al.Allocate(uint32(id), 1e6)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		grants[id] = a
 	}
 }
 

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // promotion must read the same books in the same order.
 func TestControllerChurnTraceGolden(t *testing.T) {
 	const want = uint64(0xecfcf5c1cc710c37)
-	got, grants, rejects, promotes := churnTraceHash(t)
+	got, grants, rejects, promotes, _ := churnTraceHash(t, 0)
 	t.Logf("trace: %d grants, %d rejects, %d promotes, hash %#016x", grants, rejects, promotes, got)
 	if grants < 1000 || rejects < 1000 || promotes < 100 {
 		t.Fatalf("trace no longer exercises the books: %d grants, %d rejects, %d promotes", grants, rejects, promotes)
@@ -28,7 +29,31 @@ func TestControllerChurnTraceGolden(t *testing.T) {
 	}
 }
 
-func churnTraceHash(t *testing.T) (sum uint64, grants, rejects, promotes int) {
+// TestControllerExpiryTraceGolden runs the same trace with LeaseTTL set,
+// ExpireLeases every 50 messages and one Restart halfway, and hashes the
+// expired IDs beside the replies and pushes: the forget → release →
+// promote path of a silent owner, and the books rebuilt from nothing
+// after a reboot. The constant was recorded on the allocator that still
+// kept its own node index.
+func TestControllerExpiryTraceGolden(t *testing.T) {
+	const want = uint64(0x720df769948eb567)
+	// A 0.6 s lease is about the time a node waits between two messages,
+	// so some leases outlive the silence and some do not.
+	got, grants, rejects, promotes, expired := churnTraceHash(t, 0.6)
+	t.Logf("trace: %d grants, %d rejects, %d promotes, %d expired, hash %#016x", grants, rejects, promotes, expired, got)
+	if grants < 1000 || rejects < 1000 || promotes < 500 || expired < 1000 {
+		t.Fatalf("trace no longer exercises expiry: %d grants, %d rejects, %d promotes, %d expired",
+			grants, rejects, promotes, expired)
+	}
+	if got != want {
+		t.Errorf("expiry trace hash = %#016x, want %#016x", got, want)
+	}
+}
+
+// churnTraceHash drives the seeded trace. With ttl > 0 the controller's
+// LeaseTTL is ttl, ExpireLeases runs every 50 messages with the expired
+// IDs hashed, and the controller restarts once, halfway.
+func churnTraceHash(t *testing.T, ttl float64) (sum uint64, grants, rejects, promotes, expired int) {
 	const (
 		messages = 20000
 		pool     = 600
@@ -36,6 +61,7 @@ func churnTraceHash(t *testing.T) (sum uint64, grants, rejects, promotes int) {
 	demands := []float64{0.1e6, 0.5e6, 1e6, 1e6, 2e6, 2e6, 4e6, 8e6, 20e6}
 	rng := stats.NewRNG(0xC4021)
 	c := NewController(ISM24GHz())
+	c.LeaseTTL = ttl
 	h := fnv.New64a()
 
 	type nodeState struct {
@@ -50,6 +76,15 @@ func churnTraceHash(t *testing.T) (sum uint64, grants, rejects, promotes int) {
 	var dst []byte
 	now, sent := 0.0, 0
 
+	drain := func() {
+		for _, push := range c.TakeNotifications() {
+			promotes++
+			h.Write(push)
+		}
+		if err := c.AuditBooks(); err != nil {
+			t.Fatalf("books after message %d: %v", sent, err)
+		}
+	}
 	send := func(id uint32, raw []byte) any {
 		n := &nodes[id]
 		n.last = append(n.last[:0], raw...)
@@ -66,12 +101,20 @@ func churnTraceHash(t *testing.T) (sum uint64, grants, rejects, promotes int) {
 				t.Fatalf("reply does not decode: %v", err)
 			}
 		}
-		for _, push := range c.TakeNotifications() {
-			promotes++
-			h.Write(push)
+		drain()
+		if ttl > 0 && sent%50 == 0 {
+			for _, id := range c.ExpireLeases(now) {
+				expired++
+				h.Write(binary.LittleEndian.AppendUint32(nil, id))
+			}
+			drain()
 		}
-		if err := c.AuditBooks(); err != nil {
-			t.Fatalf("books after message %d: %v", sent, err)
+		if ttl > 0 && sent == messages/2 {
+			if c.LeaseCount() == 0 {
+				t.Fatal("restart would drop empty books")
+			}
+			c.Restart()
+			drain()
 		}
 		return msg
 	}
@@ -129,5 +172,5 @@ func churnTraceHash(t *testing.T) (sum uint64, grants, rejects, promotes int) {
 			send(id, append([]byte(nil), n.last...))
 		}
 	}
-	return h.Sum64(), grants, rejects, promotes
+	return h.Sum64(), grants, rejects, promotes, expired
 }

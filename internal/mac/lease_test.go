@@ -94,7 +94,7 @@ func TestControllerSeqDedup(t *testing.T) {
 	if _, err := c.HandleAtAppend(nil, rel0, c.NowS()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Alloc.Lookup(7); ok {
+	if _, _, ok := c.Holding(7); ok || len(c.Alloc.Assignments()) != 0 {
 		t.Error("seq-0 release should have executed")
 	}
 }
@@ -148,10 +148,10 @@ func TestControllerLeaseExpiry(t *testing.T) {
 	if !ok || p.NodeID != 2 || p.CenterHz != owner.CenterHz {
 		t.Errorf("promotion = %#v", msg)
 	}
-	if _, ok := c.Alloc.Lookup(2); !ok {
-		t.Error("promoted sharer missing from allocator")
+	if _, shared, ok := c.Holding(2); !ok || shared {
+		t.Error("promoted sharer does not own the channel")
 	}
-	if err := c.Alloc.Validate(); err != nil {
+	if err := c.AuditBooks(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,7 +170,7 @@ func TestControllerReleaseForgetsDedup(t *testing.T) {
 	if _, ok := handleAt(t, c, join, 0.2).(AssignmentMsg); !ok {
 		t.Fatal("rejoin after release did not draw an assignment")
 	}
-	if _, ok := c.Alloc.Lookup(7); !ok || !c.HoldsLease(7) {
+	if _, shared, ok := c.Holding(7); !ok || shared || len(c.Alloc.Assignments()) != 1 {
 		t.Error("rejoin after release was answered from the dedup cache: nothing allocated")
 	}
 
@@ -315,10 +315,10 @@ func TestControllerRestart(t *testing.T) {
 	c.HandleAtAppend(nil, mustMarshal(t, ReleaseMsg{NodeID: 99, Seq: 1}), 0.5) // populate dedup cache
 
 	c.Restart()
-	if _, ok := c.Alloc.Lookup(1); ok {
+	if len(c.Alloc.Assignments()) != 0 {
 		t.Error("allocations should not survive a restart")
 	}
-	if _, ok := c.SharerChannel(2); ok {
+	if len(c.SharersOn(owner.CenterHz)) != 0 {
 		t.Error("sharer registry should not survive a restart")
 	}
 	if c.HoldsLease(1) || c.HoldsLease(2) {

@@ -52,8 +52,8 @@ func TestAllocateBasic(t *testing.T) {
 	if a.FSKOffsetHz <= 0 || a.FSKOffsetHz >= a.WidthHz {
 		t.Errorf("FSK offset = %g", a.FSKOffsetHz)
 	}
-	if _, ok := al.Lookup(1); !ok {
-		t.Error("Lookup missed")
+	if got := al.Assignments(); len(got) != 1 || got[0] != a {
+		t.Errorf("books = %+v, want the grant", got)
 	}
 	if err := al.Validate(); err != nil {
 		t.Error(err)
@@ -65,13 +65,14 @@ func TestAllocateErrors(t *testing.T) {
 	if _, err := al.Allocate(1, 0); err != ErrBadDemand {
 		t.Errorf("zero demand: %v", err)
 	}
-	if _, err := al.Allocate(1, 10e6); err != nil {
+	a, err := al.Allocate(1, 10e6)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := al.Allocate(1, 10e6); err != ErrAlreadyAllocated {
-		t.Errorf("double allocate: %v", err)
-	}
-	if err := al.Release(99); err != ErrNotAllocated {
+	// Release matches the whole entry: the same channel under another ID
+	// is not booked.
+	a.NodeID = 99
+	if err := al.Release(a); err != ErrNotAllocated {
 		t.Errorf("release unknown: %v", err)
 	}
 }
@@ -79,7 +80,8 @@ func TestAllocateErrors(t *testing.T) {
 func TestBandFullAndReuseAfterRelease(t *testing.T) {
 	al := NewAllocator(ISM24GHz())
 	// 250 MHz / 125 MHz per 100 Mbps node → exactly 2 fit.
-	if _, err := al.Allocate(1, 100e6); err != nil {
+	first, err := al.Allocate(1, 100e6)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := al.Allocate(2, 100e6); err != nil {
@@ -88,7 +90,7 @@ func TestBandFullAndReuseAfterRelease(t *testing.T) {
 	if _, err := al.Allocate(3, 100e6); !errors.Is(err, ErrBandFull) {
 		t.Fatalf("expected band full, got %v", err)
 	}
-	if err := al.Release(1); err != nil {
+	if err := al.Release(first); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := al.Allocate(3, 100e6); err != nil {
@@ -103,13 +105,17 @@ func TestFirstFitFillsGaps(t *testing.T) {
 	al := NewAllocator(ISM24GHz())
 	// Three 50 Mbps nodes, drop the middle one, then a small node should
 	// land in the gap, not at the end.
+	var mid Assignment
 	for id := uint32(1); id <= 3; id++ {
-		if _, err := al.Allocate(id, 50e6); err != nil {
+		a, err := al.Allocate(id, 50e6)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if id == 2 {
+			mid = a
+		}
 	}
-	mid, _ := al.Lookup(2)
-	if err := al.Release(2); err != nil {
+	if err := al.Release(mid); err != nil {
 		t.Fatal(err)
 	}
 	small, err := al.Allocate(4, 20e6)
@@ -143,16 +149,17 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		al := NewAllocator(ISM24GHz())
-		live := map[uint32]bool{}
+		live := map[uint32]Assignment{}
 		for op := 0; op < 200; op++ {
 			id := uint32(rng.Intn(20))
-			if rng.Uint64()&1 == 1 && !live[id] {
+			a, held := live[id]
+			if rng.Uint64()&1 == 1 && !held {
 				demand := rng.Uniform(1e6, 60e6)
-				if _, err := al.Allocate(id, demand); err == nil {
-					live[id] = true
+				if a, err := al.Allocate(id, demand); err == nil {
+					live[id] = a
 				}
-			} else if live[id] {
-				if al.Release(id) != nil {
+			} else if held {
+				if al.Release(a) != nil {
 					return false
 				}
 				delete(live, id)
@@ -294,9 +301,9 @@ func TestFreeGaps(t *testing.T) {
 	// A fresh band is one gap of its own width.
 	place(250e6, low, true)
 	place(250e6+1, 0, false)
-	al.Allocate(1, 40e6) // 50 MHz at the bottom
+	bottom, _ := al.Allocate(1, 40e6) // 50 MHz at the bottom
 	al.Allocate(2, 40e6)
-	al.Release(1)
+	al.Release(bottom)
 	// Two gaps: the freed 50 MHz below channel 2 and 150 MHz above it.
 	place(50e6, low, true)
 	place(50e6+1, low+100e6, true)
@@ -353,15 +360,12 @@ func TestAllocateRegion(t *testing.T) {
 	if err := al.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Occupied, out-of-band, duplicate and degenerate requests fail.
+	// Occupied, out-of-band and degenerate requests fail.
 	if _, err := al.AllocateRegion(3, a.CenterHz, 10e6); !errors.Is(err, ErrRegionBusy) {
 		t.Errorf("occupied region: %v", err)
 	}
 	if _, err := al.AllocateRegion(3, al.band.HighHz, 10e6); !errors.Is(err, ErrRegionBusy) {
 		t.Errorf("out of band: %v", err)
-	}
-	if _, err := al.AllocateRegion(2, center, 50e6); !errors.Is(err, ErrAlreadyAllocated) {
-		t.Errorf("duplicate: %v", err)
 	}
 	if _, err := al.AllocateRegion(3, center, 0); !errors.Is(err, ErrBadDemand) {
 		t.Errorf("zero width: %v", err)
@@ -399,7 +403,7 @@ func TestControllerSharerLifecycle(t *testing.T) {
 	if got := c.SharersOn(owner.CenterHz); len(got) != 2 {
 		t.Fatalf("sharers = %v", got)
 	}
-	if ch, ok := c.SharerChannel(2); !ok || ch != owner.CenterHz {
+	if a, shared, ok := c.Holding(2); !ok || !shared || a.CenterHz != owner.CenterHz {
 		t.Fatal("sharer 2 not registered")
 	}
 
@@ -426,13 +430,12 @@ func TestControllerSharerLifecycle(t *testing.T) {
 	if promote.NodeID != 2 || promote.CenterHz != owner.CenterHz || promote.WidthHz != 100e6 {
 		t.Errorf("promotion = %+v", promote)
 	}
-	if _, ok := c.Alloc.Lookup(2); !ok {
-		t.Fatal("promoted sharer missing from allocator")
+	if a, shared, ok := c.Holding(2); !ok || shared {
+		t.Fatal("promoted node still registered as sharer")
+	} else if got := c.Alloc.Assignments(); len(got) != 1 || got[0] != a {
+		t.Fatalf("allocator books %+v, promoted record %+v", got, a)
 	}
-	if _, ok := c.SharerChannel(2); ok {
-		t.Error("promoted node still registered as sharer")
-	}
-	if ch, ok := c.SharerChannel(3); !ok || ch != owner.CenterHz {
+	if a, shared, ok := c.Holding(3); !ok || !shared || a.CenterHz != owner.CenterHz {
 		t.Error("remaining sharer lost")
 	}
 
@@ -445,7 +448,7 @@ func TestControllerSharerLifecycle(t *testing.T) {
 		promote.CenterHz-promote.WidthHz/2 < grant.CenterHz+grant.WidthHz/2 {
 		t.Errorf("grant %+v overlaps promoted channel %+v", grant, promote)
 	}
-	if err := c.Alloc.Validate(); err != nil {
+	if err := c.AuditBooks(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -453,7 +456,7 @@ func TestControllerSharerLifecycle(t *testing.T) {
 	if _, ok := handle(ReleaseMsg{NodeID: 3}).(AckMsg); !ok {
 		t.Error("sharer release should be acked")
 	}
-	if _, ok := c.SharerChannel(3); ok {
+	if _, _, ok := c.Holding(3); ok {
 		t.Error("sharer 3 still registered")
 	}
 	if len(c.TakeNotifications()) != 0 {
@@ -480,7 +483,7 @@ func TestControllerReconfirmMoves(t *testing.T) {
 	if got := c.SharersOn(24.05e9); len(got) != 0 {
 		t.Errorf("stale registration left behind: %v", got)
 	}
-	if ch, ok := c.SharerChannel(5); !ok || ch != 24.10e9 {
-		t.Errorf("sharer channel = %v %v", ch, ok)
+	if a, shared, ok := c.Holding(5); !ok || !shared || a.CenterHz != 24.10e9 {
+		t.Errorf("sharer channel = %v %v %v", a.CenterHz, shared, ok)
 	}
 }

@@ -516,32 +516,47 @@ const maxHarmonic = 4
 // maxReplyLen is the longest reply the controller encodes (RenewAckMsg).
 const maxReplyLen = 1 + 8 + 24 + 2
 
-// peer is everything the AP remembers about one node ID. It is created by
-// the first request the controller answers for the ID and ends in one
-// delete (forget), so lease, share slot and cached reply cannot outlive
-// one another.
+// hold is what spectrum a record's node holds: none, an FDM channel of its
+// own, or an SDM share slot. A record holding either has a lease.
+type hold uint8
+
+const (
+	holdNone hold = iota
+	// holdOwner: the allocator books the record's grant.
+	holdOwner
+	// holdSharer: the record is listed in the controller's sharers index
+	// under its center.
+	holdSharer
+)
+
+// peer is everything the AP remembers about one node ID — the AP's only
+// per-node state. It is created by the first request the controller
+// answers for the ID and ends in one delete (forget), so lease, grant and
+// cached reply cannot outlive one another.
 type peer struct {
 	// at is the node's last contact time: what ExpireLeases measures
 	// LeaseTTL of silence from, whether or not the node holds spectrum.
 	at float64
-	// center, width and harmonic are the SDM slot a sharer confirmed: the
-	// center of the channel it shares (copied verbatim from an assignment,
-	// so float equality is exact), its occupied width, its TMA slot.
+	// center and width are the spectrum held: an owner's channel, or the
+	// center of the channel a sharer shares (copied verbatim from an
+	// assignment, so float equality is exact) and its occupied width.
 	center, width float64
 	id            uint32
 	// seq is the last non-zero sequence number the node sent and
 	// reply[:replyLen] the reply it drew: exact-duplicate suppression.
-	seq      uint32
+	seq uint32
+	// harmonic is a sharer's TMA slot, 0 for everyone else.
 	harmonic int8
-	// leased: the node holds spectrum, as FDM owner (the allocator has its
-	// channel) or as SDM sharer.
-	leased bool
-	// shared: the node is a confirmed SDM sharer — the slot above is live
-	// and the record is listed in the controller's sharers index under
-	// center.
-	shared   bool
+	hold     hold
 	replyLen uint8
 	reply    [maxReplyLen]byte
+}
+
+// grant is the spectrum p holds as an Assignment: the FSK offset is the
+// width's FSKFraction, as Allocate and AllocateRegion set it, so an
+// owner's grant equals its allocator entry.
+func (p *peer) grant() Assignment {
+	return Assignment{NodeID: p.id, CenterHz: p.center, WidthHz: p.width, FSKOffsetHz: p.width * FSKFraction}
 }
 
 // Controller is the AP-side handler of the initialization protocol: it
@@ -633,21 +648,10 @@ func (c *Controller) touch(nodeID uint32) *peer {
 	return p
 }
 
-// lease marks nodeID as holding spectrum, renewed at the controller's
-// clock.
-func (c *Controller) lease(nodeID uint32) *peer {
-	p := c.touch(nodeID)
-	if !p.leased {
-		p.leased = true
-		c.leases++
-	}
-	return p
-}
-
 // HoldsLease reports whether nodeID currently holds a live lease.
 func (c *Controller) HoldsLease(nodeID uint32) bool {
 	p := c.peers[nodeID]
-	return p != nil && p.leased
+	return p != nil && p.hold != holdNone
 }
 
 // Leaseholders returns every node ID with a live lease (owners and SDM
@@ -657,7 +661,7 @@ func (c *Controller) HoldsLease(nodeID uint32) bool {
 func (c *Controller) Leaseholders() []uint32 {
 	out := make([]uint32, 0, c.leases)
 	for id, p := range c.peers {
-		if p.leased {
+		if p.hold != holdNone {
 			out = append(out, id)
 		}
 	}
@@ -665,13 +669,15 @@ func (c *Controller) Leaseholders() []uint32 {
 	return out
 }
 
-// SharerChannel reports whether nodeID is a registered SDM sharer and, if
-// so, the center frequency of the channel it shares.
-func (c *Controller) SharerChannel(nodeID uint32) (float64, bool) {
-	if p := c.peers[nodeID]; p != nil && p.shared {
-		return p.center, true
+// Holding reports the spectrum nodeID holds: its FDM channel, or — shared
+// true — the center of the channel it shares as a confirmed SDM sharer,
+// with its occupied width. ok is false when it holds none.
+func (c *Controller) Holding(nodeID uint32) (a Assignment, shared, ok bool) {
+	p := c.peers[nodeID]
+	if p == nil || p.hold == holdNone {
+		return Assignment{}, false, false
 	}
-	return 0, false
+	return p.grant(), p.hold == holdSharer, true
 }
 
 // SharersOn returns the confirmed SDM occupants of the channel centered at
@@ -695,7 +701,6 @@ func (c *Controller) unshare(p *peer) {
 	} else {
 		c.sharers[p.center] = occ
 	}
-	p.shared = false
 }
 
 // release frees p's spectrum churn-safely. A leaving sharer is simply
@@ -706,17 +711,16 @@ func (c *Controller) unshare(p *peer) {
 // matched to the freed channel; its extent then covers every remaining
 // narrower sharer, which all sit at the same center) is promoted to owner
 // of the spectrum it already occupies, and the PromoteMsg push is queued
-// for TakeNotifications.
+// for TakeNotifications; the sharer's record becomes the owner's.
 func (c *Controller) release(p *peer) {
-	if p.shared {
+	if p.hold == holdSharer {
 		c.unshare(p)
 		return
 	}
-	asg, ok := c.Alloc.Lookup(p.id)
-	if !ok {
+	asg := p.grant()
+	if c.Alloc.Release(asg) != nil {
 		return
 	}
-	_ = c.Alloc.Release(p.id)
 	occ := c.sharers[asg.CenterHz]
 	if len(occ) == 0 {
 		return
@@ -737,6 +741,7 @@ func (c *Controller) release(p *peer) {
 		return
 	}
 	c.unshare(w)
+	w.hold, w.center, w.width, w.harmonic = holdOwner, promoted.CenterHz, promoted.WidthHz, 0
 	c.pending = append(c.pending, PromoteMsg{
 		NodeID:      promoted.NodeID,
 		CenterHz:    promoted.CenterHz,
@@ -749,7 +754,7 @@ func (c *Controller) release(p *peer) {
 // delete takes its lease, share slot and cached reply together — a kept
 // reply would answer the ID's next first request with a stale grant.
 func (c *Controller) forget(p *peer) {
-	if p.leased {
+	if p.hold != holdNone {
 		c.release(p)
 		c.leases--
 	}
@@ -789,7 +794,7 @@ func (c *Controller) ExpireLeases(now float64) []uint32 {
 	expired := silent[:0]
 	for _, id := range silent {
 		p := c.peers[id]
-		if p.leased {
+		if p.hold != holdNone {
 			expired = append(expired, id)
 		}
 		c.forget(p)
@@ -809,84 +814,82 @@ func (c *Controller) RecordCount() int { return len(c.peers) }
 // AuditBooks cross-checks the controller's internal books — the
 // daemon-side equivalent of the network layer's ValidateSpectrum
 // discipline, covering the state a socket server owns without a
-// simulated deployment around it: the allocator's invariants hold, every
-// record is filed under its own ID, the sharers index lists exactly the
-// records that say they share, no node is double-booked as both FDM owner
-// and SDM sharer, and leases — and the lease counter — exist exactly for
-// the nodes holding spectrum. nil means consistent; the load harness
-// asserts this after a storm quiesces.
+// simulated deployment around it. Besides the allocator's own invariants
+// and every record filed under its own ID, it checks three facts:
+//
+//   - the allocator books exactly the owners' channels: each owner
+//     record's grant is an entry, and there are as many entries as owners
+//     (distinct IDs make distinct grants, so that is a one-to-one match);
+//   - the sharers index lists exactly the sharer records, each under its
+//     own center, with no empty list kept;
+//   - the lease counter counts the records that hold spectrum.
+//
+// nil means consistent; the load harness asserts this after a storm
+// quiesces.
 func (c *Controller) AuditBooks() error {
 	if err := c.Alloc.Validate(); err != nil {
 		return err
 	}
-	leased, shared, indexed := 0, 0, 0
+	owners, sharers := 0, 0
 	for id, p := range c.peers {
 		if p.id != id {
 			return fmt.Errorf("mac: record of node %d filed under %d", p.id, id)
 		}
-		_, owner := c.Alloc.Lookup(id)
-		switch {
-		case owner && p.shared:
-			return fmt.Errorf("mac: node %d double-booked as FDM owner and SDM sharer", id)
-		case p.leased && !owner && !p.shared:
-			return fmt.Errorf("mac: lease held by node %d with no spectrum books", id)
-		case p.shared && !p.leased:
-			return fmt.Errorf("mac: SDM sharer %d holds no lease", id)
-		case p.shared && !slices.Contains(c.sharers[p.center], p):
-			return fmt.Errorf("mac: sharer %d on %.0f Hz missing from the index", id, p.center)
-		}
-		if p.leased {
-			leased++
-		}
-		if p.shared {
-			shared++
+		switch p.hold {
+		case holdOwner:
+			owners++
+			if c.Alloc.find(p.grant()) < 0 {
+				return fmt.Errorf("mac: channel of owner %d missing from the allocator", id)
+			}
+		case holdSharer:
+			sharers++
+			if !slices.Contains(c.sharers[p.center], p) {
+				return fmt.Errorf("mac: sharer %d on %.0f Hz missing from the index", id, p.center)
+			}
 		}
 	}
-	if leased != c.leases {
-		return fmt.Errorf("mac: lease counter reads %d, %d records hold spectrum", c.leases, leased)
+	if len(c.Alloc.order) != owners {
+		return fmt.Errorf("mac: allocator books %d channels for %d owners", len(c.Alloc.order), owners)
 	}
+	indexed := 0
 	for center, occ := range c.sharers {
 		if len(occ) == 0 {
 			return fmt.Errorf("mac: empty sharer list kept for channel %.0f Hz", center)
 		}
-		for _, p := range occ {
-			if c.peers[p.id] != p || !p.shared || p.center != center {
-				return fmt.Errorf("mac: index entry for node %d on %.0f Hz has no matching record", p.id, center)
-			}
-		}
 		indexed += len(occ)
 	}
-	if indexed != shared {
-		return fmt.Errorf("mac: sharers index holds %d entries for %d sharers", indexed, shared)
+	if indexed != sharers {
+		return fmt.Errorf("mac: sharers index holds %d entries for %d sharers", indexed, sharers)
 	}
-	for _, a := range c.Alloc.order {
-		if !c.HoldsLease(a.NodeID) {
-			return fmt.Errorf("mac: FDM owner %d holds no lease", a.NodeID)
-		}
+	if owners+sharers != c.leases {
+		return fmt.Errorf("mac: lease counter reads %d, %d records hold spectrum", c.leases, owners+sharers)
 	}
 	return nil
 }
 
 // replay serves an exact retransmission of a node's last request from
-// its record: the original reply is re-appended to dst without
-// re-executing anything, and without counting as contact.
-func (c *Controller) replay(dst []byte, node, seq uint32) ([]byte, bool) {
-	if p := c.peers[node]; p != nil && seq != 0 && p.seq == seq {
+// its record p (nil: none): the original reply is re-appended to dst
+// without re-executing anything, and without counting as contact.
+func (p *peer) replay(dst []byte, seq uint32) ([]byte, bool) {
+	if p != nil && seq != 0 && p.seq == seq {
 		return append(dst, p.reply[:p.replyLen]...), true
 	}
 	return nil, false
 }
 
 // remember caches a request's encoded reply in the node's record for
-// duplicate suppression. An answer is contact: it creates the record of
-// an ID that holds no lease (a nacked renew, an unconfirmed reject) and
-// restarts its TTL.
-func (c *Controller) remember(node, seq uint32, reply []byte) {
-	if seq != 0 {
-		p := c.touch(node)
-		p.seq = seq
-		p.replyLen = uint8(copy(p.reply[:], reply))
+// duplicate suppression; p is the record the request found (nil: none).
+// An answer is contact: it creates the record of an ID that holds no
+// lease (a nacked renew, an unconfirmed reject) and restarts its TTL.
+func (c *Controller) remember(p *peer, node, seq uint32, reply []byte) {
+	if seq == 0 {
+		return
 	}
+	if p == nil {
+		p = c.touch(node)
+	}
+	p.at, p.seq = c.now, seq
+	p.replyLen = uint8(copy(p.reply[:], reply))
 }
 
 // HandleAtAppend processes one encoded control message arriving at time
@@ -917,28 +920,30 @@ func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		if out, hit := c.replay(dst, m.NodeID, m.Seq); hit {
+		p := c.peers[m.NodeID]
+		if out, hit := p.replay(dst, m.Seq); hit {
 			return out, nil
 		}
-		out, err := c.handleJoin(dst, m)
+		out, err := c.handleJoin(dst, p, m)
 		if err != nil {
 			return nil, err
 		}
-		c.remember(m.NodeID, m.Seq, out[mark:])
+		c.remember(p, m.NodeID, m.Seq, out[mark:])
 		return out, nil
 	case MsgShareConfirm:
 		m, err := decodeShareConfirm(raw)
 		if err != nil {
 			return nil, err
 		}
-		if out, hit := c.replay(dst, m.NodeID, m.Seq); hit {
+		p := c.peers[m.NodeID]
+		if out, hit := p.replay(dst, m.Seq); hit {
 			return out, nil
 		}
 		out, err := c.handleShareConfirm(dst, m)
 		if err != nil {
 			return nil, err
 		}
-		c.remember(m.NodeID, m.Seq, out[mark:])
+		c.remember(p, m.NodeID, m.Seq, out[mark:])
 		return out, nil
 	case MsgRelease:
 		m, err := decodeRelease(raw)
@@ -957,11 +962,12 @@ func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error
 		if err != nil {
 			return nil, err
 		}
-		if out, hit := c.replay(dst, m.NodeID, m.Seq); hit {
+		p := c.peers[m.NodeID]
+		if out, hit := p.replay(dst, m.Seq); hit {
 			return out, nil
 		}
-		out := c.handleRenew(dst, m)
-		c.remember(m.NodeID, m.Seq, out[mark:])
+		out := c.handleRenew(dst, p, m)
+		c.remember(p, m.NodeID, m.Seq, out[mark:])
 		return out, nil
 	case MsgAssignment, MsgReject, MsgPromote, MsgRenewAck, MsgRenewNack, MsgAck:
 		// Well-formed frames of reply/push types are not requests an AP
@@ -975,7 +981,9 @@ func (c *Controller) HandleAtAppend(dst, raw []byte, now float64) ([]byte, error
 	}
 }
 
-func (c *Controller) handleJoin(dst []byte, m JoinRequest) ([]byte, error) {
+// handleJoin answers m; p is the node's record (nil: none), as in
+// handleRenew.
+func (c *Controller) handleJoin(dst []byte, p *peer, m JoinRequest) ([]byte, error) {
 	// A NaN demand slips past "<= 0" comparisons and would plant a
 	// NaN-centered channel in the books; refuse non-finite demand
 	// at the trust boundary instead.
@@ -984,31 +992,20 @@ func (c *Controller) handleJoin(dst []byte, m JoinRequest) ([]byte, error) {
 	}
 	// Idempotent re-grant: a node the books already know asked
 	// again, which means the original reply was lost. Re-send its
-	// standing state instead of ErrAlreadyAllocated.
-	if asg, ok := c.Alloc.Lookup(m.NodeID); ok {
-		c.lease(m.NodeID)
-		return AssignmentMsg{
-			NodeID:      m.NodeID,
-			Seq:         m.Seq,
-			CenterHz:    asg.CenterHz,
-			WidthHz:     asg.WidthHz,
-			FSKOffsetHz: asg.FSKOffsetHz,
-		}.AppendTo(dst), nil
-	}
-	if p := c.peers[m.NodeID]; p != nil && p.shared {
+	// standing state instead of a second channel.
+	if p != nil && p.hold != holdNone {
 		p.at = c.now
-		return RejectMsg{NodeID: m.NodeID, Seq: m.Seq, ShareHz: p.center, Harmonic: p.harmonic}.AppendTo(dst), nil
+		if p.hold == holdSharer {
+			return RejectMsg{NodeID: m.NodeID, Seq: m.Seq, ShareHz: p.center, Harmonic: p.harmonic}.AppendTo(dst), nil
+		}
+		return assignmentMsg(dst, m.Seq, p.grant()), nil
 	}
 	asg, err := c.Alloc.Allocate(m.NodeID, m.DemandBps)
 	if err == nil {
-		c.lease(m.NodeID)
-		return AssignmentMsg{
-			NodeID:      m.NodeID,
-			Seq:         m.Seq,
-			CenterHz:    asg.CenterHz,
-			WidthHz:     asg.WidthHz,
-			FSKOffsetHz: asg.FSKOffsetHz,
-		}.AppendTo(dst), nil
+		p = c.touch(m.NodeID)
+		p.hold, p.center, p.width = holdOwner, asg.CenterHz, asg.WidthHz
+		c.leases++
+		return assignmentMsg(dst, m.Seq, asg), nil
 	}
 	if errors.Is(err, ErrBandFull) {
 		// Fall back to SDM: spread overflow nodes across existing
@@ -1040,47 +1037,49 @@ func (c *Controller) handleShareConfirm(dst []byte, m ShareConfirmMsg) ([]byte, 
 	if !(m.WidthHz > 0) || math.IsInf(m.WidthHz, 0) {
 		return nil, fmt.Errorf("%w: ShareConfirm width %v", ErrBadField, m.WidthHz)
 	}
-	if _, ok := c.Alloc.Lookup(m.NodeID); ok {
+	p := c.touch(m.NodeID)
+	switch p.hold {
+	case holdOwner:
 		// An FDM owner confirming a share would double-book itself;
 		// ack without registering and let its next renew resync it
 		// onto the channel it actually owns.
-		c.lease(m.NodeID)
 		return AckMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
+	case holdSharer:
+		c.unshare(p)
+	default:
+		c.leases++
 	}
 	// Register (or re-register) the node on the channel it settled on
 	// after TMA placement.
-	p := c.lease(m.NodeID)
-	if p.shared {
-		c.unshare(p)
-	}
-	p.shared, p.center, p.width, p.harmonic = true, m.ShareHz, m.WidthHz, m.Harmonic
+	p.hold, p.center, p.width, p.harmonic = holdSharer, m.ShareHz, m.WidthHz, m.Harmonic
 	c.sharers[m.ShareHz] = append(c.sharers[m.ShareHz], p)
 	return AckMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst), nil
 }
 
-func (c *Controller) handleRenew(dst []byte, m RenewMsg) []byte {
-	if asg, ok := c.Alloc.Lookup(m.NodeID); ok {
-		c.lease(m.NodeID)
-		return RenewAckMsg{
-			NodeID:      m.NodeID,
-			Seq:         m.Seq,
-			CenterHz:    asg.CenterHz,
-			WidthHz:     asg.WidthHz,
-			FSKOffsetHz: asg.FSKOffsetHz,
-			Shared:      false,
-		}.AppendTo(dst)
+func (c *Controller) handleRenew(dst []byte, p *peer, m RenewMsg) []byte {
+	if p == nil || p.hold == holdNone {
+		return RenewNackMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst)
 	}
-	if p := c.peers[m.NodeID]; p != nil && p.shared {
-		p.at = c.now
-		return RenewAckMsg{
-			NodeID:      m.NodeID,
-			Seq:         m.Seq,
-			CenterHz:    p.center,
-			WidthHz:     p.width,
-			FSKOffsetHz: p.width * FSKFraction,
-			Harmonic:    p.harmonic,
-			Shared:      true,
-		}.AppendTo(dst)
-	}
-	return RenewNackMsg{NodeID: m.NodeID, Seq: m.Seq}.AppendTo(dst)
+	p.at = c.now
+	a := p.grant()
+	return RenewAckMsg{
+		NodeID:      m.NodeID,
+		Seq:         m.Seq,
+		CenterHz:    a.CenterHz,
+		WidthHz:     a.WidthHz,
+		FSKOffsetHz: a.FSKOffsetHz,
+		Harmonic:    p.harmonic,
+		Shared:      p.hold == holdSharer,
+	}.AppendTo(dst)
+}
+
+// assignmentMsg appends the grant reply carrying a to dst.
+func assignmentMsg(dst []byte, seq uint32, a Assignment) []byte {
+	return AssignmentMsg{
+		NodeID:      a.NodeID,
+		Seq:         seq,
+		CenterHz:    a.CenterHz,
+		WidthHz:     a.WidthHz,
+		FSKOffsetHz: a.FSKOffsetHz,
+	}.AppendTo(dst)
 }

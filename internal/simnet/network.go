@@ -482,20 +482,18 @@ func (nw *Network) ValidateSpectrum() error {
 			// invariants.
 			continue
 		}
-		ap := n.AP
+		a, shared, ok := n.AP.Controller.Holding(n.ID)
 		if n.Shared {
-			c, ok := ap.Controller.SharerChannel(n.ID)
-			if !ok {
+			if !ok || !shared {
 				return fmt.Errorf("simnet: SDM node %d not registered with the controller", n.ID)
 			}
-			if c != n.Assignment.CenterHz {
+			if a.CenterHz != n.Assignment.CenterHz {
 				return fmt.Errorf("simnet: SDM node %d confirmed on %.0f Hz but occupies %.0f Hz",
-					n.ID, c, n.Assignment.CenterHz)
+					n.ID, a.CenterHz, n.Assignment.CenterHz)
 			}
 			continue
 		}
-		a, ok := ap.Controller.Alloc.Lookup(n.ID)
-		if !ok {
+		if !ok || shared {
 			return fmt.Errorf("simnet: exclusive node %d holds no allocation", n.ID)
 		}
 		if a.CenterHz != n.Assignment.CenterHz || a.WidthHz != n.Assignment.WidthHz {

@@ -498,8 +498,8 @@ func TestChurnOwnerLeavePromotesSharer(t *testing.T) {
 	if n3.Shared {
 		t.Fatal("sharer not promoted after its host left")
 	}
-	if _, ok := nw.APs[0].Controller.Alloc.Lookup(3); !ok {
-		t.Fatal("promoted sharer missing from the allocator")
+	if _, shared, ok := nw.APs[0].Controller.Holding(3); !ok || shared {
+		t.Fatal("promoted sharer does not own a channel")
 	}
 	// A fresh joiner must land clear of the promoted ex-sharer.
 	n4 := joinOne(t, nw, 4, 80e6)

@@ -197,7 +197,8 @@ type NodeReport struct {
 	ID uint32
 	// SNRdB ignores interference; SINRdB includes it.
 	SNRdB, SINRdB float64
-	// BER is the joint ASK-FSK error rate at the SINR.
+	// BER is Evaluation.BERWithOTAM at the SINR: the OOK error rate
+	// table read at the SINR in the full channel width.
 	BER float64
 	// PathClass is "los", "nlos" or "blocked".
 	PathClass string
