@@ -29,7 +29,7 @@ func handleAt(t *testing.T, c *Controller, m any, now float64) any {
 
 // TestControllerIdempotentJoin drives the lost-reply retransmission case:
 // a node that never heard its grant asks again and must get the same
-// spectrum back, not ErrAlreadyAllocated.
+// spectrum back, not a second channel.
 func TestControllerIdempotentJoin(t *testing.T) {
 	c := NewController(ISM24GHz())
 	first, ok := handleAt(t, c, JoinRequest{NodeID: 1, Seq: 1, DemandBps: 100e6}, 0).(AssignmentMsg)

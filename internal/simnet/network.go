@@ -459,8 +459,9 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 }
 
 // ValidateSpectrum cross-checks the network's spectrum state against the
-// MAC layer's books, per AP: allocator invariants hold at every AP, every
-// FDM owner's assignment matches its serving AP's record, every SDM
+// MAC layer's books, per AP: every AP's books pass AuditBooks (allocator
+// invariants, and the allocator books exactly its owner records' grants),
+// every FDM owner's assignment matches its serving AP's record, every SDM
 // sharer is registered with its serving AP's controller on the channel it
 // actually occupies, and no two exclusive (non-SDM) channels at the same
 // AP overlap (cross-AP overlap is legal — that is what frequency reuse
@@ -471,7 +472,7 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 // property the churn and roam lifecycles preserve.
 func (nw *Network) ValidateSpectrum() error {
 	for _, ap := range nw.APs {
-		if err := ap.Controller.Alloc.Validate(); err != nil {
+		if err := ap.Controller.AuditBooks(); err != nil {
 			return fmt.Errorf("simnet: AP %d: %w", ap.idx, err)
 		}
 	}
@@ -497,7 +498,7 @@ func (nw *Network) ValidateSpectrum() error {
 			return fmt.Errorf("simnet: exclusive node %d holds no allocation", n.ID)
 		}
 		if a.CenterHz != n.Assignment.CenterHz || a.WidthHz != n.Assignment.WidthHz {
-			return fmt.Errorf("simnet: node %d assignment drifted from the allocator", n.ID)
+			return fmt.Errorf("simnet: node %d assignment drifted from its AP's record", n.ID)
 		}
 	}
 	// Roaming invariant: walking each AP's leaseholders costs O(total

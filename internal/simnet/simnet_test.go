@@ -339,7 +339,7 @@ func TestAllocatorStaysValidThroughNetworkChurn(t *testing.T) {
 				break
 			}
 		}
-		if err := nw.APs[0].Controller.Alloc.Validate(); err != nil {
+		if err := nw.APs[0].Controller.AuditBooks(); err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
 		if len(nw.Nodes) != len(live) {
@@ -506,7 +506,7 @@ func TestChurnOwnerLeavePromotesSharer(t *testing.T) {
 	if !n4.Shared && assignmentsOverlap(n4.Assignment, n3.Assignment) {
 		t.Fatalf("exclusive re-grant %v over live ex-sharer %v", n4.Assignment, n3.Assignment)
 	}
-	if err := nw.APs[0].Controller.Alloc.Validate(); err != nil {
+	if err := nw.APs[0].Controller.AuditBooks(); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.ValidateSpectrum(); err != nil {
