@@ -1,11 +1,10 @@
 // Command mmx-apd serves the mmX access point's control plane from a UDP
 // socket: the spectrum allocator and lease machinery of mac.Controller
-// behind the netctl.Server ingest pipeline, speaking the existing
-// little-endian wire format unchanged. Reader goroutines drain the
-// socket, frames shard by node ID so each node's requests are handled in
-// arrival order, the bounded ingress queue sheds overload with an
-// explicit Reject sentinel, and a background sweeper expires the leases
-// of nodes gone silent.
+// behind netctl.Server, speaking the existing little-endian wire format
+// unchanged. One reader drains the socket into one bounded ingress
+// queue, which sheds overload with an explicit Reject sentinel; one
+// worker handles the queue in arrival order and, between batches,
+// expires the leases of nodes gone silent.
 //
 // On SIGTERM/SIGINT the daemon drains — every queued frame is handled
 // and its reply flushed — then prints a final audit line:
@@ -19,7 +18,7 @@
 // Usage:
 //
 //	mmx-apd -listen 127.0.0.1:7420
-//	mmx-apd -listen :7420 -lease-ttl 5 -expire-every 1 -workers 8
+//	mmx-apd -listen :7420 -lease-ttl 5 -expire-every 1
 package main
 
 import (
@@ -42,10 +41,7 @@ func main() {
 		listen      = flag.String("listen", "127.0.0.1:7420", "UDP address to serve the control plane on")
 		band        = flag.String("band", "ism24", "spectrum band: ism24 (24 GHz ISM) or u60 (60 GHz unlicensed)")
 		leaseTTL    = flag.Float64("lease-ttl", 10, "seconds a lease survives without a renew (0 disables expiry)")
-		expireEvery = flag.Float64("expire-every", 1, "seconds between lease-expiry sweeps (0 disables the sweeper)")
-		readers     = flag.Int("readers", 1, "goroutines draining the socket")
-		workers     = flag.Int("workers", 4, "shard workers serializing controller access per node")
-		queue       = flag.Int("queue", 4096, "per-shard ingress queue depth before shedding")
+		expireEvery = flag.Float64("expire-every", 1, "seconds between lease-expiry sweeps (0 disables the sweep)")
 		quiet       = flag.Bool("quiet", false, "suppress operational log lines")
 		cpuProfile  = flag.String("cpuprofile", "", "write a pprof CPU profile of the serving run to this file")
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (at shutdown) to this file")
@@ -53,7 +49,7 @@ func main() {
 	flag.Parse()
 	// Every flag is checked before the socket opens. Each rule states what
 	// a good value satisfies, so NaN fails it; a sweep period must also
-	// convert to a time.Duration of at least 1 ns, or the sweeper's ticker
+	// convert to a time.Duration of at least 1 ns, or the sweep's ticker
 	// panics while the daemon is already serving.
 	sweep := *expireEvery * float64(time.Second)
 	for _, r := range []struct {
@@ -62,9 +58,6 @@ func main() {
 	}{
 		{"lease-ttl", "finite seconds, 0 or more", *leaseTTL >= 0 && *leaseTTL <= math.MaxFloat64},
 		{"expire-every", "0, or seconds from 1e-9 to 9.2e9", *expireEvery == 0 || (sweep >= 1 && sweep < math.MaxInt64)},
-		{"readers", "at least 1", *readers >= 1},
-		{"workers", "at least 1", *workers >= 1},
-		{"queue", "at least 1", *queue >= 1},
 	} {
 		if !r.ok {
 			fmt.Fprintf(os.Stderr, "mmx-apd: bad -%s %s (want %s)\n", r.name, flag.Lookup(r.name).Value, r.want)
@@ -110,15 +103,11 @@ func main() {
 		logf = nil
 	}
 	srv := netctl.NewServer(ctrl, netctl.NewRealClock(), netctl.ServerConfig{
-		Readers:      *readers,
-		Workers:      *workers,
-		QueueLen:     *queue,
 		ExpireEveryS: *expireEvery,
 		Logf:         logf,
 	})
 	srv.Serve(conn)
-	fmt.Printf("mmx-apd: serving %s on %s (ttl=%gs workers=%d queue=%d)\n",
-		b, conn.LocalAddr(), *leaseTTL, *workers, *queue)
+	fmt.Printf("mmx-apd: serving %s on %s (ttl=%gs)\n", b, conn.LocalAddr(), *leaseTTL)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

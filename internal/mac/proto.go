@@ -446,8 +446,8 @@ func boxDecode[T any](m T, err error) (any, error) {
 
 // PeekHeader reads the fixed header every control message opens with —
 // type tag, node ID and (for sequenced messages) sequence number —
-// without decoding the body. Servers use it to route frames to per-node
-// shards and to address shed replies before paying for a full decode.
+// without decoding the body. Servers use it to screen frames and to
+// address shed replies before paying for a full decode.
 // ok is false for frames too short to carry a header or outside the
 // frame cap; seq is 0 for PromoteMsg, the one unsequenced type.
 func PeekHeader(b []byte) (t MsgType, node, seq uint32, ok bool) {

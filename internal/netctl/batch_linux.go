@@ -30,7 +30,7 @@ type mmsghdr struct {
 // verbatim on the reply path — so a dual-stack socket answers
 // v4-mapped peers in exactly the representation they arrived with.
 // Interning gives every (ip, port) one stable pointer, which is what
-// lets the per-shard address tables and reply frames share addresses
+// lets the address table and reply frames share addresses
 // without copying or allocating per datagram.
 type mmAddr struct {
 	net.UDPAddr

@@ -59,13 +59,13 @@ func buildStream(nodes int) ([]streamNode, int) {
 
 // runStream drives the stream through a fresh server at the given batch
 // size — op-major order (all joins, all confirms, ...) from a single
-// goroutine, so the arrival order at the single shard is identical
+// goroutine, so the arrival order at the server's queue is identical
 // across runs — and returns each node's concatenated reply bytes.
 func runStream(t *testing.T, batch int, ns []streamNode) ([][]byte, ServerStats) {
 	t.Helper()
 	mn := NewMemNet(nil)
 	ctrl := mac.NewController(mac.ISM24GHz())
-	srv := NewServer(ctrl, NewRealClock(), ServerConfig{Readers: 1, Workers: 1, Batch: batch})
+	srv := NewServer(ctrl, NewRealClock(), ServerConfig{Batch: batch})
 	srv.Serve(mn.ServerConn())
 	defer srv.Stop()
 

@@ -375,7 +375,7 @@ func (a memAddr) String() string  { return fmt.Sprintf("mem:%d", uint32(a)) }
 // MemNet is an in-memory datagram network: one server socket plus any
 // number of client transports, with a seeded faults.SideChannel on each
 // direction. It lets the full daemon/client stack — Server goroutines,
-// shard queues, retry machines — run in a test with deterministic fault
+// ingest queue, retry machines — run in a test with deterministic fault
 // injection and no real sockets. Datagrams ride the same pooled frames
 // as the socket path, so the MemNet benchmark measures the server's
 // true allocation behavior. The network outlives any one server: after

@@ -32,7 +32,7 @@ go build -o "$BIN/mmx-load" ./cmd/mmx-load
 
 start_daemon() {
     "$BIN/mmx-apd" -listen "127.0.0.1:$PORT" -lease-ttl $TTL -expire-every 0.5 \
-        -workers 8 -queue 1024 -quiet > "$1" 2>&1 &
+        -quiet > "$1" 2>&1 &
     DAEMON_PID=$!
     sleep 0.5
 }
