@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"mmx/internal/mac"
 )
@@ -114,8 +115,24 @@ func runStream(t *testing.T, batch int, ns []streamNode) ([][]byte, ServerStats)
 			got[i] = append(got[i], frame...)
 			k++
 		}
-		if frame, ok := trs[i].Recv(0.02); ok && mac.MsgType(frame[0]) != mac.MsgPromote {
-			t.Fatalf("batch=%d node %d: unexpected extra reply % x", batch, ns[i].id, frame)
+	}
+	// Every solicited reply is in, so anything else queued for a node must
+	// be a promote. The drain shares one 20 ms deadline across the nodes;
+	// past it, a short floor still lets a queued frame win Recv's select.
+	deadline := time.Now().Add(20 * time.Millisecond)
+	for i := range ns {
+		for {
+			wait := time.Until(deadline).Seconds()
+			if wait < 1e-4 {
+				wait = 1e-4
+			}
+			frame, ok := trs[i].Recv(wait)
+			if !ok {
+				break
+			}
+			if mac.MsgType(frame[0]) != mac.MsgPromote {
+				t.Fatalf("batch=%d node %d: unexpected extra reply % x", batch, ns[i].id, frame)
+			}
 		}
 	}
 	return got, srv.Stats()

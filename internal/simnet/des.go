@@ -10,17 +10,17 @@ import (
 
 // event is one scheduled simulation action, stored by value in the
 // queue. A generic event carries fn; a frame event (fn == nil) carries
-// its data instead — the node's stable handle, the generation of the
-// traffic chain it belongs to and the payload drawn when it was
-// scheduled — so dispatching a frame allocates nothing.
+// its data instead — the node its chain transmits for, the node's stable
+// handle and the generation of the chain — so dispatching a frame
+// allocates nothing, and the node and the handle load independently.
 type event struct {
 	at  float64
 	seq int // tie-break so ordering is deterministic
 	fn  func()
 
-	h       *nodeHandle
-	gen     int
-	payload int
+	n   *Node
+	h   *nodeHandle
+	gen int
 }
 
 // before is the dispatch order: time, then scheduling order.
@@ -107,6 +107,11 @@ func (s *Sim) pop() event {
 	return top
 }
 
+// dispatched counts the events RunUntil has run so far, stale frame
+// events included: every schedule queues one event and every dispatch
+// pops one, so nothing on the dispatch path keeps a count.
+func (s *Sim) dispatched() int { return s.seq - len(s.q) }
+
 // RunUntil executes events in time order until the queue drains or the
 // horizon is reached, and leaves the clock at the horizon.
 func (s *Sim) RunUntil(horizon float64) {
@@ -116,7 +121,7 @@ func (s *Sim) RunUntil(horizon float64) {
 		if e.fn != nil {
 			e.fn()
 		} else {
-			s.run.fireFrame(e.h, e.gen, e.payload)
+			s.run.fireFrame(e.n, e.h, e.gen)
 		}
 	}
 	if s.now < horizon {
@@ -206,6 +211,14 @@ type ControlStats struct {
 	Crashes, Reboots, APRestarts int
 }
 
+// WorkStats counts the work a run did. The counts are exact: the same
+// run gives the same counts at any Workers and on any machine.
+type WorkStats struct {
+	// Events counts the events the engine dispatched: frames (a departed
+	// node's stale frame too), ticks, churn and faults.
+	Events int
+}
+
 // APInterval is one contiguous association of a node with an AP: the AP's
 // registry index and the sim-time span. Intervals close at a leave, a
 // roam, or the end of the run (never left dangling). A crash does not
@@ -240,6 +253,8 @@ type RunStats struct {
 	PerNode  []NodeStats
 	// Control summarizes the control plane's fault handling.
 	Control ControlStats
+	// Work counts what the run did, independent of wall time.
+	Work WorkStats
 	// Joins and Leaves count membership events executed inside the run
 	// (scheduled churn plus Join/Leave calls from callbacks); the
 	// starting membership is not counted. JoinsFailed counts mid-run
@@ -277,12 +292,12 @@ func (r RunStats) TotalGoodputBps() float64 {
 // cycles of the same ID.
 type nodeHandle struct {
 	st        NodeStats
-	node      *Node // the member the live frame chain transmits for
 	present   bool
 	joinedAt  float64 // start of the current presence interval
 	activeS   float64 // sum of closed presence intervals
 	busyUntil float64 // transmitter occupancy horizon
 	gen       int     // bumped on leave: cancels stale frame chains
+	payload   int     // drawn for the live chain's queued frame
 
 	// The node's pending SINR samples, one run-length: while sampled, it
 	// observed sinr at every instant from observation instant from on
@@ -463,31 +478,34 @@ const maxBacklogS = 0.05
 // delivered with probability (1−BER)^bits. The chain is generation-
 // stamped: a leave bumps the handle's gen, so an in-flight frame event
 // of a departed node expires silently instead of transmitting for a
-// non-member.
+// non-member. Every frame event names n itself: while the generation
+// matches, the chain is the one started here, and a rejoin under the ID
+// is a new Node behind a bumped generation.
 func (rs *runState) scheduleFrames(n *Node) {
 	h := rs.hcache[n.idx]
-	h.node = n
-	rs.nextFrame(h, h.gen)
+	rs.nextFrame(n, h, h.gen)
 }
 
 // nextFrame draws the chain's next gap and payload and puts the frame
 // event on the queue. gen is the chain's own generation, not h.gen
 // re-read: a traffic model that leaves its node from inside Next must
-// still end the chain it was called from.
-func (rs *runState) nextFrame(h *nodeHandle, gen int) {
-	delay, payload := h.node.Traffic.Next(rs.nw.rng)
+// still end the chain it was called from. The payload waits on the
+// handle: a handle has one live chain, so one queued frame that reads it,
+// and a stale frame returns before it would.
+func (rs *runState) nextFrame(n *Node, h *nodeHandle, gen int) {
+	delay, payload := n.Traffic.Next(rs.nw.rng)
+	h.payload = payload
 	s := rs.sim
-	s.schedule(event{at: s.now + delay, h: h, gen: gen, payload: payload})
+	s.schedule(event{at: s.now + delay, n: n, h: h, gen: gen})
 }
 
 // fireFrame is the body of a frame event: account the frame at the
 // node's adapted rate, then schedule the chain's next one.
-func (rs *runState) fireFrame(h *nodeHandle, gen, payload int) {
+func (rs *runState) fireFrame(n *Node, h *nodeHandle, gen int) {
 	if h.gen != gen {
 		return // the node left: its frame chain ends here
 	}
-	n := h.node
-	if payload > 0 && !n.Down {
+	if payload := h.payload; payload > 0 && !n.Down {
 		bits := float64(8 * payload)
 		rate := n.RateBps
 		st := &h.st
@@ -521,7 +539,7 @@ func (rs *runState) fireFrame(h *nodeHandle, gen, payload int) {
 			}
 		}
 	}
-	rs.nextFrame(h, gen)
+	rs.nextFrame(n, h, gen)
 }
 
 // Run drives the network for duration seconds: blockers walk (re-evaluated
@@ -784,7 +802,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		perNode = append(perNode, st)
 	}
 	return RunStats{
-		Duration: duration, PerNode: perNode, Control: ctl,
+		Duration: duration, PerNode: perNode, Control: ctl, Work: WorkStats{Events: sim.dispatched()},
 		Joins: rs.joins, Leaves: rs.leaves, JoinsFailed: rs.joinsFailed,
 		Roams: rs.roams, RoamsFailed: rs.roamsFailed,
 		PerAP: rs.apStats, APHistory: rs.apHist,

@@ -81,13 +81,28 @@ func TestScheduleLeaveNaNKeepsStatsFinite(t *testing.T) {
 // TestSimDispatchOrderMatchesReference is the engine's order contract as
 // a property: a few thousand generic and frame events — duplicate times,
 // past times, times equal to the horizon, events scheduled from inside
-// handlers, frame chains cancelled by a generation bump — must dispatch
-// exactly as a stable sort of the scheduling log by (at, seq), seq being
-// call order and past times clamped to now.
+// handlers, frame chains cancelled by a generation bump and restarted on
+// the same handle by a new Node while the stale frame is still queued —
+// must dispatch exactly as a stable sort of the scheduling log by (at,
+// seq), seq being call order and past times clamped to now.
 func TestSimDispatchOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
-		checkDispatchOrder(t, seed)
+		fired, rejoins := checkDispatchOrder(t, seed, nil)
+		if fired < 3000 || rejoins < 100 {
+			t.Errorf("seed %d: %d events dispatched, %d chains restarted over a queued stale frame; the plan is too thin to mean much", seed, fired, rejoins)
+		}
 	}
+}
+
+// FuzzSimDispatchOrder runs the same check with its choices read from
+// the fuzz input first and from the seeded RNG once the input runs out.
+func FuzzSimDispatchOrder(f *testing.F) {
+	f.Add(uint64(1), []byte{})
+	f.Add(uint64(2), []byte{1, 3, 1, 0, 7, 1, 5, 2, 1, 1, 0, 2})
+	f.Add(uint64(3), []byte{0, 0, 0, 0, 9, 9, 9, 9, 1, 2, 1, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, plan []byte) {
+		checkDispatchOrder(t, seed, plan)
+	})
 }
 
 // scheduled is one entry of the reference's scheduling log; seq doubles
@@ -98,7 +113,12 @@ type scheduled struct {
 	cancelled bool
 }
 
-func checkDispatchOrder(t *testing.T, seed uint64) {
+// checkDispatchOrder drives the engine with a random plan and compares
+// it, at several horizons, against the reference. It returns the number
+// of events that fired and of chains restarted on a new Node while the
+// stale frame was queued. Each choice takes the next byte of plan while
+// any is left, then a draw from an RNG seeded with seed.
+func checkDispatchOrder(t *testing.T, seed uint64, plan []byte) (int, int) {
 	t.Helper()
 	const (
 		horizon   = 16.0
@@ -106,8 +126,20 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 		numChains = 12
 	)
 	rng := stats.NewRNG(seed)
+	pick := func(n int) int {
+		if len(plan) == 0 {
+			return rng.Intn(n)
+		}
+		v := int(plan[0]) % n
+		plan = plan[1:]
+		return v
+	}
 	s := NewSim()
-	rs := &runState{nw: &Network{}, sim: s, hcache: make([]*nodeHandle, numChains)}
+	rs := &runState{
+		nw:     &Network{Nodes: make([]*Node, numChains)},
+		sim:    s,
+		hcache: make([]*nodeHandle, numChains),
+	}
 	for i := range rs.hcache {
 		rs.hcache[i] = new(nodeHandle)
 	}
@@ -116,8 +148,18 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 	var (
 		log     []*scheduled // every event scheduled, in call order
 		fired   []int        // seqs in dispatch order
+		rejoins int
 		pending = map[uint32]*scheduled{}
 		generic int
+		// live[id] is the Node that started chain id's current
+		// generation (nil while no chain runs), payload[id] what its
+		// queued frame carries, sent[id] the frames the handle should
+		// have accounted, and starting the Node whose chain
+		// scheduleFrames is starting.
+		live     [numChains]*Node
+		payload  [numChains]int
+		sent     [numChains]int
+		starting *Node
 	)
 	// record mirrors the contract on the reference's side: seq in call
 	// order, a past time clamped to now.
@@ -131,16 +173,67 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 	}
 	// Times sit on a quarter-second grid so duplicates, past times and
 	// hits on the horizons (all grid points) are common.
-	someTime := func() float64 { return float64(rng.Intn(4*horizon+9)-4) / 4 }
+	someTime := func() float64 { return float64(pick(4*horizon+9)-4) / 4 }
 
 	var spawn func()
+	// newNode makes a fresh Node for chain id, standing in the membership
+	// at the handle's index. Its frames carry payload 0 or 1 at rate 0:
+	// the frame body counts the second kind on the handle as outage
+	// frames. Next is called once by scheduleFrames, then by fireFrame for
+	// each frame: either way it must be the Node that started the chain.
+	newNode := func(id uint32) *Node {
+		n := &Node{idx: int(id)}
+		n.ID = id
+		n.Traffic = trafficFunc(func() (float64, int) {
+			if starting != nil {
+				if starting != n {
+					t.Fatalf("seed %d: chain %d started on node %d's traffic model", seed, starting.ID, id)
+				}
+				starting = nil
+			} else {
+				p := pending[id]
+				if live[id] != n || p == nil {
+					t.Fatalf("seed %d: frame dispatched at %g for a node whose chain %d is not live", seed, s.Now(), id)
+				}
+				if s.Now() != p.at {
+					t.Fatalf("seed %d: frame %d fired at %g, scheduled for %g", seed, p.seq, s.Now(), p.at)
+				}
+				sent[id] += payload[id]
+				if got := rs.hcache[id].st.FramesSent; got != sent[id] {
+					t.Fatalf("seed %d: handle %d accounted %d frames, its chains sent %d", seed, id, got, sent[id])
+				}
+				fired = append(fired, p.seq)
+			}
+			if pick(8) == 0 {
+				spawn() // a traffic model may schedule from inside Next
+			}
+			d := float64(pick(10)-1) / 4
+			pending[id] = record(s.Now() + d)
+			payload[id] = pick(2)
+			return d, payload[id]
+		})
+		rs.nw.Nodes[id] = n
+		return n
+	}
+	// startChain starts chain id on a new Node, as an activation does.
+	startChain := func(id uint32) {
+		n := newNode(id)
+		live[id], starting = n, n
+		rs.scheduleFrames(n)
+		if starting != nil {
+			t.Fatalf("seed %d: scheduleFrames drew no Next for chain %d", seed, id)
+		}
+	}
+	for id := uint32(0); id < numChains; id++ {
+		newNode(id)
+	}
 	handler := func(e *scheduled) func() {
 		return func() {
 			if s.Now() != e.at {
 				t.Fatalf("seed %d: event %d fired at %g, scheduled for %g", seed, e.seq, s.Now(), e.at)
 			}
 			fired = append(fired, e.seq)
-			for k := rng.Intn(3); k > 0; k-- {
+			for k := pick(3); k > 0; k-- {
 				spawn()
 			}
 		}
@@ -150,20 +243,42 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 			return
 		}
 		generic++
-		switch rng.Intn(4) {
+		switch pick(4) {
 		case 0: // relative, possibly zero or negative
-			d := float64(rng.Intn(12)-2) / 4
+			d := float64(pick(12)-2) / 4
 			s.After(d, handler(record(s.Now()+d)))
-		case 1: // cancel a live frame chain, as a leave does
-			id := uint32(rng.Intn(numChains))
+		case 1: // churn: a live chain is cancelled, as a leave does; an idle one starts
+			id := uint32(pick(numChains))
 			at := someTime()
+			rejoin := pick(3) // after a leave — 0: none, 1: at once, 2: later
+			var later float64
+			if rejoin == 2 {
+				later = someTime()
+			}
 			e := record(at)
 			s.At(at, func() {
 				fired = append(fired, e.seq)
-				if p := pending[id]; p != nil {
-					rs.hcache[id].gen++
-					p.cancelled = true
-					delete(pending, id)
+				if live[id] == nil {
+					startChain(id)
+					return
+				}
+				p := pending[id]
+				rs.hcache[id].gen++
+				p.cancelled = true
+				delete(pending, id)
+				live[id] = nil
+				switch rejoin {
+				case 1: // a new Node on the handle while the stale frame is queued
+					rejoins++
+					startChain(id)
+				case 2:
+					r := record(later)
+					s.At(later, func() {
+						fired = append(fired, r.seq)
+						if live[id] == nil {
+							startChain(id)
+						}
+					})
 				}
 			})
 		default:
@@ -172,36 +287,19 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 		}
 	}
 
-	// Frame chains: Next is called once to start the chain and then from
-	// fireFrame, so every call after the first is the previous frame's
-	// dispatch; payload 0 makes the frame body a no-op.
 	for id := uint32(0); id < numChains; id++ {
 		id := id
-		n := &Node{idx: int(id)}
-		n.ID = id
-		n.Traffic = trafficFunc(func() (float64, int) {
-			if p := pending[id]; p != nil {
-				if s.Now() != p.at {
-					t.Fatalf("seed %d: frame %d fired at %g, scheduled for %g", seed, p.seq, s.Now(), p.at)
-				}
-				fired = append(fired, p.seq)
-			}
-			if rng.Intn(8) == 0 {
-				spawn() // a traffic model may schedule from inside Next
-			}
-			d := float64(rng.Intn(10)-1) / 4
-			pending[id] = record(s.Now() + d)
-			return d, 0
-		})
 		if id%2 == 0 {
-			rs.scheduleFrames(n)
+			startChain(id)
 		} else {
 			// Half the chains start mid-run, like an activated joiner.
 			at := someTime()
 			e := record(at)
 			s.At(at, func() {
 				fired = append(fired, e.seq)
-				rs.scheduleFrames(n)
+				if live[id] == nil {
+					startChain(id)
+				}
 			})
 		}
 	}
@@ -219,9 +317,13 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 			}
 			return ref[i].seq < ref[j].seq
 		})
+		due := 0 // events at or before h, stale frames included
 		for _, e := range ref {
-			if e.at <= h && !e.cancelled {
-				want = append(want, e.seq)
+			if e.at <= h {
+				due++
+				if !e.cancelled {
+					want = append(want, e.seq)
+				}
 			}
 		}
 		if len(fired) != len(want) {
@@ -232,13 +334,14 @@ func checkDispatchOrder(t *testing.T, seed uint64) {
 				t.Fatalf("seed %d, horizon %g: dispatch %d was event %d, reference says %d", seed, h, i, fired[i], want[i])
 			}
 		}
+		if got := s.dispatched(); got != due {
+			t.Fatalf("seed %d, horizon %g: engine counts %d dispatched events, reference has %d", seed, h, got, due)
+		}
 		if s.Now() != h {
 			t.Fatalf("seed %d: clock = %g after RunUntil(%g)", seed, s.Now(), h)
 		}
 	}
-	if len(fired) < 3000 {
-		t.Errorf("seed %d: only %d events dispatched; the plan is too thin to mean much", seed, len(fired))
-	}
+	return len(fired), rejoins
 }
 
 // frameBranchNetwork is four close-in cameras that between them take
@@ -271,13 +374,15 @@ func frameBranchNetwork(t *testing.T) *Network {
 
 // TestFrameAccountingIdentity drives the delivered-frame branch — the
 // one the outage-only sim-traffic benchmark never executes — and checks
-// that every frame sent is accounted exactly once.
+// that every frame sent is accounted exactly once, and dispatched as
+// exactly one event.
 func TestFrameAccountingIdentity(t *testing.T) {
 	nw := frameBranchNetwork(t)
 	st := nw.Run(2, 0, 10)
 	const frameBits = 8 * 1500
-	var delivered, lost, dropped, outage int
+	var sent, delivered, lost, dropped, outage int
 	for _, pn := range st.PerNode {
+		sent += pn.FramesSent
 		d := pn.BitsDelivered / frameBits
 		if d != math.Trunc(d) {
 			t.Fatalf("node %d delivered %g bits: not whole frames", pn.ID, pn.BitsDelivered)
@@ -296,6 +401,10 @@ func TestFrameAccountingIdentity(t *testing.T) {
 	}
 	if delivered == 0 || lost == 0 || dropped == 0 || outage == 0 {
 		t.Errorf("delivered %d, lost %d, dropped %d, outage %d: every branch should have run", delivered, lost, dropped, outage)
+	}
+	// Frames are the only events, and every one sends.
+	if st.Work.Events != sent {
+		t.Errorf("Work.Events = %d, want the %d frames sent", st.Work.Events, sent)
 	}
 }
 

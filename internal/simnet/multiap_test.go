@@ -206,7 +206,7 @@ func cases4() []channel.Vec2 {
 // full reference scenario — lossy control, blocker sweep, hysteresis
 // roaming, Poisson churn — over the sparse core must be byte-identical
 // between a serial run and an 8-worker run, including roam counters,
-// per-AP stats and association histories. Run under -race this also
+// per-AP stats, association histories and the work counts. Run under -race this also
 // proves the parallel settle fan-out never races the roam bookkeeping.
 func TestMultiAPChurnRoamDeterminism(t *testing.T) {
 	run := func(workers int) RunStats {
@@ -223,6 +223,11 @@ func TestMultiAPChurnRoamDeterminism(t *testing.T) {
 	fa, fb := fingerprintMultiAP(a), fingerprintMultiAP(b)
 	if fa != fb {
 		t.Fatalf("multi-AP runs diverge between Workers=1 and Workers=8:\n--- serial ---\n%s--- parallel ---\n%s", fa, fb)
+	}
+	// Work counts are exact at any width; the leaves leave stale frames
+	// behind, which count as dispatched events too.
+	if a.Work != b.Work || a.Work.Events == 0 || a.Leaves == 0 {
+		t.Errorf("Work = %+v at Workers=1, %+v at Workers=8 (%d leaves)", a.Work, b.Work, a.Leaves)
 	}
 	if a.Roams == 0 {
 		t.Error("reference scenario produced no roams — the blocker sweep should dislodge at least one node")
