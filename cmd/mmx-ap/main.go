@@ -89,8 +89,7 @@ func sdmDemo(seed uint64, workers int) {
 
 	// Build each node's wideband waveform (the VCO sits on its channel).
 	arr := tma.NewSDMArray(8, fpHz)
-	sep := apdsp.NewSDMSeparator(arr, wideRate)
-	var captures []apdsp.NodeCapture
+	var captures []tma.Source
 	maxLen := 0
 	for _, n := range nodes {
 		bits, err := modem.BuildFrame([]byte(n.payload))
@@ -106,7 +105,7 @@ func sdmDemo(seed uint64, workers int) {
 		if len(x) > maxLen {
 			maxLen = len(x)
 		}
-		captures = append(captures, apdsp.NodeCapture{
+		captures = append(captures, tma.Source{
 			Theta:    n.thetaDeg * math.Pi / 180,
 			Baseband: x,
 		})
@@ -117,7 +116,7 @@ func sdmDemo(seed uint64, workers int) {
 	}
 
 	// One antenna chain's worth of samples for the whole band.
-	wide := sep.MixSDM(captures)
+	wide := arr.MixInto(nil, captures, wideRate)
 	dsp.AddNoise(wide, 1e-4, stats.NewRNG(seed))
 	fmt.Printf("wideband capture: %d samples at %.0f MS/s (%.2f ms of air)\n\n",
 		len(wide), wideRate/1e6, float64(len(wide))/wideRate*1e3)

@@ -71,7 +71,7 @@ func main() {
 	crashes := parseEvents(*crash, "-crash")
 	reboots := parseEvents(*reboot, "-reboot")
 	var restartAt, restartDown float64
-	restartAP := -1 // the plan's default AP unless the spec names one
+	restartAP := 0 // the construction-time AP unless the spec names one
 	if *apRestart != "" {
 		if _, err := fmt.Sscanf(*apRestart, "%f@%f@%d", &restartAt, &restartDown, &restartAP); err == nil {
 			if restartAP < 0 || restartAP >= *aps {
@@ -178,11 +178,8 @@ func main() {
 	for _, ev := range reboots {
 		plan.Reboot(ev.at, uint32(ev.id))
 	}
-	switch {
-	case restartAP >= 0:
+	if *apRestart != "" {
 		plan.RestartAPAt(restartAt, restartDown, restartAP)
-	case *apRestart != "":
-		plan.RestartAP(restartAt, restartDown)
 	}
 	if len(plan.Events) > 0 {
 		nw.SetFaultPlan(plan)

@@ -1,16 +1,13 @@
 // Package apdsp implements the access point's wideband receive signal
 // processing: the AP digitizes the whole 250 MHz ISM band at once (§5.2's
 // baseband processor) and must split it back into per-node links. One
-// mechanism does both halves of that split:
-//
-//   - FilterBank — a uniform polyphase filterbank extracts every node's
-//     baseband from the capture in a single pass. FDM: each node's
-//     allocated channel is a bin of the bank's grid. SDM: co-channel
-//     nodes arrive from different angles and the time-modulated array
-//     has hashed them onto different switching harmonics (±k·f_p), so a
-//     node's slot is its channel plus its harmonic's shift — still a bin.
-//   - SDMSeparator — the TMA seen from the capture side: it synthesizes
-//     the single-chain capture of several co-channel nodes.
+// mechanism does that split: FilterBank, a uniform polyphase filterbank,
+// extracts every node's baseband from the capture in a single pass. FDM:
+// each node's allocated channel is a bin of the bank's grid. SDM:
+// co-channel nodes arrive from different angles and the time-modulated
+// array has hashed them onto different switching harmonics (±k·f_p), so a
+// node's slot is its channel plus its harmonic's shift — still a bin. The
+// single-chain capture such nodes sum into is tma.Array.MixInto's.
 //
 // Together with modem.StreamReceiver this is the full software AP: one
 // wideband capture in, every node's frames out (FilterBank.ReceiveAll).
@@ -27,7 +24,6 @@ import (
 	"errors"
 
 	"mmx/internal/modem"
-	"mmx/internal/tma"
 )
 
 // Errors from channel extraction.
@@ -46,29 +42,4 @@ func ChannelConfig(outRate, symbolRate, fskOffsetHz float64) modem.Config {
 		F0:         -fskOffsetHz / 2,
 		F1:         +fskOffsetHz / 2,
 	}
-}
-
-// SDMSeparator is the AP's time-modulated array as the capture sees it:
-// the single-chain output co-channel nodes sum into.
-type SDMSeparator struct {
-	// Array is the AP's time-modulated array (its switching rate sets
-	// the harmonic spacing, which must exceed the channel bandwidth).
-	Array *tma.Array
-	// WidebandRate is the capture rate of the TMA output.
-	WidebandRate float64
-}
-
-// NewSDMSeparator wraps a TMA sampled at widebandRate.
-func NewSDMSeparator(a *tma.Array, widebandRate float64) *SDMSeparator {
-	return &SDMSeparator{Array: a, WidebandRate: widebandRate}
-}
-
-// NodeCapture describes one co-channel transmission for SDM synthesis in
-// tests and demos: its angle of arrival and wideband waveform.
-type NodeCapture = tma.Source
-
-// MixSDM runs the TMA over co-channel node waveforms — the AP-side
-// counterpart of several nodes transmitting at once on one channel.
-func (s *SDMSeparator) MixSDM(nodes []NodeCapture) []complex128 {
-	return s.Array.MixInto(nil, nodes, s.WidebandRate)
 }

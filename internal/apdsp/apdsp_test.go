@@ -123,7 +123,6 @@ func TestSDMSeparatorTwoCoChannelNodes(t *testing.T) {
 	// switching at 25 MHz parks them on harmonics ±1 (grid angles for an
 	// 8-element λ/2 array).
 	arr := tma.NewSDMArray(8, 25e6)
-	sep := NewSDMSeparator(arr, wideRate)
 
 	payloadA := []byte("sdm-A")
 	payloadB := []byte("sdm-B")
@@ -138,10 +137,10 @@ func TestSDMSeparatorTwoCoChannelNodes(t *testing.T) {
 	}
 	thA := math.Asin(2.0 / 8) // harmonic +1
 	thB := math.Asin(-2.0 / 8)
-	y := sep.MixSDM([]NodeCapture{
+	y := arr.MixInto(nil, []tma.Source{
 		{Theta: thA, Baseband: grow(xa)},
 		{Theta: thB, Baseband: grow(xb)},
-	})
+	}, wideRate)
 	dsp.AddNoise(y, 1e-4, stats.NewRNG(2))
 
 	cfg := ChannelConfig(chanRate, symRate, fskSplit)
@@ -150,7 +149,7 @@ func TestSDMSeparatorTwoCoChannelNodes(t *testing.T) {
 		harmonic int
 		payload  []byte
 	}{{+1, payloadA}, {-1, payloadB}} {
-		bb, err := c.Extract(sep.Shift(y, tc.harmonic), units.ISM24GHzCenter, 25e6, chanRate)
+		bb, err := c.Extract(harmonicShift(y, arr, tc.harmonic, wideRate), units.ISM24GHzCenter, 25e6, chanRate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +176,6 @@ func TestFullAPPipelineFDMPlusSDM(t *testing.T) {
 	pB2 := []byte("sdm-two!!")
 
 	arr := tma.NewSDMArray(8, 25e6)
-	sep := NewSDMSeparator(arr, wideRate)
 
 	// Node A arrives at the harmonic-0 grid angle (broadside) so the
 	// TMA leaves its channel intact at m=0.
@@ -193,11 +191,11 @@ func TestFullAPPipelineFDMPlusSDM(t *testing.T) {
 	grow := func(x []complex128) []complex128 {
 		return append(x, make([]complex128, n+2000-len(x))...)
 	}
-	y := sep.MixSDM([]NodeCapture{
+	y := arr.MixInto(nil, []tma.Source{
 		{Theta: 0, Baseband: grow(xa)},
 		{Theta: math.Asin(2.0 / 8), Baseband: grow(x1)},
 		{Theta: math.Asin(-2.0 / 8), Baseband: grow(x2)},
-	})
+	}, wideRate)
 	dsp.AddNoise(y, 1e-4, stats.NewRNG(3))
 
 	c := NewChannelizer(wideRate, center)
@@ -209,7 +207,7 @@ func TestFullAPPipelineFDMPlusSDM(t *testing.T) {
 	}
 
 	// FDM node A: harmonic 0 then its channel.
-	bbA, err := c.Extract(sep.Shift(y, 0), chanA, 25e6, chanRate)
+	bbA, err := c.Extract(harmonicShift(y, arr, 0, wideRate), chanA, 25e6, chanRate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +220,7 @@ func TestFullAPPipelineFDMPlusSDM(t *testing.T) {
 		harmonic int
 		payload  []byte
 	}{{+1, pB1}, {-1, pB2}} {
-		bb, err := c.Extract(sep.Shift(y, tc.harmonic), chanB, 25e6, chanRate)
+		bb, err := c.Extract(harmonicShift(y, arr, tc.harmonic, wideRate), chanB, 25e6, chanRate)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,9 +32,8 @@ const (
 // harmonic shift, then per-channel mix → FIR → decimate.
 func legacyExtract(t *testing.T, y []complex128, center float64, ch BankChannel, arr *tma.Array) []complex128 {
 	t.Helper()
-	sep := NewSDMSeparator(arr, bWideRate)
 	chz := NewChannelizer(bWideRate, center)
-	bb, err := chz.Extract(sep.Shift(y, ch.Harmonic), ch.ChannelHz, bWidthHz, bOutRate)
+	bb, err := chz.Extract(harmonicShift(y, arr, ch.Harmonic, bWideRate), ch.ChannelHz, bWidthHz, bOutRate)
 	if err != nil {
 		t.Fatalf("legacy extract: %v", err)
 	}
@@ -118,10 +117,9 @@ func TestBankMatchesLegacyNonPowerOfTwoBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sep := NewSDMSeparator(arr, bWideRate)
 	chz := NewChannelizer(bWideRate, center)
 	for ci, ch := range plan {
-		want, err := chz.Extract(sep.Shift(y, ch.Harmonic), ch.ChannelHz, bWidthHz, bOutRate)
+		want, err := chz.Extract(harmonicShift(y, arr, ch.Harmonic, bWideRate), ch.ChannelHz, bWidthHz, bOutRate)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +139,6 @@ func TestBankReceiveAllDecodesFDMPlusSDM(t *testing.T) {
 	const symRate = 125e3
 	const fsk = 500e3
 	arr := tma.NewSDMArray(8, bSwitch)
-	sep := NewSDMSeparator(arr, bWideRate)
 
 	mkwave := func(payload []byte, offsetHz float64, g0, g1 complex128, pad int) []complex128 {
 		bits, err := modem.BuildFrame(payload)
@@ -178,11 +175,11 @@ func TestBankReceiveAllDecodesFDMPlusSDM(t *testing.T) {
 	grow := func(x []complex128) []complex128 {
 		return append(x, make([]complex128, n+1000-len(x))...)
 	}
-	y := sep.MixSDM([]NodeCapture{
+	y := arr.MixInto(nil, []tma.Source{
 		{Theta: 0, Baseband: dsp.Add(grow(xa), grow(xb))},
 		{Theta: math.Asin(2.0 / 8), Baseband: grow(x1)},
 		{Theta: math.Asin(-2.0 / 8), Baseband: grow(x2)},
-	})
+	}, bWideRate)
 	dsp.AddNoise(y, 1e-4, stats.NewRNG(5))
 
 	bank := NewFilterBank(bWideRate, center, bBins)

@@ -13,6 +13,7 @@ import (
 
 	"mmx/internal/dsp"
 	"mmx/internal/dsp/pool"
+	"mmx/internal/tma"
 )
 
 // Channelizer splits a wideband capture into per-channel basebands, one
@@ -102,20 +103,21 @@ func (c *Channelizer) ExtractInto(dst, x []complex128, channelHz, widthHz, outRa
 	return out, nil
 }
 
-// Shift translates the capture so that the given TMA harmonic moves to
-// the harmonic-0 position: after the shift, the node parked on that
-// harmonic sits on its ordinary FDM channel and the Channelizer's
-// band-selection filter rejects the other co-channel nodes (their
-// strongest copies now sit ±k·f_p away). Filtering and decimation are
-// deliberately left to the Channelizer so channels anywhere in the band
-// survive (a post-mix boxcar would null channels at harmonic multiples).
-func (s *SDMSeparator) Shift(y []complex128, harmonic int) []complex128 {
-	return s.ShiftInto(nil, y, harmonic)
+// harmonicShift translates a capture of array a's output, sampled at
+// rate, so that the given TMA harmonic moves to the harmonic-0 position:
+// after the shift, the node parked on that harmonic sits on its ordinary
+// FDM channel and the Channelizer's band-selection filter rejects the
+// other co-channel nodes (their strongest copies now sit ±k·f_p away).
+// Filtering and decimation are deliberately left to the Channelizer so
+// channels anywhere in the band survive (a post-mix boxcar would null
+// channels at harmonic multiples).
+func harmonicShift(y []complex128, a *tma.Array, harmonic int, rate float64) []complex128 {
+	return harmonicShiftInto(nil, y, a, harmonic, rate)
 }
 
-// ShiftInto is Shift with append-style buffer reuse. dst == y is allowed
-// (the mix is elementwise), so ShiftInto(y, y, k) shifts in place.
-func (s *SDMSeparator) ShiftInto(dst, y []complex128, harmonic int) []complex128 {
+// harmonicShiftInto is harmonicShift with append-style buffer reuse.
+// dst == y is allowed (the mix is elementwise), so it can shift in place.
+func harmonicShiftInto(dst, y []complex128, a *tma.Array, harmonic int, rate float64) []complex128 {
 	if harmonic == 0 {
 		if cap(dst) < len(y) {
 			dst = make([]complex128, len(y))
@@ -124,7 +126,7 @@ func (s *SDMSeparator) ShiftInto(dst, y []complex128, harmonic int) []complex128
 		copy(dst, y)
 		return dst
 	}
-	return MixDownInto(dst, y, float64(harmonic)*s.Array.SwitchRateHz, s.WidebandRate)
+	return MixDownInto(dst, y, float64(harmonic)*a.SwitchRateHz, rate)
 }
 
 // MixDownInto multiplies x by e^{-j2π f t}, shifting a tone at freqHz down

@@ -55,20 +55,16 @@ func TestChannelizerExtractIntoGolden(t *testing.T) {
 }
 
 func TestSDMSeparatorShiftAndMixGolden(t *testing.T) {
+	const rate = 200e6
 	arr := tma.NewSDMArray(8, 100e3)
-	s := NewSDMSeparator(arr, 200e6)
-	nodes := []NodeCapture{
+	mixed := arr.MixInto(nil, []tma.Source{
 		{Theta: 0.3, Baseband: noiseBurst(512, 12)},
 		{Theta: -0.7, Baseband: noiseBurst(512, 13)},
-	}
-	mixed := s.MixSDM(nodes)
-	if want := arr.MixInto(nil, nodes, s.WidebandRate); !reflect.DeepEqual(mixed, want) {
-		t.Error("MixSDM differs from the TMA's MixInto at the wideband rate")
-	}
+	}, rate)
 	// Harmonic 0 copies: into dst, never handing back its input.
 	for _, h := range []int{0, 1, 3} {
-		checkInto(t, fmt.Sprintf("ShiftInto(harmonic=%d)", h), func(d []complex128) []complex128 {
-			return s.ShiftInto(d, mixed, h)
+		checkInto(t, fmt.Sprintf("harmonicShiftInto(harmonic=%d)", h), func(d []complex128) []complex128 {
+			return harmonicShiftInto(d, mixed, arr, h, rate)
 		})
 	}
 }

@@ -108,15 +108,10 @@ type Table1Result struct {
 	Platforms []comparison.Platform
 }
 
-// Table1 regenerates the paper's Table 1, materializing each platform row
-// as one (deterministic) runner trial — the mmX row re-derives its numbers
-// from the component models; the others carry the cited specs.
+// Table1 regenerates the paper's Table 1: the mmX row re-derives its
+// numbers from the component models; the others carry the cited specs.
 func Table1() Table1Result {
-	n := len(comparison.Table1())
-	rows := RunTrials(0, n, func(i int, _ *stats.RNG) comparison.Platform {
-		return comparison.Table1()[i]
-	})
-	return Table1Result{Platforms: rows}
+	return Table1Result{Platforms: comparison.Table1()}
 }
 
 // String renders Table 1.

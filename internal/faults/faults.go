@@ -167,14 +167,6 @@ func (p *Plan) Reboot(at float64, nodeID uint32) *Plan {
 	return p
 }
 
-// RestartAP schedules an AP outage of downFor seconds starting at at.
-// In a multi-AP network it targets the first AP; use RestartAPAt for
-// the others.
-func (p *Plan) RestartAP(at, downFor float64) *Plan {
-	p.Events = append(p.Events, Event{At: at, Kind: APRestart, DownFor: downFor})
-	return p
-}
-
 // RestartAPAt schedules an outage of downFor seconds for the AP at
 // index ap (as returned by AddAP; the construction-time AP is 0).
 func (p *Plan) RestartAPAt(at, downFor float64, ap int) *Plan {

@@ -146,7 +146,7 @@ func TestPlanSorted(t *testing.T) {
 	p := NewPlan().
 		Reboot(2.0, 5).
 		Crash(0.5, 5).
-		RestartAP(1.0, 0.2).
+		RestartAPAt(1.0, 0.2, 0).
 		Crash(1.0, 6)
 	got := p.Sorted()
 	wantAt := []float64{0.5, 1.0, 1.0, 2.0}

@@ -82,7 +82,6 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 	rs.sim.After(took, func() {
 		delete(rs.pending, id)
 		nw.registerNode(n, nw.applyAssignment(n))
-		rs.joins++
 		rs.apStats[ap.idx].Joins++
 		rs.apOpen(id, ap.idx, rs.sim.Now())
 		h := rs.left[id]
@@ -91,7 +90,7 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		}
 		h.present = true
 		h.joinedAt = rs.sim.Now()
-		rs.hcache = append(rs.hcache, h) // registerNode put n at the tail
+		n.h = h
 		nw.core().settle(nw)
 		rs.scheduleFrames(n)
 		if nw.OnMembership != nil {
@@ -116,22 +115,20 @@ func (rs *runState) leaveNow(id uint32) {
 		return
 	}
 	ap := leaver.AP
-	removedAt := leaver.idx
-	nw.unregisterNodeAt(removedAt)
-	h := rs.hcache[removedAt]
+	nw.unregisterNodeAt(leaver.idx)
+	h := leaver.h
+	leaver.h = nil
 	rs.flushSamples(h)
 	h.sampled = false
 	rs.left[id] = h
-	rs.hcache = append(rs.hcache[:removedAt], rs.hcache[removedAt+1:]...)
 	nw.release(ap, leaver, rs.nowAt(ap))
 	delete(nw.strays, id)
 	rs.ctl.Promotions += nw.pushNotifications(ap, false)
-	rs.leaves++
 	rs.apStats[ap.idx].Leaves++
 	now := rs.sim.Now()
 	rs.apClose(id, now)
 	if h.present {
-		h.activeS += now - h.joinedAt
+		h.st.ActiveS += now - h.joinedAt
 		h.st.LeftAtS = now
 		h.present = false
 	}

@@ -96,6 +96,9 @@ func TestScheduleJoinLeave(t *testing.T) {
 	nw.ScheduleJoin(0.3, 50, churnPose(nw, 50), 10e6, HDCamera(8))
 	nw.ScheduleLeave(0.6, 1)
 	nw.ScheduleLeave(0.7, 999) // unknown ID: a no-op, not a crash
+	// The run's state, kept from inside it: its handles hold the sums.
+	var rs *runState
+	nw.OnMembership = func(string, uint32) { rs = nw.run }
 	st := nw.Run(1.0, 0.05, 10)
 
 	if st.Joins != 1 || st.Leaves != 1 || st.JoinsFailed != 0 {
@@ -146,9 +149,9 @@ func TestScheduleJoinLeave(t *testing.T) {
 	if ratio := leaver.AirtimeFraction / stayer.AirtimeFraction; ratio < 0.5 || ratio > 2 {
 		t.Errorf("presence-normalized airtime ratio = %g, want ~1", ratio)
 	}
-	for id, s := range byID {
-		if s.ActiveS > 0 && s.airtime == 0 && s.AirtimeFraction != 0 {
-			t.Errorf("node %d airtime fraction without airtime", id)
+	for _, h := range rs.order {
+		if s := byID[h.st.ID]; s.ActiveS > 0 && h.airtime == 0 && s.AirtimeFraction != 0 {
+			t.Errorf("node %d airtime fraction without airtime", s.ID)
 		}
 	}
 }

@@ -51,6 +51,18 @@ func (s *Sim) At(t float64, fn func()) { s.schedule(event{at: t, fn: fn}) }
 // After schedules fn delay seconds from now.
 func (s *Sim) After(delay float64, fn func()) { s.At(s.now+delay, fn) }
 
+// every runs body every interval seconds, the first time one interval
+// from now. Each run re-arms the next after its body, so the next tick's
+// seq follows everything the body scheduled.
+func (s *Sim) every(interval float64, body func()) {
+	var tick func()
+	tick = func() {
+		body()
+		s.After(interval, tick)
+	}
+	s.After(interval, tick)
+}
+
 // schedule stamps e with its clamped time and the next sequence number
 // and sifts it up into the heap. The clamp is written so that NaN fails
 // it: a NaN time would otherwise order inconsistently against every
@@ -138,7 +150,8 @@ func (s *Sim) RunUntil(horizon float64) {
 // equality comparisons stay valid.
 var NoSampleSINRdB = math.Inf(-1)
 
-// NodeStats accumulates one node's traffic outcome over a run. With
+// NodeStats is one node's traffic outcome over a run: counters, and the
+// means Run divides out of its running sums when it returns. With
 // in-run churn, a node's stats are keyed by ID and cover exactly its
 // presence: traffic accounting starts at join and stops at leave, and
 // time-normalized figures (AirtimeFraction) divide by ActiveS, not the
@@ -165,18 +178,13 @@ type NodeStats struct {
 	// the denominator of MeanSINRdB and OutageFraction. 0 marks the
 	// no-sample case (see NoSampleSINRdB).
 	SINRSamples    int
-	sinrAccum      float64
 	OutageFraction float64
-	outages        int
 	// AirtimeFraction is the share of the node's time-present (ActiveS)
 	// its transmitter was on the air at its adapted rate.
 	AirtimeFraction float64
-	airtime         float64
 	// MeanDelayS is the average frame latency (queueing + airtime) of
 	// transmitted frames.
 	MeanDelayS float64
-	delayAccum float64
-	delayed    int
 	// JoinedAtS is the sim time the node first became a member during
 	// the run (0 for nodes present at start); LeftAtS is the end of its
 	// last presence interval (Duration if still present when the run
@@ -256,14 +264,15 @@ type RunStats struct {
 	// Work counts what the run did, independent of wall time.
 	Work WorkStats
 	// Joins and Leaves count membership events executed inside the run
-	// (scheduled churn plus Join/Leave calls from callbacks); the
-	// starting membership is not counted. JoinsFailed counts mid-run
-	// join attempts whose handshake died on the side channel or that
-	// named a duplicate ID.
+	// (scheduled churn plus Join/Leave calls from callbacks): the sums of
+	// PerAP's. The starting membership is not counted. JoinsFailed counts
+	// mid-run join attempts whose handshake died on the side channel or
+	// that named a duplicate ID.
 	Joins, Leaves, JoinsFailed int
 	// Roams counts successful AP transitions driven by the roaming
-	// policy; RoamsFailed counts attempts whose handshake at the new AP
-	// died on the side channel (the node fell back toward its old AP).
+	// policy (the sum of PerAP's RoamsIn); RoamsFailed counts attempts
+	// whose handshake at the new AP died on the side channel (the node
+	// fell back toward its old AP).
 	Roams, RoamsFailed int
 	// PerAP summarizes each AP's share of the run, indexed by AP
 	// registry position (always length == number of APs).
@@ -288,16 +297,23 @@ func (r RunStats) TotalGoodputBps() float64 {
 
 // nodeHandle is one node's stable accounting slot, keyed by ID for the
 // whole run: it survives the node's index in Network.Nodes shifting
-// under churn, and accumulates presence intervals across leave/rejoin
-// cycles of the same ID.
+// under churn, and accumulates presence intervals (into st.ActiveS)
+// across leave/rejoin cycles of the same ID. A member reaches its handle
+// through Node.h.
 type nodeHandle struct {
 	st        NodeStats
 	present   bool
 	joinedAt  float64 // start of the current presence interval
-	activeS   float64 // sum of closed presence intervals
 	busyUntil float64 // transmitter occupancy horizon
 	gen       int     // bumped on leave: cancels stale frame chains
 	payload   int     // drawn for the live chain's queued frame
+
+	// The sums Run divides into st's means when it returns.
+	sinrAccum  float64
+	outages    int
+	airtime    float64
+	delayAccum float64
+	delayed    int
 
 	// The node's pending SINR samples, one run-length: while sampled, it
 	// observed sinr at every instant from observation instant from on
@@ -320,27 +336,24 @@ type runState struct {
 	// controller may already sit past zero (lossy pre-run handshakes
 	// consume virtual time) while sim restarts at zero every Run.
 	bases []float64
-	ctl   *ControlStats
+	ctl   ControlStats
 
-	joins, leaves, joinsFailed int
-	roams, roamsFailed         int
+	joinsFailed, roamsFailed int
 
 	// apStats accumulates RunStats.PerAP, indexed by AP registry
-	// position. apHist accumulates RunStats.APHistory; nil in single-AP
+	// position, and with it the run's join, leave, roam and lease-expiry
+	// totals. apHist accumulates RunStats.APHistory; nil in single-AP
 	// runs (no transitions to record, and large runs shouldn't pay for
 	// an ID→interval map nobody reads).
 	apStats []APStats
 	apHist  map[uint32][]APInterval
 
-	// hcache mirrors nw.Nodes: hcache[n.idx] is member n's handle,
-	// maintained on every membership change, so neither the per-tick
-	// observation loop nor a frame looks anything up by ID. left keeps
-	// the handles of IDs that departed during this run — a rejoin under
-	// the same ID goes on accumulating into its one entry. order is
-	// every handle in first-seen order: the RunStats.PerNode layout.
-	hcache []*nodeHandle
-	left   map[uint32]*nodeHandle
-	order  []*nodeHandle
+	// left keeps the handles of IDs that departed during this run — a
+	// rejoin under the same ID goes on accumulating into its one entry.
+	// order is every handle in first-seen order: the RunStats.PerNode
+	// layout. A member's own handle is Node.h.
+	left  map[uint32]*nodeHandle
+	order []*nodeHandle
 
 	pending map[uint32]bool // IDs with a handshake done, activation queued
 
@@ -397,9 +410,8 @@ func (rs *runState) newHandle(h *nodeHandle, id uint32) *nodeHandle {
 // observe opens every member's sample run at Run's start, observation
 // instant 0. A Down node is not sampled: a dead radio has no SINR.
 func (rs *runState) observe() {
-	for i, n := range rs.nw.Nodes {
-		h := rs.hcache[i]
-		h.sinr, h.sampled = n.sp.rep.SINRdB, !n.Down
+	for _, n := range rs.nw.Nodes {
+		n.h.sinr, n.h.sampled = n.sp.rep.SINRdB, !n.Down
 	}
 	rs.instants = 1
 }
@@ -422,16 +434,15 @@ func (rs *runState) flushSamples(h *nodeHandle) {
 	if !h.sampled || k == 0 {
 		return
 	}
-	st := &h.st
 	for i := 0; i < k; i++ {
-		st.sinrAccum += h.sinr
+		h.sinrAccum += h.sinr
 	}
-	st.SINRSamples += k
-	if h.sinr < st.MinSINRdB {
-		st.MinSINRdB = h.sinr
+	h.st.SINRSamples += k
+	if h.sinr < h.st.MinSINRdB {
+		h.st.MinSINRdB = h.sinr
 	}
 	if h.sinr < rs.outageSINRdB {
-		st.outages += k
+		h.outages += k
 	}
 }
 
@@ -454,7 +465,7 @@ func (rs *runState) envRefresh() {
 		if nw.nodeIdx[n.ID] != n {
 			continue // left since it was finished
 		}
-		h := rs.hcache[n.idx]
+		h := n.h
 		rs.flushSamples(h)
 		h.sampled = !n.Down
 		if n.Down {
@@ -466,6 +477,54 @@ func (rs *runState) envRefresh() {
 	}
 	rs.finished = rs.finished[:0]
 	rs.instants++
+}
+
+// renewTick is one lease keepalive cycle: renew the living, then expire
+// the silent. Renewing first matters: pre-run lossy handshakes consume
+// virtual controller time, so an early joiner's last contact can already
+// be older than the TTL when Run starts — its first renew must land
+// before the expiry check, not after.
+func (rs *runState) renewTick() {
+	nw, ctl := rs.nw, &rs.ctl
+	changed := false
+	for _, n := range nw.Nodes {
+		if n.Down {
+			continue
+		}
+		ctl.RenewsSent++
+		switch nw.renew(n, rs.nowAt(n.AP)) {
+		case netctl.RenewResynced:
+			ctl.Resyncs++
+			changed = true
+		case netctl.RenewRejoined:
+			ctl.Rejoins++
+			changed = true
+		case netctl.RenewLost, netctl.RenewFailed:
+			ctl.RenewsFailed++
+		}
+	}
+	for _, ap := range nw.APs {
+		expired := ap.Controller.ExpireLeases(rs.nowAt(ap))
+		rs.apStats[ap.idx].LeaseExpiries += len(expired)
+		if len(expired) > 0 {
+			// Reclaimed spectrum may promote surviving sharers; the
+			// pushes ride the same lossy side channel, and a lost one
+			// is repaired by the promoted node's next renew ack.
+			ctl.Promotions += nw.pushNotifications(ap, false)
+			changed = true
+		}
+	}
+	// A stray entry the TTL (or a restart) has since reclaimed stops
+	// being a tolerated exception — drop it so ValidateSpectrum's
+	// double-association check regains its full strength.
+	for id, ap := range nw.strays {
+		if !ap.Controller.HoldsLease(id) {
+			delete(nw.strays, id)
+		}
+	}
+	if changed {
+		nw.core().settle(nw)
+	}
 }
 
 // maxBacklogS bounds per-node queueing: frames older than this are
@@ -482,8 +541,7 @@ const maxBacklogS = 0.05
 // matches, the chain is the one started here, and a rejoin under the ID
 // is a new Node behind a bumped generation.
 func (rs *runState) scheduleFrames(n *Node) {
-	h := rs.hcache[n.idx]
-	rs.nextFrame(n, h, h.gen)
+	rs.nextFrame(n, n.h, n.h.gen)
 }
 
 // nextFrame draws the chain's next gap and payload and puts the frame
@@ -526,9 +584,9 @@ func (rs *runState) fireFrame(n *Node, h *nodeHandle, gen int) {
 				st.FramesDropped++
 			} else {
 				h.busyUntil += airtime
-				st.airtime += airtime
-				st.delayAccum += queue + airtime
-				st.delayed++
+				h.airtime += airtime
+				h.delayAccum += queue + airtime
+				h.delayed++
 				ber := n.sp.rep.BER
 				pSuccess := math.Pow(1-ber, bits)
 				if rs.nw.rng.Float64() < pSuccess {
@@ -580,21 +638,19 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		bases[i] = ap.Controller.NowS()
 		ap.Controller.LeaseTTL = nw.Control.LeaseTTLS
 	}
-	var ctl ControlStats
 	rs := &runState{
 		nw:           nw,
 		sim:          sim,
 		outageSINRdB: outageSINRdB,
 		bases:        bases,
-		ctl:          &ctl,
 		apStats:      make([]APStats, len(nw.APs)),
-		hcache:       make([]*nodeHandle, len(nw.Nodes)),
 		left:         map[uint32]*nodeHandle{},
 		order:        make([]*nodeHandle, 0, len(nw.Nodes)),
 		pending:      map[uint32]bool{},
 		finished:     make([]*Node, 0, len(nw.Nodes)),
 	}
 	sim.run = rs
+	ctl := &rs.ctl
 	// APHistory is nil for one AP: an entry per node would cost single-AP fleets heap.
 	if len(nw.APs) > 1 {
 		rs.apHist = make(map[uint32][]APInterval, len(nw.Nodes))
@@ -604,9 +660,8 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 
 	slab := make([]nodeHandle, len(nw.Nodes))
 	for i, n := range nw.Nodes {
-		h := rs.newHandle(&slab[i], n.ID)
-		h.present = true
-		rs.hcache[i] = h
+		n.h = rs.newHandle(&slab[i], n.ID)
+		n.h.present = true
 		rs.apOpen(n.ID, n.AP.idx, 0)
 		// Rates come from applyAssignment's link evaluation until the first
 		// tick, which re-rates the whole starting membership.
@@ -615,14 +670,11 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	nw.core().settle(nw)
 	rs.observe()
 
-	var envTick func()
-	envTick = func() {
-		nw.Env.Step(envStep)
-		rs.envRefresh()
-		sim.After(envStep, envTick)
-	}
 	if envStep > 0 {
-		sim.After(envStep, envTick)
+		sim.every(envStep, func() {
+			nw.Env.Step(envStep)
+			rs.envRefresh()
+		})
 	}
 
 	// Scheduled fault injection. Targets are resolved by ID at event
@@ -692,71 +744,18 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	}
 	nw.pendingChurn = nil
 
-	// Lease keepalive cycle: renew the living, then expire the silent.
-	// Renewing first matters: pre-run lossy handshakes consume virtual
-	// controller time, so an early joiner's last contact can already be
-	// older than the TTL when Run starts — its first renew must land
-	// before the expiry check, not after.
-	var renewTick func()
-	renewTick = func() {
-		changed := false
-		for _, n := range nw.Nodes {
-			if n.Down {
-				continue
-			}
-			ctl.RenewsSent++
-			switch nw.renew(n, rs.nowAt(n.AP)) {
-			case netctl.RenewResynced:
-				ctl.Resyncs++
-				changed = true
-			case netctl.RenewRejoined:
-				ctl.Rejoins++
-				changed = true
-			case netctl.RenewLost, netctl.RenewFailed:
-				ctl.RenewsFailed++
-			}
-		}
-		for _, ap := range nw.APs {
-			expired := ap.Controller.ExpireLeases(rs.nowAt(ap))
-			ctl.LeaseExpiries += len(expired)
-			rs.apStats[ap.idx].LeaseExpiries += len(expired)
-			if len(expired) > 0 {
-				// Reclaimed spectrum may promote surviving sharers; the
-				// pushes ride the same lossy side channel, and a lost one
-				// is repaired by the promoted node's next renew ack.
-				ctl.Promotions += nw.pushNotifications(ap, false)
-				changed = true
-			}
-		}
-		// A stray entry the TTL (or a restart) has since reclaimed stops
-		// being a tolerated exception — drop it so ValidateSpectrum's
-		// double-association check regains its full strength.
-		for id, ap := range nw.strays {
-			if !ap.Controller.HoldsLease(id) {
-				delete(nw.strays, id)
-			}
-		}
-		if changed {
-			nw.core().settle(nw)
-		}
-		sim.After(nw.Control.RenewIntervalS, renewTick)
-	}
+	// The lease keepalive cycle and the roaming policy repeat on their
+	// own intervals.
 	if nw.Control.RenewIntervalS > 0 {
-		sim.After(nw.Control.RenewIntervalS, renewTick)
+		sim.every(nw.Control.RenewIntervalS, rs.renewTick)
 	}
-
-	// Roaming policy tick. One AP has nowhere to roam: no tick keeps its event sequence unchanged.
+	// One AP has nowhere to roam: no roam tick keeps its event sequence unchanged.
 	if nw.Roam != nil && len(nw.APs) > 1 {
 		interval := nw.Roam.CheckIntervalS
 		if !(interval > 0) { // NaN too: sim.After would clamp it to now, forever
 			interval = 0.2
 		}
-		var roamTick func()
-		roamTick = func() {
-			rs.roamTick()
-			sim.After(interval, roamTick)
-		}
-		sim.After(interval, roamTick)
+		sim.every(interval, rs.roamTick)
 	}
 
 	for _, n := range nw.Nodes {
@@ -771,40 +770,45 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	for _, n := range nw.Nodes {
 		rs.apClose(n.ID, duration)
 		rs.apStats[n.AP.idx].Members++
+		n.h = nil
+	}
+	st := RunStats{
+		Duration: duration, Control: rs.ctl, Work: WorkStats{Events: sim.dispatched()},
+		JoinsFailed: rs.joinsFailed, RoamsFailed: rs.roamsFailed,
+		PerAP: rs.apStats, APHistory: rs.apHist,
 	}
 	for i := range rs.apStats {
-		rs.apStats[i].AP = i
+		a := &rs.apStats[i]
+		a.AP = i
+		st.Joins += a.Joins
+		st.Leaves += a.Leaves
+		st.Roams += a.RoamsIn
+		st.Control.LeaseExpiries += a.LeaseExpiries
 	}
 
-	perNode := make([]NodeStats, 0, len(rs.order))
+	st.PerNode = make([]NodeStats, 0, len(rs.order))
 	for _, h := range rs.order {
 		rs.flushSamples(h)
 		if h.present {
-			h.activeS += duration - h.joinedAt
+			h.st.ActiveS += duration - h.joinedAt
 			h.st.LeftAtS = duration
 			h.present = false
 		}
-		st := h.st
-		st.ActiveS = h.activeS
-		if st.SINRSamples > 0 {
-			st.MeanSINRdB = st.sinrAccum / float64(st.SINRSamples)
-			st.OutageFraction = float64(st.outages) / float64(st.SINRSamples)
+		ns := h.st
+		if ns.SINRSamples > 0 {
+			ns.MeanSINRdB = h.sinrAccum / float64(ns.SINRSamples)
+			ns.OutageFraction = float64(h.outages) / float64(ns.SINRSamples)
 		} else {
-			st.MinSINRdB = NoSampleSINRdB
-			st.MeanSINRdB = NoSampleSINRdB
+			ns.MinSINRdB = NoSampleSINRdB
+			ns.MeanSINRdB = NoSampleSINRdB
 		}
-		if st.ActiveS > 0 {
-			st.AirtimeFraction = st.airtime / st.ActiveS
+		if ns.ActiveS > 0 {
+			ns.AirtimeFraction = h.airtime / ns.ActiveS
 		}
-		if st.delayed > 0 {
-			st.MeanDelayS = st.delayAccum / float64(st.delayed)
+		if h.delayed > 0 {
+			ns.MeanDelayS = h.delayAccum / float64(h.delayed)
 		}
-		perNode = append(perNode, st)
+		st.PerNode = append(st.PerNode, ns)
 	}
-	return RunStats{
-		Duration: duration, PerNode: perNode, Control: ctl, Work: WorkStats{Events: sim.dispatched()},
-		Joins: rs.joins, Leaves: rs.leaves, JoinsFailed: rs.joinsFailed,
-		Roams: rs.roams, RoamsFailed: rs.roamsFailed,
-		PerAP: rs.apStats, APHistory: rs.apHist,
-	}
+	return st
 }

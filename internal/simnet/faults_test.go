@@ -123,7 +123,7 @@ func TestRunUnderFaultPlanConverges(t *testing.T) {
 			Crash(0.4, 2).
 			Reboot(1.2, 2).
 			Crash(0.6, 5). // never reboots
-			RestartAP(1.8, 0.25)
+			RestartAPAt(1.8, 0.25, 0)
 		return nw.Run(4.0, 0, -5), nw
 	}
 	st, nw := run()
@@ -164,7 +164,7 @@ func TestRunUnderFaultPlanConverges(t *testing.T) {
 func TestAPRestartGracefulDegradation(t *testing.T) {
 	nw := newTestNetwork(23) // perfect side channel isolates the restart
 	placeNodes(t, nw, 3, 60e6)
-	nw.Faults = faults.NewPlan().RestartAP(0.2, 1.0)
+	nw.Faults = faults.NewPlan().RestartAPAt(0.2, 1.0, 0)
 	st := nw.Run(2.0, 0, -5)
 	if st.Control.RenewsFailed == 0 {
 		t.Error("renews during the outage should fail")
@@ -202,7 +202,7 @@ func TestRenewKeepsEngineOnTheGrant(t *testing.T) {
 		nw.Control.LeaseTTLS, nw.Control.RenewIntervalS = 0.5, 0.15
 		nw.APs[0].Controller.LeaseTTL = 0.5
 		nw.Side = faults.Lossy(seed+2, 0.25, 0.1, 0.08)
-		nw.Faults = faults.NewPlan().RestartAP(1.0, 0.3)
+		nw.Faults = faults.NewPlan().RestartAPAt(1.0, 0.3, 0)
 		const nodes = 60
 		for i := 0; i < nodes; i++ {
 			frac := float64(i) / nodes

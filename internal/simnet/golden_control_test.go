@@ -28,7 +28,7 @@ func TestLossyRunGoldenAgainstPreRefactor(t *testing.T) {
 	nw.Faults = faults.NewPlan().
 		Crash(0.4, 2).
 		Reboot(1.2, 2).
-		RestartAP(1.8, 0.25)
+		RestartAPAt(1.8, 0.25, 0)
 	nw.ScheduleJoin(0.6, 100, channel.Pose{
 		Pos: channel.Vec2{X: 3.1, Y: 1.4}, Orientation: math.Pi,
 	}, 60e6, HDCamera(8))

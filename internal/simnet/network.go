@@ -66,6 +66,9 @@ type Node struct {
 	// every membership change so lookups never scan the slice. Stale the
 	// instant the node leaves.
 	idx int
+	// h is the node's accounting handle while it is a member inside Run:
+	// set at Run's start or at its activation, nil outside Run.
+	h *nodeHandle
 	// sp is the node's interference-engine state (see coupling_sparse.go).
 	sp spNode
 }

@@ -173,7 +173,6 @@ func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 		return
 	}
 	nw.sparse.addNode(nw, n, nw.applyAssignment(n))
-	rs.roams++
 	rs.apStats[from.idx].RoamsOut++
 	rs.apStats[to.idx].RoamsIn++
 	now := rs.sim.Now()

@@ -233,7 +233,7 @@ type ControlStats = simnet.ControlStats
 
 // FaultPlan is a deterministic schedule of in-run failures: node crashes
 // and reboots, and AP restarts that wipe the volatile spectrum books.
-// Build one with NewFaultPlan's chainable Crash / Reboot / RestartAP and
+// Build one with NewFaultPlan's chainable Crash / Reboot / RestartAPAt and
 // install it with SetFaultPlan before Run.
 type FaultPlan = faults.Plan
 
