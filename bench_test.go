@@ -573,13 +573,17 @@ func benchNetworkBlockers(b *testing.B, size int) {
 // ≈240 k outage frames through the event engine — the scale rungs above
 // spend two thirds of their time in Join and cannot see it. The engine
 // allocates nothing per frame (internal/simnet's
-// TestFrameDispatchAllocatesNothing), so allocs/op is Run's fixed start.
+// TestFrameDispatchAllocatesNothing). allocs/op is not Run's own count:
+// a collection during a Run empties the sync.Pool the link evaluation
+// draws its path scratch from, and refilling it adds a few mallocs, so
+// the figure moves with GC timing. The contract for Run's 14 is
+// internal/simnet's TestRunAllocsIndependentOfFleetSize, which turns
+// collection off while it counts.
 func BenchmarkRunTraffic(b *testing.B) {
 	_, nw, _ := benchTelemetryFleet(b, 12000, 0.1)
 	nw.Reports() // settle the post-join picture untimed
-	// The two env ticks run serially, so allocs/op is Run's own count:
-	// starting worker goroutines mallocs or not depending on the
-	// runtime's free list.
+	// The two env ticks run serially: starting worker goroutines mallocs
+	// or not depending on the runtime's free list.
 	nw.SetWorkers(1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -510,8 +510,8 @@ func TestElevationGainShape(t *testing.T) {
 // below, BeamGains and BeamGainsWithClass must return exactly the complex
 // numbers Gain returns for each beam on its own (==, not within ε — the
 // simulator's fingerprints hash these bits) and the class BestPathClass
-// returns. Gain sums PathGain, which the kernel does not call, so a
-// re-associated product or a dropped factor shows here.
+// returns. Gain sums PathGain, which shares only pathTerms with the
+// kernel, so a re-associated product or a dropped factor shows here.
 func TestBeamGainsMatchPerBeamGain(t *testing.T) {
 	literal := func(nb antenna.NodeBeams) antenna.NodeBeams {
 		strip := func(p antenna.Pattern) antenna.Pattern {

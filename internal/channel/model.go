@@ -17,9 +17,18 @@ func (e *Environment) PathGain(p Path, txPose Pose, txPat antenna.Pattern, rxPos
 	if p.Length <= 0 {
 		return 0
 	}
-	lambda := units.Wavelength(e.FreqHz)
-	dep := wrap(p.DepartureAngle - txPose.Orientation)
-	arr := wrap(p.ArrivalAngle - rxPose.Orientation)
+	dep, arr, phasor := e.pathTerms(&p, txPose, rxPose, units.Wavelength(e.FreqHz))
+	return txPat.FieldGain(dep) * rxPat.FieldGain(arr) * phasor
+}
+
+// pathTerms is what one path of positive length contributes apart from the
+// two antenna patterns: its departure and arrival angles relative to the
+// antennas' orientations, and its carrier phasor — the free-space,
+// elevation and excess-loss amplitude at the phase accumulated over the
+// path. PathGain and BeamGainsWithClass both read a path through it.
+func (e *Environment) pathTerms(p *Path, txPose, rxPose Pose, lambda float64) (dep, arr float64, phasor complex128) {
+	dep = wrap(p.DepartureAngle - txPose.Orientation)
+	arr = wrap(p.ArrivalAngle - rxPose.Orientation)
 
 	// 2.5-D: a height difference lengthens the path and tilts both
 	// antennas' elevation patterns.
@@ -34,10 +43,7 @@ func (e *Environment) PathGain(p Path, txPose Pose, txPat antenna.Pattern, rxPos
 
 	amp := lambda / (4 * math.Pi * length) * elevFactor
 	amp *= math.Pow(10, -p.ExcessLossDB()/20)
-	phase := -2 * math.Pi * length / lambda
-
-	g := txPat.FieldGain(dep) * rxPat.FieldGain(arr)
-	return g * cmplx.Rect(amp, phase)
+	return dep, arr, cmplx.Rect(amp, -2*math.Pi*length/lambda)
 }
 
 // elevationGain returns the field-amplitude factor of a cos-power
@@ -97,8 +103,8 @@ func (e *Environment) BeamGains(nodePose Pose, beams antenna.NodeBeams, apPose P
 
 // BeamGainsWithClass evaluates both OTAM beams and classifies the
 // propagation regime from a single path enumeration. Everything about a
-// path that does not depend on the transmit beam — the AP-side field gain,
-// the spreading, elevation and excess-loss amplitude, the carrier phasor —
+// path that does not depend on the transmit beam — the AP-side field gain
+// and the path's angles and carrier phasor (pathTerms, as in PathGain) —
 // is computed once and shared by the two beams, and the two node-beam
 // gains come from one NodeBeams.FieldGains call (one array fed two ways).
 // Each beam's product is then formed in PathGain's own order,
@@ -109,24 +115,12 @@ func (e *Environment) BeamGainsWithClass(nodePose Pose, beams antenna.NodeBeams,
 	s := pathScratchPool.Get().(*pathScratch)
 	s.out, s.backing = e.appendPaths(nodePose.Pos, apPose.Pos, s.out, s.backing)
 	lambda := units.Wavelength(e.FreqHz)
-	dh := apPose.Height - nodePose.Height
-	for _, p := range s.out {
+	for i := range s.out {
+		p := &s.out[i]
 		if p.Length <= 0 {
 			continue // PathGain contributes 0
 		}
-		dep := wrap(p.DepartureAngle - nodePose.Orientation)
-		arr := wrap(p.ArrivalAngle - apPose.Orientation)
-		length := p.Length
-		elevFactor := 1.0
-		if dh != 0 {
-			length = math.Hypot(p.Length, dh)
-			elev := math.Atan2(math.Abs(dh), p.Length)
-			elevFactor = elevationGain(elev, e.TxElevationHPBW) *
-				elevationGain(elev, e.RxElevationHPBW)
-		}
-		amp := lambda / (4 * math.Pi * length) * elevFactor
-		amp *= math.Pow(10, -p.ExcessLossDB()/20)
-		phasor := cmplx.Rect(amp, -2*math.Pi*length/lambda)
+		dep, arr, phasor := e.pathTerms(p, nodePose, apPose, lambda)
 		rx := apPat.FieldGain(arr)
 		g0, g1 := beams.FieldGains(dep)
 		h0 += g0 * rx * phasor

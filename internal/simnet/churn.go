@@ -88,7 +88,6 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		if h == nil {
 			h = rs.newHandle(new(nodeHandle), id)
 		}
-		h.present = true
 		h.joinedAt = rs.sim.Now()
 		n.h = h
 		nw.core().settle(nw)
@@ -127,11 +126,8 @@ func (rs *runState) leaveNow(id uint32) {
 	rs.apStats[ap.idx].Leaves++
 	now := rs.sim.Now()
 	rs.apClose(id, now)
-	if h.present {
-		h.st.ActiveS += now - h.joinedAt
-		h.st.LeftAtS = now
-		h.present = false
-	}
+	h.st.ActiveS += now - h.joinedAt
+	h.st.LeftAtS = now
 	h.gen++ // cancels the departed node's in-flight frame chain
 	nw.core().settle(nw)
 	if nw.OnMembership != nil {

@@ -43,10 +43,9 @@ type CouplingMode int
 const (
 	// CouplingAuto runs the engine exactly — a cut of 0, every ordered
 	// pair an edge — until membership reaches sparseCrossover, then
-	// rebuilds the graph once (one-way) at FromDB(CouplingCutoffDB).
+	// rebuilds the graph once (one-way), pruning at the noise floor.
 	CouplingAuto CouplingMode = iota
-	// CouplingSparse prunes at FromDB(CouplingCutoffDB) from the first
-	// join.
+	// CouplingSparse prunes at the noise floor from the first join.
 	CouplingSparse
 )
 
@@ -88,19 +87,21 @@ type spNode struct {
 	// noise is the node's receiver noise floor (bandwidth-dependent).
 	noise float64
 	// power and class are the node's peak received power at its serving
-	// AP and its path class, from the last link evaluation — all of it
-	// the reports read; interf is the last interference re-sum.
-	power  float64
-	class  string
-	interf float64
-	// outPerAP counts, per AP index, the node's out-edges into victims
-	// served there; xpower caches the node's received power at each such
-	// foreign AP, refreshed by the eval pass whenever the count is
-	// nonzero. Both stay nil until the node's first cross-AP edge, so
-	// single-AP runs carry no per-node overhead.
-	outPerAP []int
-	xpower   []float64
-	rep      Report
+	// AP and its path class, from the last link evaluation.
+	power float64
+	class string
+	// cross holds, per AP index, the node's out-edges into victims served
+	// there and its received power at that foreign AP, refreshed by the
+	// eval pass whenever the count is nonzero. It stays nil until the
+	// node's first cross-AP edge, so single-AP runs carry no per-node
+	// overhead.
+	cross []crossAP
+	// rep is the report the last finish pass built: the SNR the roam check
+	// compares, the SINR the tick rates at, the BER fireFrame draws from
+	// and the class the roam screen reads. It is stored, not derived from
+	// power and class, because a roam's promotions re-seed other members'
+	// power in the middle of a check that reads the reports it began with.
+	rep linkReport
 	// grid and channel-registry bookkeeping (swap-remove slots).
 	cell     int
 	cellSlot int
@@ -114,6 +115,20 @@ type spNode struct {
 	// powerMoved records, within one settle, that the eval pass changed
 	// the node's received power — its victims must re-sum.
 	powerMoved bool
+}
+
+// crossAP is a node's book on one foreign AP: how many of its out-edges
+// reach victims served there, and its received power at that AP.
+type crossAP struct {
+	edges int
+	power float64
+}
+
+// linkReport is what a settle leaves of a node's Report: the fields that
+// are not read off the Node itself (EvaluateSINR adds ID and SDM).
+type linkReport struct {
+	SNRdB, SINRdB, BER float64
+	PathClass          string
 }
 
 // chanState is the registry entry for one channel center: its occupants
@@ -157,7 +172,7 @@ type sparseState struct {
 	// NodeBeams, LinkCfg and the APs' Patterns, which are fixed once the
 	// first node joins.
 	exact    bool
-	cut      float64 // linear edge-admission cutoff (FromDB(CouplingCutoffDB))
+	cut      float64 // linear edge-admission cutoff (FromDB(cutoffDB))
 	pC       float64 // pBound numerator: power ≤ pC / max(d,dMin)²
 	minNoise float64 // conservative (never-raised) min noise floor
 	maxM     int
@@ -177,7 +192,7 @@ type sparseState struct {
 
 	// listeners[j] bounds every position at which a node started to cache
 	// a link towards AP j: it grows in gridInsert for the serving AP and
-	// in addEdge when outPerAP[j] leaves 0, and never shrinks, so it holds
+	// in addEdge when cross[j].edges leaves 0, and never shrinks, so it holds
 	// every node listening to j now. It scopes the swept-region walk
 	// (region.go) to the nodes a corridor towards j can dirty.
 	listeners []box
@@ -244,7 +259,7 @@ func newSparseState(nw *Network, exact bool) *sparseState {
 	nx, ny := 128, 128
 	cut, pC := 0.0, math.Inf(1)
 	if !exact {
-		cut, pC = units.FromDB(nw.CouplingCutoffDB), nw.sparsePowerBoundConst()
+		cut, pC = units.FromDB(nw.cutoffDB), nw.sparsePowerBoundConst()
 	}
 	s := &sparseState{
 		exact:     exact,
@@ -562,13 +577,12 @@ func (s *sparseState) addEdge(src, dst *Node, w float64) {
 	src.sp.out = append(src.sp.out, outEdge{dst: dst, dstSlot: di})
 	dst.sp.in = append(dst.sp.in, inEdge{src: src, w: w, srcSlot: si})
 	if da := dst.AP.idx; da != src.AP.idx {
-		if src.sp.outPerAP == nil {
-			src.sp.outPerAP = make([]int, s.nAPs)
-			src.sp.xpower = make([]float64, s.nAPs)
+		if src.sp.cross == nil {
+			src.sp.cross = make([]crossAP, s.nAPs)
 		}
-		src.sp.outPerAP[da]++
-		if src.sp.outPerAP[da] == 1 {
-			// First victim at that AP: the source's cached xpower[da] has
+		src.sp.cross[da].edges++
+		if src.sp.cross[da].edges == 1 {
+			// First victim at that AP: the source's cached power there has
 			// never been computed (or went stale while unreferenced), so
 			// force an eval pass over it before the victim re-sums. The
 			// source now listens to da.
@@ -579,69 +593,40 @@ func (s *sparseState) addEdge(src, dst *Node, w float64) {
 	s.markDirty(dst)
 }
 
-// noteUnhook reverses addEdge's cross-AP bookkeeping for a pair about to
-// be unhooked. Edges are always torn down before an endpoint's
-// association changes (roamDetach runs under the old AP), so the AP
-// indexes seen here match the ones addEdge counted.
-func (s *sparseState) noteUnhook(src, dst *Node) {
-	if da := dst.AP.idx; da != src.AP.idx && src.sp.outPerAP != nil {
-		src.sp.outPerAP[da]--
+// unhook removes the edge src.out[si] ↔ dst.in[di], fixing the slot
+// pointers of whichever edges the two swap-removes displaced, and reverses
+// addEdge's cross-AP count. Edges are always torn down before an
+// endpoint's association changes (roamDetach runs under the old AP), so
+// the AP indexes seen here match the ones addEdge counted.
+func (s *sparseState) unhook(src *Node, si int, dst *Node, di int) {
+	if da := dst.AP.idx; da != src.AP.idx {
+		src.sp.cross[da].edges--
 	}
-}
-
-// removeOutEdgeAt unhooks src.out[si] and its mirror in-edge, fixing the
-// slot pointers of whichever edges the swap-removes displaced.
-func (s *sparseState) removeOutEdgeAt(src *Node, si int) {
-	e := src.sp.out[si]
-	dst, di := e.dst, e.dstSlot
-	s.noteUnhook(src, dst)
-	last := len(dst.sp.in) - 1
-	if di != last {
+	if last := len(dst.sp.in) - 1; di != last {
 		moved := dst.sp.in[last]
 		dst.sp.in[di] = moved
 		moved.src.sp.out[moved.srcSlot].dstSlot = di
 	}
-	dst.sp.in = dst.sp.in[:last]
-	lastO := len(src.sp.out) - 1
-	if si != lastO {
-		movedO := src.sp.out[lastO]
-		src.sp.out[si] = movedO
-		movedO.dst.sp.in[movedO.dstSlot].srcSlot = si
+	dst.sp.in = dst.sp.in[:len(dst.sp.in)-1]
+	if last := len(src.sp.out) - 1; si != last {
+		moved := src.sp.out[last]
+		src.sp.out[si] = moved
+		moved.dst.sp.in[moved.dstSlot].srcSlot = si
 	}
-	src.sp.out = src.sp.out[:lastO]
-	s.markDirty(dst)
-}
-
-// removeInEdgeAt unhooks dst.in[di] and its mirror out-edge.
-func (s *sparseState) removeInEdgeAt(dst *Node, di int) {
-	e := dst.sp.in[di]
-	src, si := e.src, e.srcSlot
-	s.noteUnhook(src, dst)
-	lastO := len(src.sp.out) - 1
-	if si != lastO {
-		movedO := src.sp.out[lastO]
-		src.sp.out[si] = movedO
-		movedO.dst.sp.in[movedO.dstSlot].srcSlot = si
-	}
-	src.sp.out = src.sp.out[:lastO]
-	last := len(dst.sp.in) - 1
-	if di != last {
-		moved := dst.sp.in[last]
-		dst.sp.in[di] = moved
-		moved.src.sp.out[moved.srcSlot].dstSlot = di
-	}
-	dst.sp.in = dst.sp.in[:last]
+	src.sp.out = src.sp.out[:len(src.sp.out)-1]
 	s.markDirty(dst)
 }
 
 // clearEdges drops every edge touching n, marking the affected victims
-// dirty. Removing from the back keeps every removal swap-free.
+// dirty. Removing from the back keeps n's own lists swap-free.
 func (s *sparseState) clearEdges(n *Node) {
 	for len(n.sp.out) > 0 {
-		s.removeOutEdgeAt(n, len(n.sp.out)-1)
+		si := len(n.sp.out) - 1
+		s.unhook(n, si, n.sp.out[si].dst, n.sp.out[si].dstSlot)
 	}
 	for len(n.sp.in) > 0 {
-		s.removeInEdgeAt(n, len(n.sp.in)-1)
+		di := len(n.sp.in) - 1
+		s.unhook(n.sp.in[di].src, n.sp.in[di].srcSlot, n, di)
 	}
 }
 
@@ -810,7 +795,7 @@ func (s *sparseState) updateNode(nw *Network, n *Node, ev core.Evaluation) {
 // here n is a settled node: region mapping tests it against every region
 // swept since the engine's epoch (a region swept before the seed can only
 // have it re-traced to the same bits), and an addEdge that marked it
-// stale for a cross-AP xpower still has the eval pass run it.
+// stale for a cross-AP power still has the eval pass run it.
 func (s *sparseState) seedEval(n *Node, ev core.Evaluation) {
 	if n.Down {
 		s.markEvalStale(n)
@@ -946,14 +931,14 @@ func (s *sparseState) evalNode(nw *Network, n *Node) {
 	// Refresh the node's received power at every foreign AP it has
 	// victims at (cross-shard edges). Down sources are skipped: their
 	// victims skip them in the re-sum, exactly like the serving path.
-	if n.sp.outPerAP != nil && !n.Down {
-		ai := n.AP.idx
-		for a, cnt := range n.sp.outPerAP {
-			if cnt <= 0 || a == ai {
+	if !n.Down {
+		for a := range n.sp.cross {
+			x := &n.sp.cross[a]
+			if x.edges <= 0 || a == n.AP.idx {
 				continue
 			}
-			if p := nw.crossPower(n, a); p != n.sp.xpower[a] {
-				n.sp.xpower[a] = p
+			if p := nw.crossPower(n, a); p != x.power {
+				x.power = p
 				moved = true
 			}
 		}
@@ -993,17 +978,27 @@ func (s *sparseState) finishDirty(nw *Network) {
 }
 
 // finishNode re-sums one victim's interference row from scratch and
-// rebuilds its report. Always a fresh sum — incremental ± maintenance
-// would accumulate rounding drift past the equivalence tolerance.
+// rebuilds its report.
 func (s *sparseState) finishNode(n *Node) {
 	if n.Down {
-		n.sp.interf = 0
-		n.sp.rep = Report{
-			ID: n.ID, SNRdB: math.Inf(-1), SINRdB: math.Inf(-1),
-			BER: 1, PathClass: "down", SDM: n.Shared,
-		}
+		n.sp.rep = linkReport{SNRdB: math.Inf(-1), SINRdB: math.Inf(-1), BER: 1, PathClass: "down"}
 		return
 	}
+	noise, p := n.sp.noise, n.sp.power
+	sinr := units.DB(p / (noise + n.interference()))
+	n.sp.rep = linkReport{
+		SNRdB:     units.DB(p / noise),
+		SINRdB:    sinr,
+		BER:       core.Evaluation{SNRWithOTAM: sinr}.BERWithOTAM(),
+		PathClass: n.sp.class,
+	}
+}
+
+// interference sums victim n's in-edges: each live source's received
+// power at n's AP times the pair's coupling factor. Always a fresh sum —
+// incremental ± maintenance would accumulate rounding drift past the
+// equivalence tolerance.
+func (n *Node) interference() float64 {
 	interf := 0.0
 	vi := n.AP.idx
 	for i := range n.sp.in {
@@ -1014,23 +1009,13 @@ func (s *sparseState) finishNode(n *Node) {
 		p := e.src.sp.power
 		if e.src.AP.idx != vi {
 			// Cross-shard source: its power at THIS victim's AP, not at
-			// its own serving AP. The eval pass keeps xpower[vi] fresh for
-			// as long as the edge exists (outPerAP[vi] > 0).
-			p = e.src.sp.xpower[vi]
+			// its own serving AP. The eval pass keeps it fresh for as long
+			// as the edge exists (cross[vi].edges > 0).
+			p = e.src.sp.cross[vi].power
 		}
 		interf += p * e.w
 	}
-	n.sp.interf = interf
-	noise, p := n.sp.noise, n.sp.power
-	sinr := units.DB(p / (noise + interf))
-	n.sp.rep = Report{
-		ID:        n.ID,
-		SNRdB:     units.DB(p / noise),
-		SINRdB:    sinr,
-		BER:       core.Evaluation{SNRWithOTAM: sinr}.BERWithOTAM(),
-		PathClass: n.sp.class,
-		SDM:       n.Shared,
-	}
+	return interf
 }
 
 // --- indexed bestHostChannel ---

@@ -299,10 +299,10 @@ func (r RunStats) TotalGoodputBps() float64 {
 // whole run: it survives the node's index in Network.Nodes shifting
 // under churn, and accumulates presence intervals (into st.ActiveS)
 // across leave/rejoin cycles of the same ID. A member reaches its handle
-// through Node.h.
+// through Node.h, and a handle is present exactly while a member's h
+// points at it.
 type nodeHandle struct {
 	st        NodeStats
-	present   bool
 	joinedAt  float64 // start of the current presence interval
 	busyUntil float64 // transmitter occupancy horizon
 	gen       int     // bumped on leave: cancels stale frame chains
@@ -661,7 +661,6 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	slab := make([]nodeHandle, len(nw.Nodes))
 	for i, n := range nw.Nodes {
 		n.h = rs.newHandle(&slab[i], n.ID)
-		n.h.present = true
 		rs.apOpen(n.ID, n.AP.idx, 0)
 		// Rates come from applyAssignment's link evaluation until the first
 		// tick, which re-rates the whole starting membership.
@@ -770,6 +769,8 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	for _, n := range nw.Nodes {
 		rs.apClose(n.ID, duration)
 		rs.apStats[n.AP.idx].Members++
+		n.h.st.ActiveS += duration - n.h.joinedAt
+		n.h.st.LeftAtS = duration
 		n.h = nil
 	}
 	st := RunStats{
@@ -789,11 +790,6 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	st.PerNode = make([]NodeStats, 0, len(rs.order))
 	for _, h := range rs.order {
 		rs.flushSamples(h)
-		if h.present {
-			h.st.ActiveS += duration - h.joinedAt
-			h.st.LeftAtS = duration
-			h.present = false
-		}
 		ns := h.st
 		if ns.SINRSamples > 0 {
 			ns.MeanSINRdB = h.sinrAccum / float64(ns.SINRSamples)

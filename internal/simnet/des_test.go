@@ -504,7 +504,7 @@ func TestRejoinSameIDKeepsOneHandle(t *testing.T) {
 func tickNetwork(t testing.TB, workers int, staleEveryTick bool) *Network {
 	t.Helper()
 	nw := newTestNetwork(93)
-	nw.CouplingCutoffDB = exactCutoffDB
+	nw.cutoffDB = exactCutoffDB
 	nw.SetCouplingMode(CouplingSparse)
 	nw.Workers = workers
 	nw.staleEveryTick = staleEveryTick

@@ -231,8 +231,6 @@ func TestRenewKeepsEngineOnTheGrant(t *testing.T) {
 			case n.sp.noise != cfg.NoisePowerW():
 				t.Errorf("seed %d: node %d: engine noise floor %g W is not its %.0f Hz channel's %g W",
 					seed, n.ID, n.sp.noise, n.Assignment.WidthHz, cfg.NoisePowerW())
-			case n.sp.rep.SDM != n.Shared:
-				t.Errorf("seed %d: node %d reports SDM=%v but shares=%v", seed, n.ID, n.sp.rep.SDM, n.Shared)
 			}
 		}
 	}

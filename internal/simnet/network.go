@@ -140,12 +140,12 @@ type Network struct {
 	// once membership first reaches sparseCrossover, CouplingSparse from
 	// the first join (see coupling_sparse.go).
 	couplingMode CouplingMode
-	// CouplingCutoffDB offsets the pruning engine's edge-admission
-	// threshold relative to each victim's noise floor: a pair whose
-	// worst-case coupled power is provably below
-	// noise·10^(CouplingCutoffDB/10) is never stored. 0 (the default) cuts
-	// exactly at the noise floor.
-	CouplingCutoffDB float64
+	// cutoffDB is a test hook: it offsets the pruning engine's
+	// edge-admission threshold from each victim's noise floor, so a pair
+	// whose worst-case coupled power is provably below
+	// noise·10^(cutoffDB/10) is never stored. 0 (every binary's value)
+	// cuts exactly at the noise floor.
+	cutoffDB float64
 	// staleEveryTick is a test hook: the engine ignores the swept
 	// log and re-evaluates the whole membership on every environment
 	// epoch change — the oracle region invalidation is pinned
@@ -640,7 +640,8 @@ func (nw *Network) EvaluateSINR() []Report {
 	nw.core().settle(nw)
 	out := make([]Report, len(nw.Nodes))
 	for i, n := range nw.Nodes {
-		out[i] = n.sp.rep
+		r := &n.sp.rep
+		out[i] = Report{ID: n.ID, SNRdB: r.SNRdB, SINRdB: r.SINRdB, BER: r.BER, PathClass: r.PathClass, SDM: n.Shared}
 	}
 	return out
 }

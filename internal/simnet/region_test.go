@@ -36,7 +36,7 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 	}, 8, 7)
 	env := channel.NewEnvironment(room, units.ISM24GHzCenter)
 	nw := New(env, channel.Pose{Pos: channel.Vec2{X: 0.5, Y: 7}}, 31)
-	nw.CouplingCutoffDB = exactCutoffDB
+	nw.cutoffDB = exactCutoffDB
 	nw.SetCouplingMode(CouplingSparse)
 	prng := stats.NewRNG(7)
 	for i := 1; i <= 36; i++ {
@@ -124,9 +124,9 @@ func TestRegionInvalidationSoundness(t *testing.T) {
 // regionTally accumulates what checkRegionStep saw over a walk.
 type regionTally struct {
 	population, staled int // node-steps checked, and how many were evalStale
-	changed            int // node-steps whose serving evaluation or some live xpower changed
+	changed            int // node-steps whose serving evaluation or some live cross-AP power changed
 	servingChanged     int // serving-link evaluations a fresh trace read differently
-	crossLive          int // live xpower entries checked: (node, foreign AP) listeners
+	crossLive          int // live cross-AP powers checked: (node, foreign AP) listeners
 	crossChanged       int // of those, the ones a fresh trace read differently
 }
 
@@ -170,17 +170,17 @@ func checkRegionStep(t *testing.T, nw *Network, rec map[*Node]core.Evaluation, f
 		if stale {
 			linkFlips(n.AP)
 		}
-		for a, cnt := range n.sp.outPerAP {
-			if cnt <= 0 || a == n.AP.idx {
+		for a, x := range n.sp.cross {
+			if x.edges <= 0 || a == n.AP.idx {
 				continue
 			}
 			tally.crossLive++
-			if fresh := nw.crossPower(n, a); fresh != n.sp.xpower[a] {
+			if fresh := nw.crossPower(n, a); fresh != x.power {
 				tally.crossChanged++
 				changed = true
 				if !stale {
-					t.Fatalf("step %d: node %d: xpower[%d] changed, not staled (cached %g, fresh %g)",
-						step, n.ID, a, n.sp.xpower[a], fresh)
+					t.Fatalf("step %d: node %d: cross[%d].power changed, not staled (cached %g, fresh %g)",
+						step, n.ID, a, x.power, fresh)
 				}
 			}
 			if stale {
@@ -271,7 +271,7 @@ func joinUniform(t testing.TB, nw *Network, prng *stats.RNG, n int) {
 // that a node is heard at some foreign APs and not at others, so a
 // corridor towards AP j must reach j's shard and its cross listeners and
 // may skip everyone else. Besides the serving evaluations it checks every
-// live xpower entry, which no Run-level fingerprint protects while the
+// live cross-AP power, which no Run-level fingerprint protects while the
 // cross listeners happen to sit inside the shard's own corridors.
 func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 	const (
@@ -317,7 +317,7 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 		t.Fatalf("%d of %d possible cross listeners — per-AP scoping has nothing to decide", tally.crossLive, all)
 	}
 	if tally.servingChanged == 0 || tally.crossChanged == 0 {
-		t.Fatalf("walk changed %d serving evaluations and %d xpower entries — the property was vacuous",
+		t.Fatalf("walk changed %d serving evaluations and %d cross-AP powers — the property was vacuous",
 			tally.servingChanged, tally.crossChanged)
 	}
 	// Unfolding every capsule towards every AP for every node stales 99.6%
@@ -327,7 +327,7 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 		t.Fatalf("%d of %d node-steps staled — the mapping is not scoped to the APs a node listens to",
 			tally.staled, tally.population)
 	}
-	t.Logf("%d cross listeners per step; %d steps: %d serving and %d xpower changes; %d of %d node-steps staled (%.1f%%), %d changed",
+	t.Logf("%d cross listeners per step; %d steps: %d serving and %d cross-AP power changes; %d of %d node-steps staled (%.1f%%), %d changed",
 		tally.crossLive/steps, steps, tally.servingChanged, tally.crossChanged, tally.staled, tally.population,
 		100*float64(tally.staled)/float64(tally.population), tally.changed)
 }
@@ -441,7 +441,7 @@ func TestSweptLogOverrunStalesEverything(t *testing.T) {
 		// corridors would make that take half a minute. Which branch
 		// syncEnv takes does not depend on the path set.
 		nw.Env.MaxReflections = 0
-		nw.CouplingCutoffDB = exactCutoffDB
+		nw.cutoffDB = exactCutoffDB
 		nw.SetCouplingMode(CouplingSparse)
 		for i := 1; i <= 12; i++ {
 			if _, err := nw.Join(uint32(i), churnPose(nw, uint32(i)), 40e6, Telemetry(0.05)); err != nil {
@@ -499,7 +499,7 @@ func TestSweptLogOverrunStalesEverything(t *testing.T) {
 func TestFusedTickDeterminismAcrossWorkers(t *testing.T) {
 	runOnce := func(workers int) ([]Report, RunStats) {
 		nw := newTestNetwork(272)
-		nw.CouplingCutoffDB = exactCutoffDB
+		nw.cutoffDB = exactCutoffDB
 		nw.SetCouplingMode(CouplingSparse)
 		nw.Workers = workers
 		nw.Env.AddBlocker(&channel.Blocker{
@@ -574,8 +574,8 @@ func TestMultiAPRegionRunMatchesStaleEverything(t *testing.T) {
 		snapshot := func() {
 			for _, n := range nw.Nodes {
 				var set uint64
-				for a, cnt := range n.sp.outPerAP {
-					if cnt > 0 {
+				for a, x := range n.sp.cross {
+					if x.edges > 0 {
 						set |= 1 << a
 					}
 				}

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"runtime"
@@ -223,7 +224,7 @@ func TestExactPhaseStoresEveryPair(t *testing.T) {
 func TestSparseDeepCutoffStoresEveryPair(t *testing.T) {
 	for _, cut := range []float64{-400, math.Inf(-1)} {
 		nw := newTestNetwork(311)
-		nw.CouplingCutoffDB = cut
+		nw.cutoffDB = cut
 		nw.SetCouplingMode(CouplingSparse)
 		rng := stats.NewRNG(99)
 		for id := uint32(1); id <= 12; id++ {
@@ -365,7 +366,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 	env := channel.NewEnvironment(channel.NewRoom(side, side, rng), units.ISM24GHzCenter)
 	ap := channel.Pose{Pos: channel.Vec2{X: side / 2, Y: side / 2}}
 	nw := New(env, ap, 1234)
-	nw.SetCouplingMode(CouplingSparse) // default CouplingCutoffDB = 0: prune at the noise floor
+	nw.SetCouplingMode(CouplingSparse) // default cutoffDB = 0: prune at the noise floor
 	// A high-demand cluster around the AP forces SDM sharing and adjacent
 	// wide channels — couplings that must survive the cutoff — while the
 	// low-demand field population scatters across the full audibility
@@ -403,7 +404,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 		t.Fatalf("want genuine pruning: %d of %d directed pairs stored", edges, total)
 	}
 	t.Logf("stored %d of %d directed pairs (%.1f%%)", edges, total, 100*float64(edges)/float64(total))
-	cut := units.FromDB(nw.CouplingCutoffDB)
+	cut := units.FromDB(nw.cutoffDB)
 	for _, v := range nw.Nodes {
 		threshold := cut * nw.linkCfg(v).NoisePowerW()
 		for _, src := range nw.Nodes {
@@ -442,7 +443,7 @@ func TestSparseInterferenceErrorBounded(t *testing.T) {
 	env := channel.NewEnvironment(channel.NewRoom(side, side, rng), units.ISM24GHzCenter)
 	ap := channel.Pose{Pos: channel.Vec2{X: side / 2, Y: side / 2}}
 	nw := New(env, ap, 4321)
-	nw.CouplingCutoffDB = -20 // prune 20 dB below each victim's noise floor
+	nw.cutoffDB = -20 // prune 20 dB below each victim's noise floor
 	nw.SetCouplingMode(CouplingSparse)
 	const n = 120
 	for i := 1; i <= n; i++ {
@@ -453,7 +454,7 @@ func TestSparseInterferenceErrorBounded(t *testing.T) {
 		}
 	}
 	nw.EvaluateSINR()
-	cut := units.FromDB(nw.CouplingCutoffDB)
+	cut := units.FromDB(nw.cutoffDB)
 	for _, v := range nw.Nodes {
 		denseInterf := 0.0
 		for _, src := range nw.Nodes {
@@ -464,9 +465,10 @@ func TestSparseInterferenceErrorBounded(t *testing.T) {
 		}
 		dropped := (len(nw.Nodes) - 1) - len(v.sp.in)
 		bound := float64(dropped) * cut * nw.linkCfg(v).NoisePowerW()
-		diff := denseInterf - v.sp.interf
+		sparseInterf := v.interference()
+		diff := denseInterf - sparseInterf
 		if diff < -1e-12*denseInterf {
-			t.Fatalf("node %d: sparse interference exceeds dense (%x > %x)", v.ID, v.sp.interf, denseInterf)
+			t.Fatalf("node %d: sparse interference exceeds dense (%x > %x)", v.ID, sparseInterf, denseInterf)
 		}
 		if diff > bound*(1+1e-9) {
 			t.Fatalf("node %d: dropped %d pairs lose %.3e W, analytic bound %.3e W",
@@ -601,4 +603,121 @@ func TestJoinAllocs(t *testing.T) {
 	if perJoin := float64(bytes) / nodes; perJoin > byteBound {
 		t.Errorf("%.0f B allocated per join, want ≤ %d", perJoin, byteBound)
 	}
+}
+
+// FuzzEngineEdges drives byte-chosen join, leave, move, crash, reboot and
+// settle sequences through a pruning engine — one AP or four in the lab
+// room, at a cutoff of 0 to 49 dB above the noise floor, so the screens
+// drop pairs — and checks the edge books after every operation
+// (checkEdgeBooks). At the end the stored edge set, weights to the bit,
+// must be the one a fresh enterSparse rebuild of the same membership
+// stores: the incremental hooks add and drop exactly what discovery from
+// scratch would. Each operation takes three bytes: the verb, the node ID
+// and a lab position (high and low nibble).
+func FuzzEngineEdges(f *testing.F) {
+	churn := []byte{0, 1, 0x11, 0, 2, 0xe3, 0, 3, 0x7c, 0, 4, 0x4a, 0, 5, 0xb6, 0, 6, 0x28,
+		0, 7, 0x5d, 0, 8, 0xa2, 0, 9, 0x37, 0, 10, 0xc9, 0, 11, 0x64, 0, 12, 0xfe,
+		2, 2, 0x9e, 3, 3, 0, 1, 1, 0, 5, 0, 0, 4, 3, 0, 0, 13, 0xd1, 2, 4, 0x15, 1, 5, 0,
+		3, 8, 0, 2, 9, 0x82, 1, 10, 0, 4, 8, 0, 0, 1, 0x3b, 5, 0, 0}
+	// One AP stores about a quarter of the pairs at 0 dB and none by 30 dB;
+	// four store cross-AP edges up to 45 dB.
+	f.Add(false, uint8(0), churn)
+	f.Add(false, uint8(10), churn)
+	for _, cut := range []uint8{0, 30, 45} {
+		f.Add(true, cut, churn)
+	}
+	f.Fuzz(func(t *testing.T, fourAPs bool, cut uint8, ops []byte) {
+		nw := newTestNetwork(uint64(cut) + 3)
+		if fourAPs {
+			addExtraAPs(t, nw, 4)
+		}
+		nw.cutoffDB = float64(cut % 50)
+		nw.SetCouplingMode(CouplingSparse)
+		for k := 0; k+2 < len(ops) && k < 3*64; k += 3 {
+			id := 1 + uint32(ops[k+1]%16)
+			pos := channel.Vec2{X: 0.2 + 5.6*float64(ops[k+2]>>4)/15, Y: 0.2 + 3.6*float64(ops[k+2]&15)/15}
+			pose := channel.Pose{Pos: pos, Orientation: nw.selectAP(pos).Pose.Pos.Sub(pos).Angle()}
+			n := nw.nodeByID(id)
+			switch ops[k] % 6 {
+			case 0: // join: a duplicate ID or a full band is a refusal
+				_, _ = nw.Join(id, pose, 25e6, Telemetry(1))
+			case 1:
+				nw.Leave(id)
+			case 2:
+				nw.MoveNode(id, pose)
+			case 3: // crash, as Run's fault handler does it
+				if n != nil && !n.Down {
+					n.Down = true
+					nw.sparse.powerChanged(n)
+				}
+			case 4: // reboot through the handshake, as Run's fault handler does it
+				if n != nil && n.Down {
+					if _, err := nw.join(n, n.AP.Controller.NowS()); err == nil {
+						n.Down = false
+						nw.sparse.updateNode(nw, n, nw.applyAssignment(n))
+					}
+				}
+			case 5:
+				nw.EvaluateSINR()
+			}
+			checkEdgeBooks(t, nw, fmt.Sprintf("op %d", k/3))
+		}
+		got := edgeSet(nw)
+		nw.enterSparse()
+		if want := edgeSet(nw); !maps.Equal(got, want) {
+			t.Fatalf("incremental engine stores %d edges, a fresh rebuild %d, and the sets differ", len(got), len(want))
+		}
+	})
+}
+
+// checkEdgeBooks asserts the engine's per-node edge books: every out-edge's
+// mirror in-edge names it back at its slot and the reverse, every edge
+// joins two members, and each node's per-foreign-AP edge count equals its
+// out-edges into victims served at that AP.
+func checkEdgeBooks(t *testing.T, nw *Network, what string) {
+	t.Helper()
+	counts := make([]int, len(nw.APs))
+	for _, n := range nw.Nodes {
+		clear(counts)
+		for si, e := range n.sp.out {
+			if nw.nodeByID(e.dst.ID) != e.dst {
+				t.Fatalf("%s: node %d has an out-edge into non-member %d", what, n.ID, e.dst.ID)
+			}
+			if e.dstSlot >= len(e.dst.sp.in) || e.dst.sp.in[e.dstSlot].src != n || e.dst.sp.in[e.dstSlot].srcSlot != si {
+				t.Fatalf("%s: out-edge %d→%d (slot %d) has no mirror at in-slot %d", what, n.ID, e.dst.ID, si, e.dstSlot)
+			}
+			if a := e.dst.AP.idx; a != n.AP.idx {
+				counts[a]++
+			}
+		}
+		for di, e := range n.sp.in {
+			if nw.nodeByID(e.src.ID) != e.src {
+				t.Fatalf("%s: node %d has an in-edge from non-member %d", what, n.ID, e.src.ID)
+			}
+			if e.srcSlot >= len(e.src.sp.out) || e.src.sp.out[e.srcSlot].dst != n || e.src.sp.out[e.srcSlot].dstSlot != di {
+				t.Fatalf("%s: in-edge %d→%d (slot %d) has no mirror at out-slot %d", what, e.src.ID, n.ID, di, e.srcSlot)
+			}
+		}
+		for a, want := range counts {
+			got := 0
+			if n.sp.cross != nil {
+				got = n.sp.cross[a].edges
+			}
+			if got != want {
+				t.Fatalf("%s: node %d counts %d edges into AP %d's victims, has %d", what, n.ID, got, a, want)
+			}
+		}
+	}
+}
+
+// edgeSet is the engine's stored edges: source and victim ID to the bits
+// of the pair's coupling factor.
+func edgeSet(nw *Network) map[[2]uint32]uint64 {
+	set := map[[2]uint32]uint64{}
+	for _, v := range nw.Nodes {
+		for _, e := range v.sp.in {
+			set[[2]uint32{e.src.ID, v.ID}] = math.Float64bits(e.w)
+		}
+	}
+	return set
 }
