@@ -22,7 +22,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"time"
 
 	"mmx/internal/faults"
 	"mmx/internal/netctl"
@@ -53,13 +55,37 @@ func main() {
 		memProfile  = flag.String("memprofile", "", "write a pprof heap profile (after the storm) to this file")
 	)
 	flag.Parse()
-	if *sockets < 1 {
-		fmt.Fprintf(os.Stderr, "mmx-load: bad -sockets %d (want at least 1)\n", *sockets)
-		os.Exit(2)
-	}
-	if *clients < 0 {
-		fmt.Fprintf(os.Stderr, "mmx-load: bad -clients %d (want 0 or more)\n", *clients)
-		os.Exit(2)
+	// Every flag is checked before the first dial. Each rule states what a
+	// good value satisfies, so NaN fails it; every node ID fits in 32 bits.
+	positive := func(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+	nonNegative := func(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+	prob := func(x float64) bool { return x >= 0 && x <= 1 }
+	timeout := *timeoutS * float64(time.Second)
+	for _, r := range []struct {
+		name, want string
+		ok         bool
+	}{
+		{"sockets", "at least 1", *sockets >= 1},
+		{"clients", "0 or more", *clients >= 0},
+		{"timeout", "seconds from 1e-9 to 9.2e9", timeout >= 1 && timeout < math.MaxInt64},
+		{"attempts", "at least 1", *attempts >= 1},
+		{"drop", "a probability in [0, 1]", prob(*drop)},
+		{"dup", "a probability in [0, 1]", prob(*dup)},
+		{"trunc", "a probability in [0, 1]", prob(*trunc)},
+		{"delay", "a probability in [0, 1]", prob(*delay)},
+		{"delay-mean", "finite seconds, 0 or more", nonNegative(*delayMean)},
+		{"renew-every", "finite seconds, 0 or more", nonNegative(*renewEvery)},
+		{"ramp", "finite seconds, 0 or more", nonNegative(*ramp)},
+		{"join-deadline", "finite seconds above 0", positive(*joinDeadl)},
+		{"renews", "0 or more", *renews >= 0},
+		{"demand", "finite bit/s above 0", positive(*demand)},
+		{"start-id", "from 1 to 2^32 - max(clients, 1)",
+			*startID >= 1 && *startID < 1<<32 && uint64(max(*clients, 1)) <= 1<<32-uint64(*startID)},
+	} {
+		if !r.ok {
+			fmt.Fprintf(os.Stderr, "mmx-load: bad -%s %s (want %s)\n", r.name, flag.Lookup(r.name).Value, r.want)
+			os.Exit(2)
+		}
 	}
 	stopProfiles, err := profile.Start("mmx-load: ", *cpuProfile, *memProfile)
 	if err != nil {

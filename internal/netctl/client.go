@@ -28,9 +28,6 @@ type Client struct {
 	// DefaultRetrier.
 	Retry Retrier
 
-	// Keepalive outcome counters for the storm report.
-	Rejoins, Resyncs int
-
 	rng *stats.RNG
 	// start is when the current attempt's request went out.
 	start time.Time
@@ -111,16 +108,7 @@ func (c *Client) Join() (float64, error) { return c.Session.Join(c.exch, nil) }
 // Renew runs one lease keepalive over the transport and returns the
 // outcome and the real time the exchange took (including a rejoin
 // handshake if one ran).
-func (c *Client) Renew() (RenewOutcome, float64, error) {
-	outcome, took, err := c.Session.Renew(c.exch, nil)
-	switch outcome {
-	case RenewResynced:
-		c.Resyncs++
-	case RenewRejoined:
-		c.Rejoins++
-	}
-	return outcome, took, err
-}
+func (c *Client) Renew() (RenewOutcome, float64, error) { return c.Session.Renew(c.exch, nil) }
 
 // Release returns the node's spectrum over the transport.
 func (c *Client) Release() (float64, error) { return c.Session.Release(c.exch) }

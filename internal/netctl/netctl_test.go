@@ -233,8 +233,8 @@ func TestLeaseExpiryOnFakeClock(t *testing.T) {
 	if err != nil || out != RenewRejoined {
 		t.Fatalf("renew after expiry: outcome %v err %v, want RenewRejoined", out, err)
 	}
-	if c.Rejoins != 1 || srv.LeaseCount() != 1 {
-		t.Fatalf("rejoin bookkeeping: client rejoins=%d server leases=%d", c.Rejoins, srv.LeaseCount())
+	if srv.LeaseCount() != 1 {
+		t.Fatalf("rejoin bookkeeping: server leases=%d after the rejoin", srv.LeaseCount())
 	}
 }
 
@@ -284,7 +284,7 @@ func TestPromotePushReachesSharer(t *testing.T) {
 	if sharer.Shared {
 		t.Fatalf("sharer still marked shared after promotion")
 	}
-	if sharer.Promotes+sharer.Resyncs == 0 {
+	if sharer.Promotes == 0 && out != RenewResynced {
 		t.Fatalf("promotion reached the client via neither push nor resync")
 	}
 	if err := srv.Audit(); err != nil {

@@ -385,7 +385,7 @@ func runAdmissionScenario(t *testing.T, sc admissionScenario, seed uint64, walk 
 		nw.discWalk = func(v *Node) []inEdge { return discWalkIn(nw.sparse, nw, v, map[discKey][]*Node{}) }
 	}
 	if sc.g > 1 {
-		nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 2, CheckIntervalS: 0.1, MinDwellS: 0.2})
+		nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 2, checkS: 0.1, dwellS: 0.2})
 	}
 	for k, vx := range []float64{1.2, -0.9} {
 		env.AddBlocker(&channel.Blocker{
@@ -450,7 +450,7 @@ func runAdmissionScenario(t *testing.T, sc admissionScenario, seed uint64, walk 
 				Reboot((0.55+f)*sc.duration, id).Reboot((0.75+f)*sc.duration, id)
 		}
 		nw.Side = faults.Lossy(seed^0x51DE, 0.3, 0.1, 0.05)
-		nw.Control.MaxAttempts = 2
+		nw.retry.MaxAttempts = 2
 	}
 	nw.OnMembership = func(event string, id uint32) {
 		check(nw, fmt.Sprintf("%s: %s of node %d", sc.name, event, id))

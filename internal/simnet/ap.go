@@ -68,7 +68,6 @@ func (nw *Network) installAP(pose channel.Pose) *AccessPoint {
 		Band:       nw.band,
 		idx:        len(nw.APs),
 	}
-	ap.Controller.LeaseTTL = nw.Control.LeaseTTLS
 	nw.APs = append(nw.APs, ap)
 	return ap
 }
@@ -110,9 +109,7 @@ func (nw *Network) PlanReuse(factor int) error {
 	colors := nw.reuseColors(factor)
 	for i, ap := range nw.APs {
 		b := slices[colors[i]]
-		c := mac.NewController(b)
-		c.LeaseTTL = nw.Control.LeaseTTLS
-		ap.Controller, ap.Band = c, b
+		ap.Controller, ap.Band = mac.NewController(b), b
 	}
 	return nil
 }
@@ -158,17 +155,16 @@ type RoamPolicy struct {
 	// HysteresisDB is how much better (in dB) a candidate AP's SNR
 	// estimate must be before the node roams to it.
 	HysteresisDB float64
-	// CheckIntervalS is the roam evaluation period. A value that is not
-	// > 0 (NaN included) uses 0.2 s.
-	CheckIntervalS float64
-	// MinDwellS suppresses further roam attempts for this long after
-	// one — hysteresis in time, so a node cannot ping-pong between two
-	// APs on consecutive checks. A value that is not > 0 (NaN included)
-	// uses 0.5 s.
-	MinDwellS float64
+	// checkS is a test hook: the roam evaluation period. 0 (every
+	// binary's value) uses 0.2 s.
+	checkS float64
+	// dwellS is a test hook: roam attempts are suppressed for this long
+	// after one — hysteresis in time, so a node cannot ping-pong between
+	// two APs on consecutive checks. 0 (every binary's value) uses 0.5 s.
+	dwellS float64
 }
 
 // SetRoamingPolicy installs (or, with nil, removes) the roaming policy.
 // The policy only matters with more than one AP; single-AP runs never
 // schedule a roam check.
-func (nw *Network) SetRoamingPolicy(p *RoamPolicy) { nw.Roam = p }
+func (nw *Network) SetRoamingPolicy(p *RoamPolicy) { nw.roam = p }

@@ -6,36 +6,21 @@ import (
 	"mmx/internal/netctl"
 )
 
-// ControlConfig sets the timing of the fault-tolerant control plane: the
-// node-side retry state machine and the lease/renew keepalive cycle.
-type ControlConfig struct {
-	// Retrier is the retry machine the socket client also runs. Sleep
-	// stays nil: the simulator runs on virtual time, so the machine's
-	// elapsed accounting (one TimeoutS plus one jittered backoff draw per
-	// failed attempt) is the time that passes.
-	netctl.Retrier
-	// LeaseTTLS is the spectrum lease lifetime: a node silent for longer
-	// is expired and its spectrum reclaimed. 0 disables expiry.
-	LeaseTTLS float64
-	// RenewIntervalS is the keepalive period; it must be comfortably
-	// below LeaseTTLS so a few lost renews don't kill a live node's
-	// lease.
-	RenewIntervalS float64
+// defaultRetry times every simulated control exchange: 20 ms reply
+// timeout, 8 attempts, 20 ms → 500 ms doubling backoff at ±25% jitter.
+// Sleep stays nil: on virtual time the machine's elapsed accounting (a
+// TimeoutS plus a backoff draw per failed attempt) is the time that passes.
+var defaultRetry = netctl.Retrier{
+	TimeoutS:    0.02,
+	MaxAttempts: 8,
+	Backoff:     faults.Backoff{BaseS: 0.02, MaxS: 0.5, Factor: 2, Jitter: 0.25},
 }
 
-// DefaultControlConfig returns the timing used throughout the tests and
-// examples: 20 ms reply timeout, 8 attempts with 20 ms → 500 ms doubling
-// backoff at ±25% jitter, 1 s leases renewed every 300 ms.
-func DefaultControlConfig() ControlConfig {
-	return ControlConfig{
-		Retrier: netctl.Retrier{
-			TimeoutS:    0.02,
-			MaxAttempts: 8,
-			Backoff:     faults.Backoff{BaseS: 0.02, MaxS: 0.5, Factor: 2, Jitter: 0.25},
-		},
-		LeaseTTLS:      1.0,
-		RenewIntervalS: 0.3,
-	}
+// SetLeaseTTL sets the lease lifetime and keepalive period in seconds
+// (default 1 s renewed every 0.3 s); 0 turns either off. Every AP's
+// controller takes the TTL when Run starts.
+func (nw *Network) SetLeaseTTL(ttlS, renewIntervalS float64) {
+	nw.leaseTTLS, nw.renewIntervalS = ttlS, renewIntervalS
 }
 
 // exchangeAt is the simulator's netctl.Exchange for node n: the one
@@ -46,7 +31,7 @@ func DefaultControlConfig() ControlConfig {
 func (nw *Network) exchangeAt(n *Node, ap *AccessPoint, at float64) netctl.Exchange {
 	return func(req []byte) (any, float64, error) {
 		nw.air.nw, nw.air.ap, nw.air.at = nw, ap, at
-		reply, took, err := netctl.Carry(nw.Control.Retrier, nw.ctrlRNG, &nw.air, &n.Session, nil, req)
+		reply, took, err := netctl.Carry(nw.retry, nw.ctrlRNG, &nw.air, &n.Session, nil, req)
 		at += took
 		return reply, took, err
 	}
@@ -150,7 +135,7 @@ func (c *airCarrier) Recv() ([]byte, float64, bool) {
 	for c.next < c.n {
 		d := c.replies[c.next]
 		c.next++
-		if d.DelayS <= c.nw.Control.TimeoutS {
+		if d.DelayS <= c.nw.retry.TimeoutS {
 			return d.Frame, d.DelayS, true
 		}
 	}

@@ -169,7 +169,7 @@ type sparseState struct {
 	// exact marks the phase that stores every ordered pair: cut is 0 and
 	// pC +Inf, so no screen can drop one and the disc query covers every
 	// cell. The power bound is derived only when pruning starts; it reads
-	// NodeBeams, LinkCfg and the APs' Patterns, which are fixed once the
+	// NodeBeams, the link template and the APs' Patterns, which are fixed once the
 	// first node joins.
 	exact    bool
 	cut      float64 // linear edge-admission cutoff (FromDB(cutoffDB))
@@ -332,8 +332,8 @@ func (nw *Network) sparsePowerBoundConst() float64 {
 		refl += math.Pow(10, -w.ReflectionLossDB/20)
 	}
 	margin := 1 + refl + refl*refl
-	amp := math.Sqrt(units.FromDBm(nw.LinkCfg.TxPowerDBm)) *
-		math.Pow(10, -nw.LinkCfg.ImplementationLossDB/20)
+	amp := math.Sqrt(units.FromDBm(nw.linkTemplate.TxPowerDBm)) *
+		math.Pow(10, -nw.linkTemplate.ImplementationLossDB/20)
 	// Switch field gains: selected path plus the leaked port, both
 	// arriving coherently in the worst case — the switch every
 	// evaluation reads.

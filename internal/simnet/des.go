@@ -606,7 +606,7 @@ func (rs *runState) fireFrame(n *Node, h *nodeHandle, gen int) {
 // SINR. SINR below outageSINRdB counts as an outage sample.
 //
 // The control plane runs alongside the data plane: every node renews its
-// spectrum lease each Control.RenewIntervalS, the controller expires the
+// spectrum lease each SetLeaseTTL interval, the controller expires the
 // leases of nodes that fell silent (reclaiming their spectrum through the
 // churn-safe promote path), and an installed faults.Plan injects node
 // crash/reboot and AP restart events mid-run. Each environment step also
@@ -636,7 +636,8 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	bases := make([]float64, len(nw.APs))
 	for i, ap := range nw.APs {
 		bases[i] = ap.Controller.NowS()
-		ap.Controller.LeaseTTL = nw.Control.LeaseTTLS
+		// The TTL's one way in: only renewTick, inside Run, expires leases.
+		ap.Controller.LeaseTTL = nw.leaseTTLS
 	}
 	rs := &runState{
 		nw:           nw,
@@ -745,13 +746,13 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 
 	// The lease keepalive cycle and the roaming policy repeat on their
 	// own intervals.
-	if nw.Control.RenewIntervalS > 0 {
-		sim.every(nw.Control.RenewIntervalS, rs.renewTick)
+	if nw.renewIntervalS > 0 {
+		sim.every(nw.renewIntervalS, rs.renewTick)
 	}
 	// One AP has nowhere to roam: no roam tick keeps its event sequence unchanged.
-	if nw.Roam != nil && len(nw.APs) > 1 {
-		interval := nw.Roam.CheckIntervalS
-		if !(interval > 0) { // NaN too: sim.After would clamp it to now, forever
+	if nw.roam != nil && len(nw.APs) > 1 {
+		interval := nw.roam.checkS
+		if interval == 0 {
 			interval = 0.2
 		}
 		sim.every(interval, rs.roamTick)

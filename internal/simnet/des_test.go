@@ -355,7 +355,7 @@ func checkDispatchOrder(t *testing.T, seed uint64, plan []byte) (int, int) {
 func frameBranchNetwork(t *testing.T) *Network {
 	t.Helper()
 	nw := newTestNetwork(71)
-	nw.Control.RenewIntervalS = 0 // no keepalive cycle: frames are the only events
+	nw.SetLeaseTTL(0, 0) // no keepalive cycle: frames are the only events
 	for i, c := range []struct {
 		x, y, turn, demand, mbps float64
 	}{
@@ -593,7 +593,7 @@ func TestEnvTickAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool drops the link evaluation's scratch under the race detector")
 	}
 	nw := tickNetwork(t, 1, false)
-	nw.Control.RenewIntervalS = 0
+	nw.SetLeaseTTL(0, 0)
 	for _, n := range nw.Nodes {
 		n.Traffic = trafficFunc(func() (float64, int) { return 1e9, 0 })
 	}

@@ -19,7 +19,7 @@ func lossyTestNetwork(seed uint64, drop, dup, trunc float64) *Network {
 	nw.Side = faults.Lossy(seed^0x51DE, drop, dup, trunc)
 	// At 30% drop an 8-attempt exchange still fails ~1% of the time;
 	// give the heavy-loss tests enough headroom that joins are sure.
-	nw.Control.MaxAttempts = 16
+	nw.retry.MaxAttempts = 16
 	return nw
 }
 
@@ -199,8 +199,7 @@ func TestRenewKeepsEngineOnTheGrant(t *testing.T) {
 		env := channel.NewEnvironment(channel.NewRoom(6, 4, rng), units.ISM24GHzCenter)
 		ap := channel.Vec2{X: 0.3, Y: 2}
 		nw := New(env, channel.Pose{Pos: ap}, seed+1)
-		nw.Control.LeaseTTLS, nw.Control.RenewIntervalS = 0.5, 0.15
-		nw.APs[0].Controller.LeaseTTL = 0.5
+		nw.SetLeaseTTL(0.5, 0.15)
 		nw.Side = faults.Lossy(seed+2, 0.25, 0.1, 0.08)
 		nw.Faults = faults.NewPlan().RestartAPAt(1.0, 0.3, 0)
 		const nodes = 60
@@ -222,7 +221,7 @@ func TestRenewKeepsEngineOnTheGrant(t *testing.T) {
 			if n.Down {
 				continue
 			}
-			cfg := nw.LinkCfg
+			cfg := nw.linkTemplate
 			cfg.BandwidthHz = n.Assignment.WidthHz
 			switch {
 			case n.sp.cs == nil || n.sp.cs.center != n.Assignment.CenterHz:
@@ -233,6 +232,65 @@ func TestRenewKeepsEngineOnTheGrant(t *testing.T) {
 					seed, n.ID, n.sp.noise, n.Assignment.WidthHz, cfg.NoisePowerW())
 			}
 		}
+	}
+}
+
+// TestLeaseTTLReachesEveryAP pins the lease TTL's one copy: SetLeaseTTL
+// runs before AddAP builds three of the controllers and before PlanReuse
+// rebuilds all four, and Run hands the TTL to each of them, so every AP
+// expires the lease of the one node that crashed at it. Nodes joining
+// and leaving around the crashes keep membership events firing;
+// ValidateSpectrum is clean after each one and after the run.
+func TestLeaseTTLReachesEveryAP(t *testing.T) {
+	nw := newTestNetwork(43)
+	nw.SetLeaseTTL(0.4, 0.1)
+	addExtraAPs(t, nw, 4)
+	if err := nw.PlanReuse(2); err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.NewPlan()
+	crashed := make([]uint32, len(nw.APs))
+	for id := uint32(1); id <= 16; id++ {
+		n, err := nw.Join(id, multiAPPose(nw, id), 2e6, Telemetry(0.05))
+		if err != nil {
+			t.Fatalf("join %d: %v", id, err)
+		}
+		if i := n.AP.idx; crashed[i] == 0 {
+			crashed[i] = id
+			plan.Crash(0.1+0.05*float64(i), id)
+		} else {
+			nw.ScheduleLeave(0.2+0.05*float64(id), id)
+		}
+	}
+	for i, id := range crashed {
+		if id == 0 {
+			t.Fatalf("no node joined AP %d", i)
+		}
+	}
+	nw.Faults = plan
+	for id := uint32(17); id <= 20; id++ {
+		nw.ScheduleJoin(0.3+0.05*float64(id-17), id, multiAPPose(nw, id), 2e6, Telemetry(0.05))
+	}
+	events := 0
+	nw.OnMembership = func(event string, id uint32) {
+		events++
+		if err := nw.ValidateSpectrum(); err != nil {
+			t.Errorf("%s of node %d: %v", event, id, err)
+		}
+	}
+	st := nw.Run(1.2, 0.05, 10)
+	if events != st.Joins+st.Leaves || st.Joins != 4 || st.Leaves != 12 {
+		t.Fatalf("%d membership events for %d joins and %d leaves, want 4 joins and 12 leaves",
+			events, st.Joins, st.Leaves)
+	}
+	for i, a := range st.PerAP {
+		if a.LeaseExpiries != 1 || nw.APs[i].Controller.HoldsLease(crashed[i]) {
+			t.Errorf("AP %d expired %d leases (node %d still leased: %t), want its crashed node %d's",
+				i, a.LeaseExpiries, crashed[i], nw.APs[i].Controller.HoldsLease(crashed[i]), crashed[i])
+		}
+	}
+	if err := nw.ValidateSpectrum(); err != nil {
+		t.Errorf("after the run: %v", err)
 	}
 }
 
@@ -401,7 +459,7 @@ func TestAirCarrierTakesFirstInTimeoutCopy(t *testing.T) {
 	}
 	nw := newTestNetwork(3)
 	nw.Side = side()
-	timeout := nw.Control.TimeoutS
+	timeout := nw.retry.TimeoutS
 
 	// A twin channel replays the draws: nothing truncates, so they do not
 	// depend on the frames' contents.

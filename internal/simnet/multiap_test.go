@@ -51,7 +51,7 @@ func addExtraAPs(t *testing.T, nw *Network, naps int) {
 func multiAPChurnPlan(t *testing.T, nw *Network, seed uint64, nStart, nJoins, nLeaves int) {
 	t.Helper()
 	nw.Side = faults.Lossy(seed^0x51DE, 0.10, 0.05, 0.02)
-	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 2, CheckIntervalS: 0.1, MinDwellS: 0.2})
+	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 2, checkS: 0.1, dwellS: 0.2})
 	nw.Env.AddBlocker(&channel.Blocker{
 		Pos: channel.Vec2{X: 1.0, Y: 2.0}, Radius: 0.35, LossDB: 18,
 		Vel: channel.Vec2{X: 1.2, Y: 0.1},
@@ -322,7 +322,7 @@ func TestRoamStrandedLeaseReclaimed(t *testing.T) {
 	if n.AP.idx != 0 {
 		t.Fatalf("node associated with AP %d, want nearest AP 0", n.AP.idx)
 	}
-	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, CheckIntervalS: 0.1, MinDwellS: 0.2})
+	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, checkS: 0.1, dwellS: 0.2})
 	// AP 0 is down across the first roam check, so the release at it
 	// must die; it restarts at 0.55 s with empty volatile books.
 	nw.Faults = faults.NewPlan().RestartAPAt(0.05, 0.5, 0)
@@ -378,7 +378,7 @@ func TestRoamKeepsLastGrantWhenEveryJoinDies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, CheckIntervalS: 0.1, MinDwellS: 1})
+	nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, checkS: 0.1, dwellS: 1})
 	held, rate := n.Assignment, n.RateBps
 	n.Demand = math.NaN()
 	st := nw.Run(0.25, 0.05, 10) // one roam check, no renew yet
@@ -511,7 +511,7 @@ func TestLinksEvaluateThroughTheAPsOwnAntenna(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("join", m, 0)
-		nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, CheckIntervalS: 0.05, MinDwellS: 0.1})
+		nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 1, checkS: 0.05, dwellS: 0.1})
 		nw.MoveNode(2, channel.Pose{Pos: channel.Vec2{X: 5.2, Y: 2.4}, Orientation: 0})
 		if st := nw.Run(0.3, 0.05, 10); st.Roams == 0 {
 			t.Fatalf("%s: the carried node never roamed", tc.name)

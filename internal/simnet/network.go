@@ -60,7 +60,7 @@ type Node struct {
 	// here, not in sp, because enterSparse zeroes sp mid-run.
 	finished bool
 	// roamHoldUntil is the sim time before which the roaming policy will
-	// not move this node again (MinDwellS after the last attempt).
+	// not move this node again (the roam dwell after the last attempt).
 	roamHoldUntil float64
 	// idx is the node's current position in Network.Nodes, maintained on
 	// every membership change so lookups never scan the slice. Stale the
@@ -83,9 +83,9 @@ type Network struct {
 	// band is the full network band APs allocate from until PlanReuse
 	// partitions it.
 	band mac.Band
-	// Roam, when non-nil in a multi-AP network, re-associates nodes
-	// toward stronger APs during Run (see RoamPolicy).
-	Roam *RoamPolicy
+	// roam, when non-nil in a multi-AP network, re-associates nodes
+	// toward stronger APs during Run (see SetRoamingPolicy).
+	roam *RoamPolicy
 	// strays tracks leases known to be stranded mid-roam: the node moved
 	// to a new AP but its release at the old one died on the side
 	// channel, so the old books still show it until the lease TTL
@@ -93,10 +93,9 @@ type Network struct {
 	// the no-double-association invariant.
 	strays map[uint32]*AccessPoint
 	Nodes  []*Node
-	// LinkCfg is the shared link budget template; each node's link
-	// evaluates at it with the node's channel width. Fixed once the first
-	// node joins, like APs.
-	LinkCfg core.LinkConfig
+	// linkTemplate is the shared link budget; each node's link evaluates
+	// at it with the node's channel width (linkCfg).
+	linkTemplate core.LinkConfig
 	// NodeBeams is the beam pair every node carries (defaults to the
 	// standard two-element orthogonal pair; a 60 GHz deployment can use
 	// antenna.NewNarrowNodeBeams since the shorter wavelength fits more
@@ -107,15 +106,16 @@ type Network struct {
 	// GOMAXPROCS, 1 forces the serial path. Parallel and serial results
 	// are bit-identical (each node writes only its own output slot).
 	Workers int
-	// Control times the fault-tolerant control plane: retry/backoff for
-	// the side-channel exchanges and the lease/renew keepalive cycle.
-	Control ControlConfig
 	// Side is the control side channel. nil is a perfect channel;
 	// install a seeded faults.SideChannel to make the WiFi/Bluetooth
 	// handshake lossy.
 	Side *faults.SideChannel
 	// Faults schedules in-run node crash/reboot and AP restart events.
 	Faults *faults.Plan
+	// retry is defaultRetry; tests may change it.
+	retry netctl.Retrier
+	// leaseTTLS and renewIntervalS are the keepalive cycle (SetLeaseTTL).
+	leaseTTLS, renewIntervalS float64
 	// ctrlRNG jitters the control plane's retry backoff without
 	// perturbing the traffic RNG stream.
 	ctrlRNG *stats.RNG
@@ -177,15 +177,17 @@ func New(env *channel.Environment, apPose channel.Pose, seed uint64) *Network {
 // carrier frequency should sit inside the band.
 func NewWithBand(env *channel.Environment, apPose channel.Pose, seed uint64, band mac.Band) *Network {
 	nw := &Network{
-		Env:       env,
-		band:      band,
-		LinkCfg:   core.DefaultLinkConfig(),
-		NodeBeams: antenna.NewNodeBeams(),
-		Control:   DefaultControlConfig(),
-		ctrlRNG:   stats.NewRNG(seed ^ 0xC0117A01),
-		rng:       stats.NewRNG(seed),
-		nodeIdx:   make(map[uint32]*Node),
-		strays:    make(map[uint32]*AccessPoint),
+		Env:            env,
+		band:           band,
+		linkTemplate:   core.DefaultLinkConfig(),
+		NodeBeams:      antenna.NewNodeBeams(),
+		retry:          defaultRetry,
+		leaseTTLS:      1,
+		renewIntervalS: 0.3,
+		ctrlRNG:        stats.NewRNG(seed ^ 0xC0117A01),
+		rng:            stats.NewRNG(seed),
+		nodeIdx:        make(map[uint32]*Node),
+		strays:         make(map[uint32]*AccessPoint),
 	}
 	nw.installAP(apPose)
 	return nw
@@ -325,7 +327,7 @@ var nodeSwitch = rf.NewADRF5020()
 // linkCfg is node n's link budget: the shared template at the channel
 // width applyAssignment last applied.
 func (nw *Network) linkCfg(n *Node) core.LinkConfig {
-	cfg := nw.LinkCfg
+	cfg := nw.linkTemplate
 	cfg.BandwidthHz = n.widthHz
 	return cfg
 }

@@ -38,8 +38,8 @@ type roamSpan struct {
 // decision time, not phase 1.
 func (rs *runState) roamTick() {
 	nw := rs.nw
-	dwell := nw.Roam.MinDwellS
-	if !(dwell > 0) { // NaN too: a NaN hold would never expire
+	dwell := nw.roam.dwellS
+	if dwell == 0 {
 		dwell = 0.5
 	}
 	members := len(nw.Nodes)
@@ -75,7 +75,7 @@ func (rs *runState) roamTick() {
 		// same channel width either way, so the comparison is
 		// apples-to-apples.
 		var best *AccessPoint
-		bestSNR := n.sp.rep.SNRdB + nw.Roam.HysteresisDB
+		bestSNR := n.sp.rep.SNRdB + nw.roam.HysteresisDB
 		for _, c := range rs.roamLanes[sp.lane][sp.lo:sp.hi] {
 			if snr := units.DB(c.g * c.g / noise); snr > bestSNR {
 				best, bestSNR = c.ap, snr

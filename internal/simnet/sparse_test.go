@@ -361,7 +361,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 	// Size the room from the audibility radius itself so the test tracks
 	// the bound: half the nodes land outside the disc and carry no edges.
 	probe := newTestNetwork(500)
-	r := math.Sqrt(probe.sparsePowerBoundConst() / probe.LinkCfg.NoisePowerW())
+	r := math.Sqrt(probe.sparsePowerBoundConst() / probe.linkTemplate.NoisePowerW())
 	side := 2.5 * r
 	env := channel.NewEnvironment(channel.NewRoom(side, side, rng), units.ISM24GHzCenter)
 	ap := channel.Pose{Pos: channel.Vec2{X: side / 2, Y: side / 2}}
@@ -438,7 +438,7 @@ func TestSparseCutoffSoundness(t *testing.T) {
 func TestSparseInterferenceErrorBounded(t *testing.T) {
 	rng := stats.NewRNG(8)
 	probe := newTestNetwork(501)
-	r := math.Sqrt(probe.sparsePowerBoundConst() / probe.LinkCfg.NoisePowerW())
+	r := math.Sqrt(probe.sparsePowerBoundConst() / probe.linkTemplate.NoisePowerW())
 	side := 2 * r
 	env := channel.NewEnvironment(channel.NewRoom(side, side, rng), units.ISM24GHzCenter)
 	ap := channel.Pose{Pos: channel.Vec2{X: side / 2, Y: side / 2}}
@@ -549,10 +549,7 @@ func joinFleet(tb testing.TB, g, nodes int) *Network {
 	side := 6000 * math.Sqrt(float64(nodes)/1000)
 	nw := gridAPNetwork(tb, 61, side, g, min(g*g, 4))
 	nw.Workers = 1
-	nw.Control.LeaseTTLS, nw.Control.RenewIntervalS = 0, 0
-	for _, ap := range nw.APs {
-		ap.Controller.LeaseTTL = 0
-	}
+	nw.SetLeaseTTL(0, 0)
 	joinUniform(tb, nw, stats.NewRNG(62), nodes)
 	return nw
 }

@@ -249,27 +249,17 @@ func (n *Network) SetFaultPlan(p *FaultPlan) { n.nw.Faults = p }
 // probabilities, deterministically from the seed. The join handshake and
 // the lease keepalive cycle then run through the retry state machine
 // (capped exponential backoff, idempotent AP handling). Zero rates with
-// any seed model a reliable-but-instrumented channel; call with
-// SetReliableControl to remove the channel entirely.
+// any seed model a reliable-but-instrumented channel.
 func (n *Network) SetLossyControl(seed uint64, drop, dup, trunc float64) {
 	n.nw.Side = faults.Lossy(seed, drop, dup, trunc)
 }
 
-// SetReliableControl restores the perfect control side channel.
-func (n *Network) SetReliableControl() { n.nw.Side = nil }
-
-// SetLeaseTTL reconfigures the spectrum lease lifetime and keepalive
-// period (seconds). A node silent for longer than ttlS — crashed without
-// a Release — has its spectrum reclaimed churn-safely; live nodes renew
+// SetLeaseTTL sets the spectrum lease lifetime and keepalive period
+// (seconds). A node silent for longer than ttlS — crashed without a
+// Release — has its spectrum reclaimed churn-safely; live nodes renew
 // every renewIntervalS, which should sit well below the TTL. ttlS = 0
-// disables expiry.
-func (n *Network) SetLeaseTTL(ttlS, renewIntervalS float64) {
-	n.nw.Control.LeaseTTLS = ttlS
-	n.nw.Control.RenewIntervalS = renewIntervalS
-	for _, ap := range n.nw.APs {
-		ap.Controller.LeaseTTL = ttlS
-	}
-}
+// disables expiry. The default is 1 s leases renewed every 300 ms.
+func (n *Network) SetLeaseTTL(ttlS, renewIntervalS float64) { n.nw.SetLeaseTTL(ttlS, renewIntervalS) }
 
 // Run drives the deployment for the given duration (seconds): blockers
 // walk, every node's traffic model emits frames, and frames succeed with
