@@ -55,7 +55,13 @@ func (p Patch) Field(theta float64) complex128 {
 	if q <= 0 {
 		q = 1
 	}
-	v := math.Pow(c, q)
+	// Pow's integer-exponent path squares the mantissa and rescales, the
+	// same bits as c*c whenever c² is normal, as it is for every positive
+	// cosine; the default patch's Q of 2 skips the call.
+	v := c * c
+	if q != 2 {
+		v = math.Pow(c, q)
+	}
 	if v < p.BackLobe {
 		v = p.BackLobe
 	}
@@ -146,7 +152,7 @@ func (u *ULA) progression(theta float64) float64 {
 // arrayFactors sums Σ_n w_n e^{j n·step} for one weight vector, or for two
 // of the same length (w1 nil: af1 is 0) with each element phasor computed
 // once. It is the one place the array formula is written: ULA.ArrayFactor
-// and NodeBeams.FieldGains both run it, so the two agree bit for bit.
+// and BeamPair.FieldGains both run it, so the two agree bit for bit.
 func arrayFactors(step float64, w0, w1 []complex128) (af0, af1 complex128) {
 	for n, w := range w0 {
 		ph := cmplx.Rect(1, step*float64(n))

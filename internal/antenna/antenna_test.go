@@ -3,6 +3,7 @@ package antenna
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,43 @@ func TestPatchPattern(t *testing.T) {
 	bad := Patch{Q: -1, BackLobe: 0}
 	if f := cmplx.Abs(bad.Field(1)); math.Abs(f-math.Cos(1)) > 1e-12 {
 		t.Errorf("Q<=0 fallback broken: %g", f)
+	}
+}
+
+// TestPatchSquareMatchesPow pins Patch.Field's Q = 2 shortcut, c*c, to
+// the math.Pow(c, 2) it replaced, bit for bit: on a dense sweep, at the
+// float64 neighbours of ±π/2 (the smallest cosines a direction gives)
+// and on seeded random directions, large ones included.
+func TestPatchSquareMatchesPow(t *testing.T) {
+	p := Patch{Q: 2} // no back-lobe floor: every positive cosine is compared
+	thetas := []float64{0, math.Pi / 2, -math.Pi / 2}
+	for _, edge := range []float64{math.Pi / 2, -math.Pi / 2} {
+		th := edge
+		for i := 0; i < 64; i++ {
+			thetas = append(thetas, th, math.Nextafter(edge, 0))
+			th = math.Nextafter(th, 0)
+		}
+	}
+	for i := 0; i <= 100000; i++ {
+		thetas = append(thetas, -math.Pi+2*math.Pi*float64(i)/100000)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 100000; i++ {
+		thetas = append(thetas, (rng.Float64()-0.5)*math.Pow(10, float64(rng.Intn(7))))
+	}
+	compared := 0
+	for _, th := range thetas {
+		c := math.Cos(th)
+		if c <= 0 {
+			continue
+		}
+		compared++
+		if got, want := real(p.Field(th)), math.Pow(c, 2); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("θ=%v: Field = %v, Pow(cos θ, 2) = %v", th, got, want)
+		}
+	}
+	if compared < 100000 {
+		t.Fatalf("only %d directions had a positive cosine", compared)
 	}
 }
 
@@ -265,7 +303,7 @@ func TestNewFixedBeamMatchesLiteral(t *testing.T) {
 	}
 }
 
-// TestNodeBeamsFieldGainsBitIdentical pins NodeBeams.FieldGains to the
+// TestNodeBeamsFieldGainsBitIdentical pins a prepared pair's FieldGains to the
 // two per-beam FieldGain calls it replaces, bit for bit, on every pair the
 // stack builds: the shared-array path (standard, non-orthogonal, narrow
 // and a literal pair with no cached amplitude) and the fallback (the
@@ -292,8 +330,9 @@ func TestNodeBeamsFieldGainsBitIdentical(t *testing.T) {
 			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
 	}
 	for name, nb := range pairs {
+		pair := nb.Prepare()
 		for _, th := range thetas {
-			g0, g1 := nb.FieldGains(th)
+			g0, g1 := pair.FieldGains(th)
 			w0, w1 := nb.Beam0.FieldGain(th), nb.Beam1.FieldGain(th)
 			if !same(g0, w0) || !same(g1, w1) {
 				t.Fatalf("%s at θ=%v: FieldGains = (%v, %v), FieldGain = (%v, %v)", name, th, g0, g1, w0, w1)

@@ -46,32 +46,56 @@ type NodeBeams struct {
 	Beam0, Beam1 Pattern
 }
 
-// FieldGains returns both beams' field gains toward theta —
-// Beam0.FieldGain(theta) and Beam1.FieldGain(theta), bit for bit. The
-// node's pairs are one array fed two ways (paper §6.2): when both beams
-// are FixedBeams over ULAs with the same patch element, spacing and
-// element count, the element field, sin θ and the element phasors are
-// computed once and shared, and each beam's product keeps FieldGain's
-// operation order. Any other pair (the mirrored node's, say) makes the
-// two FieldGain calls.
-func (nb NodeBeams) FieldGains(theta float64) (g0, g1 complex128) {
+// BeamPair is a NodeBeams resolved once for FieldGains calls toward many
+// directions. The node's pairs are one array fed two ways (paper §6.2):
+// when both beams are FixedBeams over ULAs with the same patch element,
+// spacing and element count, the pair keeps the two arrays, their weight
+// norms and their amplitudes, and each FieldGains call computes the
+// element field, sin θ and the element phasors once for both beams, each
+// beam's product keeping FieldGain's operation order. Any other pair
+// (the mirrored node's, say) makes the two FieldGain calls.
+type BeamPair struct {
+	nb           NodeBeams
+	elem         Patch
+	u0, u1       *ULA // nil: no shared array
+	norm0, norm1 float64
+	amp0, amp1   float64
+}
+
+// Prepare resolves the pair for BeamPair.FieldGains.
+func (nb NodeBeams) Prepare() BeamPair {
+	p := BeamPair{nb: nb}
 	b0, ok0 := nb.Beam0.(FixedBeam)
 	b1, ok1 := nb.Beam1.(FixedBeam)
-	if ok0 && ok1 {
-		u0, ok0 := b0.Source.(*ULA)
-		u1, ok1 := b1.Source.(*ULA)
-		if ok0 && ok1 && u0.SpacingWl == u1.SpacingWl && len(u0.Weights) == len(u1.Weights) && samePatch(u0.Elem, u1.Elem) {
-			norm0, norm1 := weightNorm(u0.Weights), weightNorm(u1.Weights)
-			if norm0 != 0 && norm1 != 0 {
-				e := u0.Elem.Field(theta)
-				af0, af1 := arrayFactors(u0.progression(theta), u0.Weights, u1.Weights)
-				g0 = e * af0 / complex(norm0, 0) * complex(b0.amplitude(), 0)
-				g1 = e * af1 / complex(norm1, 0) * complex(b1.amplitude(), 0)
-				return g0, g1
-			}
-		}
+	if !ok0 || !ok1 {
+		return p
 	}
-	return nb.Beam0.FieldGain(theta), nb.Beam1.FieldGain(theta)
+	u0, ok0 := b0.Source.(*ULA)
+	u1, ok1 := b1.Source.(*ULA)
+	if !ok0 || !ok1 || u0.SpacingWl != u1.SpacingWl || len(u0.Weights) != len(u1.Weights) || !samePatch(u0.Elem, u1.Elem) {
+		return p
+	}
+	norm0, norm1 := weightNorm(u0.Weights), weightNorm(u1.Weights)
+	if norm0 == 0 || norm1 == 0 {
+		return p
+	}
+	p.elem, p.u0, p.u1 = u0.Elem.(Patch), u0, u1
+	p.norm0, p.norm1 = norm0, norm1
+	p.amp0, p.amp1 = b0.amplitude(), b1.amplitude()
+	return p
+}
+
+// FieldGains returns both beams' field gains toward theta, bit for bit
+// Beam0.FieldGain(theta) and Beam1.FieldGain(theta).
+func (p *BeamPair) FieldGains(theta float64) (g0, g1 complex128) {
+	if p.u0 == nil {
+		return p.nb.Beam0.FieldGain(theta), p.nb.Beam1.FieldGain(theta)
+	}
+	e := p.elem.Field(theta)
+	af0, af1 := arrayFactors(p.u0.progression(theta), p.u0.Weights, p.u1.Weights)
+	g0 = e * af0 / complex(p.norm0, 0) * complex(p.amp0, 0)
+	g1 = e * af1 / complex(p.norm1, 0) * complex(p.amp1, 0)
+	return g0, g1
 }
 
 // samePatch reports whether a and b are equal Patch elements — the

@@ -93,7 +93,7 @@ func TestPoseAngleTo(t *testing.T) {
 // standalone Path (Paths uses reflectionPoint1 with shared backing
 // storage).
 func (e *Environment) firstOrderPath(tx, rx Vec2, wi int) (Path, bool) {
-	rp, ok := e.reflectionPoint1(tx, rx, wi)
+	rp, _, ok := e.reflectionPoint1(tx, rx, wi)
 	if !ok {
 		return Path{}, false
 	}

@@ -106,7 +106,8 @@ func (e *Environment) BeamGains(nodePose Pose, beams antenna.NodeBeams, apPose P
 // path that does not depend on the transmit beam — the AP-side field gain
 // and the path's angles and carrier phasor (pathTerms, as in PathGain) —
 // is computed once and shared by the two beams, and the two node-beam
-// gains come from one NodeBeams.FieldGains call (one array fed two ways).
+// gains come from one BeamPair.FieldGains call (one array fed two ways),
+// the pair prepared once for all paths.
 // Each beam's product is then formed in PathGain's own order,
 // (tx·rx)·phasor, so h0 and h1 are bit-identical to Gain(Beam0) and
 // Gain(Beam1), and the class matches BestPathClass. Ray tracing dominates
@@ -115,6 +116,7 @@ func (e *Environment) BeamGainsWithClass(nodePose Pose, beams antenna.NodeBeams,
 	s := pathScratchPool.Get().(*pathScratch)
 	s.out, s.backing = e.appendPaths(nodePose.Pos, apPose.Pos, s.out, s.backing)
 	lambda := units.Wavelength(e.FreqHz)
+	pair := beams.Prepare()
 	for i := range s.out {
 		p := &s.out[i]
 		if p.Length <= 0 {
@@ -122,7 +124,7 @@ func (e *Environment) BeamGainsWithClass(nodePose Pose, beams antenna.NodeBeams,
 		}
 		dep, arr, phasor := e.pathTerms(p, nodePose, apPose, lambda)
 		rx := apPat.FieldGain(arr)
-		g0, g1 := beams.FieldGains(dep)
+		g0, g1 := pair.FieldGains(dep)
 		h0 += g0 * rx * phasor
 		h1 += g1 * rx * phasor
 	}

@@ -104,7 +104,7 @@ func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Pa
 
 	if maxR >= 1 {
 		for wi := 0; wi < nWalls; wi++ {
-			rp, ok := e.reflectionPoint1(tx, rx, wi)
+			rp, length, ok := e.reflectionPoint1(tx, rx, wi)
 			if !ok {
 				continue
 			}
@@ -113,7 +113,7 @@ func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Pa
 			pts := seal(start)
 			out = append(out, Path{
 				Points:           pts,
-				Length:           tx.Dist(rp) + rp.Dist(rx),
+				Length:           length,
 				DepartureAngle:   rp.Sub(tx).Angle(),
 				ArrivalAngle:     rp.Sub(rx).Angle(),
 				Reflections:      1,
@@ -128,7 +128,7 @@ func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Pa
 				if w1 == w2 {
 					continue
 				}
-				r1, r2, ok := e.reflectionPoints2(tx, rx, w1, w2)
+				r1, r2, length, ok := e.reflectionPoints2(tx, rx, w1, w2)
 				if !ok {
 					continue
 				}
@@ -137,7 +137,7 @@ func (e *Environment) appendPaths(tx, rx Vec2, out []Path, backing []Vec2) ([]Pa
 				pts := seal(start)
 				out = append(out, Path{
 					Points:           pts,
-					Length:           tx.Dist(r1) + r1.Dist(r2) + r2.Dist(rx),
+					Length:           length,
 					DepartureAngle:   r1.Sub(tx).Angle(),
 					ArrivalAngle:     r2.Sub(rx).Angle(),
 					Reflections:      2,
@@ -191,13 +191,13 @@ func (e *Environment) BlockageFlips(tx, rx Vec2, refl, w1, w2 int, r SweptRegion
 	case refl == 0 && tx != rx:
 		pts, n = [4]Vec2{tx, rx}, 2
 	case refl == 1:
-		rp, ok := e.reflectionPoint1(tx, rx, w1)
+		rp, _, ok := e.reflectionPoint1(tx, rx, w1)
 		if !ok {
 			return false
 		}
 		pts, n = [4]Vec2{tx, rp, rx}, 3
 	case refl == 2 && w1 != w2:
-		r1, r2, ok := e.reflectionPoints2(tx, rx, w1, w2)
+		r1, r2, _, ok := e.reflectionPoints2(tx, rx, w1, w2)
 		if !ok {
 			return false
 		}
@@ -215,31 +215,34 @@ func (e *Environment) BlockageFlips(tx, rx Vec2, refl, w1, w2 int, r SweptRegion
 }
 
 // reflectionPoint1 finds the single-bounce reflection point off wall wi,
-// if the geometric reflection point falls on the wall.
-func (e *Environment) reflectionPoint1(tx, rx Vec2, wi int) (Vec2, bool) {
+// if the geometric reflection point falls on the wall, and the path's
+// length tx → rp → rx (Hypot is symmetric, so a leg measured from either
+// end has the same bits).
+func (e *Environment) reflectionPoint1(tx, rx Vec2, wi int) (rp Vec2, length float64, ok bool) {
 	w := e.Room.Wall(wi)
 	img := w.Seg.MirrorAcross(tx)
 	// The reflection point is where rx→img crosses the wall.
 	ray := Segment{rx, img}
 	t, u, ok := ray.Intersect(w.Seg)
 	if !ok || t <= 1e-9 || t >= 1-1e-9 || u < 1e-9 || u > 1-1e-9 {
-		return Vec2{}, false
+		return Vec2{}, 0, false
 	}
-	rp := w.Seg.PointAt(u)
-	if rp.Dist(tx) < 1e-9 || rp.Dist(rx) < 1e-9 {
-		return Vec2{}, false
+	rp = w.Seg.PointAt(u)
+	d1, d2 := rp.Dist(tx), rp.Dist(rx)
+	if d1 < 1e-9 || d2 < 1e-9 {
+		return Vec2{}, 0, false
 	}
 	// A real reflection keeps both endpoints on the same side of the
 	// surface (matters for interior walls; boundary walls always pass).
 	if !sameSide(w.Seg, tx, rx) {
-		return Vec2{}, false
+		return Vec2{}, 0, false
 	}
-	return rp, true
+	return rp, d1 + d2, true
 }
 
 // reflectionPoints2 finds the double-bounce reflection points hitting wall
-// w1 then w2.
-func (e *Environment) reflectionPoints2(tx, rx Vec2, w1i, w2i int) (Vec2, Vec2, bool) {
+// w1 then w2, and the path's length tx → r1 → r2 → rx.
+func (e *Environment) reflectionPoints2(tx, rx Vec2, w1i, w2i int) (r1, r2 Vec2, length float64, ok bool) {
 	w1 := e.Room.Wall(w1i)
 	w2 := e.Room.Wall(w2i)
 	img1 := w1.Seg.MirrorAcross(tx)   // tx mirrored in w1
@@ -248,24 +251,25 @@ func (e *Environment) reflectionPoints2(tx, rx Vec2, w1i, w2i int) (Vec2, Vec2, 
 	ray2 := Segment{rx, img2}
 	t2, u2, ok := ray2.Intersect(w2.Seg)
 	if !ok || t2 <= 1e-9 || t2 >= 1-1e-9 || u2 < 1e-9 || u2 > 1-1e-9 {
-		return Vec2{}, Vec2{}, false
+		return Vec2{}, Vec2{}, 0, false
 	}
-	r2 := w2.Seg.PointAt(u2)
+	r2 = w2.Seg.PointAt(u2)
 	// First bounce: r2→img1 crosses w1 at r1, strictly between the two.
 	ray1 := Segment{r2, img1}
 	t1, u1, ok := ray1.Intersect(w1.Seg)
 	if !ok || t1 <= 1e-9 || t1 >= 1-1e-9 || u1 < 1e-9 || u1 > 1-1e-9 {
-		return Vec2{}, Vec2{}, false
+		return Vec2{}, Vec2{}, 0, false
 	}
-	r1 := w1.Seg.PointAt(u1)
-	if r1.Dist(tx) < 1e-9 || r2.Dist(rx) < 1e-9 || r1.Dist(r2) < 1e-9 {
-		return Vec2{}, Vec2{}, false
+	r1 = w1.Seg.PointAt(u1)
+	d1, d2, d12 := r1.Dist(tx), r2.Dist(rx), r1.Dist(r2)
+	if d1 < 1e-9 || d2 < 1e-9 || d12 < 1e-9 {
+		return Vec2{}, Vec2{}, 0, false
 	}
 	// Both bounces must be true same-side reflections.
 	if !sameSide(w1.Seg, tx, r2) || !sameSide(w2.Seg, r1, rx) {
-		return Vec2{}, Vec2{}, false
+		return Vec2{}, Vec2{}, 0, false
 	}
-	return r1, r2, true
+	return r1, r2, d1 + d12 + d2, true
 }
 
 // sameSide reports whether a and b lie strictly on the same side of the

@@ -198,11 +198,11 @@ type sparseState struct {
 	listeners []box
 
 	// The mapping fan-out (region.go): a tick's corridors, its work items,
-	// one lane per worker, and the item function, built once per core so a
-	// tick allocates no closure.
+	// one lane per worker (the eval pass counts in them too), and the item
+	// function, built once per core so a tick allocates no closure.
 	corridorScratch []corridor
 	mapItems        []mapItem
-	mapLanes        []mapLane
+	lanes           []workLane
 	mapFn           func(lane, i int)
 	// The eval and finish passes' item functions, built once per core
 	// for the same reason: they index workScratch and dirty.
@@ -901,9 +901,11 @@ func (s *sparseState) runEvalPass(nw *Network) {
 	}
 	s.workScratch = work
 	if s.evalFn == nil {
-		s.evalFn = func(_, i int) { s.evalNode(nw, s.workScratch[i]) }
+		s.evalFn = func(lane, i int) { s.lanes[lane].work.LinkEvals += s.evalNode(nw, s.workScratch[i]) }
 	}
+	s.growLanes(nw.Workers, len(work))
 	par.For(nw.Workers, len(work), s.evalFn)
+	s.foldLanes(nw)
 	for _, n := range work {
 		if !n.sp.powerMoved {
 			continue
@@ -915,10 +917,10 @@ func (s *sparseState) runEvalPass(nw *Network) {
 	s.workScratch = work[:0]
 }
 
-// evalNode re-runs one stale node's link evaluation and records whether
+// evalNode re-runs one stale node's link evaluation, records whether
 // its received power — at its serving AP or at any foreign AP it has
-// victims at — moved.
-func (s *sparseState) evalNode(nw *Network, n *Node) {
+// victims at — moved, and returns how many links it evaluated.
+func (s *sparseState) evalNode(nw *Network, n *Node) (evals int) {
 	n.sp.evalStale = false
 	oldPower := n.sp.power
 	if n.Down {
@@ -926,6 +928,7 @@ func (s *sparseState) evalNode(nw *Network, n *Node) {
 	} else {
 		ev := nw.evaluate(n, n.AP)
 		n.sp.power, n.sp.class = peakPower(ev), ev.PathClass
+		evals++
 	}
 	moved := n.sp.power != oldPower
 	// Refresh the node's received power at every foreign AP it has
@@ -937,6 +940,7 @@ func (s *sparseState) evalNode(nw *Network, n *Node) {
 			if x.edges <= 0 || a == n.AP.idx {
 				continue
 			}
+			evals++
 			if p := nw.crossPower(n, a); p != x.power {
 				x.power = p
 				moved = true
@@ -944,6 +948,7 @@ func (s *sparseState) evalNode(nw *Network, n *Node) {
 		}
 	}
 	n.sp.powerMoved = moved
+	return evals
 }
 
 // finishDirty re-sums and rebuilds the report of every queued node, then

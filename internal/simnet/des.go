@@ -225,6 +225,26 @@ type WorkStats struct {
 	// Events counts the events the engine dispatched: frames (a departed
 	// node's stale frame too), ticks, churn and faults.
 	Events int
+	// MapItems counts the swept-region mapping's work items, one per
+	// (region, AP, corridor); CellsWalked the grid cells their cone walks
+	// listed; SlotsVisited the node slots in those cells; LeafTests the
+	// nodes the corridor test passed on to the exact leaf test; Staled
+	// the nodes the merge marked for re-evaluation.
+	MapItems, CellsWalked, SlotsVisited, LeafTests, Staled int
+	// LinkEvals counts the eval pass's link evaluations: serving links
+	// and cross-AP powers.
+	LinkEvals int
+}
+
+// add adds o's counts to w.
+func (w *WorkStats) add(o WorkStats) {
+	w.Events += o.Events
+	w.MapItems += o.MapItems
+	w.CellsWalked += o.CellsWalked
+	w.SlotsVisited += o.SlotsVisited
+	w.LeafTests += o.LeafTests
+	w.Staled += o.Staled
+	w.LinkEvals += o.LinkEvals
 }
 
 // APInterval is one contiguous association of a node with an AP: the AP's
@@ -658,6 +678,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	}
 	nw.run = rs
 	defer func() { nw.run = nil }()
+	nw.work = WorkStats{}
 
 	slab := make([]nodeHandle, len(nw.Nodes))
 	for i, n := range nw.Nodes {
@@ -775,10 +796,11 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		n.h = nil
 	}
 	st := RunStats{
-		Duration: duration, Control: rs.ctl, Work: WorkStats{Events: sim.dispatched()},
+		Duration: duration, Control: rs.ctl, Work: nw.work,
 		JoinsFailed: rs.joinsFailed, RoamsFailed: rs.roamsFailed,
 		PerAP: rs.apStats, APHistory: rs.apHist,
 	}
+	st.Work.Events = sim.dispatched()
 	for i := range rs.apStats {
 		a := &rs.apStats[i]
 		a.AP = i

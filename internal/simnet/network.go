@@ -158,6 +158,9 @@ type Network struct {
 	discWalk func(v *Node) []inEdge
 	// sparse is the interference engine, nil until first needed (core).
 	sparse *sparseState
+	// work counts the engine's mapping and eval-pass work (Events aside)
+	// since the last Run started, which reports it.
+	work WorkStats
 	// run points at the live engine state while Run executes; membership
 	// changes issued mid-run route through it onto the event heap.
 	run *runState

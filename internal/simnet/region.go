@@ -109,6 +109,7 @@ type corridor struct {
 type sector struct {
 	n1, n2 channel.Vec2 // inward normals of the cone's boundary rays
 	all    bool         // apex inside the capsule or cone ≥ π: no prune
+	none   bool         // the capsule is out of reach of the whole walk
 }
 
 func makeSector(apex channel.Vec2, k channel.SweptRegion) sector {
@@ -123,8 +124,8 @@ func makeSector(apex channel.Vec2, k channel.SweptRegion) sector {
 	// Circle A subtends [-pha, pha] around its center direction; circle
 	// B sits at delta = angle(db) − angle(da) and subtends ±phb.
 	delta := math.Atan2(da.X*db.Y-da.Y*db.X, da.X*db.X+da.Y*db.Y)
-	lo := math.Min(-pha, delta-phb)
-	hi := math.Max(pha, delta+phb)
+	lo := min(-pha, delta-phb)
+	hi := max(pha, delta+phb)
 	if hi-lo >= math.Pi {
 		return sector{all: true} // half-plane SAT can't represent this
 	}
@@ -138,8 +139,8 @@ func makeSector(apex channel.Vec2, k channel.SweptRegion) sector {
 }
 
 func (sc *sector) admitsPoint(apex, p channel.Vec2) bool {
-	if sc.all {
-		return true
+	if sc.all || sc.none {
+		return sc.all
 	}
 	rx := p.X - apex.X
 	ry := p.Y - apex.Y
@@ -154,17 +155,61 @@ func newCorridor(caps [3]channel.SweptRegion, n int, walls [2]int, gates [2]chan
 }
 
 // aim points the corridor at one AP: the apex is the AP unfolded through
-// the corridor's walls, and the sectors are the capsule variants seen
-// from there.
+// the corridor's walls. The sectors, which take trigonometry, wait for
+// aimSectors, so a corridor whose gates leave nothing to walk skips them.
 func (co *corridor) aim(room *channel.Room, ap *AccessPoint) {
 	apex := ap.Pose.Pos
 	for g := co.nGates - 1; g >= 0; g-- {
 		apex = room.Wall(co.walls[g]).Seg.MirrorAcross(apex)
 	}
 	co.apex, co.apPos, co.ap = apex, ap.Pose.Pos, ap.idx
-	for c := 0; c < co.nCaps; c++ {
-		co.secs[c] = makeSector(apex, co.caps[c])
+}
+
+// aimSectors sets each capsule variant's sector as seen from the apex and
+// reports whether any can matter to a node in gc (see gateCone). A node
+// outside gc misses a gate, and a node p inside it has its segment to the
+// apex inside the bounding box of gc and the apex, and no farther from the
+// apex than |p − apex|. A variant out of reach of that box, or nearer to
+// no point of gc than dist(apex, capsule) − reach, therefore gets the
+// sector that admits nothing, without the trigonometry.
+func (co *corridor) aimSectors(gc *cone) bool {
+	hull := emptyBox()
+	hull.grow(co.apex)
+	far2 := 0.0
+	for _, v := range gc.v[:gc.n] {
+		hull.grow(v)
+		d := v.Sub(co.apex)
+		far2 = max(far2, d.Dot(d))
 	}
+	live := false
+	for c := 0; c < co.nCaps; c++ {
+		k := &co.caps[c]
+		if !hull.nearCapsule(k) {
+			co.secs[c] = sector{none: true}
+			continue
+		}
+		if near := k.Seg.DistanceTo(co.apex) - k.Radius - 2*sweptSlack; near > 0 && far2 < near*near {
+			co.secs[c] = sector{none: true}
+			continue
+		}
+		co.secs[c] = makeSector(co.apex, *k)
+		live = true
+	}
+	return live
+}
+
+// mayReach is aimSectors' first screen on the whole listener box b: can
+// some capsule variant come within reach of a segment from a point of b
+// to the apex?
+func (co *corridor) mayReach(b *box) bool {
+	hull := *b
+	hull.grow(co.apex)
+	for c := 0; c < co.nCaps; c++ {
+		if hull.nearCapsule(&co.caps[c]) {
+			return true
+		}
+	}
+	return false
 }
 
 // flips is the exact leaf test: does the capsule flip the blockage of a
@@ -223,22 +268,45 @@ func appendCorridors(env *channel.Environment, out []corridor, k channel.SweptRe
 }
 
 // mapItem is one work item of the mapping fan-out: corridor corr of the
-// tick's list aimed at AP ap. Its walk visited cells grid cells and left
-// its candidates in mapLanes[lane].cand[lo:hi].
+// tick's list aimed at AP ap. It left its candidates in
+// lanes[lane].cand[lo:hi].
 type mapItem struct {
 	corr, ap     int32
 	lane, lo, hi int32
-	cells        int32
 }
 
-// mapLane is one worker's scratch: the corridor it is walking, aimed at
-// the current item's AP, the environment its leaf test traces in, the
-// current item's cells, and the candidates of every item it ran.
-type mapLane struct {
+// workLane is one worker's share of a fan-out. The mapping keeps its
+// scratch there: the corridor it is walking, aimed at the current item's
+// AP, the environment its leaf test traces in, the current item's cells
+// and the nodes in them with their positions, and the candidates of
+// every item it ran. Both the mapping and the eval pass count into work,
+// which the serial merge after each adds to the network's totals, so
+// counting takes neither atomics nor allocation.
+type workLane struct {
 	co    corridor
 	env   *channel.Environment
 	cells []int32
+	nodes []*Node
+	pos   []channel.Vec2
 	cand  []*Node
+	work  WorkStats
+}
+
+// growLanes makes sure there is a lane for each worker par.For runs n
+// items on.
+func (s *sparseState) growLanes(workers, n int) {
+	if lanes := par.Lanes(workers, n); len(s.lanes) < lanes {
+		s.lanes = append(s.lanes, make([]workLane, lanes-len(s.lanes))...)
+	}
+}
+
+// foldLanes adds the lanes' counts to the network's totals and zeroes
+// them.
+func (s *sparseState) foldLanes(nw *Network) {
+	for i := range s.lanes {
+		nw.work.add(s.lanes[i].work)
+		s.lanes[i].work = WorkStats{}
+	}
 }
 
 // mapRegions marks evalStale every node whose cached evaluations one of
@@ -272,47 +340,79 @@ func (s *sparseState) mapRegions(nw *Network, regions []channel.SweptRegion) {
 		}
 	}
 	s.corridorScratch, s.mapItems = corridors, items
-	if lanes := par.Lanes(nw.Workers, len(items)); len(s.mapLanes) < lanes {
-		s.mapLanes = append(s.mapLanes, make([]mapLane, lanes-len(s.mapLanes))...)
-	}
-	for i := range s.mapLanes {
-		s.mapLanes[i].cand = s.mapLanes[i].cand[:0]
+	s.growLanes(nw.Workers, len(items))
+	for i := range s.lanes {
+		s.lanes[i].cand = s.lanes[i].cand[:0]
 	}
 	if s.mapFn == nil {
 		s.mapFn = func(lane, i int) { s.mapItem(nw, lane, i) }
 	}
 	par.For(nw.Workers, len(items), s.mapFn)
+	staled := 0
 	for _, it := range items {
-		for _, n := range s.mapLanes[it.lane].cand[it.lo:it.hi] {
+		for _, n := range s.lanes[it.lane].cand[it.lo:it.hi] {
 			if !n.sp.evalStale {
 				s.markEvalStale(n)
+				staled++
 			}
 		}
 	}
+	nw.work.MapItems += len(items)
+	nw.work.Staled += staled
+	s.foldLanes(nw)
 }
 
 // mapItem runs work item i on the given lane: it aims the lane's copy of
 // the item's corridor at the item's AP, walks the cells its cones cover
-// in the AP's listener box, and puts each listening node there through
-// the corridor test and then the exact leaf test. A node that passes
-// both, and was not already stale, is appended to the lane's candidates.
+// in the AP's listener box, gathers the nodes there with their
+// positions, and puts each through the corridor test, which reads only
+// the position, then the node's own flags (not already stale, listening
+// to the AP), then the exact leaf test. A node that passes all three is
+// appended to the lane's candidates.
 func (s *sparseState) mapItem(nw *Network, lane, i int) {
 	it := &s.mapItems[i]
-	ln := &s.mapLanes[lane]
+	ln := &s.lanes[lane]
 	ln.co, ln.env = s.corridorScratch[it.corr], nw.Env
 	co := &ln.co
 	co.aim(nw.Env.Room, nw.APs[it.ap])
-	ln.cells = s.appendConeCells(ln.cells[:0], co, &s.listeners[it.ap])
-	it.lane, it.lo, it.cells = int32(lane), int32(len(ln.cand)), int32(len(ln.cells))
+	b := &s.listeners[it.ap]
+	ln.cells = ln.cells[:0]
+	if co.mayReach(b) {
+		var gc cone
+		co.gateCone(&gc, b)
+		if gc.n > 0 && co.aimSectors(&gc) {
+			ln.cells = s.appendConeCells(ln.cells, co, b, &gc)
+		}
+	}
+	it.lane, it.lo = int32(lane), int32(len(ln.cand))
+	// Gather first: the position loads are independent of each other, so
+	// their cache misses overlap, where testing each node as it is loaded
+	// waits out one miss at a time.
+	ln.nodes, ln.pos = ln.nodes[:0], ln.pos[:0]
 	for _, c := range ln.cells {
 		for _, sl := range s.cells[c] {
-			n := sl.n
-			if !n.sp.evalStale && n.listens(co.ap) && co.nearNode(n.Pose.Pos) && co.flips(ln.env, n.Pose.Pos) {
-				ln.cand = append(ln.cand, n)
-			}
+			ln.nodes = append(ln.nodes, sl.n)
+			ln.pos = append(ln.pos, sl.n.Pose.Pos)
+		}
+	}
+	leaf := 0
+	for i, p := range ln.pos {
+		if !co.nearNode(p) {
+			continue
+		}
+		n := ln.nodes[i]
+		if n.sp.evalStale || !n.listens(co.ap) {
+			continue
+		}
+		leaf++
+		if co.flips(ln.env, p) {
+			ln.cand = append(ln.cand, n)
 		}
 	}
 	it.hi = int32(len(ln.cand))
+	ln.work.CellsWalked += len(ln.cells)
+	ln.work.SlotsVisited += len(ln.pos)
+	ln.work.LeafTests += leaf
 }
 
 // listens reports whether node n caches a link towards AP j.
@@ -330,56 +430,129 @@ func emptyBox() box {
 
 func (b *box) empty() bool { return b.lo.X > b.hi.X }
 
+// nearCapsule reports whether capsule k's bounding box, grown by its
+// reach and a slack for rounding, meets b: false means no point of b
+// comes within reach of k.
+func (b *box) nearCapsule(k *channel.SweptRegion) bool {
+	r := k.Radius + 2*sweptSlack
+	a, c := k.Seg.A, k.Seg.B
+	return min(a.X, c.X)-r <= b.hi.X && max(a.X, c.X)+r >= b.lo.X &&
+		min(a.Y, c.Y)-r <= b.hi.Y && max(a.Y, c.Y)+r >= b.lo.Y
+}
+
 func (b *box) grow(p channel.Vec2) {
-	b.lo = channel.Vec2{X: math.Min(b.lo.X, p.X), Y: math.Min(b.lo.Y, p.Y)}
-	b.hi = channel.Vec2{X: math.Max(b.hi.X, p.X), Y: math.Max(b.hi.Y, p.Y)}
+	b.lo = channel.Vec2{X: min(b.lo.X, p.X), Y: min(b.lo.Y, p.Y)}
+	b.hi = channel.Vec2{X: max(b.hi.X, p.X), Y: max(b.hi.Y, p.Y)}
+}
+
+// gateSlack, in normalized crossing coordinates, keeps nearNode's gate
+// test and leg clipping, and the cone walk's gate cuts, strict supersets
+// of appendPaths' own validity margins (1e-9 in t and u) under
+// independent float rounding.
+const gateSlack = 1e-6
+
+// maxCuts is the most half-planes a cone is cut by: its sector's two and
+// three for each of a corridor's up to two gates.
+const maxCuts = 2 + 3*2
+
+// halfPlane is one cut of a cone: it keeps the points p with
+// (p − o)·nrm ≥ −slack, for a unit normal nrm and a slack in meters.
+type halfPlane struct {
+	o, nrm channel.Vec2
+	slack  float64
+}
+
+// coneEdge is one edge of a clipped cone, prepared for the row walk: its
+// y-range, the x at each end and dx/dy, so a row slices it with one
+// multiply per end rather than a division.
+type coneEdge struct {
+	y0, y1, x0, x1, dxdy float64
 }
 
 // cone is one capsule variant's share of a listener box: the box clipped
-// by the variant's sector, its rows, and the distance from the apex below
-// which no node's segment to the apex reaches the capsule. Each cut adds
-// one vertex to a convex polygon, so a box needs 6; rounding on a
-// zero-width box can alternate the signs and make it 9.
+// by the variant's sector and the corridor's gate cuts, its edges and rows,
+// and the distance from the apex below which no node's segment to the
+// apex reaches the capsule. Each cut adds at most one vertex to a convex
+// polygon, so the box's four and maxCuts more fit; a cut whose rounding
+// would overflow that (signs can alternate along a degenerate polygon) is
+// skipped, which only keeps more.
 type cone struct {
-	v        [10]channel.Vec2
+	v        [4 + maxCuts]channel.Vec2
+	e        [4 + maxCuts]coneEdge
 	n        int
 	near     float64
 	iy0, iy1 int
 }
 
-// clip sets the cone to b cut by the sector's two boundary half-planes,
-// each loosened by sweptSlack so that every point admitsPoint accepts
-// stays inside under the clip's own rounding.
-func (cn *cone) clip(b *box, apex channel.Vec2, sc *sector) {
+// clip sets the cone to b cut by the half-planes.
+func (cn *cone) clip(b *box, cuts []halfPlane) {
 	cn.v[0], cn.v[1] = b.lo, channel.Vec2{X: b.hi.X, Y: b.lo.Y}
 	cn.v[2], cn.v[3] = b.hi, channel.Vec2{X: b.lo.X, Y: b.hi.Y}
 	cn.n = 4
-	if !sc.all {
-		cn.cut(apex, sc.n1)
-		cn.cut(apex, sc.n2)
+	for i := 0; i < len(cuts) && cn.n > 0; i++ {
+		cn.cut(&cuts[i])
 	}
 }
 
-// cut keeps the part of the polygon where (p − apex) · nrm ≥ −sweptSlack
-// (one Sutherland–Hodgman pass).
-func (cn *cone) cut(apex, nrm channel.Vec2) {
-	var out [10]channel.Vec2
+// clipSector cuts the cone by the sector's two boundary half-planes, each
+// loosened by sweptSlack so that every point admitsPoint accepts stays
+// inside under the cut's own rounding.
+func (cn *cone) clipSector(apex channel.Vec2, sc *sector) {
+	cuts := [2]halfPlane{{o: apex, nrm: sc.n1, slack: sweptSlack}, {o: apex, nrm: sc.n2, slack: sweptSlack}}
+	for i := 0; i < len(cuts) && cn.n > 0; i++ {
+		cn.cut(&cuts[i])
+	}
+}
+
+// cut keeps the part of the polygon inside h (one Sutherland–Hodgman
+// pass).
+func (cn *cone) cut(h *halfPlane) {
+	var out [len(cn.v)]channel.Vec2
+	side := func(p channel.Vec2) float64 { return (p.X-h.o.X)*h.nrm.X + (p.Y-h.o.Y)*h.nrm.Y + h.slack }
 	m := 0
-	side := func(p channel.Vec2) float64 { return (p.X-apex.X)*nrm.X + (p.Y-apex.Y)*nrm.Y + sweptSlack }
+	a := cn.v[cn.n-1]
+	da := side(a)
 	for i := 0; i < cn.n; i++ {
-		a, b := cn.v[i], cn.v[(i+1)%cn.n]
-		da, db := side(a), side(b)
-		if da >= 0 {
-			out[m] = a
-			m++
-		}
+		b := cn.v[i]
+		db := side(b)
 		if (da >= 0) != (db >= 0) {
+			if m == len(out) {
+				return
+			}
 			t := da / (da - db)
 			out[m] = channel.Vec2{X: a.X + t*(b.X-a.X), Y: a.Y + t*(b.Y-a.Y)}
 			m++
 		}
+		if db >= 0 {
+			if m == len(out) {
+				return
+			}
+			out[m] = b
+			m++
+		}
+		a, da = b, db
 	}
 	cn.v, cn.n = out, m
+}
+
+// edges prepares the cone's edges for xSpan and returns its y-range.
+func (cn *cone) edges() (ylo, yhi float64) {
+	ylo, yhi = math.Inf(1), math.Inf(-1)
+	a := cn.v[cn.n-1]
+	for i, b := range cn.v[:cn.n] {
+		lo, hi := a, b
+		if lo.Y > hi.Y {
+			lo, hi = hi, lo
+		}
+		e := coneEdge{y0: lo.Y, y1: hi.Y, x0: lo.X, x1: hi.X}
+		if dy := hi.Y - lo.Y; dy > 0 {
+			e.dxdy = (hi.X - lo.X) / dy
+		}
+		cn.e[i] = e
+		ylo, yhi = min(ylo, b.Y), max(yhi, b.Y)
+		a = b
+	}
+	return ylo, yhi
 }
 
 // xSpan returns the x-extent of the cone's part inside the band
@@ -387,22 +560,29 @@ func (cn *cone) cut(apex, nrm channel.Vec2) {
 // is bounded by its edges, so the extent is that of the edges' slices.
 func (cn *cone) xSpan(y0, y1 float64) (xa, xb float64, ok bool) {
 	xa, xb = math.Inf(1), math.Inf(-1)
-	for i := 0; i < cn.n; i++ {
-		a, b := cn.v[i], cn.v[(i+1)%cn.n]
-		if a.Y > b.Y {
-			a, b = b, a
-		}
-		if b.Y < y0 || a.Y > y1 {
+	for i := range cn.e[:cn.n] {
+		e := &cn.e[i]
+		if e.y1 < y0 || e.y0 > y1 {
 			continue
 		}
-		lo, hi := a.X, b.X
-		if a.Y < y0 {
-			lo = a.X + (y0-a.Y)*(b.X-a.X)/(b.Y-a.Y)
+		lo, hi := e.x0, e.x1
+		if e.y0 < y0 {
+			lo = e.x0 + (y0-e.y0)*e.dxdy
 		}
-		if b.Y > y1 {
-			hi = a.X + (y1-a.Y)*(b.X-a.X)/(b.Y-a.Y)
+		if e.y1 > y1 {
+			hi = e.x0 + (y1-e.y0)*e.dxdy
 		}
-		xa, xb = math.Min(xa, math.Min(lo, hi)), math.Max(xb, math.Max(lo, hi))
+		// Plain comparisons: the vertices are finite, so the builtins'
+		// NaN and signed-zero rules would only cost.
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if lo < xa {
+			xa = lo
+		}
+		if hi > xb {
+			xb = hi
+		}
 	}
 	return xa, xb, xa <= xb
 }
@@ -411,7 +591,7 @@ func (cn *cone) xSpan(y0, y1 float64) (xa, xb float64, ok bool) {
 // within [lo, hi]; the end cells, which cellIndex clamps everything
 // beyond the grid into, reach to lo and hi.
 func cellExtent(i int, w float64, n int, lo, hi float64) (a, b float64) {
-	a, b = math.Max(float64(i)*w, lo), math.Min(float64(i+1)*w, hi)
+	a, b = max(float64(i)*w, lo), min(float64(i+1)*w, hi)
 	if i == 0 {
 		a = lo
 	}
@@ -423,35 +603,105 @@ func cellExtent(i int, w float64, n int, lo, hi float64) (a, b float64) {
 
 // clampCell is the grid index of coordinate v on an axis of n cells of
 // width w, clamped into the grid as cellIndex does. The clamp runs in
-// float: Go leaves a float-to-int conversion implementation-defined when
-// the value does not fit.
+// float, as Go leaves a float-to-int conversion implementation-defined
+// when the value does not fit; on [0, n−1] the conversion's truncation is
+// the floor.
 func clampCell(v, w float64, n int) int {
-	return int(math.Min(math.Max(math.Floor(v/w), 0), float64(n-1)))
+	return int(min(max(v/w, 0), float64(n-1)))
+}
+
+// gateCone sets gc to b clipped by the corridor's gate cuts: the part of
+// b where a node's segment to the apex can cross every gate.
+func (co *corridor) gateCone(gc *cone, b *box) {
+	var buf [maxCuts - 2]halfPlane
+	gc.clip(b, co.gateCuts(buf[:0], b))
+}
+
+// gateCuts fills dst with the half-planes that hold every point p of b
+// whose segment to the apex crosses all of the corridor's gates as
+// gateCross requires: for each gate, the side of its line away from the
+// apex and the wedge from the apex through the gate's ends, each widened
+// by twice gateSlack in crossing coordinates and by sweptSlack for
+// rounding. That is sound because path existence is pure geometry: a node
+// whose segment to the apex misses a gate has no path through the
+// corridor, and the leaf test rejects it. A gate whose line passes too
+// near the apex gets no cut, which only keeps more: near relative to the
+// coordinates' scale, where crossing coordinates lose the accuracy the
+// widening assumes, or relative to b's reach from the line, where a point
+// of b could meet the line behind the apex (t > 1) within gateSlack.
+func (co *corridor) gateCuts(dst []halfPlane, b *box) []halfPlane {
+	const widen = 2 * gateSlack
+	apex := co.apex
+	corners := [4]channel.Vec2{b.lo, b.hi, {X: b.lo.X, Y: b.hi.Y}, {X: b.hi.X, Y: b.lo.Y}}
+	scale := max(math.Abs(apex.X), math.Abs(apex.Y), math.Abs(b.lo.X), math.Abs(b.lo.Y), math.Abs(b.hi.X), math.Abs(b.hi.Y))
+	for g := 0; g < co.nGates; g++ {
+		gt := co.gates[g]
+		q := gt.B.Sub(gt.A)
+		sc := max(scale, math.Abs(gt.A.X), math.Abs(gt.A.Y), math.Abs(gt.B.X), math.Abs(gt.B.Y))
+		// cross(p) is |q| times p's signed distance from the gate's line.
+		cross := func(p channel.Vec2) float64 { return q.X*(p.Y-gt.A.Y) - q.Y*(p.X-gt.A.X) }
+		ca := math.Abs(cross(apex))
+		reach := 0.0
+		for _, p := range corners {
+			reach = max(reach, math.Abs(cross(p)))
+		}
+		if !(ca > 1e-7*sc*sc && ca > 4*gateSlack*reach) {
+			continue
+		}
+		l := math.Sqrt(q.X*q.X + q.Y*q.Y)
+		sgn := 1.0
+		if cross(apex) < 0 {
+			sgn = -1
+		}
+		// Beyond the line: a crossing at t ≥ −gateSlack leaves p at most
+		// gateSlack·ca/l on the apex's side.
+		dst = append(dst, halfPlane{
+			o:     gt.A,
+			nrm:   channel.Vec2{X: sgn * q.Y / l, Y: -sgn * q.X / l},
+			slack: widen*ca/l + sweptSlack,
+		})
+		// The wedge: rays from the apex through the gate's ends, each end
+		// moved out along the gate by widen.
+		ea := channel.Vec2{X: gt.A.X - widen*q.X - apex.X, Y: gt.A.Y - widen*q.Y - apex.Y}
+		eb := channel.Vec2{X: gt.B.X + widen*q.X - apex.X, Y: gt.B.Y + widen*q.Y - apex.Y}
+		sgn = 1
+		if ea.X*eb.Y-ea.Y*eb.X < 0 {
+			sgn = -1
+		}
+		la, lb := math.Sqrt(ea.X*ea.X+ea.Y*ea.Y), math.Sqrt(eb.X*eb.X+eb.Y*eb.Y)
+		dst = append(dst,
+			halfPlane{o: apex, nrm: channel.Vec2{X: -sgn * ea.Y / la, Y: sgn * ea.X / la}, slack: sweptSlack},
+			halfPlane{o: apex, nrm: channel.Vec2{X: sgn * eb.Y / lb, Y: -sgn * eb.X / lb}, slack: sweptSlack})
+	}
+	return dst
 }
 
 // appendConeCells appends, in row-major order and each once, the grid
 // cells that can hold a node inside b whose segment to the corridor's
-// apex reaches one of its capsules: for capsule variant c, the cells that
-// meet b clipped by sector c and are not wholly nearer to the apex than
-// dist(apex, capsule c) − reach. Rows and x-extents are padded by
+// apex crosses its gates and reaches one of its capsules: for capsule
+// variant c, the cells that meet gc (b clipped by the gate cuts, see
+// gateCone) clipped by sector c and are not wholly nearer to the apex
+// than dist(apex, capsule c) − reach. Rows and x-extents are padded by
 // sweptSlack, and the end rows and columns reach to ±∞, so every node
 // position the cones hold maps into a listed cell. b must not be empty.
-func (s *sparseState) appendConeCells(dst []int32, co *corridor, b *box) []int32 {
+func (s *sparseState) appendConeCells(dst []int32, co *corridor, b *box, gc *cone) []int32 {
 	var cones [3]cone
 	rows0, rows1 := s.ny, -1
 	for c := 0; c < co.nCaps; c++ {
 		cn := &cones[c]
-		cn.clip(b, co.apex, &co.secs[c])
+		cn.v, cn.n = gc.v, gc.n
+		if sc := &co.secs[c]; sc.none {
+			cn.n = 0
+		} else if !sc.all {
+			cn.clipSector(co.apex, sc)
+		}
 		if cn.n == 0 {
 			cn.iy0, cn.iy1 = s.ny, -1
 			continue
 		}
 		k := &co.caps[c]
 		cn.near = k.Seg.DistanceTo(co.apex) - k.Radius - 2*sweptSlack // one slack for reach, one for rounding
-		ylo, yhi := math.Inf(1), math.Inf(-1)
-		for _, v := range cn.v[:cn.n] {
-			ylo, yhi = math.Min(ylo, v.Y), math.Max(yhi, v.Y)
-		}
+		ylo, yhi := cn.edges()
 		cn.iy0, cn.iy1 = clampCell(ylo-sweptSlack, s.cellH, s.ny), clampCell(yhi+sweptSlack, s.cellH, s.ny)
 		rows0, rows1 = min(rows0, cn.iy0), max(rows1, cn.iy1)
 	}
@@ -459,28 +709,36 @@ func (s *sparseState) appendConeCells(dst []int32, co *corridor, b *box) []int32
 	inf := math.Inf(1)
 	for iy := rows0; iy <= rows1; iy++ {
 		y0, y1 := cellExtent(iy, s.cellH, s.ny, -inf, inf)
-		var lo, hi [3]int
+		// fy is the squared y-distance from the apex to the farther
+		// edge of the row's part of b.
+		cy0, cy1 := cellExtent(iy, s.cellH, s.ny, b.lo.Y, b.hi.Y)
+		fy := max((cy0-apex.Y)*(cy0-apex.Y), (cy1-apex.Y)*(cy1-apex.Y))
+		// Cone c lists columns lo[c]..hi[c] of the row but for ex0[c]..ex1[c],
+		// the inner cells lying wholly within (apex.X ∓ r), r² = near² − fy:
+		// no point there is near enough to the capsule's reach.
+		var lo, hi, ex0, ex1 [3]int
 		cols0, cols1 := s.nx, -1
 		for c := 0; c < co.nCaps; c++ {
 			cn := &cones[c]
-			lo[c], hi[c] = 0, -1
+			lo[c], hi[c], ex0[c], ex1[c] = 0, -1, 0, -1
 			if iy < cn.iy0 || iy > cn.iy1 {
 				continue
 			}
-			if xa, xb, ok := cn.xSpan(y0-sweptSlack, y1+sweptSlack); ok {
-				lo[c], hi[c] = clampCell(xa-sweptSlack, s.cellW, s.nx), clampCell(xb+sweptSlack, s.cellW, s.nx)
-				cols0, cols1 = min(cols0, lo[c]), max(cols1, hi[c])
+			xa, xb, ok := cn.xSpan(y0-sweptSlack, y1+sweptSlack)
+			if !ok {
+				continue
+			}
+			lo[c], hi[c] = clampCell(xa-sweptSlack, s.cellW, s.nx), clampCell(xb+sweptSlack, s.cellW, s.nx)
+			cols0, cols1 = min(cols0, lo[c]), max(cols1, hi[c])
+			if r2 := cn.near*cn.near - fy; cn.near > 0 && r2 > 0 {
+				r := math.Sqrt(r2) - sweptSlack // a slack for rounding: exclude less
+				ex0[c] = max(clampCell(apex.X-r, s.cellW, s.nx)+1, 1)
+				ex1[c] = min(clampCell(apex.X+r, s.cellW, s.nx)-1, s.nx-2)
 			}
 		}
-		// far2 is the squared distance from the apex to the farthest
-		// point of the cell's part of b.
-		cy0, cy1 := cellExtent(iy, s.cellH, s.ny, b.lo.Y, b.hi.Y)
-		fy := math.Max((cy0-apex.Y)*(cy0-apex.Y), (cy1-apex.Y)*(cy1-apex.Y))
 		for ix := cols0; ix <= cols1; ix++ {
-			cx0, cx1 := cellExtent(ix, s.cellW, s.nx, b.lo.X, b.hi.X)
-			far2 := fy + math.Max((cx0-apex.X)*(cx0-apex.X), (cx1-apex.X)*(cx1-apex.X))
 			for c := 0; c < co.nCaps; c++ {
-				if lo[c] <= ix && ix <= hi[c] && (cones[c].near <= 0 || far2 >= cones[c].near*cones[c].near) {
+				if lo[c] <= ix && ix <= hi[c] && (ix < ex0[c] || ix > ex1[c]) {
 					dst = append(dst, int32(iy*s.nx+ix))
 					break
 				}
@@ -524,20 +782,34 @@ func pointSegDist2(s channel.Segment, p channel.Vec2) float64 {
 	return e.Dot(e)
 }
 
+// gateCross is nearNode's gate test: t is where seg meets the gate's
+// line, along seg; ok is false where Intersect refuses near-parallel
+// geometry, which nearNode admits unclipped rather than skips; miss
+// reports a crossing off the segment or the gate by more than gateSlack.
+func gateCross(seg, gate channel.Segment) (t float64, ok, miss bool) {
+	t, u, ok := seg.Intersect(gate)
+	return t, ok, ok && (t < -gateSlack || t > 1+gateSlack || u < -gateSlack || u > 1+gateSlack)
+}
+
 // nearNode is the per-node corridor test applied inside the walked
 // cells, the prefilter of the exact leaf test: is segment(p, apex) within
 // reach of any capsule variant? Every unfolded leg image is a subsegment
 // of that segment, so the test is a conservative superset per leg, while
 // far tighter than the cells when they are coarse (kilometer-scale fields
-// quantize a meters-wide corridor to cell-wide strips otherwise).
+// quantize a meters-wide corridor to cell-wide strips otherwise). The
+// sectors, a few multiplies, go first; the gate crossings, each a
+// division, only for a point some sector admits.
 func (co *corridor) nearNode(p channel.Vec2) bool {
+	var in [3]bool
+	some := false
+	for c := 0; c < co.nCaps; c++ {
+		in[c] = co.secs[c].admitsPoint(co.apex, p)
+		some = some || in[c]
+	}
+	if !some {
+		return false
+	}
 	seg := channel.Segment{A: p, B: co.apex}
-	// gateSlack (in normalized crossing coordinates) keeps the gate test
-	// and the leg clipping below strict supersets of appendPaths' own
-	// validity margins (1e-9 in t and u) under independent float
-	// rounding. Near-parallel geometry, where Intersect refuses to
-	// answer, is admitted unclipped rather than skipped.
-	const gateSlack = 1e-6
 	// cut[c]..cut[c+1] bounds the sub-span of the unfolded segment
 	// occupied by leg c's image: consecutive leg images meet exactly at
 	// the gate crossings (node → w1 → M₁(w2) → apex), so each capsule
@@ -546,13 +818,13 @@ func (co *corridor) nearNode(p channel.Vec2) bool {
 	cut := [4]float64{0, 1, 1, 1}
 	clip := co.nGates > 0
 	for g := 0; g < co.nGates; g++ {
-		t, u, ok := seg.Intersect(co.gates[g])
+		t, ok, miss := gateCross(seg, co.gates[g])
+		if miss {
+			return false
+		}
 		if !ok {
 			clip = false
 			continue
-		}
-		if t < -gateSlack || t > 1+gateSlack || u < -gateSlack || u > 1+gateSlack {
-			return false
 		}
 		cut[g+1] = t
 	}
@@ -562,13 +834,13 @@ func (co *corridor) nearNode(p channel.Vec2) bool {
 	}
 	d := seg.B.Sub(seg.A)
 	for c := 0; c < co.nCaps; c++ {
-		if !co.secs[c].admitsPoint(co.apex, p) {
+		if !in[c] {
 			continue
 		}
 		leg := seg
 		if clip {
-			lo := math.Max(0, cut[c]-gateSlack)
-			hi := math.Min(1, cut[c+1]+gateSlack)
+			lo := max(0, cut[c]-gateSlack)
+			hi := min(1, cut[c+1]+gateSlack)
 			leg = channel.Segment{
 				A: channel.Vec2{X: seg.A.X + lo*d.X, Y: seg.A.Y + lo*d.Y},
 				B: channel.Vec2{X: seg.A.X + hi*d.X, Y: seg.A.Y + hi*d.Y},

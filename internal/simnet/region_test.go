@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"mmx/internal/channel"
 	"mmx/internal/core"
@@ -521,6 +522,15 @@ func TestFusedTickDeterminismAcrossWorkers(t *testing.T) {
 		return nw.EvaluateSINR(), st
 	}
 	baseR, baseS := runOnce(1)
+	work := baseS.Work
+	for name, v := range map[string]int{
+		"Events": work.Events, "MapItems": work.MapItems, "CellsWalked": work.CellsWalked, "SlotsVisited": work.SlotsVisited,
+		"LeafTests": work.LeafTests, "Staled": work.Staled, "LinkEvals": work.LinkEvals,
+	} {
+		if v == 0 {
+			t.Errorf("Work.%s = 0 on a run with walkers: %+v", name, work)
+		}
+	}
 	for _, w := range []int{4, 8} {
 		r, s := runOnce(w)
 		if len(r) != len(baseR) {
@@ -534,6 +544,9 @@ func TestFusedTickDeterminismAcrossWorkers(t *testing.T) {
 		}
 		if s.Joins != baseS.Joins || s.Leaves != baseS.Leaves || s.Control != baseS.Control {
 			t.Fatalf("Workers=%d: run outcome diverged from serial", w)
+		}
+		if s.Work != baseS.Work {
+			t.Fatalf("Workers=%d: work counts %+v, serial %+v", w, s.Work, baseS.Work)
 		}
 		if len(s.PerNode) != len(baseS.PerNode) {
 			t.Fatalf("Workers=%d: per-node layout diverged", w)
@@ -738,14 +751,22 @@ func coneCase(rng *stats.RNG, shape int) (side float64, b box, apex channel.Vec2
 }
 
 // checkConeCells is the brute-force oracle of appendConeCells: every point
-// of b that some capsule variant's sector admits, at least dist − reach
-// from the apex for that variant, must fall in a listed cell, and no cell
-// may be listed twice. It draws the points uniformly over b, on its
-// corners and edges, on cell lines, and along the sectors' boundary rays,
-// and returns how many were in scope and how many cells the walk listed.
+// of b whose segment to the apex crosses each of the corridor's gates
+// within gateSlack (gateCross, nearNode's own test) and that some capsule
+// variant's sector admits, at least dist − reach from the apex for that
+// variant, must fall in a listed cell and inside every gate cut, and no
+// cell may be listed twice. It draws the points uniformly over b, on its
+// corners and edges, on cell lines, along the sectors' boundary rays, along
+// the rays through points just past the gates' ends, and just on the
+// apex's side of the gates' lines, and returns how many were in scope and
+// how many cells the walk listed.
 func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stats.RNG, points int) (inScope, listed int) {
 	t.Helper()
-	cells := s.appendConeCells(nil, co, &b)
+	var cuts [maxCuts]halfPlane
+	gateCuts := co.gateCuts(cuts[:0], &b)
+	var gc cone
+	co.gateCone(&gc, &b)
+	cells := s.appendConeCells(nil, co, &b, &gc)
 	visited := make([]bool, s.nx*s.ny)
 	for _, c := range cells {
 		if visited[c] {
@@ -755,6 +776,11 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 	}
 	apex := co.apex
 	inCone := func(p channel.Vec2) bool {
+		for g := 0; g < co.nGates; g++ {
+			if _, ok, miss := gateCross(channel.Segment{A: p, B: apex}, co.gates[g]); !ok || miss {
+				return false
+			}
+		}
 		for c := 0; c < co.nCaps; c++ {
 			k := &co.caps[c]
 			if co.secs[c].admitsPoint(apex, p) && p.Dist(apex) >= k.Seg.DistanceTo(apex)-(k.Radius+sweptSlack) {
@@ -767,7 +793,7 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 		math.Hypot(b.hi.X-b.lo.X, b.hi.Y-b.lo.Y)
 	for i := 0; i < points; i++ {
 		p := channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
-		switch i % 5 {
+		switch i % 7 {
 		case 1: // on an edge or a corner
 			if rng.Intn(2) == 0 {
 				p.X = [2]float64{b.lo.X, b.hi.X}[rng.Intn(2)]
@@ -778,13 +804,28 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 		case 2: // on a cell line
 			p.X = math.Floor(p.X/s.cellW) * s.cellW
 		case 3, 4: // on a boundary ray of one of the sectors
-			if sc := &co.secs[i%co.nCaps]; !sc.all {
+			if sc := &co.secs[i%co.nCaps]; !sc.all && !sc.none {
 				d := channel.Vec2{X: sc.n1.Y, Y: -sc.n1.X}
-				if i%5 == 4 {
+				if i%7 == 4 {
 					d = channel.Vec2{X: -sc.n2.Y, Y: sc.n2.X}
 				}
 				tt := rng.Uniform(0, far)
 				p = channel.Vec2{X: apex.X + tt*d.X, Y: apex.Y + tt*d.Y}
+			}
+		case 5: // beyond a gate, on the ray through a point just past one of its ends
+			if co.nGates > 0 {
+				g := co.gates[rng.Intn(co.nGates)]
+				u := [2]float64{-gateSlack / 2, 1 + gateSlack/2}[rng.Intn(2)]
+				d := g.PointAt(u).Sub(apex)
+				if l := d.Len(); l > 0 {
+					p = apex.Add(d.Scale(rng.Uniform(1, 1+far/l)))
+				}
+			}
+		case 6: // just on the apex's side of a gate's line, crossing it within gateSlack
+			if co.nGates > 0 {
+				g := co.gates[rng.Intn(co.nGates)]
+				x := g.PointAt(rng.Uniform(0, 1))
+				p = x.Add(apex.Sub(x).Scale(gateSlack / 2 * rng.Uniform(0, 1)))
 			}
 		}
 		if p.X < b.lo.X || p.X > b.hi.X || p.Y < b.lo.Y || p.Y > b.hi.Y || !inCone(p) {
@@ -792,8 +833,14 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 		}
 		inScope++
 		if c := s.cellIndex(p); !visited[c] {
-			t.Fatalf("point %+v (cell %d, %d) is in a cone but its cell was not listed\nbox %+v apex %+v capsules %+v sectors %+v",
-				p, c%s.nx, c/s.nx, b, apex, co.caps[:co.nCaps], co.secs[:co.nCaps])
+			t.Fatalf("point %+v (cell %d, %d) is in a cone but its cell was not listed\nbox %+v apex %+v capsules %+v sectors %+v gates %+v",
+				p, c%s.nx, c/s.nx, b, apex, co.caps[:co.nCaps], co.secs[:co.nCaps], co.gates[:co.nGates])
+		}
+		for _, h := range gateCuts {
+			if side := p.Sub(h.o).Dot(h.nrm); side < -h.slack {
+				t.Fatalf("point %+v crosses the gates but lies %g outside a gate cut %+v\napex %+v gates %+v",
+					p, -side, h, apex, co.gates[:co.nGates])
+			}
 		}
 	}
 	return inScope, len(cells)
@@ -804,24 +851,27 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 // coneShapes, the capsule's sector computed from the apex on half of them
 // and admitting everything on the other half, and on two thirds of them
 // one or two more capsule variants, each the previous one mirrored across
-// a line through the box, as a reflection corridor's are. Both in-scope
-// points and cells the walk leaves out must be common, or the check is
-// vacuous.
+// a line through the box, as a reflection corridor's are, with a gate of
+// random length on each such line. Both in-scope points and cells the walk
+// leaves out must be common, or the check is vacuous.
 func TestConeCellsCoverBruteForce(t *testing.T) {
 	const trials = 30000
 	rng := stats.NewRNG(83)
 	var scoped, pruned, tried [5]int
+	gated := 0
 	for i := 0; i < trials; i++ {
 		shape := i % len(coneShapes)
 		side, b, apex, k := coneCase(rng, shape)
 		s := coneGrid(side)
 		co := corridor{apex: apex, nCaps: 1 + i/(2*len(coneShapes))%3}
+		co.nGates = co.nCaps - 1
 		co.caps[0] = k
 		for c := 1; c < co.nCaps; c++ {
 			q := channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
 			sin, cos := math.Sincos(rng.Uniform(-math.Pi, math.Pi))
 			wall := channel.Segment{A: q, B: channel.Vec2{X: q.X + cos, Y: q.Y + sin}}
 			co.caps[c] = mirrorRegion(wall, co.caps[c-1])
+			co.gates[c-1] = channel.Segment{A: wall.PointAt(-rng.Uniform(0, side/2)), B: wall.PointAt(rng.Uniform(0, side/2))}
 		}
 		for c := 0; c < co.nCaps; c++ {
 			co.secs[c] = sector{all: true}
@@ -834,6 +884,9 @@ func TestConeCellsCoverBruteForce(t *testing.T) {
 		tried[shape]++
 		if in > 0 {
 			scoped[shape]++
+			if co.nGates > 0 {
+				gated++
+			}
 		}
 		if listed < (hi%s.nx-lo%s.nx+1)*(hi/s.nx-lo/s.nx+1) {
 			pruned[shape]++
@@ -845,19 +898,29 @@ func TestConeCellsCoverBruteForce(t *testing.T) {
 				name, scoped[sh], tried[sh], pruned[sh])
 		}
 	}
-	t.Logf("in scope %v, pruned %v of %v per shape", scoped, pruned, tried)
+	if 10*gated < trials {
+		t.Errorf("only %d of %d triples had gates and points in scope", gated, trials)
+	}
+	t.Logf("in scope %v (%d with gates), pruned %v of %v per shape", scoped, gated, pruned, tried)
 }
 
 // FuzzConeCells runs the brute-force oracle of TestConeCellsCoverBruteForce
-// on generated triples: the room side, two box corners, the apex, the
-// capsule's ends and radius, and whether the sector admits everything.
+// on generated corridors: the room side, two box corners, the apex, the
+// capsule's ends and radius, whether the sector admits everything, and up
+// to two gates, each also the line the previous capsule variant is
+// mirrored across.
 func FuzzConeCells(f *testing.F) {
-	f.Add(uint64(1), 20.0, 2.0, 3.0, 15.0, 12.0, -10.0, 5.0, 6.0, 7.0, 6.5, 7.2, 0.3, false)
-	f.Add(uint64(2), 20.0, -3.0, -1.0, 25.0, 4.0, 5.0, 2.0, 5.0, 2.0, 8.0, 2.0, 0.4, false)
-	f.Add(uint64(3), 20785.0, -9000.0, 100.0, 25000.0, 20000.0, 47000.0, -12000.0, 800.0, 900.0, 801.0, 901.0, 0.3, false)
-	f.Add(uint64(4), 60.0, 0.0, 0.0, 60.0, 60.0, 30.0, 30.0, 10.0, 10.0, 10.0, 10.0, 1.0, true)
-	f.Fuzz(func(t *testing.T, seed uint64, side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius float64, all bool) {
-		for _, v := range []float64{side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius} {
+	f.Add(uint64(1), 20.0, 2.0, 3.0, 15.0, 12.0, -10.0, 5.0, 6.0, 7.0, 6.5, 7.2, 0.3, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(2), 20.0, -3.0, -1.0, 25.0, 4.0, 5.0, 2.0, 5.0, 2.0, 8.0, 2.0, 0.4, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(3), 20785.0, -9000.0, 100.0, 25000.0, 20000.0, 47000.0, -12000.0, 800.0, 900.0, 801.0, 901.0, 0.3, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(4), 60.0, 0.0, 0.0, 60.0, 60.0, 30.0, 30.0, 10.0, 10.0, 10.0, 10.0, 1.0, true, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	// A single bounce off a wall at x = 20 (apex: the AP mirrored there),
+	// and a double bounce adding the mirrored floor y = 0.
+	f.Add(uint64(5), 20.0, 0.0, 0.0, 20.0, 20.0, 34.0, 8.0, 6.0, 9.0, 6.5, 9.4, 0.3, false, uint8(1), 20.0, 0.0, 20.0, 20.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(6), 20.0, 0.0, 0.0, 20.0, 20.0, 34.0, -8.0, 6.0, 9.0, 6.5, 9.4, 0.3, false, uint8(2), 20.0, 0.0, 20.0, 20.0, 20.0, 0.0, 40.0, 0.0)
+	f.Fuzz(func(t *testing.T, seed uint64, side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius float64, all bool,
+		gates uint8, g0x0, g0y0, g0x1, g0y1, g1x0, g1y0, g1x1, g1y1 float64) {
+		for _, v := range []float64{side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius, g0x0, g0y0, g0x1, g0y1, g1x0, g1y0, g1x1, g1y1} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
 				t.Skip("non-finite or off-scale input")
 			}
@@ -870,14 +933,136 @@ func FuzzConeCells(f *testing.F) {
 			Seg:    channel.Segment{A: channel.Vec2{X: kx0, Y: ky0}, B: channel.Vec2{X: kx1, Y: ky1}},
 			Radius: math.Min(math.Max(radius, 0.01), 5),
 		}
-		co := corridor{apex: channel.Vec2{X: ax, Y: ay}, nCaps: 1}
+		co := corridor{apex: channel.Vec2{X: ax, Y: ay}, nGates: int(gates) % 3}
+		co.nCaps = co.nGates + 1
+		co.gates = [2]channel.Segment{
+			{A: channel.Vec2{X: g0x0, Y: g0y0}, B: channel.Vec2{X: g0x1, Y: g0y1}},
+			{A: channel.Vec2{X: g1x0, Y: g1y0}, B: channel.Vec2{X: g1x1, Y: g1y1}},
+		}
 		co.caps[0] = k
-		co.secs[0] = sector{all: true}
-		if !all {
-			co.secs[0] = makeSector(co.apex, k)
+		for c := 1; c < co.nCaps; c++ {
+			co.caps[c] = mirrorRegion(co.gates[c-1], co.caps[c-1])
+		}
+		for c := 0; c < co.nCaps; c++ {
+			co.secs[c] = sector{all: true}
+			if !all {
+				co.secs[c] = makeSector(co.apex, co.caps[c])
+			}
 		}
 		checkConeCells(t, coneGrid(side), b, &co, stats.NewRNG(seed), 500)
 	})
+}
+
+// TestClampCellMatchesFloor pins clampCell's truncating clamp to the Floor
+// form it replaced, int(math.Min(math.Max(math.Floor(v/w), 0), n−1)): on
+// ±0, ±Inf and ±1e300, on k·w and its neighbours one ulp away for k in
+// {0, 1, n−2, n−1, n}, and on seeded random coordinates, over the grids
+// the simulator and the tests use and two odd ones. NaN is left out:
+// int(NaN) is implementation-defined in both forms, and node positions
+// are finite.
+func TestClampCellMatchesFloor(t *testing.T) {
+	floor := func(v, w float64, n int) int { return int(math.Min(math.Max(math.Floor(v/w), 0), float64(n-1))) }
+	rng := stats.NewRNG(97)
+	grids := []struct {
+		w float64
+		n int
+	}{{20.0 / 128, 128}, {6000 * math.Sqrt(12) / 128, 128}, {1, 1}, {0.3, 7}}
+	for _, g := range grids {
+		vs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e300, -1e300}
+		for _, k := range []int{0, 1, g.n - 2, g.n - 1, g.n} {
+			v := float64(k) * g.w
+			vs = append(vs, v, math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1)))
+		}
+		for i := 0; i < 10000; i++ {
+			vs = append(vs, rng.Uniform(-0.5, 1.5)*float64(g.n)*g.w)
+		}
+		for _, v := range vs {
+			if got, want := clampCell(v, g.w, g.n), floor(v, g.w, g.n); got != want {
+				t.Errorf("w=%v n=%d v=%v: clampCell = %d, the Floor form %d", g.w, g.n, v, got, want)
+			}
+		}
+	}
+}
+
+// TestSectorScreensAreSound holds the walk's two trigonometry-free screens
+// to brute force on the triples of TestConeCellsCoverBruteForce: where
+// mayReach rules a whole listener box out, or aimSectors gives a capsule
+// variant the sector that admits nothing, no point of the box whose
+// segment to the apex crosses the corridor's gates may have that segment
+// within reach of the variant. The points are drawn uniformly and along
+// rays from the apex through the capsules' neighbourhoods.
+func TestSectorScreensAreSound(t *testing.T) {
+	rng := stats.NewRNG(89)
+	ruledOut, screened, checked := 0, 0, 0
+	for i := 0; i < 20000; i++ {
+		_, b, apex, k := coneCase(rng, i%len(coneShapes))
+		co := corridor{apex: apex, nCaps: 1 + i%3}
+		co.nGates = co.nCaps - 1
+		co.caps[0] = k
+		for c := 1; c < co.nCaps; c++ {
+			q := channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
+			sin, cos := math.Sincos(rng.Uniform(-math.Pi, math.Pi))
+			wall := channel.Segment{A: q, B: channel.Vec2{X: q.X + cos, Y: q.Y + sin}}
+			co.caps[c] = mirrorRegion(wall, co.caps[c-1])
+			co.gates[c-1] = channel.Segment{A: wall.PointAt(-rng.Uniform(0, 10)), B: wall.PointAt(rng.Uniform(0, 10))}
+		}
+		var dead [3]bool
+		if !co.mayReach(&b) {
+			ruledOut++
+			dead = [3]bool{true, true, true}
+		} else {
+			var gc cone
+			co.gateCone(&gc, &b)
+			if gc.n == 0 {
+				continue
+			}
+			co.aimSectors(&gc)
+			for c := 0; c < co.nCaps; c++ {
+				dead[c] = co.secs[c].none
+			}
+		}
+		if !dead[0] && !dead[1] && !dead[2] {
+			continue
+		}
+		screened++
+		for j := 0; j < 200; j++ {
+			p := channel.Vec2{X: rng.Uniform(b.lo.X, b.hi.X), Y: rng.Uniform(b.lo.Y, b.hi.Y)}
+			if j%2 == 1 {
+				kc := &co.caps[j%co.nCaps]
+				r := 2 * kc.Radius
+				q := kc.Seg.PointAt(rng.Uniform(0, 1)).Add(channel.Vec2{X: rng.Uniform(-r, r), Y: rng.Uniform(-r, r)})
+				p = apex.Add(q.Sub(apex).Scale(rng.Uniform(0, 3)))
+			}
+			if p.X < b.lo.X || p.X > b.hi.X || p.Y < b.lo.Y || p.Y > b.hi.Y {
+				continue
+			}
+			seg := channel.Segment{A: p, B: apex}
+			crosses := true
+			for g := 0; g < co.nGates; g++ {
+				if _, ok, miss := gateCross(seg, co.gates[g]); !ok || miss {
+					crosses = false
+				}
+			}
+			if !crosses {
+				continue
+			}
+			for c := 0; c < co.nCaps; c++ {
+				kc := &co.caps[c]
+				if !dead[c] {
+					continue
+				}
+				checked++
+				if segsWithin(kc.Seg, seg, kc.Radius*kc.Radius) {
+					t.Fatalf("capsule %d %+v was screened out, but the segment from %+v to the apex %+v comes within its reach\nbox %+v gates %+v",
+						c, *kc, p, apex, b, co.gates[:co.nGates])
+				}
+			}
+		}
+	}
+	if ruledOut < 100 || screened < 1000 || checked < 10000 {
+		t.Errorf("the screens were barely exercised: %d boxes ruled out, %d triples screened, %d points checked", ruledOut, screened, checked)
+	}
+	t.Logf("%d boxes ruled out, %d triples screened, %d points checked", ruledOut, screened, checked)
 }
 
 // TestRegionMapDirtyOrderAcrossWorkers pins the mapping fan-out's merge:
@@ -981,11 +1166,14 @@ func TestRegionMappingAllocatesNothing(t *testing.T) {
 // on a ring around AP 0 crossing its sight lines), one iteration = one
 // environment tick mapped and settled, on one worker and on GOMAXPROCS
 // of them. The tick is 0.25 s, where a walker moves past its own radius,
-// or 0.05 s, the sim-blockers workload's tick. staled/op counts the
-// nodes the mapping marked per tick — the link re-evaluations the tick
-// pays for, exact at any worker count — and cells/op the grid cells the
-// cone walks visited per tick. All rungs of one AP count share a fleet,
-// whose walkers move on between them.
+// or 0.05 s, the sim-blockers workload's tick. ns/op times the whole tick
+// and map-ms/op the mapping alone (syncEnv), so the settle's link
+// evaluations do not hide mapping's share. The other metrics are the
+// WorkStats counts per tick, exact at any worker count: the work items,
+// the cells the cone walks listed, the node slots in them, the leaf
+// tests, the nodes the mapping staled and the eval pass's link
+// evaluations. All rungs of one AP count share a fleet, whose walkers
+// move on between them.
 func BenchmarkRegionMap(b *testing.B) {
 	workers := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
@@ -1013,18 +1201,24 @@ func BenchmarkRegionMap(b *testing.B) {
 					b.Run(fmt.Sprintf("step=%gs/workers=%d", step, w), func(b *testing.B) {
 						nw.Workers = w
 						b.ReportAllocs()
-						staled, cells := 0, 0
+						nw.work = WorkStats{}
+						var mapping time.Duration
 						for i := 0; i < b.N; i++ {
 							nw.Env.Step(step)
+							t0 := time.Now()
 							nw.sparse.syncEnv(nw)
-							staled += len(nw.sparse.dirty)
-							for _, it := range nw.sparse.mapItems {
-								cells += int(it.cells)
-							}
+							mapping += time.Since(t0)
 							nw.sparse.settle(nw) // the eval and finish passes
 						}
-						b.ReportMetric(float64(staled)/float64(b.N), "staled/op")
-						b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+						per := func(v int) float64 { return float64(v) / float64(b.N) }
+						d := nw.work
+						b.ReportMetric(mapping.Seconds()*1e3/float64(b.N), "map-ms/op")
+						b.ReportMetric(per(d.MapItems), "items/op")
+						b.ReportMetric(per(d.CellsWalked), "cells/op")
+						b.ReportMetric(per(d.SlotsVisited), "slots/op")
+						b.ReportMetric(per(d.LeafTests), "leaf/op")
+						b.ReportMetric(per(d.Staled), "staled/op")
+						b.ReportMetric(per(d.LinkEvals), "evals/op")
 					})
 				}
 			}
