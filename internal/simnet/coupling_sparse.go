@@ -91,10 +91,10 @@ type spNode struct {
 	power float64
 	class string
 	// cross holds, per AP index, the node's out-edges into victims served
-	// there and its received power at that foreign AP, refreshed by the
-	// eval pass whenever the count is nonzero. It stays nil until the
-	// node's first cross-AP edge, so single-AP runs carry no per-node
-	// overhead.
+	// there, whether a roam check watches the AP, and the node's received
+	// power at that foreign AP, refreshed by the eval pass while the entry
+	// is live. It stays nil until the node's first cross-AP edge or watch,
+	// so single-AP runs carry no per-node overhead.
 	cross []crossAP
 	// rep is the report the last finish pass built: the SNR the roam check
 	// compares, the SINR the tick rates at, the BER fireFrame draws from
@@ -118,11 +118,20 @@ type spNode struct {
 }
 
 // crossAP is a node's book on one foreign AP: how many of its out-edges
-// reach victims served there, and its received power at that AP.
+// reach victims served there, whether a roam check traced the node
+// towards it (watch), and its received power at that AP. An entry with
+// either is live: the node caches the power, so region mapping stales the
+// node when that link changes and the eval pass refreshes it. Only edges
+// have readers in the interference sums; a watch is read by the next roam
+// check instead of a trace.
 type crossAP struct {
-	edges int
+	edges int32
+	watch bool
 	power float64
 }
+
+// live reports whether the node caches its power at this AP.
+func (x *crossAP) live() bool { return x.edges > 0 || x.watch }
 
 // linkReport is what a settle leaves of a node's Report: the fields that
 // are not read off the Node itself (EvaluateSINR adds ID and SDM).
@@ -191,8 +200,9 @@ type sparseState struct {
 	envEpoch uint64
 
 	// listeners[j] bounds every position at which a node started to cache
-	// a link towards AP j: it grows in gridInsert for the serving AP and
-	// in addEdge when cross[j].edges leaves 0, and never shrinks, so it holds
+	// a link towards AP j: it grows in gridInsert for the serving AP, in
+	// addEdge when cross[j].edges leaves 0 and in watch, and shrinks only
+	// when Run's start rebuilds it from the members (listen), so it holds
 	// every node listening to j now. It scopes the swept-region walk
 	// (region.go) to the nodes a corridor towards j can dirty.
 	listeners []box
@@ -373,6 +383,24 @@ func (s *sparseState) pBoundAt(p channel.Vec2, ap *AccessPoint) float64 {
 // clamp into the boundary cells.
 func (s *sparseState) cellIndex(p channel.Vec2) int {
 	return clampCell(p.Y, s.cellH, s.ny)*s.nx + clampCell(p.X, s.cellW, s.nx)
+}
+
+// listen grows the listener box of every AP n caches a link towards.
+func (s *sparseState) listen(n *Node) {
+	p := n.Pose.Pos
+	s.listeners[n.AP.idx].grow(p)
+	for a := range n.sp.cross {
+		if n.sp.cross[a].live() {
+			s.listeners[a].grow(p)
+		}
+	}
+}
+
+// resetListeners empties every listener box, for listen to rebuild.
+func (s *sparseState) resetListeners() {
+	for i := range s.listeners {
+		s.listeners[i] = emptyBox()
+	}
 }
 
 func (s *sparseState) gridInsert(n *Node) {
@@ -618,7 +646,10 @@ func (s *sparseState) unhook(src *Node, si int, dst *Node, di int) {
 }
 
 // clearEdges drops every edge touching n, marking the affected victims
-// dirty. Removing from the back keeps n's own lists swap-free.
+// dirty, and n's watches with them: every caller is about to change
+// what n's links are (its pose, AP or grant) or to forget n, and a down
+// node's watched powers may have gone stale unrefreshed. Removing from
+// the back keeps n's own lists swap-free.
 func (s *sparseState) clearEdges(n *Node) {
 	for len(n.sp.out) > 0 {
 		si := len(n.sp.out) - 1
@@ -628,6 +659,19 @@ func (s *sparseState) clearEdges(n *Node) {
 		di := len(n.sp.in) - 1
 		s.unhook(n.sp.in[di].src, n.sp.in[di].srcSlot, n, di)
 	}
+	clear(n.sp.cross) // no out-edges are left: this drops the watches
+}
+
+// watch caches p, node n's peak received power at AP a as a roam check
+// just traced it, and keeps it exact from here as a live cross entry:
+// n now listens to a.
+func (s *sparseState) watch(n *Node, a int, p float64) {
+	if n.sp.cross == nil {
+		n.sp.cross = make([]crossAP, s.nAPs)
+	}
+	x := &n.sp.cross[a]
+	x.watch, x.power = true, p
+	s.listeners[a].grow(n.Pose.Pos)
 }
 
 // discoverIn hooks in every source audible to victim v, in the order
@@ -917,9 +961,10 @@ func (s *sparseState) runEvalPass(nw *Network) {
 	s.workScratch = work[:0]
 }
 
-// evalNode re-runs one stale node's link evaluation, records whether
-// its received power — at its serving AP or at any foreign AP it has
-// victims at — moved, and returns how many links it evaluated.
+// evalNode re-runs one stale node's link evaluation, refreshes its power
+// at every foreign AP whose entry is live, records whether a power a
+// victim reads — at its serving AP or at a foreign AP it has victims at —
+// moved, and returns how many links it evaluated.
 func (s *sparseState) evalNode(nw *Network, n *Node) (evals int) {
 	n.sp.evalStale = false
 	oldPower := n.sp.power
@@ -931,19 +976,20 @@ func (s *sparseState) evalNode(nw *Network, n *Node) (evals int) {
 		evals++
 	}
 	moved := n.sp.power != oldPower
-	// Refresh the node's received power at every foreign AP it has
-	// victims at (cross-shard edges). Down sources are skipped: their
-	// victims skip them in the re-sum, exactly like the serving path.
+	// Refresh the node's received power at every foreign AP it caches it
+	// for (cross-shard edges and roam watches). Down sources are skipped:
+	// their victims skip them in the re-sum, exactly like the serving
+	// path, and the screen skips them (a reboot drops the watches).
 	if !n.Down {
 		for a := range n.sp.cross {
 			x := &n.sp.cross[a]
-			if x.edges <= 0 || a == n.AP.idx {
+			if !x.live() || a == n.AP.idx {
 				continue
 			}
 			evals++
 			if p := nw.crossPower(n, a); p != x.power {
 				x.power = p
-				moved = true
+				moved = moved || x.edges > 0 // no victim reads a watch-only power
 			}
 		}
 	}
@@ -954,7 +1000,8 @@ func (s *sparseState) evalNode(nw *Network, n *Node) (evals int) {
 // finishDirty re-sums and rebuilds the report of every queued node, then
 // resets the dirty set. During Run it also queues every member it visited
 // on the run's finished list — the only feed of the tick's rate/sample
-// step (runState.envRefresh).
+// step (runState.envRefresh) — and, as the only writer of a report's path
+// class, on the roam list if it can roam.
 func (s *sparseState) finishDirty(nw *Network) {
 	dirty := s.dirty
 	if s.finishFn == nil {
@@ -976,6 +1023,7 @@ func (s *sparseState) finishDirty(nw *Network) {
 		for _, n := range dirty {
 			if nw.nodeIdx[n.ID] == n {
 				rs.queueFinished(n)
+				rs.listRoamer(n)
 			}
 		}
 	}

@@ -232,8 +232,11 @@ type WorkStats struct {
 	// the nodes the merge marked for re-evaluation.
 	MapItems, CellsWalked, SlotsVisited, LeafTests, Staled int
 	// LinkEvals counts the eval pass's link evaluations: serving links
-	// and cross-AP powers.
+	// and cross-AP powers, watched ones included.
 	LinkEvals int
+	// RoamScreens counts the members the roam checks screened, and
+	// RoamTraces the candidate links they traced rather than read cached.
+	RoamScreens, RoamTraces int
 }
 
 // add adds o's counts to w.
@@ -245,6 +248,8 @@ func (w *WorkStats) add(o WorkStats) {
 	w.LeafTests += o.LeafTests
 	w.Staled += o.Staled
 	w.LinkEvals += o.LinkEvals
+	w.RoamScreens += o.RoamScreens
+	w.RoamTraces += o.RoamTraces
 }
 
 // APInterval is one contiguous association of a node with an AP: the AP's
@@ -385,11 +390,16 @@ type runState struct {
 	finished []*Node
 	instants int
 
-	// The roam check's scratch (roam.go), grown on demand and kept for
-	// the run: roamLanes holds each worker lane's traced candidates,
-	// roamSpans[i] where member i's lie, and roamFn is the phase-1
-	// closure par.For runs.
-	roamLanes [][]roamCand
+	// roaming marks a run whose roam checks run, and roamList holds the
+	// members they screen: every member that can roam (Node.mayRoam),
+	// each once (Node.roamListed), plus departed and unable ones a check
+	// drops (roam.go). The check's scratch is grown on demand and kept
+	// for the run: roamLanes holds each worker lane's candidates and
+	// counts, roamSpans[i] where listed member i's lie, and roamFn is the
+	// phase-1 closure par.For runs.
+	roaming   bool
+	roamList  []*Node
+	roamLanes []roamLane
 	roamSpans []roamSpan
 	roamFn    func(lane, i int)
 }
@@ -679,7 +689,13 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	nw.run = rs
 	defer func() { nw.run = nil }()
 	nw.work = WorkStats{}
+	// One AP has nowhere to roam: no roam tick keeps its event sequence unchanged.
+	rs.roaming = nw.roam != nil && len(nw.APs) > 1
 
+	// The listener boxes only grow between runs; the loop below rebuilds
+	// them around what the members listen to now.
+	s := nw.core()
+	s.resetListeners()
 	slab := make([]nodeHandle, len(nw.Nodes))
 	for i, n := range nw.Nodes {
 		n.h = rs.newHandle(&slab[i], n.ID)
@@ -687,8 +703,10 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		// Rates come from applyAssignment's link evaluation until the first
 		// tick, which re-rates the whole starting membership.
 		rs.queueFinished(n)
+		s.listen(n)
+		rs.listRoamer(n)
 	}
-	nw.core().settle(nw)
+	s.settle(nw)
 	rs.observe()
 
 	if envStep > 0 {
@@ -770,8 +788,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	if nw.renewIntervalS > 0 {
 		sim.every(nw.renewIntervalS, rs.renewTick)
 	}
-	// One AP has nowhere to roam: no roam tick keeps its event sequence unchanged.
-	if nw.roam != nil && len(nw.APs) > 1 {
+	if rs.roaming {
 		interval := nw.roam.checkS
 		if interval == 0 {
 			interval = 0.2
@@ -785,7 +802,10 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 
 	sim.RunUntil(duration)
 	for _, n := range rs.finished {
-		n.finished = false // the next Run starts its own list
+		n.finished = false // the next Run starts its own lists
+	}
+	for _, n := range rs.roamList {
+		n.roamListed = false
 	}
 
 	for _, n := range nw.Nodes {

@@ -225,8 +225,9 @@ func TestMultiAPChurnRoamDeterminism(t *testing.T) {
 		t.Fatalf("multi-AP runs diverge between Workers=1 and Workers=8:\n--- serial ---\n%s--- parallel ---\n%s", fa, fb)
 	}
 	// Work counts are exact at any width; the leaves leave stale frames
-	// behind, which count as dispatched events too.
-	if a.Work != b.Work || a.Work.Events == 0 || a.Leaves == 0 {
+	// behind, which count as dispatched events too. Each lane of the roam
+	// screen counts its own screens and traces.
+	if a.Work != b.Work || a.Work.Events == 0 || a.Leaves == 0 || a.Work.RoamScreens == 0 || a.Work.RoamTraces == 0 {
 		t.Errorf("Work = %+v at Workers=1, %+v at Workers=8 (%d leaves)", a.Work, b.Work, a.Leaves)
 	}
 	if a.Roams == 0 {

@@ -56,9 +56,16 @@ type Node struct {
 	// join handshake.
 	Down bool
 	// finished marks the node as queued on the run's finished list (the
-	// nodes the next environment tick re-rates and re-samples). It lives
-	// here, not in sp, because enterSparse zeroes sp mid-run.
-	finished bool
+	// nodes the next environment tick re-rates and re-samples), and
+	// roamListed on the run's roam list (the members a roam check
+	// screens). They live here, not in sp, because enterSparse zeroes sp
+	// mid-run.
+	finished, roamListed bool
+	// nearest marks a node that no AP of the registry lies strictly
+	// closer to than its serving AP, by the roam screen's own distances.
+	// It is set wherever the pose or the serving AP changes: newNode,
+	// MoveNode, rehome.
+	nearest bool
 	// roamHoldUntil is the sim time before which the roaming policy will
 	// not move this node again (the roam dwell after the last attempt).
 	roamHoldUntil float64
@@ -156,6 +163,11 @@ type Network struct {
 	// the slot screens replaced, which the lossy discovery runs are pinned
 	// edge-order-identical to (TestDiscoveryMatchesDiscWalk).
 	discWalk func(v *Node) []inEdge
+	// roamCheck is a test hook: when set, every roam check calls it once
+	// its screen has run, so a scan of every member with fresh traces can
+	// be compared with the members it screened and the candidates it
+	// found (TestRoamCheckMatchesFullScan).
+	roamCheck func()
 	// sparse is the interference engine, nil until first needed (core).
 	sparse *sparseState
 	// work counts the engine's mapping and eval-pass work (Events aside)
@@ -291,6 +303,7 @@ func (nw *Network) Join(id uint32, pose channel.Pose, demandBps float64, traffic
 func (nw *Network) newNode(id uint32, pose channel.Pose, demandBps float64, traffic TrafficModel) *Node {
 	n := &Node{Session: netctl.Session{ID: id, Demand: demandBps}, Pose: pose, Traffic: traffic}
 	n.AP = nw.selectAP(pose.Pos)
+	n.nearest = true // selectAP picks an AP no other is strictly closer than
 	n.aimAt(n.AP)
 	return n
 }
@@ -461,8 +474,12 @@ func (nw *Network) MoveNode(id uint32, pose channel.Pose) bool {
 		return false
 	}
 	n.Pose = pose
+	n.nearest = nw.isNearest(n)
 	n.aimAt(n.AP)
 	nw.sparse.moveNode(nw, n)
+	if rs := nw.run; rs != nil {
+		rs.listRoamer(n) // a traffic callback's move may see no settle before the next check
+	}
 	return true
 }
 

@@ -313,11 +313,12 @@ func (s *sparseState) foldLanes(nw *Network) {
 // the swept regions changed — the region-scoped replacement for
 // the stale-everything epoch response. A node caches exactly the links
 // it listens on: the one towards its serving AP (sp.power, sp.class) and,
-// while it has victims served at AP j (sp.cross[j].edges > 0), its power
-// there (sp.cross[j].power). A corridor towards AP j therefore only needs
-// to reach the nodes listening to j; a power left to go stale while
-// unreferenced is recomputed before anyone reads it, because addEdge
-// forces an evaluation on the 0→1 transition of the edge count.
+// while it has victims served at AP j or a roam check watches j
+// (sp.cross[j].live()), its power there (sp.cross[j].power). A corridor
+// towards AP j therefore only needs to reach the nodes listening to j; a
+// power left to go stale while unreferenced is recomputed before anyone
+// reads it, because addEdge forces an evaluation on the 0→1 transition of
+// the edge count and watch stores a fresh trace.
 //
 // Each (region, AP, corridor) triple is a work item, and the items fan
 // out over the worker pool. A walk only collects candidates, so during
@@ -417,7 +418,7 @@ func (s *sparseState) mapItem(nw *Network, lane, i int) {
 
 // listens reports whether node n caches a link towards AP j.
 func (n *Node) listens(j int) bool {
-	return n.AP.idx == j || (n.sp.cross != nil && n.sp.cross[j].edges > 0)
+	return n.AP.idx == j || (n.sp.cross != nil && n.sp.cross[j].live())
 }
 
 // box is an axis-aligned bounding box; emptyBox has lo > hi.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
@@ -129,6 +130,31 @@ type regionTally struct {
 	servingChanged     int // serving-link evaluations a fresh trace read differently
 	crossLive          int // live cross-AP powers checked: (node, foreign AP) listeners
 	crossChanged       int // of those, the ones a fresh trace read differently
+	watchOnly          int // live cross-AP powers held for a roam check alone (no edges)
+	watchChanged       int // of those, the ones a fresh trace read differently
+}
+
+// plantWatches caches, through the roam check's own watch, the power of
+// every node towards the per foreign APs nearest to it at which it has
+// no victims — the links a roam check keeps for nodes it keeps screening.
+func plantWatches(nw *Network, per int) {
+	for _, n := range nw.Nodes {
+		aps := slices.Clone(nw.APs)
+		slices.SortStableFunc(aps, func(a, b *AccessPoint) int {
+			return cmp.Compare(n.Pose.Pos.Dist(a.Pose.Pos), n.Pose.Pos.Dist(b.Pose.Pos))
+		})
+		left := per
+		for _, ap := range aps {
+			if left == 0 {
+				break
+			}
+			if ap == n.AP || n.sp.cross != nil && n.sp.cross[ap.idx].edges > 0 {
+				continue
+			}
+			nw.sparse.watch(n, ap.idx, nw.crossPower(n, ap.idx))
+			left--
+		}
+	}
 }
 
 // checkRegionStep checks one syncEnv that consumed the environment's
@@ -137,8 +163,8 @@ type regionTally struct {
 // node lies inside the listener box of each AP it listens to. Soundness:
 // every value a node caches about the environment — its serving
 // evaluation, as rec holds it whole, and its power at every foreign AP it
-// has victims at — either still equals a fresh trace or belongs to a node
-// marked evalStale.
+// has victims at or a roam check watches — either still equals a fresh
+// trace or belongs to a node marked evalStale.
 // Exactness: every node marked evalStale has a path leg on one of those
 // links whose blockage one of the swept regions flips, by pathsFlip.
 func checkRegionStep(t *testing.T, nw *Network, rec map[*Node]core.Evaluation, from uint64, step int, tally *regionTally) {
@@ -172,16 +198,22 @@ func checkRegionStep(t *testing.T, nw *Network, rec map[*Node]core.Evaluation, f
 			linkFlips(n.AP)
 		}
 		for a, x := range n.sp.cross {
-			if x.edges <= 0 || a == n.AP.idx {
+			if !x.live() || a == n.AP.idx {
 				continue
 			}
 			tally.crossLive++
+			if x.edges == 0 {
+				tally.watchOnly++
+			}
 			if fresh := nw.crossPower(n, a); fresh != x.power {
 				tally.crossChanged++
+				if x.edges == 0 {
+					tally.watchChanged++
+				}
 				changed = true
 				if !stale {
-					t.Fatalf("step %d: node %d: cross[%d].power changed, not staled (cached %g, fresh %g)",
-						step, n.ID, a, x.power, fresh)
+					t.Fatalf("step %d: node %d: cross[%d].power changed, not staled (cached %g, fresh %g, watched %v, %d edges)",
+						step, n.ID, a, x.power, fresh, x.watch, x.edges)
 				}
 			}
 			if stale {
@@ -273,7 +305,9 @@ func joinUniform(t testing.TB, nw *Network, prng *stats.RNG, n int) {
 // corridor towards AP j must reach j's shard and its cross listeners and
 // may skip everyone else. Besides the serving evaluations it checks every
 // live cross-AP power, which no Run-level fingerprint protects while the
-// cross listeners happen to sit inside the shard's own corridors.
+// cross listeners happen to sit inside the shard's own corridors — among
+// them the two each node holds for a roam check (plantWatches) towards its
+// nearest foreign APs that hear no victim of it.
 func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 	const (
 		side  = 200.0
@@ -287,6 +321,7 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 	}, 8, 7)
 	prng := stats.NewRNG(43)
 	joinUniform(t, nw, prng, nodes)
+	plantWatches(nw, 2)
 	aim := func(b *channel.Blocker) {
 		b.Vel = channel.Vec2{X: prng.Uniform(-2, 2), Y: prng.Uniform(-2, 2)}
 	}
@@ -317,20 +352,20 @@ func TestRegionInvalidationSoundnessMultiAP(t *testing.T) {
 	if all := tally.population * (len(nw.APs) - 1); tally.crossLive == 0 || tally.crossLive >= all {
 		t.Fatalf("%d of %d possible cross listeners — per-AP scoping has nothing to decide", tally.crossLive, all)
 	}
-	if tally.servingChanged == 0 || tally.crossChanged == 0 {
-		t.Fatalf("walk changed %d serving evaluations and %d cross-AP powers — the property was vacuous",
-			tally.servingChanged, tally.crossChanged)
+	if tally.servingChanged == 0 || tally.crossChanged == 0 || tally.watchChanged == 0 {
+		t.Fatalf("walk changed %d serving evaluations, %d cross-AP powers and %d watched ones — the property was vacuous",
+			tally.servingChanged, tally.crossChanged, tally.watchChanged)
 	}
 	// Unfolding every capsule towards every AP for every node stales 99.6%
 	// of the node-steps of this walk; scoped to listeners it is 73%, and
-	// with the exact leaf test 15%.
+	// with the exact leaf test 15% (22% with the planted watches).
 	if 10*tally.staled >= 8*tally.population {
 		t.Fatalf("%d of %d node-steps staled — the mapping is not scoped to the APs a node listens to",
 			tally.staled, tally.population)
 	}
-	t.Logf("%d cross listeners per step; %d steps: %d serving and %d cross-AP power changes; %d of %d node-steps staled (%.1f%%), %d changed",
-		tally.crossLive/steps, steps, tally.servingChanged, tally.crossChanged, tally.staled, tally.population,
-		100*float64(tally.staled)/float64(tally.population), tally.changed)
+	t.Logf("%d cross listeners per step (%d watched alone); %d steps: %d serving and %d cross-AP power changes (%d watched); %d of %d node-steps staled (%.1f%%), %d changed",
+		tally.crossLive/steps, tally.watchOnly/steps, steps, tally.servingChanged, tally.crossChanged, tally.watchChanged,
+		tally.staled, tally.population, 100*float64(tally.staled)/float64(tally.population), tally.changed)
 }
 
 // TestRegionRunMatchesStaleEverything requires the region-invalidated
@@ -634,6 +669,7 @@ func TestMultiAPRegionRunMatchesStaleEverything(t *testing.T) {
 // reflection order, an optional interior wall, node count, poses outside
 // the room (clamped into boundary cells) and the capsule itself are all
 // inputs. Poses outside the room stretch the listener boxes past the grid.
+// Up to two watched links per node (plantWatches) join the cached values.
 func FuzzRegionSoundness(f *testing.F) {
 	// The two property tests' shapes, and a 70-AP deployment.
 	f.Add(uint64(31), 20.0, uint8(0), uint8(0), uint8(2), uint16(35), uint8(0), 0.3, 0.4, 0.32, 0.43, 0.25)
@@ -673,6 +709,7 @@ func FuzzRegionSoundness(f *testing.F) {
 			// A join the spectrum cannot admit just leaves a smaller fleet.
 			_, _ = nw.Join(uint32(i+1), pose, 1e6, Telemetry(5))
 		}
+		plantWatches(nw, int(seed>>1)%3)
 		from := channel.Vec2{X: frac(fromX), Y: frac(fromY)}
 		b := &channel.Blocker{Pos: from, Radius: radius, LossDB: 12}
 		env.AddBlocker(b)

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"mmx/internal/channel"
 	"mmx/internal/faults"
@@ -698,7 +699,7 @@ func checkEdgeBooks(t *testing.T, nw *Network, what string) {
 		for a, want := range counts {
 			got := 0
 			if n.sp.cross != nil {
-				got = n.sp.cross[a].edges
+				got = int(n.sp.cross[a].edges)
 			}
 			if got != want {
 				t.Fatalf("%s: node %d counts %d edges into AP %d's victims, has %d", what, n.ID, got, a, want)
@@ -717,4 +718,25 @@ func edgeSet(nw *Network) map[[2]uint32]uint64 {
 		}
 	}
 	return set
+}
+
+// TestEngineRecordSizes pins the per-node records on 64-bit platforms:
+// heap_b_per_node is most of them, and a field that does not fit the
+// padding grows every node of a 12 000-node fleet.
+func TestEngineRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Node", unsafe.Sizeof(Node{}), 400},
+		{"spNode", unsafe.Sizeof(spNode{}), 200},
+		{"crossAP", unsafe.Sizeof(crossAP{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d", c.name, c.got, c.want)
+		}
+	}
 }
