@@ -1,6 +1,6 @@
 package mmx
 
-// Control-plane hot path (DESIGN.md §14). The memnet case is the pure
+// Control-plane hot path (DESIGN.md §5). The memnet case is the pure
 // software path — server ingest, controller handling, reply encode — with
 // the kernel out of the picture. The loopback case adds real UDP sockets
 // and (on Linux) the recvmmsg/sendmmsg transport: one client on its own

@@ -1,6 +1,6 @@
 package mmx
 
-// One benchmark per paper artifact (DESIGN.md §3). Each bench regenerates
+// One benchmark per paper artifact (DESIGN.md §1). Each bench regenerates
 // its figure/table from scratch per iteration and reports the headline
 // number as a custom metric, so `go test -bench=. -benchmem` doubles as
 // the reproduction harness's smoke run. cmd/mmx-bench prints the full

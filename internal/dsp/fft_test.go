@@ -48,23 +48,6 @@ func TestFFTSingleTone(t *testing.T) {
 	}
 }
 
-func TestFFTIFFTRoundtrip(t *testing.T) {
-	rng := stats.NewRNG(4)
-	for _, n := range []int{1, 2, 8, 31, 32, 33, 97, 100, 194, 243, 250, 255, 256, 1000} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-		}
-		p := PlanFFT(n)
-		y := p.Inverse(nil, p.Forward(nil, x))
-		for i := range x {
-			if !cAlmostEq(x[i], y[i], 1e-8) {
-				t.Fatalf("n=%d: roundtrip mismatch at %d: %v vs %v", n, i, x[i], y[i])
-			}
-		}
-	}
-}
-
 func TestFFTLinearityProperty(t *testing.T) {
 	rng := stats.NewRNG(9)
 	f := func(seed uint64) bool {

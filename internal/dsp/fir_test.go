@@ -210,3 +210,25 @@ func TestToneDiscriminatorNoisy(t *testing.T) {
 		t.Errorf("FSK discriminator errors = %d/%d at high post-integration SNR", errs, trials)
 	}
 }
+
+func TestFilterIntoRejectsAliasedDst(t *testing.T) {
+	lp := LowPass(0.1, 1, 31)
+	arr := make([]complex128, 600)
+	x := arr[:256]
+	// dst = x itself, and a capacity-sufficient window offset into x's
+	// backing array. (An aliasing dst with cap < len(x) is reallocated,
+	// not reused, so it cannot corrupt and is not rejected.)
+	for _, alias := range [][]complex128{x, arr[100:100:600]} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("aliasing dst must panic")
+				}
+			}()
+			lp.FilterInto(alias, x)
+		}()
+	}
+	// Disjoint halves of one array do not alias.
+	backing := make([]complex128, 512)
+	lp.FilterInto(backing[:0:256], backing[256:])
+}

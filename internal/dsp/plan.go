@@ -15,8 +15,8 @@ import (
 // radices of its mixed-radix stages plus one table of the n-th roots of
 // unity. Plans are immutable after construction and shared process-wide,
 // so repeated same-size transforms — the filterbank's per-block FFT,
-// overlap-save convolution blocks, the demodulator's spectral probes —
-// stop re-deriving trigonometry on every call. Per-call state (the
+// the demodulator's spectral probes — stop re-deriving trigonometry on
+// every call. Per-call state (the
 // mixed-radix work buffer) comes from the package buffer pool, keeping
 // plan execution safe for concurrent use and allocation-free in steady
 // state.
@@ -29,7 +29,7 @@ type FFTPlan struct {
 
 	// Power-of-two path: bit-reversal permutation and forward twiddles,
 	// flattened stage by stage (stage of size s contributes s/2 entries:
-	// w_s^k = e^{-j2πk/s}). Inverse transforms conjugate on the fly.
+	// w_s^k = e^{-j2πk/s}).
 	perm    []int32
 	twiddle []complex128
 
@@ -110,16 +110,6 @@ func (p *FFTPlan) initRadix2(n int) {
 // semantics) and returns the length-n result. dst == x transforms in
 // place. len(x) must equal the plan length.
 func (p *FFTPlan) Forward(dst, x []complex128) []complex128 {
-	return p.execute(dst, x, false)
-}
-
-// Inverse computes the inverse DFT of x (normalized by 1/n) into dst's
-// storage and returns the result. dst == x transforms in place.
-func (p *FFTPlan) Inverse(dst, x []complex128) []complex128 {
-	return p.execute(dst, x, true)
-}
-
-func (p *FFTPlan) execute(dst, x []complex128, inverse bool) []complex128 {
 	if len(x) != p.n {
 		panic("dsp: FFTPlan length mismatch")
 	}
@@ -131,14 +121,10 @@ func (p *FFTPlan) execute(dst, x []complex128, inverse bool) []complex128 {
 		if &dst[0] != &x[0] {
 			copy(dst, x)
 		}
-		if inverse {
-			p.inverseInPlace(dst)
-		} else {
-			p.forwardInPlace(dst)
-		}
+		p.forwardInPlace(dst)
 		return dst
 	}
-	p.mixed(dst, x, inverse)
+	p.mixed(dst, x)
 	return dst
 }
 
@@ -171,47 +157,12 @@ func (p *FFTPlan) forwardInPlace(a []complex128) {
 	}
 }
 
-// inverseInPlace is forwardInPlace with conjugated twiddles followed by
-// the 1/n normalization.
-func (p *FFTPlan) inverseInPlace(a []complex128) {
-	n := p.n
-	if n <= 1 {
-		return
-	}
-	for i, j := range p.perm {
-		if int(j) > i {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	tw := p.twiddle
-	idx := 0
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		stage := tw[idx : idx+half]
-		idx += half
-		for start := 0; start < n; start += size {
-			for k, w := range stage {
-				u := a[start+k]
-				v := a[start+k+half] * complex(real(w), -imag(w))
-				a[start+k] = u + v
-				a[start+k+half] = u - v
-			}
-		}
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range a {
-		a[i] *= inv
-	}
-}
-
 // mixed runs the Stockham autosort form of mixed-radix Cooley–Tukey: one
 // decimation-in-frequency pass per radix, ping-ponging between dst and a
 // pooled work buffer, with the output already in natural order (no
 // permutation pass). The stage buffers alternate so that the last stage
-// lands in dst; x is only read, unless it is dst. The inverse transform
-// uses DFT⁻¹(x) = conj(DFT(conj(x)))/n, so one set of forward tables
-// serves both directions.
-func (p *FFTPlan) mixed(dst, x []complex128, inverse bool) {
+// lands in dst; x is only read, unless it is dst.
+func (p *FFTPlan) mixed(dst, x []complex128) {
 	n := p.n
 	work := pool.Complex(n)
 	cur, next := dst, work
@@ -219,13 +170,7 @@ func (p *FFTPlan) mixed(dst, x []complex128, inverse bool) {
 		cur, next = work, dst
 	}
 	src := x
-	switch {
-	case inverse:
-		for k, v := range x {
-			next[k] = complex(real(v), -imag(v))
-		}
-		src = next
-	case &x[0] == &cur[0]:
+	if &x[0] == &cur[0] {
 		copy(next, x)
 		src = next
 	}
@@ -243,12 +188,6 @@ func (p *FFTPlan) mixed(dst, x []complex128, inverse bool) {
 		s *= r
 		src = cur
 		cur, next = next, cur
-	}
-	if inverse {
-		invN := 1 / float64(n)
-		for k, v := range dst {
-			dst[k] = complex(real(v)*invN, -imag(v)*invN)
-		}
 	}
 	pool.PutComplex(work)
 }

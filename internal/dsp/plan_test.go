@@ -9,20 +9,13 @@ import (
 )
 
 // naiveDFT is the O(n²) reference transform.
-func naiveDFT(x []complex128, inverse bool) []complex128 {
+func naiveDFT(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for k := 0; k < n; k++ {
 		var acc complex128
 		for t := 0; t < n; t++ {
-			acc += x[t] * cmplx.Rect(1, sign*2*math.Pi*float64(k*t)/float64(n))
-		}
-		if inverse {
-			acc /= complex(float64(n), 0)
+			acc += x[t] * cmplx.Rect(1, -2*math.Pi*float64(k*t)/float64(n))
 		}
 		out[k] = acc
 	}
@@ -49,20 +42,16 @@ func TestPlanFFTCacheReturnsSharedPlan(t *testing.T) {
 	}
 }
 
-func TestPlanForwardInverseMatchNaiveDFT(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8, 12, 31, 50, 64, 97, 100, 129, 194, 243, 250, 1000} {
+// TestPlanForwardMatchesNaiveDFT covers the radix-2 path, radix-2 and
+// radix-5 stages, and the generic odd-prime butterfly (3, 31, 97, …).
+func TestPlanForwardMatchesNaiveDFT(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8, 12, 31, 32, 33, 50, 64, 97, 100, 129, 194, 243, 250, 255, 256, 1000} {
 		x := randComplex(n, uint64(n))
-		p := PlanFFT(n)
-		fwd := p.Forward(nil, x)
-		inv := p.Inverse(nil, x)
-		wantF := naiveDFT(x, false)
-		wantI := naiveDFT(x, true)
+		got := PlanFFT(n).Forward(nil, x)
+		want := naiveDFT(x)
 		for i := 0; i < n; i++ {
-			if !cAlmostEq(fwd[i], wantF[i], 1e-8*float64(n)) {
-				t.Fatalf("n=%d forward bin %d: %v vs %v", n, i, fwd[i], wantF[i])
-			}
-			if !cAlmostEq(inv[i], wantI[i], 1e-8) {
-				t.Fatalf("n=%d inverse bin %d: %v vs %v", n, i, inv[i], wantI[i])
+			if !cAlmostEq(got[i], want[i], 1e-8*float64(n)) {
+				t.Fatalf("n=%d bin %d: %v vs %v", n, i, got[i], want[i])
 			}
 		}
 	}
@@ -104,10 +93,8 @@ func TestFFTWarmPathAllocationFree(t *testing.T) {
 		x := randComplex(n, uint64(n))
 		dst := make([]complex128, n)
 		FFTInto(dst, x) // warm plan, pool, and dst
-		p := PlanFFT(n)
 		allocs := testing.AllocsPerRun(50, func() {
 			dst = FFTInto(dst, x)
-			dst = p.Inverse(dst, dst)
 		})
 		if allocs != 0 {
 			t.Errorf("n=%d: %v allocs/op on warm FFT path, want 0", n, allocs)

@@ -4,7 +4,7 @@
 // []complex128 slices whose sizes repeat frame after frame; recycling them
 // removes the dominant GC pressure of the sample-domain code.
 //
-// Ownership rules (see DESIGN.md §9):
+// Ownership rules (see DESIGN.md §2):
 //
 //   - Complex transfers ownership of the returned slice to the caller.
 //     The contents are arbitrary (NOT zeroed); callers must write every

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// These tests assert the *shape targets* from DESIGN.md §3 — who wins, by
+// These tests assert the *shape targets* from DESIGN.md §1 — who wins, by
 // roughly what factor, where the anchors fall — for every regenerated
 // figure and table.
 

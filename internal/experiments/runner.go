@@ -13,7 +13,7 @@ package experiments
 //   - trial bodies only read shared state (channel.Environment is
 //     read-only during evaluation), so scheduling cannot change it.
 //
-// See DESIGN.md §9 for the RNG-derivation scheme and the reproducibility
+// See DESIGN.md §1 for the RNG-derivation scheme and the reproducibility
 // contract.
 
 import (

@@ -46,7 +46,7 @@ func allocatorChurn(tb testing.TB, band Band, fill float64) func(i int) {
 }
 
 // BenchmarkAllocatorChurn is the rung of the allocator's write path.
-// Reported parent against change in DESIGN.md §18.
+// DESIGN.md §4 gives the cost of each operation on the ordered books.
 func BenchmarkAllocatorChurn(b *testing.B) {
 	for _, c := range churnBands {
 		b.Run(c.name, func(b *testing.B) {

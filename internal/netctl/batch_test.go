@@ -66,7 +66,7 @@ func runStream(t *testing.T, batch int, ns []streamNode) ([][]byte, ServerStats)
 	t.Helper()
 	mn := NewMemNet(nil)
 	ctrl := mac.NewController(mac.ISM24GHz())
-	srv := NewServer(ctrl, NewRealClock(), ServerConfig{Batch: batch})
+	srv := NewServer(ctrl, NewRealClock(), ServerConfig{batch: batch})
 	srv.Serve(mn.ServerConn())
 	defer srv.Stop()
 

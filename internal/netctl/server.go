@@ -18,11 +18,11 @@ const queueLen = 4096
 
 // ServerConfig tunes the daemon.
 type ServerConfig struct {
-	// Batch caps how many frames move per syscall (recvmmsg/sendmmsg
-	// on Linux) and per controller-mutex acquisition. 0 picks the
-	// default (32); 1 disables amortization — the single-message
-	// reference path the batching determinism test compares against.
-	Batch int
+	// batch caps how many frames move per syscall (recvmmsg/sendmmsg
+	// on Linux) and per controller-mutex acquisition. Every caller gets
+	// 32; only the in-package determinism test sets 1, the
+	// single-message reference path it compares the batched one against.
+	batch int
 	// ExpireEveryS is the lease-expiry sweep period; <= 0 disables the
 	// periodic sweep (tests then drive ExpireNow by hand).
 	ExpireEveryS float64
@@ -89,8 +89,8 @@ type Server struct {
 // NewServer wraps a controller for serving. clock drives lease expiry;
 // pass NewRealClock() in production, a *FakeClock in tests.
 func NewServer(ctrl *mac.Controller, clock Clock, cfg ServerConfig) *Server {
-	if cfg.Batch <= 0 {
-		cfg.Batch = 32
+	if cfg.batch <= 0 {
+		cfg.batch = 32
 	}
 	return &Server{
 		cfg:   cfg,
@@ -110,8 +110,8 @@ func (s *Server) Serve(conn net.PacketConn) {
 	s.queue = make(chan *frame, queueLen)
 	s.readerDone = make(chan struct{})
 	s.workerDone = make(chan struct{})
-	go s.workerLoop(bio.writer(s.cfg.Batch))
-	go s.readLoop(bio.reader(s.cfg.Batch))
+	go s.workerLoop(bio.writer(s.cfg.batch))
+	go s.readLoop(bio.reader(s.cfg.batch))
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -122,7 +122,7 @@ func (s *Server) logf(format string, args ...any) {
 
 func (s *Server) readLoop(r batchReader) {
 	defer close(s.readerDone)
-	fs := make([]*frame, s.cfg.Batch)
+	fs := make([]*frame, s.cfg.batch)
 	var shedBuf []byte
 	for {
 		n, err := r.readBatch(fs)
@@ -180,8 +180,8 @@ func (s *Server) workerLoop(w batchWriter) {
 		defer t.Stop()
 		sweep = t.C
 	}
-	batch := make([]*frame, 0, s.cfg.Batch)
-	out := make([]*frame, 0, s.cfg.Batch)
+	batch := make([]*frame, 0, s.cfg.batch)
+	out := make([]*frame, 0, s.cfg.batch)
 	for {
 		select {
 		case f, ok := <-s.queue:
