@@ -48,6 +48,31 @@ func TestFFTSingleTone(t *testing.T) {
 	}
 }
 
+// TestFFTIFFTRoundtrip inverts the forward transform through the identity
+// DFT⁻¹(y) = conj(DFT(conj(y)))/n, so a round trip exercises Forward twice
+// at each length and must return the input.
+func TestFFTIFFTRoundtrip(t *testing.T) {
+	rng := stats.NewRNG(4)
+	for _, n := range []int{1, 2, 8, 31, 32, 33, 97, 100, 194, 243, 250, 255, 256, 1000} {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+		}
+		p := PlanFFT(n)
+		y := p.Forward(nil, x)
+		for i, v := range y {
+			y[i] = cmplx.Conj(v)
+		}
+		y = p.Forward(y, y)
+		for i := range x {
+			got := cmplx.Conj(y[i]) / complex(float64(n), 0)
+			if !cAlmostEq(x[i], got, 1e-8) {
+				t.Fatalf("n=%d: roundtrip mismatch at %d: %v vs %v", n, i, x[i], got)
+			}
+		}
+	}
+}
+
 func TestFFTLinearityProperty(t *testing.T) {
 	rng := stats.NewRNG(9)
 	f := func(seed uint64) bool {
