@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 
 	"mmx/internal/mac"
 	"mmx/internal/modem"
@@ -26,12 +27,71 @@ var RateLadder = []float64{100e6, 50e6, 25e6, 10e6, 5e6, 2e6, 1e6, 500e3, 100e3}
 // without re-enumerating propagation paths.
 func RateForSNR(snrDB, cfgBandwidthHz, targetBER float64) float64 {
 	required := modem.RequiredSNRForOOKBER(targetBER)
+	if gains := rungGains(cfgBandwidthHz); gains != nil {
+		for i, gain := range gains {
+			if snrDB+gain >= required {
+				return RateLadder[i]
+			}
+		}
+		return 0
+	}
 	for _, rate := range RateLadder {
 		if snrDB+units.DB(cfgBandwidthHz/mac.BandwidthForRate(rate)) >= required {
 			return rate
 		}
 	}
 	return 0
+}
+
+// rungGain is what each ladder rung's narrower noise bandwidth adds to the
+// SNR of a link measured in bw: units.DB(bw/mac.BandwidthForRate(rate)),
+// the term RateForSNR's walk adds per rung.
+type rungGain struct {
+	bw    float64
+	gains []float64
+}
+
+// gainMemo holds the rung gains of the first maxGainMemo bandwidths
+// RateForSNR has seen. It is copy-on-write behind an atomic pointer, so
+// concurrent callers (experiments.RunTrials' fan-out) read it without a
+// lock, and a hit allocates nothing.
+var gainMemo atomic.Pointer[[]rungGain]
+
+const maxGainMemo = 64
+
+// rungGains returns bw's rung gains, computed once per bandwidth by the
+// walk's own expression, so the rates come out bit-identical. It returns
+// nil, for RateForSNR to walk the ladder as before, once the memo is full
+// and for a NaN bandwidth, which no entry can match.
+func rungGains(bw float64) []float64 {
+	if memo := gainMemo.Load(); memo != nil {
+		for i := range *memo {
+			if (*memo)[i].bw == bw {
+				return (*memo)[i].gains
+			}
+		}
+	}
+	var gains []float64
+	for {
+		old := gainMemo.Load()
+		var memo []rungGain
+		if old != nil {
+			memo = *old
+		}
+		if len(memo) >= maxGainMemo || bw != bw {
+			return nil
+		}
+		if gains == nil {
+			gains = make([]float64, len(RateLadder))
+			for i, rate := range RateLadder {
+				gains[i] = units.DB(bw / mac.BandwidthForRate(rate))
+			}
+		}
+		next := append(memo[:len(memo):len(memo)], rungGain{bw: bw, gains: gains})
+		if gainMemo.CompareAndSwap(old, &next) {
+			return gains
+		}
+	}
 }
 
 // AdaptRate returns the fastest ladder rate whose SNR (at that rate's

@@ -78,18 +78,21 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		rs.joinsFailed++
 		return nil, err
 	}
+	if rs.pending == nil {
+		rs.pending = map[uint32]bool{}
+	}
 	rs.pending[id] = true
 	rs.sim.After(took, func() {
 		delete(rs.pending, id)
 		nw.registerNode(n, nw.applyAssignment(n))
 		rs.apStats[ap.idx].Joins++
-		rs.apOpen(id, ap.idx, rs.sim.Now())
 		h := rs.left[id]
 		if h == nil {
 			h = rs.newHandle(new(nodeHandle), id)
 		}
+		rs.apOpen(h, ap.idx, rs.sim.Now())
 		h.joinedAt = rs.sim.Now()
-		n.h = h
+		n.h, h.n = h, n
 		nw.core().settle(nw)
 		rs.scheduleFrames(n)
 		if nw.OnMembership != nil {
@@ -116,16 +119,19 @@ func (rs *runState) leaveNow(id uint32) {
 	ap := leaver.AP
 	nw.unregisterNodeAt(leaver.idx)
 	h := leaver.h
-	leaver.h = nil
+	leaver.h, h.n = nil, nil
 	rs.flushSamples(h)
 	h.sampled = false
+	if rs.left == nil {
+		rs.left = map[uint32]*nodeHandle{}
+	}
 	rs.left[id] = h
 	nw.release(ap, leaver, rs.nowAt(ap))
 	delete(nw.strays, id)
 	rs.ctl.Promotions += nw.pushNotifications(ap, false)
 	rs.apStats[ap.idx].Leaves++
 	now := rs.sim.Now()
-	rs.apClose(id, now)
+	rs.apClose(h, now)
 	h.st.ActiveS += now - h.joinedAt
 	h.st.LeftAtS = now
 	h.gen++ // cancels the departed node's in-flight frame chain

@@ -200,12 +200,15 @@ type sparseState struct {
 	envEpoch uint64
 
 	// listeners[j] bounds every position at which a node started to cache
-	// a link towards AP j: it grows in gridInsert for the serving AP, in
-	// addEdge when cross[j].edges leaves 0 and in watch, and shrinks only
-	// when Run's start rebuilds it from the members (listen), so it holds
-	// every node listening to j now. It scopes the swept-region walk
-	// (region.go) to the nodes a corridor towards j can dirty.
+	// a link towards AP j, and spans[j*ny+iy] the columns of grid row iy
+	// such a node's cell lay in: both grow at listenAt — in gridInsert for
+	// the serving AP, in addEdge when cross[j].edges leaves 0 and in watch
+	// — and shrink only when Run's start rebuilds them from the members
+	// (listen), so they hold every node listening to j now. They scope the
+	// swept-region walk (region.go) to the cells a corridor towards j can
+	// dirty a node in.
 	listeners []box
+	spans     []colSpan
 
 	// The mapping fan-out (region.go): a tick's corridors, its work items,
 	// one lane per worker (the eval pass counts in them too), and the item
@@ -286,11 +289,12 @@ func newSparseState(nw *Network, exact bool) *sparseState {
 		nAPs:      len(nw.APs),
 		envEpoch:  nw.Env.Epoch(),
 		listeners: make([]box, len(nw.APs)),
+		spans:     make([]colSpan, len(nw.APs)*ny),
 	}
 	for i := range s.shards {
 		s.shards[i].chans = make(map[float64]*chanState)
-		s.listeners[i] = emptyBox()
 	}
+	s.resetListeners()
 	return s
 }
 
@@ -385,31 +389,47 @@ func (s *sparseState) cellIndex(p channel.Vec2) int {
 	return clampCell(p.Y, s.cellH, s.ny)*s.nx + clampCell(p.X, s.cellW, s.nx)
 }
 
-// listen grows the listener box of every AP n caches a link towards.
+// colSpan is one grid row's part of a listener box: the lowest and the
+// highest column of a cell a listener sat in (lo > hi: none did).
+type colSpan struct{ lo, hi int32 }
+
+// listenAt records that n, in its grid cell, caches a link towards AP j.
+func (s *sparseState) listenAt(j int, n *Node) {
+	s.listeners[j].grow(n.Pose.Pos)
+	c := n.sp.cell
+	sp := &s.spans[j*s.ny+c/s.nx]
+	ix := int32(c % s.nx)
+	sp.lo, sp.hi = min(sp.lo, ix), max(sp.hi, ix)
+}
+
+// listen grows the listener box and spans of every AP n caches a link
+// towards.
 func (s *sparseState) listen(n *Node) {
-	p := n.Pose.Pos
-	s.listeners[n.AP.idx].grow(p)
+	s.listenAt(n.AP.idx, n)
 	for a := range n.sp.cross {
 		if n.sp.cross[a].live() {
-			s.listeners[a].grow(p)
+			s.listenAt(a, n)
 		}
 	}
 }
 
-// resetListeners empties every listener box, for listen to rebuild.
+// resetListeners empties every listener box and span, for listen to
+// rebuild.
 func (s *sparseState) resetListeners() {
 	for i := range s.listeners {
 		s.listeners[i] = emptyBox()
 	}
+	for i := range s.spans {
+		s.spans[i] = colSpan{lo: int32(s.nx), hi: -1}
+	}
 }
 
 func (s *sparseState) gridInsert(n *Node) {
-	p := n.Pose.Pos
-	s.listeners[n.AP.idx].grow(p)
-	c := s.cellIndex(p)
+	c := s.cellIndex(n.Pose.Pos)
 	n.sp.cell = c
 	n.sp.cellSlot = len(s.cells[c])
 	s.cells[c] = append(s.cells[c], gridSlot{n: n})
+	s.listenAt(n.AP.idx, n)
 }
 
 func (s *sparseState) gridRemove(n *Node) {
@@ -615,7 +635,7 @@ func (s *sparseState) addEdge(src, dst *Node, w float64) {
 			// force an eval pass over it before the victim re-sums. The
 			// source now listens to da.
 			s.markEvalStale(src)
-			s.listeners[da].grow(src.Pose.Pos)
+			s.listenAt(da, src)
 		}
 	}
 	s.markDirty(dst)
@@ -671,7 +691,7 @@ func (s *sparseState) watch(n *Node, a int, p float64) {
 	}
 	x := &n.sp.cross[a]
 	x.watch, x.power = true, p
-	s.listeners[a].grow(n.Pose.Pos)
+	s.listenAt(a, n)
 }
 
 // discoverIn hooks in every source audible to victim v, in the order
@@ -936,7 +956,7 @@ func (s *sparseState) settle(nw *Network) {
 func (s *sparseState) runEvalPass(nw *Network) {
 	work := s.workScratch[:0]
 	for _, n := range s.dirty {
-		if nw.nodeIdx[n.ID] != n {
+		if !nw.member(n) {
 			continue // left (or was replaced) while queued
 		}
 		if n.sp.evalStale {
@@ -1007,7 +1027,7 @@ func (s *sparseState) finishDirty(nw *Network) {
 	if s.finishFn == nil {
 		s.finishFn = func(_, i int) {
 			n := s.dirty[i]
-			if nw.nodeIdx[n.ID] != n {
+			if !nw.member(n) {
 				return
 			}
 			n.sp.queued = false
@@ -1021,7 +1041,7 @@ func (s *sparseState) finishDirty(nw *Network) {
 	par.For(nw.Workers, len(dirty), s.finishFn)
 	if rs := nw.run; rs != nil {
 		for _, n := range dirty {
-			if nw.nodeIdx[n.ID] == n {
+			if nw.member(n) {
 				rs.queueFinished(n)
 				rs.listRoamer(n)
 			}

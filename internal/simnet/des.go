@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"slices"
 
 	"mmx/internal/core"
 	"mmx/internal/faults"
@@ -226,23 +227,30 @@ type WorkStats struct {
 	// node's stale frame too), ticks, churn and faults.
 	Events int
 	// MapItems counts the swept-region mapping's work items, one per
-	// (region, AP, corridor); CellsWalked the grid cells their cone walks
-	// listed; SlotsVisited the node slots in those cells; LeafTests the
-	// nodes the corridor test passed on to the exact leaf test; Staled
-	// the nodes the merge marked for re-evaluation.
-	MapItems, CellsWalked, SlotsVisited, LeafTests, Staled int
+	// (region, AP, corridor); CorridorsAimed the items that passed the
+	// listener-box test and had their cones aimed (the sector
+	// trigonometry); CellsWalked the grid cells their cone walks listed;
+	// SlotsVisited the node slots in those cells; LeafTests the nodes the
+	// corridor test passed on to the exact leaf test; Staled the nodes the
+	// merge marked for re-evaluation.
+	MapItems, CorridorsAimed, CellsWalked, SlotsVisited, LeafTests, Staled int
 	// LinkEvals counts the eval pass's link evaluations: serving links
 	// and cross-AP powers, watched ones included.
 	LinkEvals int
 	// RoamScreens counts the members the roam checks screened, and
 	// RoamTraces the candidate links they traced rather than read cached.
 	RoamScreens, RoamTraces int
+	// Rerated counts the members the environment ticks' rate/sample step
+	// re-rated: those the settles finished since the tick before, and at
+	// a Run's first tick the whole membership.
+	Rerated int
 }
 
 // add adds o's counts to w.
 func (w *WorkStats) add(o WorkStats) {
 	w.Events += o.Events
 	w.MapItems += o.MapItems
+	w.CorridorsAimed += o.CorridorsAimed
 	w.CellsWalked += o.CellsWalked
 	w.SlotsVisited += o.SlotsVisited
 	w.LeafTests += o.LeafTests
@@ -250,6 +258,7 @@ func (w *WorkStats) add(o WorkStats) {
 	w.LinkEvals += o.LinkEvals
 	w.RoamScreens += o.RoamScreens
 	w.RoamTraces += o.RoamTraces
+	w.Rerated += o.Rerated
 }
 
 // APInterval is one contiguous association of a node with an AP: the AP's
@@ -328,6 +337,7 @@ func (r RunStats) TotalGoodputBps() float64 {
 // points at it.
 type nodeHandle struct {
 	st        NodeStats
+	n         *Node   // the member holding the handle; nil once it left
 	joinedAt  float64 // start of the current presence interval
 	busyUntil float64 // transmitter occupancy horizon
 	gen       int     // bumped on leave: cancels stale frame chains
@@ -347,6 +357,27 @@ type nodeHandle struct {
 	sinr    float64
 	from    int
 	sampled bool
+
+	// hist accumulates the node's RunStats.APHistory entry; nil in
+	// single-AP runs.
+	hist []APInterval
+}
+
+// runBuffers are Run's per-member buffers, which the Network keeps from
+// one Run to the next so that a Run's start allocates none of them: the
+// starting membership's handles, the event queue's backing array, the
+// backing arrays of runState's order, finished and roam lists, and the
+// roam check's scratch and item function. Nothing a Run returns points
+// into them.
+type runBuffers struct {
+	handles   []nodeHandle
+	queue     []event
+	order     []*nodeHandle
+	finished  []*Node
+	roamList  []*Node
+	roamLanes []roamLane
+	roamSpans []roamSpan
+	roamFn    func(lane, i int)
 }
 
 // runState is the live engine state while Run executes. Network.run
@@ -367,16 +398,17 @@ type runState struct {
 
 	// apStats accumulates RunStats.PerAP, indexed by AP registry
 	// position, and with it the run's join, leave, roam and lease-expiry
-	// totals. apHist accumulates RunStats.APHistory; nil in single-AP
-	// runs (no transitions to record, and large runs shouldn't pay for
-	// an ID→interval map nobody reads).
+	// totals. history marks a multi-AP run, whose handles record
+	// RunStats.APHistory (one AP has no transitions to record, and large
+	// runs shouldn't pay for an ID→interval map nobody reads).
 	apStats []APStats
-	apHist  map[uint32][]APInterval
+	history bool
 
 	// left keeps the handles of IDs that departed during this run — a
 	// rejoin under the same ID goes on accumulating into its one entry.
 	// order is every handle in first-seen order: the RunStats.PerNode
-	// layout. A member's own handle is Node.h.
+	// layout. A member's own handle is Node.h. left and pending are made
+	// at their first write, so a run without churn allocates neither.
 	left  map[uint32]*nodeHandle
 	order []*nodeHandle
 
@@ -394,14 +426,12 @@ type runState struct {
 	// members they screen: every member that can roam (Node.mayRoam),
 	// each once (Node.roamListed), plus departed and unable ones a check
 	// drops (roam.go). The check's scratch is grown on demand and kept
-	// for the run: roamLanes holds each worker lane's candidates and
-	// counts, roamSpans[i] where listed member i's lie, and roamFn is the
-	// phase-1 closure par.For runs.
+	// with the Network: roamLanes holds each worker lane's candidates and
+	// counts, and roamSpans[i] where listed member i's lie.
 	roaming   bool
 	roamList  []*Node
 	roamLanes []roamLane
 	roamSpans []roamSpan
-	roamFn    func(lane, i int)
 }
 
 // nowAt maps the current sim time onto one AP controller's clock.
@@ -409,30 +439,25 @@ func (rs *runState) nowAt(ap *AccessPoint) float64 {
 	return rs.bases[ap.idx] + rs.sim.Now()
 }
 
-// apOpen starts an association interval for id at AP index ap; apClose
+// apOpen starts an association interval on h at AP index ap; apClose
 // seals the open one. Both are no-ops in single-AP runs.
-func (rs *runState) apOpen(id uint32, ap int, at float64) {
-	if rs.apHist == nil {
-		return
-	}
-	rs.apHist[id] = append(rs.apHist[id], APInterval{AP: ap, FromS: at, ToS: -1})
-}
-
-func (rs *runState) apClose(id uint32, at float64) {
-	if rs.apHist == nil {
-		return
-	}
-	iv := rs.apHist[id]
-	if n := len(iv); n > 0 && iv[n-1].ToS < 0 {
-		iv[n-1].ToS = at
+func (rs *runState) apOpen(h *nodeHandle, ap int, at float64) {
+	if rs.history {
+		h.hist = append(h.hist, APInterval{AP: ap, FromS: at, ToS: -1})
 	}
 }
 
-// newHandle makes h the stable accounting slot of an ID first seen now.
-// The starting membership's slots are one slab Run allocates; a mid-run
-// joiner brings its own.
+func (rs *runState) apClose(h *nodeHandle, at float64) {
+	if n := len(h.hist); n > 0 && h.hist[n-1].ToS < 0 {
+		h.hist[n-1].ToS = at
+	}
+}
+
+// newHandle makes h, wiped, the stable accounting slot of an ID first
+// seen now. The starting membership's slots are a slab the Network keeps
+// between Runs; a mid-run joiner brings its own.
 func (rs *runState) newHandle(h *nodeHandle, id uint32) *nodeHandle {
-	h.st = NodeStats{ID: id, MinSINRdB: math.Inf(1), JoinedAtS: rs.sim.Now()}
+	*h = nodeHandle{st: NodeStats{ID: id, MinSINRdB: math.Inf(1), JoinedAtS: rs.sim.Now()}}
 	rs.order = append(rs.order, h)
 	return h
 }
@@ -492,7 +517,7 @@ func (rs *runState) envRefresh() {
 	nw.core().settle(nw)
 	for _, n := range rs.finished {
 		n.finished = false
-		if nw.nodeIdx[n.ID] != n {
+		if !nw.member(n) {
 			continue // left since it was finished
 		}
 		h := n.h
@@ -504,6 +529,7 @@ func (rs *runState) envRefresh() {
 		sinr := n.sp.rep.SINRdB
 		n.RateBps = nw.cappedRate(n, core.RateForSNR(sinr, n.widthHz, 1e-6))
 		h.sinr = sinr
+		nw.work.Rerated++
 	}
 	rs.finished = rs.finished[:0]
 	rs.instants++
@@ -659,10 +685,11 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	if nw.run != nil {
 		panic("simnet: Run is not reentrant")
 	}
+	buf := &nw.runBuf
 	sim := NewSim()
 	// Every member keeps one frame event pending; the ticks and the churn
 	// plan add a handful more.
-	sim.q = make([]event, 0, len(nw.Nodes)+len(nw.pendingChurn)+4)
+	sim.q = slices.Grow(buf.queue[:0], len(nw.Nodes)+len(nw.pendingChurn)+4)
 	bases := make([]float64, len(nw.APs))
 	for i, ap := range nw.APs {
 		bases[i] = ap.Controller.NowS()
@@ -675,17 +702,15 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		outageSINRdB: outageSINRdB,
 		bases:        bases,
 		apStats:      make([]APStats, len(nw.APs)),
-		left:         map[uint32]*nodeHandle{},
-		order:        make([]*nodeHandle, 0, len(nw.Nodes)),
-		pending:      map[uint32]bool{},
-		finished:     make([]*Node, 0, len(nw.Nodes)),
+		history:      len(nw.APs) > 1,
+		order:        slices.Grow(buf.order[:0], len(nw.Nodes)),
+		finished:     slices.Grow(buf.finished[:0], len(nw.Nodes)),
+		roamList:     buf.roamList[:0],
+		roamLanes:    buf.roamLanes,
+		roamSpans:    buf.roamSpans,
 	}
 	sim.run = rs
 	ctl := &rs.ctl
-	// APHistory is nil for one AP: an entry per node would cost single-AP fleets heap.
-	if len(nw.APs) > 1 {
-		rs.apHist = make(map[uint32][]APInterval, len(nw.Nodes))
-	}
 	nw.run = rs
 	defer func() { nw.run = nil }()
 	nw.work = WorkStats{}
@@ -696,10 +721,20 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	// them around what the members listen to now.
 	s := nw.core()
 	s.resetListeners()
-	slab := make([]nodeHandle, len(nw.Nodes))
+	buf.handles = slices.Grow(buf.handles[:0], len(nw.Nodes))[:len(nw.Nodes)]
+	// The starting intervals are cut from one slab: the returned
+	// APHistory holds them, so it is the one buffer a Run cannot keep.
+	var ivs []APInterval
+	if rs.history {
+		ivs = make([]APInterval, len(nw.Nodes))
+	}
 	for i, n := range nw.Nodes {
-		n.h = rs.newHandle(&slab[i], n.ID)
-		rs.apOpen(n.ID, n.AP.idx, 0)
+		h := rs.newHandle(&buf.handles[i], n.ID)
+		n.h, h.n = h, n
+		if ivs != nil {
+			h.hist = ivs[i : i : i+1]
+		}
+		rs.apOpen(h, n.AP.idx, 0)
 		// Rates come from applyAssignment's link evaluation until the first
 		// tick, which re-rates the whole starting membership.
 		rs.queueFinished(n)
@@ -808,17 +843,10 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		n.roamListed = false
 	}
 
-	for _, n := range nw.Nodes {
-		rs.apClose(n.ID, duration)
-		rs.apStats[n.AP.idx].Members++
-		n.h.st.ActiveS += duration - n.h.joinedAt
-		n.h.st.LeftAtS = duration
-		n.h = nil
-	}
 	st := RunStats{
 		Duration: duration, Control: rs.ctl, Work: nw.work,
 		JoinsFailed: rs.joinsFailed, RoamsFailed: rs.roamsFailed,
-		PerAP: rs.apStats, APHistory: rs.apHist,
+		PerAP: rs.apStats,
 	}
 	st.Work.Events = sim.dispatched()
 	for i := range rs.apStats {
@@ -830,8 +858,24 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		st.Control.LeaseExpiries += a.LeaseExpiries
 	}
 
+	// One pass over the handles: a member's closes its presence and
+	// association intervals, then every handle becomes its PerNode entry.
+	if rs.history {
+		st.APHistory = make(map[uint32][]APInterval, len(rs.order))
+	}
 	st.PerNode = make([]NodeStats, 0, len(rs.order))
 	for _, h := range rs.order {
+		if n := h.n; n != nil {
+			rs.apClose(h, duration)
+			rs.apStats[n.AP.idx].Members++
+			h.st.ActiveS += duration - h.joinedAt
+			h.st.LeftAtS = duration
+			n.h, h.n = nil, nil
+		}
+		if rs.history {
+			st.APHistory[h.st.ID] = h.hist
+		}
+		h.hist = nil
 		rs.flushSamples(h)
 		ns := h.st
 		if ns.SINRSamples > 0 {
@@ -849,5 +893,10 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		}
 		st.PerNode = append(st.PerNode, ns)
 	}
+	clear(sim.q) // what was left queued: closures over this run, and handles
+	clear(rs.finished)
+	clear(rs.roamList)
+	buf.queue, buf.order, buf.finished = sim.q[:0], rs.order[:0], rs.finished[:0]
+	buf.roamList, buf.roamLanes, buf.roamSpans = rs.roamList[:0], rs.roamLanes, rs.roamSpans
 	return st
 }

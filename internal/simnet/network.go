@@ -176,6 +176,8 @@ type Network struct {
 	// run points at the live engine state while Run executes; membership
 	// changes issued mid-run route through it onto the event heap.
 	run *runState
+	// runBuf keeps Run's per-member buffers from one Run to the next.
+	runBuf runBuffers
 	// pendingChurn holds ScheduleJoin/ScheduleLeave events planned
 	// before Run starts; Run moves them onto its event heap.
 	pendingChurn []churnEvent
@@ -223,6 +225,12 @@ func (nw *Network) SetCouplingMode(m CouplingMode) {
 	if m == CouplingSparse && (len(nw.Nodes) == 0 || nw.sparse.exact) {
 		nw.enterSparse()
 	}
+}
+
+// member reports whether n is in the membership now: a node's idx is
+// stale the instant it leaves, so the entry there is checked to be n.
+func (nw *Network) member(n *Node) bool {
+	return n.idx < len(nw.Nodes) && nw.Nodes[n.idx] == n
 }
 
 // nodeByID returns the live membership entry for id, or nil. Membership

@@ -49,11 +49,13 @@ import (
 // and only when p lies at least dist(apex, capsule) − reach from the apex,
 // since every point of segment(p, apex) is within |p − apex| of it. A
 // corridor leads to one AP, and only the nodes caching a link towards that
-// AP can be dirtied by it; they all lie inside the AP's listener box. So
-// for each capsule variant the walk clips the box by the sector, walks the
-// clipped polygon's rows, turns each row's x-extent into a cell range with
-// cellIndex's own clamp (the boundary rows and columns are open-ended, so
-// a node clamped in from outside the room is covered), skips cells wholly
+// AP can be dirtied by it; they all lie inside the AP's listener box, each
+// in a cell inside the AP's column span of the cell's row. So for each
+// capsule variant the walk clips the box by the sector, walks the clipped
+// polygon's rows that hold a listener, turns each row's x-extent into a
+// cell range with cellIndex's own clamp (the boundary rows and columns are
+// open-ended, so a node clamped in from outside the room is covered),
+// clips it to the row's span, skips cells wholly
 // nearer to the apex than the capsule's reach allows, and visits each
 // remaining cell once per corridor, so a corridor costs the cells inside
 // its cones. The walks of one tick are independent of each other, so
@@ -381,8 +383,11 @@ func (s *sparseState) mapItem(nw *Network, lane, i int) {
 	if co.mayReach(b) {
 		var gc cone
 		co.gateCone(&gc, b)
-		if gc.n > 0 && co.aimSectors(&gc) {
-			ln.cells = s.appendConeCells(ln.cells, co, b, &gc)
+		if gc.n > 0 {
+			ln.work.CorridorsAimed++
+			if co.aimSectors(&gc) {
+				ln.cells = s.appendConeCells(ln.cells, co, b, &gc)
+			}
 		}
 	}
 	it.lane, it.lo = int32(lane), int32(len(ln.cand))
@@ -678,12 +683,13 @@ func (co *corridor) gateCuts(dst []halfPlane, b *box) []halfPlane {
 }
 
 // appendConeCells appends, in row-major order and each once, the grid
-// cells that can hold a node inside b whose segment to the corridor's
-// apex crosses its gates and reaches one of its capsules: for capsule
-// variant c, the cells that meet gc (b clipped by the gate cuts, see
-// gateCone) clipped by sector c and are not wholly nearer to the apex
-// than dist(apex, capsule c) − reach. Rows and x-extents are padded by
-// sweptSlack, and the end rows and columns reach to ±∞, so every node
+// cells that can hold a listener of the corridor's AP inside b whose
+// segment to the corridor's apex crosses its gates and reaches one of its
+// capsules: for capsule variant c, the cells inside the AP's row spans
+// that meet gc (b clipped by the gate cuts, see gateCone) clipped by
+// sector c and are not wholly nearer to the apex than
+// dist(apex, capsule c) − reach. Rows and x-extents are padded by
+// sweptSlack, and the end rows and columns reach to ±∞, so every listener
 // position the cones hold maps into a listed cell. b must not be empty.
 func (s *sparseState) appendConeCells(dst []int32, co *corridor, b *box, gc *cone) []int32 {
 	var cones [3]cone
@@ -708,7 +714,12 @@ func (s *sparseState) appendConeCells(dst []int32, co *corridor, b *box, gc *con
 	}
 	apex := co.apex
 	inf := math.Inf(1)
+	spans := s.spans[co.ap*s.ny : (co.ap+1)*s.ny]
 	for iy := rows0; iy <= rows1; iy++ {
+		span := spans[iy]
+		if span.lo > span.hi {
+			continue // no listener of the AP in this row
+		}
 		y0, y1 := cellExtent(iy, s.cellH, s.ny, -inf, inf)
 		// fy is the squared y-distance from the apex to the farther
 		// edge of the row's part of b.
@@ -729,7 +740,11 @@ func (s *sparseState) appendConeCells(dst []int32, co *corridor, b *box, gc *con
 			if !ok {
 				continue
 			}
-			lo[c], hi[c] = clampCell(xa-sweptSlack, s.cellW, s.nx), clampCell(xb+sweptSlack, s.cellW, s.nx)
+			lo[c] = max(clampCell(xa-sweptSlack, s.cellW, s.nx), int(span.lo))
+			hi[c] = min(clampCell(xb+sweptSlack, s.cellW, s.nx), int(span.hi))
+			if lo[c] > hi[c] {
+				continue // the cone misses the row's listeners
+			}
 			cols0, cols1 = min(cols0, lo[c]), max(cols1, hi[c])
 			if r2 := cn.near*cn.near - fy; cn.near > 0 && r2 > 0 {
 				r := math.Sqrt(r2) - sweptSlack // a slack for rounding: exclude less

@@ -160,7 +160,9 @@ func plantWatches(nw *Network, per int) {
 // checkRegionStep checks one syncEnv that consumed the environment's
 // epochs since from, before the settle, both ways. rec is the serving
 // evaluations recorded at the last settle (settledEvals). Scope: every
-// node lies inside the listener box of each AP it listens to. Soundness:
+// node lies inside the listener box of each AP it listens to — its
+// serving AP and every AP whose cross entry is live, watches included —
+// and its cell inside that AP's span of the cell's row. Soundness:
 // every value a node caches about the environment — its serving
 // evaluation, as rec holds it whole, and its power at every foreign AP it
 // has victims at or a roam check watches — either still equals a fresh
@@ -175,9 +177,17 @@ func checkRegionStep(t *testing.T, nw *Network, rec map[*Node]core.Evaluation, f
 	}
 	for _, n := range nw.Nodes {
 		tally.population++
-		for j, b := range nw.sparse.listeners {
-			if p := n.Pose.Pos; n.listens(j) && (p.X < b.lo.X || p.X > b.hi.X || p.Y < b.lo.Y || p.Y > b.hi.Y) {
+		s := nw.sparse
+		for j, b := range s.listeners {
+			if !n.listens(j) {
+				continue
+			}
+			if p := n.Pose.Pos; p.X < b.lo.X || p.X > b.hi.X || p.Y < b.lo.Y || p.Y > b.hi.Y {
 				t.Fatalf("step %d: node %d at %+v listens to AP %d but lies outside its listener box %+v", step, n.ID, p, j, b)
+			}
+			c := s.cellIndex(n.Pose.Pos)
+			if sp, ix := s.spans[j*s.ny+c/s.nx], int32(c%s.nx); ix < sp.lo || ix > sp.hi {
+				t.Fatalf("step %d: node %d in cell (%d, %d) listens to AP %d but lies outside its row span %+v", step, n.ID, ix, c/s.nx, j, sp)
 			}
 		}
 		stale, changed, flipped := n.sp.evalStale, false, false
@@ -559,8 +569,9 @@ func TestFusedTickDeterminismAcrossWorkers(t *testing.T) {
 	baseR, baseS := runOnce(1)
 	work := baseS.Work
 	for name, v := range map[string]int{
-		"Events": work.Events, "MapItems": work.MapItems, "CellsWalked": work.CellsWalked, "SlotsVisited": work.SlotsVisited,
-		"LeafTests": work.LeafTests, "Staled": work.Staled, "LinkEvals": work.LinkEvals,
+		"Events": work.Events, "MapItems": work.MapItems, "CorridorsAimed": work.CorridorsAimed, "CellsWalked": work.CellsWalked,
+		"SlotsVisited": work.SlotsVisited, "LeafTests": work.LeafTests, "Staled": work.Staled, "LinkEvals": work.LinkEvals,
+		"Rerated": work.Rerated,
 	} {
 		if v == 0 {
 			t.Errorf("Work.%s = 0 on a run with walkers: %+v", name, work)
@@ -732,7 +743,27 @@ var coneShapes = []string{
 // coneGrid is a bare sparse core over a side×side room: just the 128×128
 // grid appendConeCells and cellIndex read.
 func coneGrid(side float64) *sparseState {
-	return &sparseState{nx: 128, ny: 128, cellW: side / 128, cellH: side / 128}
+	s := &sparseState{nx: 128, ny: 128, cellW: side / 128, cellH: side / 128, spans: make([]colSpan, 128)}
+	for i := range s.spans {
+		s.spans[i] = colSpan{lo: 0, hi: 127}
+	}
+	return s
+}
+
+// drawSpans gives coneGrid's AP 0 random per-row listener spans: each row
+// empty, whole, or a random run of columns, a third of the time each.
+func drawSpans(s *sparseState, rng *stats.RNG) {
+	for iy := range s.spans[:s.ny] {
+		switch rng.Intn(3) {
+		case 0:
+			s.spans[iy] = colSpan{lo: int32(s.nx), hi: -1}
+		case 1:
+			s.spans[iy] = colSpan{lo: 0, hi: int32(s.nx - 1)}
+		default:
+			a, b := int32(rng.Intn(s.nx)), int32(rng.Intn(s.nx))
+			s.spans[iy] = colSpan{lo: min(a, b), hi: max(a, b)}
+		}
+	}
 }
 
 // coneCase draws one triple of the given shape over coneGrid(side). The
@@ -789,14 +820,15 @@ func coneCase(rng *stats.RNG, shape int) (side float64, b box, apex channel.Vec2
 
 // checkConeCells is the brute-force oracle of appendConeCells: every point
 // of b whose segment to the apex crosses each of the corridor's gates
-// within gateSlack (gateCross, nearNode's own test) and that some capsule
+// within gateSlack (gateCross, nearNode's own test), that some capsule
 // variant's sector admits, at least dist − reach from the apex for that
-// variant, must fall in a listed cell and inside every gate cut, and no
-// cell may be listed twice. It draws the points uniformly over b, on its
-// corners and edges, on cell lines, along the sectors' boundary rays, along
-// the rays through points just past the gates' ends, and just on the
-// apex's side of the gates' lines, and returns how many were in scope and
-// how many cells the walk listed.
+// variant, and whose cell's row span (the corridor's AP's) admits its
+// column must fall in a listed cell and inside every gate cut; no cell
+// may be listed twice, nor outside its row's span. It draws the points
+// uniformly over b, on its corners and edges, on cell lines, along the
+// sectors' boundary rays, along the rays through points just past the
+// gates' ends, and just on the apex's side of the gates' lines, and
+// returns how many were in scope and how many cells the walk listed.
 func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stats.RNG, points int) (inScope, listed int) {
 	t.Helper()
 	var cuts [maxCuts]halfPlane
@@ -805,11 +837,15 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 	co.gateCone(&gc, &b)
 	cells := s.appendConeCells(nil, co, &b, &gc)
 	visited := make([]bool, s.nx*s.ny)
+	spans := s.spans[co.ap*s.ny : (co.ap+1)*s.ny]
 	for _, c := range cells {
 		if visited[c] {
 			t.Fatalf("cell %d listed twice", c)
 		}
 		visited[c] = true
+		if sp, ix := spans[int(c)/s.nx], int32(int(c)%s.nx); ix < sp.lo || ix > sp.hi {
+			t.Fatalf("cell %d (%d, %d) listed outside its row's span %+v", c, ix, int(c)/s.nx, sp)
+		}
 	}
 	apex := co.apex
 	inCone := func(p channel.Vec2) bool {
@@ -868,8 +904,12 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 		if p.X < b.lo.X || p.X > b.hi.X || p.Y < b.lo.Y || p.Y > b.hi.Y || !inCone(p) {
 			continue
 		}
+		c := s.cellIndex(p)
+		if sp, ix := spans[c/s.nx], int32(c%s.nx); ix < sp.lo || ix > sp.hi {
+			continue // no listener of the AP can sit in this cell
+		}
 		inScope++
-		if c := s.cellIndex(p); !visited[c] {
+		if !visited[c] {
 			t.Fatalf("point %+v (cell %d, %d) is in a cone but its cell was not listed\nbox %+v apex %+v capsules %+v sectors %+v gates %+v",
 				p, c%s.nx, c/s.nx, b, apex, co.caps[:co.nCaps], co.secs[:co.nCaps], co.gates[:co.nGates])
 		}
@@ -889,8 +929,10 @@ func checkConeCells(t *testing.T, s *sparseState, b box, co *corridor, rng *stat
 // and admitting everything on the other half, and on two thirds of them
 // one or two more capsule variants, each the previous one mirrored across
 // a line through the box, as a reflection corridor's are, with a gate of
-// random length on each such line. Both in-scope points and cells the walk
-// leaves out must be common, or the check is vacuous.
+// random length on each such line; on a third of them the AP's listeners
+// fill random per-row spans (drawSpans) instead of every cell. Both
+// in-scope points and cells the walk leaves out must be common, or the
+// check is vacuous.
 func TestConeCellsCoverBruteForce(t *testing.T) {
 	const trials = 30000
 	rng := stats.NewRNG(83)
@@ -900,6 +942,9 @@ func TestConeCellsCoverBruteForce(t *testing.T) {
 		shape := i % len(coneShapes)
 		side, b, apex, k := coneCase(rng, shape)
 		s := coneGrid(side)
+		if i%3 == 2 {
+			drawSpans(s, rng)
+		}
 		co := corridor{apex: apex, nCaps: 1 + i/(2*len(coneShapes))%3}
 		co.nGates = co.nCaps - 1
 		co.caps[0] = k
@@ -943,20 +988,23 @@ func TestConeCellsCoverBruteForce(t *testing.T) {
 
 // FuzzConeCells runs the brute-force oracle of TestConeCellsCoverBruteForce
 // on generated corridors: the room side, two box corners, the apex, the
-// capsule's ends and radius, whether the sector admits everything, and up
-// to two gates, each also the line the previous capsule variant is
-// mirrored across.
+// capsule's ends and radius, whether the sector admits everything, up to
+// two gates, each also the line the previous capsule variant is mirrored
+// across, and the seed of the listeners' per-row spans (0: every cell).
 func FuzzConeCells(f *testing.F) {
-	f.Add(uint64(1), 20.0, 2.0, 3.0, 15.0, 12.0, -10.0, 5.0, 6.0, 7.0, 6.5, 7.2, 0.3, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint64(2), 20.0, -3.0, -1.0, 25.0, 4.0, 5.0, 2.0, 5.0, 2.0, 8.0, 2.0, 0.4, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint64(3), 20785.0, -9000.0, 100.0, 25000.0, 20000.0, 47000.0, -12000.0, 800.0, 900.0, 801.0, 901.0, 0.3, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint64(4), 60.0, 0.0, 0.0, 60.0, 60.0, 30.0, 30.0, 10.0, 10.0, 10.0, 10.0, 1.0, true, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint64(1), 20.0, 2.0, 3.0, 15.0, 12.0, -10.0, 5.0, 6.0, 7.0, 6.5, 7.2, 0.3, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(0))
+	f.Add(uint64(2), 20.0, -3.0, -1.0, 25.0, 4.0, 5.0, 2.0, 5.0, 2.0, 8.0, 2.0, 0.4, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(0))
+	f.Add(uint64(3), 20785.0, -9000.0, 100.0, 25000.0, 20000.0, 47000.0, -12000.0, 800.0, 900.0, 801.0, 901.0, 0.3, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(0))
+	f.Add(uint64(4), 60.0, 0.0, 0.0, 60.0, 60.0, 30.0, 30.0, 10.0, 10.0, 10.0, 10.0, 1.0, true, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(0))
 	// A single bounce off a wall at x = 20 (apex: the AP mirrored there),
 	// and a double bounce adding the mirrored floor y = 0.
-	f.Add(uint64(5), 20.0, 0.0, 0.0, 20.0, 20.0, 34.0, 8.0, 6.0, 9.0, 6.5, 9.4, 0.3, false, uint8(1), 20.0, 0.0, 20.0, 20.0, 0.0, 0.0, 0.0, 0.0)
-	f.Add(uint64(6), 20.0, 0.0, 0.0, 20.0, 20.0, 34.0, -8.0, 6.0, 9.0, 6.5, 9.4, 0.3, false, uint8(2), 20.0, 0.0, 20.0, 20.0, 20.0, 0.0, 40.0, 0.0)
+	f.Add(uint64(5), 20.0, 0.0, 0.0, 20.0, 20.0, 34.0, 8.0, 6.0, 9.0, 6.5, 9.4, 0.3, false, uint8(1), 20.0, 0.0, 20.0, 20.0, 0.0, 0.0, 0.0, 0.0, uint64(0))
+	f.Add(uint64(6), 20.0, 0.0, 0.0, 20.0, 20.0, 34.0, -8.0, 6.0, 9.0, 6.5, 9.4, 0.3, false, uint8(2), 20.0, 0.0, 20.0, 20.0, 20.0, 0.0, 40.0, 0.0, uint64(0))
+	// The first and the last shape again, the listeners in random row spans.
+	f.Add(uint64(1), 20.0, 2.0, 3.0, 15.0, 12.0, -10.0, 5.0, 6.0, 7.0, 6.5, 7.2, 0.3, false, uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, uint64(7))
+	f.Add(uint64(6), 20.0, 0.0, 0.0, 20.0, 20.0, 34.0, -8.0, 6.0, 9.0, 6.5, 9.4, 0.3, false, uint8(2), 20.0, 0.0, 20.0, 20.0, 20.0, 0.0, 40.0, 0.0, uint64(8))
 	f.Fuzz(func(t *testing.T, seed uint64, side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius float64, all bool,
-		gates uint8, g0x0, g0y0, g0x1, g0y1, g1x0, g1y0, g1x1, g1y1 float64) {
+		gates uint8, g0x0, g0y0, g0x1, g0y1, g1x0, g1y0, g1x1, g1y1 float64, spanSeed uint64) {
 		for _, v := range []float64{side, x0, y0, x1, y1, ax, ay, kx0, ky0, kx1, ky1, radius, g0x0, g0y0, g0x1, g0y1, g1x0, g1y0, g1x1, g1y1} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
 				t.Skip("non-finite or off-scale input")
@@ -986,7 +1034,11 @@ func FuzzConeCells(f *testing.F) {
 				co.secs[c] = makeSector(co.apex, co.caps[c])
 			}
 		}
-		checkConeCells(t, coneGrid(side), b, &co, stats.NewRNG(seed), 500)
+		s := coneGrid(side)
+		if spanSeed != 0 {
+			drawSpans(s, stats.NewRNG(spanSeed))
+		}
+		checkConeCells(t, s, b, &co, stats.NewRNG(seed), 500)
 	})
 }
 
@@ -1207,21 +1259,45 @@ func TestRegionMappingAllocatesNothing(t *testing.T) {
 // and map-ms/op the mapping alone (syncEnv), so the settle's link
 // evaluations do not hide mapping's share. The other metrics are the
 // WorkStats counts per tick, exact at any worker count: the work items,
-// the cells the cone walks listed, the node slots in them, the leaf
-// tests, the nodes the mapping staled and the eval pass's link
-// evaluations. All rungs of one AP count share a fleet, whose walkers
-// move on between them.
+// the items whose cones were aimed, the cells the cone walks listed, the
+// node slots in them, the leaf tests, the nodes the mapping staled and
+// the eval pass's link evaluations; rerated/op is the members the
+// rate/sample step of a Run's second tick re-rates, read off one
+// untimed two-tick Run after the loop. The fleets are one AP, 16 on a
+// 4×4 grid, and the same 16 with sim-multiap's far listeners: one member
+// in 25 watches every AP within four times its serving distance, the
+// widened screen of a roam check whose member lost its line of sight,
+// which stretches those APs' listener boxes across the field. All rungs
+// of one fleet share it, and its walkers move on between them.
 func BenchmarkRegionMap(b *testing.B) {
 	workers := []int{1}
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		workers = append(workers, p)
 	}
-	for _, g := range []int{1, 4} {
-		b.Run(fmt.Sprintf("aps=%d", g*g), func(b *testing.B) {
+	for _, fleet := range []struct {
+		name    string
+		g       int
+		watched bool
+	}{{"aps=1", 1, false}, {"aps=16", 4, false}, {"aps=16-far", 4, true}} {
+		b.Run(fleet.name, func(b *testing.B) {
 			const nodes, walkers = 12000, 4
 			side := 6000 * math.Sqrt(nodes/1000.0)
+			g := fleet.g
 			nw := gridAPNetwork(b, 61, side, g, min(g*g, 4))
 			joinUniform(b, nw, stats.NewRNG(62), nodes)
+			if fleet.watched {
+				for i, n := range nw.Nodes {
+					if i%25 != 0 {
+						continue
+					}
+					limit := 4 * n.Pose.Pos.Dist(n.AP.Pose.Pos)
+					for _, ap := range nw.APs {
+						if ap != n.AP && n.Pose.Pos.Dist(ap.Pose.Pos) < limit {
+							nw.sparse.watch(n, ap.idx, nw.crossPower(n, ap.idx))
+						}
+					}
+				}
+			}
 			ap := nw.APs[0].Pose.Pos
 			for k := 0; k < walkers; k++ {
 				sin, cos := math.Sincos(2 * math.Pi * float64(k) / walkers)
@@ -1251,11 +1327,17 @@ func BenchmarkRegionMap(b *testing.B) {
 						d := nw.work
 						b.ReportMetric(mapping.Seconds()*1e3/float64(b.N), "map-ms/op")
 						b.ReportMetric(per(d.MapItems), "items/op")
+						b.ReportMetric(per(d.CorridorsAimed), "aimed/op")
 						b.ReportMetric(per(d.CellsWalked), "cells/op")
 						b.ReportMetric(per(d.SlotsVisited), "slots/op")
 						b.ReportMetric(per(d.LeafTests), "leaf/op")
 						b.ReportMetric(per(d.Staled), "staled/op")
 						b.ReportMetric(per(d.LinkEvals), "evals/op")
+						b.StopTimer()
+						// The first tick re-rates every member; the second
+						// only the ones the settles finished since.
+						st := nw.Run(2*step, step, 0)
+						b.ReportMetric(float64(st.Work.Rerated-len(nw.Nodes)), "rerated/op")
 					})
 				}
 			}

@@ -65,7 +65,7 @@ func (rs *runState) roamTick() {
 	}
 	list := rs.roamList[:0]
 	for _, n := range rs.roamList {
-		if nw.nodeIdx[n.ID] == n && n.mayRoam() {
+		if nw.member(n) && n.mayRoam() {
 			list = append(list, n)
 		} else {
 			n.roamListed = false
@@ -83,10 +83,10 @@ func (rs *runState) roamTick() {
 	for l := range rs.roamLanes {
 		rs.roamLanes[l].cand = rs.roamLanes[l].cand[:0]
 	}
-	if rs.roamFn == nil {
-		rs.roamFn = func(lane, i int) { rs.roamScreen(lane, i) }
+	if nw.runBuf.roamFn == nil {
+		nw.runBuf.roamFn = func(lane, i int) { nw.run.roamScreen(lane, i) }
 	}
-	par.For(nw.Workers, len(list), rs.roamFn)
+	par.For(nw.Workers, len(list), nw.runBuf.roamFn)
 	for l := range rs.roamLanes {
 		nw.work.add(rs.roamLanes[l].work)
 		rs.roamLanes[l].work = WorkStats{}
@@ -110,7 +110,7 @@ func (rs *runState) roamTick() {
 	changed := false
 	for i, n := range list {
 		sp := rs.roamSpans[i]
-		if sp.lo == sp.hi || nw.nodeIdx[n.ID] != n { // no candidate, or left in an earlier roam's callback
+		if sp.lo == sp.hi || !nw.member(n) { // no candidate, or left in an earlier roam's callback
 			continue
 		}
 		noise := nw.linkCfg(n).NoisePowerW() // now, after earlier roams' promotions
@@ -259,8 +259,8 @@ func (rs *runState) roamTo(n *Node, to *AccessPoint) {
 	rs.apStats[from.idx].RoamsOut++
 	rs.apStats[to.idx].RoamsIn++
 	now := rs.sim.Now()
-	rs.apClose(n.ID, now)
-	rs.apOpen(n.ID, to.idx, now)
+	rs.apClose(n.h, now)
+	rs.apOpen(n.h, to.idx, now)
 	if nw.OnMembership != nil {
 		nw.OnMembership("roam", n.ID)
 	}
