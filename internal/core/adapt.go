@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 
 	"mmx/internal/mac"
 	"mmx/internal/modem"
@@ -17,7 +16,10 @@ import (
 
 // RateLadder is the set of symbol rates (= bit rates) a node may use,
 // fastest first. The top step is the ADRF5020's 100 MHz toggle ceiling.
-var RateLadder = []float64{100e6, 50e6, 25e6, 10e6, 5e6, 2e6, 1e6, 500e3, 100e3}
+var RateLadder = rateLadder[:]
+
+// rateLadder backs RateLadder; its length sizes RungGains.
+var rateLadder = [...]float64{100e6, 50e6, 25e6, 10e6, 5e6, 2e6, 1e6, 500e3, 100e3}
 
 // RateForSNR returns the fastest ladder rate a link with the given SNR
 // (measured in cfgBandwidthHz of noise bandwidth) sustains at the target
@@ -27,71 +29,44 @@ var RateLadder = []float64{100e6, 50e6, 25e6, 10e6, 5e6, 2e6, 1e6, 500e3, 100e3}
 // without re-enumerating propagation paths.
 func RateForSNR(snrDB, cfgBandwidthHz, targetBER float64) float64 {
 	required := modem.RequiredSNRForOOKBER(targetBER)
-	if gains := rungGains(cfgBandwidthHz); gains != nil {
-		for i, gain := range gains {
-			if snrDB+gain >= required {
-				return RateLadder[i]
-			}
-		}
-		return 0
-	}
 	for _, rate := range RateLadder {
-		if snrDB+units.DB(cfgBandwidthHz/mac.BandwidthForRate(rate)) >= required {
+		if snrDB+rungGainDB(cfgBandwidthHz, rate) >= required {
 			return rate
 		}
 	}
 	return 0
 }
 
-// rungGain is what each ladder rung's narrower noise bandwidth adds to the
-// SNR of a link measured in bw: units.DB(bw/mac.BandwidthForRate(rate)),
-// the term RateForSNR's walk adds per rung.
-type rungGain struct {
-	bw    float64
-	gains []float64
+// rungGainDB is what a rate's narrower noise bandwidth adds to the SNR
+// of a link measured in bw. The conversion rounds the gain, so no caller
+// fuses it into its sum and a stored gain rates bit-identically.
+func rungGainDB(bw, rate float64) float64 {
+	return float64(units.DB(bw / mac.BandwidthForRate(rate)))
 }
 
-// gainMemo holds the rung gains of the first maxGainMemo bandwidths
-// RateForSNR has seen. It is copy-on-write behind an atomic pointer, so
-// concurrent callers (experiments.RunTrials' fan-out) read it without a
-// lock, and a hit allocates nothing.
-var gainMemo atomic.Pointer[[]rungGain]
+// RungGains holds rungGainDB of one bandwidth for each RateLadder rung,
+// for a caller that rates many links at a fixed bandwidth to compute the
+// logarithms once.
+type RungGains [len(rateLadder)]float64
 
-const maxGainMemo = 64
+// NewRungGains returns bw's rung gains.
+func NewRungGains(bw float64) RungGains {
+	var g RungGains
+	for i, rate := range RateLadder {
+		g[i] = rungGainDB(bw, rate)
+	}
+	return g
+}
 
-// rungGains returns bw's rung gains, computed once per bandwidth by the
-// walk's own expression, so the rates come out bit-identical. It returns
-// nil, for RateForSNR to walk the ladder as before, once the memo is full
-// and for a NaN bandwidth, which no entry can match.
-func rungGains(bw float64) []float64 {
-	if memo := gainMemo.Load(); memo != nil {
-		for i := range *memo {
-			if (*memo)[i].bw == bw {
-				return (*memo)[i].gains
-			}
+// Rate is RateForSNR at the gains' bandwidth, bit for bit.
+func (g *RungGains) Rate(snrDB, targetBER float64) float64 {
+	required := modem.RequiredSNRForOOKBER(targetBER)
+	for i, gain := range g {
+		if snrDB+gain >= required {
+			return RateLadder[i]
 		}
 	}
-	var gains []float64
-	for {
-		old := gainMemo.Load()
-		var memo []rungGain
-		if old != nil {
-			memo = *old
-		}
-		if len(memo) >= maxGainMemo || bw != bw {
-			return nil
-		}
-		if gains == nil {
-			gains = make([]float64, len(RateLadder))
-			for i, rate := range RateLadder {
-				gains[i] = units.DB(bw / mac.BandwidthForRate(rate))
-			}
-		}
-		next := append(memo[:len(memo):len(memo)], rungGain{bw: bw, gains: gains})
-		if gainMemo.CompareAndSwap(old, &next) {
-			return gains
-		}
-	}
+	return 0
 }
 
 // AdaptRate returns the fastest ladder rate whose SNR (at that rate's

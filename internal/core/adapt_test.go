@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -97,60 +96,30 @@ func TestRateLadderSorted(t *testing.T) {
 	}
 }
 
-// TestRateForSNRMatchesLadderWalk holds RateForSNR, which reads each
-// bandwidth's rung gains from its memo, to the per-call ladder walk it
-// replaced, bit for bit: over seeded SNRs from deep outage to the top
-// rung, at more distinct bandwidths than the memo keeps, from several
-// goroutines at once (go test -race checks the memo's publication), and
-// at the edges — a zero, negative, infinite or NaN SNR or bandwidth.
-func TestRateForSNRMatchesLadderWalk(t *testing.T) {
-	walk := func(snrDB, bw, ber float64) float64 {
-		required := modem.RequiredSNRForOOKBER(ber)
-		for _, rate := range RateLadder {
-			if snrDB+units.DB(bw/mac.BandwidthForRate(rate)) >= required {
-				return rate
-			}
-		}
-		return 0
-	}
+// TestRungGainsRateMatchesRateForSNR holds RungGains.Rate to RateForSNR,
+// bit for bit: over SNRs from deep outage to the top rung, at several
+// bandwidths, two target BERs and the edges — a zero, negative, infinite
+// or NaN SNR or bandwidth.
+func TestRungGainsRateMatchesRateForSNR(t *testing.T) {
 	bws := []float64{0, -1e6, math.Inf(1), math.NaN(), 1e6, 1.25e6, 2.5e6, 125e6}
-	for k := 0; len(bws) < 2*maxGainMemo; k++ {
+	for k := 0; k < 40; k++ {
 		bws = append(bws, 1e6*(1+0.37*float64(k)))
 	}
 	snrs := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0}
 	for k := 0; k < 120; k++ {
 		snrs = append(snrs, -40+0.577*float64(k))
 	}
-	done := make(chan string, 4)
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			ber := []float64{1e-6, 1e-3}[g%2]
-			for i := range bws {
-				bw := bws[(i+g*17)%len(bws)]
-				for _, snr := range snrs {
-					if got, want := RateForSNR(snr, bw, ber), walk(snr, bw, ber); math.Float64bits(got) != math.Float64bits(want) {
-						done <- fmt.Sprintf("RateForSNR(%g, %g, %g) = %g, the ladder walk %g", snr, bw, ber, got, want)
-						return
-					}
+	for _, bw := range bws {
+		g := NewRungGains(bw)
+		if allocs := testing.AllocsPerRun(10, func() { g = NewRungGains(bw); g.Rate(3, 1e-6) }); allocs != 0 {
+			t.Errorf("NewRungGains(%g) and Rate allocate %.0f times, want 0", bw, allocs)
+		}
+		for _, ber := range []float64{1e-6, 1e-3} {
+			for _, snr := range snrs {
+				if got, want := g.Rate(snr, ber), RateForSNR(snr, bw, ber); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("NewRungGains(%g).Rate(%g, %g) = %g, RateForSNR %g", bw, snr, ber, got, want)
 				}
 			}
-			done <- ""
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		if msg := <-done; msg != "" {
-			t.Error(msg)
-		}
-	}
-	if n := len(*gainMemo.Load()); n > maxGainMemo {
-		t.Errorf("the memo holds %d bandwidths, want ≤ %d", n, maxGainMemo)
-	}
-	// Neither a bandwidth the memo holds nor one it has no room for costs
-	// an allocation.
-	for _, bw := range []float64{(*gainMemo.Load())[0].bw, bws[len(bws)-1]} {
-		RateForSNR(10, bw, 1e-6)
-		if allocs := testing.AllocsPerRun(100, func() { RateForSNR(10, bw, 1e-6) }); allocs != 0 {
-			t.Errorf("RateForSNR at bandwidth %g allocates %.0f times, want 0", bw, allocs)
 		}
 	}
 }

@@ -92,7 +92,7 @@ func (rs *runState) joinNow(id uint32, pose channel.Pose, demandBps float64, tra
 		}
 		rs.apOpen(h, ap.idx, rs.sim.Now())
 		h.joinedAt = rs.sim.Now()
-		n.h, h.n = h, n
+		n.h = h
 		nw.core().settle(nw)
 		rs.scheduleFrames(n)
 		if nw.OnMembership != nil {
@@ -119,7 +119,7 @@ func (rs *runState) leaveNow(id uint32) {
 	ap := leaver.AP
 	nw.unregisterNodeAt(leaver.idx)
 	h := leaver.h
-	leaver.h, h.n = nil, nil
+	leaver.h = nil
 	rs.flushSamples(h)
 	h.sampled = false
 	if rs.left == nil {
@@ -132,8 +132,9 @@ func (rs *runState) leaveNow(id uint32) {
 	rs.apStats[ap.idx].Leaves++
 	now := rs.sim.Now()
 	rs.apClose(h, now)
-	h.st.ActiveS += now - h.joinedAt
-	h.st.LeftAtS = now
+	st := &rs.per[h.ord]
+	st.ActiveS += now - h.joinedAt
+	st.LeftAtS = now
 	h.gen++ // cancels the departed node's in-flight frame chain
 	nw.core().settle(nw)
 	if nw.OnMembership != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,8 +98,8 @@ func TestScheduleJoinLeave(t *testing.T) {
 	nw.ScheduleLeave(0.6, 1)
 	nw.ScheduleLeave(0.7, 999) // unknown ID: a no-op, not a crash
 	// The run's state, kept from inside it: its handles hold the sums.
-	var rs *runState
-	nw.OnMembership = func(string, uint32) { rs = nw.run }
+	var order []*nodeHandle // the run's handles as of its last membership event
+	nw.OnMembership = func(string, uint32) { order = slices.Clone(nw.run.order) }
 	st := nw.Run(1.0, 0.05, 10)
 
 	if st.Joins != 1 || st.Leaves != 1 || st.JoinsFailed != 0 {
@@ -149,8 +150,11 @@ func TestScheduleJoinLeave(t *testing.T) {
 	if ratio := leaver.AirtimeFraction / stayer.AirtimeFraction; ratio < 0.5 || ratio > 2 {
 		t.Errorf("presence-normalized airtime ratio = %g, want ~1", ratio)
 	}
-	for _, h := range rs.order {
-		if s := byID[h.st.ID]; s.ActiveS > 0 && h.airtime == 0 && s.AirtimeFraction != 0 {
+	if len(order) != len(st.PerNode) {
+		t.Fatalf("%d handles at the last membership event, %d PerNode entries", len(order), len(st.PerNode))
+	}
+	for i, h := range order {
+		if s := st.PerNode[i]; s.ActiveS > 0 && h.airtime == 0 && s.AirtimeFraction != 0 {
 			t.Errorf("node %d airtime fraction without airtime", s.ID)
 		}
 	}

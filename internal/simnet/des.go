@@ -3,6 +3,7 @@ package simnet
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"mmx/internal/core"
 	"mmx/internal/faults"
@@ -331,19 +332,20 @@ func (r RunStats) TotalGoodputBps() float64 {
 
 // nodeHandle is one node's stable accounting slot, keyed by ID for the
 // whole run: it survives the node's index in Network.Nodes shifting
-// under churn, and accumulates presence intervals (into st.ActiveS)
-// across leave/rejoin cycles of the same ID. A member reaches its handle
-// through Node.h, and a handle is present exactly while a member's h
-// points at it.
+// under churn, and accumulates presence intervals (into ActiveS) across
+// leave/rejoin cycles of the same ID. A member reaches its handle through
+// Node.h, and a handle is present exactly while a member's h points at
+// it. Its NodeStats are runState.per[ord], the PerNode entry itself; the
+// handle holds the run's working sums and no pointer, so the collector
+// never scans the slab.
 type nodeHandle struct {
-	st        NodeStats
-	n         *Node   // the member holding the handle; nil once it left
+	ord       int     // the handle's index in runState.order and per
 	joinedAt  float64 // start of the current presence interval
 	busyUntil float64 // transmitter occupancy horizon
 	gen       int     // bumped on leave: cancels stale frame chains
 	payload   int     // drawn for the live chain's queued frame
 
-	// The sums Run divides into st's means when it returns.
+	// The sums Run divides into the stats' means when it returns.
 	sinrAccum  float64
 	outages    int
 	airtime    float64
@@ -353,31 +355,10 @@ type nodeHandle struct {
 	// The node's pending SINR samples, one run-length: while sampled, it
 	// observed sinr at every instant from observation instant from on
 	// (runState.instants counts them). flushSamples folds the run into
-	// st; a new value, a crash or a leave starts the next one.
+	// the stats; a new value, a crash or a leave starts the next one.
 	sinr    float64
 	from    int
 	sampled bool
-
-	// hist accumulates the node's RunStats.APHistory entry; nil in
-	// single-AP runs.
-	hist []APInterval
-}
-
-// runBuffers are Run's per-member buffers, which the Network keeps from
-// one Run to the next so that a Run's start allocates none of them: the
-// starting membership's handles, the event queue's backing array, the
-// backing arrays of runState's order, finished and roam lists, and the
-// roam check's scratch and item function. Nothing a Run returns points
-// into them.
-type runBuffers struct {
-	handles   []nodeHandle
-	queue     []event
-	order     []*nodeHandle
-	finished  []*Node
-	roamList  []*Node
-	roamLanes []roamLane
-	roamSpans []roamSpan
-	roamFn    func(lane, i int)
 }
 
 // runState is the live engine state while Run executes. Network.run
@@ -407,10 +388,17 @@ type runState struct {
 	// left keeps the handles of IDs that departed during this run — a
 	// rejoin under the same ID goes on accumulating into its one entry.
 	// order is every handle in first-seen order: the RunStats.PerNode
-	// layout. A member's own handle is Node.h. left and pending are made
-	// at their first write, so a run without churn allocates neither.
+	// layout. per[i] accumulates order[i]'s RunStats.PerNode entry, which
+	// Run's end completes in place, and hists[i] its RunStats.APHistory
+	// entry (nil in single-AP runs). A member's own handle is Node.h.
+	// left and pending are made at their first write, so a run without
+	// churn allocates neither.
 	left  map[uint32]*nodeHandle
 	order []*nodeHandle
+	per   []NodeStats
+	hists [][]APInterval
+	// slab holds the starting membership's handles.
+	slab []nodeHandle
 
 	pending map[uint32]bool // IDs with a handshake done, activation queued
 
@@ -422,16 +410,50 @@ type runState struct {
 	finished []*Node
 	instants int
 
+	// gains holds the rung gains of each channel width the ticks re-rate
+	// at, computed at the width's first re-rate in the run (rate).
+	gains []widthGains
+
 	// roaming marks a run whose roam checks run, and roamList holds the
 	// members they screen: every member that can roam (Node.mayRoam),
 	// each once (Node.roamListed), plus departed and unable ones a check
 	// drops (roam.go). The check's scratch is grown on demand and kept
-	// with the Network: roamLanes holds each worker lane's candidates and
-	// counts, and roamSpans[i] where listed member i's lie.
+	// for the run: roamLanes holds each worker lane's candidates and
+	// counts, roamSpans[i] where listed member i's lie, and roamFn is the
+	// phase-1 closure par.For runs.
 	roaming   bool
 	roamList  []*Node
 	roamLanes []roamLane
 	roamSpans []roamSpan
+	roamFn    func(lane, i int)
+}
+
+// runStates pools runState values for the buffers they carry: the handle
+// slab, the event queue, the order, hists, finished and gains lists and
+// the roam check's scratch. A Run takes one and gives it back emptied, so
+// the next Run reuses those slices' capacity instead of allocating and
+// zeroing them, and the collector frees a runState no Run has taken
+// within two collections: a Network holds nothing between Runs.
+var runStates = sync.Pool{New: func() any { return &runState{sim: NewSim()} }}
+
+// empty clears everything rs points to but keeps its buffers' capacity,
+// for the pool.
+func (rs *runState) empty() {
+	clear(rs.sim.q)
+	clear(rs.order)
+	clear(rs.hists)
+	clear(rs.finished)
+	clear(rs.roamList)
+	for l := range rs.roamLanes {
+		clear(rs.roamLanes[l].cand)
+		rs.roamLanes[l] = roamLane{cand: rs.roamLanes[l].cand[:0]}
+	}
+	*rs.sim = Sim{q: rs.sim.q[:0]}
+	*rs = runState{
+		sim: rs.sim, slab: rs.slab,
+		order: rs.order[:0], hists: rs.hists[:0], finished: rs.finished[:0], gains: rs.gains[:0],
+		roamList: rs.roamList[:0], roamLanes: rs.roamLanes, roamSpans: rs.roamSpans, roamFn: rs.roamFn,
+	}
 }
 
 // nowAt maps the current sim time onto one AP controller's clock.
@@ -439,26 +461,54 @@ func (rs *runState) nowAt(ap *AccessPoint) float64 {
 	return rs.bases[ap.idx] + rs.sim.Now()
 }
 
+// widthGains is one channel width's rung gains.
+type widthGains struct {
+	w float64
+	g core.RungGains
+}
+
+// rate is core.RateForSNR at channel width w through w's rung gains. A
+// fleet re-rates at one width or a few, so the run's list is short.
+func (rs *runState) rate(w, sinrDB float64) float64 {
+	for i := range rs.gains {
+		if rs.gains[i].w == w {
+			return rs.gains[i].g.Rate(sinrDB, 1e-6)
+		}
+	}
+	g := core.NewRungGains(w)
+	if w == w { // NaN matches no entry: keep none
+		rs.gains = append(rs.gains, widthGains{w, g})
+	}
+	return g.Rate(sinrDB, 1e-6)
+}
+
 // apOpen starts an association interval on h at AP index ap; apClose
 // seals the open one. Both are no-ops in single-AP runs.
 func (rs *runState) apOpen(h *nodeHandle, ap int, at float64) {
 	if rs.history {
-		h.hist = append(h.hist, APInterval{AP: ap, FromS: at, ToS: -1})
+		rs.hists[h.ord] = append(rs.hists[h.ord], APInterval{AP: ap, FromS: at, ToS: -1})
 	}
 }
 
 func (rs *runState) apClose(h *nodeHandle, at float64) {
-	if n := len(h.hist); n > 0 && h.hist[n-1].ToS < 0 {
-		h.hist[n-1].ToS = at
+	if !rs.history {
+		return
+	}
+	if iv := rs.hists[h.ord]; len(iv) > 0 && iv[len(iv)-1].ToS < 0 {
+		iv[len(iv)-1].ToS = at
 	}
 }
 
 // newHandle makes h, wiped, the stable accounting slot of an ID first
-// seen now. The starting membership's slots are a slab the Network keeps
-// between Runs; a mid-run joiner brings its own.
+// seen now. The starting membership's slots are runState.slab; a mid-run
+// joiner brings its own.
 func (rs *runState) newHandle(h *nodeHandle, id uint32) *nodeHandle {
-	*h = nodeHandle{st: NodeStats{ID: id, MinSINRdB: math.Inf(1), JoinedAtS: rs.sim.Now()}}
+	*h = nodeHandle{ord: len(rs.order)}
 	rs.order = append(rs.order, h)
+	rs.per = append(rs.per, NodeStats{ID: id, MinSINRdB: math.Inf(1), JoinedAtS: rs.sim.Now()})
+	if rs.history {
+		rs.hists = append(rs.hists, nil)
+	}
 	return h
 }
 
@@ -492,9 +542,10 @@ func (rs *runState) flushSamples(h *nodeHandle) {
 	for i := 0; i < k; i++ {
 		h.sinrAccum += h.sinr
 	}
-	h.st.SINRSamples += k
-	if h.sinr < h.st.MinSINRdB {
-		h.st.MinSINRdB = h.sinr
+	st := &rs.per[h.ord]
+	st.SINRSamples += k
+	if h.sinr < st.MinSINRdB {
+		st.MinSINRdB = h.sinr
 	}
 	if h.sinr < rs.outageSINRdB {
 		h.outages += k
@@ -527,7 +578,7 @@ func (rs *runState) envRefresh() {
 			continue
 		}
 		sinr := n.sp.rep.SINRdB
-		n.RateBps = nw.cappedRate(n, core.RateForSNR(sinr, n.widthHz, 1e-6))
+		n.RateBps = nw.cappedRate(n, rs.rate(n.widthHz, sinr))
 		h.sinr = sinr
 		nw.work.Rerated++
 	}
@@ -622,7 +673,7 @@ func (rs *runState) fireFrame(n *Node, h *nodeHandle, gen int) {
 	if payload := h.payload; payload > 0 && !n.Down {
 		bits := float64(8 * payload)
 		rate := n.RateBps
-		st := &h.st
+		st := &rs.per[h.ord]
 		st.FramesSent++
 		if rate <= 0 {
 			// Outage: no ladder step closes the link, so the frame is
@@ -685,30 +736,23 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	if nw.run != nil {
 		panic("simnet: Run is not reentrant")
 	}
-	buf := &nw.runBuf
-	sim := NewSim()
+	rs := runStates.Get().(*runState)
+	sim := rs.sim
 	// Every member keeps one frame event pending; the ticks and the churn
 	// plan add a handful more.
-	sim.q = slices.Grow(buf.queue[:0], len(nw.Nodes)+len(nw.pendingChurn)+4)
+	sim.q = slices.Grow(sim.q, len(nw.Nodes)+len(nw.pendingChurn)+4)
 	bases := make([]float64, len(nw.APs))
 	for i, ap := range nw.APs {
 		bases[i] = ap.Controller.NowS()
 		// The TTL's one way in: only renewTick, inside Run, expires leases.
 		ap.Controller.LeaseTTL = nw.leaseTTLS
 	}
-	rs := &runState{
-		nw:           nw,
-		sim:          sim,
-		outageSINRdB: outageSINRdB,
-		bases:        bases,
-		apStats:      make([]APStats, len(nw.APs)),
-		history:      len(nw.APs) > 1,
-		order:        slices.Grow(buf.order[:0], len(nw.Nodes)),
-		finished:     slices.Grow(buf.finished[:0], len(nw.Nodes)),
-		roamList:     buf.roamList[:0],
-		roamLanes:    buf.roamLanes,
-		roamSpans:    buf.roamSpans,
-	}
+	rs.nw, rs.outageSINRdB, rs.bases = nw, outageSINRdB, bases
+	rs.apStats = make([]APStats, len(nw.APs))
+	rs.history = len(nw.APs) > 1
+	rs.order = slices.Grow(rs.order, len(nw.Nodes))
+	rs.per = make([]NodeStats, 0, len(nw.Nodes)+len(nw.pendingChurn))
+	rs.finished = slices.Grow(rs.finished, len(nw.Nodes))
 	sim.run = rs
 	ctl := &rs.ctl
 	nw.run = rs
@@ -721,20 +765,19 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	// them around what the members listen to now.
 	s := nw.core()
 	s.resetListeners()
-	buf.handles = slices.Grow(buf.handles[:0], len(nw.Nodes))[:len(nw.Nodes)]
-	// The starting intervals are cut from one slab: the returned
-	// APHistory holds them, so it is the one buffer a Run cannot keep.
+	rs.slab = slices.Grow(rs.slab[:0], len(nw.Nodes))[:len(nw.Nodes)]
+	// The starting intervals are one slab, which APHistory returns.
 	var ivs []APInterval
 	if rs.history {
 		ivs = make([]APInterval, len(nw.Nodes))
+		rs.hists = slices.Grow(rs.hists, len(nw.Nodes))
 	}
 	for i, n := range nw.Nodes {
-		h := rs.newHandle(&buf.handles[i], n.ID)
-		n.h, h.n = h, n
+		n.h = rs.newHandle(&rs.slab[i], n.ID)
 		if ivs != nil {
-			h.hist = ivs[i : i : i+1]
+			rs.hists[i] = ivs[i : i : i+1]
 		}
-		rs.apOpen(h, n.AP.idx, 0)
+		rs.apOpen(n.h, n.AP.idx, 0)
 		// Rates come from applyAssignment's link evaluation until the first
 		// tick, which re-rates the whole starting membership.
 		rs.queueFinished(n)
@@ -858,26 +901,24 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		st.Control.LeaseExpiries += a.LeaseExpiries
 	}
 
-	// One pass over the handles: a member's closes its presence and
-	// association intervals, then every handle becomes its PerNode entry.
+	for _, n := range nw.Nodes {
+		h := n.h
+		rs.apClose(h, duration)
+		rs.apStats[n.AP.idx].Members++
+		ns := &rs.per[h.ord]
+		ns.ActiveS += duration - h.joinedAt
+		ns.LeftAtS = duration
+		n.h = nil
+	}
 	if rs.history {
 		st.APHistory = make(map[uint32][]APInterval, len(rs.order))
 	}
-	st.PerNode = make([]NodeStats, 0, len(rs.order))
-	for _, h := range rs.order {
-		if n := h.n; n != nil {
-			rs.apClose(h, duration)
-			rs.apStats[n.AP.idx].Members++
-			h.st.ActiveS += duration - h.joinedAt
-			h.st.LeftAtS = duration
-			n.h, h.n = nil, nil
-		}
+	for i, h := range rs.order {
 		if rs.history {
-			st.APHistory[h.st.ID] = h.hist
+			st.APHistory[rs.per[i].ID] = rs.hists[i]
 		}
-		h.hist = nil
 		rs.flushSamples(h)
-		ns := h.st
+		ns := &rs.per[i]
 		if ns.SINRSamples > 0 {
 			ns.MeanSINRdB = h.sinrAccum / float64(ns.SINRSamples)
 			ns.OutageFraction = float64(h.outages) / float64(ns.SINRSamples)
@@ -891,12 +932,9 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		if h.delayed > 0 {
 			ns.MeanDelayS = h.delayAccum / float64(h.delayed)
 		}
-		st.PerNode = append(st.PerNode, ns)
 	}
-	clear(sim.q) // what was left queued: closures over this run, and handles
-	clear(rs.finished)
-	clear(rs.roamList)
-	buf.queue, buf.order, buf.finished = sim.q[:0], rs.order[:0], rs.finished[:0]
-	buf.roamList, buf.roamLanes, buf.roamSpans = rs.roamList[:0], rs.roamLanes, rs.roamSpans
+	st.PerNode = rs.per
+	rs.empty()
+	runStates.Put(rs)
 	return st
 }

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"testing"
@@ -139,11 +140,12 @@ func checkDispatchOrder(t *testing.T, seed uint64, plan []byte) (int, int) {
 	rs := &runState{
 		nw:  &Network{Nodes: make([]*Node, numChains)},
 		sim: s,
+		per: make([]NodeStats, numChains),
 	}
 	s.run = rs
 	var handles [numChains]*nodeHandle // chain id's handle, whichever Node runs it
 	for i := range handles {
-		handles[i] = new(nodeHandle)
+		handles[i] = &nodeHandle{ord: i}
 	}
 
 	var (
@@ -201,7 +203,7 @@ func checkDispatchOrder(t *testing.T, seed uint64, plan []byte) (int, int) {
 					t.Fatalf("seed %d: frame %d fired at %g, scheduled for %g", seed, p.seq, s.Now(), p.at)
 				}
 				sent[id] += payload[id]
-				if got := handles[id].st.FramesSent; got != sent[id] {
+				if got := rs.per[id].FramesSent; got != sent[id] {
 					t.Fatalf("seed %d: handle %d accounted %d frames, its chains sent %d", seed, id, got, sent[id])
 				}
 				fired = append(fired, p.seq)
@@ -438,8 +440,8 @@ func TestFrameDispatchAllocatesNothing(t *testing.T) {
 
 // TestRunAllocsIndependentOfFleetSize pins Run's fixed start: a warm,
 // churn-free traffic Run makes the same number of allocations over 1 200
-// nodes as over 12 000 — the handles, the queue and the run's lists are
-// buffers the Network keeps between Runs, the stats are one slice each,
+// nodes as over 12 000 — the handle slab, the queue and the run's lists
+// come with a pooled runState (runStates), the stats are one slice each,
 // whatever their length, and a member reaches its handle through the
 // node, not through a per-member table. It holds for one AP and for four
 // with a roaming policy, whose roam checks run (and find the fleet
@@ -447,11 +449,11 @@ func TestFrameDispatchAllocatesNothing(t *testing.T) {
 // slab, but the map itself is the caller's, and a Go map allocates its
 // tables by its size (and, its hash seed being random, now and then one
 // more), so the four-AP count is taken net of building the same map, and
-// each of the two as the least of three single Runs. The bound is the
-// count measured on go1.24 amd64 before the Network kept its buffers.
-// Collection is off while it counts: a collection empties the sync.Pool
-// the link evaluation draws its scratch from, and refilling it costs a
-// few mallocs that belong to no Run.
+// each of the two as the least of three single Runs. The bound is the count measured on go1.24 amd64
+// before the buffers were pooled. Collection is off while it counts: a
+// collection empties the sync.Pools Run and the link evaluation draw
+// their buffers from, and refilling them costs mallocs that belong to no
+// Run.
 func TestRunAllocsIndependentOfFleetSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the link evaluation's scratch under the race detector")
@@ -492,6 +494,45 @@ func TestRunAllocsIndependentOfFleetSize(t *testing.T) {
 		if counts[0] != counts[1] {
 			t.Errorf("%d APs: Run made %.0f allocations over 1 200 nodes and %.0f over 12 000: a per-node allocation", g*g, counts[0], counts[1])
 		}
+	}
+}
+
+// TestRunKeepsNoMemory: a Network keeps no memory from one Run to the
+// next. The handles, the event queue and the run's lists go back to the
+// runStates pool, which keeps them live for the next Run until two
+// collections pass without one, so two collections after a Run, its
+// statistics dropped, the live heap is the heap the fleet held before.
+// The fleets are 12 000 members under one AP and under 16 on a 4×4 grid
+// with roaming; the allowance is 1 B a member (the fleets hold 820–880 B
+// a member). The log shows what the pool holds after one collection.
+func TestRunKeepsNoMemory(t *testing.T) {
+	heap := func() float64 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc)
+	}
+	live := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		return heap()
+	}
+	const nodes = 12000
+	for _, g := range []int{1, 4} {
+		base := live()
+		nw := joinFleet(t, g, nodes)
+		if g > 1 {
+			nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 3})
+		}
+		before := live()
+		nw.Run(1, 0.5, 0)
+		runtime.GC()
+		pooled := (heap() - before) / nodes
+		kept := (live() - before) / nodes
+		t.Logf("%d APs: the fleet holds %.0f B a member; after a Run, %.1f B more while pooled, %.1f B more two collections on", g*g, (before-base)/nodes, pooled, kept)
+		if kept > 1 {
+			t.Errorf("%d APs: the fleet holds %.1f B a member more after a Run than before, want ≤ 1", g*g, kept)
+		}
+		runtime.KeepAlive(nw)
 	}
 }
 

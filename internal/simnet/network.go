@@ -176,8 +176,6 @@ type Network struct {
 	// run points at the live engine state while Run executes; membership
 	// changes issued mid-run route through it onto the event heap.
 	run *runState
-	// runBuf keeps Run's per-member buffers from one Run to the next.
-	runBuf runBuffers
 	// pendingChurn holds ScheduleJoin/ScheduleLeave events planned
 	// before Run starts; Run moves them onto its event heap.
 	pendingChurn []churnEvent

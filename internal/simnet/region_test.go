@@ -1261,9 +1261,10 @@ func TestRegionMappingAllocatesNothing(t *testing.T) {
 // WorkStats counts per tick, exact at any worker count: the work items,
 // the items whose cones were aimed, the cells the cone walks listed, the
 // node slots in them, the leaf tests, the nodes the mapping staled and
-// the eval pass's link evaluations; rerated/op is the members the
-// rate/sample step of a Run's second tick re-rates, read off one
-// untimed two-tick Run after the loop. The fleets are one AP, 16 on a
+// the eval pass's link evaluations. A last rung, after the tick rungs so
+// that they map the fleet as it was built, times a two-tick Run at 0.25 s
+// and reports rerated/op, the members its rate/sample step re-rates (the
+// whole membership at the first tick). The fleets are one AP, 16 on a
 // 4×4 grid, and the same 16 with sim-multiap's far listeners: one member
 // in 25 watches every AP within four times its serving distance, the
 // widened screen of a roam check whose member lost its line of sight,
@@ -1333,14 +1334,17 @@ func BenchmarkRegionMap(b *testing.B) {
 						b.ReportMetric(per(d.LeafTests), "leaf/op")
 						b.ReportMetric(per(d.Staled), "staled/op")
 						b.ReportMetric(per(d.LinkEvals), "evals/op")
-						b.StopTimer()
-						// The first tick re-rates every member; the second
-						// only the ones the settles finished since.
-						st := nw.Run(2*step, step, 0)
-						b.ReportMetric(float64(st.Work.Rerated-len(nw.Nodes)), "rerated/op")
 					})
 				}
 			}
+			b.Run("run=2x0.25s", func(b *testing.B) {
+				nw.Workers = runtime.GOMAXPROCS(0)
+				rerated := 0
+				for i := 0; i < b.N; i++ {
+					rerated += nw.Run(0.5, 0.25, 0).Work.Rerated
+				}
+				b.ReportMetric(float64(rerated)/float64(b.N), "rerated/op")
+			})
 		})
 	}
 }

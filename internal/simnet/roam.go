@@ -83,10 +83,10 @@ func (rs *runState) roamTick() {
 	for l := range rs.roamLanes {
 		rs.roamLanes[l].cand = rs.roamLanes[l].cand[:0]
 	}
-	if nw.runBuf.roamFn == nil {
-		nw.runBuf.roamFn = func(lane, i int) { nw.run.roamScreen(lane, i) }
+	if rs.roamFn == nil {
+		rs.roamFn = func(lane, i int) { rs.roamScreen(lane, i) }
 	}
-	par.For(nw.Workers, len(list), nw.runBuf.roamFn)
+	par.For(nw.Workers, len(list), rs.roamFn)
 	for l := range rs.roamLanes {
 		nw.work.add(rs.roamLanes[l].work)
 		rs.roamLanes[l].work = WorkStats{}
