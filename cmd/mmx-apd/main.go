@@ -119,8 +119,8 @@ func main() {
 	// nothing a node — or a stranger's datagram — left behind outlives it.
 	srv.Stop()
 	st := srv.Stats()
-	fmt.Printf("mmx-apd: handled=%d shed=%d malformed=%d promotes=%d expired=%d\n",
-		st.Handled, st.Shed, st.Malformed, st.Promotes, st.Expired)
+	fmt.Printf("mmx-apd: handled=%d shed=%d malformed=%d promotes=%d expired=%d %s\n",
+		st.Handled, st.Shed, st.Malformed, st.Promotes, st.Expired, st.Traffic)
 	audit := "ok"
 	code := 0
 	if err := srv.Audit(); err != nil {

@@ -145,6 +145,11 @@ func main() {
 		fmt.Printf("join:      %s\n", res.Join)
 		fmt.Printf("renew:     %s\n", res.Renew)
 		fmt.Printf("sustained: %.0f ops/s over %.2fs (%d ops)\n", res.Throughput(), res.WallS, res.Ops)
+		var tr netctl.Traffic
+		for _, m := range muxes {
+			tr = tr.Add(m.Traffic())
+		}
+		fmt.Printf("traffic:   %s\n", tr)
 	}
 	stopProfiles()
 	if res.Converged() {

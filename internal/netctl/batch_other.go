@@ -6,7 +6,7 @@ import "net"
 
 // newUDPBatchIO has no batched implementation off Linux amd64/arm64;
 // the server falls back to the portable single-message path.
-func newUDPBatchIO(*net.UDPConn) batchIO { return nil }
+func newUDPBatchIO(*net.UDPConn, bool, *traffic) batchIO { return nil }
 
 // wireAddr is the identity off Linux: addresses are already the types
 // conn.WriteTo expects.

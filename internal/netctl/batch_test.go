@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,24 +59,48 @@ func buildStream(nodes int) ([]streamNode, int) {
 	return ns, malformed
 }
 
-// runStream drives the stream through a fresh server at the given batch
-// size — op-major order (all joins, all confirms, ...) from a single
-// goroutine, so the arrival order at the server's queue is identical
-// across runs — and returns each node's concatenated reply bytes.
-func runStream(t *testing.T, batch int, ns []streamNode) ([][]byte, ServerStats) {
+// runStream drives the stream through a fresh server built with cfg —
+// over MemNet, or over loopback UDP with every node on one mux, so the
+// stream reaches the server in the order it is sent and every reply
+// shares one destination. It sends op-major (all joins, all confirms,
+// ...) from a single goroutine while the worker is parked, so the
+// arrival order is identical across runs and the worker then takes
+// full batches, and it returns each node's concatenated reply bytes and
+// the server's final counts.
+func runStream(t *testing.T, ns []streamNode, cfg ServerConfig, overUDP bool) ([][]byte, ServerStats) {
 	t.Helper()
-	mn := NewMemNet(nil)
-	ctrl := mac.NewController(mac.ISM24GHz())
-	srv := NewServer(ctrl, NewRealClock(), ServerConfig{batch: batch})
-	srv.Serve(mn.ServerConn())
-	defer srv.Stop()
+	srv := NewServer(mac.NewController(mac.ISM24GHz()), NewRealClock(), cfg)
+	var client func(id uint32) Transport
+	if overUDP {
+		conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.(*net.UDPConn).SetReadBuffer(4 << 20) //nolint:errcheck // best-effort, as mmx-apd asks
+		srv.Serve(conn)
+		mux, err := dialMux(conn.LocalAddr().String(), !cfg.plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mux.Close() //nolint:errcheck // test teardown
+		client = mux.Client
+	} else {
+		mn := NewMemNet(nil)
+		srv.Serve(mn.ServerConn())
+		client = mn.Client
+	}
+	stop := sync.OnceFunc(srv.Stop)
+	defer stop()
+	srv.mu.Lock()
+	release := sync.OnceFunc(srv.mu.Unlock)
+	defer release()
 
 	trs := make([]Transport, len(ns))
 	for i := range ns {
-		trs[i] = mn.Client(ns[i].id)
+		trs[i] = client(ns[i].id)
 		defer trs[i].Close() //nolint:errcheck // test teardown
 	}
-	junk := mn.Client(9999)
+	junk := client(9999)
 	defer junk.Close() //nolint:errcheck // test teardown
 
 	ops := len(ns[0].reqs)
@@ -97,14 +122,16 @@ func runStream(t *testing.T, batch int, ns []streamNode) ([][]byte, ServerStats)
 			}
 		}
 	}
+	sent := uint64(len(ns)*ops + 2)
+	waitFor(t, func() bool { return srv.Stats().RecvDatagrams == sent }, "the server did not read the whole stream")
+	release()
 
 	got := make([][]byte, len(ns))
 	for i := range ns {
 		for k := 0; k < ns[i].replies; {
 			frame, ok := trs[i].Recv(2.0)
 			if !ok {
-				t.Fatalf("batch=%d node %d: reply %d/%d never arrived",
-					batch, ns[i].id, k+1, ns[i].replies)
+				t.Fatalf("%+v node %d: reply %d/%d never arrived", cfg, ns[i].id, k+1, ns[i].replies)
 			}
 			if mac.MsgType(frame[0]) == mac.MsgPromote {
 				// Unsolicited push: its interleaving with replies is
@@ -131,10 +158,11 @@ func runStream(t *testing.T, batch int, ns []streamNode) ([][]byte, ServerStats)
 				break
 			}
 			if mac.MsgType(frame[0]) != mac.MsgPromote {
-				t.Fatalf("batch=%d node %d: unexpected extra reply % x", batch, ns[i].id, frame)
+				t.Fatalf("%+v node %d: unexpected extra reply % x", cfg, ns[i].id, frame)
 			}
 		}
 	}
+	stop()
 	return got, srv.Stats()
 }
 
@@ -144,8 +172,8 @@ func runStream(t *testing.T, batch int, ns []streamNode) ([][]byte, ServerStats)
 // CI's loopback-soak job.
 func TestBatchDeterminism(t *testing.T) {
 	ns, wantMalformed := buildStream(40)
-	single, statsSingle := runStream(t, 1, ns)
-	batched, statsBatched := runStream(t, 32, ns)
+	single, statsSingle := runStream(t, ns, ServerConfig{batch: 1}, false)
+	batched, statsBatched := runStream(t, ns, ServerConfig{}, false)
 	for i := range ns {
 		if !bytes.Equal(single[i], batched[i]) {
 			t.Errorf("node %d: batched replies diverge from single-message path\nsingle:  % x\nbatched: % x",
@@ -158,6 +186,43 @@ func TestBatchDeterminism(t *testing.T) {
 	if statsSingle.Malformed != uint64(wantMalformed) || statsBatched.Malformed != uint64(wantMalformed) {
 		t.Errorf("malformed counts: single=%d batched=%d want %d",
 			statsSingle.Malformed, statsBatched.Malformed, wantMalformed)
+	}
+}
+
+// TestCoalescingMatchesPlain drives the stream through a loopback
+// daemon twice: coalescing runs into super-datagrams both ways, and on
+// one datagram per kernel message. Every node's reply bytes must equal
+// the single-message MemNet reference's in both, and so must every
+// count but the syscalls and messages — while the coalescing run really
+// did cut its replies into runs wherever the kernel coalesces.
+func TestCoalescingMatchesPlain(t *testing.T) {
+	ns, _ := buildStream(40)
+	ref, refStats := runStream(t, ns, ServerConfig{batch: 1}, false)
+	canCoalesce := kernelCoalesces(t)
+	for _, c := range []struct {
+		name string
+		cfg  ServerConfig
+	}{{"plain", ServerConfig{plain: true}}, {"coalescing", ServerConfig{}}} {
+		got, st := runStream(t, ns, c.cfg, true)
+		for i := range ns {
+			if !bytes.Equal(ref[i], got[i]) {
+				t.Errorf("%s: node %d replies diverge from the reference\nref: % x\ngot: % x", c.name, ns[i].id, ref[i], got[i])
+			}
+		}
+		tr := st.Traffic
+		if coalesced := canCoalesce && !c.cfg.plain; coalesced == (tr.SendMsgs == tr.SendDatagrams) || tr.SendDatagrams == 0 {
+			t.Errorf("%s: %d replies left in %d messages", c.name, tr.SendDatagrams, tr.SendMsgs)
+		}
+		if c.cfg.plain && tr.RecvMsgs != tr.RecvDatagrams {
+			t.Errorf("%s: %d requests arrived in %d messages", c.name, tr.RecvDatagrams, tr.RecvMsgs)
+		}
+		want := refStats
+		for _, s := range []*ServerStats{&st, &want} {
+			s.RecvCalls, s.RecvMsgs, s.SendCalls, s.SendMsgs = 0, 0, 0, 0
+		}
+		if st != want {
+			t.Errorf("%s: stats %+v, reference %+v", c.name, st, want)
+		}
 	}
 }
 
@@ -249,35 +314,87 @@ func TestServerForgetsStrangers(t *testing.T) {
 	}
 }
 
-// TestTruncatedDatagramMalformed: the read buffer is MaxFrameLen+1, so
-// a datagram the kernel (or mem link) clips arrives longer than any
-// legal frame and must be counted malformed, never parsed.
+// TestTruncatedDatagramMalformed: a datagram longer than any legal
+// frame with a parseable header — the case a hardcoded large read buffer
+// used to let through — is counted malformed, never parsed: on MemNet,
+// which clips it like a kernel, and over real UDP with coalescing on and
+// off, where a slot holds one whole and the kernel clips the others.
 func TestTruncatedDatagramMalformed(t *testing.T) {
-	mn, srv := startServer(nil, NewRealClock(), 0)
-	defer srv.Stop()
+	renew := mac.RenewMsg{NodeID: 7, Seq: 1}.AppendTo(nil)
+	sizes := []int{frameCap, frameCap + 40, 16*frameCap + 100}
+	for _, c := range []struct {
+		name  string
+		udp   bool
+		plain bool
+	}{{"memnet", false, false}, {"udp-coalescing", true, false}, {"udp-plain", true, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := NewServer(mac.NewController(mac.ISM24GHz()), NewRealClock(), ServerConfig{plain: c.plain})
+			var send func([]byte) error
+			var recv func() ([]byte, bool)
+			if c.udp {
+				conn := listenUDP(t)
+				conn.SetDeadline(time.Time{}) //nolint:errcheck // the server's own deadlines rule
+				srv.Serve(conn)
+				peer := dialUDP(t, conn)
+				send = func(b []byte) error { _, err := peer.Write(b); return err }
+				recv = func() ([]byte, bool) {
+					peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //nolint:errcheck // open socket
+					b := make([]byte, 2048)
+					n, err := peer.Read(b)
+					return b[:n], err == nil
+				}
+			} else {
+				mn := NewMemNet(nil)
+				srv.Serve(mn.ServerConn())
+				raw := mn.Client(7)
+				defer raw.Close() //nolint:errcheck // test teardown
+				send = raw.Send
+				recv = func() ([]byte, bool) { return raw.Recv(0.05) }
+			}
+			defer srv.Stop()
+			for _, size := range sizes {
+				over := make([]byte, size)
+				copy(over, renew)
+				if err := send(over); err != nil {
+					t.Fatalf("send %d B: %v", size, err)
+				}
+			}
+			waitFor(t, func() bool { return srv.Stats().Malformed == uint64(len(sizes)) },
+				"oversized datagrams not counted malformed")
+			if frame, ok := recv(); ok {
+				t.Fatalf("an oversized datagram drew a reply: % x", frame)
+			}
+			if st := srv.Stats(); st.Handled != 0 {
+				t.Fatalf("%d oversized datagrams handled", st.Handled)
+			}
+		})
+	}
+}
 
-	raw := mn.Client(7)
-	defer raw.Close() //nolint:errcheck // test teardown
-	// A would-be-valid renew padded past the frame cap: after clipping
-	// it still opens with a parseable header, which is exactly the case
-	// a hardcoded large read buffer used to let through.
-	over := make([]byte, frameCap+40)
-	renew, err := mac.Marshal(mac.RenewMsg{NodeID: 7, Seq: 1})
+// listenUDP opens a loopback socket that closes with the test. Its
+// deadline turns a lost datagram into a failure instead of a hang.
+func listenUDP(t *testing.T) *net.UDPConn {
+	t.Helper()
+	c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(over, renew)
-	if err := raw.Send(over); err != nil {
-		t.Fatalf("send oversized: %v", err)
+	t.Cleanup(func() { c.Close() })                //nolint:errcheck // test teardown
+	c.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // fresh socket
+	return c
+}
+
+// dialUDP opens a plain loopback socket connected to to: no GRO, so the
+// kernel hands it a super-datagram as its datagrams.
+func dialUDP(t *testing.T, to *net.UDPConn) *net.UDPConn {
+	t.Helper()
+	c, err := net.DialUDP("udp", nil, to.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return srv.Stats().Malformed == 1 },
-		"truncated datagram not counted malformed")
-	if frame, ok := raw.Recv(0.05); ok {
-		t.Fatalf("truncated datagram drew a reply: % x", frame)
-	}
-	if srv.Stats().Handled != 0 {
-		t.Fatalf("truncated datagram was handled")
-	}
+	t.Cleanup(func() { c.Close() })                //nolint:errcheck // test teardown
+	c.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // fresh socket
+	return c
 }
 
 // TestUDPLoopbackRoundtrip drives the full client lifecycle through a

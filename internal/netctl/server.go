@@ -18,11 +18,16 @@ const queueLen = 4096
 
 // ServerConfig tunes the daemon.
 type ServerConfig struct {
-	// batch caps how many frames move per syscall (recvmmsg/sendmmsg
-	// on Linux) and per controller-mutex acquisition. Every caller gets
-	// 32; only the in-package determinism test sets 1, the
-	// single-message reference path it compares the batched one against.
+	// batch caps how many frames a read hands out and a write sends per
+	// syscall (recvmmsg/sendmmsg on Linux), and how many are handled per
+	// controller-mutex acquisition. Every caller gets 32; only the
+	// in-package determinism test sets 1, the single-message reference
+	// path it compares the batched one against.
 	batch int
+	// plain keeps a UDP socket on one datagram per kernel message, no
+	// GSO or GRO: the reference the coalescing differential test
+	// compares against. Every caller leaves it false.
+	plain bool
 	// ExpireEveryS is the lease-expiry sweep period; <= 0 disables the
 	// periodic sweep (tests then drive ExpireNow by hand).
 	ExpireEveryS float64
@@ -45,6 +50,9 @@ type ServerStats struct {
 	Promotes uint64
 	// Expired counts leases reclaimed by the TTL sweep.
 	Expired uint64
+	// Traffic counts the socket's syscalls, kernel messages and
+	// datagrams, shed replies and sweep pushes included.
+	Traffic
 }
 
 // errForeignAddr reports a non-UDP address reaching a batched UDP
@@ -84,6 +92,7 @@ type Server struct {
 	started    bool
 
 	handled, shed, malformed, promotes, expired atomic.Uint64
+	io                                          traffic
 }
 
 // NewServer wraps a controller for serving. clock drives lease expiry;
@@ -106,7 +115,7 @@ func NewServer(ctrl *mac.Controller, clock Clock, cfg ServerConfig) *Server {
 func (s *Server) Serve(conn net.PacketConn) {
 	s.conn = conn
 	s.started = true
-	bio := newBatchIO(conn)
+	bio := newBatchIO(conn, !s.cfg.plain, &s.io)
 	s.queue = make(chan *frame, queueLen)
 	s.readerDone = make(chan struct{})
 	s.workerDone = make(chan struct{})
@@ -141,9 +150,9 @@ func (s *Server) readLoop(r batchReader) {
 			f := fs[i]
 			fs[i] = nil
 			if f.n > mac.MaxFrameLen || f.addr == nil {
-				// Oversized covers kernel truncation too: the read
-				// buffer is MaxFrameLen+1, so a clipped datagram still
-				// reads as too long instead of slipping past the check.
+				// Oversized covers kernel truncation too: a clipped
+				// datagram is handed out longer than MaxFrameLen
+				// instead of slipping past the check.
 				s.malformed.Add(1)
 				putFrame(f)
 				continue
@@ -162,7 +171,7 @@ func (s *Server) readLoop(r batchReader) {
 				// now instead of a timeout later.
 				s.shed.Add(1)
 				shedBuf = ShedReply(node, seq).AppendTo(shedBuf[:0])
-				s.conn.WriteTo(shedBuf, wireAddr(f.addr)) //nolint:errcheck // shed reply is best-effort
+				s.writeOne(shedBuf, f.addr)
 				putFrame(f)
 			}
 		}
@@ -287,6 +296,14 @@ func (s *Server) pushAddr(note []byte) net.Addr {
 	return s.addrs[node]
 }
 
+// writeOne sends one datagram outside the batch path: a shed reply or a
+// sweep's push. Best-effort: the client's retry covers a lost reply, and
+// the next renew ack a lost push.
+func (s *Server) writeOne(b []byte, addr net.Addr) {
+	s.conn.WriteTo(b, wireAddr(addr)) //nolint:errcheck // best-effort, as above
+	s.io.send(1, 1, 1)
+}
+
 // ExpireNow runs one lease-expiry sweep at the server clock's current
 // time, forgets the expired nodes' addresses, sends the resulting
 // promotion pushes, and returns the IDs expired. The worker calls it
@@ -300,7 +317,7 @@ func (s *Server) ExpireNow() []uint32 {
 	var promotes uint64
 	for _, note := range s.ctrl.TakeNotifications() {
 		if addr := s.pushAddr(note); addr != nil {
-			s.conn.WriteTo(note, wireAddr(addr)) //nolint:errcheck // a lost push is repaired by the next renew ack
+			s.writeOne(note, addr)
 			promotes++
 		}
 	}
@@ -337,6 +354,7 @@ func (s *Server) Stats() ServerStats {
 		Malformed: s.malformed.Load(),
 		Promotes:  s.promotes.Load(),
 		Expired:   s.expired.Load(),
+		Traffic:   s.io.load(),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -144,11 +145,14 @@ func (e *endpoint) Close() error {
 // load generator packs 100k simulated nodes onto a handful of file
 // descriptors, and how a single client reaches the daemon too. Outbound
 // frames are coalesced: Send enqueues onto a shared queue and a writer
-// goroutine flushes whole batches in one syscall (sendmmsg on Linux), so
-// a storm of concurrent clients pays ~1/batch of a syscall per request
-// instead of one each. Inbound frames are read in batches (recvmmsg),
-// landed in pooled buffers, and routed to the owning client by the node
-// ID every control message carries in its fixed header. A frame for an
+// goroutine flushes what has gathered there in one syscall (sendmmsg on
+// Linux, runs of one size as super-datagrams). How much gathers depends
+// on the clients: a closed-loop fleet refills the queue only as replies
+// wake it, which is why the writer yields once before topping up its
+// batch (Traffic counts the shapes). Inbound frames are read in batches
+// (recvmmsg, coalesced runs cut at their segment size), landed in
+// pooled buffers, and routed to the owning client by the node ID every
+// control message carries in its fixed header. A frame for an
 // unregistered node (or a client whose queue is full) is dropped,
 // exactly as a kernel socket buffer would shed it — the retry machine
 // above absorbs the loss; likewise Send is fire-and-forget, surfacing
@@ -159,6 +163,7 @@ type Mux struct {
 	out  chan *frame
 	done chan struct{}
 	once sync.Once
+	io   traffic
 }
 
 // muxBatch caps frames moved per mux read or write batch.
@@ -166,7 +171,11 @@ const muxBatch = 32
 
 // DialMux connects a mux to the daemon at addr and starts its reader
 // and batching writer.
-func DialMux(addr string) (*Mux, error) {
+func DialMux(addr string) (*Mux, error) { return dialMux(addr, true) }
+
+// dialMux is DialMux with coalescing on or off; off, the socket moves
+// one datagram per kernel message (the differential tests' reference).
+func dialMux(addr string, coalesce bool) (*Mux, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, err
@@ -187,21 +196,21 @@ func DialMux(addr string) (*Mux, error) {
 		out:    make(chan *frame, 1024),
 		done:   make(chan struct{}),
 	}
-	go m.readLoop()
-	go m.writeLoop()
+	bio := newBatchIO(conn, coalesce, &m.io)
+	go m.readLoop(bio)
+	go m.writeLoop(bio)
 	return m, nil
 }
 
 // writeLoop drains the shared send queue in batches: one blocking
-// receive, an opportunistic non-blocking top-up, one batched write.
-// Write errors are treated as UDP loss — the writer keeps serving so a
-// daemon outage (connected sockets surface it as ECONNREFUSED) doesn't
-// wedge every client's Send.
-func (m *Mux) writeLoop() {
-	var bw batchWriter
-	if bio := newUDPBatchIO(m.conn); bio != nil {
-		bw = bio.writer(muxBatch)
-	}
+// receive, one yield so the clients the reader just woke can enqueue,
+// an opportunistic non-blocking top-up, one batched write. Write errors
+// are treated as UDP loss — the writer keeps serving so a daemon outage
+// (connected sockets surface it as ECONNREFUSED) doesn't wedge every
+// client's Send. Like the reader, it builds its scratch on its own
+// goroutine, not on the dialer's.
+func (m *Mux) writeLoop(bio batchIO) {
+	w := bio.writer(muxBatch)
 	fs := make([]*frame, 0, muxBatch)
 	for {
 		fs = fs[:0]
@@ -211,6 +220,7 @@ func (m *Mux) writeLoop() {
 		case <-m.done:
 			return
 		}
+		runtime.Gosched()
 	drain:
 		for len(fs) < muxBatch {
 			select {
@@ -220,26 +230,15 @@ func (m *Mux) writeLoop() {
 				break drain
 			}
 		}
-		if bw != nil {
-			bw.writeBatch(fs) //nolint:errcheck // loss semantics
-		} else {
-			for _, f := range fs {
-				m.conn.Write(f.bytes()) //nolint:errcheck // loss semantics
-			}
-		}
+		w.writeBatch(fs) //nolint:errcheck // loss semantics
 		for _, f := range fs {
 			putFrame(f)
 		}
 	}
 }
 
-func (m *Mux) readLoop() {
-	var br batchReader
-	if bio := newUDPBatchIO(m.conn); bio != nil {
-		br = bio.reader(muxBatch)
-	} else {
-		br = &genericIO{conn: m.conn}
-	}
+func (m *Mux) readLoop(bio batchIO) {
+	br := bio.reader(muxBatch)
 	fs := make([]*frame, muxBatch)
 	for {
 		n, err := br.readBatch(fs)
@@ -303,6 +302,9 @@ func (m *Mux) send(b []byte, _ net.Addr) error {
 		return net.ErrClosed
 	}
 }
+
+// Traffic snapshots the mux socket's counters.
+func (m *Mux) Traffic() Traffic { return m.io.load() }
 
 // Close stops the writer and closes the shared socket; every endpoint's
 // Recv unblocks.
@@ -454,6 +456,7 @@ func (mn *MemNet) ServerConn() net.PacketConn {
 // no scratch state, so one instance serves every reader and worker.
 type memServerConn struct {
 	mn   *MemNet
+	io   *traffic // one call per batch; set by newBatchIO
 	done chan struct{}
 	once sync.Once
 
@@ -533,6 +536,7 @@ func (sc *memServerConn) readBatch(fs []*frame) (int, error) {
 	}
 	fs[0] = f
 	n := 1
+fill:
 	for n < len(fs) {
 		select {
 		case f2 := <-sc.mn.toSrv:
@@ -542,13 +546,15 @@ func (sc *memServerConn) readBatch(fs []*frame) (int, error) {
 			fs[n] = f2
 			n++
 		default:
-			return n, nil
+			break fill
 		}
 	}
+	sc.io.recv(1, n, n)
 	return n, nil
 }
 
 func (sc *memServerConn) writeBatch(fs []*frame) error {
+	sc.io.send(1, len(fs), len(fs))
 	mn := sc.mn
 	if mn.side != nil {
 		// Fault injection routes through the side channel per frame;

@@ -13,6 +13,10 @@
 #                that lost their reply mid-fault were reclaimed, and so
 #                were the records and addresses of nodes that never held
 #                one (the fleet the restarted daemon nacked).
+#   coalescing:  the first daemon's exit line counts more send datagrams
+#                than send messages, so runs of replies left as UDP GSO
+#                super-datagrams; a kernel that made the daemon fall back
+#                to one datagram per message fails here, not just slowly.
 #
 # Tunables (environment): CLIENTS, PORT, SEED.
 set -euo pipefail
@@ -54,6 +58,11 @@ wait "$DAEMON_PID" || true
 # Mid-storm the books hold live leases — but they must be consistent.
 grep -q "audit=ok" "$BIN/apd1.log" || {
     echo "FAIL: first daemon's books inconsistent at shutdown"; cat "$BIN/apd1.log"; exit 1; }
+msgs=$(sed -n 's/.* send-msgs=\([0-9]*\).*/\1/p' "$BIN/apd1.log")
+datagrams=$(sed -n 's/.* send-datagrams=\([0-9]*\).*/\1/p' "$BIN/apd1.log")
+echo "first daemon sent $datagrams datagrams in $msgs messages"
+[ -n "$msgs" ] && [ "$datagrams" -gt "$msgs" ] || {
+    echo "FAIL: the daemon sent no coalesced run"; cat "$BIN/apd1.log"; exit 1; }
 
 sleep 1
 echo "== daemon (restarted, fresh books, same port)"
