@@ -2,6 +2,7 @@ package mac
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -243,6 +244,38 @@ func TestControllerForgetsStrangers(t *testing.T) {
 	if err := c.AuditBooks(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestControllerGivesBackADrainedFlood: once the records of a flood are
+// gone, the record table is back to a small map. Deleted with the
+// builtin, the 20 000-entry table would keep the groups of its peak
+// (over 300 KB) for the life of the controller.
+func TestControllerGivesBackADrainedFlood(t *testing.T) {
+	c := NewController(ISM24GHz())
+	c.LeaseTTL = 1.0
+	base := liveHeap()
+	const flood = 20_000
+	for id := uint32(0); id < flood; id++ {
+		handleAt(t, c, RenewMsg{NodeID: id, Seq: 1}, 0)
+	}
+	if c.RecordCount() != flood {
+		t.Fatalf("%d records after the flood, want %d", c.RecordCount(), flood)
+	}
+	c.ExpireLeases(1.5)
+	if c.RecordCount() != 0 {
+		t.Fatalf("%d records a TTL later, want none", c.RecordCount())
+	}
+	if held := int64(liveHeap()) - int64(base); held > 32<<10 {
+		t.Errorf("the drained controller holds %d B more than before the flood", held)
+	}
+	runtime.KeepAlive(c)
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestControllerRejectReplaysWithinTTLOfLastContact: a leaseless record's

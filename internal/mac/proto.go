@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"mmx/internal/shrink"
 )
 
 // The initialization protocol (§4, §7a): before any mmWave transmission, a
@@ -602,6 +604,9 @@ type Controller struct {
 	// sharers indexes the records of confirmed SDM sharers by the center
 	// of the channel they share, in confirmation order.
 	sharers map[float64][]*peer
+	// peersPeak and sharersPeak are the two tables' high-water marks
+	// for shrink.Delete.
+	peersPeak, sharersPeak int
 	// pending holds unsolicited AP→node pushes (PromoteMsg) produced as
 	// side effects of releases, drained by TakeNotifications.
 	pending [][]byte
@@ -618,9 +623,9 @@ func NewController(band Band) *Controller {
 }
 
 func (c *Controller) resetState() {
-	c.peers = make(map[uint32]*peer)
+	c.peers, c.peersPeak = make(map[uint32]*peer), 0
 	c.leases = 0
-	c.sharers = make(map[float64][]*peer)
+	c.sharers, c.sharersPeak = make(map[float64][]*peer), 0
 	c.pending = nil
 }
 
@@ -697,7 +702,7 @@ func (c *Controller) unshare(p *peer) {
 		occ = slices.Delete(occ, i, i+1)
 	}
 	if len(occ) == 0 {
-		delete(c.sharers, p.center)
+		shrink.Delete(&c.sharers, &c.sharersPeak, p.center)
 	} else {
 		c.sharers[p.center] = occ
 	}
@@ -753,12 +758,14 @@ func (c *Controller) release(p *peer) {
 // forget ends p's record: the spectrum it holds is released, and the one
 // delete takes its lease, share slot and cached reply together — a kept
 // reply would answer the ID's next first request with a stale grant.
+// The table shrinks once a herd has left, so the AP's memory follows the
+// records it keeps rather than the most it ever kept.
 func (c *Controller) forget(p *peer) {
 	if p.hold != holdNone {
 		c.release(p)
 		c.leases--
 	}
-	delete(c.peers, p.id)
+	shrink.Delete(&c.peers, &c.peersPeak, p.id)
 }
 
 // TakeNotifications drains the queued unsolicited AP→node pushes

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mmx/internal/mac"
+	"mmx/internal/shrink"
 )
 
 // queueLen bounds the daemon's one ingress queue. A frame arriving at a
@@ -80,9 +81,10 @@ type Server struct {
 	cfg   ServerConfig
 	clock Clock
 
-	mu    sync.Mutex // guards ctrl — the single-threaded state machine — and addrs
-	ctrl  *mac.Controller
-	addrs map[uint32]net.Addr // last-seen address of every leaseholder
+	mu        sync.Mutex // guards ctrl — the single-threaded state machine — and addrs
+	ctrl      *mac.Controller
+	addrs     map[uint32]net.Addr // last-seen address of every leaseholder
+	addrsPeak int                 // addrs' high-water mark for shrink.Delete
 
 	conn       net.PacketConn
 	queue      chan *frame
@@ -211,6 +213,7 @@ func (s *Server) workerLoop(w batchWriter) {
 				}
 			}
 			out = s.handleBatch(w, batch, out)
+			clear(batch) // handleBatch recycled these frames
 		case <-sweep:
 			s.ExpireNow()
 		}
@@ -249,7 +252,7 @@ func (s *Server) handleBatch(w batchWriter, batch, out []*frame) []*frame {
 		// same address — is a read plus an equality check, not a map
 		// write per frame.
 		if !s.ctrl.HoldsLease(node) {
-			delete(s.addrs, node)
+			shrink.Delete(&s.addrs, &s.addrsPeak, node)
 		} else if prev, ok := s.addrs[node]; !ok || prev != f.addr {
 			s.addrs[node] = f.addr
 		}
@@ -272,6 +275,7 @@ func (s *Server) handleBatch(w batchWriter, batch, out []*frame) []*frame {
 	for _, f := range out {
 		putFrame(f)
 	}
+	clear(out) // recycled: a stale slot would pin the frame past the pool
 	if handled > 0 {
 		s.handled.Add(handled)
 	}
@@ -312,7 +316,7 @@ func (s *Server) ExpireNow() []uint32 {
 	s.mu.Lock()
 	expired := s.ctrl.ExpireLeases(s.clock.NowS())
 	for _, node := range expired {
-		delete(s.addrs, node)
+		shrink.Delete(&s.addrs, &s.addrsPeak, node)
 	}
 	var promotes uint64
 	for _, note := range s.ctrl.TakeNotifications() {

@@ -10,6 +10,7 @@ import (
 
 	"mmx/internal/faults"
 	"mmx/internal/mac"
+	"mmx/internal/shrink"
 )
 
 // Transport is the client's view of the control link: fire a frame
@@ -40,9 +41,10 @@ func secondsToDuration(s float64) time.Duration {
 // once closed, new endpoints start closed. Its mutex also guards what the
 // owning network keeps beside it.
 type routes struct {
-	mu     sync.Mutex
-	subs   map[uint32]chan *frame
-	closed bool
+	mu       sync.Mutex
+	subs     map[uint32]chan *frame
+	subsPeak int // subs' high-water mark for shrink.Delete
+	closed   bool
 }
 
 // register opens an endpoint of network o for node id, stamping its
@@ -69,7 +71,7 @@ func (r *routes) register(o owner, id uint32, addr net.Addr) Transport {
 func (r *routes) unregister(id uint32, in chan *frame) {
 	r.mu.Lock()
 	if r.subs[id] == in {
-		delete(r.subs, id)
+		shrink.Delete(&r.subs, &r.subsPeak, id)
 	}
 	r.mu.Unlock()
 }
@@ -234,6 +236,7 @@ func (m *Mux) writeLoop(bio batchIO) {
 		for _, f := range fs {
 			putFrame(f)
 		}
+		clear(fs) // recycled: a stale slot would pin the frame past the pool
 	}
 }
 
@@ -248,7 +251,7 @@ func (m *Mux) readLoop(bio batchIO) {
 				for _, ch := range m.subs {
 					close(ch)
 				}
-				m.subs = make(map[uint32]chan *frame)
+				m.subs, m.subsPeak = make(map[uint32]chan *frame), 0
 				m.closed = true
 				m.mu.Unlock()
 				return
