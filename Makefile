@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check loc deadcode bench-smoke load-smoke profile clean
+.PHONY: build test fmt-check loc deadcode fmacheck bench-smoke load-smoke profile clean
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ loc:
 # not say why, or when an allowlist entry has gone stale.
 deadcode:
 	bash scripts/deadcode.sh
+
+# fmacheck fails when an arm64 build of a cmd/* binary fuses a
+# floating-point multiply-add in a function that scripts/fma.allow does
+# not list with a tag, or when an allowlist entry has gone stale. It
+# cross-compiles, so it runs on any host. About 10 s.
+fmacheck:
+	$(GO) run ./scripts/fmacheck
 
 # bench-smoke runs the smoke test of the benchmark driver (benchmark/ is
 # a module of its own, so `go test ./...` never descends into it): every

@@ -274,16 +274,26 @@ func (b *FilterBank) extract(out [][]complex128, x []complex128, lo, hi int, ln 
 			maxTap = t
 		}
 		for r := 0; r < m; r++ {
-			var acc complex128
+			// A real tap scales both parts: two products, where
+			// x·complex(p, 0) makes four and adds two signed zeros
+			// that a sum starting at +0 absorbs, so the bits match
+			// (TestBankRealTapMACMatchesComplexProduct).
+			var re, im float64
 			for tap := r; tap <= maxTap; tap += m {
-				acc += x[t-tap] * complex(proto[tap], 0)
+				v, p := x[t-tap], proto[tap]
+				re += float64(real(v) * p)
+				im += float64(imag(v) * p)
 			}
-			u[r] = acc
+			u[r] = complex(re, im)
 		}
 		bu := b.plan.Forward(ln.bu, u)
 		for ci := range b.chans {
 			c := &b.chans[ci]
-			out[ci][j] = bu[c.bin] * c.tw[j%len(c.tw)]
+			v, w := bu[c.bin], c.tw[j%len(c.tw)]
+			// v·w as Go's complex product orders it, each product
+			// rounded so that no architecture fuses it.
+			out[ci][j] = complex(float64(real(v)*real(w))-float64(imag(v)*imag(w)),
+				float64(real(v)*imag(w))+float64(imag(v)*real(w)))
 		}
 	}
 }

@@ -431,3 +431,113 @@ func TestBankHotPathAllocationFree(t *testing.T) {
 		t.Errorf("allocs/op = %v on warm bank hot path, want 0", allocs)
 	}
 }
+
+// complexProductExtract is the sweep as it was written before the
+// real-tap multiply-accumulate: every branch product x·complex(p, 0) and
+// the readout bu·tw as Go complex products. It is the bit-identity
+// reference for extract on amd64, where the compiler fuses no product.
+func complexProductExtract(b *FilterBank, x []complex128) [][]complex128 {
+	m, d, proto := b.Bins, b.decim, b.proto
+	nOut := (len(x) + d - 1) / d
+	out := make([][]complex128, len(b.chans))
+	for ci := range out {
+		out[ci] = make([]complex128, nOut)
+	}
+	u, bu := make([]complex128, m), make([]complex128, m)
+	for j := 0; j < nOut; j++ {
+		t := j * d
+		maxTap := len(proto) - 1
+		if t < maxTap {
+			maxTap = t
+		}
+		for r := 0; r < m; r++ {
+			var acc complex128
+			for tap := r; tap <= maxTap; tap += m {
+				acc += x[t-tap] * complex(proto[tap], 0)
+			}
+			u[r] = acc
+		}
+		bu = b.plan.Forward(bu, u)
+		for ci := range b.chans {
+			c := &b.chans[ci]
+			out[ci][j] = bu[c.bin] * c.tw[j%len(c.tw)]
+		}
+	}
+	return out
+}
+
+// TestBankRealTapMACMatchesComplexProduct pins extract's two real
+// products per tap, and its rounded readout product, to the complex
+// products they replace, bit for bit: on random plans, on the shipped
+// 250-bin, 2751-tap grid, on an all-zero capture, and on captures with
+// PadRandomOffset's dead air, where a product of a zero sample and a
+// negative tap is −0 and a dropped signed-zero term could show.
+func TestBankRealTapMACMatchesComplexProduct(t *testing.T) {
+	center := units.ISM24GHzCenter
+	check := func(name string, bank *FilterBank, x []complex128) {
+		t.Helper()
+		got, err := bank.ExtractAllInto(nil, x)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := complexProductExtract(bank, x)
+		for ci := range want {
+			for j, w := range want[ci] {
+				g := got[ci][j]
+				if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+					t.Fatalf("%s: ch %d sample %d: %v, complex products give %v", name, ci, j, g, w)
+				}
+			}
+		}
+	}
+
+	for trial := 0; trial < 8; trial++ {
+		rng := stats.NewRNG(uint64(300 + trial))
+		plan := make([]BankChannel, 0, 8)
+		for len(plan) < 3+int(rng.Intn(6)) {
+			plan = append(plan, BankChannel{
+				ChannelHz: center + float64(int(rng.Intn(21))-10)*bBinHz,
+				Harmonic:  int(rng.Intn(5)) - 2,
+			})
+		}
+		bank := NewFilterBank(bWideRate, center, bBins)
+		bank.SwitchRateHz = bSwitch
+		// At decimation 8 every readout twiddle is a multiple of a
+		// quarter turn; at decimation 5 most are general phasors.
+		outRate := []float64{bOutRate, bWideRate / 5}[trial%2]
+		if err := bank.Configure(bWidthHz, outRate, plan); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		check(fmt.Sprintf("random plan %d", trial), bank, randCapture(3000+int(rng.Intn(2000)), uint64(trial)))
+	}
+
+	const (
+		rate = 250e6
+		sym  = 125e3
+		fsk  = 500e3
+	)
+	plan := make([]BankChannel, 0, 200)
+	for i := -100; i < 100; i++ {
+		plan = append(plan, BankChannel{ChannelHz: center + float64(i)*1e6})
+	}
+	bank := NewFilterBank(rate, center, 250)
+	bank.Taps = 2751
+	if err := bank.Configure(1e6, 2e6, plan); err != nil {
+		t.Fatal(err)
+	}
+	n := 60*125 + 17
+	check("shipped grid", bank, randCapture(n, 7))
+	check("all-zero capture", bank, make([]complex128, n))
+	bits, err := modem.BuildFrame([]byte{0xde, 0xad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := modem.Config{SampleRate: rate, SymbolRate: sym, F0: 3e6 - fsk/2, F1: 3e6 + fsk/2}
+	x := modem.PadRandomOffset(modem.Synthesize(cfg, bits, 0.1, 0.9), 3000)[:n]
+	check("dead air", bank, x)
+	for i := range x {
+		x[i] = -x[i] // dead air becomes −0 in both parts
+	}
+	check("negated dead air", bank, x)
+}

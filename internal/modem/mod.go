@@ -1,9 +1,6 @@
 package modem
 
-import (
-	"math"
-	"math/cmplx"
-)
+import "math"
 
 // Config fixes the air-interface numerology shared by modulator and
 // demodulator.
@@ -60,6 +57,15 @@ func Synthesize(cfg Config, bits []bool, g0, g1 complex128) []complex128 {
 // SynthesizeInto is Synthesize with append-style buffer reuse: the
 // waveform is written into dst's storage when its capacity suffices
 // (len(bits)·spb samples), otherwise a new slice is allocated.
+//
+// The oscillator costs one math.Sincos per symbol: each symbol starts
+// from the carrier phase φ, kept in [−π, π) and advanced per symbol by
+// the tone's spb·2πF/Fs reduced modulo 2π; inside the symbol the phasor
+// steps by powers of the tone's rotator e^{j2πF/Fs}. Every product is
+// rounded by a float64 conversion before it is summed, so no
+// architecture fuses it and every GOARCH computes the same bits. Against
+// exact cycle counts a sample is within 1e-9 at unit gain over a full
+// 250 MS/s wideband frame (TestSynthesizeMatchesExactPhase).
 func SynthesizeInto(dst []complex128, cfg Config, bits []bool, g0, g1 complex128) []complex128 {
 	spb := cfg.SamplesPerSymbol()
 	n := len(bits) * spb
@@ -67,23 +73,72 @@ func SynthesizeInto(dst []complex128, cfg Config, bits []bool, g0, g1 complex128
 		dst = make([]complex128, n)
 	}
 	out := dst[:n]
+	t0, t1 := newTone(cfg.F0, cfg.SampleRate, spb), newTone(cfg.F1, cfg.SampleRate, spb)
 	phase := 0.0
 	i := 0
 	for _, b := range bits {
-		f := cfg.F0
-		g := g0
+		t, g := &t0, g0
 		if b {
-			f = cfg.F1
-			g = g1
+			t, g = &t1, g1
 		}
-		step := 2 * math.Pi * f / cfg.SampleRate
-		for s := 0; s < spb; s++ {
-			out[i] = g * cmplx.Rect(1, phase)
-			phase += step
-			i++
+		zi, zr := math.Sincos(phase)
+		// w is g·e^{jφ} at the head of each run of toneRun samples; a
+		// run's samples w·r^k are independent of one another, so their
+		// multiplies overlap instead of queueing on one phasor.
+		w := mul(g, complex(zr, zi))
+		for end := i + spb; i < end; {
+			o := out[i:min(i+toneRun, end)]
+			for k, p := range t.pow[:len(o)] {
+				o[k] = mul(w, p)
+			}
+			i += len(o)
+			w = mul(w, t.step)
+		}
+		phase += t.adv
+		if phase >= math.Pi {
+			phase -= 2 * math.Pi
+		} else if phase < -math.Pi {
+			phase += 2 * math.Pi
 		}
 	}
 	return out
+}
+
+// toneRun is how many samples one carrier phasor spans.
+const toneRun = 8
+
+// tone is one of the oscillator's two frequencies: the rotator's powers
+// r^0 … r^{toneRun−1} for r = e^{j2πF/Fs}, the run step r^toneRun, and
+// the per-symbol phase advance in [−π, π).
+type tone struct {
+	pow  [toneRun]complex128
+	step complex128
+	adv  float64
+}
+
+func newTone(f, fs float64, spb int) tone {
+	var t tone
+	ri, rr := math.Sincos(2 * math.Pi * f / fs)
+	p := complex(1, 0)
+	for k := range t.pow {
+		t.pow[k] = p
+		p = mul(p, complex(rr, ri))
+	}
+	t.step = p
+	// Reducing spb·F modulo Fs is exact (math.Mod), so the advance keeps
+	// its fraction of a cycle to full precision however many whole
+	// cycles a symbol spans.
+	cyc := math.Mod(float64(spb)*f, fs) / fs
+	t.adv = 2 * math.Pi * (cyc - math.Round(cyc))
+	return t
+}
+
+// mul is a·b in the order Go's complex product computes it, with each
+// real product rounded by a conversion so that no architecture fuses it
+// into the sum that follows.
+func mul(a, b complex128) complex128 {
+	return complex(float64(real(a)*real(b))-float64(imag(a)*imag(b)),
+		float64(real(a)*imag(b))+float64(imag(a)*real(b)))
 }
 
 // PadRandomOffset prepends `offset` zero samples (dead air before the
