@@ -176,9 +176,10 @@ func fdmDemo(n int, seed uint64, workers int) {
 		offsets[i] = float64(i-n/2) * 1e6
 	}
 
-	// Synthesize every node's frame straight at its wideband offset,
-	// striding nodes across w lanes (each accumulates a partial band sum,
-	// summed in lane order, so the capture depends on w alone).
+	// Synthesize every node's frame into one reused buffer per lane and
+	// add it at its random offset, striding nodes across w lanes (each
+	// accumulates a partial band sum, summed in lane order, so the
+	// capture depends on w alone).
 	w := par.Lanes(workers, n)
 	payload := func(i int) []byte { return []byte(fmt.Sprintf("n%03d", i)) }
 	frameSamples := modem.FrameBits(4) * int(wideRate/sym)
@@ -187,6 +188,7 @@ func fdmDemo(n int, seed uint64, workers int) {
 	start := time.Now()
 	par.For(w, w, func(_, g int) {
 		sum := make([]complex128, capLen)
+		var frame []complex128
 		for i := g; i < n; i += w {
 			bits, err := modem.BuildFrame(payload(i))
 			if err != nil {
@@ -197,10 +199,8 @@ func fdmDemo(n int, seed uint64, workers int) {
 				F0: offsets[i] - fsk/2, F1: offsets[i] + fsk/2,
 			}
 			rng := stats.NewRNG(seed + uint64(i)*0x9E3779B97F4A7C15)
-			x := modem.PadRandomOffset(
-				modem.Synthesize(cfg, bits, complex(0.1, 0), complex(0.9, 0)),
-				int(rng.Intn(4000)))
-			dsp.Add(sum, x)
+			frame = modem.SynthesizeInto(frame, cfg, bits, complex(0.1, 0), complex(0.9, 0))
+			dsp.Add(sum[rng.Intn(4000):], frame)
 		}
 		partials[g] = sum
 	})

@@ -2,8 +2,11 @@ package netctl
 
 import (
 	"fmt"
+	"math/bits"
 	"net"
 	"sync/atomic"
+
+	"mmx/internal/mac"
 )
 
 // Batch I/O abstraction for the server's ingest/reply pipeline. A
@@ -60,6 +63,65 @@ func newBatchIO(conn net.PacketConn, coalesce bool, io *traffic) batchIO {
 		}
 	}
 	return &genericIO{conn: conn, io: io}
+}
+
+// groupSpan is the longest batch groupRuns reorders: a bitmask of its
+// frames fits a uint64. Batches are at most 32 frames.
+const groupSpan = 64
+
+// groupRuns stably reorders a batch so that frames with one destination
+// and one size sit next to each other, where a coalescing writer cuts
+// them into one run. No frame moves ahead of an earlier frame for the
+// same node ID (mac.PeekHeader's node; frames without a header count
+// as one node), so every node's frames keep the order they were
+// produced in; frames to different nodes have no order between them,
+// and UDP never promised one. Each pass takes the first frame left and
+// every later one with its destination and size whose node has no
+// frame left ahead of it. A pass thereby takes the rest of the in-order
+// run its first frame opens, so the grouped batch never has more runs
+// than the batch had. A batch longer than groupSpan is left as it is.
+// It allocates nothing.
+func groupRuns(fs []*frame) {
+	n := len(fs)
+	if n < 3 || n > groupSpan {
+		return // two frames cut into the same runs in either order
+	}
+	// pred[i] is the index of the last frame before i for i's node, or -1.
+	var node [groupSpan]uint32
+	var pred [groupSpan]int8
+	for i, f := range fs {
+		_, id, _, ok := mac.PeekHeader(f.bytes())
+		if !ok {
+			id = ^uint32(0)
+		}
+		node[i], pred[i] = id, -1
+		for j := i - 1; j >= 0; j-- {
+			if node[j] == id {
+				pred[i] = int8(j)
+				break
+			}
+		}
+	}
+	var out [groupSpan]*frame
+	left := uint64(1)<<n - 1 // bit i: fs[i] not yet placed
+	k := 0
+	for left != 0 {
+		lead := fs[bits.TrailingZeros64(left)]
+		for m := left; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			f := fs[j]
+			if f.n != lead.n || f.addr != lead.addr {
+				continue
+			}
+			if p := pred[j]; p >= 0 && left&(1<<p) != 0 {
+				continue // its node's earlier frame is still to be placed
+			}
+			left &^= 1 << j
+			out[k] = f
+			k++
+		}
+	}
+	copy(fs, out[:n])
 }
 
 // Traffic counts one socket's datagram I/O: the syscalls made (a MemNet

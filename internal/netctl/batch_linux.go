@@ -203,6 +203,14 @@ type mmsgReader struct {
 	next, off int
 }
 
+// doRead is the poller callback of one read. After a read that drained
+// the socket, the next one still makes a recvmmsg that returns EAGAIN
+// before it parks. Skipping that call after a read that filled fewer
+// slots than it had halves the receive calls and loses wakeups: the
+// poller's RawRead clears a pending readiness (prepareRead) before it
+// calls back, and the socket is edge-triggered, so a callback that
+// returns false without reading parks over datagrams already queued
+// until another one arrives.
 func (r *mmsgReader) doRead(fd uintptr) bool {
 	for {
 		r.calls++

@@ -146,12 +146,6 @@ func internPeers(t *testing.T, r batchReader, peers ...*net.UDPConn) []net.Addr 
 	return addrs
 }
 
-// planned is one frame of a writer test: its bytes and its peer.
-type planned struct {
-	to int
-	b  []byte
-}
-
 // writePlan sends plan through w in one writeBatch, addressed to addrs.
 func writePlan(t *testing.T, w batchWriter, addrs []net.Addr, plan []planned) {
 	t.Helper()
@@ -229,6 +223,54 @@ func TestGSOWriterSplitsRuns(t *testing.T) {
 			got.SendCalls, got.SendMsgs, got.SendDatagrams, msgs, len(plan))
 	}
 	expectPlan(t, peers, plan)
+}
+
+// TestGSOWriterSendsGroupedRuns: 32 replies alternating two peers and
+// two sizes cut into 32 messages in order, and into 4 once grouped —
+// each peer still reads every node's reply, in the grouped order.
+func TestGSOWriterSendsGroupedRuns(t *testing.T) {
+	conn := listenUDP(t)
+	var tr traffic
+	u, r := coalescingIO(t, conn, &tr)
+	peers := []*net.UDPConn{dialUDP(t, conn), dialUDP(t, conn)}
+	addrs := internPeers(t, r, peers...)
+	w := u.writer(32)
+	var plan []planned
+	for id := uint32(1); id <= 32; id++ {
+		to := int(id & 1)
+		if id>>1&1 == 0 {
+			plan = append(plan, planned{to, mac.AckMsg{NodeID: id, Seq: 4}.AppendTo(nil)})
+		} else {
+			plan = append(plan, planned{to, mac.RenewAckMsg{NodeID: id, Seq: 2, CenterHz: 24.1e9, WidthHz: 1e6}.AppendTo(nil)})
+		}
+	}
+	for _, grouped := range []bool{false, true} {
+		fs := make([]*frame, len(plan))
+		at := make(map[*frame]planned, len(plan))
+		for i, p := range plan {
+			fs[i] = new(frame)
+			fs[i].set(p.b, addrs[p.to])
+			at[fs[i]] = p
+		}
+		want := uint64(32)
+		if grouped {
+			groupRuns(fs)
+			want = 4
+		}
+		sent := make([]planned, len(fs))
+		for i, f := range fs {
+			sent[i] = at[f]
+		}
+		before := tr.load()
+		if err := w.writeBatch(fs); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if got := tr.load(); got.SendMsgs-before.SendMsgs != want || got.SendDatagrams-before.SendDatagrams != 32 {
+			t.Errorf("grouped %v: 32 frames left as %d datagrams in %d messages, want %d messages",
+				grouped, got.SendDatagrams-before.SendDatagrams, got.SendMsgs-before.SendMsgs, want)
+		}
+		expectPlan(t, peers, sent)
+	}
 }
 
 // TestWriterFallsBackWhenRefused: with SO_NO_CHECK set the kernel

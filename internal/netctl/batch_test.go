@@ -436,3 +436,156 @@ func TestUDPLoopbackRoundtrip(t *testing.T) {
 		t.Fatalf("books after UDP lifecycle: %v", err)
 	}
 }
+
+// planned is one frame of a writer test: its bytes and its peer.
+type planned struct {
+	to int
+	b  []byte
+}
+
+// groupedBatch builds a batch from fuzz bytes: the first picks 1–4
+// interned destinations, then each pair of bytes is one frame — its
+// node ID, and its destination and size. Size 3 is a runt without a
+// header.
+func groupedBatch(data []byte) []*frame {
+	if len(data) == 0 {
+		return nil
+	}
+	dests := make([]net.Addr, 1+int(data[0])%4)
+	for i := range dests {
+		dests[i] = &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7000 + i}
+	}
+	sizes := [...]int{3, 9, 17, 35}
+	var fs []*frame
+	for p := data[1:]; len(p) >= 2 && len(fs) < 32; p = p[2:] {
+		f := new(frame)
+		f.n = sizes[p[1]>>2&3]
+		f.addr = dests[int(p[1]&3)%len(dests)]
+		if f.n >= 9 {
+			f.buf[0] = byte(mac.MsgRenew)
+			f.buf[1] = p[0]
+		}
+		fs = append(fs, f)
+	}
+	return fs
+}
+
+// frameNode is the node groupRuns orders a frame by.
+func frameNode(f *frame) uint32 {
+	if _, id, _, ok := mac.PeekHeader(f.bytes()); ok {
+		return id
+	}
+	return ^uint32(0)
+}
+
+// inOrderRuns counts the runs an in-order cut makes: maximal blocks of
+// adjacent frames with one destination and one size.
+func inOrderRuns(fs []*frame) int {
+	runs := 0
+	for i, f := range fs {
+		if i == 0 || f.n != fs[i-1].n || f.addr != fs[i-1].addr {
+			runs++
+		}
+	}
+	return runs
+}
+
+// naiveGroup is the grouping of a batch in which no node repeats: for
+// each destination and size in order of first appearance, its frames
+// in batch order.
+func naiveGroup(fs []*frame) []*frame {
+	type key struct {
+		addr net.Addr
+		n    int
+	}
+	var keys []key
+	byKey := map[key][]*frame{}
+	for _, f := range fs {
+		k := key{f.addr, f.n}
+		if _, seen := byKey[k]; !seen {
+			keys = append(keys, k)
+		}
+		byKey[k] = append(byKey[k], f)
+	}
+	var out []*frame
+	for _, k := range keys {
+		out = append(out, byKey[k]...)
+	}
+	return out
+}
+
+// FuzzGroupRuns holds groupRuns to its contract on byte-built batches
+// of up to 32 frames: the output is a permutation of the input, every
+// node's frames keep their order, the run count never exceeds the
+// in-order cut's, and when no node repeats the output is the naive
+// grouping — one contiguous block per destination and size.
+func FuzzGroupRuns(f *testing.F) {
+	f.Add([]byte{0, 1, 0x04, 2, 0x08, 2, 0x04}) // node 2's second frame joins node 1's run only after its first
+	f.Add([]byte{1, 1, 0x04, 2, 0x05, 3, 0x08, 4, 0x09, 5, 0x04, 6, 0x05})
+	f.Add([]byte{3, 1, 0x00, 2, 0x04, 3, 0x00, 4, 0x0c, 5, 0x0f, 6, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := groupedBatch(data)
+		out := append([]*frame(nil), in...)
+		groupRuns(out)
+		pos := make(map[*frame]int, len(in))
+		for i, fr := range in {
+			pos[fr] = i
+		}
+		last := map[uint32]int{}
+		seen := make(map[*frame]bool, len(out))
+		repeats := false
+		for _, fr := range out {
+			i, ok := pos[fr]
+			if !ok || seen[fr] {
+				t.Fatalf("output holds a frame the batch did not, or one twice")
+			}
+			seen[fr] = true
+			id := frameNode(fr)
+			if prev, seen := last[id]; seen {
+				repeats = true
+				if prev > i {
+					t.Fatalf("node %d: frame %d left after frame %d", id, prev, i)
+				}
+			}
+			last[id] = i
+		}
+		if len(out) != len(in) {
+			t.Fatalf("%d frames out of %d in", len(out), len(in))
+		}
+		if got, was := inOrderRuns(out), inOrderRuns(in); got > was {
+			t.Fatalf("%d runs after grouping, %d before", got, was)
+		}
+		if repeats {
+			return
+		}
+		for i, fr := range naiveGroup(in) {
+			if out[i] != fr {
+				t.Fatalf("frame %d is batch frame %d, the naive grouping's is %d", i, pos[out[i]], pos[fr])
+			}
+		}
+	})
+}
+
+// TestGroupRunsAllocatesNothing pins the grouping of a 32-frame batch,
+// two destinations and two sizes alternating, at zero allocations.
+func TestGroupRunsAllocatesNothing(t *testing.T) {
+	data := []byte{1}
+	for i := 0; i < 32; i++ {
+		data = append(data, byte(i), byte(i&1|(1+i>>1&1)<<2))
+	}
+	batch := groupedBatch(data)
+	if got := inOrderRuns(batch); got != 32 {
+		t.Fatalf("the batch cuts into %d runs in order, want 32", got)
+	}
+	fs := make([]*frame, len(batch))
+	run := func() {
+		copy(fs, batch)
+		groupRuns(fs)
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Errorf("grouping a batch allocates %v times, want 0", allocs)
+	}
+	if got := inOrderRuns(fs); got != 4 {
+		t.Errorf("%d runs after grouping, want 4", got)
+	}
+}

@@ -70,7 +70,8 @@ var errForeignAddr = errors.New("netctl: foreign address on batched UDP socket")
 // it under a single controller-mutex acquisition, and writes the
 // replies and the pushes the batch caused in one batched write, replies
 // first. One FIFO keeps every node's requests in arrival order, and
-// every frame to a node leaves in the order the controller produced it.
+// every frame to a node leaves in the order the controller produced it;
+// replies to different nodes are grouped by destination and size.
 // The lock also guards the last-seen-address table the pushes are
 // addressed from. The steady-state path recycles every buffer it
 // touches: zero heap allocations per handled frame. Lease expiry runs on
@@ -222,7 +223,8 @@ func (s *Server) workerLoop(w batchWriter) {
 
 // handleBatch answers one pulled batch under a single mutex acquisition:
 // the controller's replies, the address bookkeeping they imply, and one
-// batched write of the replies followed by the pushes they caused.
+// batched write of the replies, grouped into runs (groupRuns), followed
+// by the pushes they caused.
 // Returns the out scratch slice for reuse.
 func (s *Server) handleBatch(w batchWriter, batch, out []*frame) []*frame {
 	var handled, malformed, promotes uint64
@@ -258,6 +260,9 @@ func (s *Server) handleBatch(w batchWriter, batch, out []*frame) []*frame {
 		}
 		out = append(out, f)
 	}
+	// Only the replies are grouped: every push leaves after every reply
+	// of its batch.
+	groupRuns(out)
 	for _, note := range s.ctrl.TakeNotifications() {
 		if addr := s.pushAddr(note); addr != nil {
 			f := getFrame()

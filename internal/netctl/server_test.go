@@ -1,6 +1,7 @@
 package netctl
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -170,5 +171,126 @@ func TestRepliesLeaveBeforePushes(t *testing.T) {
 	if !held || shared || sharer.Shared || sharer.Assignment != a {
 		t.Fatalf("sharer holds %+v shared=%v, books say %+v shared=%v held=%v",
 			sharer.Assignment, sharer.Shared, a, shared, held)
+	}
+}
+
+// recordingWriter keeps every frame written to it: its destination and
+// a copy of its bytes, one slice per writeBatch.
+type recordingWriter struct{ batches [][]planned }
+
+func (w *recordingWriter) writeBatch(fs []*frame) error {
+	var b []planned
+	for _, f := range fs {
+		b = append(b, planned{int(f.addr.(memAddr)), append([]byte(nil), f.bytes()...)})
+	}
+	w.batches = append(w.batches, b)
+	return nil
+}
+
+// TestHandleBatchGroupsRepliesOnly drives handleBatch with a recording
+// writer. Three hosts release, each promoting its sharer, amid the
+// sharers' renews, from two peers: the replies leave grouped, one block
+// per peer and size, and the three pushes follow every reply in the
+// order the controller produced them — grouping them too would pull
+// the second peer's push behind the first peer's two. Then node 4's
+// renew and release follow node 5's release: node 4's release ack, the
+// size of node 5's, must not overtake node 4's renew ack to join it.
+func TestHandleBatchGroupsRepliesOnly(t *testing.T) {
+	srv := NewServer(mac.NewController(mac.ISM24GHz()), NewRealClock(), ServerConfig{})
+	w := &recordingWriter{}
+	const peerA, peerB = 1, 2
+	handle := func(reqs ...planned) []planned {
+		t.Helper()
+		batch := make([]*frame, len(reqs))
+		for i, r := range reqs {
+			batch[i] = getFrame()
+			batch[i].set(r.b, memAddr(r.to))
+		}
+		srv.handleBatch(w, batch, nil)
+		if len(w.batches) == 0 {
+			t.Fatal("the batch drew no write")
+		}
+		out := w.batches[len(w.batches)-1]
+		w.batches = nil
+		return out
+	}
+	decode := func(p planned) any {
+		t.Helper()
+		msg, err := mac.Unmarshal(p.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	const demand = 60e6
+	width := mac.BandwidthForRate(demand)
+	var centers []float64
+	for id := uint32(1); id <= 3; id++ {
+		a, ok := decode(handle(planned{peerA, mac.JoinRequest{NodeID: id, Seq: 1, DemandBps: demand}.AppendTo(nil)})[0]).(mac.AssignmentMsg)
+		if !ok {
+			t.Fatalf("owner %d was not granted a channel", id)
+		}
+		centers = append(centers, a.CenterHz)
+	}
+	sharerPeer := []int{peerA, peerB, peerA}
+	for k, id := range []uint32{4, 5, 6} {
+		to := sharerPeer[k]
+		rej, ok := decode(handle(planned{to, mac.JoinRequest{NodeID: id, Seq: 1, DemandBps: demand}.AppendTo(nil)})[0]).(mac.RejectMsg)
+		if !ok {
+			t.Fatalf("sharer %d was granted a channel of its own", id)
+		}
+		confirm := mac.ShareConfirmMsg{NodeID: id, Seq: 2, ShareHz: centers[k], WidthHz: width, Harmonic: rej.Harmonic}
+		if _, ok := decode(handle(planned{to, confirm.AppendTo(nil)})[0]).(mac.AckMsg); !ok {
+			t.Fatalf("sharer %d's confirm on host %d drew no ack", id, k+1)
+		}
+	}
+
+	var reqs []planned
+	for k := uint32(0); k < 3; k++ {
+		host, sharer := 1+k, 4+k
+		reqs = append(reqs,
+			planned{peerA, mac.ReleaseMsg{NodeID: host, Seq: 2}.AppendTo(nil)},
+			planned{sharerPeer[k], mac.RenewMsg{NodeID: sharer, Seq: 3}.AppendTo(nil)})
+	}
+	out := handle(reqs...)
+	if len(out) != len(reqs)+3 {
+		t.Fatalf("%d frames left for %d requests and 3 promotions", len(out), len(reqs))
+	}
+	replies, pushes := out[:len(reqs)], out[len(reqs):]
+	blocks := map[[2]int]bool{}
+	for i, p := range replies {
+		if _, _, _, ok := mac.PeekHeader(p.b); !ok || mac.MsgType(p.b[0]) == mac.MsgPromote {
+			t.Fatalf("frame %d of %d, % x, is not a reply", i, len(out), p.b)
+		}
+		k := [2]int{p.to, len(p.b)}
+		if i > 0 && k != [2]int{replies[i-1].to, len(replies[i-1].b)} && blocks[k] {
+			t.Errorf("the replies to peer %d of %d B are not one block", p.to, len(p.b))
+		}
+		blocks[k] = true
+	}
+	for k, p := range pushes {
+		push, ok := decode(p).(mac.PromoteMsg)
+		if want := uint32(4 + k); !ok || push.NodeID != want || p.to != sharerPeer[k] {
+			t.Fatalf("push %d is % x to peer %d, want node %d's promotion to peer %d", k, p.b, p.to, want, sharerPeer[k])
+		}
+	}
+
+	out = handle(
+		planned{peerA, mac.ReleaseMsg{NodeID: 5, Seq: 4}.AppendTo(nil)},
+		planned{peerA, mac.RenewMsg{NodeID: 4, Seq: 4}.AppendTo(nil)},
+		planned{peerA, mac.ReleaseMsg{NodeID: 4, Seq: 5}.AppendTo(nil)})
+	var got []string
+	for _, p := range out {
+		switch m := decode(p).(type) {
+		case mac.AckMsg:
+			got = append(got, fmt.Sprintf("ack %d", m.NodeID))
+		case mac.RenewAckMsg:
+			got = append(got, fmt.Sprintf("renew-ack %d", m.NodeID))
+		default:
+			got = append(got, fmt.Sprintf("%T", m))
+		}
+	}
+	if want := "[ack 5 renew-ack 4 ack 4]"; fmt.Sprint(got) != want {
+		t.Errorf("replies %v, want %s", got, want)
 	}
 }

@@ -206,11 +206,12 @@ func dialMux(addr string, coalesce bool) (*Mux, error) {
 
 // writeLoop drains the shared send queue in batches: one blocking
 // receive, one yield so the clients the reader just woke can enqueue,
-// an opportunistic non-blocking top-up, one batched write. Write errors
-// are treated as UDP loss — the writer keeps serving so a daemon outage
-// (connected sockets surface it as ECONNREFUSED) doesn't wedge every
-// client's Send. Like the reader, it builds its scratch on its own
-// goroutine, not on the dialer's.
+// an opportunistic non-blocking top-up, the batch grouped into runs of
+// one size (groupRuns), one batched write. Write errors are treated as
+// UDP loss — the writer keeps serving so a daemon outage (connected
+// sockets surface it as ECONNREFUSED) doesn't wedge every client's
+// Send. Like the reader, it builds its scratch on its own goroutine,
+// not on the dialer's.
 func (m *Mux) writeLoop(bio batchIO) {
 	w := bio.writer(muxBatch)
 	fs := make([]*frame, 0, muxBatch)
@@ -232,6 +233,7 @@ func (m *Mux) writeLoop(bio batchIO) {
 				break drain
 			}
 		}
+		groupRuns(fs)
 		w.writeBatch(fs) //nolint:errcheck // loss semantics
 		for _, f := range fs {
 			putFrame(f)
