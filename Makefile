@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check loc deadcode fmacheck bench-smoke load-smoke profile clean
+.PHONY: build test fmt-check loc cover-audit fmacheck bench-smoke load-smoke profile clean
 
 build:
 	$(GO) build ./...
@@ -17,11 +17,14 @@ fmt-check:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
-# deadcode fails when a function declared under internal/ is linked by no
-# cmd/*, examples/* or benchmark binary and scripts/deadcode.allow does
-# not say why, or when an allowlist entry has gone stale.
-deadcode:
-	bash scripts/deadcode.sh
+# cover-audit builds every cmd/*, examples/* and the benchmark driver with
+# coverage, runs the shipped runs (CI smokes, examples, experiments, the
+# loopback soak, the benchmark's workloads), and fails when a function of
+# the root package or internal/ has no reached statement and
+# scripts/coverage.allow does not say why, or when an allowlist entry has
+# gone stale. About 35 s.
+cover-audit:
+	bash scripts/coverage.sh
 
 # fmacheck fails when an arm64 build of a cmd/* binary fuses a
 # floating-point multiply-add in a function that scripts/fma.allow does

@@ -201,9 +201,9 @@ func TestOTAMFrameRoundtripAllocs(t *testing.T) {
 // pattern — all FDM at 20, dense SDM sharing from 100 — and reads Reports
 // once, so the engine's dirty set is empty.
 func settledNetwork(tb testing.TB, size, workers int) *Network {
-	env := NewLabEnvironment(2)
+	env := NewEnvironment(6, 4, 2)
 	nw := env.NewNetwork(Pose{X: 0.3, Y: 2}, 3)
-	nw.SetWorkers(workers)
+	nw.nw.Workers = workers
 	for i := 1; i <= size; i++ {
 		x := 1 + float64(i%5)
 		y := 0.5 + float64(i%4)*0.8
@@ -584,7 +584,7 @@ func BenchmarkRunTraffic(b *testing.B) {
 	nw.Reports() // settle the post-join picture untimed
 	// The two env ticks run serially: starting worker goroutines mallocs
 	// or not depending on the runtime's free list.
-	nw.SetWorkers(1)
+	nw.nw.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -102,8 +102,7 @@ func main() {
 	fmt.Printf("aggregate goodput: %.1f Mbps\n", stats.TotalGoodputBps()/1e6)
 	fmt.Printf("roams: %d (%d failed)\n", stats.Roams, stats.RoamsFailed)
 	for i := range devices {
-		id := uint32(i + 1)
-		for _, iv := range stats.APHistory[id] {
+		for _, iv := range stats.APHistory[i] {
 			fmt.Printf("  %-16s on AP %d from %.2f s to %.2f s\n",
 				devices[i].name, iv.AP, iv.FromS, iv.ToS)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -453,7 +454,7 @@ func (mn *MemNet) deliver(b []byte, ch chan *frame, addr net.Addr) {
 // ServerConn. Frames buffered while no server was reading are delivered
 // to the newcomer, like a rebind over a warm kernel buffer.
 func (mn *MemNet) ServerConn() net.PacketConn {
-	return &memServerConn{mn: mn, done: make(chan struct{}), dlWake: make(chan struct{})}
+	return &memServerConn{mn: mn, done: make(chan struct{}), stop: make(chan struct{})}
 }
 
 // memServerConn adapts a MemNet to net.PacketConn for the Server. It is
@@ -465,69 +466,35 @@ type memServerConn struct {
 	done chan struct{}
 	once sync.Once
 
-	dlMu     sync.Mutex
-	deadline time.Time
-	// dlWake is closed (and replaced) on every SetReadDeadline so a
-	// blocked read re-evaluates its deadline — real sockets interrupt
-	// in-flight reads the same way, and Server.Stop relies on it to
-	// unblock its readers.
-	dlWake chan struct{}
+	// stop is closed by a read deadline at or before now, the only
+	// deadline anything sets: Server.Stop's, which must unblock its
+	// reader as it would on a real socket.
+	stop     chan struct{}
+	stopOnce sync.Once
 }
 
 func (sc *memServerConn) reader(int) batchReader { return sc }
 func (sc *memServerConn) writer(int) batchWriter { return sc }
 
-// readOne blocks for the next ingress frame, honoring the read deadline
-// and close-with-drain semantics of a real socket.
+// readOne blocks for the next ingress frame. After a close or an
+// expired deadline it still hands out what had arrived, as a real socket
+// drains its buffer, then fails with net.ErrClosed or the deadline's
+// timeout error.
 func (sc *memServerConn) readOne() (*frame, error) {
-	for {
-		sc.dlMu.Lock()
-		dl := sc.deadline
-		wake := sc.dlWake
-		sc.dlMu.Unlock()
-		var timeout <-chan time.Time
-		var timer *time.Timer
-		if !dl.IsZero() {
-			d := time.Until(dl)
-			if d <= 0 {
-				// Match net's contract: an expired deadline fails reads
-				// immediately with a timeout error.
-				select {
-				case f := <-sc.mn.toSrv:
-					return f, nil
-				default:
-					return nil, errDeadline
-				}
-			}
-			timer = time.NewTimer(d)
-			timeout = timer.C
-		}
-		select {
-		case f := <-sc.mn.toSrv:
-			if timer != nil {
-				timer.Stop()
-			}
-			return f, nil
-		case <-sc.done:
-			if timer != nil {
-				timer.Stop()
-			}
-			// Drain what arrived before the close so a graceful shutdown
-			// still flushes queued requests, then report closure.
-			select {
-			case f := <-sc.mn.toSrv:
-				return f, nil
-			default:
-				return nil, net.ErrClosed
-			}
-		case <-timeout:
-			return nil, errDeadline
-		case <-wake:
-			// Deadline changed mid-read: loop and re-evaluate.
-			if timer != nil {
-				timer.Stop()
-			}
-		}
+	var err error
+	select {
+	case f := <-sc.mn.toSrv:
+		return f, nil
+	case <-sc.done:
+		err = net.ErrClosed
+	case <-sc.stop:
+		err = os.ErrDeadlineExceeded
+	}
+	select {
+	case f := <-sc.mn.toSrv:
+		return f, nil
+	default:
+		return nil, err
 	}
 }
 
@@ -598,16 +565,6 @@ func (sc *memServerConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	return n, addr, nil
 }
 
-// errDeadline satisfies net.Error with Timeout()==true, matching what
-// the Server's reader loop expects from a real socket.
-var errDeadline net.Error = &timeoutError{}
-
-type timeoutError struct{}
-
-func (*timeoutError) Error() string   { return "netctl: i/o deadline exceeded" }
-func (*timeoutError) Timeout() bool   { return true }
-func (*timeoutError) Temporary() bool { return true }
-
 func (sc *memServerConn) WriteTo(p []byte, addr net.Addr) (int, error) {
 	id, ok := addr.(memAddr)
 	if !ok {
@@ -632,12 +589,13 @@ func (sc *memServerConn) LocalAddr() net.Addr { return memAddr(0) }
 
 func (sc *memServerConn) SetDeadline(t time.Time) error { return sc.SetReadDeadline(t) }
 
+// SetReadDeadline takes a deadline at or before now, which fails every
+// read from then on; it refuses a zero or future one, which nothing sets.
 func (sc *memServerConn) SetReadDeadline(t time.Time) error {
-	sc.dlMu.Lock()
-	sc.deadline = t
-	close(sc.dlWake) // interrupt blocked reads to adopt the new deadline
-	sc.dlWake = make(chan struct{})
-	sc.dlMu.Unlock()
+	if t.IsZero() || t.After(time.Now()) {
+		return errors.New("netctl: a mem conn takes only an expired read deadline")
+	}
+	sc.stopOnce.Do(func() { close(sc.stop) })
 	return nil
 }
 

@@ -312,10 +312,11 @@ type RunStats struct {
 	// PerAP summarizes each AP's share of the run, indexed by AP
 	// registry position (always length == number of APs).
 	PerAP []APStats
-	// APHistory records every node's association intervals by node ID.
-	// A node that never roamed has exactly one interval per presence
-	// span. Nil for single-AP runs keeps RunStats comparisons cheap.
-	APHistory map[uint32][]APInterval
+	// APHistory records every node's association intervals, indexed like
+	// PerNode. A node that never roamed has exactly one interval per
+	// presence span. Nil for single-AP runs keeps RunStats comparisons
+	// cheap.
+	APHistory [][]APInterval
 }
 
 // TotalGoodputBps returns the aggregate delivered rate.
@@ -381,7 +382,7 @@ type runState struct {
 	// position, and with it the run's join, leave, roam and lease-expiry
 	// totals. history marks a multi-AP run, whose handles record
 	// RunStats.APHistory (one AP has no transitions to record, and large
-	// runs shouldn't pay for an ID→interval map nobody reads).
+	// runs shouldn't pay for intervals nobody reads).
 	apStats []APStats
 	history bool
 
@@ -390,7 +391,8 @@ type runState struct {
 	// order is every handle in first-seen order: the RunStats.PerNode
 	// layout. per[i] accumulates order[i]'s RunStats.PerNode entry, which
 	// Run's end completes in place, and hists[i] its RunStats.APHistory
-	// entry (nil in single-AP runs). A member's own handle is Node.h.
+	// entry (hists is nil in single-AP runs). Both are the caller's once
+	// Run returns. A member's own handle is Node.h.
 	// left and pending are made at their first write, so a run without
 	// churn allocates neither.
 	left  map[uint32]*nodeHandle
@@ -429,7 +431,7 @@ type runState struct {
 }
 
 // runStates pools runState values for the buffers they carry: the handle
-// slab, the event queue, the order, hists, finished and gains lists and
+// slab, the event queue, the order, finished and gains lists and
 // the roam check's scratch. A Run takes one and gives it back emptied, so
 // the next Run reuses those slices' capacity instead of allocating and
 // zeroing them, and the collector frees a runState no Run has taken
@@ -441,7 +443,6 @@ var runStates = sync.Pool{New: func() any { return &runState{sim: NewSim()} }}
 func (rs *runState) empty() {
 	clear(rs.sim.q)
 	clear(rs.order)
-	clear(rs.hists)
 	clear(rs.finished)
 	clear(rs.roamList)
 	for l := range rs.roamLanes {
@@ -451,7 +452,7 @@ func (rs *runState) empty() {
 	*rs.sim = Sim{q: rs.sim.q[:0]}
 	*rs = runState{
 		sim: rs.sim, slab: rs.slab,
-		order: rs.order[:0], hists: rs.hists[:0], finished: rs.finished[:0], gains: rs.gains[:0],
+		order: rs.order[:0], finished: rs.finished[:0], gains: rs.gains[:0],
 		roamList: rs.roamList[:0], roamLanes: rs.roamLanes, roamSpans: rs.roamSpans, roamFn: rs.roamFn,
 	}
 }
@@ -770,7 +771,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	var ivs []APInterval
 	if rs.history {
 		ivs = make([]APInterval, len(nw.Nodes))
-		rs.hists = slices.Grow(rs.hists, len(nw.Nodes))
+		rs.hists = make([][]APInterval, 0, cap(rs.per))
 	}
 	for i, n := range nw.Nodes {
 		n.h = rs.newHandle(&rs.slab[i], n.ID)
@@ -910,13 +911,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		ns.LeftAtS = duration
 		n.h = nil
 	}
-	if rs.history {
-		st.APHistory = make(map[uint32][]APInterval, len(rs.order))
-	}
 	for i, h := range rs.order {
-		if rs.history {
-			st.APHistory[rs.per[i].ID] = rs.hists[i]
-		}
 		rs.flushSamples(h)
 		ns := &rs.per[i]
 		if ns.SINRSamples > 0 {
@@ -934,6 +929,7 @@ func (nw *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 		}
 	}
 	st.PerNode = rs.per
+	st.APHistory = rs.hists
 	rs.empty()
 	runStates.Put(rs)
 	return st

@@ -445,28 +445,18 @@ func TestFrameDispatchAllocatesNothing(t *testing.T) {
 // whatever their length, and a member reaches its handle through the
 // node, not through a per-member table. It holds for one AP and for four
 // with a roaming policy, whose roam checks run (and find the fleet
-// settled) and whose Run also returns APHistory: its intervals are one
-// slab, but the map itself is the caller's, and a Go map allocates its
-// tables by its size (and, its hash seed being random, now and then one
-// more), so the four-AP count is taken net of building the same map, and
-// each of the two as the least of three single Runs. The bound is the count measured on go1.24 amd64
-// before the buffers were pooled. Collection is off while it counts: a
-// collection empties the sync.Pools Run and the link evaluation draw
-// their buffers from, and refilling them costs mallocs that belong to no
-// Run.
+// settled) and whose Run also returns APHistory: one slice in PerNode
+// order over one slab of starting intervals. The bound is the count
+// measured on go1.24 amd64 before the buffers were pooled. Collection is
+// off while it counts: a collection empties the sync.Pools Run and the
+// link evaluation draw their buffers from, and refilling them costs
+// mallocs that belong to no Run.
 func TestRunAllocsIndependentOfFleetSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops the link evaluation's scratch under the race detector")
 	}
 	const bound = 14
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	least := func(f func()) float64 {
-		n := math.Inf(1)
-		for k := 0; k < 3; k++ {
-			n = math.Min(n, testing.AllocsPerRun(1, f))
-		}
-		return n
-	}
 	for _, g := range []int{1, 2} {
 		var counts []float64
 		for _, nodes := range []int{1200, 12000} {
@@ -475,17 +465,7 @@ func TestRunAllocsIndependentOfFleetSize(t *testing.T) {
 				nw.SetRoamingPolicy(&RoamPolicy{HysteresisDB: 3})
 			}
 			nw.Run(1, 0.5, 0) // warm: the engine's scratch lists reach their size
-			var allocs float64
-			if g == 1 {
-				allocs = testing.AllocsPerRun(3, func() { nw.Run(1, 0.5, 0) })
-			} else {
-				allocs = least(func() { nw.Run(1, 0.5, 0) }) - least(func() {
-					apHistorySink = make(map[uint32][]APInterval, len(nw.Nodes))
-					for _, n := range nw.Nodes {
-						apHistorySink[n.ID] = nil
-					}
-				})
-			}
+			allocs := testing.AllocsPerRun(3, func() { nw.Run(1, 0.5, 0) })
 			if allocs > bound {
 				t.Errorf("%d APs, %d nodes: Run made %.0f allocations, want ≤ %d", g*g, nodes, allocs, bound)
 			}
@@ -535,10 +515,6 @@ func TestRunKeepsNoMemory(t *testing.T) {
 		runtime.KeepAlive(nw)
 	}
 }
-
-// apHistorySink makes the map TestRunAllocsIndependentOfFleetSize builds
-// escape, as RunStats.APHistory does.
-var apHistorySink map[uint32][]APInterval
 
 // TestRejoinSameIDKeepsOneHandle: a node that leaves and comes back
 // under its ID — twice — keeps one PerNode entry that accumulates across

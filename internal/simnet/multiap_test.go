@@ -96,14 +96,15 @@ func fingerprintMultiAP(st RunStats) string {
 		fmt.Fprintf(&b, "ap%d j=%d l=%d ri=%d ro=%d exp=%d m=%d\n",
 			a.AP, a.Joins, a.Leaves, a.RoamsIn, a.RoamsOut, a.LeaseExpiries, a.Members)
 	}
-	ids := make([]uint32, 0, len(st.APHistory))
-	for id := range st.APHistory {
-		ids = append(ids, id)
+	// By node ID, the order the goldens were recorded in.
+	byID := make([]int, len(st.APHistory))
+	for i := range byID {
+		byID[i] = i
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, iv := range st.APHistory[id] {
-			fmt.Fprintf(&b, "h%d ap=%d %x..%x\n", id, iv.AP, iv.FromS, iv.ToS)
+	sort.Slice(byID, func(i, j int) bool { return st.PerNode[byID[i]].ID < st.PerNode[byID[j]].ID })
+	for _, i := range byID {
+		for _, iv := range st.APHistory[i] {
+			fmt.Fprintf(&b, "h%d ap=%d %x..%x\n", st.PerNode[i].ID, iv.AP, iv.FromS, iv.ToS)
 		}
 	}
 	return b.String()
@@ -356,7 +357,7 @@ func TestRoamStrandedLeaseReclaimed(t *testing.T) {
 	if err := nw.ValidateSpectrum(); err != nil {
 		t.Fatalf("spectrum after run: %v", err)
 	}
-	hist := st.APHistory[1]
+	hist := st.APHistory[0] // node 1, the only member
 	if len(hist) != 2 || hist[0].AP != 0 || hist[1].AP != 1 {
 		t.Errorf("association history %v, want [AP0, AP1]", hist)
 	}

@@ -348,64 +348,6 @@ func TestAllocatorStaysValidThroughNetworkChurn(t *testing.T) {
 	}
 }
 
-func TestVBRVideoStatistics(t *testing.T) {
-	rng := stats.NewRNG(3)
-	v := NewVBRCamera(8)
-	totalBits, totalTime := 0.0, 0.0
-	var iSizes, pSizes []float64
-	for i := 0; i < 3000; i++ {
-		isI := v.frame%v.GOP == 0
-		d, b := v.Next(rng)
-		totalTime += d
-		totalBits += float64(8 * b)
-		if isI {
-			iSizes = append(iSizes, float64(b))
-		} else {
-			pSizes = append(pSizes, float64(b))
-		}
-	}
-	// Long-term rate ≈ 8 Mbps.
-	if rate := totalBits / totalTime; math.Abs(rate-8e6)/8e6 > 0.05 {
-		t.Errorf("VBR long-term rate = %.2f Mbps, want 8", rate/1e6)
-	}
-	// I-frames ≈ 6x P-frames on average.
-	meanI, meanP := 0.0, 0.0
-	for _, s := range iSizes {
-		meanI += s
-	}
-	for _, s := range pSizes {
-		meanP += s
-	}
-	meanI /= float64(len(iSizes))
-	meanP /= float64(len(pSizes))
-	if r := meanI / meanP; r < 4.5 || r > 7.5 {
-		t.Errorf("I/P ratio = %.1f, want ≈6", r)
-	}
-	// Cadence is the frame period.
-	if d, _ := v.Next(rng); math.Abs(d-1.0/30) > 1e-12 {
-		t.Errorf("frame gap = %g", d)
-	}
-	// Degenerate config is harmless.
-	if d, b := (&VBRVideo{}).Next(rng); d != 1 || b != 0 {
-		t.Error("degenerate VBR wrong")
-	}
-}
-
-func TestNetworkCarriesVBRVideo(t *testing.T) {
-	nw := newTestNetwork(44)
-	for i := 0; i < 3; i++ {
-		pos := channel.Vec2{X: 2 + float64(i), Y: 1.5 + 0.5*float64(i)}
-		orient := nw.APs[0].Pose.Pos.Sub(pos).Angle()
-		if _, err := nw.Join(uint32(i+1), channel.Pose{Pos: pos, Orientation: orient}, 10e6, NewVBRCamera(8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := nw.Run(2, 0.1, 10)
-	if g := res.TotalGoodputBps(); g < 18e6 || g > 32e6 {
-		t.Errorf("VBR goodput = %.1f Mbps, want ≈24", g/1e6)
-	}
-}
-
 func TestRateAdaptationAndAirtime(t *testing.T) {
 	nw := newTestNetwork(50)
 	nodes := placeNodes(t, nw, 2, 10e6)

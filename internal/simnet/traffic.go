@@ -7,11 +7,7 @@
 // domain-scenario examples.
 package simnet
 
-import (
-	"math"
-
-	"mmx/internal/stats"
-)
+import "mmx/internal/stats"
 
 // TrafficModel generates a node's offered load.
 type TrafficModel interface {
@@ -62,75 +58,4 @@ func HDCamera(mbps float64) CBR {
 // Telemetry returns a low-rate sensor workload.
 func Telemetry(meanIntervalS float64) Poisson {
 	return Poisson{MeanIntervalS: meanIntervalS, FrameBytes: 64}
-}
-
-// VBRVideo models a real camera encoder: large I-frames at the start of
-// each group of pictures, small P-frames in between, with lognormal-ish
-// size jitter. The paper's motivating devices are exactly such cameras
-// ("45 billion cameras connected by 2022").
-type VBRVideo struct {
-	// MeanRateBps is the long-term average bitrate.
-	MeanRateBps float64
-	// FPS is the frame rate.
-	FPS float64
-	// GOP is the group-of-pictures length (frames per I-frame).
-	GOP int
-	// IPRatio is how much larger an I-frame is than a P-frame.
-	IPRatio float64
-	// Jitter is the relative per-frame size spread (std/mean).
-	Jitter float64
-
-	frame int
-}
-
-// NewVBRCamera returns a camera at the given Mbps with typical encoder
-// parameters (30 fps, GOP 30, I-frames 6x P-frames, 20% jitter).
-func NewVBRCamera(mbps float64) *VBRVideo {
-	return &VBRVideo{
-		MeanRateBps: mbps * 1e6,
-		FPS:         30,
-		GOP:         30,
-		IPRatio:     6,
-		Jitter:      0.2,
-	}
-}
-
-// meanFrameBits returns the average bits per frame.
-func (v *VBRVideo) meanFrameBits() float64 {
-	if v.FPS <= 0 {
-		return 0
-	}
-	return v.MeanRateBps / v.FPS
-}
-
-// Next implements TrafficModel: fixed frame cadence, I/P-structured sizes.
-func (v *VBRVideo) Next(rng *stats.RNG) (float64, int) {
-	if v.MeanRateBps <= 0 || v.FPS <= 0 {
-		return 1, 0
-	}
-	gop := v.GOP
-	if gop < 1 {
-		gop = 1
-	}
-	ipr := v.IPRatio
-	if ipr < 1 {
-		ipr = 1
-	}
-	// Choose sizes so one GOP averages to the mean rate:
-	// ipr·p + (gop−1)·p = gop·mean  ⇒  p = gop·mean/(gop−1+ipr).
-	mean := v.meanFrameBits()
-	pBits := float64(gop) * mean / (float64(gop) - 1 + ipr)
-	bits := pBits
-	if v.frame%gop == 0 {
-		bits = ipr * pBits
-	}
-	v.frame++
-	if v.Jitter > 0 {
-		bits *= math.Max(0.1, 1+rng.Normal(0, v.Jitter))
-	}
-	bytes := int(bits / 8)
-	if bytes < 1 {
-		bytes = 1
-	}
-	return 1 / v.FPS, bytes
 }

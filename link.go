@@ -58,11 +58,6 @@ func NewEnvironment(width, height float64, seed uint64) *Environment {
 	}
 }
 
-// NewLabEnvironment returns the paper's 6 m x 4 m evaluation lab.
-func NewLabEnvironment(seed uint64) *Environment {
-	return NewEnvironment(6, 4, seed)
-}
-
 // AddBlocker places a human-scale obstacle (loss drawn from the paper's
 // 10–15 dB blockage class). A non-zero velocity makes it walk, bouncing
 // off walls.
@@ -74,9 +69,6 @@ func (e *Environment) AddBlocker(x, y, vx, vy float64) {
 		Vel:    channel.Vec2{X: vx, Y: vy},
 	})
 }
-
-// Step advances the environment's moving blockers by dt seconds.
-func (e *Environment) Step(dt float64) { e.env.Step(dt) }
 
 // Link is one mmX node→AP connection with the standard hardware models
 // (HMC533 VCO, ADRF5020 switch, orthogonal beam pair, LNA/filter/mixer AP
@@ -133,12 +125,6 @@ func (lk *Link) Quality() LinkQuality {
 // everything the demodulator has to handle).
 func (lk *Link) Send(payload []byte) ([]complex128, error) {
 	return lk.l.TransmitOTAM(payload, lk.rng.Intn(40), lk.rng)
-}
-
-// SendFixedBeam transmits with the conventional fixed-beam ASK baseline
-// instead of OTAM (the paper's "without OTAM" comparison).
-func (lk *Link) SendFixedBeam(payload []byte) ([]complex128, error) {
-	return lk.l.TransmitFixedBeam(payload, lk.rng.Intn(40), lk.rng)
 }
 
 // ReceiveResult reports a decoded frame.
@@ -215,28 +201,6 @@ func (lk *Link) ReceiveCoded(capture []complex128, payloadLen int) (ReceiveResul
 // link meets the target BER, or 0 if no rate closes the link.
 func (lk *Link) AdaptRate(targetBER float64) float64 {
 	return lk.l.AdaptRate(targetBER)
-}
-
-// AchievableRate returns the continuous-valued rate bound (bps) at the
-// target BER, capped at the 100 Mbps switch ceiling.
-func (lk *Link) AchievableRate(targetBER float64) float64 {
-	return lk.l.AchievableRate(targetBER)
-}
-
-// ReceiveStream scans a long capture for every decodable frame of
-// payloadLen-byte payloads — the AP's continuous operating mode. It
-// returns the recovered frames in airtime order.
-func (lk *Link) ReceiveStream(capture []complex128, payloadLen int) []ReceiveResult {
-	sr := modem.NewStreamReceiver(lk.l.Cfg.Modem)
-	var out []ReceiveResult
-	for _, f := range sr.ReceiveAll(capture, payloadLen) {
-		out = append(out, ReceiveResult{
-			Payload:  f.Payload,
-			Mode:     f.Result.Mode,
-			Inverted: f.Result.Inverted,
-		})
-	}
-	return out
 }
 
 // WallMaterial selects an interior partition's 24 GHz loss profile.

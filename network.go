@@ -32,9 +32,6 @@ func (n *Network) AddAP(pose Pose) (int, error) {
 	return ap.Index(), nil
 }
 
-// APCount reports the number of access points in the deployment.
-func (n *Network) APCount() int { return len(n.nw.APs) }
-
 // PlanReuse partitions the band into factor contiguous slices and
 // assigns each AP a slice so that nearby APs land on different slices
 // (greedy max-min-distance coloring). Factor 1 restores full-band reuse
@@ -123,13 +120,6 @@ func (n *Network) Join(id uint32, pose Pose, demandBps float64, traffic Traffic)
 	return info, nil
 }
 
-// Leave removes a node and returns its spectrum to the pool, churn-safely:
-// if the leaver owned a channel that SDM sharers still occupy, the best
-// sharer is promoted to exclusive owner instead of the channel being
-// re-granted over the sharers' heads. Like Join, Leave is legal during
-// Run — it executes as a membership event at the current sim clock.
-func (n *Network) Leave(id uint32) { n.nw.Leave(id) }
-
 // ScheduleJoin plans a node admission at absolute sim time at (seconds
 // from Run start). The join executes inside the next Run through the
 // full (possibly lossy) control handshake; a handshake that exhausts
@@ -165,11 +155,6 @@ func (n *Network) MoveNode(id uint32, pose Pose) bool {
 // the MAC layer's books (allocator invariants, owner/sharer registration,
 // no overlapping exclusive channels). It returns nil when consistent.
 func (n *Network) ValidateSpectrum() error { return n.nw.ValidateSpectrum() }
-
-// SetWorkers caps the SINR evaluation engine's parallel fan-out: 0 (the
-// default) uses all cores, 1 forces the serial path. Parallel and serial
-// evaluation produce bit-identical reports.
-func (n *Network) SetWorkers(w int) { n.nw.Workers = w }
 
 // CouplingMode selects when the network's interference engine — per-node
 // neighbor lists over a grid partition — starts pruning pairs whose
@@ -266,14 +251,10 @@ func (n *Network) SetLeaseTTL(ttlS, renewIntervalS float64) { n.nw.SetLeaseTTL(t
 // probability (1−BER)^bits at the node's instantaneous SINR. envStep sets
 // how often the environment (and the SINR snapshot) refreshes;
 // outageSINRdB defines the outage threshold recorded in the stats.
-// Membership may change mid-run (ScheduleJoin/ScheduleLeave, or
-// Join/Leave from callbacks): per-node stats follow the node by ID, and
+// Membership may change mid-run (ScheduleJoin/ScheduleLeave, or Join
+// from callbacks): per-node stats follow the node by ID, and
 // time-normalized figures divide by each node's time-present
 // (NodeStats.ActiveS). Run is not reentrant.
 func (n *Network) Run(duration, envStep, outageSINRdB float64) RunStats {
 	return n.nw.Run(duration, envStep, outageSINRdB)
 }
-
-// VideoTraffic returns a VBR camera workload: 30 fps GOP-structured
-// frames (large I-frames, small P-frames) averaging the given Mbps.
-func VideoTraffic(mbps float64) Traffic { return simnet.NewVBRCamera(mbps) }
