@@ -289,11 +289,7 @@ func (b *FilterBank) extract(out [][]complex128, x []complex128, lo, hi int, ln 
 		bu := b.plan.Forward(ln.bu, u)
 		for ci := range b.chans {
 			c := &b.chans[ci]
-			v, w := bu[c.bin], c.tw[j%len(c.tw)]
-			// v·w as Go's complex product orders it, each product
-			// rounded so that no architecture fuses it.
-			out[ci][j] = complex(float64(real(v)*real(w))-float64(imag(v)*imag(w)),
-				float64(real(v)*imag(w))+float64(imag(v)*real(w)))
+			out[ci][j] = dsp.Mul(bu[c.bin], c.tw[j%len(c.tw)])
 		}
 	}
 }

@@ -41,10 +41,11 @@ func legacyExtract(t *testing.T, y []complex128, center float64, ch BankChannel,
 }
 
 func randCapture(n int, seed uint64) []complex128 {
-	rng := stats.NewRNG(seed)
+	z := make([]float64, 2*n)
+	stats.NewRNG(seed).StdNormals(z)
 	x := make([]complex128, n)
 	for i := range x {
-		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+		x[i] = complex(z[2*i], z[2*i+1])
 	}
 	return x
 }

@@ -16,10 +16,11 @@ import (
 // reallocated.
 
 func noiseBurst(n int, seed uint64) []complex128 {
-	rng := stats.NewRNG(seed)
+	z := make([]float64, 2*n)
+	stats.NewRNG(seed).StdNormals(z)
 	x := make([]complex128, n)
 	for i := range x {
-		x[i] = complex(rng.StdNormal(), rng.StdNormal())
+		x[i] = complex(z[2*i], z[2*i+1])
 	}
 	return x
 }

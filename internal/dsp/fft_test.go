@@ -56,7 +56,7 @@ func TestFFTIFFTRoundtrip(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 31, 32, 33, 97, 100, 194, 243, 250, 255, 256, 1000} {
 		x := make([]complex128, n)
 		for i := range x {
-			x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+			x[i] = complex(normal(rng), normal(rng))
 		}
 		p := PlanFFT(n)
 		y := p.Forward(nil, x)
@@ -81,8 +81,8 @@ func TestFFTLinearityProperty(t *testing.T) {
 		a := make([]complex128, n)
 		b := make([]complex128, n)
 		for i := 0; i < n; i++ {
-			a[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-			b[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+			a[i] = complex(normal(rng), normal(rng))
+			b[i] = complex(normal(rng), normal(rng))
 		}
 		alpha := complex(r.Uniform(-2, 2), r.Uniform(-2, 2))
 		sum := make([]complex128, n)
@@ -109,7 +109,7 @@ func TestParsevalProperty(t *testing.T) {
 		n := 8 + r.Intn(120)
 		x := make([]complex128, n)
 		for i := range x {
-			x[i] = complex(r.Normal(0, 1), r.Normal(0, 1))
+			x[i] = complex(normal(r), normal(r))
 		}
 		spec := PowerSpectrumInto(nil, x)
 		sum := 0.0

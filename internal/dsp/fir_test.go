@@ -80,8 +80,8 @@ func TestFilterLinearityProperty(t *testing.T) {
 		a := make([]complex128, n)
 		b := make([]complex128, n)
 		for i := 0; i < n; i++ {
-			a[i] = complex(r.Normal(0, 1), r.Normal(0, 1))
-			b[i] = complex(r.Normal(0, 1), r.Normal(0, 1))
+			a[i] = complex(normal(r), normal(r))
+			b[i] = complex(normal(r), normal(r))
 		}
 		sum := make([]complex128, n)
 		for i := range sum {

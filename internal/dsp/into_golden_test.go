@@ -18,7 +18,7 @@ func goldenInput(n int, seed uint64) []complex128 {
 	rng := stats.NewRNG(seed)
 	x := make([]complex128, n)
 	for i := range x {
-		x[i] = complex(rng.StdNormal(), rng.StdNormal())
+		x[i] = complex(normal(rng), normal(rng))
 	}
 	return x
 }
@@ -57,13 +57,30 @@ func TestEnvelopeIntoGolden(t *testing.T) {
 	checkInto(t, "EnvelopeInto", garbageF, func(d []float64) []float64 { return EnvelopeInto(d, x) })
 }
 
-func TestMovingAverageIntoGolden(t *testing.T) {
+// TestMovingAverageSpanGolden smooths a series whole into a fresh out and
+// in uneven spans into a dirty one: the pieces must equal the whole, and
+// a span must write nothing outside itself.
+func TestMovingAverageSpanGolden(t *testing.T) {
 	xs := make([]float64, 150)
 	for i, v := range goldenInput(len(xs), 6) {
 		xs[i] = real(v)
 	}
 	for _, w := range []int{1, 2, 5, 149, 151} {
-		checkInto(t, fmt.Sprintf("width=%d", w), garbageF, func(d []float64) []float64 { return MovingAverageInto(d, xs, w) })
+		want := make([]float64, len(xs))
+		MovingAverageSpan(want, xs, w, 0, len(xs))
+		got := make([]float64, len(xs)+1)
+		for i := range got {
+			got[i] = garbageF
+		}
+		for _, cut := range [][2]int{{0, 1}, {1, 64}, {64, 149}, {149, 150}} {
+			MovingAverageSpan(got, xs, w, cut[0], cut[1])
+		}
+		if !reflect.DeepEqual(got[:len(xs)], want) {
+			t.Errorf("width=%d: spans differ from the whole", w)
+		}
+		if got[len(xs)] != garbageF {
+			t.Errorf("width=%d: a span wrote past its end", w)
+		}
 	}
 }
 

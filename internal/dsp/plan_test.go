@@ -26,7 +26,7 @@ func randComplex(n int, seed uint64) []complex128 {
 	rng := stats.NewRNG(seed)
 	x := make([]complex128, n)
 	for i := range x {
-		x[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+		x[i] = complex(normal(rng), normal(rng))
 	}
 	return x
 }

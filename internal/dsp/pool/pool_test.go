@@ -76,4 +76,8 @@ func TestAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("allocs/op = %.1f, want 0", allocs)
 	}
+	PutFloat64(Float64(4096))
+	if allocs := testing.AllocsPerRun(100, func() { PutFloat64(Float64(4096)) }); allocs != 0 {
+		t.Errorf("float64 allocs/op = %.1f, want 0", allocs)
+	}
 }

@@ -9,8 +9,17 @@ import (
 	"math"
 	"math/cmplx"
 
+	"mmx/internal/dsp/pool"
 	"mmx/internal/stats"
 )
+
+// Mul is a·b in the order Go's complex product computes it, with each
+// real product rounded by a conversion so that no architecture fuses it
+// into the sum that follows.
+func Mul(a, b complex128) complex128 {
+	return complex(float64(real(a)*real(b))-float64(imag(a)*imag(b)),
+		float64(real(a)*imag(b))+float64(imag(a)*real(b)))
+}
 
 // Power returns the mean power of x: mean(|x|^2).
 func Power(x []complex128) float64 {
@@ -70,23 +79,30 @@ func EnvelopeInto(dst []float64, x []complex128) []float64 {
 }
 
 // AddNoise adds complex AWGN with total noise power noisePower (variance
-// split evenly between I and Q) to x in place, drawing from rng.
+// split evenly between I and Q) to x in place, drawing from rng: the real
+// part of sample i takes draw 2i, the imaginary part draw 2i+1. The draws
+// come in one batch (RNG.StdNormals) into pooled scratch.
 func AddNoise(x []complex128, noisePower float64, rng *stats.RNG) []complex128 {
 	if noisePower <= 0 {
 		return x
 	}
 	sigma := math.Sqrt(noisePower / 2)
+	z := pool.Float64(2 * len(x))
+	rng.StdNormals(z)
 	for i := range x {
-		x[i] += complex(rng.Normal(0, sigma), rng.Normal(0, sigma))
+		x[i] += complex(0+float64(sigma*z[2*i]), 0+float64(sigma*z[2*i+1]))
 	}
+	pool.PutFloat64(z)
 	return x
 }
 
-// MovingAverageInto smooths xs with a centered boxcar of the given width
-// (clamped to odd, >= 1) into dst's storage (append semantics); edges use
-// the available neighborhood. dst must not alias xs (each output reads a
-// neighborhood of inputs).
-func MovingAverageInto(dst, xs []float64, width int) []float64 {
+// MovingAverageSpan writes outputs lo..hi−1 of xs smoothed by a centered
+// boxcar of the given width (clamped to odd, >= 1) into out[lo:hi]; edges
+// use the available neighborhood. Each output is its own sum, so disjoint
+// spans may run concurrently and a series smoothed in pieces equals one
+// smoothed whole. out must hold len(xs) and must not alias xs (each
+// output reads a neighborhood of inputs).
+func MovingAverageSpan(out, xs []float64, width, lo, hi int) {
 	if width < 1 {
 		width = 1
 	}
@@ -94,24 +110,13 @@ func MovingAverageInto(dst, xs []float64, width int) []float64 {
 		width++
 	}
 	half := width / 2
-	if cap(dst) < len(xs) {
-		dst = make([]float64, len(xs))
-	}
-	out := dst[:len(xs)]
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
+	for i := lo; i < hi; i++ {
+		a := max(i-half, 0)
+		b := min(i+half, len(xs)-1)
 		s := 0.0
-		for j := lo; j <= hi; j++ {
+		for j := a; j <= b; j++ {
 			s += xs[j]
 		}
-		out[i] = s / float64(hi-lo+1)
+		out[i] = s / float64(b-a+1)
 	}
-	return out
 }

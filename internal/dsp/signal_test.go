@@ -3,9 +3,11 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"mmx/internal/par"
 	"mmx/internal/stats"
 )
 
@@ -88,9 +90,23 @@ func TestAddNoisePower(t *testing.T) {
 	}
 }
 
+// normal draws one standard deviate.
+func normal(rng *stats.RNG) float64 {
+	var z [1]float64
+	rng.StdNormals(z[:])
+	return z[0]
+}
+
+// movingAverage smooths xs whole into a fresh slice.
+func movingAverage(xs []float64, width int) []float64 {
+	out := make([]float64, len(xs))
+	MovingAverageSpan(out, xs, width, 0, len(xs))
+	return out
+}
+
 func TestMovingAverage(t *testing.T) {
 	xs := []float64{0, 0, 9, 0, 0}
-	out := MovingAverageInto(nil, xs, 3)
+	out := movingAverage(xs, 3)
 	want := []float64{0, 3, 3, 3, 0}
 	for i := range want {
 		if math.Abs(out[i]-want[i]) > 1e-12 {
@@ -98,7 +114,7 @@ func TestMovingAverage(t *testing.T) {
 		}
 	}
 	// Even width is promoted to odd; width<1 clamps to 1 (identity).
-	id := MovingAverageInto(nil, xs, 0)
+	id := movingAverage(xs, 0)
 	for i := range xs {
 		if id[i] != xs[i] {
 			t.Error("width<1 should be identity")
@@ -114,7 +130,7 @@ func TestMovingAverageConservesMeanProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = val
 		}
-		out := MovingAverageInto(nil, xs, int(w%9))
+		out := movingAverage(xs, int(w%9))
 		for _, o := range out {
 			if math.Abs(o-val) > 1e-9 {
 				return false
@@ -138,5 +154,52 @@ func TestAddRealToComplex(t *testing.T) {
 	Add(c, []complex128{complex(3, 0)})
 	if c[0] != complex(4, 5) {
 		t.Errorf("Add of a real signal = %v", c[0])
+	}
+}
+
+// serialAddNoise is AddNoise as it was before the batch draws: two
+// deviates drawn one at a time per sample. Its products are rounded as the kernel rounds
+// them; amd64 never fuses, so there it is the old code's every bit.
+func serialAddNoise(x []complex128, noisePower float64, rng *stats.RNG) {
+	sigma := math.Sqrt(noisePower / 2)
+	for i := range x {
+		re := 0 + float64(sigma*normal(rng))
+		x[i] += complex(re, 0+float64(sigma*normal(rng)))
+	}
+}
+
+// TestAddNoiseMatchesSerialDraws holds every noisy sample to the serial
+// draws bit for bit, and the RNG's state after the call to the serial
+// one's: lengths 0 and 1 among short and lane-split captures, with and
+// without a cached deviate carried in, at GOMAXPROCS 1, 2 and 8.
+func TestAddNoiseMatchesSerialDraws(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 3, 3*par.Grain + 5} {
+			for _, carry := range []bool{false, true} {
+				x := make([]complex128, n)
+				for i := range x {
+					x[i] = complex(float64(i), -float64(i))
+				}
+				want := append([]complex128(nil), x...)
+				rng, oracle := stats.NewRNG(uint64(n)), stats.NewRNG(uint64(n))
+				if carry {
+					normal(rng)
+					normal(oracle)
+				}
+				AddNoise(x, 0.3, rng)
+				serialAddNoise(want, 0.3, oracle)
+				for i := range x {
+					if math.Float64bits(real(x[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(x[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("GOMAXPROCS %d, n %d, carry %v: sample %d = %v, serial %v", procs, n, carry, i, x[i], want[i])
+					}
+				}
+				if *rng != *oracle {
+					t.Fatalf("GOMAXPROCS %d, n %d, carry %v: RNG state differs from the serial draws'", procs, n, carry)
+				}
+			}
+		}
 	}
 }

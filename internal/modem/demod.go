@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 
 	"mmx/internal/dsp"
+	"mmx/internal/par"
 )
 
 // DemodResult reports everything the receiver learned from one capture.
@@ -68,7 +69,11 @@ type Demodulator struct {
 	frqTEng float64
 	freqMid float64
 
-	// Per-capture scratch (reused, grow-only).
+	// Per-capture scratch (reused, grow-only); x and offset are the
+	// capture and frame start a chunked pass reads, held only for the
+	// duration of the call.
+	x        []complex128
+	offset   int
 	env      []float64
 	rawFreq  []float64
 	instFreq []float64
@@ -143,28 +148,57 @@ var ErrNoSync = errors.New("modem: capture too short to contain the frame")
 // prepare computes the per-capture series the correlator and decoder
 // read: the envelope, the smoothed instantaneous frequency, and the
 // prefix sums that make every sync score O(preamble bits) instead of
-// O(preamble samples).
+// O(preamble samples). The per-sample series run in par.Chunks, in two
+// passes because the smoothing reads its neighbours' raw frequencies;
+// the prefix sums run serially.
 func (d *Demodulator) prepare(x []complex128) {
-	d.env = dsp.EnvelopeInto(d.env, x)
+	n := len(x)
+	d.env = growFloats(d.env, n)
+	if d.useFreq {
+		d.rawFreq = growFloats(d.rawFreq, n)
+		d.instFreq = growFloats(d.instFreq, n)
+	}
+	d.x = x
+	par.Chunks(n, (*samplePass)(d))
+	if d.useFreq {
+		par.Chunks(n, (*smoothPass)(d))
+	}
+	d.x = nil
 	d.envP1, d.envP2 = prefixSumsInto(d.envP1, d.envP2, d.env)
+	if d.useFreq {
+		d.frqP1, d.frqP2 = prefixSumsInto(d.frqP1, d.frqP2, d.instFreq)
+	}
+}
+
+// samplePass is prepare's first pass over [lo, hi): the envelope and,
+// with FSK, the raw instantaneous frequency from the one-lag product
+// x[i+1]·conj(x[i]).
+type samplePass Demodulator
+
+func (p *samplePass) Range(lo, hi int) {
+	d := (*Demodulator)(p)
+	x := d.x
+	dsp.EnvelopeInto(d.env[lo:hi], x[lo:hi])
 	if !d.useFreq {
 		return
 	}
-	if cap(d.rawFreq) < len(x) {
-		d.rawFreq = make([]float64, len(x))
+	for i := lo; i < min(hi, len(x)-1); i++ {
+		d.rawFreq[i] = cmplx.Phase(dsp.Mul(x[i+1], cmplx.Conj(x[i])))*d.cfg.SampleRate/(2*math.Pi) - d.freqMid
 	}
-	d.rawFreq = d.rawFreq[:len(x)]
-	for i := 0; i+1 < len(x); i++ {
-		d.rawFreq[i] = cmplx.Phase(x[i+1]*cmplx.Conj(x[i]))*d.cfg.SampleRate/(2*math.Pi) - d.freqMid
+	if hi == len(x) {
+		d.rawFreq[hi-1] = 0
 	}
-	if n := len(x); n > 0 {
-		d.rawFreq[n-1] = 0
-	}
-	// The single-lag frequency estimate is noisier than the FSK step
-	// itself at typical SNRs; average over half a symbol so the
-	// correlation sees the tone pattern, not the phase noise.
-	d.instFreq = dsp.MovingAverageInto(d.instFreq, d.rawFreq, d.spb/2)
-	d.frqP1, d.frqP2 = prefixSumsInto(d.frqP1, d.frqP2, d.instFreq)
+}
+
+// smoothPass is prepare's second pass: the single-lag frequency estimate
+// is noisier than the FSK step itself at typical SNRs, so it is averaged
+// over half a symbol and the correlation sees the tone pattern, not the
+// phase noise.
+type smoothPass Demodulator
+
+func (p *smoothPass) Range(lo, hi int) {
+	d := (*Demodulator)(p)
+	dsp.MovingAverageSpan(d.instFreq, d.rawFreq, d.spb/2, lo, hi)
 }
 
 // prefixSumsInto fills p1/p2 (len(xs)+1 each, append-style reuse) with
@@ -181,7 +215,7 @@ func prefixSumsInto(p1, p2, xs []float64) ([]float64, []float64) {
 	p1[0], p2[0] = 0, 0
 	for i, v := range xs {
 		p1[i+1] = p1[i] + v
-		p2[i+1] = p2[i] + v*v
+		p2[i+1] = p2[i] + float64(v*v)
 	}
 	return p1, p2
 }
@@ -280,20 +314,9 @@ func (d *Demodulator) decodeAt(x []complex128, nBits, offset int, syncScore floa
 	d.p1s = growFloats(d.p1s, nBits)       // tone-1 power
 	levels, p0s, p1s := d.levels, d.p0s, d.p1s
 	fskUsable := d.useFreq
-	for s := 0; s < nBits; s++ {
-		start := offset + s*spb
-		block := x[start : start+spb]
-		sum := 0.0
-		for _, e := range d.env[start : start+spb] {
-			sum += e
-		}
-		levels[s] = sum / float64(spb)
-		if fskUsable {
-			_, p0s[s], p1s[s] = d.disc.Decide(block)
-		} else {
-			p0s[s], p1s[s] = 0, 0
-		}
-	}
+	d.x, d.offset = x, offset
+	par.Chunks(nBits*spb, (*symbolPass)(d))
+	d.x = nil
 
 	// Train on the preamble: class means of the amplitude levels.
 	var hi, lo, nHi, nLo float64
@@ -385,6 +408,30 @@ func (d *Demodulator) decodeAt(x []complex128, nBits, offset int, syncScore floa
 		ASKConfidence: askConf,
 		FSKConfidence: fskConf,
 		Mode:          mode,
+	}
+}
+
+// symbolPass measures decodeAt's per-symbol observables, the mean
+// envelope and the two tone powers, of the symbols that start in
+// [lo, hi): its index is the sample within the frame, so a chunk's work
+// is its share of the frame's samples.
+type symbolPass Demodulator
+
+func (p *symbolPass) Range(lo, hi int) {
+	d := (*Demodulator)(p)
+	spb := d.spb
+	for s := (lo + spb - 1) / spb; s*spb < hi; s++ {
+		start := d.offset + s*spb
+		sum := 0.0
+		for _, e := range d.env[start : start+spb] {
+			sum += e
+		}
+		d.levels[s] = sum / float64(spb)
+		if d.useFreq {
+			_, d.p0s[s], d.p1s[s] = d.disc.Decide(d.x[start : start+spb])
+		} else {
+			d.p0s[s], d.p1s[s] = 0, 0
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/cmplx"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mmx/internal/dsp"
@@ -61,11 +62,12 @@ func newNaiveSync(cfg Config, x []complex128) *naiveSync {
 				sc.freqT[s*spb+k] = f - mid
 			}
 		}
-		sc.instFreq = make([]float64, len(x))
+		raw := make([]float64, len(x))
 		for i := 0; i+1 < len(x); i++ {
-			sc.instFreq[i] = cmplx.Phase(x[i+1]*cmplx.Conj(x[i]))*cfg.SampleRate/(2*math.Pi) - mid
+			raw[i] = cmplx.Phase(x[i+1]*cmplx.Conj(x[i]))*cfg.SampleRate/(2*math.Pi) - mid
 		}
-		sc.instFreq = dsp.MovingAverageInto(nil, sc.instFreq, spb/2)
+		sc.instFreq = make([]float64, len(x))
+		dsp.MovingAverageSpan(sc.instFreq, raw, spb/2, 0, len(raw))
 	}
 	return sc
 }
@@ -299,5 +301,134 @@ func TestDemodulateSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Demodulate allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// serialSeries is prepare and decodeAt's per-symbol pass as they were
+// before the chunked passes: every series in one loop over the capture,
+// the smoothing as the old whole-series boxcar. Its products are rounded
+// as the kernels round them; amd64 never fuses, so there it is the old
+// code's every bit.
+type serialSeries struct {
+	env, rawFreq, instFreq, envP1, envP2, frqP1, frqP2 []float64
+	levels, p0s, p1s                                   []float64
+}
+
+func newSerialSeries(d *Demodulator, x []complex128) *serialSeries {
+	n := len(x)
+	s := &serialSeries{env: make([]float64, n)}
+	for i, v := range x {
+		s.env[i] = cmplx.Abs(v)
+	}
+	s.envP1, s.envP2 = serialPrefix(s.env)
+	if !d.useFreq {
+		return s
+	}
+	s.rawFreq = make([]float64, n)
+	for i := 0; i+1 < n; i++ {
+		a, b := x[i+1], cmplx.Conj(x[i])
+		re := float64(real(a)*real(b)) - float64(imag(a)*imag(b))
+		im := float64(real(a)*imag(b)) + float64(imag(a)*real(b))
+		s.rawFreq[i] = math.Atan2(im, re)*d.cfg.SampleRate/(2*math.Pi) - d.freqMid
+	}
+	width := d.spb / 2
+	if width%2 == 0 {
+		width++
+	}
+	half := width / 2
+	s.instFreq = make([]float64, n)
+	for i := range s.instFreq {
+		lo, hi := max(i-half, 0), min(i+half, n-1)
+		sum := 0.0
+		for j := lo; j <= hi; j++ {
+			sum += s.rawFreq[j]
+		}
+		s.instFreq[i] = sum / float64(hi-lo+1)
+	}
+	s.frqP1, s.frqP2 = serialPrefix(s.instFreq)
+	return s
+}
+
+func serialPrefix(xs []float64) (p1, p2 []float64) {
+	p1, p2 = make([]float64, len(xs)+1), make([]float64, len(xs)+1)
+	for i, v := range xs {
+		p1[i+1] = p1[i] + v
+		p2[i+1] = p2[i] + float64(v*v)
+	}
+	return p1, p2
+}
+
+func (s *serialSeries) observe(d *Demodulator, x []complex128, nBits, offset int) {
+	spb := d.spb
+	s.levels, s.p0s, s.p1s = make([]float64, nBits), make([]float64, nBits), make([]float64, nBits)
+	for k := 0; k < nBits; k++ {
+		start := offset + k*spb
+		sum := 0.0
+		for _, e := range s.env[start : start+spb] {
+			sum += e
+		}
+		s.levels[k] = sum / float64(spb)
+		if d.useFreq {
+			_, s.p0s[k], s.p1s[k] = d.disc.Decide(x[start : start+spb])
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPrepareMatchesSerialSeries holds every series prepare leaves
+// (envelope, raw and smoothed frequency, the four prefix sums) and every
+// per-symbol observable decodeAt measures to the serial pass bit for bit:
+// joint and ASK-only numerology, captures of 0, 1 and 2 samples, one
+// under the grain and ones the lanes split, at GOMAXPROCS 1, 2 and 8.
+func TestPrepareMatchesSerialSeries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	short := []byte("hi")
+	long := bytes.Repeat([]byte("lane-split frame "), 3)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range syncCases()[:2] {
+			d := NewDemodulator(c.cfg)
+			tiny := c.capture(t, short)
+			for _, x := range [][]complex128{nil, tiny[:1], tiny[:2], tiny, c.capture(t, long)} {
+				d.prepare(x)
+				want := newSerialSeries(d, x)
+				for _, s := range []struct {
+					name      string
+					got, want []float64
+				}{
+					{"env", d.env, want.env}, {"envP1", d.envP1, want.envP1}, {"envP2", d.envP2, want.envP2},
+					{"rawFreq", d.rawFreq, want.rawFreq}, {"instFreq", d.instFreq, want.instFreq},
+					{"frqP1", d.frqP1, want.frqP1}, {"frqP2", d.frqP2, want.frqP2},
+				} {
+					if s.want == nil { // a frequency series, with FSK off
+						continue
+					}
+					if !sameBits(s.got, s.want) {
+						t.Fatalf("GOMAXPROCS %d, %s, %d samples: %s differs from the serial pass", procs, c.name, len(x), s.name)
+					}
+				}
+				nBits := len(x) / d.spb
+				if nBits < len(Preamble) {
+					continue
+				}
+				offset := len(x) - nBits*d.spb
+				d.decodeAt(x, nBits, offset, 1)
+				want.observe(d, x, nBits, offset)
+				if !sameBits(d.levels, want.levels) || d.useFreq && (!sameBits(d.p0s, want.p0s) || !sameBits(d.p1s, want.p1s)) {
+					t.Fatalf("GOMAXPROCS %d, %s, %d samples: per-symbol observables differ from the serial pass", procs, c.name, len(x))
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package modem
 
-import "math"
+import (
+	"math"
+
+	"mmx/internal/dsp"
+)
 
 // Config fixes the air-interface numerology shared by modulator and
 // demodulator.
@@ -85,14 +89,14 @@ func SynthesizeInto(dst []complex128, cfg Config, bits []bool, g0, g1 complex128
 		// w is g·e^{jφ} at the head of each run of toneRun samples; a
 		// run's samples w·r^k are independent of one another, so their
 		// multiplies overlap instead of queueing on one phasor.
-		w := mul(g, complex(zr, zi))
+		w := dsp.Mul(g, complex(zr, zi))
 		for end := i + spb; i < end; {
 			o := out[i:min(i+toneRun, end)]
 			for k, p := range t.pow[:len(o)] {
-				o[k] = mul(w, p)
+				o[k] = dsp.Mul(w, p)
 			}
 			i += len(o)
-			w = mul(w, t.step)
+			w = dsp.Mul(w, t.step)
 		}
 		phase += t.adv
 		if phase >= math.Pi {
@@ -122,7 +126,7 @@ func newTone(f, fs float64, spb int) tone {
 	p := complex(1, 0)
 	for k := range t.pow {
 		t.pow[k] = p
-		p = mul(p, complex(rr, ri))
+		p = dsp.Mul(p, complex(rr, ri))
 	}
 	t.step = p
 	// Reducing spb·F modulo Fs is exact (math.Mod), so the advance keeps
@@ -131,14 +135,6 @@ func newTone(f, fs float64, spb int) tone {
 	cyc := math.Mod(float64(spb)*f, fs) / fs
 	t.adv = 2 * math.Pi * (cyc - math.Round(cyc))
 	return t
-}
-
-// mul is a·b in the order Go's complex product computes it, with each
-// real product rounded by a conversion so that no architecture fuses it
-// into the sum that follows.
-func mul(a, b complex128) complex128 {
-	return complex(float64(real(a)*real(b))-float64(imag(a)*imag(b)),
-		float64(real(a)*imag(b))+float64(imag(a)*real(b)))
 }
 
 // PadRandomOffset prepends `offset` zero samples (dead air before the

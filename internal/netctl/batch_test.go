@@ -437,6 +437,68 @@ func TestUDPLoopbackRoundtrip(t *testing.T) {
 	}
 }
 
+// wrappedConn is a UDP socket behind a type newBatchIO does not know, as
+// any net.PacketConn other than *net.UDPConn and the in-memory conn is:
+// it gets the portable one-datagram-per-call I/O on every platform.
+type wrappedConn struct{ *net.UDPConn }
+
+// TestGenericIOServesWrappedConn runs the portable batch I/O under go
+// test on Linux too: a daemon serving a wrapped socket carries a client
+// lifecycle, one datagram per call both ways, and a wrapped connected
+// socket sends with no address (the mux's case) and reads the reply.
+func TestGenericIOServesWrappedConn(t *testing.T) {
+	conn := wrappedConn{listenUDP(t)}
+	if _, ok := newBatchIO(conn, true, new(traffic)).(*genericIO); !ok {
+		t.Fatal("a wrapped socket did not get the portable I/O")
+	}
+	srv := NewServer(mac.NewController(mac.ISM24GHz()), NewRealClock(), ServerConfig{})
+	srv.Serve(conn)
+	defer srv.Stop()
+	mux, err := DialMux(conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mux.Close() //nolint:errcheck // test teardown
+	c := NewClient(42, 1e6, mux.Client(42), 1)
+	c.Retry = testRetrier()
+	defer c.Close() //nolint:errcheck // test teardown
+	if _, err := c.Join(); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if out, _, err := c.Renew(); err != nil || out != RenewOK {
+		t.Fatalf("renew: outcome=%v err=%v", out, err)
+	}
+	if _, err := c.Release(); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+	waitFor(t, func() bool { return srv.Stats().Handled >= 3 }, "requests not handled")
+	tr := srv.Stats().Traffic
+	if tr.RecvMsgs < 3 || tr.RecvCalls != tr.RecvMsgs || tr.RecvMsgs != tr.RecvDatagrams ||
+		tr.SendMsgs < 3 || tr.SendCalls != tr.SendMsgs || tr.SendMsgs != tr.SendDatagrams {
+		t.Errorf("traffic %+v, want one datagram per call both ways", tr)
+	}
+
+	peer := listenUDP(t)
+	bio := newBatchIO(wrappedConn{dialUDP(t, peer)}, true, new(traffic))
+	out := getFrame()
+	out.n = copy(out.buf[:], "no address: a connected socket's write")
+	if err := bio.writer(32).writeBatch([]*frame{out}); err != nil {
+		t.Fatalf("write without an address: %v", err)
+	}
+	buf := make([]byte, frameCap)
+	n, from, err := peer.ReadFrom(buf)
+	if err != nil || string(buf[:n]) != string(out.bytes()) {
+		t.Fatalf("peer read %q, %v", buf[:n], err)
+	}
+	if _, err := peer.WriteTo([]byte("reply"), from); err != nil {
+		t.Fatal(err)
+	}
+	in := make([]*frame, 1)
+	if k, err := bio.reader(32).readBatch(in); k != 1 || err != nil || string(in[0].bytes()) != "reply" {
+		t.Fatalf("read %d frames, %v", k, err)
+	}
+}
+
 // planned is one frame of a writer test: its bytes and its peer.
 type planned struct {
 	to int

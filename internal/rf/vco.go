@@ -2,8 +2,10 @@ package rf
 
 import (
 	"math"
-	"math/cmplx"
 
+	"mmx/internal/dsp"
+	"mmx/internal/dsp/pool"
+	"mmx/internal/par"
 	"mmx/internal/stats"
 	"mmx/internal/units"
 )
@@ -93,12 +95,37 @@ const LinewidthHz = 20e3
 // ApplyPhaseNoise rotates a complex baseband waveform, in place, by the
 // free-running oscillator's phase error: a Wiener process with per-sample
 // variance 2π·LinewidthHz/sampleRate, starting at zero. It consumes
-// exactly len(x) draws from rng and allocates nothing.
+// exactly len(x) draws from rng and allocates nothing. The draws come in
+// one batch (RNG.StdNormals), the walk sums them serially into pooled
+// scratch, and the rotations run in par.Chunks.
 func (v *VCO) ApplyPhaseNoise(x []complex128, sampleRate float64, rng *stats.RNG) {
 	sigma := math.Sqrt(2 * math.Pi * LinewidthHz / sampleRate)
-	phase := 0.0
-	for i := range x {
-		phase += rng.Normal(0, sigma)
-		x[i] *= cmplx.Rect(1, phase)
+	phase := pool.Float64(len(x))
+	rng.StdNormals(phase)
+	p := 0.0
+	for i, z := range phase {
+		p += 0 + float64(sigma*z)
+		phase[i] = p
+	}
+	t := rotations.Get()
+	t.x, t.phase = x, phase
+	par.Chunks(len(x), t)
+	*t = rotation{}
+	rotations.Put(t)
+	pool.PutFloat64(phase)
+}
+
+// rotation is ApplyPhaseNoise's chunked transform: x[i] *= e^{j·phase[i]}.
+type rotation struct {
+	x     []complex128
+	phase []float64
+}
+
+var rotations par.FreeList[rotation]
+
+func (t *rotation) Range(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s, c := math.Sincos(t.phase[i])
+		t.x[i] = dsp.Mul(t.x[i], complex(c, s))
 	}
 }

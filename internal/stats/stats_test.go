@@ -2,8 +2,11 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"mmx/internal/par"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -58,9 +61,11 @@ func TestUniformMoments(t *testing.T) {
 func TestNormalMoments(t *testing.T) {
 	r := NewRNG(99)
 	n := 200000
+	z := make([]float64, n)
+	r.StdNormals(z)
 	var s, s2 float64
-	for i := 0; i < n; i++ {
-		v := r.Normal(3, 2)
+	for _, v := range z {
+		v = 3 + 2*v
 		s += v
 		s2 += v * v
 	}
@@ -203,5 +208,86 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 	if got := Percentile(xs, 90); math.Abs(got-9) > 1e-12 {
 		t.Errorf("interpolated P90 = %g, want 9", got)
+	}
+}
+
+// serialUint64 and serialStdNormal are the generator and the Gaussian
+// draw as they were before the batch form (StdNormal, one deviate a call): one xoshiro step per call on
+// the state in memory, and one polar point per pair straight off Float64,
+// the second deviate cached. Their products are rounded as the kernels
+// round them; amd64 never fuses, so there they are the old code's every
+// bit.
+func serialUint64(r *RNG) uint64 {
+	result := rotl(r.s[1]*5, 7) * 9
+	t := r.s[1] << 17
+	r.s[2] ^= r.s[0]
+	r.s[3] ^= r.s[1]
+	r.s[1] ^= r.s[2]
+	r.s[0] ^= r.s[3]
+	r.s[2] ^= t
+	r.s[3] = rotl(r.s[3], 45)
+	return result
+}
+
+func serialStdNormal(r *RNG) float64 {
+	if r.hasGauss {
+		r.hasGauss = false
+		return r.gauss
+	}
+	var u, v, s float64
+	for {
+		u = float64(2*(float64(serialUint64(r)>>11)/(1<<53))) - 1
+		v = float64(2*(float64(serialUint64(r)>>11)/(1<<53))) - 1
+		s = float64(u*u) + float64(v*v)
+		if s > 0 && s < 1 {
+			break
+		}
+	}
+	f := math.Sqrt(-2 * math.Log(s) / s)
+	r.gauss = v * f
+	r.hasGauss = true
+	return u * f
+}
+
+// TestStdNormalsMatchesSerialDraws holds StdNormals to the serial draw
+// bit for bit, and the generator's state after each call to the serial
+// one's: one deviate at a time (a cached deviate carried in every other
+// call), odd and even counts with and without a carry, lengths 0 and 1,
+// and batches the lanes split, at GOMAXPROCS 1, 2 and 8.
+func TestStdNormalsMatchesSerialDraws(t *testing.T) {
+	r, o := NewRNG(3), NewRNG(3)
+	var one [1]float64
+	for i := 0; i < 10000; i++ {
+		r.StdNormals(one[:])
+		if want := serialStdNormal(o); math.Float64bits(one[0]) != math.Float64bits(want) {
+			t.Fatalf("draw %d = %v, serial %v", i, one[0], want)
+		}
+		if *r != *o {
+			t.Fatalf("state after draw %d differs from the serial draw's", i)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 2, 3, 2 * par.Grain, 4*par.Grain + 1, 9*par.Grain + 2} {
+			for _, carry := range []bool{false, true} {
+				seed := uint64(10*n + procs)
+				r, o := NewRNG(seed), NewRNG(seed)
+				if carry {
+					r.StdNormals(one[:])
+					serialStdNormal(o)
+				}
+				got := make([]float64, n)
+				r.StdNormals(got)
+				for i, z := range got {
+					if want := serialStdNormal(o); math.Float64bits(z) != math.Float64bits(want) {
+						t.Fatalf("GOMAXPROCS %d, n %d, carry %v: deviate %d = %v, serial %v", procs, n, carry, i, z, want)
+					}
+				}
+				if *r != *o {
+					t.Fatalf("GOMAXPROCS %d, n %d, carry %v: state after StdNormals differs from the serial draws'", procs, n, carry)
+				}
+			}
+		}
 	}
 }

@@ -284,9 +284,11 @@ func TestMixLinearityProperty(t *testing.T) {
 	s1 := make([]complex128, n)
 	s2 := make([]complex128, n)
 	sum := make([]complex128, n)
+	z := make([]float64, 4*n)
+	rng.StdNormals(z)
 	for i := 0; i < n; i++ {
-		s1[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
-		s2[i] = complex(rng.Normal(0, 1), rng.Normal(0, 1))
+		s1[i] = complex(z[4*i], z[4*i+1])
+		s2[i] = complex(z[4*i+2], z[4*i+3])
 		sum[i] = s1[i] + s2[i]
 	}
 	th := 0.3
